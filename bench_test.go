@@ -815,9 +815,11 @@ func BenchmarkFusedScan(b *testing.B) {
 }
 
 // BenchmarkHashAggPresize isolates the hash-aggregate pre-sizing win:
-// algebra.Group grows its group-id table from the fixed 64-slot default,
+// algebra.Group grows its group table from the fixed 64-slot default,
 // while GroupHint pre-sizes it from the observed cardinality — exactly
-// what the factory feeds back from each pipeline's previous window.
+// what the factory feeds back from each pipeline's previous window. The
+// composite case groups on three int columns, Linear Road's
+// (xway, dir, seg) key.
 func BenchmarkHashAggPresize(b *testing.B) {
 	const (
 		rows   = 1 << 15
@@ -830,22 +832,32 @@ func BenchmarkHashAggPresize(b *testing.B) {
 			ks[i] += groups
 		}
 	}
-	keys := []bat.Vector{ks}
-	for _, cfg := range []struct {
+	// (xway, dir, seg) = 4 × 2 × 512 = 4096 combinations of the same
+	// group index.
+	xway, dir, seg := make(bat.Ints, rows), make(bat.Ints, rows), make(bat.Ints, rows)
+	for i, k := range ks {
+		xway[i], dir[i], seg[i] = k/1024, (k/512)%2, k%512
+	}
+	for _, shape := range []struct {
 		label string
-		hint  int
-	}{{"default", 0}, {"presized", groups}} {
-		cfg := cfg
-		b.Run(cfg.label, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := algebra.GroupHint(keys, nil, rows, cfg.hint)
-				if g.N != groups {
-					b.Fatalf("got %d groups, want %d", g.N, groups)
+		keys  []bat.Vector
+	}{{"int", []bat.Vector{ks}}, {"xway_dir_seg", []bat.Vector{xway, dir, seg}}} {
+		for _, cfg := range []struct {
+			label string
+			hint  int
+		}{{"default", 0}, {"presized", groups}} {
+			keys, hint := shape.keys, cfg.hint
+			b.Run(shape.label+"/"+cfg.label, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g := algebra.GroupHint(keys, nil, rows, hint)
+					if g.N != groups {
+						b.Fatalf("got %d groups, want %d", g.N, groups)
+					}
 				}
-			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }
 

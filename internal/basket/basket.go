@@ -21,6 +21,7 @@ package basket
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"datacell/internal/bat"
@@ -218,9 +219,7 @@ func (b *Basket) AppendFetchSeqs(c *bat.Chunk, sel []int32, arrival int64, seqs 
 	for i := range b.cols {
 		b.cols[i] = bat.AppendFetch(b.cols[i], c.Cols[i], sel)
 	}
-	for range sel {
-		b.arrivals = append(b.arrivals, arrival)
-	}
+	b.arrivals = fillInts(b.arrivals, len(sel), arrival, 0)
 	b.seqs = append(b.seqs, seqs...)
 	if n := seqs[len(seqs)-1] + 1; n > b.nextSeq {
 		b.nextSeq = n
@@ -237,14 +236,10 @@ func (b *Basket) appendLocked(c *bat.Chunk, arrival int64, seqs bat.Ints) {
 	for i := range b.cols {
 		b.cols[i] = b.cols[i].AppendVector(c.Cols[i])
 	}
-	for i := 0; i < rows; i++ {
-		b.arrivals = append(b.arrivals, arrival)
-	}
+	b.arrivals = fillInts(b.arrivals, rows, arrival, 0)
 	if seqs == nil {
-		for i := 0; i < rows; i++ {
-			b.seqs = append(b.seqs, b.nextSeq)
-			b.nextSeq++
-		}
+		b.seqs = fillInts(b.seqs, rows, b.nextSeq, 1)
+		b.nextSeq += int64(rows)
 	} else if rows > 0 {
 		b.seqs = append(b.seqs, seqs...)
 		if n := seqs[rows-1] + 1; n > b.nextSeq {
@@ -252,6 +247,19 @@ func (b *Basket) appendLocked(c *bat.Chunk, arrival int64, seqs bat.Ints) {
 		}
 	}
 	b.totalIn += int64(rows)
+}
+
+// fillInts extends xs by n values start, start+step, ..., growing it at
+// most once. Only positions past the old length are written, so views
+// already handed out over xs[:len(xs)] (PeekSeqs, SnapshotSeqs) never
+// see a write.
+func fillInts(xs bat.Ints, n int, start, step int64) bat.Ints {
+	old := len(xs)
+	xs = slices.Grow(xs, n)[:old+n]
+	for i := range xs[old:] {
+		xs[old+i] = start + int64(i)*step
+	}
+	return xs
 }
 
 // Pause makes subsequent appends queue inside the basket instead of

@@ -214,6 +214,42 @@ func TestPeekViewStableAcrossVacuum(t *testing.T) {
 	}
 }
 
+// Arrival and sequence stamps fill in bulk; the stamp views PeekSeqs and
+// SnapshotSeqs handed out earlier must keep their contents across later
+// appends of every kind.
+func TestStampViewsStableAcrossAppends(t *testing.T) {
+	b := New("s", sch())
+	id := b.Register()
+	_ = b.Append(chunkOf(1, 2, 3), 100)
+	_, arr, seqs := b.PeekSeqs(id, 10)
+	_, snapSeqs := b.SnapshotSeqs()
+	arr0 := append(bat.Ints(nil), arr...)
+	seqs0 := append(bat.Ints(nil), seqs...)
+	snap0 := append(bat.Ints(nil), snapSeqs...)
+
+	_ = b.Append(chunkOf(4, 5), 200)
+	_ = b.AppendSeqs(chunkOf(6, 7), 300, bat.Ints{10, 11})
+	_ = b.AppendFetchSeqs(chunkOf(8, 9, 10), []int32{0, 2}, 400, bat.Ints{12, 13})
+	_ = b.Append(chunkOf(11), 500)
+
+	for i := range arr0 {
+		if arr[i] != arr0[i] || seqs[i] != seqs0[i] || snapSeqs[i] != snap0[i] {
+			t.Fatalf("handed-out stamp views changed: arrivals %v seqs %v snapshot %v", arr, seqs, snapSeqs)
+		}
+	}
+	c, arr, seqs := b.PeekSeqs(id, 100)
+	wantArr := []int64{100, 100, 100, 200, 200, 300, 300, 400, 400, 500}
+	wantSeqs := []int64{0, 1, 2, 3, 4, 10, 11, 12, 13, 14}
+	if c.Rows() != len(wantArr) {
+		t.Fatalf("%d rows buffered, want %d", c.Rows(), len(wantArr))
+	}
+	for i := range wantArr {
+		if arr[i] != wantArr[i] || seqs[i] != wantSeqs[i] {
+			t.Fatalf("arrivals %v seqs %v, want %v %v", arr, seqs, wantArr, wantSeqs)
+		}
+	}
+}
+
 // Property-style concurrency test: concurrent appenders and one consumer;
 // every appended tuple is seen exactly once, in order.
 func TestConcurrentAppendConsume(t *testing.T) {

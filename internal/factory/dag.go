@@ -25,11 +25,14 @@ import (
 // Evaluation is fused (internal/kernel): memo cells hold lazy views —
 // a filter node's cell is just a candidate list over its parent's view,
 // and an aggregate node consumes its parent's view directly, evaluating
-// keys and arguments under the selection. A view materializes (latched,
-// once across all members) only when some member's chain actually ends
-// at that node and needs the dense chunk for its tail. Bytes are
-// identical to the former chunk-per-node memo: materializing a filter
-// view IS the FetchChunk the unfused step performed eagerly.
+// keys and arguments in place through the selection. Each member
+// requests exactly one node per window — its aggregate node when it has
+// one, its pipeline leaf otherwise — so a view materializes (latched,
+// once across all members) only when a non-aggregate member's chain ends
+// at that node and its ring needs the dense chunk. Filter nodes under
+// aggregate members never materialize. Bytes are identical to the former
+// chunk-per-node memo: materializing a filter view IS the FetchChunk the
+// unfused step performed eagerly.
 type dag struct {
 	mu    sync.Mutex
 	nodes map[string]*dagNode
@@ -157,10 +160,12 @@ func (w *dagWin) cell(n *dagNode) *memoCell {
 // already did. A member's own recursive parent lookups are deliberately
 // not hits (a lone member resolving filter then aggregate must report
 // zero sharing), which is what makes hits/(hits+misses) an honest
-// cross-query sharing rate. The leaf's view materializes here (latched in
-// the view, so siblings ending at the same node share one
-// reconstruction); interior filter nodes that only feed aggregates never
-// materialize at all.
+// cross-query sharing rate. The requested node's view materializes here
+// (latched in the view, so siblings requesting the same node share one
+// reconstruction): for an aggregate node that is the partial chunk
+// itself, for a pipeline leaf the dense surviving rows. Interior nodes —
+// including the filter leaf under an aggregate member — never
+// materialize.
 func (d *dag) eval(w *dagWin, n *dagNode, raw *bat.Chunk, hits, misses *atomic.Int64) *bat.Chunk {
 	if n == nil {
 		return raw

@@ -454,9 +454,10 @@ type SharedBW struct {
 // SharedFire runs the member tail over a batch of merged basic windows
 // handed over by the factory's execution group, in delivery order. It is
 // the grouped counterpart of FireShard: one scheduler activation of the
-// member's tail transition. Windows whose Out was already resolved
-// through the group's operator DAG skip the private pipeline. It returns
-// the number of result sets emitted.
+// member's tail transition. Windows whose Partial (or, for plans without
+// an aggregate, Out) was already resolved through the group's operator
+// DAG skip the private pipeline. It returns the number of result sets
+// emitted.
 func (f *Factory) SharedFire(evs []SharedBW) int {
 	if len(evs) == 0 {
 		return 0
@@ -826,11 +827,12 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	d := f.cfg.Decomp
 	in := f.inputs[idx]
 
-	if bw.Out == nil {
+	if bw.Out == nil && bw.Partial == nil {
 		// Per-basic-window pipeline over the raw tuples: the path for
 		// query-group members whose pipeline is not in the shared DAG (the
-		// DAG resolves Out/Partial before the tail runs), and the fallback
-		// for basic windows that bypassed the fragment path. A pipeline
+		// DAG resolves Partial, or Out for plans without an aggregate,
+		// before the tail runs), and the fallback for basic windows that
+		// bypassed the fragment path. A pipeline
 		// error substitutes an empty intermediate — like the fragment path
 		// — so the ring stays window-aligned and the shared buffer is
 		// still released below.

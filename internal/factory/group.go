@@ -315,10 +315,10 @@ type RemoteSource struct {
 // sealed basic windows awaiting the query's private tail, drained by the
 // member's scheduler transition. Members whose incremental pipeline
 // registered in the group DAG carry their leaf nodes; their tails resolve
-// Out/Partial through the shared memo before the merge stage. Members in
-// a merge class additionally resolve the merge itself — and, through
-// postLeaf, their post-merge fragment — from the group's shared
-// machinery, so their private tail only emits.
+// Partial (aggregate plans) or Out (all others) through the shared memo
+// before the merge stage. Members in a merge class additionally resolve
+// the merge itself — and, through postLeaf, their post-merge fragment —
+// from the group's shared machinery, so their private tail only emits.
 type Member struct {
 	g     *Group
 	query string
@@ -708,27 +708,33 @@ func (m *Member) Ready() bool { return m.q.ready() }
 
 // Fire drains the member's queue and runs its private tail over the
 // batch, in generation order. Members registered in the shared DAG
-// resolve their pipeline output (and partial aggregate) through the
-// window's memo first — evaluating each distinct operator once across all
-// members — and release their raw-data reference immediately. Merge-class
-// members then resolve the full-window merged view through the window's
-// merge cell (one merge evaluation per sealed window across the class)
-// and their post-merge fragment through the post-merge trie, so the
-// factory tail only emits; everyone else merges privately in the tail.
-// The scheduler guarantees a single in-flight Fire per member. It returns
-// the number of result sets emitted.
+// resolve their partial aggregate (or, without one, their pipeline
+// output) through the window's memo first — evaluating each distinct
+// operator once across all members — and release their raw-data
+// reference immediately. Merge-class members then resolve the
+// full-window merged view through the window's merge cell (one merge
+// evaluation per sealed window across the class) and their post-merge
+// fragment through the post-merge trie, so the factory tail only emits;
+// everyone else merges privately in the tail. The scheduler guarantees a
+// single in-flight Fire per member. It returns the number of result sets
+// emitted.
 func (m *Member) Fire() int {
 	items := m.q.drain()
 	evs := make([]SharedBW, 0, len(items))
 	for _, it := range items {
 		bw := it.bw
-		if it.dw != nil && (m.leaf != nil || m.aggLeaf != nil) {
-			bw.Out = m.g.dag.eval(it.dw, m.leaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
-			if m.aggLeaf != nil {
+		if it.dw != nil {
+			// A member resolves only the node its tail consumes: the
+			// partial aggregate when it has one (its ring keeps partials
+			// only, so the pipeline leaf never materializes for it), the
+			// pipeline leaf otherwise. The raw-data reference is released
+			// by the factory tail after tuple accounting (incrementalStep).
+			switch {
+			case m.aggLeaf != nil:
 				bw.Partial = m.g.dag.eval(it.dw, m.aggLeaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
+			case m.leaf != nil:
+				bw.Out = m.g.dag.eval(it.dw, m.leaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
 			}
-			// The raw-data reference is released by the factory tail after
-			// tuple accounting (incrementalStep).
 		}
 		// The merge cell serves this member only once its own ring is warm
 		// (Gen counts windows since the member joined): a late joiner's

@@ -16,9 +16,10 @@
 //   - Filter   composes the selection; nothing is copied.
 //   - Project  evaluates its expressions under the selection, producing a
 //     dense chunk (the natural materialization point).
-//   - Aggregate evaluates group keys and aggregate arguments under the
-//     selection and groups the dense key vectors — byte-identical to
-//     plan.RunAggregate over the materialized input, without building it.
+//   - Aggregate reads column-reference keys and arguments in place
+//     (base column + selection) and evaluates computed ones under the
+//     selection — byte-identical to plan.RunAggregate over the
+//     materialized input, without building it or copying any column.
 //   - Anything else (static-table joins, post-merge sorts) materializes
 //     the view and falls back to plan.ApplyStep, so fused chains evaluate
 //     exactly what the unfused executor would.
@@ -48,6 +49,7 @@ type View struct {
 
 	once sync.Once
 	mat  *bat.Chunk
+	done atomic.Bool // set once mat is built
 }
 
 // NewView wraps an already-dense chunk.
@@ -63,9 +65,14 @@ func (v *View) Rows() int { return algebra.SelLen(v.Sel, v.Base.Rows()) }
 func (v *View) Materialize() *bat.Chunk {
 	v.once.Do(func() {
 		v.mat = algebra.FetchChunk(v.Base, v.Sel)
+		v.done.Store(true)
 	})
 	return v.mat
 }
+
+// Materialized reports whether Materialize has run — whether any
+// consumer needed this view's dense chunk.
+func (v *View) Materialized() bool { return v.done.Load() }
 
 // Filter composes a predicate into the view's selection. No column data
 // moves: the returned view shares the input's base chunk.
@@ -86,26 +93,54 @@ func Project(exprs []expr.Expr, out bat.Schema, v *View) *View {
 }
 
 // Aggregate runs a partial (or full) grouped aggregation directly over
-// the view: keys and aggregate arguments evaluate under the selection,
-// and the grouping hash table pre-sizes from hint (observed per-window
+// the view. Column-reference keys and arguments are read in place — the
+// base column plus the view's selection go straight to the grouping and
+// the aggregate kernels, so no surviving-row copy is ever built for them;
+// only computed expressions evaluate (densely) under the selection. The
+// grouping hash table pre-sizes from hint (observed per-window
 // cardinality; ≤ 0 falls back to the default). Output bytes equal
 // plan.RunAggregate over the materialized view for every hint.
 func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
+	// One selection governs every key column, so keys read in place only
+	// when all of them are column references; otherwise all evaluate
+	// densely.
+	inPlace := true
+	for _, k := range t.Keys {
+		if _, ok := k.(*expr.Col); !ok {
+			inPlace = false
+		}
+	}
+	keySel, keyRows := v.Sel, v.Base.Rows()
+	if !inPlace {
+		keySel, keyRows = nil, v.Rows()
+	}
 	keyVecs := make([]bat.Vector, len(t.Keys))
 	for i, k := range t.Keys {
-		keyVecs[i] = k.Eval(v.Base, v.Sel)
+		if inPlace {
+			keyVecs[i] = v.Base.Cols[k.(*expr.Col).Idx]
+		} else {
+			keyVecs[i] = k.Eval(v.Base, v.Sel)
+		}
 	}
-	g := algebra.GroupHint(keyVecs, nil, v.Rows(), hint)
+	g := algebra.GroupHint(keyVecs, keySel, keyRows, hint)
 	cols := make([]bat.Vector, 0, len(t.Keys)+len(t.Aggs))
 	for _, kv := range keyVecs {
 		cols = append(cols, algebra.Fetch(kv, g.Repr))
 	}
 	for _, spec := range t.Aggs {
+		// The k-th qualifying row is the k-th row of the selection both
+		// for in-place and for dense arguments, so each argument picks
+		// its own access path independently of the keys.
 		var arg bat.Vector
-		if spec.Arg != nil {
-			arg = spec.Arg.Eval(v.Base, v.Sel)
+		var argSel algebra.Sel
+		switch a := spec.Arg.(type) {
+		case nil:
+		case *expr.Col:
+			arg, argSel = v.Base.Cols[a.Idx], v.Sel
+		default:
+			arg = a.Eval(v.Base, v.Sel)
 		}
-		cols = append(cols, algebra.Aggregate(spec.Op, arg, nil, g))
+		cols = append(cols, algebra.Aggregate(spec.Op, arg, argSel, g))
 	}
 	return &bat.Chunk{Schema: t.Out, Cols: cols}
 }

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"datacell/internal/algebra"
@@ -144,10 +146,16 @@ func TestAggregateMatchesRunAggregate(t *testing.T) {
 	}
 }
 
-// TestAggregateKeyShapes covers the grouping specializations: no keys
-// (scalar aggregate), string key, and a composite key.
+// TestAggregateKeyShapes covers the grouping specializations — no keys
+// (scalar aggregate), string key, int and string-mixed composites — and
+// the key/argument access paths: column references read in place, and
+// computed expressions (alone or mixed with column references) evaluate
+// under the selection. Each shape runs over the whole chunk, a filtered
+// view and a view that filters out every row.
 func TestAggregateKeyShapes(t *testing.T) {
 	c := testChunk(100)
+	kPlus1 := &expr.Arith{Op: expr.Add, L: col(1, bat.Int), R: intConst(1)}
+	vTimes2 := &expr.Arith{Op: expr.Mul, L: col(2, bat.Float), R: floatConst(2)}
 	cases := []struct {
 		name string
 		agg  *plan.Aggregate
@@ -167,11 +175,102 @@ func TestAggregateKeyShapes(t *testing.T) {
 			Aggs: []plan.AggSpec{{Op: algebra.AggCount, Name: "n"}},
 			Out:  bat.Schema{Names: []string{"k", "tag", "n"}, Kinds: []bat.Kind{bat.Int, bat.Str, bat.Int}},
 		}},
+		{"int_composite_key", &plan.Aggregate{
+			Keys: []expr.Expr{col(1, bat.Int), col(0, bat.Time)}, KeyNames: []string{"k", "ts"},
+			Aggs: []plan.AggSpec{{Op: algebra.AggMax, Arg: col(2, bat.Float), Name: "mx"}},
+			Out:  bat.Schema{Names: []string{"k", "ts", "mx"}, Kinds: []bat.Kind{bat.Int, bat.Time, bat.Float}},
+		}},
+		{"computed_key_and_arg", &plan.Aggregate{
+			Keys: []expr.Expr{kPlus1}, KeyNames: []string{"k1"},
+			Aggs: []plan.AggSpec{{Op: algebra.AggSum, Arg: vTimes2, Name: "s2"},
+				{Op: algebra.AggMin, Arg: col(0, bat.Time), Name: "first"}},
+			Out: bat.Schema{Names: []string{"k1", "s2", "first"}, Kinds: []bat.Kind{bat.Int, bat.Float, bat.Time}},
+		}},
+		{"mixed_keys", &plan.Aggregate{
+			Keys: []expr.Expr{col(3, bat.Str), kPlus1}, KeyNames: []string{"tag", "k1"},
+			Aggs: []plan.AggSpec{{Op: algebra.AggCount, Name: "n"},
+				{Op: algebra.AggSum, Arg: col(1, bat.Int), Name: "sk"}},
+			Out: bat.Schema{Names: []string{"tag", "k1", "n", "sk"}, Kinds: []bat.Kind{bat.Str, bat.Int, bat.Int, bat.Int}},
+		}},
 	}
+	some := cmp(algebra.GE, col(2, bat.Float), floatConst(1.5))
+	none := cmp(algebra.LT, col(1, bat.Int), intConst(0))
 	for _, tc := range cases {
-		want := plan.RunAggregate(tc.agg, c)
-		got := Aggregate(tc.agg, NewView(c), 2)
-		mustEqualChunks(t, got, want, tc.name)
+		views := map[string]func() *View{
+			"all":      func() *View { return NewView(c) },
+			"filtered": func() *View { return Filter(some, NewView(c)) },
+			"empty":    func() *View { return Filter(none, NewView(c)) },
+		}
+		for vname, view := range views {
+			want := plan.RunAggregate(tc.agg, view().Materialize())
+			got := Aggregate(tc.agg, view(), 2)
+			mustEqualChunks(t, got, want, tc.name+"/"+vname)
+		}
+	}
+}
+
+// TestAggregateReadsThroughSelection guards the copy-free access path:
+// grouping a filtered view on column-reference keys and arguments must
+// not copy any of those columns' surviving rows. What an aggregation
+// legitimately allocates per qualifying row is its group-id vector (4
+// bytes); one copied key or argument column alone would add 8 bytes per
+// row, so the per-run bytes are bounded well below that.
+func TestAggregateReadsThroughSelection(t *testing.T) {
+	const rows = 1 << 15
+	c := testChunk(rows)
+	agg := &plan.Aggregate{
+		Keys:     []expr.Expr{col(1, bat.Int), col(0, bat.Time)},
+		KeyNames: []string{"k", "ts"},
+		Aggs: []plan.AggSpec{
+			{Op: algebra.AggCount, Name: "n"},
+			{Op: algebra.AggSum, Arg: col(2, bat.Float), Name: "s"},
+			{Op: algebra.AggMax, Arg: col(1, bat.Int), Name: "mx"},
+		},
+		Out: bat.Schema{Names: []string{"k", "ts", "n", "s", "mx"},
+			Kinds: []bat.Kind{bat.Int, bat.Time, bat.Int, bat.Float, bat.Int}},
+	}
+	// Fold the (per-row distinct) timestamps into a small domain so the
+	// composite key forms a few dozen groups.
+	ts := c.Cols[0].(bat.Times)
+	for i := range ts {
+		ts[i] %= 8
+	}
+	v := Filter(cmp(algebra.GE, col(2, bat.Float), floatConst(1.5)), NewView(c))
+	sel := v.Rows()
+	if sel < rows/2 {
+		t.Fatalf("filter kept %d of %d rows; the test needs most of them", sel, rows)
+	}
+	groups := Aggregate(agg, v, 0).Rows()
+
+	// Each figure is the cheapest of several runs: the grouping's pooled
+	// hash scratch is occasionally dropped (by a GC, or at random under
+	// the race detector), and a run that re-creates it is not the steady
+	// state being measured.
+	const runs = 20
+	run := func() { Aggregate(agg, v, groups) }
+	allocs, bytes := math.Inf(1), math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		allocs = math.Min(allocs, testing.AllocsPerRun(1, run))
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	// Allocations: three for the key list, output list and chunk; five
+	// for the grouping (column list, slots, group hashes, group ids,
+	// representatives); per output column its vector and interface box;
+	// one more for max's seen mask. A key or argument copied through the
+	// selection would add its own vector and box on top.
+	if budget := float64(3 + 5 + 2*len(agg.Out.Names) + 1); allocs > budget {
+		t.Errorf("Aggregate made %.0f allocations per run, budget %.0f", allocs, budget)
+	}
+	// Bytes: the group ids plus a generous fixed allowance for the
+	// per-group outputs and table; one copied 8-byte column alone would
+	// add 8 bytes per qualifying row.
+	budget := float64(4*sel + 64*groups*len(agg.Out.Names) + 64<<10)
+	if bytes > budget || budget >= float64(12*sel) {
+		t.Errorf("Aggregate allocated %.0f B per run over %d qualifying rows (budget %.0f B)", bytes, sel, budget)
 	}
 }
 
