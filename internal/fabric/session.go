@@ -466,7 +466,7 @@ func (s *session) writeLoop() {
 				s.ctl = s.ctl[1:]
 				s.framesOut++
 			default:
-				s.next++
+				s.next = s.pastLocked(s.next, frame.Seq)
 				s.framesOut++
 			}
 		}
@@ -475,6 +475,21 @@ func (s *session) writeLoop() {
 			_ = conn.Close()
 		}
 	}
+}
+
+// pastLocked returns a writer cursor moved past the frame with sequence
+// seq that the writer just wrote with the mutex released. The cursor is
+// an outbox index, and the outbox may have changed during the write: an
+// ack can prune the written frame (and any prefix) — pruneLocked then
+// leaves the cursor at the first surviving frame, which is unsent — and
+// a data-conn loss can rewind the control cursor to before it. So the
+// cursor advances only if it still points at the written frame; an index
+// increment would skip an unsent frame after such a prune.
+func (s *session) pastLocked(cursor int, seq uint64) int {
+	if cursor < len(s.outbox) && s.outbox[cursor].Seq == seq {
+		return cursor + 1
+	}
+	return cursor
 }
 
 // dataWriteLoop is the ingest-plane writer: batch frames only, active
@@ -511,7 +526,7 @@ func (s *session) dataWriteLoop() {
 				s.dgen++
 				s.rewindForDataLossLocked()
 			} else {
-				s.dnext++
+				s.dnext = s.pastLocked(s.dnext, frame.Seq)
 				s.framesOut++
 			}
 		}

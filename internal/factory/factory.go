@@ -199,6 +199,11 @@ type Factory struct {
 	// over the concatenated rings. Shared, isolated and fabric-routed
 	// registrations of the same join thus order joined rows identically.
 	reevalJoin bool
+	// order sequences the sealed basic windows of a multi-input (join)
+	// factory into one canonical interleaving before they reach the tail;
+	// nil for single-input factories and for group members, whose windows
+	// arrive already sequenced by their join group.
+	order *inputSeq
 
 	// stepMu serializes the blocking tail — ring pushes, join cache and
 	// window evaluation — across shard firings and Advance, keeping
@@ -337,6 +342,15 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 			in.merge = window.NewShardMerge(mc)
 		}
 		f.inputs = append(f.inputs, in)
+	}
+	if !cfg.Shared && len(f.inputs) > 1 {
+		windowed := true
+		for _, in := range f.inputs {
+			windowed = windowed && in.scan.Window != nil
+		}
+		if windowed {
+			f.order = newInputSeq(len(f.inputs))
+		}
 	}
 	return f, nil
 }
@@ -647,7 +661,8 @@ func sliceFlush(sl *window.ShardSlicer, w *plan.Window, c *bat.Chunk, arrivals, 
 // deliver runs the per-fragment pipeline (the parallel half of incremental
 // mode), then offers the fragments and this shard's watermark to the
 // input's merger; any basic windows completed by this delivery run the
-// blocking tail under stepMu, in generation order.
+// blocking tail under stepMu, in generation order — for a join, in the
+// inputs' canonical interleaving (inputSeq).
 func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag) int {
 	if f.cfg.Mode == Incremental {
 		d := f.cfg.Decomp
@@ -680,8 +695,14 @@ func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag)
 	emitted := 0
 	if len(ready) > 0 {
 		f.stepMu.Lock()
-		for _, bw := range ready {
-			emitted += f.onBasicWindow(idx, bw)
+		if f.order != nil {
+			f.order.push(idx, ready, func(i int, bw *window.BW) {
+				emitted += f.onBasicWindow(i, bw)
+			})
+		} else {
+			for _, bw := range ready {
+				emitted += f.onBasicWindow(idx, bw)
+			}
 		}
 		f.stepMu.Unlock()
 	}

@@ -38,8 +38,12 @@ type JoinGroup struct {
 
 	// seqMu orders fan-outs across the two sides: every member observes
 	// the same left/right interleaving, which is what makes the shared
-	// pair cache and the members' emission sequences line up.
+	// pair cache and the members' emission sequences line up. seq fixes
+	// that interleaving to the canonical one a private join factory uses
+	// (left i, right i, left i+1, ...), so it does not depend on which
+	// side's shards fired first.
 	seqMu  sync.Mutex
+	seq    *inputSeq
 	genCtr [2]int64 // per-side group-global basic-window generations
 
 	mu      sync.Mutex
@@ -141,7 +145,7 @@ func NewJoinGroup(cfg JoinGroupConfig) *JoinGroup {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
-	g := &JoinGroup{cfg: cfg, postDag: newDAG(),
+	g := &JoinGroup{cfg: cfg, postDag: newDAG(), seq: newInputSeq(2),
 		caches:  make(map[string]*jcEntry),
 		classes: make(map[string]*jmergeClass)}
 	scans := [2]*plan.ScanStream{cfg.Left, cfg.Right}
@@ -433,9 +437,10 @@ func (g *JoinGroup) FireShard(side, sh int) {
 
 // fanout hands one side's sealed basic windows to every member. Callers
 // hold that side's mergeMu; seqMu additionally serializes the two sides
-// so every member's queue carries the same left/right interleaving, and
-// basic-window generations are group-global per side — the shared pair
-// cache keys pairs by them, so all members must agree.
+// so every member's queue carries the same left/right interleaving —
+// the canonical one of inputSeq, so a side that seals ahead of the other
+// waits — and basic-window generations are group-global per side: the
+// shared pair cache keys pairs by them, so all members must agree.
 func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
 	g.mu.Lock()
 	members := make([]*JoinMember, len(g.members))
@@ -448,21 +453,21 @@ func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
 	}
 	g.mu.Unlock()
 
-	needDag := g.dags[side].Nodes() > 0
+	needDag := [2]bool{g.dags[0].Nodes() > 0, g.dags[1].Nodes() > 0}
 	notify := make(map[string]bool, len(members))
 	g.seqMu.Lock()
 	defer g.seqMu.Unlock()
-	for _, bw := range ready {
+	g.seq.push(side, ready, func(side int, bw *window.BW) {
 		g.windowsOut.Add(1)
 		gen := g.genCtr[side]
 		g.genCtr[side]++
 		if len(members) == 0 {
-			continue
+			return
 		}
 		g.liveBufs.Add(1)
 		buf := window.NewSharedBuf(bw.Data, len(members)+len(classes), func() { g.liveBufs.Add(-1) })
 		var dw *dagWin
-		if needDag {
+		if needDag[side] {
 			dw = newDagWin()
 		}
 		var cells map[string]*jmergeCell
@@ -493,7 +498,7 @@ func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
 			}
 			notify[m.query] = true
 		}
-	}
+	})
 	return notify
 }
 
