@@ -161,6 +161,9 @@ type input struct {
 	merge   *window.ShardMerge
 	mergeMu sync.Mutex
 	maxTs   atomic.Int64
+	// sealed is the merger frontier last handed to the factory's join
+	// sequencer (guarded by mergeMu).
+	sealed int64
 }
 
 // Stats is a snapshot of a factory's counters, feeding the demo's analysis
@@ -200,8 +203,8 @@ type Factory struct {
 	// registrations of the same join thus order joined rows identically.
 	reevalJoin bool
 	// order sequences the sealed basic windows of a multi-input (join)
-	// factory into one canonical interleaving before they reach the tail;
-	// nil for single-input factories and for group members, whose windows
+	// factory into one canonical order before they reach the tail; nil
+	// for single-input factories and for group members, whose windows
 	// arrive already sequenced by their join group.
 	order *inputSeq
 
@@ -290,7 +293,7 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 		if !ok {
 			return nil, fmt.Errorf("factory %s: no basket bound for stream %q", cfg.Name, s.Alias)
 		}
-		in := &input{scan: s, shb: shb}
+		in := &input{scan: s, shb: shb, sealed: window.NoEpoch}
 		in.maxTs.Store(math.MinInt64)
 		if cfg.Shared {
 			// The group owns the basket cursors, slicers and merger; the
@@ -343,14 +346,12 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 		}
 		f.inputs = append(f.inputs, in)
 	}
-	if !cfg.Shared && len(f.inputs) > 1 {
-		windowed := true
-		for _, in := range f.inputs {
-			windowed = windowed && in.scan.Window != nil
+	if !cfg.Shared {
+		wins := make([]*plan.Window, len(f.inputs))
+		for i, in := range f.inputs {
+			wins[i] = in.scan.Window
 		}
-		if windowed {
-			f.order = newInputSeq(len(f.inputs))
-		}
+		f.order = newInputSeq(wins)
 	}
 	return f, nil
 }
@@ -662,7 +663,7 @@ func sliceFlush(sl *window.ShardSlicer, w *plan.Window, c *bat.Chunk, arrivals, 
 // mode), then offers the fragments and this shard's watermark to the
 // input's merger; any basic windows completed by this delivery run the
 // blocking tail under stepMu, in generation order — for a join, in the
-// inputs' canonical interleaving (inputSeq).
+// inputs' canonical order (inputSeq).
 func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag) int {
 	if f.cfg.Mode == Incremental {
 		d := f.cfg.Decomp
@@ -691,22 +692,31 @@ func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag)
 		}
 	}
 	in.mergeMu.Lock()
+	defer in.mergeMu.Unlock()
 	ready := in.merge.Offer(si.idx, frags, si.sl.Watermark())
 	emitted := 0
+	if f.order != nil {
+		// A join also hands over a frontier that moved without sealing a
+		// window: it may release the other inputs' waiting windows.
+		sealed := in.merge.Sealed()
+		if len(ready) == 0 && sealed == in.sealed {
+			return 0
+		}
+		in.sealed = sealed
+		f.stepMu.Lock()
+		f.order.push(idx, ready, sealed, func(i int, bw *window.BW) {
+			emitted += f.onBasicWindow(i, bw)
+		})
+		f.stepMu.Unlock()
+		return emitted
+	}
 	if len(ready) > 0 {
 		f.stepMu.Lock()
-		if f.order != nil {
-			f.order.push(idx, ready, func(i int, bw *window.BW) {
-				emitted += f.onBasicWindow(i, bw)
-			})
-		} else {
-			for _, bw := range ready {
-				emitted += f.onBasicWindow(idx, bw)
-			}
+		for _, bw := range ready {
+			emitted += f.onBasicWindow(idx, bw)
 		}
 		f.stepMu.Unlock()
 	}
-	in.mergeMu.Unlock()
 	return emitted
 }
 

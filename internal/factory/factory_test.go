@@ -421,3 +421,33 @@ func TestQuickJoinIncrementalEquivalentToReeval(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinOneSidedFeedStaysBounded: a join whose right stream never
+// receives a row holds at most lead of the left stream's sealed windows;
+// the rest join the (empty) right ring as it stands, so a live stream
+// paired with an idle one runs in bounded memory.
+func TestJoinOneSidedFeedStaysBounded(t *testing.T) {
+	for _, src := range []string{
+		`SELECT s.v, r.w FROM s [SIZE 2 SLIDE 1], r [SIZE 2 SLIDE 1] WHERE s.k = r.k`,
+		`SELECT s.v, r.w FROM s [RANGE 2 SECONDS SLIDE 1 SECONDS ON ts], r [RANGE 2 SECONDS SLIDE 1 SECONDS ON ts] WHERE s.k = r.k`,
+	} {
+		h := newHarness(t, src, Incremental)
+		lead := h.fac.order.ins[0].lead
+		const sec = int64(1_000_000)
+		for i := int64(0); i < 500; i++ {
+			h.pushS(t, [3]int64{i * sec, i % 3, i})
+			if n := len(h.fac.order.ins[0].pending); n > lead {
+				t.Fatalf("%s: %d left windows queued after %d rows, bound %d", src, n, i+1, lead)
+			}
+		}
+		if n := len(h.fac.order.ins[0].pending); n != lead {
+			t.Errorf("%s: %d left windows queued, want the bound %d", src, n, lead)
+		}
+		if !h.fac.inputs[0].ring.Full() {
+			t.Errorf("%s: left ring never filled from released windows", src)
+		}
+		if res := h.results(); len(res) != 0 {
+			t.Errorf("%s: %d results with an empty right stream", src, len(res))
+		}
+	}
+}

@@ -81,10 +81,16 @@ type frontEnd struct {
 	merge   *window.ShardMerge
 	mergeMu sync.Mutex
 	maxTs   atomic.Int64 // shared event-time watermark (time windows)
+	// sealed is the merger frontier last handed to sink (guarded by
+	// mergeMu).
+	sealed int64
 
-	// sink consumes sealed basic windows under mergeMu and returns the
-	// queries whose tail transitions need a wake-up.
-	sink func(ready []*window.BW) map[string]bool
+	// sink consumes sealed basic windows and the merger's new sealed
+	// frontier under mergeMu and returns the queries whose tail
+	// transitions need a wake-up. It also runs when the frontier moved
+	// without sealing a window: a join's sequencer may then release the
+	// other side's waiting windows.
+	sink func(ready []*window.BW, sealed int64) map[string]bool
 }
 
 // groupShard is a front end's cursor into one shard of the stream basket —
@@ -103,7 +109,7 @@ type groupShard struct {
 // (re-evaluation needs raw windows, incremental pipelines and the shared
 // DAG read raw basic windows), so the merger always keeps the raw tuples.
 func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *frontEnd {
-	fe := &frontEnd{basket: bk, win: win, schema: schema}
+	fe := &frontEnd{basket: bk, win: win, schema: schema, sealed: window.NoEpoch}
 	fe.maxTs.Store(math.MinInt64)
 	for i := 0; i < bk.NumShards(); i++ {
 		b := bk.Shard(i)
@@ -124,7 +130,7 @@ func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *front
 // local slicers — per-shard epoch fragments arrive pre-sliced from worker
 // processes and only the min-watermark merger runs here.
 func newRemoteFrontEnd(shards int, win *plan.Window, schema bat.Schema) *frontEnd {
-	fe := &frontEnd{win: win, schema: schema}
+	fe := &frontEnd{win: win, schema: schema, sealed: window.NoEpoch}
 	fe.maxTs.Store(math.MinInt64)
 	fe.merge = window.NewShardMerge(window.MergeConfig{
 		Shards:   shards,
@@ -199,11 +205,20 @@ func (fe *frontEnd) fireShard(sh int) (notify map[string]bool, raised bool) {
 func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) map[string]bool {
 	fe.mergeMu.Lock()
 	defer fe.mergeMu.Unlock()
-	ready := fe.merge.Offer(gs.idx, frags, gs.sl.Watermark())
-	if len(ready) == 0 {
+	return fe.offer(gs.idx, frags, gs.sl.Watermark())
+}
+
+// offer hands one shard's fragments and watermark to the merger and sinks
+// the basic windows they completed, or a frontier that moved. Callers
+// hold mergeMu.
+func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) map[string]bool {
+	ready := fe.merge.Offer(shard, frags, wm)
+	sealed := fe.merge.Sealed()
+	if len(ready) == 0 && sealed == fe.sealed {
 		return nil
 	}
-	return fe.sink(ready)
+	fe.sealed = sealed
+	return fe.sink(ready, sealed)
 }
 
 // advance closes time-window buckets up to the watermark (µs) on every
@@ -367,7 +382,12 @@ func NewGroup(cfg GroupConfig) *Group {
 	} else {
 		g.fe = newFrontEnd(cfg.Basket, cfg.Window, cfg.Schema)
 	}
-	g.fe.sink = g.fanout
+	g.fe.sink = func(ready []*window.BW, _ int64) map[string]bool {
+		if len(ready) == 0 {
+			return nil
+		}
+		return g.fanout(ready)
+	}
 	return g
 }
 
@@ -590,11 +610,7 @@ func (g *Group) OfferRemote(shard int, frags []*window.Frag, wm int64) {
 		return
 	}
 	g.fe.mergeMu.Lock()
-	ready := g.fe.merge.Offer(shard, frags, wm)
-	var notify map[string]bool
-	if len(ready) > 0 {
-		notify = g.fe.sink(ready)
-	}
+	notify := g.fe.offer(shard, frags, wm)
 	g.fe.mergeMu.Unlock()
 	for q := range notify {
 		g.cfg.NotifyMember(q)

@@ -39,9 +39,10 @@ type JoinGroup struct {
 	// seqMu orders fan-outs across the two sides: every member observes
 	// the same left/right interleaving, which is what makes the shared
 	// pair cache and the members' emission sequences line up. seq fixes
-	// that interleaving to the canonical one a private join factory uses
-	// (left i, right i, left i+1, ...), so it does not depend on which
-	// side's shards fired first.
+	// that interleaving to the canonical order a private join factory
+	// uses (by window end, see inputSeq), so it does not depend on which
+	// side's shards fired first. Grouped joins decompose, so their two
+	// windows are of one kind and seq is never nil.
 	seqMu  sync.Mutex
 	seq    *inputSeq
 	genCtr [2]int64 // per-side group-global basic-window generations
@@ -145,10 +146,11 @@ func NewJoinGroup(cfg JoinGroupConfig) *JoinGroup {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
-	g := &JoinGroup{cfg: cfg, postDag: newDAG(), seq: newInputSeq(2),
+	scans := [2]*plan.ScanStream{cfg.Left, cfg.Right}
+	g := &JoinGroup{cfg: cfg, postDag: newDAG(),
+		seq:     newInputSeq([]*plan.Window{cfg.Left.Window, cfg.Right.Window}),
 		caches:  make(map[string]*jcEntry),
 		classes: make(map[string]*jmergeClass)}
-	scans := [2]*plan.ScanStream{cfg.Left, cfg.Right}
 	for side, sc := range scans {
 		side := side
 		if r := cfg.Remote[side]; r != nil {
@@ -156,8 +158,8 @@ func NewJoinGroup(cfg JoinGroupConfig) *JoinGroup {
 		} else {
 			g.fes[side] = newFrontEnd(sc.Stream.Basket, sc.Window, sc.Out)
 		}
-		g.fes[side].sink = func(ready []*window.BW) map[string]bool {
-			return g.fanout(side, ready)
+		g.fes[side].sink = func(ready []*window.BW, sealed int64) map[string]bool {
+			return g.fanout(side, ready, sealed)
 		}
 		g.dags[side] = newDAG()
 	}
@@ -435,13 +437,15 @@ func (g *JoinGroup) FireShard(side, sh int) {
 	}
 }
 
-// fanout hands one side's sealed basic windows to every member. Callers
-// hold that side's mergeMu; seqMu additionally serializes the two sides
-// so every member's queue carries the same left/right interleaving —
-// the canonical one of inputSeq, so a side that seals ahead of the other
-// waits — and basic-window generations are group-global per side: the
-// shared pair cache keys pairs by them, so all members must agree.
-func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
+// fanout hands one side's sealed basic windows, and its merger's sealed
+// frontier, to the group's sequencer, and every window the sequencer
+// releases to every member. Callers hold that side's mergeMu; seqMu
+// additionally serializes the two sides so every member's queue carries
+// the same left/right interleaving — the canonical one of inputSeq, so a
+// side that seals ahead of the other waits — and basic-window generations
+// are group-global per side: the shared pair cache keys pairs by them, so
+// all members must agree.
+func (g *JoinGroup) fanout(side int, ready []*window.BW, sealed int64) map[string]bool {
 	g.mu.Lock()
 	members := make([]*JoinMember, len(g.members))
 	copy(members, g.members)
@@ -457,7 +461,7 @@ func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
 	notify := make(map[string]bool, len(members))
 	g.seqMu.Lock()
 	defer g.seqMu.Unlock()
-	g.seq.push(side, ready, func(side int, bw *window.BW) {
+	release := func(side int, bw *window.BW) {
 		g.windowsOut.Add(1)
 		gen := g.genCtr[side]
 		g.genCtr[side]++
@@ -498,7 +502,8 @@ func (g *JoinGroup) fanout(side int, ready []*window.BW) map[string]bool {
 			}
 			notify[m.query] = true
 		}
-	})
+	}
+	g.seq.push(side, ready, sealed, release)
 	return notify
 }
 
@@ -519,11 +524,7 @@ func (g *JoinGroup) OfferRemote(side, shard int, frags []*window.Frag, wm int64)
 	}
 	fe := g.fes[side]
 	fe.mergeMu.Lock()
-	ready := fe.merge.Offer(shard, frags, wm)
-	var notify map[string]bool
-	if len(ready) > 0 {
-		notify = fe.sink(ready)
-	}
+	notify := fe.offer(shard, frags, wm)
 	fe.mergeMu.Unlock()
 	for q := range notify {
 		g.cfg.NotifyMember(q)

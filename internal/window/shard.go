@@ -76,8 +76,8 @@ func NewShardSlicer(w *plan.Window, schema bat.Schema) *ShardSlicer {
 		s.slideUsec = w.SlideDur.Microseconds()
 		// Time epochs are absolute slide buckets, which may start below
 		// zero; tuple epochs start at sequence 0.
-		s.nextGen = minGen
-		s.maxGen = minGen
+		s.nextGen = NoEpoch
+		s.maxGen = NoEpoch
 	}
 	return s
 }
@@ -311,12 +311,14 @@ func NewShardMerge(cfg MergeConfig) *ShardMerge {
 	m := &ShardMerge{cfg: cfg, frags: make(map[int64][]*Frag)}
 	m.wms = make([]int64, cfg.Shards)
 	for i := range m.wms {
-		m.wms[i] = minGen
+		m.wms[i] = NoEpoch
 	}
 	return m
 }
 
-const minGen = int64(-1 << 62)
+// NoEpoch is the watermark of a time-window shard (and the frontier of
+// a merger) that has not sealed anything yet: below every real epoch.
+const NoEpoch = int64(-1 << 62)
 
 // Offer delivers a shard's freshly flushed fragments together with its new
 // watermark and returns any basic windows that became complete, oldest
@@ -341,23 +343,18 @@ func (m *ShardMerge) Offer(shard int, frags []*Frag, wm int64) []*BW {
 		fs[pos] = f
 		m.frags[f.Gen] = fs
 	}
-	sealed := m.wms[0]
-	for _, w := range m.wms[1:] {
-		if w < sealed {
-			sealed = w
-		}
-	}
+	sealed := m.Sealed()
 	if !m.started {
 		// The merged stream starts at the earliest epoch holding data,
 		// like the single-basket slicer starting at its first row's
 		// bucket.
-		first := minGen
+		first := NoEpoch
 		for g := range m.frags {
-			if first == minGen || g < first {
+			if first == NoEpoch || g < first {
 				first = g
 			}
 		}
-		if first == minGen || first >= sealed {
+		if first == NoEpoch || first >= sealed {
 			return nil
 		}
 		m.next, m.started = first, true
@@ -370,12 +367,25 @@ func (m *ShardMerge) Offer(shard int, frags []*Frag, wm int64) []*BW {
 	return out
 }
 
+// Sealed reports the merged stream's exclusive epoch frontier: every
+// epoch below it is complete on every shard. NoEpoch until every shard
+// has reported a watermark.
+func (m *ShardMerge) Sealed() int64 {
+	sealed := m.wms[0]
+	for _, w := range m.wms[1:] {
+		if w < sealed {
+			sealed = w
+		}
+	}
+	return sealed
+}
+
 // buildBW concatenates epoch g's fragments (possibly none — a time gap)
 // into one merged basic window.
 func (m *ShardMerge) buildBW(g int64) *BW {
 	frags := m.frags[g]
 	delete(m.frags, g)
-	bw := &BW{Gen: m.outGen, Data: bat.NewChunk(m.cfg.Data)}
+	bw := &BW{Gen: m.outGen, Epoch: g, Data: bat.NewChunk(m.cfg.Data)}
 	m.outGen++
 	if m.cfg.Out != nil {
 		bw.Out = bat.NewChunk(*m.cfg.Out)

@@ -30,6 +30,12 @@ import (
 type BW struct {
 	// Gen is the basic window's global sequence number (0, 1, 2, ...).
 	Gen int64
+	// Epoch is the absolute epoch the basic window covers, set by
+	// ShardMerge: for tuple windows the basic-window number (sequence /
+	// slide), for time windows the slide bucket (⌊ts/slide⌋). Unlike Gen
+	// it does not depend on where the merged stream started, so it aligns
+	// the windows of two streams in time.
+	Epoch int64
 	// Data holds the raw stream tuples of the basic window.
 	Data *bat.Chunk
 	// MaxArrival is the latest arrival stamp among the tuples

@@ -10,6 +10,7 @@ package datacell
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -440,6 +441,152 @@ func TestJoinGroupKeyRules(t *testing.T) {
 	for _, g := range eng.Groups() {
 		if g.Kind != "join" {
 			t.Errorf("group %q kind = %q, want join", g.Key, g.Kind)
+		}
+	}
+}
+
+// TestTimeJoinOffsetStartsAlignByEpoch: a time-window join whose second
+// stream starts several slides after the first pairs basic windows by
+// event time. Shared and isolated registrations must both match a
+// reference that replays the canonical order — each side's windows
+// sorted by where they end, the left side first on ties — over rings of
+// the window's extent, with no draining between appends.
+func TestTimeJoinOffsetStartsAlignByEpoch(t *testing.T) {
+	const (
+		secs   = 24 // event-time seconds fed to s
+		rStart = 10 // r's first second
+		perSec = 5
+		parts  = 3
+	)
+	sql := fmt.Sprintf("SELECT s.k, count(*) AS n FROM s [RANGE %d SECONDS SLIDE 1 SECONDS ON ts], "+
+		"r [RANGE %d SECONDS SLIDE 1 SECONDS ON ts] WHERE s.k = r.k GROUP BY s.k", parts, parts)
+	key := func(side, sec, j int) int64 { return int64((sec*(3+2*side) + j*(1+side)) % 4) }
+	chunk := func(side, sec int) *bat.Chunk {
+		sch := bat.NewSchema([]string{"ts", "k", "v"}, []bat.Kind{bat.Time, bat.Int, bat.Float})
+		ts, ks, vs := make(bat.Times, perSec), make(bat.Ints, perSec), make(bat.Floats, perSec)
+		for j := 0; j < perSec; j++ {
+			ts[j] = int64(sec)*1_000_000 + int64(j)*100_000
+			ks[j] = key(side, sec, j)
+			vs[j] = float64(j)
+		}
+		return &bat.Chunk{Schema: sch, Cols: []bat.Vector{ts, ks, vs}}
+	}
+
+	// Reference. The newest second of each stream stays open (its bucket
+	// holds the watermark), so s seals 0..secs-2 and r rStart..secs-2.
+	type win struct{ side, epoch int }
+	var order []win
+	for e := 0; e < secs-1; e++ {
+		order = append(order, win{0, e})
+		if e >= rStart {
+			order = append(order, win{1, e})
+		}
+	}
+	var want []string
+	var rings [2][]int
+	for _, w := range order {
+		rings[w.side] = append(rings[w.side], w.epoch)
+		if len(rings[w.side]) > parts {
+			rings[w.side] = rings[w.side][1:]
+		}
+		if len(rings[0]) < parts || len(rings[1]) < parts {
+			continue
+		}
+		counts := map[int64]int{}
+		for _, ls := range rings[0] {
+			for _, rs := range rings[1] {
+				for i := 0; i < perSec; i++ {
+					for j := 0; j < perSec; j++ {
+						if k := key(0, ls, i); k == key(1, rs, j) {
+							counts[k]++
+						}
+					}
+				}
+			}
+		}
+		var rows []string
+		for k, n := range counts {
+			rows = append(rows, fmt.Sprintf("%d=%d", k, n))
+		}
+		sort.Strings(rows)
+		want = append(want, strings.Join(rows, " "))
+	}
+	render := func(e *Engine, q *Query) []string {
+		var out []string
+		for _, r := range collect(e, q) {
+			var rows []string
+			for i := 0; i < r.Chunk.Rows(); i++ {
+				row := r.Chunk.Row(i)
+				rows = append(rows, row[0].String()+"="+row[1].String())
+			}
+			sort.Strings(rows)
+			out = append(out, strings.Join(rows, " "))
+		}
+		return out
+	}
+
+	// feed appends one second of a stream's rows.
+	type feed func(stream string, sec int)
+	feeds := map[string]func(app feed){
+		// Interleaved in event time, r joining late.
+		"interleaved": func(app feed) {
+			for sec := 0; sec < secs; sec++ {
+				app("s", sec)
+				if sec >= rStart {
+					app("r", sec)
+				}
+			}
+		},
+		// All of s before any of r: s's windows wait for r's watermark.
+		"s_first": func(app feed) {
+			for sec := 0; sec < secs; sec++ {
+				app("s", sec)
+			}
+			for sec := rStart; sec < secs; sec++ {
+				app("r", sec)
+			}
+		},
+	}
+	for _, shard := range []string{"", " SHARD 2 KEY k"} {
+		for name, run := range feeds {
+			e, _ := newTestEngine(t)
+			mustExec(t, e, "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)"+shard)
+			mustExec(t, e, "CREATE STREAM r (ts TIMESTAMP, k INT, v FLOAT)"+shard)
+			shared, err := e.Register("shared", sql, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shared.Grouped() {
+				t.Fatal("shared registration did not join a join group")
+			}
+			iso, err := e.Register("iso", sql, &RegisterOptions{Isolated: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(func(stream string, sec int) {
+				side := 0
+				if stream == "r" {
+					side = 1
+				}
+				if err := e.AppendChunk(stream, chunk(side, sec)); err != nil {
+					t.Fatal(err)
+				}
+				if shard != "" {
+					// A sharded time window seals by the stream-wide newest
+					// timestamp, so a shard that drains late clamps its
+					// rows into a newer bucket. Draining keeps the window
+					// contents fixed; under s_first every s window still
+					// has to wait for r.
+					e.Drain()
+				}
+			})
+			for qn, got := range map[string][]string{"shared": render(e, shared), "isolated": render(e, iso)} {
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("%s%s %s: %d evals, want %d\ngot:  %q\nwant: %q",
+						name, shard, qn, len(got), len(want), got, want)
+				}
+			}
+			e.Close()
 		}
 	}
 }
