@@ -761,8 +761,7 @@ func wideStream(n, batch, nkeys, payloadCols int) (ddl string, chunks []*bat.Chu
 // BenchmarkFusedScan is the fused-tail-executor benchmark: eight
 // isolated incremental filtered grouped aggregates (thresholds varying
 // per query) over one wide stream, fused (lazy selection views,
-// slice-time predicate pushdown, cardinality-hinted hash aggregation —
-// the default) vs chunked (NoFuse: a materialized intermediate chunk
+// cardinality-hinted hash aggregation — the default) vs chunked (NoFuse: a materialized intermediate chunk
 // per operator). Isolated members each own their slicers and tails, so
 // the fused work scales with Q while the shared ingest copy amortizes.
 // The dcbench floor is fused ≥ 1.3× chunked tuples/s on every machine

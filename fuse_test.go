@@ -3,8 +3,7 @@ package datacell
 // Ablation equivalence suite for the fused vectorized tail executor
 // (internal/kernel): every workload in the matrix runs twice — once on
 // the default fused executor and once with NoFuse (operator-at-a-time
-// with a materialized chunk per step, no predicate pushdown, default
-// hash-table sizing) — and must produce byte-identical result streams.
+// with a materialized chunk per step, default hash-table sizing) — and must produce byte-identical result streams.
 // Together with the kernel unit tests and the fabric differential
 // harness this is the proof surface of the fusion contract.
 

@@ -3,7 +3,17 @@
 // events to a basket; the continuous queries bound to the stream each hold
 // a read cursor into it; and "once a tuple has been seen by all relevant
 // queries, it is dropped from its basket" (paper §3) — implemented here by
-// vacuuming the prefix below the minimum cursor.
+// releasing the storage below the minimum cursor.
+//
+// Storage is a list of segments, each a set of column arrays (plus arrival
+// and sequence stamps) holding a contiguous run of rows. A row below a
+// segment's length is never written again: an append fills the tail
+// segment's spare capacity and puts any rows left over into one new
+// segment sized to the append. Readers therefore get zero-copy views
+// (PeekSeqs hands out one segment's pending rows at a time) that stay valid
+// however the basket changes afterwards, and vacuum frees whole segments
+// the slowest consumer has passed without copying anything — each tuple is
+// copied once, into its segment.
 //
 // In the Petri-net scheduler, baskets are the places: appends raise tokens
 // that enable the factory transitions reading from them.
@@ -21,7 +31,7 @@ package basket
 
 import (
 	"fmt"
-	"slices"
+	"sort"
 	"sync"
 
 	"datacell/internal/bat"
@@ -40,15 +50,13 @@ type Basket struct {
 	schema bat.Schema
 
 	mu        sync.Mutex
-	cols      []bat.Vector
-	arrivals  bat.Ints // per-row arrival stamp, microseconds
-	seqs      bat.Ints // per-row sequence stamp (global in a shard)
-	nextSeq   int64    // auto-assigned sequence for plain Append
-	base      int64    // absolute row id of cols[*][0]
+	segs      []*segment // buffered rows, oldest first, contiguous
+	base      int64      // absolute row id of the first buffered row
+	end       int64      // absolute row id one past the last buffered row
+	nextSeq   int64      // auto-assigned sequence for plain Append
 	consumers map[int]int64
 	nextID    int
 	totalIn   int64
-	totalDrop int64
 	onAppend  []appendSub
 	nextSubID int
 	paused    bool
@@ -57,12 +65,57 @@ type Basket struct {
 	pendSeqs  []bat.Ints
 }
 
+// segment is one contiguous run of buffered rows. Its columns and stamp
+// vectors share one capacity; appends only ever write past the current
+// length, so views over rows below it are immutable.
+type segment struct {
+	start    int64 // absolute row id of row 0
+	cols     []bat.Vector
+	arrivals bat.Ints // per-row arrival stamp, microseconds
+	seqs     bat.Ints // per-row sequence stamp (global in a shard)
+}
+
+// segFloor is the smallest segment capacity: tiny appends (single-row
+// INSERTs) share a segment instead of allocating one each. Larger appends
+// get a segment sized exactly to their rows, so a retained view never pins
+// much more than the rows appended with it.
+const segFloor = 1024
+
+func newSegment(schema bat.Schema, start int64, capacity int) *segment {
+	sg := &segment{
+		start:    start,
+		cols:     make([]bat.Vector, len(schema.Kinds)),
+		arrivals: make(bat.Ints, 0, capacity),
+		seqs:     make(bat.Ints, 0, capacity),
+	}
+	for i, k := range schema.Kinds {
+		sg.cols[i] = bat.NewVector(k, capacity)
+	}
+	return sg
+}
+
+func (sg *segment) rows() int { return len(sg.seqs) }
+
+// room reports how many more rows fit without reallocating.
+func (sg *segment) room() int { return cap(sg.seqs) - len(sg.seqs) }
+
+// end reports the absolute row id one past the segment's last row.
+func (sg *segment) end() int64 { return sg.start + int64(len(sg.seqs)) }
+
+// view returns rows [lo, hi) (segment-relative) as capacity-capped views.
+func (sg *segment) view(schema bat.Schema, lo, hi int) (*bat.Chunk, bat.Ints, bat.Ints) {
+	cols := make([]bat.Vector, len(sg.cols))
+	for i, col := range sg.cols {
+		cols[i] = col.Slice(lo, hi)
+	}
+	return &bat.Chunk{Schema: schema, Cols: cols}, sg.arrivals[lo:hi:hi], sg.seqs[lo:hi:hi]
+}
+
 // New creates an empty basket for the given stream schema.
 func New(name string, schema bat.Schema) *Basket {
 	return &Basket{
 		name:      name,
 		schema:    schema,
-		cols:      bat.NewChunk(schema).Cols,
 		consumers: make(map[int]int64),
 	}
 }
@@ -132,7 +185,7 @@ func (b *Basket) Register() int {
 	defer b.mu.Unlock()
 	id := b.nextID
 	b.nextID++
-	b.consumers[id] = b.base + int64(b.len())
+	b.consumers[id] = b.end
 	return id
 }
 
@@ -188,7 +241,7 @@ func (b *Basket) AppendSeqs(c *bat.Chunk, arrival int64, seqs bat.Ints) error {
 		b.mu.Unlock()
 		return nil
 	}
-	b.appendLocked(c, arrival, seqs)
+	b.putLocked(c, nil, arrival, seqs)
 	subs := b.onAppend
 	b.mu.Unlock()
 	fireSubs(subs)
@@ -216,50 +269,72 @@ func (b *Basket) AppendFetchSeqs(c *bat.Chunk, sel []int32, arrival int64, seqs 
 		b.mu.Unlock()
 		return nil
 	}
-	for i := range b.cols {
-		b.cols[i] = bat.AppendFetch(b.cols[i], c.Cols[i], sel)
-	}
-	b.arrivals = fillInts(b.arrivals, len(sel), arrival, 0)
-	b.seqs = append(b.seqs, seqs...)
-	if n := seqs[len(seqs)-1] + 1; n > b.nextSeq {
-		b.nextSeq = n
-	}
-	b.totalIn += int64(len(sel))
+	b.putLocked(c, sel, arrival, seqs)
 	subs := b.onAppend
 	b.mu.Unlock()
 	fireSubs(subs)
 	return nil
 }
 
-func (b *Basket) appendLocked(c *bat.Chunk, arrival int64, seqs bat.Ints) {
+// putLocked appends the rows of c — all of them, or only the sel
+// positions — with their arrival and sequence stamps (nil seqs: the
+// basket's own dense counter). The rows first fill the tail segment's
+// spare capacity; the rest go into one new segment sized to them.
+func (b *Basket) putLocked(c *bat.Chunk, sel []int32, arrival int64, seqs bat.Ints) {
 	rows := c.Rows()
-	for i := range b.cols {
-		b.cols[i] = b.cols[i].AppendVector(c.Cols[i])
+	if sel != nil {
+		rows = len(sel)
 	}
-	b.arrivals = fillInts(b.arrivals, rows, arrival, 0)
+	if rows == 0 {
+		return
+	}
+	first := b.nextSeq // dense stamps when seqs is nil
 	if seqs == nil {
-		b.seqs = fillInts(b.seqs, rows, b.nextSeq, 1)
 		b.nextSeq += int64(rows)
-	} else if rows > 0 {
-		b.seqs = append(b.seqs, seqs...)
-		if n := seqs[rows-1] + 1; n > b.nextSeq {
-			b.nextSeq = n
+	} else if n := seqs[rows-1] + 1; n > b.nextSeq {
+		b.nextSeq = n
+	}
+	done := 0
+	if k := len(b.segs); k > 0 {
+		done = min(b.segs[k-1].room(), rows)
+		if done > 0 {
+			b.segs[k-1].put(c, sel, 0, done, arrival, seqs, first)
 		}
 	}
+	if done < rows {
+		sg := newSegment(b.schema, b.end+int64(done), max(rows-done, segFloor))
+		sg.put(c, sel, done, rows, arrival, seqs, first)
+		b.segs = append(b.segs, sg)
+	}
+	b.end += int64(rows)
 	b.totalIn += int64(rows)
 }
 
-// fillInts extends xs by n values start, start+step, ..., growing it at
-// most once. Only positions past the old length are written, so views
-// already handed out over xs[:len(xs)] (PeekSeqs, SnapshotSeqs) never
-// see a write.
-func fillInts(xs bat.Ints, n int, start, step int64) bat.Ints {
-	old := len(xs)
-	xs = slices.Grow(xs, n)[:old+n]
-	for i := range xs[old:] {
-		xs[old+i] = start + int64(i)*step
+// put appends rows [lo, hi) of an append — of c itself, or of c's sel
+// positions — into the segment's spare capacity. Row i's sequence stamp
+// is seqs[i], or first+i when seqs is nil.
+func (sg *segment) put(c *bat.Chunk, sel []int32, lo, hi int, arrival int64, seqs bat.Ints, first int64) {
+	for i, col := range c.Cols {
+		switch {
+		case sel != nil:
+			sg.cols[i] = bat.AppendFetch(sg.cols[i], col, sel[lo:hi])
+		case lo == 0 && hi == col.Len():
+			sg.cols[i] = sg.cols[i].AppendVector(col)
+		default:
+			sg.cols[i] = sg.cols[i].AppendVector(col.Slice(lo, hi))
+		}
 	}
-	return xs
+	n := len(sg.seqs)
+	sg.arrivals = sg.arrivals[:n+hi-lo]
+	sg.seqs = sg.seqs[:n+hi-lo]
+	for i := lo; i < hi; i++ {
+		sg.arrivals[n+i-lo] = arrival
+		if seqs == nil {
+			sg.seqs[n+i-lo] = first + int64(i)
+		} else {
+			sg.seqs[n+i-lo] = seqs[i]
+		}
+	}
 }
 
 // Pause makes subsequent appends queue inside the basket instead of
@@ -277,7 +352,7 @@ func (b *Basket) Resume() {
 	b.paused = false
 	flushed := len(b.pending) > 0
 	for i, c := range b.pending {
-		b.appendLocked(c, b.pendStamp[i], b.pendSeqs[i])
+		b.putLocked(c, nil, b.pendStamp[i], b.pendSeqs[i])
 	}
 	b.pending, b.pendStamp, b.pendSeqs = nil, nil, nil
 	subs := b.onAppend
@@ -292,13 +367,6 @@ func (b *Basket) Paused() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.paused
-}
-
-func (b *Basket) len() int {
-	if len(b.cols) == 0 {
-		return int(b.arrivals.Len())
-	}
-	return b.cols[0].Len()
 }
 
 // TotalIn reports the number of tuples ever appended. For a single-shard
@@ -318,45 +386,40 @@ func (b *Basket) Available(id int) int64 {
 	if !ok {
 		return 0
 	}
-	return b.base + int64(b.len()) - cur
+	return b.end - cur
 }
 
 // Peek returns up to n pending tuples for the consumer without consuming
-// them, plus their arrival stamps. The returned chunk is a view; it stays
-// valid after concurrent appends and vacuums (vacuum reallocates, old
-// views keep the old arrays). It returns nil when nothing is pending.
+// them, plus their arrival stamps. Like PeekSeqs it returns the pending
+// rows of at most one segment, so it may return fewer than are Available.
+// It returns nil when nothing is pending.
 func (b *Basket) Peek(id int, n int) (*bat.Chunk, bat.Ints) {
 	c, arr, _ := b.PeekSeqs(id, n)
 	return c, arr
 }
 
-// PeekSeqs is Peek returning the rows' sequence stamps as well — the
-// shard-aware read path, which needs global positions to reconstruct epoch
-// boundaries.
+// PeekSeqs returns up to n of the consumer's pending rows, with their
+// arrival and sequence stamps, without consuming them — the shard-aware
+// read path, which needs global positions to reconstruct epoch
+// boundaries. The rows all come from one segment and are zero-copy
+// views: their storage is never written again, so they stay valid after
+// any later append, consume or vacuum (a vacuum only drops the basket's
+// reference to a segment). A consumer drains its backlog by peeking and
+// consuming until nothing is returned; nil means nothing is pending.
 func (b *Basket) PeekSeqs(id int, n int) (*bat.Chunk, bat.Ints, bat.Ints) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cur, ok := b.consumers[id]
-	if !ok {
+	if !ok || cur >= b.end || n <= 0 {
 		return nil, nil, nil
 	}
-	lo := int(cur - b.base)
-	hi := b.len()
-	if hi-lo > n {
-		hi = lo + n
-	}
-	if hi <= lo {
-		return nil, nil, nil
-	}
-	cols := make([]bat.Vector, len(b.cols))
-	for i, col := range b.cols {
-		cols[i] = col.Slice(lo, hi)
-	}
-	return &bat.Chunk{Schema: b.schema, Cols: cols},
-		b.arrivals[lo:hi:hi], b.seqs[lo:hi:hi]
+	i := sort.Search(len(b.segs), func(i int) bool { return b.segs[i].end() > cur })
+	sg := b.segs[i]
+	lo := int(cur - sg.start)
+	return sg.view(b.schema, lo, min(sg.rows(), lo+n))
 }
 
-// Snapshot returns a copy of everything currently buffered in the basket,
+// Snapshot returns everything currently buffered in the basket,
 // regardless of consumer cursors. One-time queries use it to read a stream
 // as if it were a table — the paper's integration of baskets and tables in
 // one processing fabric.
@@ -371,21 +434,42 @@ func (b *Basket) Snapshot() *bat.Chunk {
 func (b *Basket) SnapshotSeqs() (*bat.Chunk, bat.Ints) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cols := make([]bat.Vector, len(b.cols))
-	for i, col := range b.cols {
-		cols[i] = col.Slice(0, b.len())
+	c, _, seqs := b.gatherLocked()
+	return c, seqs
+}
+
+// gatherLocked concatenates every buffered row and its stamps: a single
+// segment passes through as views, several are copied once into exactly
+// sized vectors (Snapshot and ExportState are cold paths).
+func (b *Basket) gatherLocked() (*bat.Chunk, bat.Ints, bat.Ints) {
+	n := int(b.end - b.base)
+	chunks := make([]*bat.Chunk, len(b.segs))
+	arrs := make([]bat.Ints, len(b.segs))
+	seqs := make([]bat.Ints, len(b.segs))
+	for i, sg := range b.segs {
+		chunks[i], arrs[i], seqs[i] = sg.view(b.schema, 0, sg.rows())
 	}
-	n := b.len()
-	return &bat.Chunk{Schema: b.schema, Cols: cols}, b.seqs[0:n:n]
+	return bat.Concat(b.schema, chunks, n), concatInts(arrs, n), concatInts(seqs, n)
+}
+
+func concatInts(parts []bat.Ints, n int) bat.Ints {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	out := make(bat.Ints, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // State is a transferable image of a basket's buffered rows and sequence
 // counters — what a fabric worker persists per shard in its snapshot and
 // ships during an elastic shard handoff. Rows/Arrivals/Seqs from
-// ExportState are views (stable under concurrent appends and vacuums,
-// which reallocate); a State decoded from the wire owns fresh vectors.
-// Consumer cursors are deliberately not part of the image: the restoring
-// side re-registers its consumers at the cursors it tracked itself.
+// ExportState are immutable (views or fresh copies); a State decoded from
+// the wire owns fresh vectors. Consumer cursors are deliberately not part
+// of the image: the restoring side re-registers its consumers at the
+// cursors it tracked itself.
 type State struct {
 	Base     int64 // absolute row id of Rows[0]
 	NextSeq  int64
@@ -395,41 +479,40 @@ type State struct {
 	Seqs     bat.Ints
 }
 
-// ExportState captures the basket's buffered rows and counters. The
-// returned chunk and stamp slices are views sharing the basket's current
-// arrays; the caller may marshal them without further locking.
+// ExportState captures the basket's buffered rows and counters. The rows
+// and stamps are never written again, so the caller may marshal them
+// without further locking.
 func (b *Basket) ExportState() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := b.len()
-	cols := make([]bat.Vector, len(b.cols))
-	for i, col := range b.cols {
-		cols[i] = col.Slice(0, n)
-	}
+	rows, arrivals, seqs := b.gatherLocked()
 	return State{
 		Base:     b.base,
 		NextSeq:  b.nextSeq,
 		TotalIn:  b.totalIn,
-		Rows:     &bat.Chunk{Schema: b.schema, Cols: cols},
-		Arrivals: b.arrivals[0:n:n],
-		Seqs:     b.seqs[0:n:n],
+		Rows:     rows,
+		Arrivals: arrivals,
+		Seqs:     seqs,
 	}
 }
 
 // NewFromState rebuilds a basket from an exported image, adopting the
-// state's vectors (pass a decoded, freshly allocated state — not one
-// still shared with a live basket).
+// state's vectors as one full segment (pass a decoded, freshly allocated
+// state — not one still shared with a live basket).
 func NewFromState(name string, schema bat.Schema, st State) *Basket {
 	b := New(name, schema)
-	if st.Rows != nil && len(st.Rows.Cols) == len(b.cols) {
-		b.cols = st.Rows.Cols
+	b.base, b.end = st.Base, st.Base
+	if n := len(st.Seqs); n > 0 && st.Rows != nil && len(st.Rows.Cols) == len(schema.Kinds) {
+		b.segs = []*segment{{
+			start:    st.Base,
+			cols:     st.Rows.Cols,
+			arrivals: st.Arrivals[:n:n],
+			seqs:     st.Seqs[:n:n],
+		}}
+		b.end += int64(n)
 	}
-	b.arrivals = st.Arrivals
-	b.seqs = st.Seqs
-	b.base = st.Base
 	b.nextSeq = st.NextSeq
 	b.totalIn = st.TotalIn
-	b.totalDrop = st.Base // base only ever advances by dropping the prefix
 	return b
 }
 
@@ -449,13 +532,7 @@ func (b *Basket) RegisterAt(cursor int64) int {
 	defer b.mu.Unlock()
 	id := b.nextID
 	b.nextID++
-	if cursor < b.base {
-		cursor = b.base
-	}
-	if hi := b.base + int64(b.len()); cursor > hi {
-		cursor = hi
-	}
-	b.consumers[id] = cursor
+	b.consumers[id] = min(max(cursor, b.base), b.end)
 	return id
 }
 
@@ -468,50 +545,57 @@ func (b *Basket) Consume(id int, n int64) {
 	if !ok {
 		return
 	}
-	hi := b.base + int64(b.len())
-	cur += n
-	if cur > hi {
-		cur = hi
-	}
-	b.consumers[id] = cur
+	b.consumers[id] = min(cur+n, b.end)
 	b.vacuumLocked()
 }
 
-// vacuumThreshold is how far the minimum cursor may run ahead of the base
-// before the consumed prefix is physically dropped. Batching the drops
-// amortizes the copy.
-const vacuumThreshold = 4096
-
-func (b *Basket) vacuumLocked() {
-	if len(b.consumers) == 0 {
-		// No queries bound: the basket would grow without bound, so drop
-		// everything (nobody can ever read it).
-		n := b.len()
-		if n > 0 {
-			b.dropPrefixLocked(n)
+// ConsumeEach drains the consumer's backlog as it stands when called, one
+// segment at a time: it consumes each segment's pending rows and passes
+// their views (see PeekSeqs) to fn, outside the basket lock. Rows appended
+// meanwhile wait for the next call. It returns the rows consumed.
+func (b *Basket) ConsumeEach(id int, fn func(c *bat.Chunk, arrivals, seqs bat.Ints)) int {
+	n := 0
+	for left := b.Available(id); left > 0; {
+		c, arrivals, seqs := b.PeekSeqs(id, int(left))
+		if c == nil {
+			break
 		}
-		return
+		rows := len(seqs)
+		b.Consume(id, int64(rows))
+		fn(c, arrivals, seqs)
+		left -= int64(rows)
+		n += rows
 	}
-	minCur := b.base + int64(b.len())
-	for _, c := range b.consumers {
-		if c < minCur {
-			minCur = c
-		}
-	}
-	if minCur-b.base >= vacuumThreshold {
-		b.dropPrefixLocked(int(minCur - b.base))
-	}
+	return n
 }
 
-func (b *Basket) dropPrefixLocked(n int) {
-	hi := b.len()
-	for i, col := range b.cols {
-		b.cols[i] = col.CopyRange(n, hi)
+// vacuumLocked frees the segments every consumer has passed. Nothing is
+// copied: the basket drops its references, and views handed out earlier
+// keep their segments alive until they are released. A fully consumed
+// tail segment with spare capacity stays, so the next small appends keep
+// filling it; with no consumer bound, everything goes (nobody can ever
+// read it).
+func (b *Basket) vacuumLocked() {
+	minCur := b.end
+	for _, c := range b.consumers {
+		minCur = min(minCur, c)
 	}
-	b.arrivals = b.arrivals.CopyRange(n, int(b.arrivals.Len())).(bat.Ints)
-	b.seqs = b.seqs.CopyRange(n, int(b.seqs.Len())).(bat.Ints)
-	b.base += int64(n)
-	b.totalDrop += int64(n)
+	drop := 0
+	for drop < len(b.segs) && b.segs[drop].end() <= minCur {
+		if drop == len(b.segs)-1 && b.segs[drop].room() > 0 && len(b.consumers) > 0 {
+			break
+		}
+		drop++
+	}
+	if drop == 0 {
+		return
+	}
+	clear(b.segs[:drop])
+	b.segs = b.segs[drop:]
+	b.base = b.end
+	if len(b.segs) > 0 {
+		b.base = b.segs[0].start
+	}
 }
 
 // Stats is a snapshot of the basket's counters, feeding the demo's
@@ -532,9 +616,9 @@ func (b *Basket) Stats() Stats {
 	defer b.mu.Unlock()
 	return Stats{
 		Name:      b.name,
-		Len:       b.len(),
+		Len:       int(b.end - b.base),
 		TotalIn:   b.totalIn,
-		TotalDrop: b.totalDrop,
+		TotalDrop: b.base, // base only advances by dropping segments
 		Consumers: len(b.consumers),
 		Paused:    b.paused,
 		Shards:    1,

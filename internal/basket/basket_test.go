@@ -88,24 +88,30 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// Single-row appends share segments of segFloor rows; consuming past a
+// segment frees it whole, and nothing before.
 func TestVacuumDropsFullyConsumedPrefix(t *testing.T) {
 	b := New("s", sch())
 	id := b.Register()
-	n := vacuumThreshold + 100
+	n := 4*segFloor + 100
 	for i := 0; i < n; i++ {
 		_ = b.Append(chunkOf(int64(i)), 0)
 	}
-	b.Consume(id, int64(vacuumThreshold))
+	b.Consume(id, 4*segFloor-1)
+	if got := b.Stats().TotalDrop; got != 3*segFloor {
+		t.Errorf("TotalDrop = %d with segment 3 one row short, want %d", got, 3*segFloor)
+	}
+	b.Consume(id, 1)
 	st := b.Stats()
-	if st.TotalDrop < vacuumThreshold {
-		t.Errorf("TotalDrop = %d, want >= %d", st.TotalDrop, vacuumThreshold)
+	if st.TotalDrop != 4*segFloor {
+		t.Errorf("TotalDrop = %d, want %d", st.TotalDrop, 4*segFloor)
 	}
 	if st.Len != n-int(st.TotalDrop) {
 		t.Errorf("Len = %d after dropping %d of %d", st.Len, st.TotalDrop, n)
 	}
 	// Remaining data still correct.
 	c, _ := b.Peek(id, 5)
-	if c.Row(0)[0].I != int64(vacuumThreshold) {
+	if c.Row(0)[0].I != int64(4*segFloor) {
 		t.Errorf("first pending = %v", c.Row(0)[0])
 	}
 }
@@ -114,16 +120,16 @@ func TestVacuumRespectsSlowestConsumer(t *testing.T) {
 	b := New("s", sch())
 	fast := b.Register()
 	slow := b.Register()
-	for i := 0; i < vacuumThreshold*2; i++ {
+	for i := 0; i < segFloor*2; i++ {
 		_ = b.Append(chunkOf(int64(i)), 0)
 	}
-	b.Consume(fast, vacuumThreshold*2)
+	b.Consume(fast, segFloor*2)
 	if got := b.Stats().TotalDrop; got != 0 {
 		t.Errorf("dropped %d tuples while slow consumer unread", got)
 	}
-	b.Consume(slow, vacuumThreshold*2)
-	if got := b.Stats().TotalDrop; got == 0 {
-		t.Error("nothing dropped after all consumed")
+	b.Consume(slow, segFloor*2)
+	if got := b.Stats().TotalDrop; got != segFloor*2 {
+		t.Errorf("dropped %d tuples after all consumed, want both full segments (%d)", got, segFloor*2)
 	}
 }
 
@@ -131,10 +137,10 @@ func TestUnregisterFreesTuples(t *testing.T) {
 	b := New("s", sch())
 	a := b.Register()
 	z := b.Register()
-	for i := 0; i < vacuumThreshold+1; i++ {
+	for i := 0; i < segFloor+1; i++ {
 		_ = b.Append(chunkOf(int64(i)), 0)
 	}
-	b.Consume(a, int64(vacuumThreshold+1))
+	b.Consume(a, int64(segFloor+1))
 	if b.Stats().TotalDrop != 0 {
 		t.Fatal("should hold for z")
 	}
@@ -204,11 +210,14 @@ func TestOnAppendNotification(t *testing.T) {
 func TestPeekViewStableAcrossVacuum(t *testing.T) {
 	b := New("s", sch())
 	id := b.Register()
-	for i := 0; i < vacuumThreshold+10; i++ {
+	for i := 0; i < segFloor+10; i++ {
 		_ = b.Append(chunkOf(int64(i)), 0)
 	}
 	view, _ := b.Peek(id, 5)
-	b.Consume(id, int64(vacuumThreshold+10)) // triggers vacuum & realloc
+	b.Consume(id, int64(segFloor+10)) // frees the first segment
+	for i := 0; i < segFloor; i++ {
+		_ = b.Append(chunkOf(-1), 0)
+	}
 	if view.Row(0)[0].I != 0 || view.Row(4)[0].I != 4 {
 		t.Error("old view corrupted by vacuum")
 	}

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -274,6 +275,65 @@ func TestChunkSliceAndCopy(t *testing.T) {
 	cp.Cols[0].(Ints)[0] = 42
 	if c.Row(0)[0].I != 0 {
 		t.Error("CopyRange shares storage")
+	}
+}
+
+// TestSliceAppendLeavesSourceRows: a view's capacity ends at its last
+// row, so appending to it reallocates instead of overwriting the rows
+// that follow it in the source — which a producer may still be filling.
+func TestSliceAppendLeavesSourceRows(t *testing.T) {
+	src := make(Ints, 4, 16)
+	for i := range src {
+		src[i] = int64(i)
+	}
+	full := src[:8]
+	for i := 4; i < 8; i++ {
+		full[i] = int64(i)
+	}
+	for _, view := range []Vector{src.Slice(1, 3), (&Chunk{Cols: []Vector{src}}).Slice(1, 3).Cols[0]} {
+		grown := view.AppendVector(Ints{-1, -2, -3})
+		if grown.Len() != 5 || grown.Get(2).I != -1 {
+			t.Fatalf("grown view = %v", VectorString(grown))
+		}
+		for i := 3; i < 8; i++ {
+			if full[i] != int64(i) {
+				t.Fatalf("append to Slice(1,3) wrote source row %d: %v", i, full)
+			}
+		}
+	}
+}
+
+func TestConcat(t *testing.T) {
+	sch := NewSchema([]string{"a", "s"}, []Kind{Int, Str})
+	mk := func(vals ...int64) *Chunk {
+		c := NewChunk(sch)
+		for _, v := range vals {
+			_ = c.AppendRow(IntValue(v), StrValue(fmt.Sprint(v)))
+		}
+		return c
+	}
+	if got := Concat(sch, nil, 0); got.Rows() != 0 || len(got.Cols) != 2 {
+		t.Fatalf("Concat of nothing = %v", got)
+	}
+	one := mk(1, 2, 3)
+	view := Concat(sch, []*Chunk{nil, NewChunk(sch), one}, 3)
+	if view.Rows() != 3 || &view.Cols[0].(Ints)[0] != &one.Cols[0].(Ints)[0] {
+		t.Fatal("a single chunk must pass through as a view")
+	}
+	if c := view.Cols[0].(Ints); cap(c) != len(c) {
+		t.Fatalf("view capacity %d, want %d", cap(c), len(c))
+	}
+	two := mk(4, 5)
+	cat := Concat(sch, []*Chunk{one, nil, two}, 5)
+	if cat.Rows() != 5 || cat.Row(3)[0].I != 4 || cat.Row(4)[1].S != "5" {
+		t.Fatalf("Concat = %v", cat)
+	}
+	if c := cat.Cols[1].(Strs); cap(c) != 5 {
+		t.Fatalf("copied column capacity %d, want exactly 5", cap(c))
+	}
+	cat.Cols[0].(Ints)[0] = 99
+	if one.Row(0)[0].I != 1 {
+		t.Fatal("a multi-chunk Concat must copy")
 	}
 }
 

@@ -108,13 +108,50 @@ func (c *Chunk) Row(i int) []Value {
 	return out
 }
 
-// Slice returns a view of rows [lo, hi) sharing storage with c.
+// Slice returns a view of rows [lo, hi) sharing storage with c. Like
+// Vector.Slice, its columns' capacity ends at hi, so appending to the
+// view never writes into c's following rows.
 func (c *Chunk) Slice(lo, hi int) *Chunk {
 	cols := make([]Vector, len(c.Cols))
 	for i, col := range c.Cols {
 		cols[i] = col.Slice(lo, hi)
 	}
 	return &Chunk{Schema: c.Schema, Cols: cols}
+}
+
+// Concat returns the rows of chunks, in order, as one chunk with the
+// given schema; rows is their total row count. Nil and empty chunks are
+// skipped. A single remaining chunk passes through as a view sharing its
+// storage (capacity-capped, see Slice); several are copied once into
+// exactly sized columns.
+func Concat(schema Schema, chunks []*Chunk, rows int) *Chunk {
+	var only *Chunk
+	n := 0
+	for _, c := range chunks {
+		if c != nil && c.Rows() > 0 {
+			only = c
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return NewChunk(schema)
+	case 1:
+		v := only.Slice(0, only.Rows())
+		v.Schema = schema
+		return v
+	}
+	cols := make([]Vector, schema.Width())
+	for i, k := range schema.Kinds {
+		col := NewVector(k, rows)
+		for _, c := range chunks {
+			if c != nil {
+				col = col.AppendVector(c.Cols[i])
+			}
+		}
+		cols[i] = col
+	}
+	return &Chunk{Schema: schema, Cols: cols}
 }
 
 // CopyRange returns a deep copy of rows [lo, hi).

@@ -25,7 +25,9 @@ type Vector interface {
 	Append(v Value) Vector
 	// AppendVector bulk-appends another vector of the same kind.
 	AppendVector(o Vector) Vector
-	// Slice returns a view of elements [lo, hi). The view shares storage.
+	// Slice returns a view of elements [lo, hi). The view shares storage,
+	// but its capacity ends at hi: appending to the view reallocates
+	// instead of writing into the elements that follow it.
 	Slice(lo, hi int) Vector
 	// CopyRange returns a freshly allocated copy of elements [lo, hi).
 	CopyRange(lo, hi int) Vector
@@ -70,7 +72,7 @@ func (v Ints) Append(x Value) Vector { return append(v, x.AsInt()) }
 func (v Ints) AppendVector(o Vector) Vector { return append(v, o.(Ints)...) }
 
 // Slice implements Vector.
-func (v Ints) Slice(lo, hi int) Vector { return v[lo:hi] }
+func (v Ints) Slice(lo, hi int) Vector { return v[lo:hi:hi] }
 
 // CopyRange implements Vector.
 func (v Ints) CopyRange(lo, hi int) Vector {
@@ -101,7 +103,7 @@ func (v Floats) Append(x Value) Vector { return append(v, x.AsFloat()) }
 func (v Floats) AppendVector(o Vector) Vector { return append(v, o.(Floats)...) }
 
 // Slice implements Vector.
-func (v Floats) Slice(lo, hi int) Vector { return v[lo:hi] }
+func (v Floats) Slice(lo, hi int) Vector { return v[lo:hi:hi] }
 
 // CopyRange implements Vector.
 func (v Floats) CopyRange(lo, hi int) Vector {
@@ -132,7 +134,7 @@ func (v Strs) Append(x Value) Vector { return append(v, x.S) }
 func (v Strs) AppendVector(o Vector) Vector { return append(v, o.(Strs)...) }
 
 // Slice implements Vector.
-func (v Strs) Slice(lo, hi int) Vector { return v[lo:hi] }
+func (v Strs) Slice(lo, hi int) Vector { return v[lo:hi:hi] }
 
 // CopyRange implements Vector.
 func (v Strs) CopyRange(lo, hi int) Vector {
@@ -163,7 +165,7 @@ func (v Bools) Append(x Value) Vector { return append(v, x.B) }
 func (v Bools) AppendVector(o Vector) Vector { return append(v, o.(Bools)...) }
 
 // Slice implements Vector.
-func (v Bools) Slice(lo, hi int) Vector { return v[lo:hi] }
+func (v Bools) Slice(lo, hi int) Vector { return v[lo:hi:hi] }
 
 // CopyRange implements Vector.
 func (v Bools) CopyRange(lo, hi int) Vector {
@@ -196,7 +198,7 @@ func (v Times) Append(x Value) Vector { return append(v, x.AsInt()) }
 func (v Times) AppendVector(o Vector) Vector { return append(v, o.(Times)...) }
 
 // Slice implements Vector.
-func (v Times) Slice(lo, hi int) Vector { return v[lo:hi] }
+func (v Times) Slice(lo, hi int) Vector { return v[lo:hi:hi] }
 
 // CopyRange implements Vector.
 func (v Times) CopyRange(lo, hi int) Vector {

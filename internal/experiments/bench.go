@@ -444,11 +444,11 @@ func PlanCacheBench(warm bool, regs int) BenchResult {
 //	                         Report-only.
 //	fused_vs_chunked:        eight isolated filtered grouped aggregates
 //	                         over one wide 19-column stream on the fused
-//	                         tail executor (lazy selection views, slice-time
-//	                         predicate pushdown, cardinality-hinted hash
-//	                         aggregation) / the same queries with NoFuse
-//	                         (operator-at-a-time, a materialized chunk per
-//	                         step). The median of per-round back-to-back
+//	                         tail executor (lazy selection views,
+//	                         cardinality-hinted hash aggregation) / the
+//	                         same queries with NoFuse (operator-at-a-time,
+//	                         a materialized chunk per step). The median of
+//	                         per-round back-to-back
 //	                         ratios. Floored ≥1.3× on every machine class —
 //	                         fusion is a single-core win.
 //	plancache_ratio:         512 shared-group registrations of identical

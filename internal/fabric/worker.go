@@ -808,11 +808,7 @@ func (w *Worker) fireSpec(sp *workerSpec) {
 		if !ok || sl == nil {
 			continue
 		}
-		c, arrivals, seqs := ws.bk.PeekSeqs(cid, int(ws.bk.Available(cid)))
-		if c != nil {
-			ws.bk.Consume(cid, int64(c.Rows()))
-			sl.Push(c, arrivals, seqs)
-		}
+		ws.bk.ConsumeEach(cid, sl.Push)
 		var frags []*window.Frag
 		if sp.win.Tuples {
 			frags = sl.Flush(st.settled / sp.win.Slide)

@@ -302,28 +302,12 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 			f.inputs = append(f.inputs, in)
 			continue
 		}
-		// Slice-time predicate pushdown: a private incremental factory owns
-		// its slicers, so the fused chain's leading filters move into the
-		// slice step — non-qualifying rows are dropped before they are
-		// buffered into a window, and the chain skips the already-applied
-		// prefix. Shared factories (group-owned slicers), re-evaluation
-		// plans (raw windows) and fabric-fed front ends never qualify.
-		var pre func(*bat.Chunk) *bat.Chunk
-		if cfg.Mode == Incremental && idx < len(f.pipes) && f.pipes[idx] != nil {
-			if preds := f.pipes[idx].LeadingFilters(); len(preds) > 0 {
-				pre = kernel.Prefilter(preds)
-				f.pipes[idx].SetSkip(len(preds))
-			}
-		}
 		for i := 0; i < shb.NumShards(); i++ {
 			b := shb.Shard(i)
 			si := &shardIn{idx: i, bk: b, cid: b.Register()}
 			if s.Window != nil {
 				si.sl = window.NewShardSlicer(s.Window, s.Out)
 				si.wm.Store(si.sl.Watermark())
-				if pre != nil {
-					si.sl.SetPrefilter(pre)
-				}
 			}
 			in.shards = append(in.shards, si)
 		}
@@ -604,40 +588,41 @@ func (f *Factory) fireShardLocked(idx int, in *input, si *shardIn) (int, bool) {
 		wmSeq = in.shb.Settled()
 	}
 
-	c, arrivals, seqs := si.bk.PeekSeqs(si.cid, int(si.bk.Available(si.cid)))
-	if c != nil {
-		rows := c.Rows()
-		si.bk.Consume(si.cid, int64(rows))
-		f.mu.Lock()
-		f.stats.TuplesIn += int64(rows)
-		f.mu.Unlock()
-	}
-
 	if si.sl == nil {
 		// Non-windowed continuous query: the paper's mode 1 applied per
-		// arriving batch, independently per shard.
-		if c == nil {
-			return 0, false
-		}
-		return f.evalBatch(in.scan, c, arrivals), false
+		// arriving batch (one basket segment), independently per shard.
+		emitted := 0
+		f.countIn(si.bk.ConsumeEach(si.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
+			emitted += f.evalBatch(in.scan, c, arrivals)
+		}))
+		return emitted, false
 	}
 
-	frags, raised := sliceFlush(si.sl, in.scan.Window, c, arrivals, seqs, wmSeq, &in.maxTs)
+	frags, rows, raised := sliceFlush(si.bk, si.cid, si.sl, in.scan.Window, wmSeq, &in.maxTs)
+	f.countIn(rows)
 	si.wm.Store(si.sl.Watermark())
 	return f.deliver(idx, in, si, frags), raised
 }
 
+func (f *Factory) countIn(rows int) {
+	if rows > 0 {
+		f.mu.Lock()
+		f.stats.TuplesIn += int64(rows)
+		f.mu.Unlock()
+	}
+}
+
 // sliceFlush is the drain step shared by isolated factories and query
-// groups: push freshly drained rows into a shard slicer, raise the
-// input's shared event-time watermark (time windows), and flush every
-// epoch the current watermark seals. For tuple windows the caller must
-// have captured wmSeq (the container's settled sequence) BEFORE the
-// drain — see fireShardLocked for why the order is load-bearing. raised
-// reports whether the event-time watermark advanced (sibling shards may
-// now hold sealed buckets and need a re-notify).
-func sliceFlush(sl *window.ShardSlicer, w *plan.Window, c *bat.Chunk, arrivals, seqs bat.Ints, wmSeq int64, maxTs *atomic.Int64) ([]*window.Frag, bool) {
-	raised := false
-	if c != nil {
+// groups: push the consumer's pending rows, segment by segment, into a
+// shard slicer, raise the input's shared event-time watermark (time
+// windows), and flush every epoch the current watermark seals. For tuple
+// windows the caller must have captured wmSeq (the container's settled
+// sequence) BEFORE the drain — see fireShardLocked for why the order is
+// load-bearing. rows counts the drained rows; raised reports whether the
+// event-time watermark advanced (sibling shards may now hold sealed
+// buckets and need a re-notify).
+func sliceFlush(bk *basket.Basket, cid int, sl *window.ShardSlicer, w *plan.Window, wmSeq int64, maxTs *atomic.Int64) (frags []*window.Frag, rows int, raised bool) {
+	rows = bk.ConsumeEach(cid, func(c *bat.Chunk, arrivals, seqs bat.Ints) {
 		sl.Push(c, arrivals, seqs)
 		if !w.Tuples {
 			ts := bat.AsInts(c.Cols[w.TimeIdx])
@@ -647,16 +632,15 @@ func sliceFlush(sl *window.ShardSlicer, w *plan.Window, c *bat.Chunk, arrivals, 
 					mx = t
 				}
 			}
-			raised = atomicMax(maxTs, mx)
+			raised = atomicMax(maxTs, mx) || raised
 		}
-	}
-	var frags []*window.Frag
+	})
 	if w.Tuples {
 		frags = sl.Flush(wmSeq / w.Slide)
 	} else if mts := maxTs.Load(); mts != math.MinInt64 {
 		frags = sl.Flush(sl.TimeGen(mts))
 	}
-	return frags, raised
+	return frags, rows, raised
 }
 
 // deliver runs the per-fragment pipeline (the parallel half of incremental
@@ -868,11 +852,8 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		// — so the ring stays window-aligned and the shared buffer is
 		// still released below.
 		if kp := f.pipe(idx); kp != nil {
-			// Fused fallback. The fallback only sees raw windows (group
-			// fanout, re-evaluation joins), so the chain runs in full —
-			// pushdown skips are installed only on factories whose own
-			// slicers pre-filter, and those always arrive via the fragment
-			// path above.
+			// Fused fallback over the raw window (group fanout,
+			// re-evaluation joins).
 			bw.Out, bw.Partial = kp.Run(bw.Data)
 		} else {
 			pipe := d.Pipelines[idx]

@@ -191,11 +191,7 @@ func (fe *frontEnd) fireShard(sh int) (notify map[string]bool, raised bool) {
 	if fe.win.Tuples {
 		wmSeq = fe.basket.Settled()
 	}
-	c, arrivals, seqs := gs.bk.PeekSeqs(gs.cid, int(gs.bk.Available(gs.cid)))
-	if c != nil {
-		gs.bk.Consume(gs.cid, int64(c.Rows()))
-	}
-	frags, raised := sliceFlush(gs.sl, fe.win, c, arrivals, seqs, wmSeq, &fe.maxTs)
+	frags, _, raised := sliceFlush(gs.bk, gs.cid, gs.sl, fe.win, wmSeq, &fe.maxTs)
 	gs.wm.Store(gs.sl.Watermark())
 	return fe.deliver(gs, frags), raised
 }

@@ -137,18 +137,19 @@ func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) 
 	c.once.Do(func() {
 		mc := c.mc
 		var discardHits, discardMisses atomic.Int64
+		leaf, schema := mc.leaf, mc.outSchema
 		if mc.agg != nil {
-			partials := bat.NewChunk(mc.agg.Out)
-			for _, in := range c.ins {
-				partials.AppendChunk(g.dag.eval(in.dw, mc.aggLeaf, in.data, &discardHits, &discardMisses))
-			}
-			c.out = plan.MergeAggregate(mc.agg, partials)
-		} else {
-			res := bat.NewChunk(mc.outSchema)
-			for _, in := range c.ins {
-				res.AppendChunk(g.dag.eval(in.dw, mc.leaf, in.data, &discardHits, &discardMisses))
-			}
-			c.out = res
+			leaf, schema = mc.aggLeaf, mc.agg.Out
+		}
+		parts := make([]*bat.Chunk, len(c.ins))
+		rows := 0
+		for i, in := range c.ins {
+			parts[i] = g.dag.eval(in.dw, leaf, in.data, &discardHits, &discardMisses)
+			rows += parts[i].Rows()
+		}
+		c.out = bat.Concat(schema, parts, rows)
+		if mc.agg != nil {
+			c.out = plan.MergeAggregate(mc.agg, c.out)
 		}
 		c.pdw = newDagWin()
 		c.ins = nil // release the input pointers: only the view survives

@@ -172,10 +172,6 @@ type Pipeline struct {
 	// clear it: downstream only merges the partials, so the filtered
 	// intermediate never needs reconstructing.
 	needOut bool
-	// skip counts leading Filter steps already applied at slice time
-	// (predicate pushdown): the slicer dropped non-qualifying rows before
-	// they entered the window, so the fused chain must not re-filter.
-	skip int
 	// hint remembers the newest observed aggregate output cardinality,
 	// pre-sizing the next window's grouping hash table.
 	hint atomic.Int64
@@ -198,25 +194,6 @@ func Compile(d *plan.Decomposition, side int, agg *plan.Aggregate, needOut bool)
 	return &Pipeline{steps: steps, agg: agg, needOut: needOut}, true
 }
 
-// LeadingFilters reports the predicates of the chain's leading Filter
-// steps — the prefix eligible for slice-time predicate pushdown (they
-// read only raw stream columns, by position in the chain).
-func (kp *Pipeline) LeadingFilters() []expr.Expr {
-	var preds []expr.Expr
-	for _, s := range kp.steps {
-		f, ok := s.Op.(*plan.Filter)
-		if !ok {
-			break
-		}
-		preds = append(preds, f.Pred)
-	}
-	return preds
-}
-
-// SetSkip marks the first n steps as already applied upstream (predicate
-// pushdown into the slicer).
-func (kp *Pipeline) SetSkip(n int) { kp.skip = n }
-
 // Run evaluates the fused chain over one basic-window fragment. out is
 // the pipeline output chunk (nil when the chain terminates in an
 // aggregate and needOut is false); partial is the partial-aggregate chunk
@@ -224,7 +201,7 @@ func (kp *Pipeline) SetSkip(n int) { kp.skip = n }
 // the unfused executor's results over the same fragment.
 func (kp *Pipeline) Run(raw *bat.Chunk) (out, partial *bat.Chunk) {
 	v := NewView(raw)
-	for _, s := range kp.steps[kp.skip:] {
+	for _, s := range kp.steps {
 		v = ApplyStep(s, v)
 	}
 	if kp.agg == nil {
@@ -236,19 +213,4 @@ func (kp *Pipeline) Run(raw *bat.Chunk) (out, partial *bat.Chunk) {
 		out = v.Materialize()
 	}
 	return out, partial
-}
-
-// Prefilter builds the slice-time pushdown hook for a pushed filter
-// prefix: it drops non-qualifying rows from a chunk slice before the
-// slicer buffers it. Filtering commutes with the slicer's run-length
-// concatenation (predicates are row-wise), so the sealed window equals
-// the unfused window filtered — the pushdown equivalence.
-func Prefilter(preds []expr.Expr) func(*bat.Chunk) *bat.Chunk {
-	return func(c *bat.Chunk) *bat.Chunk {
-		var sel algebra.Sel
-		for _, p := range preds {
-			sel = expr.EvalPred(p, c, sel)
-		}
-		return algebra.FetchChunk(c, sel)
-	}
 }

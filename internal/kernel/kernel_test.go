@@ -292,53 +292,6 @@ func TestEmptyWindow(t *testing.T) {
 	}
 }
 
-// TestPrefilterEquivalence: pushing a filter prefix to slice time then
-// running the chain with the prefix skipped equals running the full
-// chain over raw data — the pushdown identity.
-func TestPrefilterEquivalence(t *testing.T) {
-	c := testChunk(256)
-	p1 := cmp(algebra.LT, col(1, bat.Int), intConst(5))
-	p2 := cmp(algebra.GE, col(2, bat.Float), floatConst(0.25))
-	steps := []plan.PipelineStep{
-		{Op: &plan.Filter{Pred: p1}},
-		{Op: &plan.Filter{Pred: p2}},
-	}
-	agg := &plan.Aggregate{
-		Keys: []expr.Expr{col(1, bat.Int)}, KeyNames: []string{"k"},
-		Aggs: []plan.AggSpec{{Op: algebra.AggSum, Arg: col(2, bat.Float), Name: "s"}},
-		Out:  bat.Schema{Names: []string{"k", "s"}, Kinds: []bat.Kind{bat.Int, bat.Float}},
-	}
-
-	full := &Pipeline{steps: steps, agg: agg, needOut: true}
-	outFull, partFull := full.Run(c)
-
-	pushed := &Pipeline{steps: steps, agg: agg, needOut: true}
-	preds := pushed.LeadingFilters()
-	if len(preds) != 2 {
-		t.Fatalf("LeadingFilters = %d preds, want 2", len(preds))
-	}
-	pushed.SetSkip(len(preds))
-	pre := Prefilter(preds)
-	outPushed, partPushed := pushed.Run(pre(c))
-
-	mustEqualChunks(t, outPushed, outFull, "pushed out")
-	mustEqualChunks(t, partPushed, partFull, "pushed partial")
-}
-
-// TestLeadingFiltersStopAtNonFilter: only the filter prefix is eligible
-// for pushdown; a projection ends it.
-func TestLeadingFiltersStopAtNonFilter(t *testing.T) {
-	p := &Pipeline{steps: []plan.PipelineStep{
-		{Op: &plan.Filter{Pred: cmp(algebra.GT, col(1, bat.Int), intConst(1))}},
-		{Op: &plan.Project{Exprs: []expr.Expr{col(1, bat.Int)},
-			Out: bat.Schema{Names: []string{"k"}, Kinds: []bat.Kind{bat.Int}}}},
-		{Op: &plan.Filter{Pred: cmp(algebra.LT, col(0, bat.Int), intConst(5))}},
-	}}
-	if got := len(p.LeadingFilters()); got != 1 {
-		t.Fatalf("LeadingFilters = %d, want 1 (projection ends the prefix)", got)
-	}
-}
-
 // TestRunNoOutForAggChains: with needOut unset, an aggregate chain skips
 // materializing the pipeline output entirely.
 func TestRunNoOutForAggChains(t *testing.T) {

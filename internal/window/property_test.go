@@ -17,7 +17,7 @@ func TestQuickTupleSlicerPartition(t *testing.T) {
 		slide := int64(slideRaw%7) + 1
 		batch := int(batchRaw%5) + 1
 		w := &plan.Window{Tuples: true, Size: slide * 4, Slide: slide}
-		s := NewSlicer(w, sch())
+		s := newOneShard(w)
 
 		var vals []int64
 		for _, x := range raw {
@@ -79,8 +79,8 @@ func TestQuickTimeSlicerBuckets(t *testing.T) {
 			SlideDur: 1,
 		}
 		// Build the slicer manually around the slide in µs.
-		s := NewSlicer(w, sch())
-		s.slideUsec = slide
+		s := newOneShard(w)
+		s.sl.slideUsec = slide
 
 		n := rng.Intn(60)
 		ts := make([]int64, n)

@@ -52,15 +52,6 @@ type ShardSlicer struct {
 	nextGen   int64 // all gens < nextGen have been flushed
 	maxGen    int64 // newest epoch that has received a row
 	open      map[int64]*openFrag
-	// pre, when set, filters each row run before it is buffered into its
-	// epoch (slice-time predicate pushdown): non-qualifying rows never
-	// enter a window view. Epoch assignment, watermarks and MaxArrival are
-	// computed over the full pre-filter arrivals, so window boundaries and
-	// latency metadata stay byte-identical to an unfiltered slicer; only
-	// the buffered rows shrink. Installed by factories whose pipeline
-	// starts with eligible filters; never set on fabric-fed or
-	// re-evaluation slicers, which need the raw window.
-	pre func(*bat.Chunk) *bat.Chunk
 }
 
 type openFrag struct {
@@ -106,7 +97,7 @@ func floorDiv(a, b int64) int64 {
 // global sequence stamps (used by tuple windows); time windows read the
 // ordering attribute. Out-of-order time tuples clamp into the shard's
 // newest seen epoch (never below the flushed watermark), matching the
-// single-basket slicer's late-tuple rule.
+// pre-sharding slicer's late-tuple rule.
 func (s *ShardSlicer) Push(c *bat.Chunk, arrivals bat.Ints, seqs bat.Ints) {
 	rows := c.Rows()
 	if rows == 0 {
@@ -141,7 +132,7 @@ func (s *ShardSlicer) rowGen(i int, seqs, ts []int64) int64 {
 	}
 	g = s.genOf(0, ts[i])
 	// Late time tuples clamp into the newest epoch this shard has seen —
-	// the single-basket slicer's rule (it folds out-of-order rows into
+	// the pre-sharding slicer's rule (it folds out-of-order rows into
 	// its current open bucket), which keeps the default 1-shard engine's
 	// window assignment bit-identical to the pre-sharding engine. The
 	// flushed watermark is a floor: rows below it have nowhere older to
@@ -158,28 +149,23 @@ func (s *ShardSlicer) rowGen(i int, seqs, ts []int64) int64 {
 	return g
 }
 
-// SetPrefilter installs a slice-time pushdown filter (see the pre field).
-// Set before the first Push; the slicer applies it to every buffered run.
-func (s *ShardSlicer) SetPrefilter(f func(*bat.Chunk) *bat.Chunk) { s.pre = f }
-
+// bucket adds one run of rows to epoch gen. An epoch's first run is
+// adopted as it is — a view over the basket segment, no copy — and a
+// later run appends to it: the view's capacity ends at its last row, so
+// the first such append reallocates and the segment is never written.
 func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, arrivals []int64) {
-	if s.pre != nil {
-		c = s.pre(c)
+	var maxArr int64
+	for _, a := range arrivals {
+		maxArr = max(maxArr, a)
 	}
 	f := s.open[gen]
 	if f == nil {
-		f = &openFrag{data: bat.NewChunk(s.schema)}
-		s.open[gen] = f
+		c.Schema = s.schema
+		s.open[gen] = &openFrag{data: c, maxArr: maxArr}
+		return
 	}
 	f.data.AppendChunk(c)
-	// MaxArrival spans the epoch's full pre-filter arrivals: the latency
-	// a result reports must not change because its trigger row was
-	// filtered out early.
-	for _, a := range arrivals {
-		if a > f.maxArr {
-			f.maxArr = a
-		}
-	}
+	f.maxArr = max(f.maxArr, maxArr)
 }
 
 // Flush seals every epoch below wmGen, returning the shard's non-empty
@@ -346,7 +332,7 @@ func (m *ShardMerge) Offer(shard int, frags []*Frag, wm int64) []*BW {
 	sealed := m.Sealed()
 	if !m.started {
 		// The merged stream starts at the earliest epoch holding data,
-		// like the single-basket slicer starting at its first row's
+		// like the pre-sharding slicer starting at its first row's
 		// bucket.
 		first := NoEpoch
 		for g := range m.frags {
@@ -381,31 +367,33 @@ func (m *ShardMerge) Sealed() int64 {
 }
 
 // buildBW concatenates epoch g's fragments (possibly none — a time gap)
-// into one merged basic window.
+// into one merged basic window. A single fragment's chunks pass through as
+// views; several are copied once (bat.Concat).
 func (m *ShardMerge) buildBW(g int64) *BW {
 	frags := m.frags[g]
 	delete(m.frags, g)
-	bw := &BW{Gen: m.outGen, Epoch: g, Data: bat.NewChunk(m.cfg.Data)}
+	bw := &BW{Gen: m.outGen, Epoch: g}
 	m.outGen++
-	if m.cfg.Out != nil {
-		bw.Out = bat.NewChunk(*m.cfg.Out)
-	}
-	if m.cfg.Partial != nil {
-		bw.Partial = bat.NewChunk(*m.cfg.Partial)
-	}
+	var data, outs, parts []*bat.Chunk
+	var dataRows, outRows, partRows int
 	for _, f := range frags {
+		bw.MaxArrival = max(bw.MaxArrival, f.MaxArrival)
 		if m.cfg.KeepData {
-			bw.Data.AppendChunk(f.Data)
-		}
-		if f.MaxArrival > bw.MaxArrival {
-			bw.MaxArrival = f.MaxArrival
+			data, dataRows = append(data, f.Data), dataRows+f.Data.Rows()
 		}
 		if m.cfg.Out != nil && f.Out != nil {
-			bw.Out.AppendChunk(f.Out)
+			outs, outRows = append(outs, f.Out), outRows+f.Out.Rows()
 		}
 		if m.cfg.Partial != nil && f.Partial != nil {
-			bw.Partial.AppendChunk(f.Partial)
+			parts, partRows = append(parts, f.Partial), partRows+f.Partial.Rows()
 		}
+	}
+	bw.Data = bat.Concat(m.cfg.Data, data, dataRows)
+	if m.cfg.Out != nil {
+		bw.Out = bat.Concat(*m.cfg.Out, outs, outRows)
+	}
+	if m.cfg.Partial != nil {
+		bw.Partial = bat.Concat(*m.cfg.Partial, parts, partRows)
 	}
 	return bw
 }

@@ -61,7 +61,7 @@ func TestShardSlicerTimeBucketsAndClamp(t *testing.T) {
 		t.Fatalf("frags = %+v", frags)
 	}
 	// A late tuple for the flushed bucket 0 clamps into the oldest open
-	// epoch (bucket 1), like the single-basket slicer.
+	// epoch (bucket 1), like the pre-sharding slicer.
 	s.Push(shardChunk(sec/4), seqsOf(3), seqsOf(2))
 	frags = s.Flush(3)
 	if len(frags) != 1 || frags[0].Gen != 1 || frags[0].Data.Rows() != 2 {

@@ -6,23 +6,26 @@
 // cached partials stay valid until their basic window leaves the ring; no
 // per-tuple invertibility is needed.
 //
-// Two slicing paths exist. Slicer is the single-stream reference
-// implementation: it cuts one ordered tuple stream into basic windows in
-// arrival order. ShardSlicer + ShardMerge form the sharded path: each
-// shard cuts its own rows into globally consistent epochs (by global
-// sequence stamp for tuple windows, by absolute slide bucket for time
-// windows) and a per-query merger assembles complete basic windows once
-// every shard's flush watermark has passed an epoch. The union of the
-// shards' epoch fragments is exactly the basic window the single-stream
-// slicer would produce, so everything downstream of the merge — Ring,
-// JoinCache, partial-aggregate merging — is oblivious to sharding.
+// Slicing is ShardSlicer + ShardMerge: each shard cuts its own rows into
+// globally consistent epochs (by global sequence stamp for tuple windows,
+// by absolute slide bucket for time windows) and a per-query merger
+// assembles complete basic windows once every shard's flush watermark has
+// passed an epoch. The union of the shards' epoch fragments is exactly the
+// basic window a single ordered stream would be cut into, so everything
+// downstream of the merge — Ring, JoinCache, partial-aggregate merging —
+// is oblivious to sharding. An unsharded stream is the one-shard case.
+//
+// Slicing copies nothing it does not have to: an epoch made of one basket
+// segment's run is a view over that segment, a basic window made of one
+// fragment is that fragment, and a full window made of one basic window is
+// that basic window (bat.Concat). The views are immutable — nothing in the
+// engine writes into a chunk's existing rows.
 package window
 
 import (
 	"fmt"
 
 	"datacell/internal/bat"
-	"datacell/internal/plan"
 )
 
 // BW is one completed basic window plus whatever intermediates the factory
@@ -78,127 +81,6 @@ func (bw *BW) ReleaseData() {
 	}
 }
 
-// Slicer cuts a stream's arriving tuples into basic windows. Tuple windows
-// close after exactly Slide tuples; time windows close when the stream's
-// ordering attribute crosses a slide-aligned bucket boundary (streams are
-// assumed in arrival order on that attribute, which is what DataCell's
-// baskets preserve). Time gaps emit empty basic windows so the ring stays
-// aligned with wall-clock slides.
-type Slicer struct {
-	w      *plan.Window
-	schema bat.Schema
-
-	buf    *bat.Chunk
-	maxArr int64
-
-	// Time-window state.
-	started   bool
-	bucket    int64 // current bucket index = floor(ts / slide)
-	nextGen   int64
-	slideUsec int64
-}
-
-// NewSlicer builds a slicer for a stream scan's bound window.
-func NewSlicer(w *plan.Window, schema bat.Schema) *Slicer {
-	s := &Slicer{w: w, schema: schema, buf: bat.NewChunk(schema)}
-	if !w.Tuples {
-		s.slideUsec = w.SlideDur.Microseconds()
-	}
-	return s
-}
-
-// Push feeds newly arrived tuples (with their arrival stamps) into the
-// slicer and returns the basic windows that completed.
-func (s *Slicer) Push(c *bat.Chunk, arrivals bat.Ints) []*BW {
-	if s.w.Tuples {
-		return s.pushTuples(c, arrivals)
-	}
-	return s.pushTime(c, arrivals)
-}
-
-func (s *Slicer) pushTuples(c *bat.Chunk, arrivals bat.Ints) []*BW {
-	var done []*BW
-	rows := c.Rows()
-	pos := 0
-	for pos < rows {
-		need := int(s.w.Slide) - s.buf.Rows()
-		take := rows - pos
-		if take > need {
-			take = need
-		}
-		s.buf.AppendChunk(c.Slice(pos, pos+take))
-		for _, a := range arrivals[pos : pos+take] {
-			if a > s.maxArr {
-				s.maxArr = a
-			}
-		}
-		pos += take
-		if s.buf.Rows() == int(s.w.Slide) {
-			done = append(done, s.closeBuf())
-		}
-	}
-	return done
-}
-
-func (s *Slicer) pushTime(c *bat.Chunk, arrivals bat.Ints) []*BW {
-	var done []*BW
-	ts := bat.AsInts(c.Cols[s.w.TimeIdx])
-	rows := c.Rows()
-	for i := 0; i < rows; i++ {
-		b := ts[i] / s.slideUsec
-		if ts[i] < 0 {
-			// Floor division for negative timestamps.
-			if ts[i]%s.slideUsec != 0 {
-				b--
-			}
-		}
-		if !s.started {
-			s.started = true
-			s.bucket = b
-		}
-		// Close the current bucket, plus empty buckets for any gap.
-		for s.bucket < b {
-			done = append(done, s.closeBuf())
-			s.bucket++
-		}
-		// Late tuples (b < s.bucket) are clamped into the open bucket;
-		// DataCell consumes baskets in arrival order, so this only happens
-		// on slightly out-of-order sources.
-		s.buf.AppendChunk(c.Slice(i, i+1))
-		if arrivals[i] > s.maxArr {
-			s.maxArr = arrivals[i]
-		}
-	}
-	return done
-}
-
-// AdvanceTime closes time buckets up to (excluding) the bucket containing
-// ts. It implements the scheduler's time constraints: an idle stream's
-// open windows can be forced shut by a heartbeat watermark.
-func (s *Slicer) AdvanceTime(ts int64) []*BW {
-	if s.w.Tuples || !s.started {
-		return nil
-	}
-	var done []*BW
-	b := ts / s.slideUsec
-	for s.bucket < b {
-		done = append(done, s.closeBuf())
-		s.bucket++
-	}
-	return done
-}
-
-func (s *Slicer) closeBuf() *BW {
-	bw := &BW{Gen: s.nextGen, Data: s.buf, MaxArrival: s.maxArr}
-	s.nextGen++
-	s.buf = bat.NewChunk(s.schema)
-	s.maxArr = 0
-	return bw
-}
-
-// Pending reports how many tuples are buffered in the open basic window.
-func (s *Slicer) Pending() int { return s.buf.Rows() }
-
 // Ring keeps the last n basic windows — the live window contents.
 type Ring struct {
 	n   int
@@ -250,33 +132,32 @@ func (r *Ring) MaxArrival() int64 {
 // ConcatData concatenates the raw tuples of the live basic windows — the
 // full current window, used by the re-evaluation mode.
 func (r *Ring) ConcatData(schema bat.Schema) *bat.Chunk {
-	out := bat.NewChunk(schema)
-	for _, bw := range r.bws {
-		out.AppendChunk(bw.Data)
-	}
-	return out
+	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Data })
 }
 
 // ConcatOuts concatenates the cached pipeline outputs of the live basic
 // windows — the merged intermediate for non-aggregate incremental plans.
 func (r *Ring) ConcatOuts(schema bat.Schema) *bat.Chunk {
-	out := bat.NewChunk(schema)
-	for _, bw := range r.bws {
-		if bw.Out != nil {
-			out.AppendChunk(bw.Out)
-		}
-	}
-	return out
+	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Out })
 }
 
 // ConcatPartials concatenates the cached partial aggregates; feeding the
 // result through plan.MergeAggregate yields the full-window aggregate.
 func (r *Ring) ConcatPartials(schema bat.Schema) *bat.Chunk {
-	out := bat.NewChunk(schema)
-	for _, bw := range r.bws {
-		if bw.Partial != nil {
-			out.AppendChunk(bw.Partial)
+	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Partial })
+}
+
+// concat gathers one chunk per live basic window (nil ones are skipped)
+// through bat.Concat: a window whose rows all sit in one basic window is
+// that basic window's chunk, uncopied.
+func (r *Ring) concat(schema bat.Schema, part func(*BW) *bat.Chunk) *bat.Chunk {
+	chunks := make([]*bat.Chunk, len(r.bws))
+	rows := 0
+	for i, bw := range r.bws {
+		if c := part(bw); c != nil {
+			chunks[i] = c
+			rows += c.Rows()
 		}
 	}
-	return out
+	return bat.Concat(schema, chunks, rows)
 }

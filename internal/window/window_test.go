@@ -22,9 +22,68 @@ func chunkTS(pairs ...[2]int64) (*bat.Chunk, bat.Ints) {
 	return c, arr
 }
 
+// oneShard drives the live slicing path the way the engine does for an
+// unsharded stream: a one-shard ShardSlicer fed dense sequence stamps,
+// flushed at the stream's sealing watermark after every push, and merged
+// into basic windows (ShardMerge fills time gaps with empty ones).
+type oneShard struct {
+	w     *plan.Window
+	sl    *ShardSlicer
+	m     *ShardMerge
+	seq   int64 // next sequence stamp
+	maxTs int64 // newest event time seen (time windows)
+	seen  bool
+}
+
+func newOneShard(w *plan.Window) *oneShard {
+	return &oneShard{
+		w:  w,
+		sl: NewShardSlicer(w, sch()),
+		m:  NewShardMerge(MergeConfig{Shards: 1, Data: sch(), KeepData: true}),
+	}
+}
+
+// Push feeds newly arrived tuples and returns the basic windows they
+// completed.
+func (o *oneShard) Push(c *bat.Chunk, arrivals bat.Ints) []*BW {
+	seqs := make(bat.Ints, c.Rows())
+	for i := range seqs {
+		seqs[i] = o.seq + int64(i)
+	}
+	o.seq += int64(len(seqs))
+	o.sl.Push(c, arrivals, seqs)
+	if o.w.Tuples {
+		return o.flush(o.seq / o.w.Slide)
+	}
+	for _, ts := range bat.AsInts(c.Cols[o.w.TimeIdx]) {
+		if !o.seen || ts > o.maxTs {
+			o.maxTs, o.seen = ts, true
+		}
+	}
+	return o.AdvanceTime(o.maxTs)
+}
+
+// AdvanceTime closes the time buckets below the one holding ts — the
+// engine's heartbeat watermark. Tuple windows never time out, and
+// nothing closes before the first tuple.
+func (o *oneShard) AdvanceTime(ts int64) []*BW {
+	if o.w.Tuples || !o.seen {
+		return nil
+	}
+	o.maxTs = max(o.maxTs, ts)
+	return o.flush(o.sl.TimeGen(o.maxTs))
+}
+
+func (o *oneShard) flush(wmGen int64) []*BW {
+	return o.m.Offer(0, o.sl.Flush(wmGen), o.sl.Watermark())
+}
+
+// Pending reports how many tuples are buffered in open basic windows.
+func (o *oneShard) Pending() int { return o.sl.Pending() }
+
 func TestTupleSlicer(t *testing.T) {
 	w := &plan.Window{Tuples: true, Size: 6, Slide: 3}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	c, arr := chunkTS([2]int64{1, 10}, [2]int64{2, 20})
 	if got := s.Push(c, arr); len(got) != 0 {
 		t.Fatalf("premature close: %d", len(got))
@@ -53,7 +112,7 @@ func TestTupleSlicer(t *testing.T) {
 
 func TestTupleSlicerLargeBatch(t *testing.T) {
 	w := &plan.Window{Tuples: true, Size: 4, Slide: 2}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	c := bat.NewChunk(sch())
 	var arr bat.Ints
 	for i := int64(0); i < 10; i++ {
@@ -74,7 +133,7 @@ func TestTupleSlicerLargeBatch(t *testing.T) {
 func TestTimeSlicer(t *testing.T) {
 	us := time.Second.Microseconds()
 	w := &plan.Window{Tuples: false, Range: 4 * time.Second, SlideDur: 2 * time.Second, TimeIdx: 0}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	// Events at 0.5s, 1.5s → bucket 0; 2.5s closes bucket 0.
 	c, arr := chunkTS([2]int64{us / 2, 1}, [2]int64{us * 3 / 2, 2})
 	if got := s.Push(c, arr); len(got) != 0 {
@@ -90,7 +149,7 @@ func TestTimeSlicer(t *testing.T) {
 func TestTimeSlicerGapEmitsEmptyBuckets(t *testing.T) {
 	us := time.Second.Microseconds()
 	w := &plan.Window{Tuples: false, Range: 2 * time.Second, SlideDur: time.Second, TimeIdx: 0}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	c, arr := chunkTS([2]int64{us / 2, 1}) // bucket 0
 	s.Push(c, arr)
 	c, arr = chunkTS([2]int64{us*3 + us/2, 2}) // bucket 3: closes 0,1,2
@@ -107,7 +166,7 @@ func TestTimeSlicerGapEmitsEmptyBuckets(t *testing.T) {
 func TestTimeSlicerAdvanceTime(t *testing.T) {
 	us := time.Second.Microseconds()
 	w := &plan.Window{Tuples: false, Range: 2 * time.Second, SlideDur: time.Second, TimeIdx: 0}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	if got := s.AdvanceTime(us * 10); got != nil {
 		t.Error("AdvanceTime before first tuple should be nil")
 	}
@@ -118,7 +177,7 @@ func TestTimeSlicerAdvanceTime(t *testing.T) {
 		t.Fatalf("AdvanceTime = %+v", bws)
 	}
 	// Tuple slicers ignore AdvanceTime.
-	ts := NewSlicer(&plan.Window{Tuples: true, Size: 2, Slide: 1}, sch())
+	ts := newOneShard(&plan.Window{Tuples: true, Size: 2, Slide: 1})
 	if got := ts.AdvanceTime(us); got != nil {
 		t.Error("tuple slicer AdvanceTime should be nil")
 	}
@@ -127,7 +186,7 @@ func TestTimeSlicerAdvanceTime(t *testing.T) {
 func TestTimeSlicerLateTupleClamped(t *testing.T) {
 	us := time.Second.Microseconds()
 	w := &plan.Window{Tuples: false, Range: 2 * time.Second, SlideDur: time.Second, TimeIdx: 0}
-	s := NewSlicer(w, sch())
+	s := newOneShard(w)
 	c, arr := chunkTS([2]int64{us + us/2, 1}) // bucket 1
 	s.Push(c, arr)
 	c, arr = chunkTS([2]int64{us / 2, 2}) // late: bucket 0 already passed

@@ -1,0 +1,98 @@
+package window
+
+import (
+	"runtime"
+	"testing"
+
+	"datacell/internal/basket"
+	"datacell/internal/bat"
+	"datacell/internal/plan"
+)
+
+// firstInt is the address of a column's first element: two vectors with
+// the same one share a backing array.
+func firstInt(v bat.Vector) *int64 { return &bat.AsInts(v)[0] }
+
+// TestSingleRunEpochSharesBasketSegment: a tuple epoch cut from one run of
+// one basket segment is a view over that segment — slicing copies nothing
+// — and merging a lone fragment into a basic window adopts the same array.
+func TestSingleRunEpochSharesBasketSegment(t *testing.T) {
+	bk := basket.New("s", shardSchema())
+	cid := bk.Register()
+	if err := bk.Append(shardChunk(10, 11, 12, 13), 7); err != nil {
+		t.Fatal(err)
+	}
+	seg, arrivals, seqs := bk.PeekSeqs(cid, 4)
+
+	w := &plan.Window{Tuples: true, Size: 8, Slide: 4}
+	s := NewShardSlicer(w, shardSchema())
+	s.Push(seg, arrivals, seqs)
+	frags := s.Flush(1)
+	if len(frags) != 1 || frags[0].Data.Rows() != 4 {
+		t.Fatalf("frags = %+v", frags)
+	}
+	for i := range seg.Cols {
+		if firstInt(frags[0].Data.Cols[i]) != firstInt(seg.Cols[i]) {
+			t.Fatalf("column %d of the epoch was copied out of its basket segment", i)
+		}
+	}
+
+	m := NewShardMerge(MergeConfig{Shards: 1, Data: shardSchema(), KeepData: true})
+	bws := m.Offer(0, frags, s.Watermark())
+	if len(bws) != 1 || bws[0].MaxArrival != 7 {
+		t.Fatalf("basic windows = %+v", bws)
+	}
+	for i := range seg.Cols {
+		if firstInt(bws[0].Data.Cols[i]) != firstInt(seg.Cols[i]) {
+			t.Fatalf("column %d of a one-fragment basic window was copied", i)
+		}
+	}
+}
+
+// TestEpochRunsAppendWithoutWritingSegment: an epoch's later runs append
+// to its first one; the adopted view's capacity ends at its last row, so
+// the append reallocates and the basket rows after the view — which the
+// producer has already filled — are untouched.
+func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
+	bk := basket.New("s", shardSchema())
+	cid := bk.Register()
+	_ = bk.Append(shardChunk(10, 11), 1)
+	first, arr, seqs := bk.PeekSeqs(cid, 2)
+	bk.Consume(cid, 2)
+	_ = bk.Append(shardChunk(12, 13), 2) // same segment, right after the view
+
+	w := &plan.Window{Tuples: true, Size: 8, Slide: 4}
+	s := NewShardSlicer(w, shardSchema())
+	s.Push(first, arr, seqs)
+	s.Push(shardChunk(90, 91), bat.Ints{3, 3}, seqsOf(2, 3))
+	if next, _, _ := bk.PeekSeqs(cid, 2); next.String() != shardChunk(12, 13).String() {
+		t.Fatalf("appending to the epoch wrote into the basket segment:\n%s", next)
+	}
+	frags := s.Flush(1)
+	if len(frags) != 1 || frags[0].Data.String() != shardChunk(10, 11, 90, 91).String() || frags[0].MaxArrival != 3 {
+		t.Fatalf("epoch 0 = %+v", frags)
+	}
+}
+
+// TestConcatPartialsOneWindowCopiesNothing: a full window made of a single
+// basic window is that basic window's partials, with no column data
+// allocated.
+func TestConcatPartialsOneWindowCopiesNothing(t *testing.T) {
+	const rows = 4096
+	part := &bat.Chunk{Schema: shardSchema(), Cols: []bat.Vector{make(bat.Times, rows), make(bat.Ints, rows)}}
+	r := NewRing(1)
+	r.Push(&BW{Partial: part})
+	if got := r.ConcatPartials(shardSchema()); firstInt(got.Cols[1]) != firstInt(part.Cols[1]) {
+		t.Fatal("ConcatPartials copied a lone window's partials")
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		_ = r.ConcatPartials(shardSchema())
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= rows*8 {
+		t.Fatalf("ConcatPartials of one window allocated %d B per call — column data (%d B)", per, rows*8)
+	}
+}

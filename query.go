@@ -56,9 +56,8 @@ type RegisterOptions struct {
 	NoSharedMerge bool
 	// NoFuse disables the fused vectorized tail executor for this query:
 	// per-basic-window pipelines evaluate operator-at-a-time with a
-	// materialized chunk per step (the pre-fusion executor), slice-time
-	// predicate pushdown is off, and aggregate hash tables use the default
-	// capacity. Results are byte-identical with or without it; the ablation
+	// materialized chunk per step (the pre-fusion executor), and aggregate
+	// hash tables use the default capacity. Results are byte-identical with or without it; the ablation
 	// suite and benchmarks use it to measure what fusion buys.
 	NoFuse bool
 	// Tenant attributes the query to a named tenant for quota accounting
