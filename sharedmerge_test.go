@@ -326,106 +326,185 @@ func TestSharedMergeAblation(t *testing.T) {
 	}
 }
 
+// lifecycleCase is one group shape of the shared-merge lifecycle tests: a
+// single-stream scan group or a stream⋈stream join group over the same
+// slide. feed appends basic windows [lo, hi) of every input stream,
+// draining after each append so every consumer — grouped or isolated —
+// sees the same window interleaving.
+type lifecycleCase struct {
+	name string
+	ddl  []string
+	sql  string
+	feed func(t *testing.T, eng *Engine, lo, hi int)
+}
+
+// lifecycleCases builds the scan and join cases of one lifecycle test: the
+// scan case runs scanSQL over stream s, the join case joinSQL over s and
+// r, both cut into 10-row basic windows.
+func lifecycleCases(scanSQL, joinSQL string) []lifecycleCase {
+	chunks := shardTestChunks(100, 10, 4)
+	ls, rs := joinFeed(100, 10, 7)
+	return []lifecycleCase{
+		{
+			name: "scan",
+			ddl:  []string{"CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)"},
+			sql:  scanSQL,
+			feed: func(t *testing.T, eng *Engine, lo, hi int) {
+				t.Helper()
+				for _, c := range chunks[lo:hi] {
+					if err := eng.Append("s", c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				eng.Drain()
+			},
+		},
+		{
+			name: "join",
+			ddl: []string{"CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)",
+				"CREATE STREAM r (ts TIMESTAMP, k INT, v FLOAT)"},
+			sql: joinSQL,
+			feed: func(t *testing.T, eng *Engine, lo, hi int) {
+				t.Helper()
+				feedPairwise(t, eng, ls[lo:hi], rs[lo:hi])
+			},
+		},
+	}
+}
+
+// sameEvals fails unless got and want hold the same result sets in the
+// same order.
+func sameEvals(t *testing.T, what string, got, want [][]string) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("%s: reference emitted nothing", what)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s diverges from its isolated twin:\ngot  %v\nwant %v", what, got, want)
+	}
+}
+
 // TestSharedMergeDeactivateOnLeave: when merge-class membership drops
-// back to one, the class releases its ring — a lone survivor must not
+// back to one, the class releases its ring(s) — a lone survivor must not
 // keep pinning raw window buffers it never needs (its private ring
 // still merges every window) — and a rejoining second member reactivates
-// the class with a fresh ring. Results stay correct throughout.
+// the class with fresh rings. The survivor's results match an isolated
+// twin's throughout, for scan and join groups alike.
 func TestSharedMergeDeactivateOnLeave(t *testing.T) {
-	sql := "SELECT k, sum(v) AS s FROM s [SIZE 20 SLIDE 10] GROUP BY k HAVING sum(v) > 0.0"
-	eng := New(&Options{Workers: 1})
-	defer eng.Close()
-	mustExecG(t, eng, "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)")
-	qa, err := eng.Register("a", sql, &RegisterOptions{Mode: ModeIncremental})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := eng.Register("b", sql, &RegisterOptions{Mode: ModeIncremental, NoChannel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := shardTestChunks(100, 10, 4)
-	feed := func(lo, hi int) {
-		for _, c := range chunks[lo:hi] {
-			if err := eng.AppendChunk("s", c); err != nil {
+	cases := lifecycleCases(
+		"SELECT k, sum(v) AS s FROM s [SIZE 20 SLIDE 10] GROUP BY k HAVING sum(v) > 0.0",
+		"SELECT s.k, count(*) AS n FROM s [SIZE 20 SLIDE 10], r [SIZE 20 SLIDE 10] WHERE s.k = r.k GROUP BY s.k HAVING count(*) > 0")
+	// Survivor evaluations before and after the rejoin: one per sealed
+	// window once the rings are warm (a join warms at its second right
+	// window, then evaluates on every window of either side).
+	wantEvals := map[string][2]int{"scan": {7, 2}, "join": {13, 4}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(&Options{Workers: 1})
+			defer eng.Close()
+			for _, d := range tc.ddl {
+				mustExecG(t, eng, d)
+			}
+			qa, err := eng.Register("a", tc.sql, &RegisterOptions{Mode: ModeIncremental})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		eng.Drain()
-	}
-	feed(0, 5)
-	g := eng.Groups()[0]
-	if g.MergeClasses != 1 || g.LiveBufs == 0 {
-		t.Fatalf("active class expected: %+v", g)
-	}
-	qb.Stop()
-	g = eng.Groups()[0]
-	if g.MergeClasses != 0 {
-		t.Fatalf("class still active with one member: %+v", g)
-	}
-	if g.LiveBufs != 0 {
-		t.Fatalf("lone survivor pins %d buffers (ring not released)", g.LiveBufs)
-	}
-	feed(5, 8) // survivor keeps producing off its private ring
-	if got := collectRendered(qa); len(got) != 7 {
-		t.Fatalf("survivor evals = %d, want 7 (one per sealed window after warm-up)", len(got))
-	}
-	// A rejoining sibling reactivates the class with a fresh ring.
-	if _, err := eng.Register("c", sql, &RegisterOptions{Mode: ModeIncremental, NoChannel: true}); err != nil {
-		t.Fatal(err)
-	}
-	mergesBefore := eng.Groups()[0].MergeMisses
-	feed(8, 10)
-	g = eng.Groups()[0]
-	if g.MergeClasses != 1 {
-		t.Fatalf("class did not reactivate: %+v", g)
-	}
-	if g.MergeMisses == mergesBefore {
-		t.Fatal("reactivated class performed no shared merges")
-	}
-	if got := collectRendered(qa); len(got) != 2 {
-		t.Fatalf("survivor evals after rejoin = %d, want 2", len(got))
+			qb, err := eng.Register("b", tc.sql, &RegisterOptions{Mode: ModeIncremental, NoChannel: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := eng.Register("twin", tc.sql, &RegisterOptions{Mode: ModeIncremental, Isolated: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.feed(t, eng, 0, 5)
+			g := eng.Groups()[0]
+			if g.MergeClasses != 1 || g.LiveBufs == 0 {
+				t.Fatalf("active class expected: %+v", g)
+			}
+			qb.Stop()
+			g = eng.Groups()[0]
+			if g.MergeClasses != 0 {
+				t.Fatalf("class still active with one member: %+v", g)
+			}
+			if g.LiveBufs != 0 {
+				t.Fatalf("lone survivor pins %d buffers (ring not released)", g.LiveBufs)
+			}
+			tc.feed(t, eng, 5, 8) // survivor keeps producing off its private ring
+			got := collectSorted(qa)
+			if len(got) != wantEvals[tc.name][0] {
+				t.Fatalf("survivor evals = %d, want %d", len(got), wantEvals[tc.name][0])
+			}
+			sameEvals(t, "survivor", got, collectSorted(twin))
+			// A rejoining sibling reactivates the class with fresh rings.
+			if _, err := eng.Register("c", tc.sql, &RegisterOptions{Mode: ModeIncremental, NoChannel: true}); err != nil {
+				t.Fatal(err)
+			}
+			mergesBefore := eng.Groups()[0].MergeMisses
+			tc.feed(t, eng, 8, 10)
+			g = eng.Groups()[0]
+			if g.MergeClasses != 1 {
+				t.Fatalf("class did not reactivate: %+v", g)
+			}
+			if g.MergeMisses == mergesBefore {
+				t.Fatal("reactivated class performed no shared merges")
+			}
+			got = collectSorted(qa)
+			if len(got) != wantEvals[tc.name][1] {
+				t.Fatalf("survivor evals after rejoin = %d, want %d", len(got), wantEvals[tc.name][1])
+			}
+			sameEvals(t, "survivor after rejoin", got, collectSorted(twin))
+		})
 	}
 }
 
 // TestSharedMergeLateJoiner: a member joining an active merge class mid-
 // stream must not see merged views covering windows from before its
 // join — its first full window covers exactly the windows it received,
-// as it would alone.
+// as it would alone. A join member warms up per side: the class serves
+// it only once both of its own rings are full. Either way its results
+// match an isolated registration made at the same point in the feed.
 func TestSharedMergeLateJoiner(t *testing.T) {
-	sql := "SELECT count(*) AS n FROM s [SIZE 20 SLIDE 10]"
-	eng := New(&Options{Workers: 2})
-	defer eng.Close()
-	mustExecG(t, eng, "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)")
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Register(fmt.Sprintf("early%d", i), sql,
-			&RegisterOptions{Mode: ModeIncremental, NoChannel: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	feed := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := eng.Append("s", []any{int64(i), int64(i), 1.0}); err != nil {
+	cases := lifecycleCases(
+		"SELECT count(*) AS n FROM s [SIZE 20 SLIDE 10]",
+		"SELECT s.k, count(*) AS n FROM s [SIZE 20 SLIDE 10], r [SIZE 20 SLIDE 10] WHERE s.k = r.k GROUP BY s.k")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(&Options{Workers: 2})
+			defer eng.Close()
+			for _, d := range tc.ddl {
+				mustExecG(t, eng, d)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := eng.Register(fmt.Sprintf("early%d", i), tc.sql,
+					&RegisterOptions{Mode: ModeIncremental, NoChannel: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.feed(t, eng, 0, 3)
+			late, err := eng.Register("late", tc.sql, &RegisterOptions{Mode: ModeIncremental})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		eng.Drain()
-	}
-	feed(0, 30)
-	late, err := eng.Register("late", sql, &RegisterOptions{Mode: ModeIncremental})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(30, 60)
-	got := collectSorted(late)
-	// The late joiner saw 3 basic windows (gens 30-40, 40-50, 50-60): its
-	// ring fills at the second, so it emits 2 full windows of 20 tuples.
-	if len(got) != 2 {
-		t.Fatalf("late joiner evals = %d, want 2", len(got))
-	}
-	for i, rows := range got {
-		if len(rows) != 1 || rows[0] != "[20]" {
-			t.Fatalf("late joiner eval %d = %v, want [[20]]", i, rows)
-		}
+			twin, err := eng.Register("twin", tc.sql, &RegisterOptions{Mode: ModeIncremental, Isolated: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.feed(t, eng, 3, 6)
+			g := eng.Groups()[0]
+			if g.MergeClasses != 1 || g.MergeMisses == 0 {
+				t.Fatalf("no active merge class served the group: %+v", g)
+			}
+			got := collectSorted(late)
+			sameEvals(t, "late joiner", got, collectSorted(twin))
+			if tc.name == "scan" {
+				// The late joiner saw 3 basic windows (rows 30-40, 40-50,
+				// 50-60): its ring fills at the second, so it emits 2 full
+				// windows of 20 tuples.
+				if fmt.Sprint(got) != "[[[20]] [[20]]]" {
+					t.Fatalf("late joiner evals = %v, want two of [[20]]", got)
+				}
+			}
+		})
 	}
 }
