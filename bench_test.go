@@ -66,7 +66,7 @@ func runWindowed(b *testing.B, sql string, mode Mode, chunks []*bat.Chunk, tuple
 		}
 		start := time.Now()
 		for _, c := range chunks {
-			if err := eng.AppendChunk("s", c); err != nil {
+			if err := eng.Append("s", c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,8 +137,8 @@ func BenchmarkE3ComplexQueries(b *testing.B) {
 				b.Fatal(err)
 			}
 			for j := range cs {
-				_ = eng.AppendChunk("s", cs[j])
-				_ = eng.AppendChunk("r", cr[j])
+				_ = eng.Append("s", cs[j])
+				_ = eng.Append("r", cr[j])
 			}
 			eng.Drain()
 			eng.Close()
@@ -166,7 +166,7 @@ func BenchmarkE4StreamTableJoin(b *testing.B) {
 					ks[j] = int64(j)
 					gs[j] = int64(j % 32)
 				}
-				_ = eng.AppendTable("dim", &bat.Chunk{
+				_ = eng.Append("dim", &bat.Chunk{
 					Schema: bat.NewSchema([]string{"k", "grp"}, []bat.Kind{bat.Int, bat.Int}),
 					Cols:   []bat.Vector{ks, gs},
 				})
@@ -177,7 +177,7 @@ func BenchmarkE4StreamTableJoin(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, c := range chunks {
-					_ = eng.AppendChunk("s", c)
+					_ = eng.Append("s", c)
 				}
 				eng.Drain()
 				eng.Close()
@@ -207,7 +207,7 @@ func BenchmarkE5QueryNetwork(b *testing.B) {
 					}
 				}
 				for _, c := range chunks {
-					_ = eng.AppendChunk("s", c)
+					_ = eng.Append("s", c)
 				}
 				eng.Drain()
 				eng.Close()
@@ -247,7 +247,7 @@ func BenchmarkE6LinearRoad(b *testing.B) {
 			}
 		}
 		for _, c := range chunks {
-			_ = eng.AppendChunk("lr_pos", c)
+			_ = eng.Append("lr_pos", c)
 		}
 		eng.Drain()
 		eng.AdvanceTime(int64(cfg.DurationSec+300) * 1_000_000)
@@ -272,7 +272,7 @@ func BenchmarkE7AnalysisOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			for j, c := range chunks {
-				_ = eng.AppendChunk("s", c)
+				_ = eng.Append("s", c)
 				if sample && j%4 == 0 {
 					_ = eng.Stats()
 				}
@@ -389,7 +389,7 @@ func BenchmarkIngestion(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, c := range chunks {
-			_ = eng.AppendChunk("s", c)
+			_ = eng.Append("s", c)
 		}
 		eng.Drain()
 		eng.Close()
@@ -436,7 +436,7 @@ func BenchmarkShardedIngestFire(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for _, c := range perProd {
-							_ = eng.AppendChunk("s", c)
+							_ = eng.Append("s", c)
 						}
 					}()
 				}
@@ -491,7 +491,7 @@ func BenchmarkSharedSubtail(b *testing.B) {
 				}
 				b.StartTimer()
 				for _, c := range chunks {
-					_ = eng.AppendChunk("s", c)
+					_ = eng.Append("s", c)
 				}
 				eng.Drain()
 				b.StopTimer()
@@ -558,7 +558,7 @@ func BenchmarkSharedMerge16(b *testing.B) {
 				}
 				b.StartTimer()
 				for _, c := range chunks {
-					_ = eng.AppendChunk("s", c)
+					_ = eng.Append("s", c)
 				}
 				eng.Drain()
 				b.StopTimer()
@@ -626,8 +626,8 @@ func BenchmarkJoinShared16(b *testing.B) {
 				}
 				b.StartTimer()
 				for c := range sChunks {
-					_ = eng.AppendChunk("s", sChunks[c])
-					_ = eng.AppendChunk("r", rChunks[c])
+					_ = eng.Append("s", sChunks[c])
+					_ = eng.Append("r", rChunks[c])
 				}
 				eng.Drain()
 				b.StopTimer()
@@ -698,7 +698,7 @@ func BenchmarkQueryGroupFanout(b *testing.B) {
 					}
 					b.StartTimer()
 					for _, c := range chunks {
-						_ = eng.AppendChunk("s", c)
+						_ = eng.Append("s", c)
 					}
 					eng.Drain()
 					b.StopTimer()

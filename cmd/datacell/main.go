@@ -130,7 +130,7 @@ func main() {
 			os.Exit(1)
 		}
 		// The gated appender throttles network ingest on tenant-bound
-		// streams exactly like AppendTenant (see docs/OPERATIONS.md).
+		// streams exactly like an AsTenant append (see docs/OPERATIONS.md).
 		bk, err := eng.IngestAppender(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

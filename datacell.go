@@ -124,25 +124,16 @@ type Fabric interface {
 	Describe() string
 }
 
-// RemoteGroup is the fragment sink of one slicing spec: whatever consumes
-// a remote-fed stream's sealed epoch fragments. A single-stream
-// factory.Group implements it directly; a join group's sides each attach
-// through a per-side adapter (the fabric neither knows nor cares which —
-// it routes worker fragments to whatever the spec attached).
-type RemoteGroup interface {
-	// OfferRemote feeds one remote shard's freshly flushed epoch fragments
-	// and watermark into the consumer's merger.
-	OfferRemote(shard int, frags []*window.Frag, wm int64)
-}
-
 // FabricSpec is the handle for one remote slicing spec.
 type FabricSpec struct {
 	// Shards is the stream's total shard count across all workers.
 	Shards int
 	// Attach starts feeding the group: the fabric broadcasts the spec to
-	// its workers and routes their fragments into g.OfferRemote. Call after
-	// the creating member joined, before data must flow.
-	Attach func(g RemoteGroup)
+	// its workers and routes their fragments — one remote shard's freshly
+	// flushed epoch fragments plus its watermark per delivery — into
+	// offer, which feeds the consuming group side's merger. Call after the
+	// creating member joined, before data must flow.
+	Attach func(offer func(shard int, frags []*window.Frag, wm int64))
 	// Advance forwards a time watermark to the workers.
 	Advance func(watermark int64)
 	// Drop retires the spec on all workers (wired into the group's Close).
@@ -627,31 +618,11 @@ func (e *Engine) appendRows(stream, as string, rows ...[]any) error {
 	return e.appendChunkAs(stream, c, as)
 }
 
-// AppendTable bulk-loads a pre-built columnar chunk into a persistent
-// table.
-//
-// Deprecated: use Append(table, c) — Append dispatches on the catalog.
-func (e *Engine) AppendTable(table string, c *bat.Chunk) error {
-	t, ok := e.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("datacell: unknown table %q", table)
-	}
-	return t.Append(c)
-}
-
-// AppendChunk pushes a pre-built columnar chunk into a stream's basket —
-// the zero-boxing path used by receptors and benchmarks.
-//
-// Deprecated: use Append(stream, c).
-func (e *Engine) AppendChunk(stream string, c *bat.Chunk) error {
-	return e.appendChunkAs(stream, c, "")
-}
-
-// appendChunkAs is the single gated append path behind Append,
-// AppendChunk, INSERT and their tenant variants: it charges tenant `as`
+// appendChunkAs is the single gated append path behind Append (rows or
+// chunks, anonymous or AsTenant) and INSERT: it charges tenant `as`
 // (when named) plus every tenant bound to the stream by a TENANT query —
-// except `as` itself, so AppendTenant onto the tenant's own stream is
-// charged exactly once. Admission (which may block) happens before the
+// except `as` itself, so an AsTenant append onto the tenant's own stream
+// is charged exactly once. Admission (which may block) happens before the
 // basket append, outside every engine lock.
 func (e *Engine) appendChunkAs(stream string, c *bat.Chunk, as string) error {
 	st, ok := e.cat.Stream(stream)

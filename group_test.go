@@ -90,7 +90,7 @@ func TestGroupEquivalence16(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, c := range chunks {
-					if err := eng.AppendChunk("s", c); err != nil {
+					if err := eng.Append("s", c); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -120,7 +120,7 @@ func TestGroupEquivalence16(t *testing.T) {
 				t.Fatalf("groups = %+v, want one group of %d", groups, members)
 			}
 			for _, c := range chunks {
-				if err := eng.AppendChunk("s", c); err != nil {
+				if err := eng.Append("s", c); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -171,7 +171,7 @@ func TestSharedSubtailEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range chunks {
-			if err := eng.AppendChunk("s", c); err != nil {
+			if err := eng.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -193,7 +193,7 @@ func TestSharedSubtailEquivalence(t *testing.T) {
 		qs[i] = q
 	}
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestSharedSubtailNoMemo(t *testing.T) {
 			qs = append(qs, q)
 		}
 		for _, c := range chunks {
-			_ = eng.AppendChunk("s", c)
+			_ = eng.Append("s", c)
 		}
 		eng.Drain()
 		var all [][]string
@@ -292,7 +292,7 @@ func TestGroupMatchesIsolated(t *testing.T) {
 			t.Fatalf("Isolated=%v but Grouped=%v", opts.Isolated, q.Grouped())
 		}
 		for _, c := range chunks {
-			if err := eng.AppendChunk("s", c); err != nil {
+			if err := eng.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}

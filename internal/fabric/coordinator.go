@@ -14,6 +14,7 @@ import (
 	"datacell/internal/bat"
 	"datacell/internal/emitter"
 	"datacell/internal/plan"
+	"datacell/internal/window"
 )
 
 // Options configures a Coordinator.
@@ -248,8 +249,10 @@ type coordSpec struct {
 	cs  *coordStream
 	win *plan.Window
 
-	mu      sync.Mutex
-	g       datacell.RemoteGroup
+	mu sync.Mutex
+	// offer feeds worker fragments into the consuming group side's
+	// merger; nil until Attach.
+	offer   func(shard int, frags []*window.Frag, wm int64)
 	maxTs   int64   // event-time high mark (time windows); minInt64 until rows
 	applied []int64 // per-shard applied flush watermark (introspection)
 }
@@ -627,7 +630,7 @@ func (c *Coordinator) AddSpec(stream, key string, win *plan.Window, schema bat.S
 
 	return &datacell.FabricSpec{
 		Shards:  cs.shards,
-		Attach:  func(g datacell.RemoteGroup) { c.attachSpec(sp, g) },
+		Attach:  func(offer func(int, []*window.Frag, int64)) { c.attachSpec(sp, offer) },
 		Advance: func(wm int64) { c.advanceSpec(sp, wm) },
 		Drop:    func() { c.dropSpec(sp) },
 	}, nil
@@ -638,9 +641,9 @@ func (c *Coordinator) AddSpec(stream, key string, win *plan.Window, schema bat.S
 // starts slicing at the same append boundary. Every worker gets every
 // spec — shards move between workers (Reassign), so there is no such
 // thing as a worker a stream's specs cannot concern.
-func (c *Coordinator) attachSpec(sp *coordSpec, g datacell.RemoteGroup) {
+func (c *Coordinator) attachSpec(sp *coordSpec, offer func(int, []*window.Frag, int64)) {
 	sp.mu.Lock()
-	sp.g = g
+	sp.offer = offer
 	sp.mu.Unlock()
 	cs := sp.cs
 	cs.mu.Lock()
@@ -995,15 +998,15 @@ func (c *Coordinator) applyFrag(m fragMsg) {
 		return // dropped spec or confused peer: ignore
 	}
 	sp.mu.Lock()
-	g := sp.g
+	offer := sp.offer
 	if m.Wm > sp.applied[m.Shard] {
 		sp.applied[m.Shard] = m.Wm
 	}
 	sp.mu.Unlock()
-	if g == nil {
+	if offer == nil {
 		return
 	}
-	g.OfferRemote(m.Shard, m.Frags, m.Wm)
+	offer(m.Shard, m.Frags, m.Wm)
 }
 
 // ownerRuns renders a per-shard owner assignment as maximal contiguous

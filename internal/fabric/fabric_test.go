@@ -109,7 +109,7 @@ func runLocal(t *testing.T, ddl string, members int, size, slide int, chunks []*
 		qs[i] = q
 	}
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func runFabric(t *testing.T, ddl string, nWorkers, members, size, slide int, chu
 		qs[i] = q
 	}
 	for _, c := range chunks {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,13 +264,13 @@ func feedMixed(t *testing.T, eng *datacell.Engine, drain func(), sChunks, rChunk
 	}
 	for i := 0; i < n; i++ {
 		if i < len(sChunks) {
-			if err := eng.AppendChunk("s", sChunks[i]); err != nil {
+			if err := eng.Append("s", sChunks[i]); err != nil {
 				t.Fatal(err)
 			}
 			drain()
 		}
 		if i < len(rChunks) {
-			if err := eng.AppendChunk("r", rChunks[i]); err != nil {
+			if err := eng.Append("r", rChunks[i]); err != nil {
 				t.Fatal(err)
 			}
 			drain()
@@ -551,7 +551,7 @@ func TestFabricLateWorkers(t *testing.T) {
 	}
 	// Everything flows before a single worker exists.
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -595,7 +595,7 @@ func TestFabricWorkerRestart(t *testing.T) {
 	}
 	third := len(chunks) / 3
 	for _, c := range chunks[:third] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -605,13 +605,13 @@ func TestFabricWorkerRestart(t *testing.T) {
 	// it empty, then feed the rest.
 	fc.workers[1].Close()
 	for _, c := range chunks[third : 2*third] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fc.workers[1] = fabric.NewWorker(fabric.WorkerOptions{Coordinator: fc.coord.Addr(), Index: 1})
 	for _, c := range chunks[2*third:] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -672,7 +672,7 @@ func TestFabricSnapshotRestart(t *testing.T) {
 	}
 	third := len(chunks) / 3
 	for _, c := range chunks[:third] {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -686,13 +686,13 @@ func TestFabricSnapshotRestart(t *testing.T) {
 	}
 	fc.workers[1].Kill()
 	for _, c := range chunks[third : 2*third] {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fc.workers[1] = fabric.NewWorker(workerOpts(1))
 	for _, c := range chunks[2*third:] {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -804,7 +804,7 @@ func TestCheckpointMonotonic(t *testing.T) {
 		}
 	}()
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -864,7 +864,7 @@ func TestFabricReassign(t *testing.T) {
 	}
 	third := len(chunks) / 3
 	for _, c := range chunks[:third] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -874,7 +874,7 @@ func TestFabricReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range chunks[third : 2*third] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -885,7 +885,7 @@ func TestFabricReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range chunks[2*third:] {
-		if err := fc.eng.AppendChunk("s", c); err != nil {
+		if err := fc.eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1074,7 +1074,7 @@ func TestFabricReconnectResume(t *testing.T) {
 			end = len(chunks)
 		}
 		for _, c := range chunks[start:end] {
-			if err := fc.eng.AppendChunk("s", c); err != nil {
+			if err := fc.eng.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -90,7 +90,7 @@ func TestFabricTwoProcess(t *testing.T) {
 		qs[i] = q
 	}
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestFabricWorkerKillRecovery(t *testing.T) {
 				procs[1] = start(1)
 			}
 		}
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,8 +29,8 @@
 //
 // Shared multi-query execution: continuous queries over the same stream
 // and slide granularity run as members of a shared execution group
-// (Group; stream⋈stream joins pair two front ends in a JoinGroup; the
-// engine-facing contract is SharedGroup). The group drains, sequences
+// (Group, over one stream or over the two sides of a stream⋈stream
+// join, each with its own front end). The group drains, sequences
 // and slices the stream once for all members and fans sealed basic
 // windows out as refcounted immutable views. On top of the shared
 // slice, common member work deduplicates stage by stage: identical
@@ -93,8 +93,8 @@ type Config struct {
 	// by the group that drains and slices the stream(s) once for all
 	// members. The factory then runs only the private tail — per-basic-
 	// window pipeline, ring, merge, emit — and registers no basket
-	// consumers of its own. A single windowed scan joins a Group; an
-	// incremental stream⋈stream join joins a JoinGroup.
+	// consumers of its own. A single windowed scan joins a one-sided
+	// Group; a decomposable stream⋈stream join joins a two-sided one.
 	Shared bool
 	// NoMemo opts a shared member out of the group's operator DAG: its
 	// per-basic-window pipeline always evaluates privately, as if no

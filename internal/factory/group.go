@@ -12,60 +12,10 @@ import (
 	"datacell/internal/window"
 )
 
-// SharedGroup is the engine-facing contract of a shared execution group —
-// the single-stream Group and the two-stream JoinGroup. Both drain,
-// sequence and slice their stream(s) once for all member queries, fan
-// sealed basic windows out as refcounted immutable views, and evaluate
-// common member sub-tails once per window through a shared operator DAG.
-type SharedGroup interface {
-	// Key is the group key (plan.GroupKey / plan.JoinGroupKey).
-	Key() string
-	// Kind is "scan" for single-stream groups, "join" for stream pairs.
-	Kind() string
-	// SchedGroup is the instance-unique scheduler group of the shared
-	// shard transitions.
-	SchedGroup() string
-	// Members reports the current member count.
-	Members() int
-	// Shards reports the total shared shard transitions (across sides).
-	Shards() int
-	// WindowsOut counts basic windows fanned out (across sides).
-	WindowsOut() int64
-	// LiveBufs counts sealed window buffers still referenced by a member.
-	LiveBufs() int64
-	// DagNodes reports distinct operator nodes in the shared DAG(s).
-	DagNodes() int
-	// MemoHits / MemoMisses are the DAG memo counters: hits are operator
-	// evaluations served from a sibling's memoized output.
-	MemoHits() int64
-	MemoMisses() int64
-	// MergeStats reports the group-owned merge rings: active merge
-	// classes (two or more members holding byte-identical full-window
-	// merged views — plan.MergeKey for single-stream groups,
-	// plan.JoinMergeKey for join groups), merged-view requests served
-	// from a sibling's evaluation (hits), and actual merge evaluations
-	// (misses).
-	MergeStats() (classes int, hits, misses int64)
-	// PostStats reports the post-merge trie: distinct post-merge fragment
-	// nodes (HAVING filters, final aggregates, sorts, limits) registered
-	// across members, and the trie's memo hit/miss counters. Both group
-	// kinds share post fragments — join groups root theirs at the merged
-	// join view.
-	PostStats() (nodes int, hits, misses int64)
-	// PairStats reports the group-level join pair caches: distinct caches
-	// (one per join fingerprint), live cached pairs, and pair evaluations
-	// ever computed. Zero for single-stream groups.
-	PairStats() (caches, pairs int, computed int64)
-	// Advance closes time-window buckets up to the watermark (µs) on every
-	// shard of every side.
-	Advance(watermark int64)
-}
-
 // frontEnd is the shared per-stream half of an execution group: basket
 // cursors on every shard, per-shard slicers, and the merger that seals
 // globally consistent basic windows — the machinery that, without
-// grouping, every query would duplicate. A Group owns one; a JoinGroup
-// owns two (one per join side).
+// grouping, every query would duplicate. A Group owns one per side.
 //
 // Locking mirrors Factory: each shard's slicer is guarded by its own
 // mutex, the merger by mergeMu. The owner's sink runs under mergeMu,
@@ -238,21 +188,28 @@ func (fe *frontEnd) advance(watermark int64) map[string]bool {
 	return notify
 }
 
-// Group is a shared execution group over one stream: the front half of the
-// dataflow — basket cursors, epoch slicing, shard merging — runs once per
-// stream and slide granularity, no matter how many continuous queries
-// consume it. Queries whose windowed scans agree on a plan.GroupKey join
-// as members; each sealed basic window is fanned out to every member as a
-// refcounted immutable columnar view, and the members' private tails run
-// as independent scheduler transitions. On top of the shared slice, the
-// group's operator DAG memoizes common member sub-tails: identical
+// Group is a shared execution group over one stream, or over the two
+// streams of a stream⋈stream join (paper §Complex Queries): the front
+// half of the dataflow — basket cursors, epoch slicing, shard merging —
+// runs once per stream and slide granularity, no matter how many
+// continuous queries consume it. Queries whose windowed scans agree on a
+// group key (plan.GroupKey / plan.JoinGroupKey) join as members; each
+// sealed basic window is fanned out to every member as a refcounted
+// immutable columnar view, and the members' private tails run as
+// independent scheduler transitions. On top of the shared slice, each
+// side's operator DAG memoizes common member sub-tails: identical
 // filter/project/partial-aggregate prefixes (by plan.Fingerprint) are
 // evaluated once per basic window and the member tails diverge only where
 // their plans do.
+//
+// A two-sided group fans its windows out in one global interleaving (so
+// all members pair left and right windows identically), and queries with
+// the same join fingerprint share one pair cache: each (left, right)
+// basic-window pair is joined once for the whole group and survives
+// slides under the watermark eviction protocol of window.SharedPairCache.
 type Group struct {
 	cfg     GroupConfig
-	fe      *frontEnd
-	dag     *dag // per-basic-window pipeline trie (rooted at the raw scan)
+	sides   []*groupSide
 	postDag *dag // post-merge trie (rooted at each class's merged view)
 
 	liveBufs    atomic.Int64 // sealed shared buffers not yet released by all members
@@ -264,31 +221,74 @@ type Group struct {
 	postHits    atomic.Int64 // post-merge fragments served from the trie memo
 	postMisses  atomic.Int64 // actual post-merge fragment evaluations
 
-	cancelAppend func()
+	cancels []func()
+
+	// seqMu orders fan-outs across the sides of a two-sided group: every
+	// member observes the same left/right interleaving, which is what
+	// makes the shared pair cache and the members' emission sequences
+	// line up. seq fixes that interleaving to the canonical order a
+	// private join factory uses (by window end, see inputSeq), so it does
+	// not depend on which side's shards fired first. Grouped joins
+	// decompose, so their two windows are of one kind and seq is never
+	// nil for them; a one-sided group has none (newInputSeq returns nil
+	// for a single window) and releases its windows in seal order under
+	// its front end's mergeMu. genCtr holds the per-side group-global
+	// basic-window generations.
+	seqMu  sync.Mutex
+	seq    *inputSeq
+	genCtr []int64
 
 	mu      sync.Mutex
 	members []*Member
-	classes map[string]*mergeClass // merge classes by plan.MergeKey
+	classes map[string]*mergeClass // merge classes by plan.MergeKey / plan.JoinMergeKey
+	caches  map[string]*jcEntry    // join pair caches by join fingerprint
+	// retiredComputed accumulates Computed() of pair caches whose last
+	// member left, so PairStats stays cumulative instead of regressing
+	// when a fingerprint retires mid-session.
+	retiredComputed int64
+}
+
+// groupSide is one input stream of a group: its front end, the operator
+// DAG of its member pipelines, and — for a fabric-fed stream — the remote
+// source its windows arrive from.
+type groupSide struct {
+	fe     *frontEnd
+	dag    *dag
+	remote *RemoteSource
+}
+
+// jcEntry refcounts one shared pair cache (one per distinct join
+// fingerprint among the members).
+type jcEntry struct {
+	pc   *window.SharedPairCache
+	refs int
 }
 
 // GroupConfig assembles a shared execution group.
 type GroupConfig struct {
-	// Key is the plan.GroupKey the members agreed on.
+	// Key is the group key the members agreed on.
 	Key string
 	// SchedGroup is the scheduler group name of the shard transitions.
 	// It must be unique per group INSTANCE (the engine appends a nonce to
 	// the key): a torn-down group's RemoveWait must never sweep up the
 	// same-keyed successor's freshly added transitions.
 	SchedGroup string
-	// Basket is the stream's sharded container.
-	Basket *basket.Sharded
-	// Window carries the slicing granularity (slide / time bucket +
-	// ordering attribute). The SIZE of any particular member is irrelevant
-	// here: basic windows are cut at slide granularity and each member
-	// keeps its own ring extent.
-	Window *plan.Window
-	// Schema is the scan output layout (the stream schema).
-	Schema bat.Schema
+	// Scans are the group's windowed stream scans, one per side: one for
+	// a single-stream group, the left and right scans (in plan order) for
+	// a join group. Each scan's window carries the slicing granularity
+	// (slide / time bucket + ordering attribute); the SIZE of any
+	// particular member is irrelevant here: basic windows are cut at slide
+	// granularity and each member keeps its own ring extent.
+	Scans []*plan.ScanStream
+	// Remote marks fabric-fed sides, indexed like Scans (nil entries, or
+	// a short slice, leave a side local). A remote side's shard front
+	// ends — basket cursors, slicers, per-shard firings — run in worker
+	// processes, and its sealed epoch fragments arrive via OfferRemote
+	// instead of local FireShard transitions; only the min-watermark
+	// merger runs here. Everything above it — fan-out, operator DAGs,
+	// merge classes, pair caches, post-merge trie — works unchanged on
+	// remote windows, and a join may pair a remote stream with a local one.
+	Remote []*RemoteSource
 	// Now supplies the clock in microseconds (defaults to the system
 	// clock).
 	Now func() int64
@@ -298,20 +298,12 @@ type GroupConfig struct {
 	// NotifyShards re-enables the group's shard transitions (wired to
 	// basket appends and event-time watermark raises).
 	NotifyShards func()
-	// Remote marks a fabric-fed group: the stream's shard front ends —
-	// basket cursors, slicers, per-shard firings — run in worker processes,
-	// and sealed epoch fragments arrive over the wire via OfferRemote
-	// instead of local FireShard transitions. The group keeps only the
-	// merger (min-watermark sealing across processes) and everything above
-	// it — fan-out, operator DAG, merge classes, post-merge trie — works
-	// unchanged on remote windows.
-	Remote *RemoteSource
 }
 
 // RemoteSource describes the remote side of a fabric-fed group.
 type RemoteSource struct {
 	// Shards is the stream's total shard count across all workers — the
-	// width of the group's merger.
+	// width of the side's merger.
 	Shards int
 	// Advance forwards time-watermark raises (Engine.AdvanceTime, the
 	// heartbeat) to the worker processes, whose slicers own the open
@@ -323,104 +315,139 @@ type RemoteSource struct {
 }
 
 // Member is one continuous query's membership in a group: a queue of
-// sealed basic windows awaiting the query's private tail, drained by the
-// member's scheduler transition. Members whose incremental pipeline
-// registered in the group DAG carry their leaf nodes; their tails resolve
-// Partial (aggregate plans) or Out (all others) through the shared memo
-// before the merge stage. Members in a merge class additionally resolve
-// the merge itself — and, through postLeaf, their post-merge fragment —
-// from the group's shared machinery, so their private tail only emits.
+// (side, sealed basic window) events in the group's fan-out order,
+// drained by the member's scheduler transition. Members whose pipelines
+// registered in the side DAGs carry their leaf nodes; their tails resolve
+// Partial (one-sided aggregate plans) or Out (all others) through the
+// shared memo before the merge stage. Members in a merge class
+// additionally resolve the merge itself — and, through postLeaf, their
+// post-merge fragment — from the group's shared machinery, so their
+// private tail only emits. Join members, incremental and re-evaluation
+// alike, share the fingerprint-keyed pair cache: the decomposition
+// certifies that a re-evaluation join's full-window recompute equals the
+// merge of cached basic-window pairs.
 type Member struct {
 	g     *Group
 	query string
 	fac   *Factory
 
-	leaf    *dagNode // pipeline leaf (nil: evaluate privately)
-	aggLeaf *dagNode // partial-aggregate node (nil: no shared partial)
+	leaf    []*dagNode // per-side pipeline leaves (nil: evaluate privately)
+	aggLeaf *dagNode   // partial-aggregate node (one-sided groups only)
 
-	// Shared-merge state. classKey is the member's plan.MergeKey ("" when
-	// the member merges privately: re-evaluation mode, joins, NoMemo, or
-	// NoSharedMerge). postLeaf is the member's post-merge chain in the
-	// group's post-merge trie (nil when the plan has no post fragment, or
-	// when it did not linearize — hasPost distinguishes the two).
+	// Join pair-cache state (two-sided groups only): the cache of the
+	// member's join fingerprint and its window extent, released from the
+	// cache on Leave.
+	pcKey string
+	pc    *window.SharedPairCache
+	parts int
+
+	// Shared-merge state. classKey is the member's merge-class key (""
+	// when the member merges privately: re-evaluation scans, non-
+	// linearizing pipelines, NoMemo, or NoSharedMerge). postLeaf is the
+	// member's post-merge chain in the group's post-merge trie (nil when
+	// the plan has no post fragment, or when it did not linearize —
+	// hasPost distinguishes the two).
 	classKey string
 	postLeaf *dagNode
 	hasPost  bool
 
-	// nextGen is touched only by fanout, which the front end's mergeMu
-	// serializes.
-	nextGen int64
-	q       memberQueue[memberBW]
+	// seen counts the windows fanned out to this member per side; a
+	// one-sided member's windows are numbered by it. It is touched only
+	// by fanout (under the front end's mergeMu, or seqMu for two sides).
+	seen []int64
+	q    memberQueue[memberBW]
 }
 
-// memberBW is one queued basic window plus the window's shared memo
-// table and — for merge-class members whose window completed a full
-// window — the class's merged-view memo cell.
+// memberBW is one fanned-out basic window: its side, the member's
+// refcounted view, the side's shared memo table, and — for warm merge-
+// class members — the window's merged-view memo cell.
 type memberBW struct {
-	bw    *window.BW
-	dw    *dagWin
-	mcell *mergeCell
+	side int
+	bw   *window.BW
+	dw   *dagWin
+	cell *mergeCell
 }
 
-// NewGroup builds a group over a stream basket. It registers consumers on
-// every shard but does not yet subscribe to append notifications — the
-// engine first joins the creating member and registers the shard
-// transitions, then calls SubscribeAppend, so no basic window can seal
-// while the group has no members.
+// NewGroup builds a group over its scans' stream baskets. It registers
+// consumers on every local shard but does not yet subscribe to append
+// notifications — the engine first joins the creating member and
+// registers the shard transitions, then calls SubscribeAppend, so no basic
+// window can seal while the group has no members.
 func NewGroup(cfg GroupConfig) *Group {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
-	g := &Group{cfg: cfg, dag: newDAG(), postDag: newDAG(),
-		classes: make(map[string]*mergeClass)}
-	if cfg.Remote != nil {
-		g.fe = newRemoteFrontEnd(cfg.Remote.Shards, cfg.Window, cfg.Schema)
-	} else {
-		g.fe = newFrontEnd(cfg.Basket, cfg.Window, cfg.Schema)
-	}
-	g.fe.sink = func(ready []*window.BW, _ int64) map[string]bool {
-		if len(ready) == 0 {
-			return nil
+	wins := make([]*plan.Window, len(cfg.Scans))
+	g := &Group{cfg: cfg, postDag: newDAG(), genCtr: make([]int64, len(cfg.Scans)),
+		classes: make(map[string]*mergeClass), caches: make(map[string]*jcEntry)}
+	for i, sc := range cfg.Scans {
+		side := &groupSide{dag: newDAG()}
+		if i < len(cfg.Remote) {
+			side.remote = cfg.Remote[i]
 		}
-		return g.fanout(ready)
+		if side.remote != nil {
+			side.fe = newRemoteFrontEnd(side.remote.Shards, sc.Window, sc.Out)
+		} else {
+			side.fe = newFrontEnd(sc.Stream.Basket, sc.Window, sc.Out)
+		}
+		i := i
+		side.fe.sink = func(ready []*window.BW, sealed int64) map[string]bool {
+			return g.fanout(i, ready, sealed)
+		}
+		g.sides = append(g.sides, side)
+		wins[i] = sc.Window
 	}
+	g.seq = newInputSeq(wins)
 	return g
 }
 
-// SubscribeAppend wires the group's shard transitions to the basket's
-// append notifications. Call after the first member joined and the shard
-// transitions are registered. Remote groups have no shard transitions to
-// wake — their windows arrive over the wire — so it is a no-op for them.
+// SubscribeAppend wires the group's shard transitions to the local sides'
+// basket append notifications. Call after the first member joined and
+// the shard transitions are registered. Remote sides have no shard
+// transitions to wake — their windows arrive over the wire.
 func (g *Group) SubscribeAppend() {
-	if g.cfg.Remote != nil {
+	if g.cfg.NotifyShards == nil {
 		return
 	}
-	if g.cfg.NotifyShards != nil {
-		g.cancelAppend = g.cfg.Basket.OnAppend(g.cfg.NotifyShards)
+	for _, s := range g.sides {
+		if s.remote == nil {
+			g.cancels = append(g.cancels, s.fe.basket.OnAppend(g.cfg.NotifyShards))
+		}
 	}
 }
 
-// Key reports the group key.
+// Key reports the group key (plan.GroupKey / plan.JoinGroupKey).
 func (g *Group) Key() string { return g.cfg.Key }
 
-// Kind reports the group kind ("scan").
-func (g *Group) Kind() string { return "scan" }
+// Kind reports "scan" for single-stream groups, "join" for stream pairs.
+func (g *Group) Kind() string {
+	if len(g.sides) == 1 {
+		return "scan"
+	}
+	return "join"
+}
 
 // SchedGroup reports the instance-unique scheduler group name of the
 // shard transitions.
 func (g *Group) SchedGroup() string { return g.cfg.SchedGroup }
 
-// NumShards reports the stream's shard count (one group transition each).
-func (g *Group) NumShards() int { return len(g.fe.shards) }
+// NumShards reports one side's local shard count (one group transition
+// per (side, shard)).
+func (g *Group) NumShards(side int) int { return len(g.sides[side].fe.shards) }
 
-// Shards implements SharedGroup: the stream's total shard count — local
-// shard transitions, or, for a fabric-fed group, the remote shards whose
-// fragments the merger assembles.
+// Shards reports the total shard count across the sides — local shard
+// transitions, or, for a fabric-fed side, the remote shards whose
+// fragments its merger assembles.
 func (g *Group) Shards() int {
-	if g.cfg.Remote != nil {
-		return g.cfg.Remote.Shards
+	total := 0
+	for _, s := range g.sides {
+		if s.remote != nil {
+			total += s.remote.Shards
+		} else {
+			total += len(s.fe.shards)
+		}
 	}
-	return g.NumShards()
+	return total
 }
 
 // Members reports the current member count.
@@ -431,27 +458,38 @@ func (g *Group) Members() int {
 }
 
 // LiveBufs reports how many sealed basic-window buffers are still
-// referenced by at least one member — the refcount gauge tests pin to
-// prove buffers are released when the last member finishes with them.
+// referenced by at least one member or merge ring — the refcount gauge
+// tests pin to prove buffers are released when the last holder finishes
+// with them.
 func (g *Group) LiveBufs() int64 { return g.liveBufs.Load() }
 
-// WindowsOut reports how many basic windows the group has fanned out.
+// WindowsOut reports how many basic windows the group has fanned out
+// (across sides).
 func (g *Group) WindowsOut() int64 { return g.windowsOut.Load() }
 
-// DagNodes reports the distinct operator nodes in the shared DAG.
-func (g *Group) DagNodes() int { return g.dag.Nodes() }
+// DagNodes reports the distinct operator nodes in the side DAGs.
+func (g *Group) DagNodes() int {
+	n := 0
+	for _, s := range g.sides {
+		n += s.dag.Nodes()
+	}
+	return n
+}
 
-// MemoHits reports operator evaluations served from the shared memo.
+// MemoHits reports operator evaluations served from a sibling's
+// memoized output.
 func (g *Group) MemoHits() int64 { return g.memoHits.Load() }
 
 // MemoMisses reports actual operator evaluations (memo fills).
 func (g *Group) MemoMisses() int64 { return g.memoMisses.Load() }
 
 // MergeStats reports the active merge classes (group-owned merge rings
-// serving two or more members) and the merged-view memo counters: hits
-// are full-window merges served from a sibling's evaluation, misses
-// actual merge evaluations — for N class members, one miss and N-1 hits
-// per sealed full window.
+// serving two or more members holding byte-identical merged views —
+// plan.MergeKey for single-stream groups, plan.JoinMergeKey for join
+// groups) and the merged-view memo counters: hits are merged views served
+// from a sibling's evaluation, misses actual merge evaluations — for N
+// class members, one miss and N-1 hits per sealed window once everyone is
+// warm.
 func (g *Group) MergeStats() (classes int, hits, misses int64) {
 	g.mu.Lock()
 	for _, mc := range g.classes {
@@ -464,77 +502,131 @@ func (g *Group) MergeStats() (classes int, hits, misses int64) {
 }
 
 // PostStats reports the post-merge trie: distinct post-merge fragment
-// nodes registered across members and the trie's memo counters.
+// nodes (HAVING filters, final aggregates, sorts, limits) registered
+// across members and the trie's memo counters.
 func (g *Group) PostStats() (nodes int, hits, misses int64) {
 	return g.postDag.Nodes(), g.postHits.Load(), g.postMisses.Load()
 }
 
-// PairStats implements SharedGroup; single-stream groups hold no join
-// pair caches.
-func (g *Group) PairStats() (int, int, int64) { return 0, 0, 0 }
+// PairStats reports the shared join pair caches: distinct live caches
+// (one per join fingerprint), live cached pairs, and pair evaluations
+// ever computed (cumulative across retired caches, so the counter never
+// regresses mid-session). Zero for single-stream groups.
+func (g *Group) PairStats() (caches, pairs int, computed int64) {
+	g.mu.Lock()
+	entries := make([]*jcEntry, 0, len(g.caches))
+	for _, e := range g.caches {
+		entries = append(entries, e)
+	}
+	computed = g.retiredComputed
+	g.mu.Unlock()
+	for _, e := range entries {
+		caches++
+		pairs += e.pc.Pairs()
+		computed += e.pc.Computed()
+	}
+	return caches, pairs, computed
+}
 
 // Join adds a query as a member. The member starts at the next sealed
-// basic window; tuples already buffered in the group's open epochs are
-// included in it. An incremental member whose per-basic-window pipeline
-// linearizes (plan.PipelineSteps) registers it — and its partial-aggregate
-// stage — in the shared DAG, unless the factory opted out (NoMemo). A
-// DAG-registered member additionally joins the merge class of its
-// plan.MergeKey (unless NoSharedMerge) and registers its post-merge
-// fragment in the post-merge trie, so once a second member with the same
-// key arrives, merge and identical post fragments evaluate once per
-// sealed full window for the whole class.
+// basic window of each side; tuples already buffered in the group's open
+// epochs are included in it.
+//
+// A member whose per-basic-window pipelines linearize (plan.PipelineSteps)
+// registers them in the side DAGs, unless the factory opted out (NoMemo);
+// in a one-sided group this takes an incremental plan, and its
+// partial-aggregate stage registers too. Such a member additionally joins
+// the merge class of its merge key (unless NoSharedMerge) and registers
+// its post-merge fragment in the post-merge trie, so once a second member
+// with the same key arrives, merge and identical post fragments evaluate
+// once per sealed window for the whole class. A join member also acquires
+// the shared pair cache of its join fingerprint — created on first use —
+// which replaces the factory's private cache.
 func (g *Group) Join(query string, fac *Factory) *Member {
-	m := &Member{g: g, query: query, fac: fac}
+	n := len(g.sides)
+	m := &Member{g: g, query: query, fac: fac, leaf: make([]*dagNode, n), seen: make([]int64, n)}
 	d := fac.cfg.Decomp
-	if d != nil && !fac.cfg.NoMemo && fac.cfg.Mode == Incremental && d.Join == nil {
-		if steps, ok := d.StepsMemo(0); ok {
-			m.leaf, m.aggLeaf = g.dag.register(steps, d.Agg, d.AggFingerprintMemo())
-			if !fac.cfg.NoSharedMerge {
-				if key, ok := d.MergeKeyMemo(); ok {
-					m.classKey = key
-					m.hasPost = d.Post != nil
-					if d.Post != nil {
-						if psteps, ok := d.PostStepsMemo(key); ok {
-							m.postLeaf, _ = g.postDag.register(psteps, nil, "")
-						}
-					}
-				}
+	piped := d != nil && !fac.cfg.NoMemo && (n == 2 || fac.cfg.Mode == Incremental && d.Join == nil)
+	if piped {
+		for s := range g.sides {
+			steps, ok := d.StepsMemo(s)
+			switch {
+			case !ok:
+				piped = false
+			case n == 1:
+				m.leaf[s], m.aggLeaf = g.sides[s].dag.register(steps, d.Agg, d.AggFingerprintMemo())
+			default:
+				m.leaf[s], _ = g.sides[s].dag.register(steps, nil, "")
 			}
 		}
 	}
+	if piped && !fac.cfg.NoSharedMerge {
+		// The member's pipelines linearized into the side DAGs, so its
+		// merged view is a deterministic function of the class rings. A
+		// join class key embeds the join fingerprint, which covers both
+		// side pipelines: class siblings necessarily share a pair cache.
+		if n == 1 {
+			m.classKey, _ = d.MergeKeyMemo()
+		} else {
+			m.classKey, _ = d.JoinMergeKeyMemo()
+		}
+	}
+	if m.classKey != "" && d.Post != nil {
+		m.hasPost = true
+		if psteps, ok := d.PostStepsMemo(m.classKey); ok {
+			m.postLeaf, _ = g.postDag.register(psteps, nil, "")
+		}
+	}
+	if d != nil {
+		// A join decomposition requires the two sides' windows to slide in
+		// lockstep, so their extents agree today — take the max anyway so
+		// the retention horizon stays correct if that invariant loosens.
+		for s := range g.sides {
+			m.parts = max(m.parts, d.Pipelines[s].Scan.Window.Parts())
+		}
+	}
 	g.mu.Lock()
-	g.members = append(g.members, m)
+	if n == 2 {
+		m.pcKey = d.JoinFingerprintMemo()
+		e := g.caches[m.pcKey]
+		if e == nil {
+			e = &jcEntry{pc: window.NewSharedPairCache(d.Join)}
+			g.caches[m.pcKey] = e
+		}
+		e.refs++
+		m.pc = e.pc
+		m.pc.Retain(m.parts)
+	}
 	if m.classKey != "" {
 		mc := g.classes[m.classKey]
 		if mc == nil {
-			mc = &mergeClass{
-				key:       m.classKey,
-				parts:     d.Pipelines[0].Scan.Window.Parts(),
-				agg:       d.Agg,
-				leaf:      m.leaf,
-				aggLeaf:   m.aggLeaf,
-				outSchema: d.MergedLeaf.Out,
-			}
+			mc = newMergeClass(m, d)
 			g.classes[m.classKey] = mc
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
-			// The ring starts (or, after a drop back to one member,
-			// restarts) filling from the next sealed window.
+			// The rings start (or, after a drop back to one member,
+			// restart) filling from the next fanned-out window.
 			mc.active = true
 			mc.reopen()
 		}
 	}
+	g.members = append(g.members, m)
 	g.mu.Unlock()
+	if m.pc != nil {
+		fac.SetPairCache(m.pc)
+	}
 	return m
 }
 
 // Leave removes a member, releasing any sealed basic windows still queued
-// for it, its DAG and post-merge trie path references, and its merge-
-// class membership — the class's ring (and its shared-buffer references)
-// is released when the last member with its key leaves. The caller must
-// have removed the member's scheduler transition first (RemoveWait) so no
-// tail firing is in flight.
+// for it, its DAG and post-merge trie path references, its merge-class
+// membership — the class's rings (and their shared-buffer references) are
+// released when sharing ends — and its pair-cache reference. A surviving
+// cache recomputes its retention horizon from the remaining members'
+// extents, so a departing wide member no longer pins pairs beyond the
+// widest surviving ring. The caller must have removed the member's
+// scheduler transition first (RemoveWait) so no tail firing is in flight.
 func (g *Group) Leave(m *Member) {
 	var closeClass *mergeClass
 	g.mu.Lock()
@@ -544,22 +636,28 @@ func (g *Group) Leave(m *Member) {
 			break
 		}
 	}
-	if m.classKey != "" {
-		if mc := g.classes[m.classKey]; mc != nil {
-			mc.refs--
-			switch {
-			case mc.refs <= 0:
-				delete(g.classes, m.classKey)
-				closeClass = mc
-			case mc.refs == 1 && mc.active:
-				// Sharing is over: release the ring so a lone survivor
-				// stops pinning raw window buffers it would otherwise
-				// never need (its private ring still merges every
-				// window). A later second member reactivates the class
-				// and re-warms the ring.
-				mc.active = false
-				closeClass = mc
-			}
+	if mc := g.classes[m.classKey]; mc != nil {
+		mc.refs--
+		switch {
+		case mc.refs <= 0:
+			delete(g.classes, m.classKey)
+			closeClass = mc
+		case mc.refs == 1 && mc.active:
+			// Sharing is over: release the rings so a lone survivor stops
+			// pinning raw window buffers it would otherwise never need
+			// (its private rings still merge every window). A later second
+			// member reactivates the class and re-warms the rings.
+			mc.active = false
+			closeClass = mc
+		}
+	}
+	if e := g.caches[m.pcKey]; e != nil {
+		e.refs--
+		if e.refs <= 0 {
+			g.retiredComputed += e.pc.Computed()
+			delete(g.caches, m.pcKey)
+		} else {
+			e.pc.Release(m.parts)
 		}
 	}
 	g.mu.Unlock()
@@ -570,10 +668,12 @@ func (g *Group) Leave(m *Member) {
 		g.postDag.unregister(m.postLeaf)
 	}
 	if m.aggLeaf != nil {
-		g.dag.unregister(m.aggLeaf)
+		g.sides[0].dag.unregister(m.aggLeaf)
 	}
-	if m.leaf != nil {
-		g.dag.unregister(m.leaf)
+	for s, leaf := range m.leaf {
+		if leaf != nil {
+			g.sides[s].dag.unregister(leaf)
+		}
 	}
 	for _, it := range m.q.closeDrain() {
 		it.bw.ReleaseData()
@@ -581,50 +681,58 @@ func (g *Group) Leave(m *Member) {
 }
 
 // Close tears the group down after the last member left: cancels the
-// append subscription and releases the basket cursors. The caller must
-// have removed the group's shard transitions first (RemoveWait).
+// append subscriptions, releases the local sides' basket cursors, and
+// retires the remote sides' fabric specs. The caller must have removed
+// the group's shard transitions first (RemoveWait).
 func (g *Group) Close() {
-	if g.cancelAppend != nil {
-		g.cancelAppend()
-		g.cancelAppend = nil
+	for _, cancel := range g.cancels {
+		cancel()
 	}
-	g.fe.close()
-	if g.cfg.Remote != nil && g.cfg.Remote.Close != nil {
-		g.cfg.Remote.Close()
+	g.cancels = nil
+	for _, s := range g.sides {
+		s.fe.close()
+		if s.remote != nil && s.remote.Close != nil {
+			s.remote.Close()
+		}
 	}
 }
 
 // OfferRemote feeds one remote shard's freshly flushed epoch fragments and
-// watermark into the group's merger — the fabric-fed counterpart of a
-// FireShard delivery. Basic windows sealed by the delivery (every shard's
-// watermark passed their epoch) fan out to the members exactly as local
-// ones do. Safe for concurrent calls from different worker connections;
-// out-of-range shard indices are dropped (a confused or stale peer must
-// not panic the engine).
-func (g *Group) OfferRemote(shard int, frags []*window.Frag, wm int64) {
-	if g.cfg.Remote == nil || shard < 0 || shard >= g.cfg.Remote.Shards {
+// watermark into side's merger — the fabric-fed counterpart of a (side,
+// shard) FireShard delivery. Basic windows sealed by the delivery fan out
+// to the members exactly as local ones do (a two-sided group's fan-out
+// takes seqMu, so remote and local sides interleave consistently). Safe
+// for concurrent calls from different worker connections; out-of-range
+// sides or shards are dropped (a confused or stale peer must not panic
+// the engine).
+func (g *Group) OfferRemote(side, shard int, frags []*window.Frag, wm int64) {
+	if side < 0 || side >= len(g.sides) {
 		return
 	}
-	g.fe.mergeMu.Lock()
-	notify := g.fe.offer(shard, frags, wm)
-	g.fe.mergeMu.Unlock()
+	s := g.sides[side]
+	if s.remote == nil || shard < 0 || shard >= s.remote.Shards {
+		return
+	}
+	s.fe.mergeMu.Lock()
+	notify := s.fe.offer(shard, frags, wm)
+	s.fe.mergeMu.Unlock()
 	for q := range notify {
 		g.cfg.NotifyMember(q)
 	}
 }
 
-// ShardReady reports whether shard sh has pending tuples or sealed epochs
-// awaiting flush — the group's per-shard firing condition (the shared
-// analogue of Factory.ShardReady).
-func (g *Group) ShardReady(sh int) bool { return g.fe.shardReady(sh) }
+// ShardReady reports whether shard sh of side has pending tuples or
+// sealed epochs awaiting flush — the group's per-(side, shard) firing
+// condition (the shared analogue of Factory.ShardReady).
+func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardReady(sh) }
 
-// FireShard is one firing of the group's shard sh: drain, slice, and
+// FireShard is one firing of side's shard sh: drain, slice, and
 // merge-complete any basic windows this shard sealed last, fanning them
 // out to every member's queue. Sealed windows wake the members' tail
-// transitions; a raised event-time watermark re-notifies the sibling
-// shards (they may now hold sealed buckets).
-func (g *Group) FireShard(sh int) {
-	notify, raised := g.fe.fireShard(sh)
+// transitions; a raised event-time watermark re-notifies the group's
+// shard transitions (sibling shards may now hold sealed buckets).
+func (g *Group) FireShard(side, sh int) {
+	notify, raised := g.sides[side].fe.fireShard(sh)
 	for q := range notify {
 		g.cfg.NotifyMember(q)
 	}
@@ -633,15 +741,26 @@ func (g *Group) FireShard(sh int) {
 	}
 }
 
-// fanout hands each sealed basic window to every member as a refcounted
-// shared view, together with the window's DAG memo table, and feeds the
-// active merge-class rings — each ring slot holds its own reference on
-// the shared buffer, and once a class ring covers a full window the
-// window's merged-view memo cell rides the class members' queue items.
-// Callers hold the front end's mergeMu, which keeps per-member
-// generations in order. It returns the queries whose tail transitions
-// need a wake-up.
-func (g *Group) fanout(ready []*window.BW) map[string]bool {
+// fanout hands one side's sealed basic windows to every member as
+// refcounted shared views, together with the window's DAG memo table,
+// and feeds the active merge-class rings — each ring slot holds its own
+// reference on the shared buffer, and once a class's rings cover a full
+// window the window's merged-view memo cell rides the warm class members'
+// queue items. Callers hold the side's mergeMu.
+//
+// A one-sided group releases the windows in seal order, and each member
+// numbers them from its join. A two-sided group first passes them, with
+// the side's merger frontier, through its sequencer under seqMu, so every
+// member's queue carries the same canonical left/right interleaving — a
+// side that seals ahead of the other waits — and generations are group-
+// global per side: the shared pair cache keys pairs by them, so all
+// members must agree. It returns the queries whose tail transitions need
+// a wake-up.
+func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bool {
+	oneSided := len(g.sides) == 1
+	if oneSided && len(ready) == 0 {
+		return nil
+	}
 	g.mu.Lock()
 	members := make([]*Member, len(g.members))
 	copy(members, g.members)
@@ -653,83 +772,114 @@ func (g *Group) fanout(ready []*window.BW) map[string]bool {
 	}
 	g.mu.Unlock()
 
-	needDag := g.dag.Nodes() > 0
+	var needDag [2]bool
+	for s, sd := range g.sides {
+		needDag[s] = sd.dag.Nodes() > 0
+	}
 	notify := make(map[string]bool, len(members))
-	for _, bw := range ready {
+	release := func(side int, bw *window.BW) {
 		g.windowsOut.Add(1)
+		gen := g.genCtr[side]
+		g.genCtr[side]++
 		if len(members) == 0 {
-			continue
+			return
 		}
 		g.liveBufs.Add(1)
 		buf := window.NewSharedBuf(bw.Data, len(members)+len(classes), func() { g.liveBufs.Add(-1) })
 		var dw *dagWin
-		if needDag {
+		if needDag[side] {
 			dw = newDagWin()
 		}
 		var cells map[string]*mergeCell
 		if len(classes) > 0 {
 			cells = make(map[string]*mergeCell, len(classes))
 			for _, mc := range classes {
-				if cell := mc.push(dw, buf.Data(), buf.Release); cell != nil {
+				if cell := mc.push(side, gen, dw, buf.Data(), buf.Release); cell != nil {
 					cells[mc.key] = cell
 				}
 			}
 		}
 		for _, m := range members {
-			mbw := &window.BW{Gen: m.nextGen, Data: buf.Data(), MaxArrival: bw.MaxArrival, Free: buf.Release}
-			item := memberBW{bw: mbw, dw: dw}
-			if m.classKey != "" {
-				item.mcell = cells[m.classKey]
+			mgen := gen
+			if oneSided {
+				mgen = m.seen[0]
+			}
+			m.seen[side]++
+			mbw := &window.BW{Gen: mgen, Data: buf.Data(), MaxArrival: bw.MaxArrival, Free: buf.Release}
+			item := memberBW{side: side, bw: mbw, dw: dw}
+			if cell := cells[m.classKey]; cell != nil && m.warm(cell.mc.parts) {
+				item.cell = cell
 			}
 			if !m.q.enqueue(item) {
 				mbw.ReleaseData() // member left between snapshot and enqueue
 				continue
 			}
-			m.nextGen++
 			notify[m.query] = true
 		}
 	}
+	if oneSided {
+		for _, bw := range ready {
+			release(side, bw)
+		}
+		return notify
+	}
+	g.seqMu.Lock()
+	defer g.seqMu.Unlock()
+	g.seq.push(side, ready, sealed, release)
 	return notify
 }
 
+// warm reports whether the member has received a full window on every
+// side — only then may a merge cell serve it: a late joiner's first full
+// window must cover exactly the windows it received, as it would alone.
+func (m *Member) warm(parts int) bool {
+	for _, n := range m.seen {
+		if n < int64(parts) {
+			return false
+		}
+	}
+	return true
+}
+
 // Advance closes time-window buckets up to the watermark (microsecond
-// timestamp) on every shard — the group-level counterpart of
-// Factory.Advance for the scheduler's time constraints. Tuple-window
-// groups are unaffected. Fabric-fed groups forward the watermark to the
+// timestamp) on every shard of every side — the group-level counterpart
+// of Factory.Advance for the scheduler's time constraints. Tuple-window
+// sides are unaffected. Fabric-fed sides forward the watermark to the
 // worker processes, whose slicers own the open buckets; the flushed
 // fragments come back through OfferRemote.
 func (g *Group) Advance(watermark int64) {
-	if g.cfg.Remote != nil {
-		if g.cfg.Remote.Advance != nil {
-			g.cfg.Remote.Advance(watermark)
+	for _, s := range g.sides {
+		if s.remote != nil {
+			if s.remote.Advance != nil {
+				s.remote.Advance(watermark)
+			}
+			continue
 		}
-		return
-	}
-	for q := range g.fe.advance(watermark) {
-		g.cfg.NotifyMember(q)
+		for q := range s.fe.advance(watermark) {
+			g.cfg.NotifyMember(q)
+		}
 	}
 }
 
 // Query reports the member's query name.
 func (m *Member) Query() string { return m.query }
 
-// Ready reports whether sealed basic windows await the member's tail —
-// the firing condition of the member's scheduler transition. It reads an
-// atomic mirror only (the scheduler calls it under its own lock).
+// Ready reports whether fanned-out basic windows await the member's tail
+// — the firing condition of the member's scheduler transition. It reads
+// an atomic mirror only (the scheduler calls it under its own lock).
 func (m *Member) Ready() bool { return m.q.ready() }
 
 // Fire drains the member's queue and runs its private tail over the
-// batch, in generation order. Members registered in the shared DAG
-// resolve their partial aggregate (or, without one, their pipeline
-// output) through the window's memo first — evaluating each distinct
-// operator once across all members — and release their raw-data
-// reference immediately. Merge-class members then resolve the
-// full-window merged view through the window's merge cell (one merge
-// evaluation per sealed window across the class) and their post-merge
-// fragment through the post-merge trie, so the factory tail only emits;
-// everyone else merges privately in the tail. The scheduler guarantees a
-// single in-flight Fire per member. It returns the number of result sets
-// emitted.
+// batch, in fan-out order. Members registered in the side DAGs resolve
+// their partial aggregate (or, without one, their pipeline output)
+// through the window's memo first — evaluating each distinct operator
+// once across all members. Merge-class members then resolve the merged
+// view through the window's merge cell (one merge evaluation per sealed
+// window across the class) and their post-merge fragment through the
+// post-merge trie, so the factory tail only emits; everyone else merges
+// privately in the tail (a join member through the shared pair cache).
+// The scheduler guarantees a single in-flight Fire per member. It returns
+// the number of result sets emitted.
 func (m *Member) Fire() int {
 	items := m.q.drain()
 	evs := make([]SharedBW, 0, len(items))
@@ -741,19 +891,16 @@ func (m *Member) Fire() int {
 			// only, so the pipeline leaf never materializes for it), the
 			// pipeline leaf otherwise. The raw-data reference is released
 			// by the factory tail after tuple accounting (incrementalStep).
+			dag := m.g.sides[it.side].dag
 			switch {
 			case m.aggLeaf != nil:
-				bw.Partial = m.g.dag.eval(it.dw, m.aggLeaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
-			case m.leaf != nil:
-				bw.Out = m.g.dag.eval(it.dw, m.leaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
+				bw.Partial = dag.eval(it.dw, m.aggLeaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
+			case m.leaf[it.side] != nil:
+				bw.Out = dag.eval(it.dw, m.leaf[it.side], bw.Data, &m.g.memoHits, &m.g.memoMisses)
 			}
 		}
-		// The merge cell serves this member only once its own ring is warm
-		// (Gen counts windows since the member joined): a late joiner's
-		// first full window must cover exactly the windows it received, as
-		// it would alone.
-		if it.mcell != nil && bw.Gen >= int64(it.mcell.mc.parts-1) {
-			merged, pdw, computed := it.mcell.eval(m.g)
+		if it.cell != nil {
+			merged, pdw, computed := it.cell.eval(m.g)
 			if computed {
 				m.g.mergeMisses.Add(1)
 			} else {
@@ -770,7 +917,7 @@ func (m *Member) Fire() int {
 				bw.Final = merged
 			}
 		}
-		evs = append(evs, SharedBW{Input: 0, BW: bw})
+		evs = append(evs, SharedBW{Input: it.side, BW: bw})
 	}
 	return m.fac.SharedFire(evs)
 }

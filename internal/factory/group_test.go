@@ -9,6 +9,7 @@ import (
 	"datacell/internal/emitter"
 	"datacell/internal/plan"
 	"datacell/internal/sql"
+	"datacell/internal/window"
 )
 
 // sharedFactory builds an incremental group-member factory for src, a
@@ -56,11 +57,11 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	fac1, scan := sharedFactory(t, cat, "q1", q, out)
 	fac2, _ := sharedFactory(t, cat, "q2", q+" HAVING count(*) > 1", out)
 	g := NewGroup(GroupConfig{
-		Key: "s", SchedGroup: "group:s", Basket: scan.Stream.Basket,
-		Window: scan.Window, Schema: scan.Out, NotifyMember: func(string) {},
+		Key: "s", SchedGroup: "group:s", Scans: []*plan.ScanStream{scan},
+		NotifyMember: func(string) {},
 	})
 	m1, m2 := g.Join("q1", fac1), g.Join("q2", fac2)
-	if m1.aggLeaf == nil || m1.leaf == nil || m1.leaf != m2.leaf {
+	if m1.aggLeaf == nil || m1.leaf[0] == nil || m1.leaf[0] != m2.leaf[0] {
 		t.Fatalf("members did not share a filter leaf under their aggregate nodes")
 	}
 
@@ -71,8 +72,8 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	if err := s.Basket.Append(c, 1); err != nil {
 		t.Fatal(err)
 	}
-	for sh := 0; sh < g.NumShards(); sh++ {
-		g.FireShard(sh)
+	for sh := 0; sh < g.NumShards(0); sh++ {
+		g.FireShard(0, sh)
 	}
 	m1.q.mu.Lock()
 	items := append([]memberBW(nil), m1.q.pending...)
@@ -86,7 +87,7 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 
 	for _, it := range items {
 		it.dw.mu.Lock()
-		cell := it.dw.memo[m1.leaf]
+		cell := it.dw.memo[m1.leaf[0]]
 		it.dw.mu.Unlock()
 		if cell == nil || cell.out == nil {
 			t.Fatal("filter leaf was never evaluated under the aggregate")
@@ -108,5 +109,61 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 				t.Errorf("%s: ring slot %d holds no partial", fac.cfg.Name, bw.Gen)
 			}
 		}
+	}
+}
+
+// TestOfferRemoteDropsOutOfRange: worker frames are outside input, so a
+// remote-fed group drops offers naming a side or shard it does not have —
+// without panicking or sealing a window — on one-sided and two-sided
+// groups alike. Offers on every valid (side, shard) then do seal.
+func TestOfferRemoteDropsOutOfRange(t *testing.T) {
+	cat := catalog.New()
+	for _, name := range []string{"s", "r"} {
+		if _, err := cat.CreateStream(name, bat.NewSchema(
+			[]string{"ts", "k", "v"}, []bat.Kind{bat.Time, bat.Int, bat.Float})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{
+		"SELECT k, v FROM s [SIZE 4 SLIDE 2]",
+		"SELECT s.v, r.v FROM s [SIZE 4 SLIDE 2], r [SIZE 4 SLIDE 2] WHERE s.k = r.k",
+	} {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := plan.Bind(cat, stmt.(*sql.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := plan.Streams(plan.Optimize(bound))
+		const shards = 2
+		remote := make([]*RemoteSource, len(scans))
+		for i := range remote {
+			remote[i] = &RemoteSource{Shards: shards}
+		}
+		g := NewGroup(GroupConfig{Key: src, SchedGroup: "group", Scans: scans, Remote: remote,
+			NotifyMember: func(string) {}})
+		frag := func(side int) []*window.Frag {
+			c := bat.NewChunk(scans[side].Out)
+			_ = c.AppendRow(bat.TimeValue(1), bat.IntValue(1), bat.FloatValue(1))
+			return []*window.Frag{{Gen: 0, Data: c}}
+		}
+		last := len(scans) - 1
+		for _, bad := range [][2]int{{-1, 0}, {len(scans), 0}, {0, -1}, {0, shards}, {last, shards}, {last, -1}} {
+			g.OfferRemote(bad[0], bad[1], frag(0), 1)
+		}
+		if n := g.WindowsOut(); n != 0 {
+			t.Fatalf("%d sides: out-of-range offers sealed %d windows", len(scans), n)
+		}
+		for side := range scans {
+			for sh := 0; sh < shards; sh++ {
+				g.OfferRemote(side, sh, frag(side), 1)
+			}
+		}
+		if g.WindowsOut() == 0 {
+			t.Fatalf("%d sides: in-range offers sealed no window", len(scans))
+		}
+		g.Close()
 	}
 }

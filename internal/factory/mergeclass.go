@@ -6,25 +6,30 @@ import (
 
 	"datacell/internal/bat"
 	"datacell/internal/plan"
+	"datacell/internal/window"
 )
 
-// mergeClass is a group-owned merge ring: the shared-execution extension
-// of the per-member window ring past the merge boundary. Members of one
-// Group whose incremental decompositions agree on a plan.MergeKey —
-// window extent plus the canonical fingerprint of the merged view's
-// content — hold byte-identical full-window merges, so the group keeps
-// ONE ring of the last `parts` sealed basic windows per class and
-// evaluates the merge (partial-aggregate merging, or concatenation of
-// cached pipeline outputs) once per sealed full window for all of them.
+// mergeClass is a group-owned merge ring per side: the shared-execution
+// extension of the per-member window rings past the merge boundary.
+// Members of one Group whose decompositions agree on a merge key — window
+// extent plus the canonical fingerprint of the merged view's content
+// (plan.MergeKey; plan.JoinMergeKey, whose join fingerprint covers both
+// side pipelines, for a join group) — hold byte-identical merged views,
+// so the group keeps ONE ring of the last `parts` sealed basic windows
+// per side and class and evaluates the merged view once per window for
+// all of them. How depends on the number of sides, fixed when the class
+// is created: over one side the view is the concatenation of the cached
+// pipeline outputs, or the merge of the partial aggregates; over two it
+// is the pair-cache maintenance for the newest window plus the
+// (leftGen, rightGen)-ordered concat of the live pair set.
 //
 // A class activates at its second member and deactivates — releasing
-// its ring — when membership drops back to one: a singleton extent
-// always merges through its private ring, so the class never pins raw
+// its rings — when membership drops back to one: a singleton extent
+// always merges through its private rings, so the class never pins raw
 // window buffers without at least two members sharing the result. Each
 // ring slot holds one reference on the window's shared buffer
 // (window.SharedBuf), released on eviction, so the group's live-buffer
-// gauge accounts for the class rings exactly like it does for
-// re-evaluation member rings.
+// gauge accounts for the class rings exactly like member queues.
 //
 // The merged views themselves are memoized per window in mergeCells that
 // ride the fan-out items (like the pipeline DAG's dagWin memo tables):
@@ -32,12 +37,18 @@ import (
 // queued or in flight, so paused members find their merged views on
 // resume without the class tracking per-member progress.
 type mergeClass struct {
-	key       string
-	parts     int
-	agg       *plan.Aggregate // nil: merged view is the concat of outs
-	leaf      *dagNode        // pipeline leaf in the group DAG (nil: raw)
-	aggLeaf   *dagNode        // partial-aggregate node (nil iff agg == nil)
-	outSchema bat.Schema      // merged view schema (MergedLeaf.Out)
+	key   string
+	parts int
+	leaf  []*dagNode // per-side pipeline leaves in the side DAGs (nil: raw)
+	view  func(c *mergeCell, g *Group) *bat.Chunk
+
+	// One side: the partial-aggregate stage (nil: the merged view is the
+	// concat of outs), its DAG node, and the merged view's schema.
+	agg       *plan.Aggregate
+	aggLeaf   *dagNode
+	outSchema bat.Schema
+	// Two sides: the class members' shared pair cache.
+	pc *window.SharedPairCache
 
 	// refs counts members registered under the class key; active latches
 	// at the second member. Both are guarded by the owning Group's mu.
@@ -46,48 +57,72 @@ type mergeClass struct {
 
 	mu     sync.Mutex
 	closed bool
-	ring   []mergeIn // last `parts` sealed windows, oldest first
+	rings  [2][]mergeIn // last `parts` sealed windows per side, oldest first
 }
 
-// mergeIn is one sealed basic window as the merge ring sees it: the
-// window's shared memo table, its raw tuples, and the release hook for
-// the class's reference on the shared buffer.
+// newMergeClass builds the class of its first member m, whose
+// decomposition is d: the class resolves ring windows through m's side
+// leaves (and, over one side, its partial-aggregate node) and, over two
+// sides, merges through m's pair cache.
+func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
+	mc := &mergeClass{key: m.classKey, parts: m.parts, leaf: m.leaf, pc: m.pc}
+	if len(m.leaf) == 1 {
+		mc.agg, mc.aggLeaf, mc.outSchema, mc.view = d.Agg, m.aggLeaf, d.MergedLeaf.Out, mergeScanView
+	} else {
+		mc.view = mergeJoinView
+	}
+	return mc
+}
+
+// mergeIn is one sealed basic window as a class ring sees it: the side's
+// group-global generation (a pair cache keys pairs by it), the window's
+// shared memo table, its raw tuples, and the release hook for the class's
+// reference on the shared buffer.
 type mergeIn struct {
+	gen  int64
 	dw   *dagWin
 	data *bat.Chunk
 	free func()
 }
 
-// push appends a sealed window to the class ring (taking ownership of
-// one shared-buffer reference via free), evicting the oldest slot when
-// the ring exceeds the window extent. Once the ring holds a full window
-// it returns the window's merge cell — the memo the fan-out attaches to
-// every class member's queue item; nil during warm-up. Callers are the
-// group fan-out only, which delivers windows in seal order.
-func (mc *mergeClass) push(dw *dagWin, data *bat.Chunk, free func()) *mergeCell {
+// push appends a sealed window to the side's class ring (taking ownership
+// of one shared-buffer reference via free), evicting the oldest slot when
+// the ring exceeds the window extent. Once every side's ring holds a full
+// window it returns the window's merge cell — the memo the fan-out
+// attaches to every warm class member's queue item; nil during warm-up.
+// Callers are the group fan-out only, which delivers windows in the
+// group's fan-out order.
+func (mc *mergeClass) push(side int, gen int64, dw *dagWin, data *bat.Chunk, free func()) *mergeCell {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if mc.closed {
 		free()
 		return nil
 	}
-	mc.ring = append(mc.ring, mergeIn{dw: dw, data: data, free: free})
-	if len(mc.ring) > mc.parts {
-		old := mc.ring[0]
-		copy(mc.ring, mc.ring[1:])
-		mc.ring = mc.ring[:mc.parts]
+	ring := append(mc.rings[side], mergeIn{gen: gen, dw: dw, data: data, free: free})
+	if len(ring) > mc.parts {
+		old := ring[0]
+		copy(ring, ring[1:])
+		ring = ring[:mc.parts]
 		old.free()
 	}
-	if len(mc.ring) < mc.parts {
-		return nil
+	mc.rings[side] = ring
+	for s := range mc.leaf {
+		if len(mc.rings[s]) < mc.parts {
+			return nil
+		}
 	}
-	// The cell snapshots the ring: its input pointers stay valid after
+	// The cell snapshots the rings: its input pointers stay valid after
 	// eviction (the chunks are immutable and GC-kept), so a lagging member
 	// can still resolve an old window's merged view from its queued cell.
-	return &mergeCell{mc: mc, ins: append([]mergeIn(nil), mc.ring...)}
+	c := &mergeCell{mc: mc, side: side}
+	for s := range mc.leaf {
+		c.ins[s] = append([]mergeIn(nil), mc.rings[s]...)
+	}
+	return c
 }
 
-// close releases the ring's shared-buffer references and refuses further
+// close releases the rings' shared-buffer references and refuses further
 // pushes — the class deactivated (membership dropped to one) or its last
 // member left. A fan-out that snapshotted the class concurrently
 // releases through push's closed check.
@@ -95,32 +130,33 @@ func (mc *mergeClass) close() {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	mc.closed = true
-	for _, in := range mc.ring {
-		in.free()
+	for s := range mc.rings {
+		for _, in := range mc.rings[s] {
+			in.free()
+		}
+		mc.rings[s] = nil
 	}
-	mc.ring = nil
 }
 
 // reopen accepts pushes again after a deactivation — a second member
-// rejoined. The ring restarts empty and re-warms over the next window.
+// rejoined. The rings restart empty and re-warm over the next windows.
 func (mc *mergeClass) reopen() {
 	mc.mu.Lock()
 	mc.closed = false
 	mc.mu.Unlock()
 }
 
-// mergeCell memoizes one sealed full window's merged view for every
-// member of a merge class. The first member tail to need it evaluates
-// the merge under the once latch — resolving each basic window's
-// pipeline output (or partial aggregate) through the group DAG's
-// per-window memo, then merging — and siblings reuse the result. pdw is
-// the post-merge memo table rooted at this merged view: the group's
-// post-merge trie latches HAVING/sort/limit fragments in it exactly like
-// the pipeline DAG latches operators in a dagWin.
+// mergeCell memoizes one window's merged view for every member of a
+// merge class. The first member tail to need it evaluates the view under
+// the once latch and siblings reuse the result. pdw is the post-merge
+// memo table rooted at this merged view: the group's post-merge trie
+// latches HAVING/sort/limit fragments in it exactly like the pipeline DAG
+// latches operators in a dagWin.
 type mergeCell struct {
 	mc   *mergeClass
+	side int // the side whose window triggered this cell
 	once sync.Once
-	ins  []mergeIn // captured ring; dropped after compute
+	ins  [2][]mergeIn // captured rings; dropped after compute
 	out  *bat.Chunk
 	pdw  *dagWin
 }
@@ -128,32 +164,76 @@ type mergeCell struct {
 // eval resolves the cell's merged view, computing it at most once per
 // window across all class members. computed reports whether THIS call
 // performed the merge — the group's merge hit/miss counters are an
-// honest cross-query sharing rate, like the DAG memo's. The ring
-// lookups below resolve through the pipeline DAG's per-window memos but
-// count into discard counters: they are re-lookups of work the member
-// tails already accounted for, and crediting them to the group's DAG
-// gauges would inflate the documented cross-query hit rate.
+// honest cross-query sharing rate, like the DAG memo's.
 func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) {
 	c.once.Do(func() {
-		mc := c.mc
-		var discardHits, discardMisses atomic.Int64
-		leaf, schema := mc.leaf, mc.outSchema
-		if mc.agg != nil {
-			leaf, schema = mc.aggLeaf, mc.agg.Out
-		}
-		parts := make([]*bat.Chunk, len(c.ins))
-		rows := 0
-		for i, in := range c.ins {
-			parts[i] = g.dag.eval(in.dw, leaf, in.data, &discardHits, &discardMisses)
-			rows += parts[i].Rows()
-		}
-		c.out = bat.Concat(schema, parts, rows)
-		if mc.agg != nil {
-			c.out = plan.MergeAggregate(mc.agg, c.out)
-		}
+		c.out = c.mc.view(c, g)
 		c.pdw = newDagWin()
-		c.ins = nil // release the input pointers: only the view survives
+		c.ins = [2][]mergeIn{} // release the input pointers: only the view survives
 		computed = true
 	})
 	return c.out, c.pdw, computed
+}
+
+// resolve returns the node's outputs over side's ring windows through the
+// side DAG's per-window memos. The lookups count into discard counters:
+// they are re-lookups of work the member tails already accounted for, and
+// crediting them to the group's DAG gauges would inflate the documented
+// cross-query hit rate.
+func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
+	var discardHits, discardMisses atomic.Int64
+	outs := make([]*bat.Chunk, len(c.ins[side]))
+	for i, in := range c.ins[side] {
+		outs[i] = g.sides[side].dag.eval(in.dw, node, in.data, &discardHits, &discardMisses)
+	}
+	return outs
+}
+
+// mergeScanView is the one-sided merged view: the concat of the ring's
+// pipeline outputs, or the merge of its partial aggregates.
+func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
+	mc := c.mc
+	node, schema := mc.leaf[0], mc.outSchema
+	if mc.agg != nil {
+		node, schema = mc.aggLeaf, mc.agg.Out
+	}
+	parts := c.resolve(g, 0, node)
+	rows := 0
+	for _, p := range parts {
+		rows += p.Rows()
+	}
+	out := bat.Concat(schema, parts, rows)
+	if mc.agg != nil {
+		out = plan.MergeAggregate(mc.agg, out)
+	}
+	return out
+}
+
+// mergeJoinView is the two-sided merged view. It replays exactly what
+// each warm member's private tail would do with the same windows: drive
+// the shared pair cache with the triggering side's newest window against
+// the other side's live ring, then concatenate the live pair set in
+// (leftGen, rightGen) order. Every step is a deterministic function of
+// the same generation-stamped inputs, which is what keeps a shared merged
+// view byte-identical to a private one.
+func mergeJoinView(c *mergeCell, g *Group) *bat.Chunk {
+	var bws [2][]*window.BW
+	for side := range bws {
+		outs := c.resolve(g, side, c.mc.leaf[side])
+		bws[side] = make([]*window.BW, len(outs))
+		for i, out := range outs {
+			bws[side][i] = &window.BW{Gen: c.ins[side][i].gen, Out: out}
+		}
+	}
+	// The member tails short-circuit before their own pair-cache adds
+	// once a cell serves them, so the cell performs the add for the whole
+	// class (duplicate adds from warming members dedupe inside the cache;
+	// eviction is watermark-driven by the adds themselves).
+	newest := bws[c.side][len(bws[c.side])-1]
+	if c.side == 0 {
+		c.mc.pc.AddLeft(newest, bws[1])
+	} else {
+		c.mc.pc.AddRight(newest, bws[0])
+	}
+	return c.mc.pc.Merged(bws[0], bws[1])
 }

@@ -149,9 +149,10 @@ func TestSessionFabricCommand(t *testing.T) {
 
 // TestGroupsJoinPostShared: a 16-member shared-join workload — identical
 // side pipelines and join, per-member post fragments above the join —
-// reports real JoinGroup.PostStats through \groups: post-merge trie nodes
-// exist, the merged join view and the shared HAVING fragments hit for 15
-// of every 16 member requests, and nothing renders as n/a anymore.
+// reports a join group's real Group.PostStats through \groups: post-
+// merge trie nodes exist, the merged join view and the shared HAVING
+// fragments hit for 15 of every 16 member requests, and nothing renders
+// as n/a anymore.
 func TestGroupsJoinPostShared(t *testing.T) {
 	eng := newEngine(t)
 	s := NewSession(eng)

@@ -75,11 +75,11 @@ func joinMemberSQL(i, size, slide int) string {
 func feedPairwise(t *testing.T, eng *Engine, ls, rs []*bat.Chunk) {
 	t.Helper()
 	for i := range ls {
-		if err := eng.AppendChunk("s", ls[i]); err != nil {
+		if err := eng.Append("s", ls[i]); err != nil {
 			t.Fatal(err)
 		}
 		eng.Drain()
-		if err := eng.AppendChunk("r", rs[i]); err != nil {
+		if err := eng.Append("r", rs[i]); err != nil {
 			t.Fatal(err)
 		}
 		eng.Drain()
@@ -568,7 +568,7 @@ func TestTimeJoinOffsetStartsAlignByEpoch(t *testing.T) {
 				if stream == "r" {
 					side = 1
 				}
-				if err := e.AppendChunk(stream, chunk(side, sec)); err != nil {
+				if err := e.Append(stream, chunk(side, sec)); err != nil {
 					t.Fatal(err)
 				}
 				if shard != "" {

@@ -44,7 +44,7 @@ func TestLinearRoadEndToEnd(t *testing.T) {
 	}
 	var pushed int64
 	for _, c := range linearroad.Generate(cfg) {
-		if err := e.AppendChunk("lr_pos", c); err != nil {
+		if err := e.Append("lr_pos", c); err != nil {
 			t.Fatal(err)
 		}
 		pushed += int64(c.Rows())

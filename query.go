@@ -81,8 +81,7 @@ type Query struct {
 	ingestStreams []string
 
 	// Shared-execution state: zero for isolated and ineligible queries.
-	// The leave/close closures capture the concrete group (single-stream
-	// Group or JoinGroup) so teardown stays type-agnostic here.
+	// The leave/close closures capture the group and the member.
 	groupKey   string
 	groupSched string // instance-unique scheduler group of the shard transitions
 	leaveGroup func()
@@ -327,16 +326,15 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	// that the full-window recompute equals the merge of cached basic-
 	// window pairs, so the member shares the front ends and the
 	// fingerprint-keyed pair cache instead of staying isolated.
-	var groupScan *plan.ScanStream
-	var joinL, joinR *plan.ScanStream
+	var groupScans []*plan.ScanStream
 	isolated := opts != nil && opts.Isolated
 	resolveShared := func() {
 		if sc, ok := plan.SharedScan(opt); ok {
-			groupScan = sc
-		} else if decomp != nil {
+			groupScans = []*plan.ScanStream{sc}
+		} else if l, r, ok := plan.SharedJoin(decomp); ok {
 			// Covers incremental joins and forced-REEVAL joins alike: the
 			// mode switch above already decomposed both.
-			joinL, joinR, _ = plan.SharedJoin(decomp)
+			groupScans = []*plan.ScanStream{l, r}
 		}
 	}
 	if !isolated {
@@ -359,16 +357,16 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 		}
 	}
 	keySuffix := ""
-	if remoteStream != "" && groupScan == nil && joinL == nil {
+	if remoteStream != "" && groupScans == nil {
 		if isolated {
 			resolveShared()
 			keySuffix = fmt.Sprintf("!iso#%d", e.groupSeq.Add(1))
 		}
-		if groupScan == nil && joinL == nil {
+		if groupScans == nil {
 			return nil, fmt.Errorf("datacell: stream %q is exported to the shard fabric; only windowed stream scans and decomposable stream joins can consume it", remoteStream)
 		}
 	}
-	shared := groupScan != nil || joinL != nil
+	shared := groupScans != nil
 
 	var emitters emitter.Multi
 	var outCh *emitter.Channel
@@ -426,18 +424,8 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	e.queries[name] = q
 	e.mu.Unlock()
 
-	if groupScan != nil {
-		if err := e.joinGroup(q, groupScan, keySuffix); err != nil {
-			e.mu.Lock()
-			delete(e.queries, q.name)
-			e.mu.Unlock()
-			fac.Stop()
-			return nil, err
-		}
-		return q, nil
-	}
-	if joinL != nil {
-		if err := e.joinJoinGroup(q, joinL, joinR, keySuffix); err != nil {
+	if shared {
+		if err := e.joinGroup(q, groupScans, keySuffix); err != nil {
 			e.mu.Lock()
 			delete(e.queries, q.name)
 			e.mu.Unlock()
@@ -477,25 +465,32 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	return q, nil
 }
 
-// joinGroup registers q as a member of its stream's shared execution
-// group, creating the group — shard cursors, slicers, merger, and one
-// scheduler transition per shard — when q is the first consumer with this
-// group key. The member's private tail runs as its own transition under
-// the query's name, so pause/resume/drop of one member never stalls its
-// siblings or the shared shard firings.
+// joinGroup registers q as a member of its stream's — or, for a
+// stream⋈stream join, its stream pair's — shared execution group,
+// creating the group — front ends, operator DAGs, merge classes, pair
+// caches, and one scheduler transition per (side, shard) — when q is the
+// first consumer with this group key. The member's private tail runs as
+// its own transition under the query's name, so pause/resume/drop of one
+// member never stalls its siblings or the shared shard firings.
 //
-// For a stream exported to the shard fabric, the group is created
-// remote-fed instead: the attached fabric supplies a slicing spec, the
-// worker processes run the shard front ends, and sealed epoch fragments
-// arrive through Group.OfferRemote — so no local shard transitions or
-// append subscriptions exist.
+// A side whose stream is exported to the shard fabric is remote-fed
+// instead: the attached fabric supplies a slicing spec (a join's spec key
+// carries a #L / #R suffix so the two sides of one group stay distinct on
+// the wire), the worker processes run that side's shard front ends, and
+// sealed epoch fragments arrive through Group.OfferRemote — so the side
+// has no local shard transitions or append subscriptions. Pairing, and
+// the join itself, stay here, where the members' shared pair caches live;
+// the sides are independent, so a remote stream can join a local one.
 //
 // keySuffix, when non-empty, privatizes the group: an isolated query over
 // an exported stream still needs the fabric feed, so it gets a group of
 // its own under a nonce-unique key instead of sharing the stream's.
-func (e *Engine) joinGroup(q *Query, sc *plan.ScanStream, keySuffix string) error {
-	key := plan.GroupKey(sc) + keySuffix
-	remote := sc.Stream.RemoteTag() != ""
+func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string) error {
+	key := plan.GroupKey(scans[0])
+	if len(scans) == 2 {
+		key = plan.JoinGroupKey(scans[0], scans[1])
+	}
+	key += keySuffix
 	var mem *factory.Member
 	var createErr error
 	gv, n := e.cat.JoinGroup(key, func() any {
@@ -506,50 +501,68 @@ func (e *Engine) joinGroup(q *Query, sc *plan.ScanStream, keySuffix string) erro
 		cfg := factory.GroupConfig{
 			Key:          key,
 			SchedGroup:   gname,
-			Basket:       sc.Stream.Basket,
-			Window:       sc.Window,
-			Schema:       sc.Out,
+			Scans:        scans,
+			Remote:       make([]*factory.RemoteSource, len(scans)),
 			Now:          e.now,
 			NotifyMember: func(query string) { e.sched.NotifyGroup(query) },
 			NotifyShards: func() { e.sched.NotifyGroup(gname) },
 		}
-		var spec *FabricSpec
-		if remote {
+		specs := make([]*FabricSpec, len(scans))
+		for side, sc := range scans {
+			if sc.Stream.RemoteTag() == "" {
+				continue
+			}
 			fab := e.fabricHandler()
 			if fab == nil {
 				createErr = fmt.Errorf("datacell: stream %q is exported to the shard fabric but no fabric is attached", sc.Stream.Name)
+			} else {
+				specKey := key
+				if len(scans) == 2 {
+					specKey = fmt.Sprintf("%s#%c", key, "LR"[side])
+				}
+				specs[side], createErr = fab.AddSpec(sc.Stream.Name, specKey, sc.Window, sc.Out)
+			}
+			if createErr != nil {
+				for _, spec := range specs[:side] {
+					if spec != nil {
+						spec.Drop()
+					}
+				}
 				return nil
 			}
-			var err error
-			spec, err = fab.AddSpec(sc.Stream.Name, key, sc.Window, sc.Out)
-			if err != nil {
-				createErr = err
-				return nil
-			}
-			cfg.Remote = &factory.RemoteSource{
-				Shards:  spec.Shards,
-				Advance: spec.Advance,
-				Close:   spec.Drop,
+			cfg.Remote[side] = &factory.RemoteSource{
+				Shards:  specs[side].Shards,
+				Advance: specs[side].Advance,
+				Close:   specs[side].Drop,
 			}
 		}
 		g := factory.NewGroup(cfg)
 		// Join the creating member before the shard transitions (or the
-		// fabric feed) go live so no basic window can seal against an empty
-		// member list.
+		// fabric feeds) go live so no basic window can seal against an
+		// empty member list.
 		mem = g.Join(q.name, q.fac)
-		if remote {
-			spec.Attach(g)
-			return g
-		}
-		for sh := 0; sh < g.NumShards(); sh++ {
-			sh := sh
-			e.sched.Add(&scheduler.Transition{
-				Name:     fmt.Sprintf("%s/%d", gname, sh),
-				Group:    gname,
-				Affinity: sh,
-				Ready:    func() bool { return g.ShardReady(sh) },
-				Fire:     func() { g.FireShard(sh) },
-			})
+		for side, spec := range specs {
+			side := side
+			if spec != nil {
+				spec.Attach(func(shard int, frags []*window.Frag, wm int64) {
+					g.OfferRemote(side, shard, frags, wm)
+				})
+				continue
+			}
+			for sh := 0; sh < g.NumShards(side); sh++ {
+				sh := sh
+				name := fmt.Sprintf("%s/%d", gname, sh)
+				if len(scans) == 2 {
+					name = fmt.Sprintf("%s/%d.%d", gname, side, sh)
+				}
+				e.sched.Add(&scheduler.Transition{
+					Name:     name,
+					Group:    gname,
+					Affinity: sh,
+					Ready:    func() bool { return g.ShardReady(side, sh) },
+					Fire:     func() { g.FireShard(side, sh) },
+				})
+			}
 		}
 		g.SubscribeAppend()
 		return g
@@ -571,128 +584,6 @@ func (e *Engine) joinGroup(q *Query, sc *plan.ScanStream, keySuffix string) erro
 
 	// The member's private tail: one transition, grouped under the query
 	// name. Affinity n spreads sibling tails across workers.
-	e.sched.Add(&scheduler.Transition{
-		Name:     q.name + "/tail",
-		Group:    q.name,
-		Affinity: n,
-		Ready:    mem.Ready,
-		Fire:     func() { mem.Fire() },
-	})
-	// Cover anything sealed (or appended) during setup.
-	e.sched.NotifyGroup(q.groupSched)
-	e.sched.NotifyGroup(q.name)
-	return nil
-}
-
-// joinSideOffer adapts one side of a join group to the fabric's
-// RemoteGroup contract: the coordinator routes a side-spec's worker
-// fragments here, and they land in that side's merger.
-type joinSideOffer struct {
-	g    *factory.JoinGroup
-	side int
-}
-
-func (o joinSideOffer) OfferRemote(shard int, frags []*window.Frag, wm int64) {
-	o.g.OfferRemote(o.side, shard, frags, wm)
-}
-
-// joinJoinGroup registers q as a member of its stream pair's shared join
-// group, creating the group — two stream front ends, per-side operator
-// DAGs, shared pair caches, and one scheduler transition per (side,
-// shard) — when q is the first join query with this pair key. As with
-// single-stream groups, the member's private tail runs as its own
-// transition under the query's name, so pause/resume/drop of one join
-// query never stalls its siblings or the shared slicing.
-//
-// A side whose stream is exported to the shard fabric gets its own
-// slicing spec (the spec key carries a #L / #R suffix so the two sides of
-// one group stay distinct on the wire): the workers co-partition that
-// stream's shards and ship sealed epoch fragments into the side's merger
-// via OfferRemote, while pairing — and the join itself — stays
-// coordinator-side, where the members' shared pair caches live. The sides
-// are independent, so a remote stream can join a local one. keySuffix
-// privatizes the group for isolated queries, as in joinGroup.
-func (e *Engine) joinJoinGroup(q *Query, left, right *plan.ScanStream, keySuffix string) error {
-	key := plan.JoinGroupKey(left, right) + keySuffix
-	scans := [2]*plan.ScanStream{left, right}
-	var mem *factory.JoinMember
-	var createErr error
-	gv, n := e.cat.JoinGroup(key, func() any {
-		gname := fmt.Sprintf("group:%s#%d", key, e.groupSeq.Add(1))
-		cfg := factory.JoinGroupConfig{
-			Key:          key,
-			SchedGroup:   gname,
-			Left:         left,
-			Right:        right,
-			Now:          e.now,
-			NotifyMember: func(query string) { e.sched.NotifyGroup(query) },
-			NotifyShards: func() { e.sched.NotifyGroup(gname) },
-		}
-		var specs [2]*FabricSpec
-		for side, sc := range scans {
-			if sc.Stream.RemoteTag() == "" {
-				continue
-			}
-			fab := e.fabricHandler()
-			if fab == nil {
-				createErr = fmt.Errorf("datacell: stream %q is exported to the shard fabric but no fabric is attached", sc.Stream.Name)
-				return nil
-			}
-			spec, err := fab.AddSpec(sc.Stream.Name, fmt.Sprintf("%s#%c", key, "LR"[side]), sc.Window, sc.Out)
-			if err != nil {
-				createErr = err
-				if specs[0] != nil {
-					specs[0].Drop()
-				}
-				return nil
-			}
-			specs[side] = spec
-			cfg.Remote[side] = &factory.RemoteSource{
-				Shards:  spec.Shards,
-				Advance: spec.Advance,
-				Close:   spec.Drop,
-			}
-		}
-		g := factory.NewJoinGroup(cfg)
-		// Join the creating member before the shard transitions (or the
-		// fabric feeds) go live so no basic window can seal against an
-		// empty member list.
-		mem = g.Join(q.name, q.fac)
-		for side := 0; side < 2; side++ {
-			if specs[side] != nil {
-				side, spec := side, specs[side]
-				spec.Attach(joinSideOffer{g: g, side: side})
-				continue
-			}
-			for sh := 0; sh < g.NumShards(side); sh++ {
-				side, sh := side, sh
-				e.sched.Add(&scheduler.Transition{
-					Name:     fmt.Sprintf("%s/%d.%d", gname, side, sh),
-					Group:    gname,
-					Affinity: sh,
-					Ready:    func() bool { return g.ShardReady(side, sh) },
-					Fire:     func() { g.FireShard(side, sh) },
-				})
-			}
-		}
-		g.SubscribeAppend()
-		return g
-	})
-	if createErr != nil || gv == nil {
-		e.cat.LeaveGroup(key)
-		if createErr == nil {
-			createErr = fmt.Errorf("datacell: group %q failed to initialize", key)
-		}
-		return createErr
-	}
-	g := gv.(*factory.JoinGroup)
-	if mem == nil {
-		mem = g.Join(q.name, q.fac)
-	}
-	q.groupKey, q.groupSched = key, g.SchedGroup()
-	q.leaveGroup = func() { g.Leave(mem) }
-	q.closeGroup = g.Close
-
 	e.sched.Add(&scheduler.Transition{
 		Name:     q.name + "/tail",
 		Group:    q.name,

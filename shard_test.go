@@ -52,7 +52,7 @@ func runSharded(t *testing.T, ddl, sql string, mode Mode, chunks []*bat.Chunk) [
 		t.Fatal(err)
 	}
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestShardedConcurrentProducers(t *testing.T) {
 				for j := 0; j < 50; j++ {
 					_ = c.AppendRow(bat.TimeValue(int64(i+j)), bat.IntValue(int64(p*1000+i+j)), bat.FloatValue(1))
 				}
-				if err := eng.AppendChunk("s", c); err != nil {
+				if err := eng.Append("s", c); err != nil {
 					t.Error(err)
 					return
 				}
@@ -354,7 +354,7 @@ func TestShardedFloatKeyRouting(t *testing.T) {
 		// All keys in [0, 1): truncation would route every row to one shard.
 		_ = c.AppendRow(bat.TimeValue(int64(i)), bat.IntValue(int64(i)), bat.FloatValue(float64(i)/64))
 	}
-	if err := eng.AppendChunk("s", c); err != nil {
+	if err := eng.Append("s", c); err != nil {
 		t.Fatal(err)
 	}
 	bk, _ := eng.Basket("s")

@@ -64,7 +64,7 @@ func TestPostMergeShareEquivalence(t *testing.T) {
 			isoQs[i] = q
 		}
 		for _, c := range chunks {
-			if err := iso.AppendChunk("s", c); err != nil {
+			if err := iso.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -91,7 +91,7 @@ func TestPostMergeShareEquivalence(t *testing.T) {
 			qs[i] = q
 		}
 		for _, c := range chunks {
-			if err := eng.AppendChunk("s", c); err != nil {
+			if err := eng.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -164,7 +164,7 @@ func TestSharedMergeOncePerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range chunks {
-		if err := one.AppendChunk("s", c); err != nil {
+		if err := one.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestSharedMergeOncePerWindow(t *testing.T) {
 		qs[i] = q
 	}
 	for _, c := range chunks {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestSharedMergePauseResume(t *testing.T) {
 	}
 	qs[2].Pause()
 	for _, c := range shardTestChunks(120, 10, 4) {
-		if err := eng.AppendChunk("s", c); err != nil {
+		if err := eng.Append("s", c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestSharedMergeAblation(t *testing.T) {
 			qs = append(qs, q)
 		}
 		for _, c := range chunks {
-			_ = eng.AppendChunk("s", c)
+			_ = eng.Append("s", c)
 		}
 		eng.Drain()
 		var all [][]string

@@ -82,13 +82,13 @@ func hitRate(hits, misses int64) float64 {
 }
 
 // factoryGroups resolves the catalog's opaque group registry entries to
-// their runtime contract, sorted by key — the one place the any-typed
-// catalog boundary is crossed.
-func (e *Engine) factoryGroups() []factory.SharedGroup {
-	var out []factory.SharedGroup
+// their groups, sorted by key — the one place the any-typed catalog
+// boundary is crossed.
+func (e *Engine) factoryGroups() []*factory.Group {
+	var out []*factory.Group
 	for _, key := range e.cat.GroupKeys() {
 		if gv, ok := e.cat.Group(key); ok {
-			if g, ok := gv.(factory.SharedGroup); ok {
+			if g, ok := gv.(*factory.Group); ok {
 				out = append(out, g)
 			}
 		}

@@ -24,7 +24,7 @@ type TenantQuota struct {
 	// Query.Stop) releases the slot. 0 means unlimited.
 	MaxQueries int
 	// MaxAppendRowsPerSec rate-limits the tenant's ingest through
-	// AppendTenant/AppendChunkTenant with a token bucket (burst of one
+	// Append(..., AsTenant(t)) with a token bucket (burst of one
 	// second's allowance). Over-rate appends block until tokens refill —
 	// backpressure, not an error. 0 means unlimited.
 	MaxAppendRowsPerSec float64
@@ -292,28 +292,10 @@ func (ts *tenantState) finishThrottleLocked(waited bool, start time.Time) {
 	}
 }
 
-// AppendTenant pushes rows into a stream's basket on a tenant's account:
-// the rows count against the tenant's append-rate quota and block under
-// its consumer-lag backpressure before entering the ordinary append path
-// (which is shared — a throttled tenant delays only itself).
-//
-// Deprecated: use Append(stream, rows..., AsTenant(tenant)).
-func (e *Engine) AppendTenant(tenant, stream string, rows ...[]any) error {
-	return e.appendRows(stream, tenant, rows...)
-}
-
-// AppendChunkTenant is AppendTenant for a pre-built columnar chunk — the
-// zero-boxing tenant ingest path used by the multi-tenant harness.
-//
-// Deprecated: use Append(stream, c, AsTenant(tenant)).
-func (e *Engine) AppendChunkTenant(tenant, stream string, c *bat.Chunk) error {
-	return e.appendChunkAs(stream, c, tenant)
-}
-
 // bindIngest records that the query's tenant claims the query's input
 // streams: while the binding holds, anonymous appends to those streams
 // (receptors, INSERT, plain Append) are admitted through the tenant's
-// token bucket and lag backpressure exactly like AppendTenant. Refcounted
+// token bucket and lag backpressure exactly like an AsTenant append. Refcounted
 // per (stream, tenant) so two queries of one tenant over one stream
 // release cleanly in either order.
 func (e *Engine) bindIngest(q *Query) {
@@ -391,7 +373,7 @@ func dedupStrings(in []string) []string {
 
 // IngestAppender wraps a stream's basket in the tenant-gated append
 // path: receptors hand it to ListenTCP/ReplayCSV so network ingest on a
-// tenant-bound stream is throttled identically to AppendTenant (same
+// tenant-bound stream is throttled identically to an AsTenant append (same
 // token bucket, same ThrottledAppends accounting). On an unbound stream
 // it is a zero-overhead pass-through.
 func (e *Engine) IngestAppender(stream string) (basket.Appender, error) {

@@ -91,7 +91,7 @@ func TestTenantAppendRateLimit(t *testing.T) {
 	}
 	start := time.Now()
 	for i := 0; i < 15; i++ { // 1500 rows total
-		if err := e.AppendTenant("acme", "s", batch...); err != nil {
+		if err := e.Append("s", batch, AsTenant("acme")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,8 +116,8 @@ func TestTenantLagBackpressure(t *testing.T) {
 	// quota arms only afterwards, so this backlog feed is not itself
 	// throttled.
 	for i := 0; i < 10; i += 2 {
-		if err := e.AppendTenant("slow", "s", []any{time.UnixMicro(clock.Load()), 1.0},
-			[]any{time.UnixMicro(clock.Load()), 2.0}); err != nil {
+		if err := e.Append("s", []any{time.UnixMicro(clock.Load()), 1.0},
+			[]any{time.UnixMicro(clock.Load()), 2.0}, AsTenant("slow")); err != nil {
 			t.Fatal(err)
 		}
 		e.Drain()
@@ -130,7 +130,7 @@ func TestTenantLagBackpressure(t *testing.T) {
 	// The next tenant append must block until the consumer drains.
 	released := make(chan struct{})
 	go func() {
-		_ = e.AppendTenant("slow", "s", []any{time.UnixMicro(clock.Load()), 3.0})
+		_ = e.Append("s", []any{time.UnixMicro(clock.Load()), 3.0}, AsTenant("slow"))
 		close(released)
 	}()
 	select {
@@ -166,7 +166,7 @@ func TestTenantThrottledResultsIdentical(t *testing.T) {
 			if tenant == "" {
 				err = e.Append("s", rows[i:i+4])
 			} else {
-				err = e.AppendTenant(tenant, "s", rows[i:i+4]...)
+				err = e.Append("s", rows[i:i+4], AsTenant(tenant))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -226,7 +226,7 @@ func TestEngineMetricsCollector(t *testing.T) {
 	mustExec(t, e, "REGISTER QUERY q0 TENANT acme AS SELECT avg(v) FROM s [SIZE 4 SLIDE 4]")
 	mustExec(t, e, "REGISTER QUERY q1 TENANT acme AS SELECT sum(v) FROM s [SIZE 4 SLIDE 4]")
 	for i := 0; i < 16; i++ {
-		if err := e.AppendTenant("acme", "s", []any{time.UnixMicro(clock.Load()), float64(i)}); err != nil {
+		if err := e.Append("s", []any{time.UnixMicro(clock.Load()), float64(i)}, AsTenant("acme")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func TestSetTenantQuotaDDL(t *testing.T) {
 
 // TestTenantGatedReceptorIngest is the satellite regression check:
 // receptor-path ingest into a stream whose registering query carries
-// TENANT t is throttled through the same token bucket as AppendTenant —
+// TENANT t is throttled through the same token bucket as an AsTenant append —
 // same row accounting, same throttle counters, same pacing.
 func TestTenantGatedReceptorIngest(t *testing.T) {
 	e, _ := newTestEngine(t)
@@ -337,7 +337,7 @@ func TestTenantGatedReceptorIngest(t *testing.T) {
 	go func() {
 		var err error
 		for i := 0; i < 1500 && err == nil; i += 100 {
-			err = e.AppendTenant("direct", "r2", rows[i:i+100]...)
+			err = e.Append("r2", rows[i:i+100], AsTenant("direct"))
 		}
 		directElapsed = time.Since(start)
 		done <- err
@@ -365,7 +365,7 @@ func TestTenantGatedReceptorIngest(t *testing.T) {
 		t.Errorf("receptor ingest was not throttled: %+v", gated)
 	}
 	if direct.ThrottledAppends == 0 {
-		t.Errorf("AppendTenant baseline was not throttled: %+v", direct)
+		t.Errorf("AsTenant baseline was not throttled: %+v", direct)
 	}
 	if gatedElapsed < 300*time.Millisecond || directElapsed < 300*time.Millisecond {
 		t.Errorf("pacing differs from quota: gated=%v direct=%v, want both >= ~500ms", gatedElapsed, directElapsed)
