@@ -334,12 +334,13 @@ type Member struct {
 	leaf    []*dagNode // per-side pipeline leaves (nil: evaluate privately)
 	aggLeaf *dagNode   // partial-aggregate node (one-sided groups only)
 
-	// Join pair-cache state (two-sided groups only): the cache of the
-	// member's join fingerprint and its window extent, released from the
-	// cache on Leave.
+	// parts is the member's window extent in basic windows: its merge
+	// class's ring length and, in a two-sided group, what it retains in
+	// (and releases from, on Leave) pc, the shared pair cache of its join
+	// fingerprint pcKey.
+	parts int
 	pcKey string
 	pc    *window.SharedPairCache
-	parts int
 
 	// Shared-merge state. classKey is the member's merge-class key (""
 	// when the member merges privately: re-evaluation scans, non-
@@ -355,7 +356,7 @@ type Member struct {
 	// one-sided member's windows are numbered by it. It is touched only
 	// by fanout (under the front end's mergeMu, or seqMu for two sides).
 	seen []int64
-	q    memberQueue[memberBW]
+	q    memberQueue
 }
 
 // memberBW is one fanned-out basic window: its side, the member's

@@ -10,19 +10,17 @@ import (
 // tail firing. enqueue refuses items after close (the fan-out then
 // releases the item's buffers itself), drain empties in order, and
 // ready mirrors the length in an atomic so scheduler Ready callbacks
-// never wait on the mutex. Single-stream members (memberBW items) and
-// join members (joinEvent items) share it, so the closed/pending
-// bookkeeping exists exactly once.
-type memberQueue[T any] struct {
+// never wait on the mutex.
+type memberQueue struct {
 	mu       sync.Mutex
-	pending  []T
+	pending  []memberBW
 	closed   bool
 	pendingN atomic.Int64 // mirrors len(pending) for lock-free ready
 }
 
 // enqueue appends an item; false means the member already left and the
 // caller must release the item's resources.
-func (q *memberQueue[T]) enqueue(item T) bool {
+func (q *memberQueue) enqueue(item memberBW) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -34,7 +32,7 @@ func (q *memberQueue[T]) enqueue(item T) bool {
 }
 
 // drain removes and returns everything queued, in order.
-func (q *memberQueue[T]) drain() []T {
+func (q *memberQueue) drain() []memberBW {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	items := q.pending
@@ -45,7 +43,7 @@ func (q *memberQueue[T]) drain() []T {
 
 // closeDrain marks the queue closed and returns anything still queued
 // for the caller to release.
-func (q *memberQueue[T]) closeDrain() []T {
+func (q *memberQueue) closeDrain() []memberBW {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
@@ -57,4 +55,4 @@ func (q *memberQueue[T]) closeDrain() []T {
 
 // ready reports whether items await the member's tail (atomic read
 // only; the scheduler calls it under its own lock).
-func (q *memberQueue[T]) ready() bool { return q.pendingN.Load() > 0 }
+func (q *memberQueue) ready() bool { return q.pendingN.Load() > 0 }
