@@ -36,16 +36,19 @@ func Group(keys []bat.Vector, sel Sel, n int) Grouping {
 // tables — the pre-sizing baseline when no cardinality estimate exists.
 const defaultGroupHint = 64
 
-// GroupHint is Group with an explicit hash-table capacity hint, fed by
-// observed per-window group cardinality (the factory remembers each
-// pipeline's last output size). The hint only pre-sizes the group table —
-// group ids, representatives and ordering are identical for every hint, so
-// callers may pass any estimate without affecting results.
+// GroupHint is Group with an explicit capacity hint, fed by observed
+// per-window group cardinality (the factory remembers each pipeline's
+// last output size). The hint only pre-sizes the hash table and the
+// representative list — group ids, representatives and ordering are
+// identical for every hint, so callers may pass any estimate without
+// affecting results.
 //
 // Keys of the integer family (Int, Time) — one column or several — group
-// through an open-addressing table (groupInts); a single string key uses a
-// string map, and any composite holding a float, string or bool column
-// goes through the binary key encoding.
+// through groupInts: a direct table indexed by the mixed-radix key when
+// the columns' observed ranges multiply to a small domain, an
+// open-addressing hash table otherwise. A single string key uses a string
+// map, and any composite holding a float, string or bool column goes
+// through the binary key encoding.
 func GroupHint(keys []bat.Vector, sel Sel, n, hint int) Grouping {
 	rows := SelLen(sel, n)
 	if hint <= 0 {
@@ -86,9 +89,10 @@ func allIntKind(keys []bat.Vector) bool {
 	return true
 }
 
-// hashScratch recycles the per-row hash buffers of groupInts: they live
-// only for one Group call, and the shared aggregate path groups every
-// basic window, so a fresh buffer per call would be pure garbage.
+// hashScratch recycles the per-row scratch of groupInts (hashes, or
+// mixed-radix keys on the direct-table path): it lives only for one
+// Group call, and the shared aggregate path groups every basic window,
+// so a fresh buffer per call would be pure garbage.
 var hashScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // hashMul is the 64-bit golden-ratio multiplier: one multiply spreads a
@@ -166,9 +170,14 @@ func (t *groupTable) grow() {
 	}
 }
 
-// groupInts groups rows over integer-family key columns (any number). The
-// per-row hashes are computed one column at a time into a pooled scratch
-// buffer, then one probe pass assigns the groups.
+// groupInts groups rows over integer-family key columns (any number).
+// When the key columns' observed ranges over the qualifying rows multiply
+// to a small domain, groupDense indexes a direct table by the mixed-radix
+// key and never hashes or probes. Otherwise the per-row hashes are
+// computed one column at a time into a pooled scratch buffer, then one
+// probe pass assigns the groups. Both paths number groups in
+// first-appearance order, so ids and representatives do not depend on
+// the path taken.
 func groupInts(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
 	cols := make([][]int64, len(keys))
 	for c, k := range keys {
@@ -179,6 +188,10 @@ func groupInts(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
 		*bp = make([]uint64, rows)
 	}
 	h := (*bp)[:rows]
+	defer hashScratch.Put(bp)
+	if g, ok := groupDense(cols, sel, rows, hint, h); ok {
+		return g
+	}
 	for c, xs := range cols {
 		hashInts(h, xs, sel, c == 0)
 	}
@@ -186,8 +199,133 @@ func groupInts(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
 	g := Grouping{GIDs: make([]int32, rows), Repr: make(Sel, 0, min(hint, rows))}
 	t.probe(&g, cols, sel, h)
 	g.N = len(t.hash)
-	hashScratch.Put(bp)
 	return g
+}
+
+// maxDenseCols caps the key width groupDense handles: its per-column
+// bounds live in fixed arrays on the stack, so the dense path allocates
+// nothing beyond the grouping itself. Wider keys hash.
+const maxDenseCols = 8
+
+// denseLimit is the largest key domain groupDense indexes directly for a
+// grouping over rows qualifying rows. Clearing a table of that many
+// slots costs no more than a pass over the rows, so the direct table is
+// never asymptotically worse than hashing.
+func denseLimit(rows int) uint64 { return uint64(max(2*rows, 1024)) }
+
+// denseScratch recycles groupDense's direct tables (slots hold id+1,
+// 0 = empty); each is cleared to the domain's size before use.
+var denseScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// groupDense groups rows through a direct table when the key domain —
+// the product of the columns' observed ranges (max − min + 1) over the
+// qualifying rows — is at most denseLimit(rows). ok is false (and
+// nothing is allocated) otherwise. key is scratch for one mixed-radix
+// key per row.
+func groupDense(cols [][]int64, sel Sel, rows, hint int, key []uint64) (g Grouping, ok bool) {
+	if len(cols) > maxDenseCols {
+		return g, false
+	}
+	var lo [maxDenseCols]int64
+	var size [maxDenseCols]uint64
+	limit, domain := denseLimit(rows), uint64(1)
+	for c, xs := range cols {
+		// A column fits when span < limit/domain, i.e. when
+		// domain·(span+1) ≤ limit: the running product never exceeds
+		// limit, so it cannot overflow.
+		l, span, fits := colSpan(xs, sel, limit/domain)
+		if !fits {
+			return g, false
+		}
+		lo[c], size[c] = l, span+1
+		domain *= span + 1
+	}
+	for c, xs := range cols {
+		denseKeys(key, xs, sel, lo[c], size[c], c == 0)
+	}
+	tp := denseScratch.Get().(*[]int32)
+	if uint64(cap(*tp)) < domain {
+		*tp = make([]int32, domain)
+	}
+	slots := (*tp)[:domain]
+	clear(slots)
+	g = Grouping{GIDs: make([]int32, rows), Repr: make(Sel, 0, min(hint, rows))}
+	for k, x := range key {
+		id := slots[x]
+		if id == 0 {
+			i := int32(k)
+			if sel != nil {
+				i = sel[k]
+			}
+			g.Repr = append(g.Repr, i)
+			id = int32(len(g.Repr))
+			slots[x] = id
+		}
+		g.GIDs[k] = id - 1
+	}
+	g.N = len(g.Repr)
+	denseScratch.Put(tp)
+	return g, true
+}
+
+// colSpan returns the minimum of xs over the qualifying rows and the
+// span from it to the maximum, exact in uint64 even when hi−lo overflows
+// int64 (both 0 when no row qualifies). ok is false once the span seen so
+// far reaches maxSpan: the rows are scanned in blocks and a key too wide
+// for the direct table is given up on after the first block that shows
+// it, so the hash fallback pays for a prefix rather than a full pass.
+func colSpan(xs []int64, sel Sel, maxSpan uint64) (lo int64, span uint64, ok bool) {
+	const block = 256
+	n := SelLen(sel, len(xs))
+	if n == 0 {
+		return 0, 0, true
+	}
+	if sel == nil {
+		lo = xs[0]
+	} else {
+		lo = xs[sel[0]]
+	}
+	hi := lo
+	for start := 0; start < n; start += block {
+		end := min(start+block, n)
+		if sel == nil {
+			for _, x := range xs[start:end] {
+				lo, hi = min(lo, x), max(hi, x)
+			}
+		} else {
+			for _, i := range sel[start:end] {
+				lo, hi = min(lo, xs[i]), max(hi, xs[i])
+			}
+		}
+		if uint64(hi)-uint64(lo) >= maxSpan {
+			return lo, 0, false
+		}
+	}
+	return lo, uint64(hi) - uint64(lo), true
+}
+
+// denseKeys folds one key column into the per-row mixed-radix keys:
+// first starts the fold, later columns scale the running key by their
+// size and add their offset from the column minimum.
+func denseKeys(key []uint64, xs []int64, sel Sel, lo int64, size uint64, first bool) {
+	switch {
+	case sel == nil && first:
+		for k := range key {
+			key[k] = uint64(xs[k]) - uint64(lo)
+		}
+	case sel == nil:
+		for k := range key {
+			key[k] = key[k]*size + (uint64(xs[k]) - uint64(lo))
+		}
+	case first:
+		for k, i := range sel {
+			key[k] = uint64(xs[i]) - uint64(lo)
+		}
+	default:
+		for k, i := range sel {
+			key[k] = key[k]*size + (uint64(xs[i]) - uint64(lo))
+		}
+	}
 }
 
 // probe assigns each qualifying row its group, registering new groups in

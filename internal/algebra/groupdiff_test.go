@@ -247,3 +247,97 @@ func TestGroupEmptySelection(t *testing.T) {
 		}
 	}
 }
+
+// denseChosen reports whether groupInts takes the direct-table path for
+// these keys over all n rows.
+func denseChosen(keys []bat.Vector, n int) bool {
+	cols := make([][]int64, len(keys))
+	for c, k := range keys {
+		cols[c] = bat.AsInts(k)
+	}
+	_, ok := groupDense(cols, nil, n, 0, make([]uint64, n))
+	return ok
+}
+
+// spanCol draws n values in [lo, lo+size) that include both ends, so the
+// column's observed span is exactly size−1.
+func spanCol(rng *rand.Rand, n int, lo int64, size uint64) bat.Ints {
+	xs := make(bat.Ints, n)
+	for i := range xs {
+		xs[i] = lo + int64(rng.Uint64()%size)
+	}
+	xs[0], xs[n-1] = lo, lo+int64(size-1)
+	return xs
+}
+
+// TestGroupDifferentialDenseBoundaries pins where the direct table takes
+// over from the hash table — a key domain exactly at denseLimit(rows) is
+// dense, one slot more hashes — and the range arithmetic at the edges:
+// negative minimums, a column whose hi−lo overflows int64, and column
+// sizes whose product wraps uint64 to zero. Every case must equal the
+// map reference on either path, for every hint and selection.
+func TestGroupDifferentialDenseBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type tc struct {
+		name  string
+		keys  []bat.Vector
+		dense bool
+	}
+	var cases []tc
+	for _, n := range []int{5, 600} {
+		limit := denseLimit(n)
+		cases = append(cases,
+			tc{fmt.Sprintf("n=%d one column at limit", n),
+				[]bat.Vector{spanCol(rng, n, -3, limit)}, true},
+			tc{fmt.Sprintf("n=%d one column past limit", n),
+				[]bat.Vector{spanCol(rng, n, -3, limit+1)}, false},
+			tc{fmt.Sprintf("n=%d two columns at limit", n),
+				[]bat.Vector{spanCol(rng, n, 7, 8), spanCol(rng, n, -1000, limit/8)}, true},
+			tc{fmt.Sprintf("n=%d two columns one slot past", n),
+				[]bat.Vector{spanCol(rng, n, 0, limit+1), bat.Ints(make([]int64, n))}, false},
+			tc{fmt.Sprintf("n=%d three columns past limit", n),
+				[]bat.Vector{spanCol(rng, n, 0, 2), spanCol(rng, n, 0, limit/2+1), spanCol(rng, n, 5, 1)}, false},
+		)
+	}
+	cases = append(cases,
+		tc{"negative minimums", []bat.Vector{
+			spanCol(rng, 300, -500, 4), bat.Times(spanCol(rng, 300, math.MinInt64, 3)), spanCol(rng, 300, -2, 5)}, true},
+		tc{"hi-lo overflows int64", []bat.Vector{spanCol(rng, 200, 0, 2), func() bat.Vector {
+			xs := spanCol(rng, 200, 0, 4)
+			xs[7] = math.MinInt64
+			return xs
+		}()}, false},
+		tc{"hi-lo overflows int64 exactly", []bat.Vector{func() bat.Vector {
+			xs := spanCol(rng, 200, -1, 3)
+			xs[0], xs[1] = math.MinInt64, math.MaxInt64
+			return xs
+		}()}, false},
+		tc{"single row", []bat.Vector{spanCol(rng, 1, math.MaxInt64, 1), spanCol(rng, 1, -9, 1)}, true},
+		tc{"more columns than the dense path takes", func() []bat.Vector {
+			keys := make([]bat.Vector, maxDenseCols+1)
+			for c := range keys {
+				keys[c] = spanCol(rng, 50, int64(c), 2)
+			}
+			return keys
+		}(), false},
+	)
+	// Four columns of 2¹⁶ values each: every span is under the limit of
+	// 2¹⁵ rows, and their product is 2⁶⁴, which wraps a uint64 to zero.
+	const wide = 1 << 15
+	wrap := make([]bat.Vector, 4)
+	for c := range wrap {
+		wrap[c] = spanCol(rng, wide, int64(c)<<20, 1<<16)
+	}
+	if denseLimit(wide) != 1<<16 {
+		t.Fatalf("denseLimit(%d) = %d; the wrap case assumes 2¹⁶", wide, denseLimit(wide))
+	}
+	cases = append(cases, tc{"product wraps uint64", wrap, false})
+
+	for _, c := range cases {
+		n := c.keys[0].Len()
+		if got := denseChosen(c.keys, n); got != c.dense {
+			t.Errorf("%s: dense path taken = %v, want %v", c.name, got, c.dense)
+		}
+		checkAgainstRef(t, c.name, c.keys, rng)
+	}
+}

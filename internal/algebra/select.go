@@ -11,6 +11,7 @@ package algebra
 
 import (
 	"fmt"
+	"sync"
 
 	"datacell/internal/bat"
 )
@@ -89,120 +90,150 @@ func Select(v bat.Vector, sel Sel, op CmpOp, c bat.Value) Sel {
 	panic(fmt.Sprintf("algebra: Select on unknown vector %T", v))
 }
 
-// SelectRange filters v to lo <= x <= hi (bounds optional, inclusivity
-// configurable), in one pass — the MonetDB theta-select. Nil bounds are
-// open.
-func SelectRange(v bat.Vector, sel Sel, lo, hi *bat.Value, loIncl, hiIncl bool) Sel {
-	switch xs := v.(type) {
-	case bat.Ints:
-		return selectRange(xs, sel, intBound(lo), intBound(hi), loIncl, hiIncl, lo != nil, hi != nil)
-	case bat.Times:
-		return selectRange(xs, sel, intBound(lo), intBound(hi), loIncl, hiIncl, lo != nil, hi != nil)
-	case bat.Floats:
-		return selectRange(xs, sel, floatBound(lo), floatBound(hi), loIncl, hiIncl, lo != nil, hi != nil)
-	case bat.Strs:
-		return selectRange(xs, sel, strBound(lo), strBound(hi), loIncl, hiIncl, lo != nil, hi != nil)
+// selScratch recycles the candidate buffers of the select kernels: each
+// call writes every candidate position into one and copies out only the
+// survivors, so the buffer lives for a single call.
+var selScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// candBuf returns a pooled buffer with room for n candidate positions.
+func candBuf(n int) (*[]int32, []int32) {
+	bp := selScratch.Get().(*[]int32)
+	if cap(*bp) < n {
+		*bp = make([]int32, n)
 	}
-	panic(fmt.Sprintf("algebra: SelectRange on %s vector", v.Kind()))
+	return bp, (*bp)[:n]
 }
 
-func intBound(v *bat.Value) int64 {
-	if v == nil {
-		return 0
-	}
-	return v.AsInt()
-}
-
-func floatBound(v *bat.Value) float64 {
-	if v == nil {
-		return 0
-	}
-	return v.AsFloat()
-}
-
-func strBound(v *bat.Value) string {
-	if v == nil {
-		return ""
-	}
-	return v.S
-}
-
-// selectCmp is the generic single-comparison kernel. The comparison
-// operator is hoisted out of the loop (one loop per op) so the inner loops
-// stay branch-predictable, in the bulk-processing style the paper relies
-// on.
-func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
-	out := make(Sel, 0, SelLen(sel, len(xs))/4+4)
-	push := func(i int32) { out = append(out, i) }
-	switch op {
-	case EQ:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x == c {
-				push(i)
-			}
-		})
-	case NE:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x != c {
-				push(i)
-			}
-		})
-	case LT:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x < c {
-				push(i)
-			}
-		})
-	case LE:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x <= c {
-				push(i)
-			}
-		})
-	case GT:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x > c {
-				push(i)
-			}
-		})
-	case GE:
-		eachSel(xs, sel, func(i int32, x T) {
-			if x >= c {
-				push(i)
-			}
-		})
-	}
+// survivors copies the k kept positions out of a candidate buffer into an
+// exactly sized candidate list and returns the buffer to the pool.
+// Appending to an empty non-nil list allocates without first zeroing the
+// memory the copy overwrites, and keeps an empty result non-nil (nil
+// would select every row).
+func survivors(bp *[]int32, buf []int32, k int) Sel {
+	out := append(Sel{}, buf[:k]...)
+	selScratch.Put(bp)
 	return out
 }
 
-func selectBool(xs []bool, sel Sel, op CmpOp, c bool) Sel {
-	out := make(Sel, 0, 8)
-	eachSel(xs, sel, func(i int32, x bool) {
-		keep := false
+// selectCmp is the generic single-comparison kernel, written predicated
+// rather than branchy: every candidate position is stored into the
+// scratch buffer and the write cursor advances by the comparison's
+// outcome, so the loop carries no data-dependent branch and the result
+// is copied out once at its exact size. The operator is hoisted out of
+// the loops (one loop per operator and access path).
+func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
+	bp, buf := candBuf(SelLen(sel, len(xs)))
+	k := 0
+	if sel == nil {
 		switch op {
 		case EQ:
-			keep = x == c
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x == c)
+			}
 		case NE:
-			keep = x != c
-		default:
-			// Ordered comparisons on booleans use false < true.
-			bi, ci := b2i(x), b2i(c)
-			switch op {
-			case LT:
-				keep = bi < ci
-			case LE:
-				keep = bi <= ci
-			case GT:
-				keep = bi > ci
-			case GE:
-				keep = bi >= ci
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x != c)
+			}
+		case LT:
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x < c)
+			}
+		case LE:
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x <= c)
+			}
+		case GT:
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x > c)
+			}
+		case GE:
+			for i, x := range xs {
+				buf[k] = int32(i)
+				k += b2i(x >= c)
 			}
 		}
-		if keep {
-			out = append(out, i)
+		return survivors(bp, buf, k)
+	}
+	switch op {
+	case EQ:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] == c)
 		}
-	})
-	return out
+	case NE:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] != c)
+		}
+	case LT:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] < c)
+		}
+	case LE:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] <= c)
+		}
+	case GT:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] > c)
+		}
+	case GE:
+		for _, i := range sel {
+			buf[k] = i
+			k += b2i(xs[i] >= c)
+		}
+	}
+	return survivors(bp, buf, k)
+}
+
+// selectBool decides the comparison once per boolean value (ordered
+// comparisons use false < true) and collects through a two-entry keep
+// table indexed by each row's value.
+func selectBool(xs []bool, sel Sel, op CmpOp, c bool) Sel {
+	var keep [2]int
+	for x := range keep {
+		keep[x] = b2i(cmpInts(x, b2i(c), op))
+	}
+	bp, buf := candBuf(SelLen(sel, len(xs)))
+	k := 0
+	if sel == nil {
+		for i, x := range xs {
+			buf[k] = int32(i)
+			k += keep[b2i(x)]
+		}
+	} else {
+		for _, i := range sel {
+			buf[k] = i
+			k += keep[b2i(xs[i])]
+		}
+	}
+	return survivors(bp, buf, k)
+}
+
+func cmpInts(a, b int, op CmpOp) bool {
+	switch op {
+	case EQ:
+		return a == b
+	case NE:
+		return a != b
+	case LT:
+		return a < b
+	case LE:
+		return a <= b
+	case GT:
+		return a > b
+	case GE:
+		return a >= b
+	}
+	return false
 }
 
 func b2i(b bool) int {
@@ -210,32 +241,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func selectRange[T int64 | float64 | string](xs []T, sel Sel, lo, hi T, loIncl, hiIncl, hasLo, hasHi bool) Sel {
-	out := make(Sel, 0, SelLen(sel, len(xs))/4+4)
-	eachSel(xs, sel, func(i int32, x T) {
-		if hasLo {
-			if loIncl {
-				if x < lo {
-					return
-				}
-			} else if x <= lo {
-				return
-			}
-		}
-		if hasHi {
-			if hiIncl {
-				if x > hi {
-					return
-				}
-			} else if x >= hi {
-				return
-			}
-		}
-		out = append(out, i)
-	})
-	return out
 }
 
 // eachSel iterates a slice restricted to a candidate list.

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,23 +82,6 @@ func TestSelectTimes(t *testing.T) {
 	}
 }
 
-func TestSelectRange(t *testing.T) {
-	v := ints(1, 2, 3, 4, 5)
-	lo, hi := bat.IntValue(2), bat.IntValue(4)
-	if got := SelectRange(v, nil, &lo, &hi, true, true); !selEqual(got, Sel{1, 2, 3}) {
-		t.Errorf("closed range = %v", got)
-	}
-	if got := SelectRange(v, nil, &lo, &hi, false, false); !selEqual(got, Sel{2}) {
-		t.Errorf("open range = %v", got)
-	}
-	if got := SelectRange(v, nil, &lo, nil, true, true); !selEqual(got, Sel{1, 2, 3, 4}) {
-		t.Errorf("lower-only range = %v", got)
-	}
-	if got := SelectRange(v, nil, nil, &hi, true, false); !selEqual(got, Sel{0, 1, 2}) {
-		t.Errorf("upper-only range = %v", got)
-	}
-}
-
 func TestSelSetOps(t *testing.T) {
 	a, b := Sel{1, 3, 5}, Sel{3, 4, 5, 7}
 	if got := SelIntersect(a, b); !selEqual(got, Sel{3, 5}) {
@@ -128,34 +113,8 @@ func TestAllSelAndSelLen(t *testing.T) {
 	}
 }
 
-// naiveSelect is the row-at-a-time reference.
-func naiveSelect(xs []int64, op CmpOp, c int64) Sel {
-	var out Sel
-	for i, x := range xs {
-		keep := false
-		switch op {
-		case EQ:
-			keep = x == c
-		case NE:
-			keep = x != c
-		case LT:
-			keep = x < c
-		case LE:
-			keep = x <= c
-		case GT:
-			keep = x > c
-		case GE:
-			keep = x >= c
-		}
-		if keep {
-			out = append(out, int32(i))
-		}
-	}
-	if out == nil {
-		out = Sel{}
-	}
-	return out
-}
+// naiveSelect is the row-at-a-time reference over a whole int column.
+func naiveSelect(xs []int64, op CmpOp, c int64) Sel { return naiveCmp(xs, nil, op, c) }
 
 // Property: bulk Select ≡ naive row-at-a-time select for every operator.
 func TestQuickSelectMatchesNaive(t *testing.T) {
@@ -178,26 +137,191 @@ func TestQuickSelectMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: SelectRange ≡ composing two Selects.
-func TestQuickSelectRangeMatchesComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 200; iter++ {
-		n := rng.Intn(50)
-		xs := make([]int64, n)
-		for i := range xs {
-			xs[i] = int64(rng.Intn(20))
+// naiveCmp is the row-at-a-time reference for one comparison over the
+// candidates of sel (nil = all rows).
+func naiveCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
+	out := Sel{}
+	if sel == nil {
+		sel = AllSel(len(xs))
+	}
+	for _, i := range sel {
+		x, keep := xs[i], false
+		switch op {
+		case EQ:
+			keep = x == c
+		case NE:
+			keep = x != c
+		case LT:
+			keep = x < c
+		case LE:
+			keep = x <= c
+		case GT:
+			keep = x > c
+		case GE:
+			keep = x >= c
 		}
-		lo := bat.IntValue(int64(rng.Intn(20)))
-		hi := bat.IntValue(lo.I + int64(rng.Intn(10)))
-		v := bat.Ints(xs)
-		got := SelectRange(v, nil, &lo, &hi, true, true)
-		want := SelIntersect(
-			Select(v, nil, GE, lo),
-			Select(v, nil, LE, hi),
-		)
-		if !selEqual(got, want) {
-			t.Fatalf("iter %d: range=%v composed=%v xs=%v lo=%v hi=%v",
-				iter, got, want, xs, lo, hi)
+		if keep {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// naiveBool is the reference for boolean selections (false < true).
+func naiveBool(xs []bool, sel Sel, op CmpOp, c bool) Sel {
+	ys := make([]int64, len(xs))
+	for i, x := range xs {
+		ys[i] = int64(b2i(x))
+	}
+	return naiveCmp(ys, sel, op, int64(b2i(c)))
+}
+
+// selCoverage records, per operator and access path, which selectivity
+// classes a differential sweep reached: none, about half, every row.
+type selCoverage map[string]*[3]bool
+
+func (cv selCoverage) note(op CmpOp, withSel bool, kept, cands int) {
+	key := fmt.Sprintf("%s/cands=%v", op, withSel)
+	if cv[key] == nil {
+		cv[key] = new([3]bool)
+	}
+	switch {
+	case kept == 0:
+		cv[key][0] = true
+	case kept == cands:
+		cv[key][2] = true
+	case 10*kept >= 4*cands && 10*kept <= 6*cands:
+		cv[key][1] = true
+	}
+}
+
+// selectDiffCase is one column, the constants it is compared against,
+// and a reference select.
+type selectDiffCase struct {
+	family string // coverage is asserted per family; "" opts out
+	v      bat.Vector
+	consts []bat.Value
+}
+
+func (tc selectDiffCase) ref(sel Sel, op CmpOp, c bat.Value) Sel {
+	switch xs := tc.v.(type) {
+	case bat.Ints:
+		return naiveCmp(xs, sel, op, c.I)
+	case bat.Times:
+		return naiveCmp(xs, sel, op, c.I)
+	case bat.Floats:
+		return naiveCmp(xs, sel, op, c.F)
+	case bat.Strs:
+		return naiveCmp(xs, sel, op, c.S)
+	case bat.Bools:
+		return naiveBool(xs, sel, op, c.B)
+	}
+	panic("unknown vector")
+}
+
+// twoValued returns a column of n rows holding a on half of them and b
+// on the other half, interleaved (not sorted), and a column holding a on
+// every row. Comparing both against a, b and constants outside the range
+// reaches 0%, 50% and 100% selectivity for every operator.
+func twoValued[T any](n int, a, b T) (mixed, uniform []T) {
+	mixed, uniform = make([]T, n), make([]T, n)
+	for i := range mixed {
+		mixed[i], uniform[i] = a, a
+		if (7*i)%4 < 2 {
+			mixed[i] = b
+		}
+	}
+	return mixed, uniform
+}
+
+func selectDiffCases() []selectDiffCase {
+	const n = 200
+	inf, nan := math.Inf(1), math.NaN()
+	fv := func(xs ...float64) []bat.Value {
+		out := make([]bat.Value, len(xs))
+		for i, x := range xs {
+			out[i] = bat.FloatValue(x)
+		}
+		return out
+	}
+	var cases []selectDiffCase
+	add := func(family string, consts []bat.Value, vs ...bat.Vector) {
+		for _, v := range vs {
+			cases = append(cases, selectDiffCase{family, v, consts})
+		}
+	}
+	fm, fu := twoValued(n, -1.5, 2.5)
+	add("floats", fv(-1.5, 2.5, -inf, inf, 0), bat.Floats(fm), bat.Floats(fu))
+	// NaN and infinite rows and constants: a NaN never satisfies EQ or
+	// an ordered comparison and always satisfies NE.
+	specials := append(bat.Floats(nil), fm...)
+	for i := 0; i < n; i += 17 {
+		specials[i] = []float64{nan, inf, -inf}[i%3]
+	}
+	add("", fv(-1.5, 2.5, -inf, inf, nan), specials)
+	// The int family spans the whole int64 range, so no constant lies
+	// outside it: uniform columns at both extremes stand in.
+	im, iu := twoValued[int64](n, math.MinInt64, math.MaxInt64)
+	_, iv := twoValued[int64](n, math.MaxInt64, math.MinInt64)
+	add("ints", []bat.Value{bat.IntValue(math.MinInt64), bat.IntValue(math.MaxInt64), bat.IntValue(0)},
+		bat.Ints(im), bat.Ints(iu), bat.Ints(iv))
+	tm, tu := twoValued[int64](n, -7, 1<<40)
+	add("times", []bat.Value{bat.TimeValue(-7), bat.TimeValue(1 << 40), bat.TimeValue(-8), bat.TimeValue(1<<40 + 1)},
+		bat.Times(tm), bat.Times(tu))
+	sm, su := twoValued(n, "apple", "apples")
+	add("strs", []bat.Value{bat.StrValue("apple"), bat.StrValue("apples"), bat.StrValue(""), bat.StrValue("b")},
+		bat.Strs(sm), bat.Strs(su))
+	bm, bu := twoValued(n, false, true)
+	_, bt := twoValued(n, true, false)
+	add("bools", []bat.Value{bat.BoolValue(false), bat.BoolValue(true)}, bat.Bools(bm), bat.Bools(bu), bat.Bools(bt))
+	return cases
+}
+
+// TestSelectDifferential checks every select kernel against the naive
+// loop for every operator, with and without a candidate list, and asserts
+// that each family's sweep reached 0%, about 50% and 100% selectivity on
+// every operator and access path.
+func TestSelectDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cov := map[string]selCoverage{}
+	for _, tc := range selectDiffCases() {
+		n := tc.v.Len()
+		cands := Sel{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				cands = append(cands, int32(i))
+			}
+		}
+		if cov[tc.family] == nil {
+			cov[tc.family] = selCoverage{}
+		}
+		for _, sel := range []Sel{nil, cands, {}} {
+			for op := EQ; op <= GE; op++ {
+				for _, c := range tc.consts {
+					got := Select(tc.v, sel, op, c)
+					want := tc.ref(sel, op, c)
+					if got == nil || !selEqual(got, want) {
+						t.Fatalf("%s %s %s %v (cands=%v): got %v, want %v",
+							tc.family, tc.v.Kind(), op, c, sel != nil, got, want)
+					}
+					if sel == nil || len(sel) > 0 {
+						cov[tc.family].note(op, sel != nil, len(got), SelLen(sel, n))
+					}
+				}
+			}
+		}
+	}
+	for family, fc := range cov {
+		if family == "" {
+			continue
+		}
+		if len(fc) != 12 {
+			t.Errorf("%s: %d operator/path combinations swept, want 12", family, len(fc))
+		}
+		for key, hit := range fc {
+			if *hit != [3]bool{true, true, true} {
+				t.Errorf("%s %s: selectivity classes 0/50/100%% reached %v", family, key, *hit)
+			}
 		}
 	}
 }

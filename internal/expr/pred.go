@@ -53,20 +53,13 @@ func EvalPred(e Expr, c *bat.Chunk, sel algebra.Sel) algebra.Sel {
 			return algebra.Sel{}
 		}
 	}
-	// Fallback: evaluate the boolean vector aligned with sel and collect.
-	bv := e.Eval(c, sel).(bat.Bools)
-	out := make(algebra.Sel, 0, len(bv)/4+1)
-	if sel == nil {
-		for i, b := range bv {
-			if b {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for k, b := range bv {
-		if b {
-			out = append(out, sel[k])
+	// Fallback: evaluate the boolean vector aligned with sel, collect its
+	// true positions through the bulk select kernel, and map them back
+	// through sel.
+	out := algebra.Select(e.Eval(c, sel), nil, algebra.EQ, bat.BoolValue(true))
+	if sel != nil {
+		for j, k := range out {
+			out[j] = sel[k]
 		}
 	}
 	return out

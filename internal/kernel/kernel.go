@@ -13,9 +13,13 @@
 // (base chunk + selection) and materializes at most once, at whichever
 // point actually needs dense columns:
 //
-//   - Filter   composes the selection; nothing is copied.
-//   - Project  evaluates its expressions under the selection, producing a
-//     dense chunk (the natural materialization point).
+//   - Filter   composes the selection; nothing is copied. The selection
+//     itself is built by the predicated select kernels, which allocate
+//     exactly 4 bytes per survivor.
+//   - Project  of column references only re-indexes the base columns
+//     and keeps the selection: still a view, nothing is copied. A
+//     projection with computed expressions evaluates them under the
+//     selection into a dense chunk.
 //   - Aggregate reads column-reference keys and arguments in place
 //     (base column + selection) and evaluates computed ones under the
 //     selection — byte-identical to plan.RunAggregate over the
@@ -80,16 +84,38 @@ func Filter(pred expr.Expr, v *View) *View {
 	return &View{Base: v.Base, Sel: expr.EvalPred(pred, v.Base, v.Sel)}
 }
 
-// Project evaluates projection expressions under the view's selection,
-// producing a dense output view. This is where a fused
-// filter→…→project chain touches column data for the first time — and
-// only the columns the projection actually reads.
+// Project evaluates projection expressions under the view's selection.
+// When every expression is a column reference the result is a view over
+// the input's own base columns, re-indexed and still restricted by the
+// input's selection: no column data moves, and materializing it later
+// yields exactly the dense chunk the evaluating path builds. Otherwise
+// the expressions evaluate under the selection into a dense output view
+// — the point where a fused filter→…→project chain first touches column
+// data, and only the columns the projection reads.
 func Project(exprs []expr.Expr, out bat.Schema, v *View) *View {
 	cols := make([]bat.Vector, len(exprs))
+	if colRefs(exprs) {
+		for i, e := range exprs {
+			cols[i] = v.Base.Cols[e.(*expr.Col).Idx]
+		}
+		return &View{Base: &bat.Chunk{Schema: out, Cols: cols}, Sel: v.Sel}
+	}
 	for i, e := range exprs {
 		cols[i] = e.Eval(v.Base, v.Sel)
 	}
 	return NewView(&bat.Chunk{Schema: out, Cols: cols})
+}
+
+// colRefs reports whether exprs is a non-empty list of column references.
+// An empty projection stays on the evaluating path: a chunk without
+// columns has no rows, so it cannot carry a selection's row count.
+func colRefs(exprs []expr.Expr) bool {
+	for _, e := range exprs {
+		if _, ok := e.(*expr.Col); !ok {
+			return false
+		}
+	}
+	return len(exprs) > 0
 }
 
 // Aggregate runs a partial (or full) grouped aggregation directly over
@@ -104,12 +130,7 @@ func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
 	// One selection governs every key column, so keys read in place only
 	// when all of them are column references; otherwise all evaluate
 	// densely.
-	inPlace := true
-	for _, k := range t.Keys {
-		if _, ok := k.(*expr.Col); !ok {
-			inPlace = false
-		}
-	}
+	inPlace := len(t.Keys) == 0 || colRefs(t.Keys)
 	keySel, keyRows := v.Sel, v.Base.Rows()
 	if !inPlace {
 		keySel, keyRows = nil, v.Rows()

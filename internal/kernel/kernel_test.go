@@ -312,3 +312,74 @@ func TestRunNoOutForAggChains(t *testing.T) {
 		plan.ApplyStep(plan.PipelineStep{Op: kp.steps[0].Op}, c))
 	mustEqualChunks(t, partial, want, "partial without out")
 }
+
+// minAllocBytes is the fewest bytes run allocated over several runs: a
+// run that re-creates a pooled scratch buffer (dropped by a GC, or at
+// random under the race detector) is not the steady state measured.
+func minAllocBytes(run func()) float64 {
+	bytes := math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return bytes
+}
+
+// TestFilterAllocatesSurvivorsOnly guards the predicated selection: a
+// filter allocates its exactly sized candidate list (4 bytes per
+// survivor) plus the view, with no growth slack, at every selectivity.
+// The survivor counts keep 4 bytes per survivor at a whole size class.
+func TestFilterAllocatesSurvivorsOnly(t *testing.T) {
+	const rows = 1 << 15
+	c := testChunk(rows)
+	for _, keep := range []int64{0, 100, rows / 8, rows / 2, rows} {
+		pred := cmp(algebra.LT, col(0, bat.Time), intConst(keep))
+		v := NewView(c)
+		if got := Filter(pred, v).Rows(); got != int(keep) {
+			t.Fatalf("filter kept %d rows, want %d", got, keep)
+		}
+		bytes := minAllocBytes(func() { Filter(pred, v) })
+		// The constant covers the View and size-class rounding of the
+		// 400-byte list.
+		if budget := float64(4*keep + 256); bytes > budget {
+			t.Errorf("Filter keeping %d of %d rows allocated %.0f B, budget %.0f B", keep, rows, bytes, budget)
+		}
+	}
+}
+
+// TestProjectColumnRefsCopyNothing: a projection of column references
+// over a filtered view re-indexes the base columns instead of copying
+// them, and materializes to exactly the dense chunk that evaluating each
+// expression under the selection builds.
+func TestProjectColumnRefsCopyNothing(t *testing.T) {
+	const rows = 1 << 15
+	c := testChunk(rows)
+	exprs := []expr.Expr{col(2, bat.Float), col(1, bat.Int), col(3, bat.Str), col(1, bat.Int)}
+	out := bat.Schema{Names: []string{"v", "k", "tag", "k2"},
+		Kinds: []bat.Kind{bat.Float, bat.Int, bat.Str, bat.Int}}
+	for name, v := range map[string]*View{
+		"all":      NewView(c),
+		"filtered": Filter(cmp(algebra.GE, col(2, bat.Float), floatConst(1.5)), NewView(c)),
+		"empty":    Filter(cmp(algebra.LT, col(1, bat.Int), intConst(0)), NewView(c)),
+	} {
+		if bytes := minAllocBytes(func() { Project(exprs, out, v) }); bytes > 1024 {
+			t.Errorf("%s: column-reference Project allocated %.0f B over %d rows", name, bytes, v.Rows())
+		}
+		p := Project(exprs, out, v)
+		if p.Rows() != v.Rows() {
+			t.Fatalf("%s: projected view has %d rows, want %d", name, p.Rows(), v.Rows())
+		}
+		dense := make([]bat.Vector, len(exprs))
+		for i, e := range exprs {
+			dense[i] = e.Eval(v.Base, v.Sel)
+		}
+		got := p.Materialize()
+		if !reflect.DeepEqual(got.Schema, out) {
+			t.Fatalf("%s: schema %v, want %v", name, got.Schema, out)
+		}
+		mustEqualChunks(t, got, &bat.Chunk{Schema: out, Cols: dense}, name)
+	}
+}
