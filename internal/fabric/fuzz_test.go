@@ -49,8 +49,8 @@ func FuzzWirePayloads(f *testing.F) {
 	f.Add(fzAppend, marshalAppend(appendMsg{Stream: "r", Shard: 0, Arrival: 5, Seqs: bat.Ints{3, 9, 40}, Chunk: ch}))
 	f.Add(fzWatermark, marshalWatermark(watermarkMsg{Stream: "s", Settled: 99, Specs: []specMax{{ID: 7, MaxTs: 5000}}}))
 	f.Add(fzFrag, marshalFragMsg(fragMsg{Spec: 7, Shard: 1, Wm: 36, Frags: []*window.Frag{
-		{Gen: 3, Shard: 1, Data: ch, MaxArrival: 5},
-		{Gen: 4, Shard: 1, Data: ch, MaxArrival: 6},
+		{Gen: 3, Shard: 1, Data: bat.NewRuns(ch.Schema, ch), MaxArrival: 5},
+		{Gen: 4, Shard: 1, Data: bat.NewRuns(ch.Schema, ch), MaxArrival: 6},
 	}}))
 	// A coalesced batch as the lanes emit it: spec + append + frag back to
 	// back.

@@ -122,14 +122,17 @@ func (d *dag) Nodes() int {
 }
 
 // dagWin is one sealed basic window's memo table, shared by every member
-// the window was fanned out to. Cells latch with sync.Once: concurrent
-// member tails needing the same node compute it once and the rest wait
-// for (then reuse) the memoized view. Memoized views reference the raw
-// window's shared buffer only until the batch of member firings that
+// the window was fanned out to, rooted at the window's input view: the
+// raw basic window read through its runs (kernel.RunsView), or, in the
+// post-merge trie, a class's merged view. Cells latch with sync.Once:
+// concurrent member tails needing the same node compute it once and the
+// rest wait for (then reuse) the memoized view. Memoized views reference
+// the raw window's runs only until the batch of member firings that
 // carries this dagWin completes; whatever a member keeps longer (ring
 // contents) is a materialized immutable chunk, so buffer lifetime stays
 // governed by the refcounted fanout exactly as before.
 type dagWin struct {
+	root *kernel.View
 	mu   sync.Mutex
 	memo map[*dagNode]*memoCell
 }
@@ -139,7 +142,9 @@ type memoCell struct {
 	out  *kernel.View
 }
 
-func newDagWin() *dagWin { return &dagWin{memo: make(map[*dagNode]*memoCell)} }
+func newDagWin(root *kernel.View) *dagWin {
+	return &dagWin{root: root, memo: make(map[*dagNode]*memoCell)}
+}
 
 func (w *dagWin) cell(n *dagNode) *memoCell {
 	w.mu.Lock()
@@ -153,24 +158,22 @@ func (w *dagWin) cell(n *dagNode) *memoCell {
 }
 
 // eval returns node n's output for the basic window, computing it at most
-// once per window. raw is the caller's view of the window's raw tuples
-// (still referenced by the calling member, so it is valid for the whole
-// evaluation). misses counts actual operator evaluations; hits counts
-// member requests served entirely from the memo — i.e. work a sibling
-// already did. A member's own recursive parent lookups are deliberately
-// not hits (a lone member resolving filter then aggregate must report
-// zero sharing), which is what makes hits/(hits+misses) an honest
-// cross-query sharing rate. The requested node's view materializes here
+// once per window; a nil node is the window's root view itself. misses
+// counts actual operator evaluations; hits counts member requests served
+// entirely from the memo — i.e. work a sibling already did. A member's
+// own recursive parent lookups are deliberately not hits (a lone member
+// resolving filter then aggregate must report zero sharing), which is
+// what makes hits/(hits+misses) an honest cross-query sharing rate. The requested node's view materializes here
 // (latched in the view, so siblings requesting the same node share one
 // reconstruction): for an aggregate node that is the partial chunk
 // itself, for a pipeline leaf the dense surviving rows. Interior nodes —
 // including the filter leaf under an aggregate member — never
 // materialize.
-func (d *dag) eval(w *dagWin, n *dagNode, raw *bat.Chunk, hits, misses *atomic.Int64) *bat.Chunk {
+func (d *dag) eval(w *dagWin, n *dagNode, hits, misses *atomic.Int64) *bat.Chunk {
 	if n == nil {
-		return raw
+		return w.root.Materialize()
 	}
-	out, computed := d.evalNode(w, n, raw, misses)
+	out, computed := d.evalNode(w, n, misses)
 	if !computed {
 		hits.Add(1)
 	}
@@ -180,13 +183,13 @@ func (d *dag) eval(w *dagWin, n *dagNode, raw *bat.Chunk, hits, misses *atomic.I
 // evalNode resolves n through the window memo, recursing parent-first.
 // computed reports whether THIS call performed n's evaluation (as opposed
 // to finding it latched).
-func (d *dag) evalNode(w *dagWin, n *dagNode, raw *bat.Chunk, misses *atomic.Int64) (out *kernel.View, computed bool) {
+func (d *dag) evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, computed bool) {
 	if n == nil {
-		return kernel.NewView(raw), false
+		return w.root, false
 	}
 	c := w.cell(n)
 	c.once.Do(func() {
-		in, _ := d.evalNode(w, n.parent, raw, misses)
+		in, _ := d.evalNode(w, n.parent, misses)
 		if n.agg != nil {
 			part := kernel.Aggregate(n.agg, in, int(n.hint.Load()))
 			n.hint.Store(int64(part.Rows()))

@@ -313,11 +313,7 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 		}
 		if s.Window != nil {
 			in.ring = window.NewRing(s.Window.Parts())
-			mc := window.MergeConfig{
-				Shards:   shb.NumShards(),
-				Data:     s.Out,
-				KeepData: cfg.Mode == Reeval,
-			}
+			mc := window.MergeConfig{Shards: shb.NumShards(), Data: s.Out}
 			if cfg.Mode == Incremental {
 				outSch := cfg.Decomp.Pipelines[idx].Root.Schema()
 				mc.Out = &outSch
@@ -659,11 +655,11 @@ func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag)
 			// an empty chunk nothing downstream reads — MergeAggregate
 			// consumes the concatenated partials).
 			for _, fr := range frags {
-				fr.Out, fr.Partial = kp.Run(fr.Data)
+				fr.Out, fr.Partial = kp.RunRuns(fr.Data)
 			}
 		} else {
 			for _, fr := range frags {
-				ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: fr.Data}}
+				ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: fr.Data.Concat()}}
 				out, err := ex.Run(pipe.Root)
 				if err != nil {
 					out = bat.NewChunk(pipe.Root.Schema())
@@ -854,10 +850,10 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		if kp := f.pipe(idx); kp != nil {
 			// Fused fallback over the raw window (group fanout,
 			// re-evaluation joins).
-			bw.Out, bw.Partial = kp.Run(bw.Data)
+			bw.Out, bw.Partial = kp.RunRuns(bw.Data)
 		} else {
 			pipe := d.Pipelines[idx]
-			ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: bw.Data}}
+			ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: bw.Data.Concat()}}
 			out, err := ex.Run(pipe.Root)
 			if err != nil {
 				out = bat.NewChunk(pipe.Root.Schema())
@@ -868,12 +864,10 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 			}
 		}
 	}
-	if bw.Free != nil {
-		// Group member: the cached intermediates replace the raw tuples,
-		// so the shared buffer can be released now rather than at ring
-		// eviction.
-		bw.ReleaseData()
-	}
+	// The cached intermediates replace the raw tuples, so they (and a
+	// group member's share of the buffer) are released now rather than at
+	// ring eviction.
+	bw.ReleaseData()
 
 	evicted := in.ring.Push(bw)
 	if evicted != nil {

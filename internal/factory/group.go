@@ -8,6 +8,7 @@ import (
 
 	"datacell/internal/basket"
 	"datacell/internal/bat"
+	"datacell/internal/kernel"
 	"datacell/internal/plan"
 	"datacell/internal/window"
 )
@@ -55,9 +56,7 @@ type groupShard struct {
 }
 
 // newFrontEnd registers consumers on every shard of the stream basket and
-// builds the shared slicing pipeline. Members run divergent tails
-// (re-evaluation needs raw windows, incremental pipelines and the shared
-// DAG read raw basic windows), so the merger always keeps the raw tuples.
+// builds the shared slicing pipeline.
 func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *frontEnd {
 	fe := &frontEnd{basket: bk, win: win, schema: schema, sealed: window.NoEpoch}
 	fe.maxTs.Store(math.MinInt64)
@@ -68,11 +67,7 @@ func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *front
 		gs.wm.Store(gs.sl.Watermark())
 		fe.shards = append(fe.shards, gs)
 	}
-	fe.merge = window.NewShardMerge(window.MergeConfig{
-		Shards:   bk.NumShards(),
-		Data:     schema,
-		KeepData: true,
-	})
+	fe.merge = window.NewShardMerge(window.MergeConfig{Shards: bk.NumShards(), Data: schema})
 	return fe
 }
 
@@ -82,11 +77,7 @@ func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *front
 func newRemoteFrontEnd(shards int, win *plan.Window, schema bat.Schema) *frontEnd {
 	fe := &frontEnd{win: win, schema: schema, sealed: window.NoEpoch}
 	fe.maxTs.Store(math.MinInt64)
-	fe.merge = window.NewShardMerge(window.MergeConfig{
-		Shards:   shards,
-		Data:     schema,
-		KeepData: true,
-	})
+	fe.merge = window.NewShardMerge(window.MergeConfig{Shards: shards, Data: schema})
 	return fe
 }
 
@@ -786,16 +777,16 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 			return
 		}
 		g.liveBufs.Add(1)
-		buf := window.NewSharedBuf(bw.Data, len(members)+len(classes), func() { g.liveBufs.Add(-1) })
+		buf := window.NewSharedBuf(len(members)+len(classes), func() { g.liveBufs.Add(-1) })
 		var dw *dagWin
-		if needDag[side] {
-			dw = newDagWin()
+		if needDag[side] || len(classes) > 0 {
+			dw = newDagWin(kernel.RunsView(bw.Data))
 		}
 		var cells map[string]*mergeCell
 		if len(classes) > 0 {
 			cells = make(map[string]*mergeCell, len(classes))
 			for _, mc := range classes {
-				if cell := mc.push(side, gen, dw, buf.Data(), buf.Release); cell != nil {
+				if cell := mc.push(side, gen, dw, buf.Release); cell != nil {
 					cells[mc.key] = cell
 				}
 			}
@@ -806,7 +797,7 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 				mgen = m.seen[0]
 			}
 			m.seen[side]++
-			mbw := &window.BW{Gen: mgen, Data: buf.Data(), MaxArrival: bw.MaxArrival, Free: buf.Release}
+			mbw := &window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: buf.Release}
 			item := memberBW{side: side, bw: mbw, dw: dw}
 			if cell := cells[m.classKey]; cell != nil && m.warm(cell.mc.parts) {
 				item.cell = cell
@@ -895,9 +886,9 @@ func (m *Member) Fire() int {
 			dag := m.g.sides[it.side].dag
 			switch {
 			case m.aggLeaf != nil:
-				bw.Partial = dag.eval(it.dw, m.aggLeaf, bw.Data, &m.g.memoHits, &m.g.memoMisses)
+				bw.Partial = dag.eval(it.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
 			case m.leaf[it.side] != nil:
-				bw.Out = dag.eval(it.dw, m.leaf[it.side], bw.Data, &m.g.memoHits, &m.g.memoMisses)
+				bw.Out = dag.eval(it.dw, m.leaf[it.side], &m.g.memoHits, &m.g.memoMisses)
 			}
 		}
 		if it.cell != nil {
@@ -909,7 +900,7 @@ func (m *Member) Fire() int {
 			}
 			switch {
 			case m.postLeaf != nil:
-				bw.Final = m.g.postDag.eval(pdw, m.postLeaf, merged, &m.g.postHits, &m.g.postMisses)
+				bw.Final = m.g.postDag.eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
 			case m.hasPost:
 				// Post fragment exists but did not linearize: the tail runs
 				// it privately over the shared merged view.

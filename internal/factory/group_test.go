@@ -147,7 +147,7 @@ func TestOfferRemoteDropsOutOfRange(t *testing.T) {
 		frag := func(side int) []*window.Frag {
 			c := bat.NewChunk(scans[side].Out)
 			_ = c.AppendRow(bat.TimeValue(1), bat.IntValue(1), bat.FloatValue(1))
-			return []*window.Frag{{Gen: 0, Data: c}}
+			return []*window.Frag{{Gen: 0, Data: bat.NewRuns(c.Schema, c)}}
 		}
 		last := len(scans) - 1
 		for _, bad := range [][2]int{{-1, 0}, {len(scans), 0}, {0, -1}, {0, shards}, {last, shards}, {last, -1}} {

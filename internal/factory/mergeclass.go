@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"datacell/internal/bat"
+	"datacell/internal/kernel"
 	"datacell/internal/plan"
 	"datacell/internal/window"
 )
@@ -76,12 +77,11 @@ func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
 
 // mergeIn is one sealed basic window as a class ring sees it: the side's
 // group-global generation (a pair cache keys pairs by it), the window's
-// shared memo table, its raw tuples, and the release hook for the class's
-// reference on the shared buffer.
+// shared memo table (rooted at its raw runs), and the release hook for the
+// class's reference on the shared buffer.
 type mergeIn struct {
 	gen  int64
 	dw   *dagWin
-	data *bat.Chunk
 	free func()
 }
 
@@ -92,14 +92,14 @@ type mergeIn struct {
 // attaches to every warm class member's queue item; nil during warm-up.
 // Callers are the group fan-out only, which delivers windows in the
 // group's fan-out order.
-func (mc *mergeClass) push(side int, gen int64, dw *dagWin, data *bat.Chunk, free func()) *mergeCell {
+func (mc *mergeClass) push(side int, gen int64, dw *dagWin, free func()) *mergeCell {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if mc.closed {
 		free()
 		return nil
 	}
-	ring := append(mc.rings[side], mergeIn{gen: gen, dw: dw, data: data, free: free})
+	ring := append(mc.rings[side], mergeIn{gen: gen, dw: dw, free: free})
 	if len(ring) > mc.parts {
 		old := ring[0]
 		copy(ring, ring[1:])
@@ -168,7 +168,7 @@ type mergeCell struct {
 func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) {
 	c.once.Do(func() {
 		c.out = c.mc.view(c, g)
-		c.pdw = newDagWin()
+		c.pdw = newDagWin(kernel.NewView(c.out))
 		c.ins = [2][]mergeIn{} // release the input pointers: only the view survives
 		computed = true
 	})
@@ -184,7 +184,7 @@ func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
 	var discardHits, discardMisses atomic.Int64
 	outs := make([]*bat.Chunk, len(c.ins[side]))
 	for i, in := range c.ins[side] {
-		outs[i] = g.sides[side].dag.eval(in.dw, node, in.data, &discardHits, &discardMisses)
+		outs[i] = g.sides[side].dag.eval(in.dw, node, &discardHits, &discardMisses)
 	}
 	return outs
 }

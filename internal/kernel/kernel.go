@@ -28,6 +28,20 @@
 //     the view and falls back to plan.ApplyStep, so fused chains evaluate
 //     exactly what the unfused executor would.
 //
+// A view may also be a sequence of runs (RunsView): a sharded basic
+// window is its shards' basket-segment runs in canonical order, and the
+// kernels read through them instead of copying them together first.
+// Filter and column-reference Project map over the runs (one selection
+// per run, still nothing copied) and a computed Project evaluates per
+// run. Materialize gathers the runs' selected rows into one dense chunk,
+// and Aggregate gathers only its key and argument columns, only at the
+// selected rows, into pooled scratch vectors (they live for one call),
+// then groups and aggregates them in one pass — one accumulation order,
+// the one a concatenated window would have, so results never depend on
+// where run boundaries fall (they follow producer batch sizes and drain
+// timing). Every operator over runs is byte-identical to the same
+// operator over bat.Concat of the runs.
+//
 // Byte identity with the unfused path (plan.Exec / plan.ApplyStep) is the
 // package's contract — the NoFuse ablation and the fabric differential
 // harness are its proof surface.
@@ -44,31 +58,75 @@ import (
 )
 
 // View is a lazy chunk: a base chunk plus a candidate list restricting it
-// (nil = all rows). Materialization is latched, so shared consumers (DAG
-// memo cells) reconstruct the dense chunk at most once no matter how many
-// member tails read it.
+// (nil = all rows), or a sequence of such runs. Materialization is
+// latched, so shared consumers (DAG memo cells) reconstruct the dense
+// chunk at most once no matter how many member tails read it.
 type View struct {
 	Base *bat.Chunk
 	Sel  algebra.Sel // nil selects every row of Base
 
 	once sync.Once
-	mat  *bat.Chunk
 	done atomic.Bool // set once mat is built
+	mat  *bat.Chunk
+	// runs, when non-nil, makes the view a sequence of two or more runs
+	// (Base and Sel are then unused). Held behind one pointer so a
+	// single-run view stays in its allocation size class.
+	runs *runList
+}
+
+// runList is a multi-run view's content: the runs in canonical order,
+// each a chunk plus its own candidate list, and their common schema.
+type runList struct {
+	schema bat.Schema
+	runs   []run
+}
+
+type run struct {
+	c   *bat.Chunk
+	sel algebra.Sel // nil selects every row of c
 }
 
 // NewView wraps an already-dense chunk.
 func NewView(c *bat.Chunk) *View { return &View{Base: c} }
 
+// RunsView wraps a run list without copying it. A single run is an
+// ordinary view over that chunk, and no runs an empty chunk of the
+// list's schema — exactly what bat.Concat of the runs would return.
+func RunsView(r *bat.Runs) *View {
+	switch len(r.Chunks) {
+	case 0:
+		return NewView(bat.NewChunk(r.Schema))
+	case 1:
+		return NewView(r.Chunks[0])
+	}
+	rl := &runList{schema: r.Schema, runs: make([]run, len(r.Chunks))}
+	for i, c := range r.Chunks {
+		rl.runs[i].c = c
+	}
+	return &View{runs: rl}
+}
+
 // Rows reports the view's logical row count without materializing.
-func (v *View) Rows() int { return algebra.SelLen(v.Sel, v.Base.Rows()) }
+func (v *View) Rows() int {
+	if v.runs != nil {
+		return v.runs.rows()
+	}
+	return algebra.SelLen(v.Sel, v.Base.Rows())
+}
 
 // Materialize reconstructs the dense chunk (late tuple reconstruction:
 // one Fetch per column), caching the result. A nil selection returns the
 // base chunk itself — exactly what the unfused executor's FetchChunk
-// would have returned.
+// would have returned. A multi-run view gathers every run's selected rows
+// into one dense chunk, byte-identical to FetchChunk over the
+// concatenated runs.
 func (v *View) Materialize() *bat.Chunk {
 	v.once.Do(func() {
-		v.mat = algebra.FetchChunk(v.Base, v.Sel)
+		if v.runs != nil {
+			v.mat = v.runs.materialize()
+		} else {
+			v.mat = algebra.FetchChunk(v.Base, v.Sel)
+		}
 		v.done.Store(true)
 	})
 	return v.mat
@@ -78,9 +136,17 @@ func (v *View) Materialize() *bat.Chunk {
 // consumer needed this view's dense chunk.
 func (v *View) Materialized() bool { return v.done.Load() }
 
-// Filter composes a predicate into the view's selection. No column data
-// moves: the returned view shares the input's base chunk.
+// Filter composes a predicate into the view's selection — into each
+// run's selection for a multi-run view. No column data moves: the
+// returned view shares the input's chunks.
 func Filter(pred expr.Expr, v *View) *View {
+	if v.runs != nil {
+		out := v.runs.derive(v.runs.schema)
+		for i, r := range v.runs.runs {
+			out.runs[i] = run{c: r.c, sel: expr.EvalPred(pred, r.c, r.sel)}
+		}
+		return &View{runs: out}
+	}
 	return &View{Base: v.Base, Sel: expr.EvalPred(pred, v.Base, v.Sel)}
 }
 
@@ -91,19 +157,43 @@ func Filter(pred expr.Expr, v *View) *View {
 // yields exactly the dense chunk the evaluating path builds. Otherwise
 // the expressions evaluate under the selection into a dense output view
 // — the point where a fused filter→…→project chain first touches column
-// data, and only the columns the projection reads.
+// data, and only the columns the projection reads. A multi-run view
+// projects run by run: re-indexed runs that keep their selections, or
+// one dense evaluated run per input run.
 func Project(exprs []expr.Expr, out bat.Schema, v *View) *View {
-	cols := make([]bat.Vector, len(exprs))
-	if colRefs(exprs) {
-		for i, e := range exprs {
-			cols[i] = v.Base.Cols[e.(*expr.Col).Idx]
+	refs := colRefs(exprs)
+	if v.runs != nil {
+		rl := v.runs.derive(out)
+		for i, r := range v.runs.runs {
+			rl.runs[i].c = project(exprs, refs, out, r.c, r.sel)
+			if refs {
+				rl.runs[i].sel = r.sel
+			}
 		}
-		return &View{Base: &bat.Chunk{Schema: out, Cols: cols}, Sel: v.Sel}
+		return &View{runs: rl}
 	}
-	for i, e := range exprs {
-		cols[i] = e.Eval(v.Base, v.Sel)
+	c := project(exprs, refs, out, v.Base, v.Sel)
+	if refs {
+		return &View{Base: c, Sel: v.Sel}
 	}
-	return NewView(&bat.Chunk{Schema: out, Cols: cols})
+	return NewView(c)
+}
+
+// project re-indexes c's columns when refs (every expression is a column
+// reference; the result is still restricted by sel), and otherwise
+// evaluates the expressions under sel into a dense chunk.
+func project(exprs []expr.Expr, refs bool, out bat.Schema, c *bat.Chunk, sel algebra.Sel) *bat.Chunk {
+	cols := make([]bat.Vector, len(exprs))
+	if refs {
+		for i, e := range exprs {
+			cols[i] = c.Cols[e.(*expr.Col).Idx]
+		}
+	} else {
+		for i, e := range exprs {
+			cols[i] = e.Eval(c, sel)
+		}
+	}
+	return &bat.Chunk{Schema: out, Cols: cols}
 }
 
 // colRefs reports whether exprs is a non-empty list of column references.
@@ -126,7 +216,15 @@ func colRefs(exprs []expr.Expr) bool {
 // grouping hash table pre-sizes from hint (observed per-window
 // cardinality; ≤ 0 falls back to the default). Output bytes equal
 // plan.RunAggregate over the materialized view for every hint.
+//
+// Over a multi-run view the keys and arguments are first gathered into
+// dense vectors — column references straight from each run at its
+// selection, computed expressions evaluated per run — and grouped and
+// aggregated once, in the concatenated window's row order.
 func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
+	if v.runs != nil {
+		return v.runs.aggregate(t, hint)
+	}
 	// One selection governs every key column, so keys read in place only
 	// when all of them are column references; otherwise all evaluate
 	// densely.
@@ -144,10 +242,7 @@ func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
 		}
 	}
 	g := algebra.GroupHint(keyVecs, keySel, keyRows, hint)
-	cols := make([]bat.Vector, 0, len(t.Keys)+len(t.Aggs))
-	for _, kv := range keyVecs {
-		cols = append(cols, algebra.Fetch(kv, g.Repr))
-	}
+	cols := groupKeys(t, keyVecs, g)
 	for _, spec := range t.Aggs {
 		// The k-th qualifying row is the k-th row of the selection both
 		// for in-place and for dense arguments, so each argument picks
@@ -164,6 +259,174 @@ func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
 		cols = append(cols, algebra.Aggregate(spec.Op, arg, argSel, g))
 	}
 	return &bat.Chunk{Schema: t.Out, Cols: cols}
+}
+
+// groupKeys starts an aggregate's output columns with the group keys,
+// reconstructed at each group's representative row.
+func groupKeys(t *plan.Aggregate, keyVecs []bat.Vector, g algebra.Grouping) []bat.Vector {
+	cols := make([]bat.Vector, 0, len(t.Keys)+len(t.Aggs))
+	for _, kv := range keyVecs {
+		cols = append(cols, algebra.Fetch(kv, g.Repr))
+	}
+	return cols
+}
+
+// derive returns an empty run list of the same length with schema.
+func (rl *runList) derive(schema bat.Schema) *runList {
+	return &runList{schema: schema, runs: make([]run, len(rl.runs))}
+}
+
+func (rl *runList) rows() int {
+	n := 0
+	for _, r := range rl.runs {
+		n += algebra.SelLen(r.sel, r.c.Rows())
+	}
+	return n
+}
+
+// materialize gathers every run's selected rows into one dense chunk —
+// one copy per column, byte-identical to FetchChunk over the runs'
+// concatenation.
+func (rl *runList) materialize() *bat.Chunk {
+	rows := rl.rows()
+	cols := make([]bat.Vector, len(rl.schema.Kinds))
+	for i := range cols {
+		cols[i] = rl.gather(rl.runs[0].c.Cols[i].New(rows), i)
+	}
+	return &bat.Chunk{Schema: rl.schema, Cols: cols}
+}
+
+// gather appends column idx's selected rows of every run, in run order,
+// to dst.
+func (rl *runList) gather(dst bat.Vector, idx int) bat.Vector {
+	for _, r := range rl.runs {
+		if r.sel == nil {
+			dst = dst.AppendVector(r.c.Cols[idx])
+		} else {
+			dst = bat.AppendFetch(dst, r.c.Cols[idx], r.sel)
+		}
+	}
+	return dst
+}
+
+// aggregate is Aggregate over the runs: the key and argument columns are
+// gathered densely (only those, only at the selected rows) and grouped and
+// aggregated once, exactly as over the concatenated window.
+func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
+	in := denseInputs{rl: rl, rows: rl.rows(), cols: make(map[int]bat.Vector, len(t.Keys)+len(t.Aggs))}
+	defer in.release()
+	keyVecs := make([]bat.Vector, len(t.Keys))
+	for i, k := range t.Keys {
+		keyVecs[i] = in.of(k)
+	}
+	g := algebra.GroupHint(keyVecs, nil, in.rows, hint)
+	cols := groupKeys(t, keyVecs, g)
+	for _, spec := range t.Aggs {
+		var arg bat.Vector
+		if spec.Arg != nil {
+			arg = in.of(spec.Arg)
+		}
+		cols = append(cols, algebra.Aggregate(spec.Op, arg, nil, g))
+	}
+	return &bat.Chunk{Schema: t.Out, Cols: cols}
+}
+
+// denseInputs holds a multi-run Aggregate's keys and arguments as dense
+// vectors over the runs' selected rows, in run order. They live for one
+// call — the grouping and the aggregate kernels copy whatever they keep
+// (keys through Fetch at the group representatives, results into fresh
+// per-group vectors) — so their storage comes from, and goes back to,
+// per-element-type pools.
+type denseInputs struct {
+	rl   *runList
+	rows int
+	cols map[int]bat.Vector // gathered column references, by index
+	vecs []bat.Vector       // every vector handed out, for release
+}
+
+// of returns expression e as a dense vector: a column reference is
+// gathered (once per column), anything else evaluates per run under the
+// run's selection and the results are concatenated.
+func (in *denseInputs) of(e expr.Expr) bat.Vector {
+	if c, ok := e.(*expr.Col); ok {
+		if v := in.cols[c.Idx]; v != nil {
+			return v
+		}
+		v := in.rl.gather(scratchVector(in.rl.runs[0].c.Cols[c.Idx], in.rows), c.Idx)
+		in.cols[c.Idx] = v
+		in.vecs = append(in.vecs, v)
+		return v
+	}
+	var dst bat.Vector
+	for _, r := range in.rl.runs {
+		part := e.Eval(r.c, r.sel)
+		if dst == nil {
+			dst = scratchVector(part, in.rows)
+		}
+		dst = dst.AppendVector(part)
+	}
+	in.vecs = append(in.vecs, dst)
+	return dst
+}
+
+func (in *denseInputs) release() {
+	for _, v := range in.vecs {
+		releaseScratch(v)
+	}
+}
+
+var (
+	int64Scratch   sync.Pool // *[]int64, for Int and Time vectors
+	float64Scratch sync.Pool // *[]float64
+	stringScratch  sync.Pool // *[]string
+	boolScratch    sync.Pool // *[]bool
+)
+
+// scratchVector returns an empty vector of like's type with room for n
+// values, reusing pooled storage when a large enough buffer is free.
+func scratchVector(like bat.Vector, n int) bat.Vector {
+	switch like.(type) {
+	case bat.Ints:
+		return bat.Ints(getScratch[int64](&int64Scratch, n))
+	case bat.Times:
+		return bat.Times(getScratch[int64](&int64Scratch, n))
+	case bat.Floats:
+		return bat.Floats(getScratch[float64](&float64Scratch, n))
+	case bat.Strs:
+		return bat.Strs(getScratch[string](&stringScratch, n))
+	case bat.Bools:
+		return bat.Bools(getScratch[bool](&boolScratch, n))
+	}
+	return like.New(n)
+}
+
+// releaseScratch hands a scratch vector's storage back to its pool; the
+// caller must not use the vector afterwards.
+func releaseScratch(v bat.Vector) {
+	switch x := v.(type) {
+	case bat.Ints:
+		putScratch(&int64Scratch, []int64(x))
+	case bat.Times:
+		putScratch(&int64Scratch, []int64(x))
+	case bat.Floats:
+		putScratch(&float64Scratch, []float64(x))
+	case bat.Strs:
+		putScratch(&stringScratch, []string(x))
+	case bat.Bools:
+		putScratch(&boolScratch, []bool(x))
+	}
+}
+
+func getScratch[T any](p *sync.Pool, n int) []T {
+	if bp, ok := p.Get().(*[]T); ok && cap(*bp) >= n {
+		return (*bp)[:0]
+	}
+	return make([]T, 0, n)
+}
+
+func putScratch[T any](p *sync.Pool, s []T) {
+	s = s[:0]
+	p.Put(&s)
 }
 
 // ApplyStep runs one linearized pipeline operator over a view, fusing
@@ -215,13 +478,22 @@ func Compile(d *plan.Decomposition, side int, agg *plan.Aggregate, needOut bool)
 	return &Pipeline{steps: steps, agg: agg, needOut: needOut}, true
 }
 
-// Run evaluates the fused chain over one basic-window fragment. out is
+// Run evaluates the fused chain over one dense basic-window chunk. out is
 // the pipeline output chunk (nil when the chain terminates in an
 // aggregate and needOut is false); partial is the partial-aggregate chunk
 // (nil when the chain has no aggregate stage). Both are byte-identical to
 // the unfused executor's results over the same fragment.
 func (kp *Pipeline) Run(raw *bat.Chunk) (out, partial *bat.Chunk) {
-	v := NewView(raw)
+	return kp.run(NewView(raw))
+}
+
+// RunRuns is Run over a basic window or fragment held as runs, read in
+// place: its results are byte-identical to Run over the runs' Concat.
+func (kp *Pipeline) RunRuns(raw *bat.Runs) (out, partial *bat.Chunk) {
+	return kp.run(RunsView(raw))
+}
+
+func (kp *Pipeline) run(v *View) (out, partial *bat.Chunk) {
 	for _, s := range kp.steps {
 		v = ApplyStep(s, v)
 	}

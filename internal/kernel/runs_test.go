@@ -1,0 +1,244 @@
+package kernel
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"datacell/internal/algebra"
+	"datacell/internal/bat"
+	"datacell/internal/expr"
+	"datacell/internal/plan"
+)
+
+// runsSchema is the differential tests' raw window layout: every key
+// family the grouping kernels specialize on (integer, time, float,
+// string, bool) plus a float value column.
+var runsSchema = bat.Schema{
+	Names: []string{"ts", "k", "g", "v", "tag", "ok"},
+	Kinds: []bat.Kind{bat.Time, bat.Int, bat.Int, bat.Float, bat.Str, bat.Bool},
+}
+
+// randomWindow builds an n-row chunk of runsSchema. Values are multiples
+// of 0.1, which binary floating point cannot represent exactly, so any
+// change in summation order shows up in the result bits.
+func randomWindow(rng *rand.Rand, n int) *bat.Chunk {
+	ts := make(bat.Times, n)
+	ks := make(bat.Ints, n)
+	gs := make(bat.Ints, n)
+	vs := make(bat.Floats, n)
+	tags := make(bat.Strs, n)
+	oks := make(bat.Bools, n)
+	for i := 0; i < n; i++ {
+		ts[i] = int64(i) * 1000
+		ks[i] = int64(rng.Intn(7))
+		gs[i] = int64(rng.Intn(5000)) - 2500
+		vs[i] = float64(rng.Intn(2000)-1000) * 0.1
+		tags[i] = string(rune('a' + rng.Intn(5)))
+		oks[i] = rng.Intn(3) == 0
+	}
+	return &bat.Chunk{Schema: runsSchema, Cols: []bat.Vector{ts, ks, gs, vs, tags, oks}}
+}
+
+// randomSplit cuts c into runs at random boundaries: views over c, some
+// of them a single row, in order.
+func randomSplit(rng *rand.Rand, c *bat.Chunk) *bat.Runs {
+	r := bat.NewRuns(c.Schema)
+	for lo := 0; lo < c.Rows(); {
+		hi := lo + 1 + rng.Intn(1+c.Rows()/3)
+		if rng.Intn(4) == 0 {
+			hi = lo + 1
+		}
+		hi = min(hi, c.Rows())
+		r.Append(c.Slice(lo, hi))
+		lo = hi
+	}
+	return r
+}
+
+// mustSameBytes compares two chunks by their wire encoding — schema,
+// kinds and every value bit.
+func mustSameBytes(t *testing.T, got, want *bat.Chunk, what string) {
+	t.Helper()
+	g, w := bat.MarshalChunk(nil, got), bat.MarshalChunk(nil, want)
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s: runs and concatenation differ\nruns:   %v\nconcat: %v", what, got, want)
+	}
+}
+
+func aggSpec(keys []expr.Expr, aggs ...plan.AggSpec) *plan.Aggregate {
+	a := &plan.Aggregate{Keys: keys, Aggs: aggs}
+	for i, k := range keys {
+		name := fmt.Sprintf("k%d", i)
+		a.KeyNames = append(a.KeyNames, name)
+		a.Out.Names = append(a.Out.Names, name)
+		a.Out.Kinds = append(a.Out.Kinds, k.Kind())
+	}
+	for i := range aggs {
+		aggs[i].Name = fmt.Sprintf("a%d", i)
+		kind := bat.Int
+		if aggs[i].Op != algebra.AggCount {
+			kind = aggs[i].Arg.Kind()
+			if aggs[i].Op == algebra.AggSum && kind == bat.Time {
+				kind = bat.Int
+			}
+		}
+		a.Out.Names = append(a.Out.Names, aggs[i].Name)
+		a.Out.Kinds = append(a.Out.Kinds, kind)
+	}
+	return a
+}
+
+// TestRunBoundaryInvariance is the kernels' run-boundary contract: over a
+// window split into runs at random boundaries, with and without
+// selections, Filter, both Project forms, Aggregate (every AggOp, every
+// key family, zero keys, empty selections) and Materialize are
+// byte-identical to the same operators over bat.Concat of the runs.
+// Run boundaries follow producer batch sizes and drain timing, so
+// results must never depend on them.
+func TestRunBoundaryInvariance(t *testing.T) {
+	ts, k, g := col(0, bat.Time), col(1, bat.Int), col(2, bat.Int)
+	v, tag, ok := col(3, bat.Float), col(4, bat.Str), col(5, bat.Bool)
+	vTimes3 := &expr.Arith{Op: expr.Mul, L: v, R: floatConst(3)}
+	kPlusG := &expr.Arith{Op: expr.Add, L: k, R: g}
+	upper := &expr.Func{Name: "upper", Args: []expr.Expr{tag}, K: bat.Str}
+
+	every := func(arg expr.Expr) []plan.AggSpec {
+		return []plan.AggSpec{{Op: algebra.AggCount}, {Op: algebra.AggSum, Arg: arg},
+			{Op: algebra.AggMin, Arg: arg}, {Op: algebra.AggMax, Arg: arg}}
+	}
+	aggs := map[string]*plan.Aggregate{
+		"no_keys":       aggSpec(nil, every(v)...),
+		"int_key":       aggSpec([]expr.Expr{k}, every(v)...),
+		"int_key_ints":  aggSpec([]expr.Expr{k}, every(g)...),
+		"wide_int_key":  aggSpec([]expr.Expr{g}, every(ts)...),
+		"int_composite": aggSpec([]expr.Expr{k, ts}, every(v)...),
+		"float_key":     aggSpec([]expr.Expr{v}, every(g)...),
+		"str_key":       aggSpec([]expr.Expr{tag}, every(v)...),
+		"str_min_max":   aggSpec([]expr.Expr{k}, plan.AggSpec{Op: algebra.AggMin, Arg: tag}, plan.AggSpec{Op: algebra.AggMax, Arg: tag}),
+		"mixed_key":     aggSpec([]expr.Expr{tag, k, ok}, every(v)...),
+		"bool_key":      aggSpec([]expr.Expr{ok}, every(v)...),
+		"computed":      aggSpec([]expr.Expr{kPlusG, k}, every(vTimes3)...),
+		"same_col_twice": aggSpec([]expr.Expr{k},
+			plan.AggSpec{Op: algebra.AggSum, Arg: k}, plan.AggSpec{Op: algebra.AggMax, Arg: k}),
+	}
+	preds := map[string]expr.Expr{
+		"none":     nil,
+		"half":     cmp(algebra.GE, v, floatConst(0)),
+		"sparse":   &expr.Logic{Op: expr.And, L: cmp(algebra.EQ, k, intConst(3)), R: cmp(algebra.LT, v, floatConst(50))},
+		"or":       &expr.Logic{Op: expr.Or, L: cmp(algebra.EQ, tag, &expr.Const{V: bat.StrValue("b")}), R: cmp(algebra.GT, g, intConst(2000))},
+		"not":      &expr.Logic{Op: expr.Not, L: cmp(algebra.LT, k, intConst(4))},
+		"computed": cmp(algebra.GT, kPlusG, intConst(0)),
+		"empty":    cmp(algebra.LT, k, intConst(0)),
+	}
+	projOut := bat.Schema{Names: []string{"v", "tag", "k"}, Kinds: []bat.Kind{bat.Float, bat.Str, bat.Int}}
+	refs := []expr.Expr{v, tag, k}
+	compOut := bat.Schema{Names: []string{"v3", "kg", "up"}, Kinds: []bat.Kind{bat.Float, bat.Int, bat.Str}}
+	computed := []expr.Expr{vTimes3, kPlusG, upper}
+	// The project-then-aggregate chains read the projected layouts.
+	aggRefs := aggSpec([]expr.Expr{col(1, bat.Str), col(2, bat.Int)}, every(col(0, bat.Float))...)
+	aggComp := aggSpec([]expr.Expr{col(2, bat.Str)}, every(col(0, bat.Float))...)
+
+	rng := rand.New(rand.NewSource(22))
+	for iter := 0; iter < 40; iter++ {
+		c := randomWindow(rng, []int{0, 1, 2, 17, 300, 1000}[iter%6])
+		runs := randomSplit(rng, c)
+		dense := runs.Concat()
+		for pname, pred := range preds {
+			view := func(base *View) *View {
+				if pred == nil {
+					return base
+				}
+				return Filter(pred, base)
+			}
+			rv, dv := view(RunsView(runs)), view(NewView(dense))
+			what := fmt.Sprintf("iter %d (%d rows, %d runs) pred %s", iter, c.Rows(), len(runs.Chunks), pname)
+			if rv.Rows() != dv.Rows() {
+				t.Fatalf("%s: Rows %d, want %d", what, rv.Rows(), dv.Rows())
+			}
+			mustSameBytes(t, rv.Materialize(), dv.Materialize(), what+" materialize")
+			for aname, a := range aggs {
+				for _, hint := range []int{0, 3} {
+					mustSameBytes(t, Aggregate(a, view(RunsView(runs)), hint),
+						Aggregate(a, view(NewView(dense)), hint), what+" aggregate "+aname)
+				}
+			}
+			rp, dp := Project(refs, projOut, view(RunsView(runs))), Project(refs, projOut, view(NewView(dense)))
+			mustSameBytes(t, rp.Materialize(), dp.Materialize(), what+" project refs")
+			mustSameBytes(t, Aggregate(aggRefs, Project(refs, projOut, view(RunsView(runs))), 0),
+				Aggregate(aggRefs, dp, 0), what+" project refs → aggregate")
+			rc, dc := Project(computed, compOut, view(RunsView(runs))), Project(computed, compOut, view(NewView(dense)))
+			mustSameBytes(t, rc.Materialize(), dc.Materialize(), what+" project computed")
+			mustSameBytes(t, Aggregate(aggComp, Project(computed, compOut, view(RunsView(runs))), 0),
+				Aggregate(aggComp, dc, 0), what+" project computed → aggregate")
+			// A second filter over the first composes per run.
+			second := cmp(algebra.NE, k, intConst(1))
+			mustSameBytes(t, Filter(second, view(RunsView(runs))).Materialize(),
+				Filter(second, view(NewView(dense))).Materialize(), what+" filter∘filter")
+		}
+	}
+}
+
+// TestAggregateRunsOutputOutlivesScratch: a multi-run Aggregate gathers
+// its keys and arguments into pooled scratch vectors and releases them on
+// return, so its output must not alias them. Later calls that reuse (and
+// overwrite) the scratch must leave earlier results intact.
+func TestAggregateRunsOutputOutlivesScratch(t *testing.T) {
+	k, v, tag, ts := col(1, bat.Int), col(3, bat.Float), col(4, bat.Str), col(0, bat.Time)
+	agg := aggSpec([]expr.Expr{tag, k},
+		plan.AggSpec{Op: algebra.AggSum, Arg: v}, plan.AggSpec{Op: algebra.AggMin, Arg: tag},
+		plan.AggSpec{Op: algebra.AggMax, Arg: ts}, plan.AggSpec{Op: algebra.AggMax, Arg: &expr.Arith{Op: expr.Mul, L: v, R: floatConst(2)}})
+	rng := rand.New(rand.NewSource(5))
+	first := Aggregate(agg, RunsView(randomSplit(rng, randomWindow(rng, 500))), 0)
+	want := bat.MarshalChunk(nil, first)
+	for i := 0; i < 20; i++ {
+		Aggregate(agg, RunsView(randomSplit(rng, randomWindow(rng, 500+i))), 0)
+	}
+	if !bytes.Equal(bat.MarshalChunk(nil, first), want) {
+		t.Fatal("a later Aggregate over runs overwrote an earlier result: the output aliases pooled scratch")
+	}
+}
+
+// TestRunsViewKeepsSizeClass: a view, single-run or not, stays one 64-byte
+// allocation — the size class fanout-style single-run windows allocated
+// before views could hold runs.
+func TestRunsViewKeepsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(View{}); n > 64 {
+		t.Fatalf("View is %d bytes; the runs must stay behind one pointer to keep the 64-byte size class", n)
+	}
+	c := testChunk(8)
+	if v := RunsView(bat.NewRuns(c.Schema, c)); v.runs != nil || v.Base != c {
+		t.Fatal("a single-run window is not a plain view over its chunk")
+	}
+}
+
+// BenchmarkAggregateRuns groups a 4096-row filtered window on a 3-column
+// integer key (the Linear Road (xway, dir, seg) shape) held as 1, 2 and
+// 4 runs. One run reads the columns in place; more runs gather the key
+// and argument columns first — B/op shows what that gather costs.
+func BenchmarkAggregateRuns(b *testing.B) {
+	const rows = 4096
+	rng := rand.New(rand.NewSource(1))
+	c := randomWindow(rng, rows)
+	ts, ks, gs := c.Cols[0].(bat.Times), c.Cols[1].(bat.Ints), c.Cols[2].(bat.Ints)
+	for i := 0; i < rows; i++ {
+		ts[i], ks[i], gs[i] = int64(i%2), int64(i%4), int64(i/7%100)
+	}
+	agg := aggSpec([]expr.Expr{col(1, bat.Int), col(0, bat.Time), col(2, bat.Int)},
+		plan.AggSpec{Op: algebra.AggCount}, plan.AggSpec{Op: algebra.AggSum, Arg: col(3, bat.Float)})
+	pred := cmp(algebra.GE, col(3, bat.Float), floatConst(-50))
+	for _, n := range []int{1, 2, 4} {
+		runs := bat.NewRuns(c.Schema)
+		for i := 0; i < n; i++ {
+			runs.Append(c.Slice(i*rows/n, (i+1)*rows/n))
+		}
+		b.Run(fmt.Sprintf("runs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Aggregate(agg, Filter(pred, RunsView(runs)), 64)
+			}
+		})
+	}
+}

@@ -42,7 +42,7 @@ func MarshalBW(dst []byte, bw *BW) []byte {
 	}
 	dst = append(dst, flags)
 	if bw.Data != nil {
-		dst = bat.MarshalChunk(dst, bw.Data)
+		dst = bat.MarshalChunk(dst, bw.Data.Concat())
 	}
 	if bw.Out != nil {
 		dst = bat.MarshalChunk(dst, bw.Out)
@@ -72,9 +72,11 @@ func UnmarshalBW(src []byte) (*BW, []byte, error) {
 	flags := src[0]
 	src = src[1:]
 	if flags&bwHasData != 0 {
-		if bw.Data, src, err = bat.UnmarshalChunk(src); err != nil {
+		var data *bat.Chunk
+		if data, src, err = bat.UnmarshalChunk(src); err != nil {
 			return nil, nil, fmt.Errorf("window: BW data: %w", err)
 		}
+		bw.Data = bat.NewRuns(data.Schema, data)
 	}
 	if flags&bwHasOut != 0 {
 		if bw.Out, src, err = bat.UnmarshalChunk(src); err != nil {
@@ -90,7 +92,8 @@ func UnmarshalBW(src []byte) (*BW, []byte, error) {
 }
 
 // MarshalFrag appends the wire encoding of one shard's epoch fragment to
-// dst: epoch, shard index, max arrival stamp and the raw tuple chunk.
+// dst: epoch, shard index, max arrival stamp and the raw tuples, encoded
+// as one chunk (the fragment's runs concatenated).
 // Per-fragment intermediates (Out/Partial) are not encoded — the fabric
 // ships raw windows and lets the coordinator's sharing stack (operator
 // DAG, merge classes) evaluate pipelines once per window across members.
@@ -98,11 +101,11 @@ func MarshalFrag(dst []byte, f *Frag) []byte {
 	dst = binary.AppendVarint(dst, f.Gen)
 	dst = binary.AppendVarint(dst, int64(f.Shard))
 	dst = binary.AppendVarint(dst, f.MaxArrival)
-	return bat.MarshalChunk(dst, f.Data)
+	return bat.MarshalChunk(dst, f.Data.Concat())
 }
 
 // UnmarshalFrag decodes a fragment from src, returning the remainder. The
-// fragment owns a freshly allocated chunk.
+// fragment owns a freshly allocated chunk, its single run.
 func UnmarshalFrag(src []byte) (*Frag, []byte, error) {
 	f := &Frag{}
 	var err error
@@ -119,8 +122,10 @@ func UnmarshalFrag(src []byte) (*Frag, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("window: frag arrival: %w", err)
 	}
-	if f.Data, src, err = bat.UnmarshalChunk(src); err != nil {
+	data, src, err := bat.UnmarshalChunk(src)
+	if err != nil {
 		return nil, nil, fmt.Errorf("window: frag data: %w", err)
 	}
+	f.Data = bat.NewRuns(data.Schema, data)
 	return f, src, nil
 }

@@ -7,6 +7,17 @@ import (
 	"datacell/internal/bat"
 )
 
+// runsOf lists chunks as one run list with the first chunk's schema.
+func runsOf(chunks ...*bat.Chunk) *bat.Runs { return bat.NewRuns(chunks[0].Schema, chunks...) }
+
+// concatOrNil is the dense form of a run list, nil for none.
+func concatOrNil(r *bat.Runs) *bat.Chunk {
+	if r == nil {
+		return nil
+	}
+	return r.Concat()
+}
+
 func codecChunk(vals ...int64) *bat.Chunk {
 	sch := bat.NewSchema([]string{"k"}, []bat.Kind{bat.Int})
 	return &bat.Chunk{Schema: sch, Cols: []bat.Vector{bat.Ints(append([]int64{}, vals...))}}
@@ -14,9 +25,9 @@ func codecChunk(vals ...int64) *bat.Chunk {
 
 func TestBWCodecRoundTrip(t *testing.T) {
 	bws := []*BW{
-		{Gen: 0, Data: codecChunk(1, 2, 3)},
-		{Gen: 41, MaxArrival: 123456, Data: codecChunk(), Out: codecChunk(9)},
-		{Gen: -7, Data: codecChunk(5), Partial: codecChunk(6, 7)},
+		{Gen: 0, Data: runsOf(codecChunk(1, 2), codecChunk(3))},
+		{Gen: 41, MaxArrival: 123456, Data: runsOf(codecChunk()), Out: codecChunk(9)},
+		{Gen: -7, Data: runsOf(codecChunk(5)), Partial: codecChunk(6, 7)},
 		{Gen: 3}, // all chunks absent
 	}
 	var buf []byte
@@ -37,8 +48,11 @@ func TestBWCodecRoundTrip(t *testing.T) {
 		if got.Free != nil {
 			t.Fatalf("bw %d: decoded window carries a Free hook", i)
 		}
+		if (got.Data == nil) != (want.Data == nil) {
+			t.Fatalf("bw %d data: presence mismatch", i)
+		}
 		for name, pair := range map[string][2]*bat.Chunk{
-			"data": {got.Data, want.Data}, "out": {got.Out, want.Out}, "partial": {got.Partial, want.Partial},
+			"data": {concatOrNil(got.Data), concatOrNil(want.Data)}, "out": {got.Out, want.Out}, "partial": {got.Partial, want.Partial},
 		} {
 			g, w := pair[0], pair[1]
 			if (g == nil) != (w == nil) {
@@ -55,7 +69,7 @@ func TestBWCodecRoundTrip(t *testing.T) {
 }
 
 func TestFragCodecRoundTrip(t *testing.T) {
-	want := &Frag{Gen: 17, Shard: 3, MaxArrival: 99, Data: codecChunk(4, 5)}
+	want := &Frag{Gen: 17, Shard: 3, MaxArrival: 99, Data: runsOf(codecChunk(4), codecChunk(5))}
 	buf := MarshalFrag(nil, want)
 	got, rest, err := UnmarshalFrag(buf)
 	if err != nil || len(rest) != 0 {
@@ -64,8 +78,8 @@ func TestFragCodecRoundTrip(t *testing.T) {
 	if got.Gen != want.Gen || got.Shard != want.Shard || got.MaxArrival != want.MaxArrival {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if !reflect.DeepEqual(got.Data.Cols, want.Data.Cols) {
-		t.Fatalf("data = %v, want %v", got.Data.Cols, want.Data.Cols)
+	if g, w := got.Data.Concat(), want.Data.Concat(); !reflect.DeepEqual(g.Cols, w.Cols) {
+		t.Fatalf("data = %v, want %v", g.Cols, w.Cols)
 	}
 	// Truncations error.
 	for cut := 0; cut < len(buf); cut++ {
@@ -81,16 +95,16 @@ func TestFragCodecRoundTrip(t *testing.T) {
 func TestShardMergeCanonicalOrder(t *testing.T) {
 	sch := bat.NewSchema([]string{"k"}, []bat.Kind{bat.Int})
 	build := func(order []int) []int64 {
-		m := NewShardMerge(MergeConfig{Shards: 3, Data: sch, KeepData: true})
+		m := NewShardMerge(MergeConfig{Shards: 3, Data: sch})
 		var out []*BW
 		for _, sh := range order {
-			frag := &Frag{Gen: 0, Data: codecChunk(int64(sh*10), int64(sh*10+1))}
+			frag := &Frag{Gen: 0, Data: runsOf(codecChunk(int64(sh*10), int64(sh*10+1)))}
 			out = append(out, m.Offer(sh, []*Frag{frag}, 1)...)
 		}
 		if len(out) != 1 {
 			t.Fatalf("order %v sealed %d windows, want 1", order, len(out))
 		}
-		return bat.AsInts(out[0].Data.Cols[0])
+		return bat.AsInts(out[0].Data.Concat().Cols[0])
 	}
 	want := build([]int{0, 1, 2})
 	for _, order := range [][]int{{2, 1, 0}, {1, 0, 2}, {2, 0, 1}} {

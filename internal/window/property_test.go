@@ -43,7 +43,7 @@ func TestQuickTupleSlicerPartition(t *testing.T) {
 				return false
 			}
 			for i := 0; i < bw.Data.Rows(); i++ {
-				rebuilt = append(rebuilt, bw.Data.Row(i)[1].I)
+				rebuilt = append(rebuilt, bw.Data.Concat().Row(i)[1].I)
 			}
 		}
 		if s.Pending() != len(vals)-len(rebuilt) {
@@ -112,7 +112,7 @@ func TestQuickTimeSlicerBuckets(t *testing.T) {
 						iter, bucket, rows, len(want[bucket]))
 				}
 				for i := 0; i < rows; i++ {
-					if bw.Data.Row(i)[1].I != want[bucket][i] {
+					if bw.Data.Concat().Row(i)[1].I != want[bucket][i] {
 						t.Fatalf("iter %d: bucket %d row %d mismatch", iter, bucket, i)
 					}
 				}

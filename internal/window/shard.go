@@ -16,13 +16,13 @@ type Frag struct {
 	// (⌊ts/slide⌋).
 	Gen int64
 	// Shard is the global shard index that produced the fragment. ShardMerge
-	// stamps it on Offer; merged basic windows concatenate an epoch's
-	// fragments in shard order, so window contents are deterministic no
-	// matter which shard (or which process, over the fabric) delivered
-	// first.
+	// stamps it on Offer; a merged basic window lists an epoch's fragments'
+	// runs in shard order, so window contents are deterministic no matter
+	// which shard (or which process, over the fabric) delivered first.
 	Shard int
-	// Data holds the shard's raw tuples of the epoch.
-	Data *bat.Chunk
+	// Data holds the shard's raw tuples of the epoch: the basket-segment
+	// runs they arrived in, in arrival order, uncopied.
+	Data *bat.Runs
 	// MaxArrival is the newest arrival stamp among the rows.
 	MaxArrival int64
 	// Out is the per-fragment pipeline output (incremental mode); computed
@@ -51,18 +51,13 @@ type ShardSlicer struct {
 	slideUsec int64
 	nextGen   int64 // all gens < nextGen have been flushed
 	maxGen    int64 // newest epoch that has received a row
-	open      map[int64]*openFrag
-}
-
-type openFrag struct {
-	data   *bat.Chunk
-	maxArr int64
+	open      map[int64]*Frag
 }
 
 // NewShardSlicer builds a shard-local slicer for a stream scan's bound
 // window.
 func NewShardSlicer(w *plan.Window, schema bat.Schema) *ShardSlicer {
-	s := &ShardSlicer{w: w, schema: schema, open: make(map[int64]*openFrag)}
+	s := &ShardSlicer{w: w, schema: schema, open: make(map[int64]*Frag)}
 	if !w.Tuples {
 		s.slideUsec = w.SlideDur.Microseconds()
 		// Time epochs are absolute slide buckets, which may start below
@@ -149,10 +144,8 @@ func (s *ShardSlicer) rowGen(i int, seqs, ts []int64) int64 {
 	return g
 }
 
-// bucket adds one run of rows to epoch gen. An epoch's first run is
-// adopted as it is — a view over the basket segment, no copy — and a
-// later run appends to it: the view's capacity ends at its last row, so
-// the first such append reallocates and the segment is never written.
+// bucket adds one run of rows — a view over a basket segment — to epoch
+// gen's open fragment. Nothing is copied: the fragment lists its runs.
 func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, arrivals []int64) {
 	var maxArr int64
 	for _, a := range arrivals {
@@ -160,12 +153,12 @@ func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, arrivals []int64) {
 	}
 	f := s.open[gen]
 	if f == nil {
-		c.Schema = s.schema
-		s.open[gen] = &openFrag{data: c, maxArr: maxArr}
-		return
+		f = &Frag{Gen: gen, Data: bat.NewRuns(s.schema)}
+		s.open[gen] = f
 	}
-	f.data.AppendChunk(c)
-	f.maxArr = max(f.maxArr, maxArr)
+	c.Schema = s.schema
+	f.Data.Append(c)
+	f.MaxArrival = max(f.MaxArrival, maxArr)
 }
 
 // Flush seals every epoch below wmGen, returning the shard's non-empty
@@ -185,9 +178,8 @@ func (s *ShardSlicer) Flush(wmGen int64) []*Frag {
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	var out []*Frag
 	for _, g := range gens {
-		f := s.open[g]
+		out = append(out, s.open[g])
 		delete(s.open, g)
-		out = append(out, &Frag{Gen: g, Data: f.data, MaxArrival: f.maxArr})
 	}
 	s.nextGen = wmGen
 	return out
@@ -213,17 +205,17 @@ type OpenEpoch struct {
 	Data       *bat.Chunk
 }
 
-// ExportState captures the slicer's watermarks and open epochs. The
-// epoch chunks are views (Slice) over the slicer's buffers: stable
-// against a concurrent bucket() growing the originals, so the caller may
-// marshal them outside whatever lock serializes Push/Flush.
+// ExportState captures the slicer's watermarks and open epochs. Each
+// epoch's runs are concatenated into one chunk (a single run stays a
+// view): stable against a concurrent bucket() adding runs, so the caller
+// may marshal them outside whatever lock serializes Push/Flush.
 func (s *ShardSlicer) ExportState() SlicerState {
 	st := SlicerState{NextGen: s.nextGen, MaxGen: s.maxGen}
 	for g, f := range s.open {
 		st.Open = append(st.Open, OpenEpoch{
 			Gen:        g,
-			MaxArrival: f.maxArr,
-			Data:       f.data.Slice(0, f.data.Rows()),
+			MaxArrival: f.MaxArrival,
+			Data:       f.Data.Concat(),
 		})
 	}
 	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Gen < st.Open[j].Gen })
@@ -236,11 +228,11 @@ func NewShardSlicerFromState(w *plan.Window, schema bat.Schema, st SlicerState) 
 	s := NewShardSlicer(w, schema)
 	s.nextGen, s.maxGen = st.NextGen, st.MaxGen
 	for _, e := range st.Open {
-		data := e.Data
-		if data == nil {
-			data = bat.NewChunk(schema)
+		f := &Frag{Gen: e.Gen, Data: bat.NewRuns(schema), MaxArrival: e.MaxArrival}
+		if e.Data != nil {
+			f.Data.Append(e.Data)
 		}
-		s.open[e.Gen] = &openFrag{data: data, maxArr: e.MaxArrival}
+		s.open[e.Gen] = f
 	}
 	return s
 }
@@ -249,7 +241,7 @@ func NewShardSlicerFromState(w *plan.Window, schema bat.Schema, st SlicerState) 
 func (s *ShardSlicer) Pending() int {
 	n := 0
 	for _, f := range s.open {
-		n += f.data.Rows()
+		n += f.Data.Rows()
 	}
 	return n
 }
@@ -259,12 +251,8 @@ func (s *ShardSlicer) Pending() int {
 type MergeConfig struct {
 	// Shards is the number of contributing shards.
 	Shards int
-	// Data is the stream schema (used for empty basic windows).
+	// Data is the stream schema of the basic windows' raw runs.
 	Data bat.Schema
-	// KeepData concatenates the fragments' raw tuples into BW.Data
-	// (re-evaluation mode needs the raw window; incremental mode only
-	// needs the cached intermediates).
-	KeepData bool
 	// Out, when non-nil, concatenates the fragments' pipeline outputs
 	// into BW.Out with this schema (incremental mode).
 	Out *bat.Schema
@@ -316,7 +304,7 @@ func (m *ShardMerge) Offer(shard int, frags []*Frag, wm int64) []*BW {
 	for _, f := range frags {
 		f.Shard = shard
 		// Insert in shard order (at most one fragment per shard per epoch),
-		// so buildBW concatenates deterministically regardless of delivery
+		// so buildBW lists the runs deterministically regardless of delivery
 		// order — the invariant that keeps a fabric run byte-identical to a
 		// single-process run.
 		fs := m.frags[f.Gen]
@@ -366,21 +354,37 @@ func (m *ShardMerge) Sealed() int64 {
 	return sealed
 }
 
-// buildBW concatenates epoch g's fragments (possibly none — a time gap)
-// into one merged basic window. A single fragment's chunks pass through as
-// views; several are copied once (bat.Concat).
+// buildBW merges epoch g's fragments (possibly none — a time gap) into
+// one basic window. The raw tuples are the fragments' runs in shard order,
+// uncopied; a single fragment's run list passes through as it is. The
+// per-fragment intermediates are concatenated (bat.Concat: a single
+// fragment's chunk passes through as a view, several are copied once).
 func (m *ShardMerge) buildBW(g int64) *BW {
 	frags := m.frags[g]
 	delete(m.frags, g)
 	bw := &BW{Gen: m.outGen, Epoch: g}
 	m.outGen++
-	var data, outs, parts []*bat.Chunk
-	var dataRows, outRows, partRows int
+	switch len(frags) {
+	case 0:
+		bw.Data = bat.NewRuns(m.cfg.Data)
+	case 1:
+		bw.Data = frags[0].Data
+	default:
+		n := 0
+		for _, f := range frags {
+			n += len(f.Data.Chunks)
+		}
+		bw.Data = &bat.Runs{Schema: m.cfg.Data, Chunks: make([]*bat.Chunk, 0, n)}
+		for _, f := range frags {
+			for _, c := range f.Data.Chunks {
+				bw.Data.Append(c)
+			}
+		}
+	}
+	var outs, parts []*bat.Chunk
+	var outRows, partRows int
 	for _, f := range frags {
 		bw.MaxArrival = max(bw.MaxArrival, f.MaxArrival)
-		if m.cfg.KeepData {
-			data, dataRows = append(data, f.Data), dataRows+f.Data.Rows()
-		}
 		if m.cfg.Out != nil && f.Out != nil {
 			outs, outRows = append(outs, f.Out), outRows+f.Out.Rows()
 		}
@@ -388,7 +392,6 @@ func (m *ShardMerge) buildBW(g int64) *BW {
 			parts, partRows = append(parts, f.Partial), partRows+f.Partial.Rows()
 		}
 	}
-	bw.Data = bat.Concat(m.cfg.Data, data, dataRows)
 	if m.cfg.Out != nil {
 		bw.Out = bat.Concat(*m.cfg.Out, outs, outRows)
 	}

@@ -71,21 +71,21 @@ func TestShardSlicerTimeBucketsAndClamp(t *testing.T) {
 
 func TestShardMergeCompletesAtMinWatermark(t *testing.T) {
 	sch := shardSchema()
-	m := NewShardMerge(MergeConfig{Shards: 2, Data: sch, KeepData: true})
+	m := NewShardMerge(MergeConfig{Shards: 2, Data: sch})
 	// Shard 0 delivers epoch 0 data and watermark 1; epoch 0 is not
 	// complete until shard 1's watermark passes it too.
-	bws := m.Offer(0, []*Frag{{Gen: 0, Data: shardChunk(1, 2), MaxArrival: 5}}, 1)
+	bws := m.Offer(0, []*Frag{{Gen: 0, Data: runsOf(shardChunk(1, 2)), MaxArrival: 5}}, 1)
 	if bws != nil {
 		t.Fatalf("completed before min watermark: %v", bws)
 	}
-	bws = m.Offer(1, []*Frag{{Gen: 0, Data: shardChunk(3), MaxArrival: 9}}, 1)
+	bws = m.Offer(1, []*Frag{{Gen: 0, Data: runsOf(shardChunk(3)), MaxArrival: 9}}, 1)
 	if len(bws) != 1 || bws[0].Gen != 0 || bws[0].Data.Rows() != 3 || bws[0].MaxArrival != 9 {
 		t.Fatalf("merged bw = %+v", bws)
 	}
 	// Gap epochs below the joint watermark emit empty basic windows with
 	// consecutive generations.
 	m.Offer(0, nil, 4)
-	bws = m.Offer(1, []*Frag{{Gen: 3, Data: shardChunk(7)}}, 4)
+	bws = m.Offer(1, []*Frag{{Gen: 3, Data: runsOf(shardChunk(7))}}, 4)
 	if len(bws) != 3 {
 		t.Fatalf("gap fill: %d bws, want 3", len(bws))
 	}
@@ -96,10 +96,10 @@ func TestShardMergeCompletesAtMinWatermark(t *testing.T) {
 
 func TestShardMergeStartsAtFirstEpoch(t *testing.T) {
 	sch := shardSchema()
-	m := NewShardMerge(MergeConfig{Shards: 2, Data: sch, KeepData: true})
+	m := NewShardMerge(MergeConfig{Shards: 2, Data: sch})
 	// Time windows start at an absolute bucket (here 10); the merged
 	// stream renumbers output generations from 0.
-	m.Offer(0, []*Frag{{Gen: 10, Data: shardChunk(1)}}, 12)
+	m.Offer(0, []*Frag{{Gen: 10, Data: runsOf(shardChunk(1))}}, 12)
 	bws := m.Offer(1, nil, 12)
 	if len(bws) != 2 || bws[0].Gen != 0 || bws[1].Gen != 1 {
 		t.Fatalf("bws = %+v", bws)
@@ -120,17 +120,17 @@ func TestShardMergeConcatsIntermediates(t *testing.T) {
 		}
 		return c
 	}
-	m.Offer(0, []*Frag{{Gen: 0, Data: shardChunk(1), Out: mk(1, 2)}}, 1)
-	bws := m.Offer(1, []*Frag{{Gen: 0, Data: shardChunk(2), Out: mk(3)}}, 1)
+	m.Offer(0, []*Frag{{Gen: 0, Data: runsOf(shardChunk(1)), Out: mk(1, 2)}}, 1)
+	bws := m.Offer(1, []*Frag{{Gen: 0, Data: runsOf(shardChunk(2)), Out: mk(3)}}, 1)
 	if len(bws) != 1 {
 		t.Fatalf("bws = %+v", bws)
 	}
 	if bws[0].Out == nil || bws[0].Out.Rows() != 3 {
 		t.Fatalf("merged Out = %+v", bws[0].Out)
 	}
-	// KeepData off: raw data is not concatenated (incremental mode).
-	if bws[0].Data.Rows() != 0 {
-		t.Errorf("incremental merged bw kept raw data")
+	// The raw tuples are the fragments' runs in shard order, uncopied.
+	if len(bws[0].Data.Chunks) != 2 || bws[0].Data.Rows() != 2 {
+		t.Errorf("merged bw raw runs = %+v", bws[0].Data)
 	}
 }
 

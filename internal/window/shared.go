@@ -1,48 +1,31 @@
 package window
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"datacell/internal/bat"
-)
-
-// SharedBuf refcounts the raw columnar data of one merged basic window
-// shared across a query group's members. The chunk itself is an immutable
-// view — members only read it — so sharing needs no copies; the refcount
-// exists to observe the buffer's lifetime: each member releases its
+// SharedBuf refcounts the raw tuples of one merged basic window shared
+// across a query group's members. The runs themselves are immutable views
+// — members only read them — so sharing needs no copies; the refcount
+// exists to observe the window's lifetime: each member releases its
 // reference when it no longer needs the raw tuples (an incremental tail
 // after caching its per-basic-window intermediates, a re-evaluation tail
 // when the basic window leaves its ring), and the group's live-buffer
 // gauge drops when the last member lets go.
 type SharedBuf struct {
-	data   *bat.Chunk
 	refs   atomic.Int32
 	onFree func()
 }
 
-// NewSharedBuf wraps a merged basic window's data chunk with refs
-// references. onFree, if non-nil, runs exactly once when the count reaches
-// zero.
-func NewSharedBuf(data *bat.Chunk, refs int, onFree func()) *SharedBuf {
-	s := &SharedBuf{data: data, onFree: onFree}
+// NewSharedBuf starts a count of refs references. onFree, if non-nil,
+// runs exactly once when the count reaches zero.
+func NewSharedBuf(refs int, onFree func()) *SharedBuf {
+	s := &SharedBuf{onFree: onFree}
 	s.refs.Store(int32(refs))
 	return s
 }
 
-// Data is the shared immutable columnar view.
-func (s *SharedBuf) Data() *bat.Chunk { return s.data }
-
-// Refs reports the current reference count.
-func (s *SharedBuf) Refs() int { return int(s.refs.Load()) }
-
-// Release drops one reference; the last release drops the data pointer
-// (letting the columns be reclaimed even if the SharedBuf itself is still
-// referenced) and fires the onFree hook.
+// Release drops one reference; the last release fires the onFree hook.
 func (s *SharedBuf) Release() {
-	if s.refs.Add(-1) == 0 {
-		s.data = nil
-		if s.onFree != nil {
-			s.onFree()
-		}
+	if s.refs.Add(-1) == 0 && s.onFree != nil {
+		s.onFree()
 	}
 }

@@ -15,11 +15,14 @@
 // downstream of the merge — Ring, JoinCache, partial-aggregate merging —
 // is oblivious to sharding. An unsharded stream is the one-shard case.
 //
-// Slicing copies nothing it does not have to: an epoch made of one basket
-// segment's run is a view over that segment, a basic window made of one
-// fragment is that fragment, and a full window made of one basic window is
-// that basic window (bat.Concat). The views are immutable — nothing in the
-// engine writes into a chunk's existing rows.
+// Slicing copies nothing: an epoch fragment is the list of basket-segment
+// runs its rows arrived in, and a basic window is its fragments' runs in
+// shard order (bat.Runs) — the same rows, in the same order, that
+// concatenating them would produce. The kernels read through the runs in
+// place; a dense copy is made only where a consumer needs one chunk (the
+// re-evaluation window, the wire and snapshot encodings, the unfused
+// executor). The runs are immutable — nothing in the engine writes into a
+// chunk's existing rows.
 package window
 
 import (
@@ -39,8 +42,10 @@ type BW struct {
 	// it does not depend on where the merged stream started, so it aligns
 	// the windows of two streams in time.
 	Epoch int64
-	// Data holds the raw stream tuples of the basic window.
-	Data *bat.Chunk
+	// Data holds the raw stream tuples of the basic window: its shards'
+	// basket-segment runs in canonical order (shard order, then arrival
+	// order within a shard).
+	Data *bat.Runs
 	// MaxArrival is the latest arrival stamp among the tuples
 	// (microseconds), used for response-time accounting. Zero for empty
 	// basic windows.
@@ -130,9 +135,19 @@ func (r *Ring) MaxArrival() int64 {
 }
 
 // ConcatData concatenates the raw tuples of the live basic windows — the
-// full current window, used by the re-evaluation mode.
+// full current window, used by the re-evaluation mode. It copies straight
+// from every basic window's runs, so each tuple is copied once per slide
+// (a window made of a single run passes through as a view).
 func (r *Ring) ConcatData(schema bat.Schema) *bat.Chunk {
-	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Data })
+	var runs []*bat.Chunk
+	rows := 0
+	for _, bw := range r.bws {
+		if bw.Data != nil {
+			runs = append(runs, bw.Data.Chunks...)
+			rows += bw.Data.Rows()
+		}
+	}
+	return bat.Concat(schema, runs, rows)
 }
 
 // ConcatOuts concatenates the cached pipeline outputs of the live basic

@@ -39,7 +39,7 @@ func newOneShard(w *plan.Window) *oneShard {
 	return &oneShard{
 		w:  w,
 		sl: NewShardSlicer(w, sch()),
-		m:  NewShardMerge(MergeConfig{Shards: 1, Data: sch(), KeepData: true}),
+		m:  NewShardMerge(MergeConfig{Shards: 1, Data: sch()}),
 	}
 }
 
@@ -99,8 +99,8 @@ func TestTupleSlicer(t *testing.T) {
 	if bws[0].Gen != 0 || bws[1].Gen != 1 {
 		t.Errorf("gens = %d, %d", bws[0].Gen, bws[1].Gen)
 	}
-	if bws[0].Data.Rows() != 3 || bws[0].Data.Row(2)[1].I != 30 {
-		t.Errorf("bw0 = %v", bws[0].Data)
+	if bws[0].Data.Rows() != 3 || bws[0].Data.Concat().Row(2)[1].I != 30 {
+		t.Errorf("bw0 = %v", bws[0].Data.Concat())
 	}
 	if bws[0].MaxArrival != 3 || bws[1].MaxArrival != 6 {
 		t.Errorf("max arrivals = %d, %d", bws[0].MaxArrival, bws[1].MaxArrival)
@@ -124,8 +124,8 @@ func TestTupleSlicerLargeBatch(t *testing.T) {
 		t.Fatalf("bws = %d, want 5", len(bws))
 	}
 	for i, bw := range bws {
-		if bw.Data.Rows() != 2 || bw.Data.Row(0)[1].I != int64(i*2) {
-			t.Errorf("bw %d wrong: %v", i, bw.Data)
+		if bw.Data.Rows() != 2 || bw.Data.Concat().Row(0)[1].I != int64(i*2) {
+			t.Errorf("bw %d wrong: %v", i, bw.Data.Concat())
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestRing(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		c := bat.NewChunk(sch())
 		_ = c.AppendRow(bat.TimeValue(i), bat.IntValue(i))
-		evicted = r.Push(&BW{Gen: i, Data: c, MaxArrival: i})
+		evicted = r.Push(&BW{Gen: i, Data: bat.NewRuns(c.Schema, c), MaxArrival: i})
 	}
 	if !r.Full() {
 		t.Error("ring should be full")

@@ -32,27 +32,28 @@ func TestSingleRunEpochSharesBasketSegment(t *testing.T) {
 		t.Fatalf("frags = %+v", frags)
 	}
 	for i := range seg.Cols {
-		if firstInt(frags[0].Data.Cols[i]) != firstInt(seg.Cols[i]) {
+		if firstInt(frags[0].Data.Chunks[0].Cols[i]) != firstInt(seg.Cols[i]) {
 			t.Fatalf("column %d of the epoch was copied out of its basket segment", i)
 		}
 	}
 
-	m := NewShardMerge(MergeConfig{Shards: 1, Data: shardSchema(), KeepData: true})
+	m := NewShardMerge(MergeConfig{Shards: 1, Data: shardSchema()})
 	bws := m.Offer(0, frags, s.Watermark())
 	if len(bws) != 1 || bws[0].MaxArrival != 7 {
 		t.Fatalf("basic windows = %+v", bws)
 	}
 	for i := range seg.Cols {
-		if firstInt(bws[0].Data.Cols[i]) != firstInt(seg.Cols[i]) {
+		if firstInt(bws[0].Data.Chunks[0].Cols[i]) != firstInt(seg.Cols[i]) {
 			t.Fatalf("column %d of a one-fragment basic window was copied", i)
 		}
 	}
 }
 
-// TestEpochRunsAppendWithoutWritingSegment: an epoch's later runs append
-// to its first one; the adopted view's capacity ends at its last row, so
-// the append reallocates and the basket rows after the view — which the
-// producer has already filled — are untouched.
+// TestEpochRunsAppendWithoutWritingSegment: an epoch's later runs are
+// listed after its first one, nothing is copied, and the basket rows after
+// the first view — which the producer has already filled — are untouched.
+// Two basic windows cut from two shards' fragments list all their runs in
+// shard order, again without a copy.
 func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	bk := basket.New("s", shardSchema())
 	cid := bk.Register()
@@ -61,7 +62,7 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	bk.Consume(cid, 2)
 	_ = bk.Append(shardChunk(12, 13), 2) // same segment, right after the view
 
-	w := &plan.Window{Tuples: true, Size: 8, Slide: 4}
+	w := &plan.Window{Tuples: true, Size: 16, Slide: 8}
 	s := NewShardSlicer(w, shardSchema())
 	s.Push(first, arr, seqs)
 	s.Push(shardChunk(90, 91), bat.Ints{3, 3}, seqsOf(2, 3))
@@ -69,8 +70,23 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 		t.Fatalf("appending to the epoch wrote into the basket segment:\n%s", next)
 	}
 	frags := s.Flush(1)
-	if len(frags) != 1 || frags[0].Data.String() != shardChunk(10, 11, 90, 91).String() || frags[0].MaxArrival != 3 {
+	if len(frags) != 1 || frags[0].Data.Concat().String() != shardChunk(10, 11, 90, 91).String() || frags[0].MaxArrival != 3 {
 		t.Fatalf("epoch 0 = %+v", frags)
+	}
+	if runs := frags[0].Data.Chunks; len(runs) != 2 || firstInt(runs[0].Cols[1]) != firstInt(first.Cols[1]) {
+		t.Fatalf("epoch 0 is not its two runs, the first over the basket segment: %+v", runs)
+	}
+
+	other := NewShardSlicer(w, shardSchema())
+	other.Push(shardChunk(50, 51), bat.Ints{4, 4}, seqsOf(4, 5))
+	m := NewShardMerge(MergeConfig{Shards: 2, Data: shardSchema()})
+	m.Offer(1, frags, s.Watermark())
+	bws := m.Offer(0, other.Flush(1), other.Watermark())
+	if len(bws) != 1 || bws[0].Data.Concat().String() != shardChunk(50, 51, 10, 11, 90, 91).String() {
+		t.Fatalf("basic window = %+v", bws)
+	}
+	if runs := bws[0].Data.Chunks; len(runs) != 3 || firstInt(runs[1].Cols[1]) != firstInt(first.Cols[1]) {
+		t.Fatalf("basic window runs were copied or reordered: %+v", runs)
 	}
 }
 
