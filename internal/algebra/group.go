@@ -22,6 +22,36 @@ type Grouping struct {
 	// Repr) reconstructs exactly the group keys even then (a nil
 	// candidate list would mean "all rows").
 	Repr Sel
+
+	// box holds GIDs' pooled storage until Release.
+	box *[]int32
+}
+
+// gidScratch recycles the per-row group ids: a grouping's GIDs are read
+// only by the aggregate kernels its caller runs over it, and every basic
+// window of a grouped aggregate groups afresh, so a new vector per call
+// would be pure garbage.
+var gidScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// newGrouping starts a grouping of rows qualifying rows: pooled group ids
+// of length rows (unzeroed) and room for reprCap representatives.
+func newGrouping(rows, reprCap int) Grouping {
+	box := gidScratch.Get().(*[]int32)
+	if cap(*box) < rows {
+		*box = make([]int32, rows)
+	}
+	return Grouping{GIDs: (*box)[:rows], Repr: make(Sel, 0, reprCap), box: box}
+}
+
+// Release hands the grouping's group ids back for reuse by later Group
+// calls. Call it once the aggregate kernels have run, and only when
+// nothing kept g.GIDs; a grouping that is never released is left to the
+// garbage collector.
+func (g *Grouping) Release() {
+	if g.box != nil {
+		gidScratch.Put(g.box)
+		g.box, g.GIDs = nil, nil
+	}
 }
 
 // Group computes a dense grouping of the rows covered by sel over one or
@@ -55,7 +85,8 @@ func GroupHint(keys []bat.Vector, sel Sel, n, hint int) Grouping {
 		hint = defaultGroupHint
 	}
 	if len(keys) == 0 {
-		g := Grouping{GIDs: make([]int32, rows), Repr: Sel{}}
+		g := newGrouping(rows, 0)
+		clear(g.GIDs)
 		if rows > 0 {
 			g.N = 1
 			g.Repr = Sel{firstPos(sel)}
@@ -196,7 +227,7 @@ func groupInts(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
 		hashInts(h, xs, sel, c == 0)
 	}
 	t := newGroupTable(min(hint, rows))
-	g := Grouping{GIDs: make([]int32, rows), Repr: make(Sel, 0, min(hint, rows))}
+	g := newGrouping(rows, min(hint, rows))
 	t.probe(&g, cols, sel, h)
 	g.N = len(t.hash)
 	return g
@@ -249,7 +280,7 @@ func groupDense(cols [][]int64, sel Sel, rows, hint int, key []uint64) (g Groupi
 	}
 	slots := (*tp)[:domain]
 	clear(slots)
-	g = Grouping{GIDs: make([]int32, rows), Repr: make(Sel, 0, min(hint, rows))}
+	g = newGrouping(rows, min(hint, rows))
 	for k, x := range key {
 		id := slots[x]
 		if id == 0 {
@@ -368,7 +399,8 @@ func rowsEqual(cols [][]int64, a, b int32) bool {
 }
 
 func groupStr(xs []string, sel Sel, rows, hint int) Grouping {
-	g := Grouping{GIDs: make([]int32, 0, rows), Repr: Sel{}}
+	g := newGrouping(rows, 0)
+	g.GIDs = g.GIDs[:0]
 	ids := make(map[string]int32, min(hint, rows))
 	eachSel(xs, sel, func(i int32, x string) {
 		id, ok := ids[x]
@@ -386,7 +418,8 @@ func groupStr(xs []string, sel Sel, rows, hint int) Grouping {
 // groupComposite groups over keys that include a float, string or bool
 // column, through the binary key encoding.
 func groupComposite(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
-	g := Grouping{GIDs: make([]int32, 0, rows), Repr: Sel{}}
+	g := newGrouping(rows, 0)
+	g.GIDs = g.GIDs[:0]
 	ids := make(map[string]int32, min(hint, rows))
 	var buf []byte
 	n := keys[0].Len()

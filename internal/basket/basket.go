@@ -7,13 +7,24 @@
 //
 // Storage is a list of segments, each a set of column arrays (plus arrival
 // and sequence stamps) holding a contiguous run of rows. A row below a
-// segment's length is never written again: an append fills the tail
-// segment's spare capacity and puts any rows left over into one new
-// segment sized to the append. Readers therefore get zero-copy views
-// (PeekSeqs hands out one segment's pending rows at a time) that stay valid
-// however the basket changes afterwards, and vacuum frees whole segments
-// the slowest consumer has passed without copying anything — each tuple is
-// copied once, into its segment.
+// segment's length is never written again while anyone may read it: an
+// append fills the tail segment's spare capacity and puts any rows left
+// over into one new segment sized to the append. Readers get zero-copy
+// views, one segment's pending rows at a time, and vacuum drops whole
+// segments the slowest consumer has passed without copying anything —
+// each tuple is copied once, into its segment.
+//
+// A segment's columns and its stamps live in two refcounted stores. A
+// view is valid while a lease on its store is held: ConsumeLeased hands
+// one to its callback, which keeps the rows past the call by retaining
+// it (a window slicer's runs do). Once the basket and every lease have
+// let go, the store returns to a per-basket free list and a later append
+// of a fitting size writes into it again — the storage the paper drops
+// "once a tuple has been seen by all relevant queries" is reused rather
+// than collected. A view handed out without a lease (PeekSeqs,
+// ConsumeEach, a single-segment Snapshot or ExportState) pins its store
+// instead: it is never reused, and the view stays valid however the
+// basket changes afterwards.
 //
 // In the Petri-net scheduler, baskets are the places: appends raise tokens
 // that enable the factory transitions reading from them.
@@ -63,16 +74,24 @@ type Basket struct {
 	pending   []*bat.Chunk // appends buffered while paused
 	pendStamp []int64
 	pendSeqs  []bat.Ints
+
+	// Released segment storage, reused by later appends (see store).
+	freeCols, freeStamps *freeList
+	segsMade, segsReused int64 // segments started, and those on reused column stores
 }
 
 // segment is one contiguous run of buffered rows. Its columns and stamp
 // vectors share one capacity; appends only ever write past the current
-// length, so views over rows below it are immutable.
+// length, so views over rows below it are immutable until the storage is
+// released. The columns live in the segment's column store and the
+// stamps in its stamp store (see store).
 type segment struct {
 	start    int64 // absolute row id of row 0
 	cols     []bat.Vector
 	arrivals bat.Ints // per-row arrival stamp, microseconds
 	seqs     bat.Ints // per-row sequence stamp (global in a shard)
+	col      *store
+	stamp    *store
 }
 
 // segFloor is the smallest segment capacity: tiny appends (single-row
@@ -81,16 +100,19 @@ type segment struct {
 // much more than the rows appended with it.
 const segFloor = 1024
 
-func newSegment(schema bat.Schema, start int64, capacity int) *segment {
-	sg := &segment{
-		start:    start,
-		cols:     make([]bat.Vector, len(schema.Kinds)),
-		arrivals: make(bat.Ints, 0, capacity),
-		seqs:     make(bat.Ints, 0, capacity),
+// newSegment starts a segment with room for exactly capacity rows, on
+// released stores when the free lists hold fitting ones.
+func (b *Basket) newSegment(start int64, capacity int) *segment {
+	col, reused := b.freeCols.get(capacity)
+	stamp, _ := b.freeStamps.get(capacity)
+	sg := &segment{start: start, col: col, stamp: stamp}
+	b.segsMade++
+	if reused {
+		b.segsReused++
 	}
-	for i, k := range schema.Kinds {
-		sg.cols[i] = bat.NewVector(k, capacity)
-	}
+	sg.cols = sg.col.capped(capacity)
+	stamps := sg.stamp.capped(capacity)
+	sg.arrivals, sg.seqs = stamps[0].(bat.Ints), stamps[1].(bat.Ints)
 	return sg
 }
 
@@ -111,12 +133,27 @@ func (sg *segment) view(schema bat.Schema, lo, hi int) (*bat.Chunk, bat.Ints, ba
 	return &bat.Chunk{Schema: schema, Cols: cols}, sg.arrivals[lo:hi:hi], sg.seqs[lo:hi:hi]
 }
 
+// pin marks both stores as never reused: a view went out without a
+// lease.
+func (sg *segment) pin() {
+	sg.col.pin()
+	sg.stamp.pin()
+}
+
+// release drops one reference on both stores.
+func (sg *segment) release() {
+	sg.col.Release()
+	sg.stamp.Release()
+}
+
 // New creates an empty basket for the given stream schema.
 func New(name string, schema bat.Schema) *Basket {
 	return &Basket{
-		name:      name,
-		schema:    schema,
-		consumers: make(map[int]int64),
+		name:       name,
+		schema:     schema,
+		consumers:  make(map[int]int64),
+		freeCols:   &freeList{kinds: schema.Kinds},
+		freeStamps: &freeList{kinds: stampKinds},
 	}
 }
 
@@ -241,27 +278,38 @@ func (b *Basket) AppendSeqs(c *bat.Chunk, arrival int64, seqs bat.Ints) error {
 		b.mu.Unlock()
 		return nil
 	}
-	b.putLocked(c, nil, arrival, seqs)
+	b.putLocked(c, nil, arrival, stamps{seqs: seqs, base: b.nextSeq})
 	subs := b.onAppend
 	b.mu.Unlock()
 	fireSubs(subs)
 	return nil
 }
 
-// AppendFetchSeqs appends only the rows of c at the sel positions,
-// stamped with the given arrival time and sequence numbers (one per
-// selected row). It is the sharded routing path: the container partitions
-// a chunk by key and each shard copies its rows exactly once, straight
-// into its columns. The caller guarantees the chunk matches the schema.
-func (b *Basket) AppendFetchSeqs(c *bat.Chunk, sel []int32, arrival int64, seqs bat.Ints) error {
-	if len(sel) == 0 {
+// AppendRouted appends the rows of c at the sel positions (every row when
+// sel is nil), stamped with the given arrival time; row i of c gets the
+// sequence stamp base+i. It is the sharded routing path: the container
+// claims a chunk's sequence range starting at base and partitions the
+// chunk by key, and each shard copies its rows exactly once, straight
+// into its columns, writing their stamps as it goes. The caller
+// guarantees the chunk matches the schema; sel is not retained.
+func (b *Basket) AppendRouted(c *bat.Chunk, sel []int32, arrival, base int64) error {
+	if sel != nil && len(sel) == 0 {
 		return nil
 	}
 	b.mu.Lock()
 	if b.paused {
-		sub := bat.NewChunk(b.schema)
-		for i, col := range c.Cols {
-			sub.Cols[i] = bat.AppendFetch(sub.Cols[i], col, sel)
+		// Held rows are replayed later, so they get their own copy and
+		// materialized stamps.
+		sub := c
+		if sel != nil {
+			sub = bat.NewChunk(b.schema)
+			for i, col := range c.Cols {
+				sub.Cols[i] = bat.AppendFetch(sub.Cols[i], col, sel)
+			}
+		}
+		seqs := make(bat.Ints, sub.Rows())
+		for k := range seqs {
+			seqs[k] = stamps{base: base}.of(sel, k)
 		}
 		b.pending = append(b.pending, sub)
 		b.pendStamp = append(b.pendStamp, arrival)
@@ -269,18 +317,37 @@ func (b *Basket) AppendFetchSeqs(c *bat.Chunk, sel []int32, arrival int64, seqs 
 		b.mu.Unlock()
 		return nil
 	}
-	b.putLocked(c, sel, arrival, seqs)
+	b.putLocked(c, sel, arrival, stamps{base: base})
 	subs := b.onAppend
 	b.mu.Unlock()
 	fireSubs(subs)
 	return nil
 }
 
+// stamps describes an append's sequence stamps: seqs[k] for its k-th
+// row when seqs is set, otherwise base plus the row's position in the
+// appended chunk (base+sel[k] for a routed append, base+k otherwise).
+type stamps struct {
+	seqs bat.Ints
+	base int64
+}
+
+// of returns the stamp of the k-th appended row.
+func (st stamps) of(sel []int32, k int) int64 {
+	switch {
+	case st.seqs != nil:
+		return st.seqs[k]
+	case sel != nil:
+		return st.base + int64(sel[k])
+	}
+	return st.base + int64(k)
+}
+
 // putLocked appends the rows of c — all of them, or only the sel
-// positions — with their arrival and sequence stamps (nil seqs: the
-// basket's own dense counter). The rows first fill the tail segment's
-// spare capacity; the rest go into one new segment sized to them.
-func (b *Basket) putLocked(c *bat.Chunk, sel []int32, arrival int64, seqs bat.Ints) {
+// positions — with their arrival and sequence stamps. The rows first
+// fill the tail segment's spare capacity; the rest go into one new
+// segment sized to them.
+func (b *Basket) putLocked(c *bat.Chunk, sel []int32, arrival int64, st stamps) {
 	rows := c.Rows()
 	if sel != nil {
 		rows = len(sel)
@@ -288,22 +355,17 @@ func (b *Basket) putLocked(c *bat.Chunk, sel []int32, arrival int64, seqs bat.In
 	if rows == 0 {
 		return
 	}
-	first := b.nextSeq // dense stamps when seqs is nil
-	if seqs == nil {
-		b.nextSeq += int64(rows)
-	} else if n := seqs[rows-1] + 1; n > b.nextSeq {
-		b.nextSeq = n
-	}
+	b.nextSeq = max(b.nextSeq, st.of(sel, rows-1)+1)
 	done := 0
 	if k := len(b.segs); k > 0 {
 		done = min(b.segs[k-1].room(), rows)
 		if done > 0 {
-			b.segs[k-1].put(c, sel, 0, done, arrival, seqs, first)
+			b.segs[k-1].put(c, sel, 0, done, arrival, st)
 		}
 	}
 	if done < rows {
-		sg := newSegment(b.schema, b.end+int64(done), max(rows-done, segFloor))
-		sg.put(c, sel, done, rows, arrival, seqs, first)
+		sg := b.newSegment(b.end+int64(done), max(rows-done, segFloor))
+		sg.put(c, sel, done, rows, arrival, st)
 		b.segs = append(b.segs, sg)
 	}
 	b.end += int64(rows)
@@ -311,9 +373,8 @@ func (b *Basket) putLocked(c *bat.Chunk, sel []int32, arrival int64, seqs bat.In
 }
 
 // put appends rows [lo, hi) of an append — of c itself, or of c's sel
-// positions — into the segment's spare capacity. Row i's sequence stamp
-// is seqs[i], or first+i when seqs is nil.
-func (sg *segment) put(c *bat.Chunk, sel []int32, lo, hi int, arrival int64, seqs bat.Ints, first int64) {
+// positions — into the segment's spare capacity.
+func (sg *segment) put(c *bat.Chunk, sel []int32, lo, hi int, arrival int64, st stamps) {
 	for i, col := range c.Cols {
 		switch {
 		case sel != nil:
@@ -325,14 +386,23 @@ func (sg *segment) put(c *bat.Chunk, sel []int32, lo, hi int, arrival int64, seq
 		}
 	}
 	n := len(sg.seqs)
+	arrivals := sg.arrivals[n : n+hi-lo]
+	seqs := sg.seqs[n : n+hi-lo]
 	sg.arrivals = sg.arrivals[:n+hi-lo]
 	sg.seqs = sg.seqs[:n+hi-lo]
-	for i := lo; i < hi; i++ {
-		sg.arrivals[n+i-lo] = arrival
-		if seqs == nil {
-			sg.seqs[n+i-lo] = first + int64(i)
-		} else {
-			sg.seqs[n+i-lo] = seqs[i]
+	for k := range arrivals {
+		arrivals[k] = arrival
+	}
+	switch {
+	case st.seqs != nil:
+		copy(seqs, st.seqs[lo:hi])
+	case sel != nil:
+		for k, i := range sel[lo:hi] {
+			seqs[k] = st.base + int64(i)
+		}
+	default:
+		for k := range seqs {
+			seqs[k] = st.base + int64(lo+k)
 		}
 	}
 }
@@ -352,7 +422,7 @@ func (b *Basket) Resume() {
 	b.paused = false
 	flushed := len(b.pending) > 0
 	for i, c := range b.pending {
-		b.putLocked(c, nil, b.pendStamp[i], b.pendSeqs[i])
+		b.putLocked(c, nil, b.pendStamp[i], stamps{seqs: b.pendSeqs[i], base: b.nextSeq})
 	}
 	b.pending, b.pendStamp, b.pendSeqs = nil, nil, nil
 	subs := b.onAppend
@@ -399,24 +469,34 @@ func (b *Basket) Peek(id int, n int) (*bat.Chunk, bat.Ints) {
 }
 
 // PeekSeqs returns up to n of the consumer's pending rows, with their
-// arrival and sequence stamps, without consuming them — the shard-aware
-// read path, which needs global positions to reconstruct epoch
-// boundaries. The rows all come from one segment and are zero-copy
-// views: their storage is never written again, so they stay valid after
-// any later append, consume or vacuum (a vacuum only drops the basket's
-// reference to a segment). A consumer drains its backlog by peeking and
-// consuming until nothing is returned; nil means nothing is pending.
+// arrival and sequence stamps, without consuming them. The rows all come
+// from one segment and are zero-copy views handed out without a lease,
+// so they pin the segment's storage: it is never reused, and the views
+// stay valid after any later append, consume or vacuum (a vacuum only
+// drops the basket's reference). A consumer drains its backlog by
+// peeking and consuming until nothing is returned; nil means nothing is
+// pending. ConsumeLeased is the read path that lets storage be reused.
 func (b *Basket) PeekSeqs(id int, n int) (*bat.Chunk, bat.Ints, bat.Ints) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, ok := b.consumers[id]
-	if !ok || cur >= b.end || n <= 0 {
+	sg, lo, ok := b.pendingLocked(id)
+	if !ok || n <= 0 {
 		return nil, nil, nil
 	}
-	i := sort.Search(len(b.segs), func(i int) bool { return b.segs[i].end() > cur })
-	sg := b.segs[i]
-	lo := int(cur - sg.start)
+	sg.pin()
 	return sg.view(b.schema, lo, min(sg.rows(), lo+n))
+}
+
+// pendingLocked finds the segment holding the consumer's next pending
+// row and that row's offset in it; ok is false when nothing is pending.
+func (b *Basket) pendingLocked(id int) (sg *segment, lo int, ok bool) {
+	cur, ok := b.consumers[id]
+	if !ok || cur >= b.end {
+		return nil, 0, false
+	}
+	i := sort.Search(len(b.segs), func(i int) bool { return b.segs[i].end() > cur })
+	sg = b.segs[i]
+	return sg, int(cur - sg.start), true
 }
 
 // Snapshot returns everything currently buffered in the basket,
@@ -439,10 +519,14 @@ func (b *Basket) SnapshotSeqs() (*bat.Chunk, bat.Ints) {
 }
 
 // gatherLocked concatenates every buffered row and its stamps: a single
-// segment passes through as views, several are copied once into exactly
-// sized vectors (Snapshot and ExportState are cold paths).
+// segment passes through as views, which pin its storage, and several
+// are copied once into exactly sized vectors (Snapshot and ExportState
+// are cold paths).
 func (b *Basket) gatherLocked() (*bat.Chunk, bat.Ints, bat.Ints) {
 	n := int(b.end - b.base)
+	if len(b.segs) == 1 {
+		b.segs[0].pin()
+	}
 	chunks := make([]*bat.Chunk, len(b.segs))
 	arrs := make([]bat.Ints, len(b.segs))
 	seqs := make([]bat.Ints, len(b.segs))
@@ -480,8 +564,8 @@ type State struct {
 }
 
 // ExportState captures the basket's buffered rows and counters. The rows
-// and stamps are never written again, so the caller may marshal them
-// without further locking.
+// and stamps are never written again (a single segment's views pin its
+// storage), so the caller may marshal them without further locking.
 func (b *Basket) ExportState() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -498,7 +582,8 @@ func (b *Basket) ExportState() State {
 
 // NewFromState rebuilds a basket from an exported image, adopting the
 // state's vectors as one full segment (pass a decoded, freshly allocated
-// state — not one still shared with a live basket).
+// state — not one still shared with a live basket). Adopted storage is
+// never reused.
 func NewFromState(name string, schema bat.Schema, st State) *Basket {
 	b := New(name, schema)
 	b.base, b.end = st.Base, st.Base
@@ -508,6 +593,8 @@ func NewFromState(name string, schema bat.Schema, st State) *Basket {
 			cols:     st.Rows.Cols,
 			arrivals: st.Arrivals[:n:n],
 			seqs:     st.Seqs[:n:n],
+			col:      &store{}, // no free list: never reused
+			stamp:    &store{},
 		}}
 		b.end += int64(n)
 	}
@@ -551,30 +638,65 @@ func (b *Basket) Consume(id int, n int64) {
 
 // ConsumeEach drains the consumer's backlog as it stands when called, one
 // segment at a time: it consumes each segment's pending rows and passes
-// their views (see PeekSeqs) to fn, outside the basket lock. Rows appended
-// meanwhile wait for the next call. It returns the rows consumed.
+// their views to fn, outside the basket lock. Rows appended meanwhile
+// wait for the next call. The views carry no lease, so, like PeekSeqs,
+// they pin their segments' storage. It returns the rows consumed.
 func (b *Basket) ConsumeEach(id int, fn func(c *bat.Chunk, arrivals, seqs bat.Ints)) int {
+	return b.consume(id, false, func(c *bat.Chunk, _ bat.Lease, arrivals, seqs bat.Ints) {
+		fn(c, arrivals, seqs)
+	})
+}
+
+// ConsumeLeased is ConsumeEach handing fn a lease on the storage of the
+// rows it passes: the rows stay valid while fn runs, and fn keeps them
+// beyond that by retaining the lease (bat.Runs.AppendLeased). The
+// stamps are valid only while fn runs. Storage whose every lease has been
+// released goes back to the basket and is reused by later appends.
+func (b *Basket) ConsumeLeased(id int, fn func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints)) int {
+	return b.consume(id, true, fn)
+}
+
+// consume is the drain loop of ConsumeEach and ConsumeLeased. A leased
+// consume holds one reference on each store while fn runs, so a vacuum
+// in between cannot release them; an unleased one pins them instead.
+func (b *Basket) consume(id int, leased bool, fn func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints)) int {
 	n := 0
 	for left := b.Available(id); left > 0; {
-		c, arrivals, seqs := b.PeekSeqs(id, int(left))
-		if c == nil {
+		b.mu.Lock()
+		sg, lo, ok := b.pendingLocked(id)
+		if !ok {
+			b.mu.Unlock()
 			break
 		}
-		rows := len(seqs)
-		b.Consume(id, int64(rows))
-		fn(c, arrivals, seqs)
-		left -= int64(rows)
-		n += rows
+		hi := min(sg.rows(), lo+int(left))
+		c, arrivals, seqs := sg.view(b.schema, lo, hi)
+		if leased {
+			sg.col.Retain()
+			sg.stamp.Retain()
+		} else {
+			sg.pin()
+		}
+		b.consumers[id] += int64(hi - lo)
+		b.vacuumLocked()
+		b.mu.Unlock()
+		if leased {
+			fn(c, sg.col, arrivals, seqs)
+			sg.release()
+		} else {
+			fn(c, nil, arrivals, seqs)
+		}
+		left -= int64(hi - lo)
+		n += hi - lo
 	}
 	return n
 }
 
 // vacuumLocked frees the segments every consumer has passed. Nothing is
-// copied: the basket drops its references, and views handed out earlier
-// keep their segments alive until they are released. A fully consumed
-// tail segment with spare capacity stays, so the next small appends keep
-// filling it; with no consumer bound, everything goes (nobody can ever
-// read it).
+// copied: the basket drops its references, and storage that no lease
+// holds goes back to the free lists for reuse (a pinned store is left
+// to the garbage collector). A fully consumed tail segment with spare
+// capacity stays, so the next small appends keep filling it; with no
+// consumer bound, everything goes (nobody can ever read it).
 func (b *Basket) vacuumLocked() {
 	minCur := b.end
 	for _, c := range b.consumers {
@@ -589,6 +711,9 @@ func (b *Basket) vacuumLocked() {
 	}
 	if drop == 0 {
 		return
+	}
+	for _, sg := range b.segs[:drop] {
+		sg.release()
 	}
 	clear(b.segs[:drop])
 	b.segs = b.segs[drop:]
@@ -607,7 +732,9 @@ type Stats struct {
 	TotalDrop int64 // tuples dropped after full consumption
 	Consumers int
 	Paused    bool
-	Shards    int // 1 for a plain basket, N for a sharded container
+	Shards    int   // 1 for a plain basket, N for a sharded container
+	Segments  int64 // storage segments ever started
+	Reused    int64 // segments whose columns reuse released storage
 }
 
 // Stats returns a snapshot of the basket's counters.
@@ -619,6 +746,8 @@ func (b *Basket) Stats() Stats {
 		Len:       int(b.end - b.base),
 		TotalIn:   b.totalIn,
 		TotalDrop: b.base, // base only advances by dropping segments
+		Segments:  b.segsMade,
+		Reused:    b.segsReused,
 		Consumers: len(b.consumers),
 		Paused:    b.paused,
 		Shards:    1,

@@ -238,7 +238,7 @@ func TestStampViewsStableAcrossAppends(t *testing.T) {
 
 	_ = b.Append(chunkOf(4, 5), 200)
 	_ = b.AppendSeqs(chunkOf(6, 7), 300, bat.Ints{10, 11})
-	_ = b.AppendFetchSeqs(chunkOf(8, 9, 10), []int32{0, 2}, 400, bat.Ints{12, 13})
+	_ = b.AppendRouted(chunkOf(8, 9, 10), []int32{0, 2}, 400, 12)
 	_ = b.Append(chunkOf(11), 500)
 
 	for i := range arr0 {
@@ -248,7 +248,7 @@ func TestStampViewsStableAcrossAppends(t *testing.T) {
 	}
 	c, arr, seqs := b.PeekSeqs(id, 100)
 	wantArr := []int64{100, 100, 100, 200, 200, 300, 300, 400, 400, 500}
-	wantSeqs := []int64{0, 1, 2, 3, 4, 10, 11, 12, 13, 14}
+	wantSeqs := []int64{0, 1, 2, 3, 4, 10, 11, 12, 14, 15}
 	if c.Rows() != len(wantArr) {
 		t.Fatalf("%d rows buffered, want %d", c.Rows(), len(wantArr))
 	}

@@ -44,6 +44,10 @@ type Sharded struct {
 	shards []*Basket
 	keyIdx int // hash column index; <0 = round-robin per chunk
 	seed   maphash.Seed
+	// sels recycles the per-shard selection lists a keyed append routes
+	// its rows through (*[]algebra.Sel, one list per shard): they live
+	// for one append.
+	sels sync.Pool
 
 	// pauseMu gates appends against Pause: producers hold the read side
 	// for the whole append, so once Pause (the write side) returns, no
@@ -91,10 +95,6 @@ func (s *Sharded) SetRemote(fn func(parts []RemotePart, base int64, rows int, ar
 	s.mu.Unlock()
 }
 
-// seqRange is a completed append's sequence interval [lo, hi), recorded
-// out of order and merged into the settled watermark.
-type seqRange struct{ lo, hi int64 }
-
 // SeqTracker derives the contiguous-prefix watermark of completed
 // sequence ranges: ranges may complete out of order (concurrent producers
 // claim, then settle), and the watermark only advances once every earlier
@@ -104,31 +104,29 @@ type seqRange struct{ lo, hi int64 }
 // to workers. Callers serialize access (it holds no lock of its own).
 type SeqTracker struct {
 	wm   int64
-	done []seqRange
+	done map[int64]int64 // completed ranges above the watermark: lo → hi
 }
 
 // Add records the completed range [lo, hi) and advances the watermark
-// over any now-contiguous prefix.
+// over any now-contiguous prefix. Each range is recorded and absorbed
+// once, so a backlog of out-of-order completions costs O(1) per range.
 func (t *SeqTracker) Add(lo, hi int64) {
-	if lo == t.wm {
-		t.wm = hi
-		// Absorb any previously recorded ranges that are now contiguous.
-		for {
-			advanced := false
-			for i, r := range t.done {
-				if r.lo == t.wm {
-					t.wm = r.hi
-					t.done = append(t.done[:i], t.done[i+1:]...)
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				return
-			}
+	if lo != t.wm {
+		if t.done == nil {
+			t.done = make(map[int64]int64)
 		}
+		t.done[lo] = hi
+		return
 	}
-	t.done = append(t.done, seqRange{lo, hi})
+	t.wm = hi
+	for {
+		next, ok := t.done[t.wm]
+		if !ok {
+			return
+		}
+		delete(t.done, t.wm)
+		t.wm = next
+	}
 }
 
 // Watermark reports the contiguous prefix: every sequence below it has
@@ -152,6 +150,10 @@ func NewSharded(name string, schema bat.Schema, n, keyIdx int) *Sharded {
 	}
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, New(fmt.Sprintf("%s/%d", name, i), schema))
+	}
+	s.sels.New = func() any {
+		sels := make([]algebra.Sel, n)
+		return &sels
 	}
 	return s
 }
@@ -288,7 +290,7 @@ func (s *Sharded) appendClaimed(c *bat.Chunk, arrival, base int64, target int) e
 	case remote != nil:
 		remote(s.routeParts(c, base, target), base, rows, arrival)
 	case s.keyIdx < 0:
-		err = s.shards[target].AppendSeqs(c, arrival, denseSeqs(base, rows))
+		err = s.shards[target].AppendRouted(c, nil, arrival, base)
 	default:
 		err = s.appendHashed(c, arrival, base)
 	}
@@ -316,31 +318,33 @@ func (s *Sharded) checkSchema(c *bat.Chunk) error {
 }
 
 // appendHashed splits the chunk by key hash and appends each shard's rows
-// (with their global sequence stamps) to that shard, one copy per row —
-// the fused gather+append path.
+// to that shard, one copy per row — the fused gather+append path. Each
+// shard writes the rows' global sequence stamps (base plus the row's
+// position in c) straight into its segment.
 func (s *Sharded) appendHashed(c *bat.Chunk, arrival, base int64) error {
-	n := len(s.shards)
-	rows := c.Rows()
-	sels := make([]algebra.Sel, n)
-	per := rows/n + 1
-	for i := range sels {
-		sels[i] = make(algebra.Sel, 0, per)
-	}
-	s.hashRows(c.Cols[s.keyIdx], sels)
+	sels := s.route(c)
+	defer s.sels.Put(sels)
 	var firstErr error
-	for sh, sel := range sels {
+	for sh, sel := range *sels {
 		if len(sel) == 0 {
 			continue
 		}
-		seqs := make(bat.Ints, len(sel))
-		for k, i := range sel {
-			seqs[k] = base + int64(i)
-		}
-		if err := s.shards[sh].AppendFetchSeqs(c, sel, arrival, seqs); err != nil && firstErr == nil {
+		if err := s.shards[sh].AppendRouted(c, sel, arrival, base); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// route hashes c's key column into one selection list per shard, taken
+// from the container's pool; the caller puts them back when done.
+func (s *Sharded) route(c *bat.Chunk) *[]algebra.Sel {
+	sels := s.sels.Get().(*[]algebra.Sel)
+	for i := range *sels {
+		(*sels)[i] = (*sels)[i][:0]
+	}
+	s.hashRows(c.Cols[s.keyIdx], *sels)
+	return sels
 }
 
 // routeParts partitions a claimed append for remote delivery: one part per
@@ -352,15 +356,10 @@ func (s *Sharded) routeParts(c *bat.Chunk, base int64, target int) []RemotePart 
 	if s.keyIdx < 0 {
 		return []RemotePart{{Shard: target, Chunk: c, Seqs: denseSeqs(base, rows)}}
 	}
-	n := len(s.shards)
-	sels := make([]algebra.Sel, n)
-	per := rows/n + 1
-	for i := range sels {
-		sels[i] = make(algebra.Sel, 0, per)
-	}
-	s.hashRows(c.Cols[s.keyIdx], sels)
+	sels := s.route(c)
+	defer s.sels.Put(sels)
 	var parts []RemotePart
-	for sh, sel := range sels {
+	for sh, sel := range *sels {
 		if len(sel) == 0 {
 			continue
 		}
@@ -568,6 +567,8 @@ func (s *Sharded) Stats() Stats {
 		out.Len += st.Len
 		out.TotalIn += st.TotalIn
 		out.TotalDrop += st.TotalDrop
+		out.Segments += st.Segments
+		out.Reused += st.Reused
 		if i == 0 {
 			out.Consumers = st.Consumers
 		}

@@ -2,6 +2,7 @@ package basket
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -271,4 +272,28 @@ func TestShardedPauseIsAtomic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSeqTrackerOutOfOrder: ranges completing in any order advance the
+// watermark exactly over the contiguous prefix, and only there.
+func TestSeqTrackerOutOfOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var bounds []int64
+	for lo := int64(0); lo < 5000; lo += 1 + rng.Int63n(7) {
+		bounds = append(bounds, lo)
+	}
+	order := rng.Perm(len(bounds) - 1)
+	var tr SeqTracker
+	covered := make([]bool, len(bounds)-1)
+	for _, i := range order {
+		tr.Add(bounds[i], bounds[i+1])
+		covered[i] = true
+		want := bounds[0]
+		for j := 0; j < len(covered) && covered[j]; j++ {
+			want = bounds[j+1]
+		}
+		if got := tr.Watermark(); got != want {
+			t.Fatalf("after range %d: watermark %d, want %d", i, got, want)
+		}
+	}
 }

@@ -808,7 +808,7 @@ func (w *Worker) fireSpec(sp *workerSpec) {
 		if !ok || sl == nil {
 			continue
 		}
-		ws.bk.ConsumeEach(cid, sl.Push)
+		ws.bk.ConsumeLeased(cid, sl.Push)
 		var frags []*window.Frag
 		if sp.win.Tuples {
 			frags = sl.Flush(st.settled / sp.win.Slide)

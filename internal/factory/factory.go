@@ -618,8 +618,8 @@ func (f *Factory) countIn(rows int) {
 // event-time watermark advanced (sibling shards may now hold sealed
 // buckets and need a re-notify).
 func sliceFlush(bk *basket.Basket, cid int, sl *window.ShardSlicer, w *plan.Window, wmSeq int64, maxTs *atomic.Int64) (frags []*window.Frag, rows int, raised bool) {
-	rows = bk.ConsumeEach(cid, func(c *bat.Chunk, arrivals, seqs bat.Ints) {
-		sl.Push(c, arrivals, seqs)
+	rows = bk.ConsumeLeased(cid, func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints) {
+		sl.Push(c, l, arrivals, seqs)
 		if !w.Tuples {
 			ts := bat.AsInts(c.Cols[w.TimeIdx])
 			mx := int64(math.MinInt64)

@@ -324,6 +324,12 @@ type Member struct {
 
 	leaf    []*dagNode // per-side pipeline leaves (nil: evaluate privately)
 	aggLeaf *dagNode   // partial-aggregate node (one-sided groups only)
+	// partialsOnly: the member is an incremental aggregate whose tail
+	// keeps nothing of a basic window but its partial aggregate, computed
+	// by a kernel — through aggLeaf, or through the factory's fused
+	// pipeline, which leaves Out nil for aggregate plans. (The unfused
+	// executor's Out can be a view of the raw runs.)
+	partialsOnly bool
 
 	// parts is the member's window extent in basic windows: its merge
 	// class's ring length and, in a two-sided group, what it retains in
@@ -563,6 +569,8 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 			m.classKey, _ = d.JoinMergeKeyMemo()
 		}
 	}
+	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil &&
+		(m.aggLeaf != nil || fac.pipe(0) != nil)
 	if m.classKey != "" && d.Post != nil {
 		m.hasPost = true
 		if psteps, ok := d.PostStepsMemo(m.classKey); ok {
@@ -764,6 +772,18 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	}
 	g.mu.Unlock()
 
+	// Recycle a window's basket storage when its last shared reference
+	// goes only if nothing a member keeps aliases the runs: in a one-sided
+	// group whose members all cache partial aggregates alone — fresh
+	// chunks — and whose merge classes therefore merge partials too. Any
+	// other member may hold views of the runs past its release (a
+	// pipeline output in its ring, a re-evaluation window, a join's pair
+	// cache), so those windows drop their leases unreleased and the
+	// garbage collector frees the storage once no view references it.
+	recycle := len(g.sides) == 1
+	for _, m := range members {
+		recycle = recycle && m.partialsOnly
+	}
 	var needDag [2]bool
 	for s, sd := range g.sides {
 		needDag[s] = sd.dag.Nodes() > 0
@@ -774,10 +794,19 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 		gen := g.genCtr[side]
 		g.genCtr[side]++
 		if len(members) == 0 {
+			if recycle {
+				bw.Data.Release() // nobody reads the window
+			}
 			return
 		}
 		g.liveBufs.Add(1)
-		buf := window.NewSharedBuf(len(members)+len(classes), func() { g.liveBufs.Add(-1) })
+		data := bw.Data
+		buf := window.NewSharedBuf(len(members)+len(classes), func() {
+			g.liveBufs.Add(-1)
+			if recycle {
+				data.Release()
+			}
+		})
 		var dw *dagWin
 		if needDag[side] || len(classes) > 0 {
 			dw = newDagWin(kernel.RunsView(bw.Data))

@@ -242,6 +242,7 @@ func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
 		}
 	}
 	g := algebra.GroupHint(keyVecs, keySel, keyRows, hint)
+	defer g.Release()
 	cols := groupKeys(t, keyVecs, g)
 	for _, spec := range t.Aggs {
 		// The k-th qualifying row is the k-th row of the selection both
@@ -320,6 +321,7 @@ func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
 		keyVecs[i] = in.of(k)
 	}
 	g := algebra.GroupHint(keyVecs, nil, in.rows, hint)
+	defer g.Release()
 	cols := groupKeys(t, keyVecs, g)
 	for _, spec := range t.Aggs {
 		var arg bat.Vector

@@ -75,6 +75,7 @@ func (ex *Exec) Run(n Node) (*bat.Chunk, error) {
 			return nil, err
 		}
 		g := algebra.Group(in.Cols, nil, in.Rows())
+		g.Release()
 		return algebra.FetchChunk(in, g.Repr), nil
 
 	case *Sort:
@@ -151,6 +152,7 @@ func RunAggregate(t *Aggregate, in *bat.Chunk) *bat.Chunk {
 	}
 	rows := in.Rows()
 	g := algebra.Group(keyVecs, nil, rows)
+	defer g.Release()
 	cols := make([]bat.Vector, 0, len(t.Keys)+len(t.Aggs))
 	for _, kv := range keyVecs {
 		cols = append(cols, algebra.Fetch(kv, g.Repr))
@@ -175,6 +177,7 @@ func MergeAggregate(t *Aggregate, partials *bat.Chunk) *bat.Chunk {
 	nk := len(t.Keys)
 	keyVecs := partials.Cols[:nk]
 	g := algebra.Group(keyVecs, nil, partials.Rows())
+	defer g.Release()
 	cols := make([]bat.Vector, 0, partials.Schema.Width())
 	for _, kv := range keyVecs {
 		cols = append(cols, algebra.Fetch(kv, g.Repr))

@@ -276,6 +276,7 @@ func ApplyStep(s PipelineStep, in *bat.Chunk) *bat.Chunk {
 		return in.Slice(0, int(t.N))
 	case *Distinct:
 		g := algebra.Group(in.Cols, nil, in.Rows())
+		g.Release()
 		return algebra.FetchChunk(in, g.Repr)
 	case *Aggregate:
 		return RunAggregate(t, in)

@@ -92,8 +92,11 @@ func floorDiv(a, b int64) int64 {
 // global sequence stamps (used by tuple windows); time windows read the
 // ordering attribute. Out-of-order time tuples clamp into the shard's
 // newest seen epoch (never below the flushed watermark), matching the
-// pre-sharding slicer's late-tuple rule.
-func (s *ShardSlicer) Push(c *bat.Chunk, arrivals bat.Ints, seqs bat.Ints) {
+// pre-sharding slicer's late-tuple rule. l, when non-nil, is a lease on
+// the storage c lives in (basket.ConsumeLeased): every run cut from c
+// retains it, so the storage outlives the call; the stamps are read only
+// during it.
+func (s *ShardSlicer) Push(c *bat.Chunk, l bat.Lease, arrivals bat.Ints, seqs bat.Ints) {
 	rows := c.Rows()
 	if rows == 0 {
 		return
@@ -113,7 +116,7 @@ func (s *ShardSlicer) Push(c *bat.Chunk, arrivals bat.Ints, seqs bat.Ints) {
 				continue
 			}
 		}
-		s.bucket(runGen, c.Slice(runStart, i), arrivals[runStart:i])
+		s.bucket(runGen, c.Slice(runStart, i), l, arrivals[runStart:i])
 		runStart, runGen = i, g
 	}
 }
@@ -144,9 +147,10 @@ func (s *ShardSlicer) rowGen(i int, seqs, ts []int64) int64 {
 	return g
 }
 
-// bucket adds one run of rows — a view over a basket segment — to epoch
-// gen's open fragment. Nothing is copied: the fragment lists its runs.
-func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, arrivals []int64) {
+// bucket adds one run of rows — a view over a basket segment, leased by
+// l — to epoch gen's open fragment. Nothing is copied: the fragment lists
+// its runs, and each run retains one lease.
+func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, l bat.Lease, arrivals []int64) {
 	var maxArr int64
 	for _, a := range arrivals {
 		maxArr = max(maxArr, a)
@@ -157,7 +161,7 @@ func (s *ShardSlicer) bucket(gen int64, c *bat.Chunk, arrivals []int64) {
 		s.open[gen] = f
 	}
 	c.Schema = s.schema
-	f.Data.Append(c)
+	f.Data.AppendLeased(c, l)
 	f.MaxArrival = max(f.MaxArrival, maxArr)
 }
 
@@ -356,9 +360,10 @@ func (m *ShardMerge) Sealed() int64 {
 
 // buildBW merges epoch g's fragments (possibly none — a time gap) into
 // one basic window. The raw tuples are the fragments' runs in shard order,
-// uncopied; a single fragment's run list passes through as it is. The
-// per-fragment intermediates are concatenated (bat.Concat: a single
-// fragment's chunk passes through as a view, several are copied once).
+// uncopied, and the runs' leases move with them into the basic window; a
+// single fragment's run list passes through as it is. The per-fragment
+// intermediates are concatenated (bat.Concat: a single fragment's chunk
+// passes through as a view, several are copied once).
 func (m *ShardMerge) buildBW(g int64) *BW {
 	frags := m.frags[g]
 	delete(m.frags, g)
@@ -376,9 +381,7 @@ func (m *ShardMerge) buildBW(g int64) *BW {
 		}
 		bw.Data = &bat.Runs{Schema: m.cfg.Data, Chunks: make([]*bat.Chunk, 0, n)}
 		for _, f := range frags {
-			for _, c := range f.Data.Chunks {
-				bw.Data.Append(c)
-			}
+			bw.Data.Take(f.Data)
 		}
 	}
 	var outs, parts []*bat.Chunk

@@ -26,7 +26,7 @@ func TestShardSlicerTupleEpochs(t *testing.T) {
 	w := &plan.Window{Tuples: true, Size: 4, Slide: 2}
 	s := NewShardSlicer(w, shardSchema())
 	// This shard holds global rows 0, 3, 4 (rows 1, 2, 5 went elsewhere).
-	s.Push(shardChunk(10, 13, 14), seqsOf(1, 1, 1), seqsOf(0, 3, 4))
+	s.Push(shardChunk(10, 13, 14), nil, seqsOf(1, 1, 1), seqsOf(0, 3, 4))
 	if got := s.Pending(); got != 3 {
 		t.Fatalf("pending = %d", got)
 	}
@@ -55,14 +55,14 @@ func TestShardSlicerTimeBucketsAndClamp(t *testing.T) {
 	w := &plan.Window{Range: 2 * time.Second, SlideDur: time.Second, TimeIdx: 0}
 	s := NewShardSlicer(w, shardSchema())
 	sec := int64(1_000_000)
-	s.Push(shardChunk(sec/2, sec+sec/2), seqsOf(1, 2), seqsOf(0, 1))
+	s.Push(shardChunk(sec/2, sec+sec/2), nil, seqsOf(1, 2), seqsOf(0, 1))
 	frags := s.Flush(s.TimeGen(sec + sec/2))
 	if len(frags) != 1 || frags[0].Gen != 0 {
 		t.Fatalf("frags = %+v", frags)
 	}
 	// A late tuple for the flushed bucket 0 clamps into the oldest open
 	// epoch (bucket 1), like the pre-sharding slicer.
-	s.Push(shardChunk(sec/4), seqsOf(3), seqsOf(2))
+	s.Push(shardChunk(sec/4), nil, seqsOf(3), seqsOf(2))
 	frags = s.Flush(3)
 	if len(frags) != 1 || frags[0].Gen != 1 || frags[0].Data.Rows() != 2 {
 		t.Fatalf("clamped frags = %+v", frags)
@@ -144,7 +144,7 @@ func TestShardSlicerLateTupleParity(t *testing.T) {
 	sec := int64(1_000_000)
 	// Batch arrives out of order: 7.3s then 5.1s. The old engine put both
 	// rows in bucket 7; so must we.
-	s.Push(shardChunk(7*sec+sec/4, 5*sec+sec/10), seqsOf(1, 2), seqsOf(0, 1))
+	s.Push(shardChunk(7*sec+sec/4, 5*sec+sec/10), nil, seqsOf(1, 2), seqsOf(0, 1))
 	if got := s.Flush(s.TimeGen(7*sec + sec/4)); got != nil {
 		t.Fatalf("late tuple escaped into its own epoch: %+v", got)
 	}

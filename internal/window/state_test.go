@@ -48,7 +48,7 @@ func TestSlicerStateRoundTrip(t *testing.T) {
 	win := &plan.Window{Tuples: true, Size: 4, Slide: 2}
 	c1, arr1, seqs1 := slicerChunk(t, 0, 5)
 	s := NewShardSlicer(win, c1.Schema)
-	s.Push(c1, arr1, seqs1)
+	s.Push(c1, nil, arr1, seqs1)
 
 	st := cloneSlicerState(t, s.ExportState())
 	if len(st.Open) == 0 {
@@ -63,8 +63,8 @@ func TestSlicerStateRoundTrip(t *testing.T) {
 	}
 
 	c2, arr2, seqs2 := slicerChunk(t, 5, 9)
-	s.Push(c2, arr2, seqs2)
-	s2.Push(c2, arr2, seqs2)
+	s.Push(c2, nil, arr2, seqs2)
+	s2.Push(c2, nil, arr2, seqs2)
 	for _, wm := range []int64{2, 4, 5} {
 		fa, fb := s.Flush(wm), s2.Flush(wm)
 		if len(fa) != len(fb) {

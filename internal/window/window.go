@@ -21,8 +21,13 @@
 // concatenating them would produce. The kernels read through the runs in
 // place; a dense copy is made only where a consumer needs one chunk (the
 // re-evaluation window, the wire and snapshot encodings, the unfused
-// executor). The runs are immutable — nothing in the engine writes into a
-// chunk's existing rows.
+// executor). The runs are immutable until released: each run holds a
+// lease on its basket segment's storage (bat.Runs), the slicer's fragment
+// takes it and the merged basic window inherits it. A query group whose
+// members keep nothing but partial aggregates releases a basic window's
+// leases when its SharedBuf count reaches zero, and the basket reuses the
+// storage; everywhere else the leases are dropped unreleased and the
+// garbage collector frees the storage once no view references it.
 package window
 
 import (

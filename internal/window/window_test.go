@@ -51,7 +51,7 @@ func (o *oneShard) Push(c *bat.Chunk, arrivals bat.Ints) []*BW {
 		seqs[i] = o.seq + int64(i)
 	}
 	o.seq += int64(len(seqs))
-	o.sl.Push(c, arrivals, seqs)
+	o.sl.Push(c, nil, arrivals, seqs)
 	if o.w.Tuples {
 		return o.flush(o.seq / o.w.Slide)
 	}

@@ -26,7 +26,7 @@ func TestSingleRunEpochSharesBasketSegment(t *testing.T) {
 
 	w := &plan.Window{Tuples: true, Size: 8, Slide: 4}
 	s := NewShardSlicer(w, shardSchema())
-	s.Push(seg, arrivals, seqs)
+	s.Push(seg, nil, arrivals, seqs)
 	frags := s.Flush(1)
 	if len(frags) != 1 || frags[0].Data.Rows() != 4 {
 		t.Fatalf("frags = %+v", frags)
@@ -64,8 +64,8 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 
 	w := &plan.Window{Tuples: true, Size: 16, Slide: 8}
 	s := NewShardSlicer(w, shardSchema())
-	s.Push(first, arr, seqs)
-	s.Push(shardChunk(90, 91), bat.Ints{3, 3}, seqsOf(2, 3))
+	s.Push(first, nil, arr, seqs)
+	s.Push(shardChunk(90, 91), nil, bat.Ints{3, 3}, seqsOf(2, 3))
 	if next, _, _ := bk.PeekSeqs(cid, 2); next.String() != shardChunk(12, 13).String() {
 		t.Fatalf("appending to the epoch wrote into the basket segment:\n%s", next)
 	}
@@ -78,7 +78,7 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	}
 
 	other := NewShardSlicer(w, shardSchema())
-	other.Push(shardChunk(50, 51), bat.Ints{4, 4}, seqsOf(4, 5))
+	other.Push(shardChunk(50, 51), nil, bat.Ints{4, 4}, seqsOf(4, 5))
 	m := NewShardMerge(MergeConfig{Shards: 2, Data: shardSchema()})
 	m.Offer(1, frags, s.Watermark())
 	bws := m.Offer(0, other.Flush(1), other.Watermark())
