@@ -763,7 +763,8 @@ func wideStream(n, batch, nkeys, payloadCols int) (ddl string, chunks []*bat.Chu
 // per query) over one wide stream, fused (lazy selection views,
 // cardinality-hinted hash aggregation — the default) vs chunked (NoFuse: a materialized intermediate chunk
 // per operator). Isolated members each own their slicers and tails, so
-// the fused work scales with Q while the shared ingest copy amortizes.
+// the fused work scales with Q while the shared ingest copy amortizes;
+// NoMemo keeps both legs out of the (always fused) group operator DAG.
 // The dcbench floor is fused ≥ 1.3× chunked tuples/s on every machine
 // class; TestNoFuseAblationEquivalence pins that both paths produce
 // byte-identical results.
@@ -791,7 +792,7 @@ func BenchmarkFusedScan(b *testing.B) {
 				for j := 0; j < 8; j++ {
 					sql := fmt.Sprintf(
 						"SELECT k, sum(v) AS s, count(*) AS n FROM w [SIZE 8192 SLIDE 2048] WHERE v > %d.0 GROUP BY k", 300+j*25)
-					opts := []RegisterOption{WithMode(ModeIncremental), Isolated(), NoChannel()}
+					opts := []RegisterOption{WithMode(ModeIncremental), Isolated(), NoMemo(), NoChannel()}
 					if noFuse {
 						opts = append(opts, NoFuse())
 					}

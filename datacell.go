@@ -684,21 +684,12 @@ func (e *Engine) ResumeStream(stream string) error {
 
 // AdvanceTime closes time-window buckets up to the watermark (microsecond
 // timestamp) across all continuous queries — the scheduler's time
-// constraint for idle streams. Shared execution groups advance once for
-// all their members; isolated factories advance individually. Tuple
-// windows are unaffected.
+// constraint for idle streams. Every query reads through an execution
+// group, and each group advances once for all its members. Tuple windows
+// are unaffected.
 func (e *Engine) AdvanceTime(watermark int64) {
 	for _, g := range e.factoryGroups() {
 		g.Advance(watermark)
-	}
-	e.mu.Lock()
-	qs := make([]*Query, 0, len(e.queries))
-	for _, q := range e.queries {
-		qs = append(qs, q)
-	}
-	e.mu.Unlock()
-	for _, q := range qs {
-		q.fac.Advance(watermark)
 	}
 }
 

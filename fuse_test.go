@@ -17,7 +17,7 @@ type fuseCase struct {
 	name string
 	ddl  []string
 	// queries registered on both engines; the ablated engine appends
-	// NoFuse() to each query's options.
+	// NoFuse() and NoMemo() to each query's options.
 	queries map[string][]RegisterOption
 	// feed appends identical data to both engines.
 	feed func(t *testing.T, e *Engine)
@@ -52,7 +52,10 @@ func runFuseCase(t *testing.T, fc fuseCase, ablate bool) map[string][]string {
 	qs := map[string]*Query{}
 	for name, opts := range fc.queries {
 		if ablate {
-			opts = append(append([]RegisterOption{}, opts...), NoFuse())
+			// NoMemo keeps the ablated leg out of its group's operator DAG,
+			// which is fused whatever the member asks: without it the suite
+			// would compare fused with fused.
+			opts = append(append([]RegisterOption{}, opts...), NoFuse(), NoMemo())
 		}
 		q, err := e.RegisterQuery(name, fuseSQL[name], opts...)
 		if err != nil {
@@ -64,6 +67,13 @@ func runFuseCase(t *testing.T, fc fuseCase, ablate bool) map[string][]string {
 	out := map[string][]string{}
 	for name, q := range qs {
 		out[name] = rowsOf(collect(e, q))
+	}
+	if ablate {
+		for _, g := range e.Groups() {
+			if g.DagNodes != 0 {
+				t.Fatalf("unfused leg's group %q has %d DAG nodes: it ran fused", g.Key, g.DagNodes)
+			}
+		}
 	}
 	return out
 }

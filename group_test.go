@@ -111,9 +111,6 @@ func TestGroupEquivalence16(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !q.Grouped() {
-					t.Fatalf("member %d did not join a group", i)
-				}
 				qs[i] = q
 			}
 			if groups := eng.Groups(); len(groups) != 1 || groups[0].Members != members {
@@ -271,10 +268,34 @@ func TestSharedSubtailNoMemo(t *testing.T) {
 	}
 }
 
-// TestGroupMatchesIsolated pins the new shared dataflow against the
-// pre-existing per-query dataflow: a grouped query and an ISOLATED one
-// (own cursors and slicers) see identical windows, order-insensitive
-// under parallel workers.
+// assertIsolation checks what ISOLATED means now that every query runs
+// in an execution group: an isolated query is the only member of a
+// private group under a nonce "!iso#" key, so no DAG node, merge cell or
+// pair cache of its group serves a sibling — its group has no active
+// merge class, at most its own pair cache, and no memo, merge or post
+// hit. A default query's key carries no nonce.
+func assertIsolation(t *testing.T, eng *Engine, q *Query, isolated bool) {
+	t.Helper()
+	key := q.GroupKey()
+	if strings.Contains(key, "!iso#") != isolated {
+		t.Fatalf("%s: isolated=%v but group key %q", q.Name(), isolated, key)
+	}
+	for _, g := range eng.Groups() {
+		if g.Key != key {
+			continue
+		}
+		if isolated && (g.Members != 1 || g.MergeClasses != 0 || g.PairCaches > 1 ||
+			g.MemoHits != 0 || g.MergeHits != 0 || g.PostHits != 0) {
+			t.Fatalf("%s: private group shares work: %+v", q.Name(), g)
+		}
+		return
+	}
+	t.Fatalf("%s: group %q is not listed in Engine.Groups", q.Name(), key)
+}
+
+// TestGroupMatchesIsolated pins the shared dataflow against a private
+// one: a grouped query and an ISOLATED one (a private group of one) see
+// identical windows, order-insensitive under parallel workers.
 func TestGroupMatchesIsolated(t *testing.T) {
 	chunks := shardTestChunks(400, 13, 7)
 	sql := "SELECT k, sum(v) AS s, count(*) AS n FROM s [SIZE 60 SLIDE 20] GROUP BY k"
@@ -288,15 +309,13 @@ func TestGroupMatchesIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.Isolated == q.Grouped() {
-			t.Fatalf("Isolated=%v but Grouped=%v", opts.Isolated, q.Grouped())
-		}
 		for _, c := range chunks {
 			if err := eng.Append("s", c); err != nil {
 				t.Fatal(err)
 			}
 		}
 		eng.Drain()
+		assertIsolation(t, eng, q, opts.Isolated)
 		return collectSorted(q)
 	}
 	for _, mode := range []Mode{ModeIncremental, ModeReeval} {
@@ -310,7 +329,7 @@ func TestGroupMatchesIsolated(t *testing.T) {
 
 // TestGroupKeyRules checks which queries share a group: same stream and
 // slide share (window extent may differ), different slides split, and
-// ISOLATED opts out.
+// ISOLATED gets a private group of its own.
 func TestGroupKeyRules(t *testing.T) {
 	eng := New(&Options{Workers: 2})
 	defer eng.Close()
@@ -339,16 +358,16 @@ func TestGroupKeyRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	iso, _ := eng.Query("iso")
-	if iso.Grouped() {
-		t.Error("REGISTER ISOLATED QUERY joined a group")
+	assertIsolation(t, eng, iso, true)
+	assertIsolation(t, eng, a, false)
+	if got := len(eng.Groups()); got != 3 {
+		t.Errorf("groups = %d, want 3 (the isolated query's own)", got)
 	}
 	// Incremental join queries over two streams join the stream pair's
 	// join group; the key pairs both sides' slicing granularities.
 	mustExecG(t, eng, "CREATE STREAM r (ts TIMESTAMP, k INT, v FLOAT)")
 	j := reg("j", "SELECT s.v, r.v FROM s [SIZE 16 SLIDE 16], r [SIZE 16 SLIDE 16] WHERE s.k = r.k")
-	if !j.Grouped() {
-		t.Error("incremental two-stream join should join a join group")
-	}
+	assertIsolation(t, eng, j, false)
 	if !strings.Contains(j.GroupKey(), "⋈") {
 		t.Errorf("join group key = %q, want a paired key", j.GroupKey())
 	}
@@ -365,9 +384,6 @@ func TestGroupKeyRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !jr.Grouped() {
-		t.Error("re-evaluation join with a decomposable plan should join the join group")
-	}
 	if jr.GroupKey() != j.GroupKey() {
 		t.Errorf("re-evaluation join key = %q, want %q (shared with incremental members)",
 			jr.GroupKey(), j.GroupKey())
@@ -375,15 +391,17 @@ func TestGroupKeyRules(t *testing.T) {
 	if jr.Mode() != "reeval" {
 		t.Errorf("grouped re-evaluation join reports mode %q, want reeval", jr.Mode())
 	}
-	// REGISTER ISOLATED opts joins out too.
+	// REGISTER ISOLATED opts joins out too: a private two-sided group
+	// under the join key plus a nonce.
 	ji, err := eng.Register("ji",
 		"SELECT s.v, r.v FROM s [SIZE 16 SLIDE 16], r [SIZE 16 SLIDE 16] WHERE s.k = r.k",
 		&RegisterOptions{Isolated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ji.Grouped() {
-		t.Error("isolated join joined a group")
+	assertIsolation(t, eng, ji, true)
+	if !strings.HasPrefix(ji.GroupKey(), j.GroupKey()+"!iso#") {
+		t.Errorf("isolated join key = %q, want %q plus a nonce", ji.GroupKey(), j.GroupKey())
 	}
 }
 
@@ -611,7 +629,7 @@ func TestGroupTimeWindows(t *testing.T) {
 }
 
 // TestGroupStreamTableJoin: a stream⋈table plan has a single stream scan,
-// so it groups; results must match the isolated run.
+// so it groups; results must match the isolated run's private group.
 func TestGroupStreamTableJoin(t *testing.T) {
 	run := func(isolated bool) [][]string {
 		eng := New(&Options{Workers: 2})
@@ -627,13 +645,11 @@ func TestGroupStreamTableJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.Grouped() == isolated {
-			t.Fatalf("isolated=%v grouped=%v", isolated, q.Grouped())
-		}
 		for i := 0; i < 48; i++ {
 			_ = eng.Append("s", []any{int64(i), int64(i % 8), 1.0})
 		}
 		eng.Drain()
+		assertIsolation(t, eng, q, isolated)
 		return collectSorted(q)
 	}
 	grouped := run(false)

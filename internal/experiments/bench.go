@@ -337,12 +337,15 @@ func FusedScan(noFuse bool, chunks []*bat.Chunk) BenchResult {
 	// Eight isolated members with per-query thresholds: each owns its
 	// slicers and fused chain, so the tail work the executor fuses scales
 	// with Q while the one-time ingest copy into the stream's basket —
-	// identical in both legs — amortizes across the members.
+	// identical in both legs — amortizes across the members. NoMemo keeps
+	// every member's pipeline out of its private group's operator DAG,
+	// which is fused either way: the chunked leg then really runs the
+	// operator-at-a-time executor.
 	for j := 0; j < 8; j++ {
 		sql := fmt.Sprintf(
 			"SELECT k, sum(v) AS s, count(*) AS n FROM w [SIZE 8192 SLIDE 2048] WHERE v > %d.0 GROUP BY k", 300+j*25)
-		opts := []datacell.RegisterOption{
-			datacell.WithMode(datacell.ModeIncremental), datacell.Isolated(), datacell.NoChannel()}
+		opts := []datacell.RegisterOption{datacell.WithMode(datacell.ModeIncremental),
+			datacell.Isolated(), datacell.NoMemo(), datacell.NoChannel()}
 		if noFuse {
 			opts = append(opts, datacell.NoFuse())
 		}

@@ -189,8 +189,8 @@ func runFabric(t *testing.T, ddl string, nWorkers, members, size, slide int, chu
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !q.Grouped() || !strings.Contains(q.GroupKey(), "fabric[") {
-			t.Fatalf("member %d: grouped=%v key=%q, want fabric-tagged group", i, q.Grouped(), q.GroupKey())
+		if !strings.Contains(q.GroupKey(), "fabric[") {
+			t.Fatalf("member %d: key=%q, want fabric-tagged group", i, q.GroupKey())
 		}
 		qs[i] = q
 	}
@@ -321,9 +321,6 @@ func runMixedFabric(t *testing.T, ddl string, nWorkers, members, size, slide int
 		if err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
-		if !q.Grouped() {
-			t.Fatalf("member %d did not route through a group", i)
-		}
 		if opts.Isolated != strings.Contains(q.GroupKey(), "!iso#") {
 			t.Fatalf("member %d: isolated=%v but key=%q", i, opts.Isolated, q.GroupKey())
 		}
@@ -443,7 +440,7 @@ func TestFabricRegistrationRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("isolated query over an exported stream: %v", err)
 	}
-	if !iso.Grouped() || !strings.Contains(iso.GroupKey(), "!iso#") {
+	if !strings.Contains(iso.GroupKey(), "!iso#") {
 		t.Fatalf("isolated query must route through a private group, key=%q", iso.GroupKey())
 	}
 	if _, err := eng.Exec("CREATE STREAM r (ts TIMESTAMP, k INT, v FLOAT)"); err != nil {
@@ -457,15 +454,15 @@ func TestFabricRegistrationRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream join over exported streams: %v", err)
 	}
-	if !j.Grouped() {
-		t.Fatal("join over exported streams did not route through a join group")
+	if k := j.GroupKey(); !strings.Contains(k, "⋈") || !strings.Contains(k, "fabric[") {
+		t.Fatalf("join over exported streams did not route through a fabric-fed join group, key=%q", k)
 	}
 	q, err := eng.Register("ok", "SELECT count(*) AS n FROM s [SIZE 8 SLIDE 8]", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Grouped() {
-		t.Fatal("shared query over an exported stream did not group")
+	if k := q.GroupKey(); !strings.Contains(k, "fabric[") || strings.Contains(k, "!iso#") {
+		t.Fatalf("shared query over an exported stream did not join the shared fabric-fed group, key=%q", k)
 	}
 	// Non-windowed scans need local basket cursors, which an exported
 	// stream cannot feed — the one shape the fabric still refuses.

@@ -15,22 +15,22 @@
 //     once, cached in columnar form, and merged per slide according to the
 //     plan decomposition.
 //
-// Sharded execution: every input stream is a basket.Sharded container, and
-// the factory exposes one independently schedulable firing per (input,
-// shard) — FireShard. A shard firing drains only its shard, cuts the rows
-// into globally consistent epochs (window.ShardSlicer), runs the
-// incremental per-basic-window pipeline on its fragments in parallel with
-// the other shards, and hands the fragments to a per-input merger
-// (window.ShardMerge). When an epoch is sealed across all shards, the
-// firing that completed it assembles the merged basic window and runs the
-// blocking tail — ring maintenance, partial-aggregate merging, join
-// caching, post-merge fragment — exactly as the single-basket engine
-// would, so results are identical (up to row order within a window).
+// Every continuous query runs as a member of an execution group (Group):
+// the group's front ends drain every shard of every input basket, cut the
+// rows into globally consistent epochs (window.ShardSlicer), merge the
+// shards' fragments into basic windows (window.ShardMerge) and fan them
+// out to the members' queues. A Factory is only the member's tail: one
+// scheduler activation (SharedFire) runs ring maintenance, the per-basic-
+// window pipeline unless the group's DAG resolved it, partial-aggregate
+// merging, join caching and the post-merge fragment, then emits. A
+// non-windowed input's front end hands over each basket segment as its
+// own batch, which the tail evaluates with the full plan (mode 1).
 //
 // Shared multi-query execution: continuous queries over the same stream
-// and slide granularity run as members of a shared execution group
-// (Group, over one stream or over the two sides of a stream⋈stream
-// join, each with its own front end). The group drains, sequences
+// and slide granularity run as members of one shared execution group
+// (over one stream or over the two sides of a stream⋈stream join, each
+// with its own front end); every other query is the sole member of a
+// private group. A shared group drains, sequences
 // and slices the stream once for all members and fans sealed basic
 // windows out as refcounted immutable views. On top of the shared
 // slice, common member work deduplicates stage by stage: identical
@@ -45,12 +45,9 @@ package factory
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/emitter"
 	"datacell/internal/kernel"
@@ -88,14 +85,6 @@ type Config struct {
 	Decomp *plan.Decomposition
 	// Mode selects the execution strategy.
 	Mode Mode
-	// Shared marks a query-group member: the factory's windowed stream
-	// input(s) are fed externally with merged basic windows (SharedFire)
-	// by the group that drains and slices the stream(s) once for all
-	// members. The factory then runs only the private tail — per-basic-
-	// window pipeline, ring, merge, emit — and registers no basket
-	// consumers of its own. A single windowed scan joins a one-sided
-	// Group; a decomposable stream⋈stream join joins a two-sided one.
-	Shared bool
 	// NoMemo opts a shared member out of the group's operator DAG: its
 	// per-basic-window pipeline always evaluates privately, as if no
 	// sibling shared a prefix. Benchmarks use it to measure what the memo
@@ -123,47 +112,13 @@ type Config struct {
 	// Now supplies the wall clock in microseconds; defaults to the system
 	// clock. Benchmarks inject logical clocks.
 	Now func() int64
-	// OnWatermark, when set, is invoked after a shard firing raises an
-	// input's event-time watermark. The engine wires it to re-notify the
-	// query's shard transitions: sibling shards that fired before the
-	// watermark-raising row was drained hold sealed-but-unflushed buckets
-	// and would otherwise wait for the next append or heartbeat.
-	OnWatermark func()
 }
 
-// shardIn is the factory's cursor into one shard of an input basket. Its
-// mutex guards the slicer; the scheduler never fires the same shard
-// concurrently with itself, but Advance (the engine's time-watermark path)
-// may race a firing.
-type shardIn struct {
-	idx int // shard index within the input
-	bk  *basket.Basket
-	cid int
-	mu  sync.Mutex
-	sl  *window.ShardSlicer // nil for non-windowed scans
-	// wm mirrors sl.Watermark() so ShardReady — called by scheduler
-	// workers holding the global scheduler mutex — never waits on a
-	// shard mutex held across a firing or an Advance.
-	wm atomic.Int64
-}
-
-// input wires one stream scan to its sharded basket.
+// input is one stream scan of the plan and, when windowed, the ring of
+// merged basic windows its current window spans.
 type input struct {
-	scan   *plan.ScanStream
-	shb    *basket.Sharded
-	shards []*shardIn
-
-	// Windowed state. ring holds merged basic windows; merge assembles
-	// them from per-shard fragments at epoch boundaries; maxTs is the
-	// shared event-time watermark across shards (math.MinInt64 until the
-	// first row).
-	ring    *window.Ring
-	merge   *window.ShardMerge
-	mergeMu sync.Mutex
-	maxTs   atomic.Int64
-	// sealed is the merger frontier last handed to the factory's join
-	// sequencer (guarded by mergeMu).
-	sealed int64
+	scan *plan.ScanStream
+	ring *window.Ring // nil for non-windowed scans
 }
 
 // Stats is a snapshot of a factory's counters, feeding the demo's analysis
@@ -171,47 +126,37 @@ type input struct {
 type Stats struct {
 	Name        string
 	Mode        string
-	Firings     int64 // scheduler activations (per shard under sharding)
+	Firings     int64 // tail activations
 	Evals       int64 // window/batch evaluations (results emitted)
 	TuplesIn    int64
 	RowsOut     int64
-	BusyUsec    int64 // total time spent inside shard firings
+	BusyUsec    int64 // total time spent inside tail activations
 	LastLatency int64 // response time of the newest result (µs)
 	MaxLatency  int64
 	SumLatency  int64 // across evals, for averaging
 	CachedPairs int   // live join-pair cache entries (join plans)
 }
 
-// Factory executes one continuous query. FireShard is not reentrant per
-// shard: the scheduler guarantees a single in-flight firing per (input,
-// shard) transition.
+// Factory executes one continuous query's tail over the basic windows its
+// group fans out. SharedFire is not reentrant: the scheduler guarantees a
+// single in-flight firing of the member's tail transition.
 type Factory struct {
 	cfg    Config
 	inputs []*input
-	jc     window.PairCache
+	jc     *window.SharedPairCache // the group's pair cache (join plans)
 	// pipes holds one compiled fused pipeline per decomposition pipeline
 	// (nil entries fall back to the unfused plan.Exec executor): the
-	// kernel-fused per-basic-window chains used by deliver and the
-	// incremental fallback. Empty when NoFuse or when the factory has no
-	// decomposition.
+	// kernel-fused per-basic-window chains a member runs when the group's
+	// DAG did not resolve its window. Empty when NoFuse or when the
+	// factory has no decomposition.
 	pipes []*kernel.Pipeline
 	// reevalJoin marks a re-evaluation-mode join whose plan decomposes:
 	// the full-window recompute is expressed as the merge of cached
-	// basic-window pairs through the pair cache (group-shared for
-	// members, private otherwise) instead of re-running the whole plan
-	// over the concatenated rings. Shared, isolated and fabric-routed
-	// registrations of the same join thus order joined rows identically.
+	// basic-window pairs through the group's pair cache instead of
+	// re-running the whole plan over the concatenated rings. Shared,
+	// isolated and fabric-routed registrations of the same join thus order
+	// joined rows identically.
 	reevalJoin bool
-	// order sequences the sealed basic windows of a multi-input (join)
-	// factory into one canonical order before they reach the tail; nil
-	// for single-input factories and for group members, whose windows
-	// arrive already sequenced by their join group.
-	order *inputSeq
-
-	// stepMu serializes the blocking tail — ring pushes, join cache and
-	// window evaluation — across shard firings and Advance, keeping
-	// merged basic windows in generation order.
-	stepMu sync.Mutex
 
 	mu    sync.Mutex
 	seq   int64
@@ -230,10 +175,9 @@ type Factory struct {
 // p99 without per-eval allocation.
 const recentLatSize = 512
 
-// New builds a factory and registers it as a consumer on every shard of
-// every input basket. bind maps each stream scan of the plan to its
-// sharded basket.
-func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error) {
+// New builds a factory. It reads nothing until it joins a group
+// (Group.Join), whose front ends feed its tail.
+func New(cfg Config) (*Factory, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
@@ -255,11 +199,6 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 		for _, p := range cfg.Decomp.Pipelines {
 			scans = append(scans, p.Scan)
 		}
-		if cfg.Decomp.Join != nil {
-			// Private by default; a join group replaces it with its shared
-			// fingerprint-keyed cache (SetPairCache) at member join.
-			f.jc = window.NewJoinCache(cfg.Decomp.Join)
-		}
 	}
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("factory %s: plan reads no stream", cfg.Name)
@@ -277,61 +216,12 @@ func New(cfg Config, bind map[*plan.ScanStream]*basket.Sharded) (*Factory, error
 			}
 		}
 	}
-	if cfg.Shared {
-		joined := cfg.Decomp != nil && cfg.Decomp.Join != nil
-		if len(scans) != 1 && !(joined && len(scans) == 2) {
-			return nil, fmt.Errorf("factory %s: shared execution requires one stream input (or an incremental stream join), got %d", cfg.Name, len(scans))
-		}
-		for _, s := range scans {
-			if s.Window == nil {
-				return nil, fmt.Errorf("factory %s: shared execution requires windowed stream scans", cfg.Name)
-			}
-		}
-	}
-	for idx, s := range scans {
-		shb, ok := bind[s]
-		if !ok {
-			return nil, fmt.Errorf("factory %s: no basket bound for stream %q", cfg.Name, s.Alias)
-		}
-		in := &input{scan: s, shb: shb, sealed: window.NoEpoch}
-		in.maxTs.Store(math.MinInt64)
-		if cfg.Shared {
-			// The group owns the basket cursors, slicers and merger; the
-			// member keeps only its private window ring.
-			in.ring = window.NewRing(s.Window.Parts())
-			f.inputs = append(f.inputs, in)
-			continue
-		}
-		for i := 0; i < shb.NumShards(); i++ {
-			b := shb.Shard(i)
-			si := &shardIn{idx: i, bk: b, cid: b.Register()}
-			if s.Window != nil {
-				si.sl = window.NewShardSlicer(s.Window, s.Out)
-				si.wm.Store(si.sl.Watermark())
-			}
-			in.shards = append(in.shards, si)
-		}
+	for _, s := range scans {
+		in := &input{scan: s}
 		if s.Window != nil {
 			in.ring = window.NewRing(s.Window.Parts())
-			mc := window.MergeConfig{Shards: shb.NumShards(), Data: s.Out}
-			if cfg.Mode == Incremental {
-				outSch := cfg.Decomp.Pipelines[idx].Root.Schema()
-				mc.Out = &outSch
-				if cfg.Decomp.Agg != nil {
-					pSch := cfg.Decomp.Agg.Out
-					mc.Partial = &pSch
-				}
-			}
-			in.merge = window.NewShardMerge(mc)
 		}
 		f.inputs = append(f.inputs, in)
-	}
-	if !cfg.Shared {
-		wins := make([]*plan.Window, len(f.inputs))
-		for i, in := range f.inputs {
-			wins[i] = in.scan.Window
-		}
-		f.order = newInputSeq(wins)
 	}
 	return f, nil
 }
@@ -342,66 +232,12 @@ func (f *Factory) Name() string { return f.cfg.Name }
 // Mode reports the execution mode.
 func (f *Factory) Mode() Mode { return f.cfg.Mode }
 
-// Inputs reports the number of input streams.
-func (f *Factory) Inputs() int { return len(f.inputs) }
-
-// Shards reports the shard count of input idx — the engine registers one
-// scheduler transition per (input, shard).
-func (f *Factory) Shards(idx int) int { return len(f.inputs[idx].shards) }
-
-// Ready reports whether any shard of any input has work — the factory's
-// Petri-net firing condition.
-func (f *Factory) Ready() bool {
-	for idx, in := range f.inputs {
-		for sh := range in.shards {
-			if f.ShardReady(idx, sh) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ShardReady reports whether shard sh of input idx has pending tuples or
-// sealed epochs awaiting flush — the per-shard firing condition.
-func (f *Factory) ShardReady(idx, sh int) bool {
-	in := f.inputs[idx]
-	si := in.shards[sh]
-	if si.bk.Available(si.cid) > 0 {
-		return true
-	}
-	if si.sl == nil {
-		return false
-	}
-	wmGen, ok := f.watermarkGen(in, si)
-	if !ok {
-		return false
-	}
-	return si.wm.Load() < wmGen
-}
-
-// watermarkGen computes the current epoch-sealing watermark for an input:
-// tuple windows seal by the sharded basket's settled sequence, time
-// windows by the shared event-time high mark. ok is false while no
-// watermark exists yet (time window before the first row).
-func (f *Factory) watermarkGen(in *input, si *shardIn) (int64, bool) {
-	w := in.scan.Window
-	if w.Tuples {
-		return in.shb.Settled() / w.Slide, true
-	}
-	mts := in.maxTs.Load()
-	if mts == math.MinInt64 {
-		return 0, false
-	}
-	return si.sl.TimeGen(mts), true
-}
-
 // Baskets lists the names of the factory's input baskets (for the query
 // network view).
 func (f *Factory) Baskets() []string {
 	out := make([]string, len(f.inputs))
 	for i, in := range f.inputs {
-		out[i] = in.shb.Name()
+		out[i] = in.scan.Stream.Basket.Name()
 	}
 	return out
 }
@@ -419,15 +255,11 @@ func (f *Factory) ContinuousPlanString() string {
 	return "-- re-evaluate per firing --\n" + plan.String(f.cfg.Full)
 }
 
-// Stop unregisters the factory from its basket shards, releases any
-// shared basic-window buffers its rings still hold, and closes its
-// emitter. The caller must ensure no firing is in flight (the engine uses
-// scheduler.RemoveWait).
+// Stop releases any shared basic-window buffers the factory's rings still
+// hold and closes its emitter. The caller must ensure no firing is in
+// flight (the engine uses scheduler.RemoveWait).
 func (f *Factory) Stop() {
 	for _, in := range f.inputs {
-		for _, si := range in.shards {
-			si.bk.Unregister(si.cid)
-		}
 		if in.ring != nil {
 			for _, bw := range in.ring.Live() {
 				bw.ReleaseData()
@@ -437,22 +269,21 @@ func (f *Factory) Stop() {
 	f.cfg.Emit.Close()
 }
 
-// SharedBW is one merged basic window handed to a shared member's tail:
-// the window plus the factory input (join side) it belongs to. Single-
-// stream groups always deliver input 0; join groups interleave inputs 0
-// and 1 in the group's global pairing order.
+// SharedBW is one merged basic window handed to a member's tail: the
+// window plus the factory input (group side) it belongs to. Single-stream
+// groups always deliver input 0; multi-stream groups interleave their
+// inputs in the group's global order.
 type SharedBW struct {
 	Input int
 	BW    *window.BW
 }
 
 // SharedFire runs the member tail over a batch of merged basic windows
-// handed over by the factory's execution group, in delivery order. It is
-// the grouped counterpart of FireShard: one scheduler activation of the
-// member's tail transition. Windows whose Partial (or, for plans without
-// an aggregate, Out) was already resolved through the group's operator
-// DAG skip the private pipeline. It returns the number of result sets
-// emitted.
+// handed over by the factory's execution group, in delivery order: one
+// scheduler activation of the member's tail transition. Windows whose
+// Partial (or, for plans without an aggregate, Out) was already resolved
+// through the group's operator DAG skip the private pipeline. It returns
+// the number of result sets emitted.
 func (f *Factory) SharedFire(evs []SharedBW) int {
 	if len(evs) == 0 {
 		return 0
@@ -472,22 +303,15 @@ func (f *Factory) SharedFire(evs []SharedBW) int {
 	f.mu.Unlock()
 
 	emitted := 0
-	f.stepMu.Lock()
 	for _, ev := range evs {
 		emitted += f.onBasicWindow(ev.Input, ev.BW)
 	}
-	f.stepMu.Unlock()
 
 	f.mu.Lock()
 	f.stats.BusyUsec += f.cfg.Now() - start
 	f.mu.Unlock()
 	return emitted
 }
-
-// SetPairCache replaces the factory's join-pair cache with a group-shared
-// one. Call before the member's tail transition is registered (no firing
-// may be in flight).
-func (f *Factory) SetPairCache(pc window.PairCache) { f.jc = pc }
 
 // Stats returns a snapshot of the factory's counters.
 func (f *Factory) Stats() Stats {
@@ -514,192 +338,6 @@ func (f *Factory) RecentLatencies() []int64 {
 	return out
 }
 
-// Step fires every shard of every input once, in order — the synchronous
-// whole-factory firing used by tests and the single-threaded paths. When
-// a firing raises an input's event-time watermark, the input's shards get
-// a second flush pass so earlier-fired shards release their sealed
-// buckets (the scheduler path handles this via OnWatermark). It returns
-// the number of result sets emitted.
-func (f *Factory) Step() int {
-	emitted := 0
-	for idx, in := range f.inputs {
-		raisedAny := false
-		for sh := range in.shards {
-			e, raised := f.fireShard(idx, sh)
-			emitted += e
-			raisedAny = raisedAny || raised
-		}
-		if raisedAny {
-			for sh := range in.shards {
-				e, _ := f.fireShard(idx, sh)
-				emitted += e
-			}
-		}
-	}
-	return emitted
-}
-
-// FireShard is one Petri-net transition firing for shard sh of input idx:
-// drain the shard, cut sealed epochs, evaluate per-fragment pipelines, and
-// merge-complete any basic windows this shard sealed last. It returns the
-// number of result sets emitted.
-func (f *Factory) FireShard(idx, sh int) int {
-	emitted, raised := f.fireShard(idx, sh)
-	if raised && f.cfg.OnWatermark != nil {
-		f.cfg.OnWatermark()
-	}
-	return emitted
-}
-
-// fireShard reports, besides the emitted count, whether the firing raised
-// the input's event-time watermark (other shards may now hold sealed
-// buckets).
-func (f *Factory) fireShard(idx, sh int) (int, bool) {
-	in := f.inputs[idx]
-	si := in.shards[sh]
-	start := f.cfg.Now()
-	f.mu.Lock()
-	f.stats.Firings++
-	f.mu.Unlock()
-
-	si.mu.Lock()
-	emitted, raised := f.fireShardLocked(idx, in, si)
-	si.mu.Unlock()
-
-	f.mu.Lock()
-	f.stats.BusyUsec += f.cfg.Now() - start
-	f.mu.Unlock()
-	return emitted, raised
-}
-
-func (f *Factory) fireShardLocked(idx int, in *input, si *shardIn) (int, bool) {
-	// For tuple windows the sealing watermark must be read BEFORE the
-	// drain: every row of an epoch sealed by this watermark was appended
-	// to its shard before the watermark advanced, so the drain below is
-	// guaranteed to include it. Reading after the drain could seal an
-	// epoch whose rows arrived between the two steps.
-	var wmSeq int64
-	tuples := si.sl != nil && in.scan.Window.Tuples
-	if tuples {
-		wmSeq = in.shb.Settled()
-	}
-
-	if si.sl == nil {
-		// Non-windowed continuous query: the paper's mode 1 applied per
-		// arriving batch (one basket segment), independently per shard.
-		emitted := 0
-		f.countIn(si.bk.ConsumeEach(si.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
-			emitted += f.evalBatch(in.scan, c, arrivals)
-		}))
-		return emitted, false
-	}
-
-	frags, rows, raised := sliceFlush(si.bk, si.cid, si.sl, in.scan.Window, wmSeq, &in.maxTs)
-	f.countIn(rows)
-	si.wm.Store(si.sl.Watermark())
-	return f.deliver(idx, in, si, frags), raised
-}
-
-func (f *Factory) countIn(rows int) {
-	if rows > 0 {
-		f.mu.Lock()
-		f.stats.TuplesIn += int64(rows)
-		f.mu.Unlock()
-	}
-}
-
-// sliceFlush is the drain step shared by isolated factories and query
-// groups: push the consumer's pending rows, segment by segment, into a
-// shard slicer, raise the input's shared event-time watermark (time
-// windows), and flush every epoch the current watermark seals. For tuple
-// windows the caller must have captured wmSeq (the container's settled
-// sequence) BEFORE the drain — see fireShardLocked for why the order is
-// load-bearing. rows counts the drained rows; raised reports whether the
-// event-time watermark advanced (sibling shards may now hold sealed
-// buckets and need a re-notify).
-func sliceFlush(bk *basket.Basket, cid int, sl *window.ShardSlicer, w *plan.Window, wmSeq int64, maxTs *atomic.Int64) (frags []*window.Frag, rows int, raised bool) {
-	rows = bk.ConsumeLeased(cid, func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints) {
-		sl.Push(c, l, arrivals, seqs)
-		if !w.Tuples {
-			ts := bat.AsInts(c.Cols[w.TimeIdx])
-			mx := int64(math.MinInt64)
-			for _, t := range ts {
-				if t > mx {
-					mx = t
-				}
-			}
-			raised = atomicMax(maxTs, mx) || raised
-		}
-	})
-	if w.Tuples {
-		frags = sl.Flush(wmSeq / w.Slide)
-	} else if mts := maxTs.Load(); mts != math.MinInt64 {
-		frags = sl.Flush(sl.TimeGen(mts))
-	}
-	return frags, rows, raised
-}
-
-// deliver runs the per-fragment pipeline (the parallel half of incremental
-// mode), then offers the fragments and this shard's watermark to the
-// input's merger; any basic windows completed by this delivery run the
-// blocking tail under stepMu, in generation order — for a join, in the
-// inputs' canonical order (inputSeq).
-func (f *Factory) deliver(idx int, in *input, si *shardIn, frags []*window.Frag) int {
-	if f.cfg.Mode == Incremental {
-		d := f.cfg.Decomp
-		pipe := d.Pipelines[idx]
-		if kp := f.pipe(idx); kp != nil {
-			// Fused path: filter → project → partial aggregate run as one
-			// pass over the fragment, materializing at most once. For
-			// aggregate plans fr.Out stays nil (the merged window's Out is
-			// an empty chunk nothing downstream reads — MergeAggregate
-			// consumes the concatenated partials).
-			for _, fr := range frags {
-				fr.Out, fr.Partial = kp.RunRuns(fr.Data)
-			}
-		} else {
-			for _, fr := range frags {
-				ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: fr.Data.Concat()}}
-				out, err := ex.Run(pipe.Root)
-				if err != nil {
-					out = bat.NewChunk(pipe.Root.Schema())
-				}
-				fr.Out = out
-				if d.Agg != nil {
-					fr.Partial = plan.RunAggregate(d.Agg, out)
-				}
-			}
-		}
-	}
-	in.mergeMu.Lock()
-	defer in.mergeMu.Unlock()
-	ready := in.merge.Offer(si.idx, frags, si.sl.Watermark())
-	emitted := 0
-	if f.order != nil {
-		// A join also hands over a frontier that moved without sealing a
-		// window: it may release the other inputs' waiting windows.
-		sealed := in.merge.Sealed()
-		if len(ready) == 0 && sealed == in.sealed {
-			return 0
-		}
-		in.sealed = sealed
-		f.stepMu.Lock()
-		f.order.push(idx, ready, sealed, func(i int, bw *window.BW) {
-			emitted += f.onBasicWindow(i, bw)
-		})
-		f.stepMu.Unlock()
-		return emitted
-	}
-	if len(ready) > 0 {
-		f.stepMu.Lock()
-		for _, bw := range ready {
-			emitted += f.onBasicWindow(idx, bw)
-		}
-		f.stepMu.Unlock()
-	}
-	return emitted
-}
-
 // pipe returns the compiled fused pipeline for input idx, or nil when the
 // factory runs unfused (NoFuse, no decomposition, or a chain the
 // linearizer rejected).
@@ -710,63 +348,19 @@ func (f *Factory) pipe(idx int) *kernel.Pipeline {
 	return f.pipes[idx]
 }
 
-// atomicMax raises a to v and reports whether it advanced.
-func atomicMax(a *atomic.Int64, v int64) bool {
-	for {
-		cur := a.Load()
-		if v <= cur {
-			return false
-		}
-		if a.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
-// Advance closes time-window buckets up to the watermark (microsecond
-// timestamp) on every time-windowed input — the scheduler's time
-// constraint / heartbeat path for idle streams.
-func (f *Factory) Advance(watermark int64) int {
-	emitted := 0
-	for idx, in := range f.inputs {
-		if in.scan.Window == nil || in.scan.Window.Tuples || len(in.shards) == 0 {
-			// Tuple windows never time out; shared inputs are advanced by
-			// their query group, which owns the slicers.
-			continue
-		}
-		if in.maxTs.Load() == math.MinInt64 {
-			continue // no rows yet: nothing to force shut
-		}
-		atomicMax(&in.maxTs, watermark)
-		mts := in.maxTs.Load()
-		for _, si := range in.shards {
-			si.mu.Lock()
-			frags := si.sl.Flush(si.sl.TimeGen(mts))
-			si.wm.Store(si.sl.Watermark())
-			emitted += f.deliver(idx, in, si, frags)
-			si.mu.Unlock()
-		}
-	}
-	return emitted
-}
-
 // evalBatch handles non-windowed continuous queries: the paper's mode 1
-// applied to each arriving batch. The batch feeds its own scan; any other
-// stream scans in the plan see empty input this firing and are evaluated
-// in their own firings as their data arrives.
-func (f *Factory) evalBatch(scan *plan.ScanStream, c *bat.Chunk, arrivals bat.Ints) int {
-	var maxArr int64
-	for _, a := range arrivals {
-		if a > maxArr {
-			maxArr = a
-		}
-	}
-	ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{scan: c}}
+// applied to each arriving batch (one basket segment, handed over as a
+// basic window). The batch feeds its own scan; any other stream scans in
+// the plan see empty input and are evaluated on their own batches as
+// their data arrives. The batch's data is released after evaluation.
+func (f *Factory) evalBatch(scan *plan.ScanStream, bw *window.BW) int {
+	defer bw.ReleaseData()
+	ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{scan: bw.Data.Concat()}}
 	out, err := ex.Run(f.cfg.Full)
 	if err != nil {
 		return 0
 	}
-	f.emit(out, maxArr, genIsSeq)
+	f.emit(out, bw.MaxArrival, genIsSeq)
 	return 1
 }
 
@@ -776,12 +370,16 @@ func (f *Factory) evalBatch(scan *plan.ScanStream, c *bat.Chunk, arrivals bat.In
 const genIsSeq = int64(-1)
 
 // onBasicWindow advances the window state of input idx with a merged,
-// completed basic window and evaluates if a slide completed. Callers hold
-// stepMu. Re-evaluation join-group members run the incremental tail: the
+// completed basic window and evaluates if a slide completed; a non-
+// windowed input's window is one batch, evaluated on its own. Re-
+// evaluation join-group members run the incremental tail: the
 // decomposition certified their full-window recompute equals the merge of
 // cached basic-window pairs, which the shared pair cache serves.
 func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 	in := f.inputs[idx]
+	if in.ring == nil {
+		return f.evalBatch(in.scan, bw)
+	}
 	if f.cfg.Mode == Reeval && !f.reevalJoin {
 		if evicted := in.ring.Push(bw); evicted != nil {
 			evicted.ReleaseData()
@@ -830,26 +428,22 @@ func (f *Factory) triggerArrival(bw *window.BW) int64 {
 	return m
 }
 
-// incrementalStep is the paper's mode 2: the per-basic-window intermediates
-// were already computed per fragment by the firing shards; here the merged
-// basic window enters the ring and cached intermediates merge when a slide
-// completes.
+// incrementalStep is the paper's mode 2: the merged basic window's
+// intermediates are resolved (through the group's DAG, or here by the
+// member's own pipeline), the window enters the ring, and cached
+// intermediates merge when a slide completes.
 func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	d := f.cfg.Decomp
 	in := f.inputs[idx]
 
 	if bw.Out == nil && bw.Partial == nil {
 		// Per-basic-window pipeline over the raw tuples: the path for
-		// query-group members whose pipeline is not in the shared DAG (the
-		// DAG resolves Partial, or Out for plans without an aggregate,
-		// before the tail runs), and the fallback for basic windows that
-		// bypassed the fragment path. A pipeline
-		// error substitutes an empty intermediate — like the fragment path
-		// — so the ring stays window-aligned and the shared buffer is
-		// still released below.
+		// members whose pipeline is not in the group's DAG (the DAG
+		// resolves Partial, or Out for plans without an aggregate, before
+		// the tail runs). A pipeline error substitutes an empty
+		// intermediate so the ring stays window-aligned and the shared
+		// buffer is still released below.
 		if kp := f.pipe(idx); kp != nil {
-			// Fused fallback over the raw window (group fanout,
-			// re-evaluation joins).
 			bw.Out, bw.Partial = kp.RunRuns(bw.Data)
 		} else {
 			pipe := d.Pipelines[idx]
@@ -869,8 +463,7 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	// ring eviction.
 	bw.ReleaseData()
 
-	evicted := in.ring.Push(bw)
-	if evicted != nil {
+	if evicted := in.ring.Push(bw); evicted != nil {
 		evicted.ReleaseData()
 	}
 	if bw.Final != nil || bw.Merged != nil {
@@ -891,13 +484,8 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		return 1
 	}
 	if f.jc != nil {
-		if evicted != nil {
-			if idx == 0 {
-				f.jc.EvictLeft(evicted.Gen)
-			} else {
-				f.jc.EvictRight(evicted.Gen)
-			}
-		}
+		// The cache evicts by the group's generation watermarks, not by
+		// this member's ring: an evicted window may be live in a sibling's.
 		other := f.inputs[1-idx]
 		if idx == 0 {
 			f.jc.AddLeft(bw, other.ring.Live())

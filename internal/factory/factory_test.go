@@ -14,12 +14,15 @@ import (
 	"datacell/internal/sql"
 )
 
-// harness wires one factory to a fresh catalog with streams
-// s(ts TIMESTAMP, k INT, v FLOAT) and r(ts TIMESTAMP, k INT, w INT) and a
-// dimension table dim(k INT, name STRING).
+// harness wires one factory, as the only member of a private group, to a
+// fresh catalog with streams s(ts TIMESTAMP, k INT, v FLOAT) and
+// r(ts TIMESTAMP, k INT, w INT) and a dimension table dim(k INT, name
+// STRING).
 type harness struct {
 	cat  *catalog.Catalog
 	fac  *Factory
+	g    *Group
+	m    *Member
 	out  *emitter.Channel
 	sb   *basket.Sharded
 	rb   *basket.Sharded
@@ -78,21 +81,45 @@ func newHarness(t *testing.T, src string, mode Mode) *harness {
 	h.out = emitter.NewChannel(4096)
 	cfg.Emit = h.out
 
-	bind := map[*plan.ScanStream]*basket.Sharded{}
-	for _, sc := range plan.Streams(opt) {
-		switch sc.Stream.Name {
-		case "s":
-			bind[sc] = h.sb
-		case "r":
-			bind[sc] = h.rb
-		}
-	}
-	fac, err := New(cfg, bind)
+	fac, err := New(cfg)
 	if err != nil {
 		t.Fatalf("factory: %v", err)
 	}
 	h.fac = fac
+	scans := make([]*plan.ScanStream, len(fac.inputs))
+	for i, in := range fac.inputs {
+		scans[i] = in.scan
+	}
+	h.g = NewGroup(GroupConfig{Key: "q!iso#1", SchedGroup: "group:q", Scans: scans,
+		NotifyMember: func(string) {}})
+	h.m = h.g.Join("q", fac)
 	return h
+}
+
+// step fires every (side, shard) of the group twice — the second pass
+// flushes buckets an earlier shard's event-time watermark raise sealed on
+// a sibling — then the member's tail. It returns the result sets emitted.
+func (h *harness) step() int {
+	for pass := 0; pass < 2; pass++ {
+		for side := range h.g.sides {
+			for sh := 0; sh < h.g.NumShards(side); sh++ {
+				h.g.FireShard(side, sh)
+			}
+		}
+	}
+	return h.m.Fire()
+}
+
+// ready reports whether any (side, shard) of the group has work.
+func (h *harness) ready() bool {
+	for side := range h.g.sides {
+		for sh := 0; sh < h.g.NumShards(side); sh++ {
+			if h.g.ShardReady(side, sh) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pushS appends rows (ts, k, v) to stream s and steps the factory.
@@ -106,7 +133,7 @@ func (h *harness) pushS(t *testing.T, rows ...[3]int64) {
 	if err := h.sb.Append(c, h.now); err != nil {
 		t.Fatal(err)
 	}
-	h.fac.Step()
+	h.step()
 }
 
 func (h *harness) pushR(t *testing.T, rows ...[3]int64) {
@@ -119,7 +146,7 @@ func (h *harness) pushR(t *testing.T, rows ...[3]int64) {
 	if err := h.rb.Append(c, h.now); err != nil {
 		t.Fatal(err)
 	}
-	h.fac.Step()
+	h.step()
 }
 
 // results drains the emitter, returning each result as sorted row strings.
@@ -263,21 +290,21 @@ func TestFactoryStats(t *testing.T) {
 
 func TestFactoryReadyAndBaskets(t *testing.T) {
 	h := newHarness(t, "SELECT k FROM s", Reeval)
-	if h.fac.Ready() {
+	if h.ready() {
 		t.Error("ready with empty basket")
 	}
 	s, _ := h.cat.Stream("s")
 	c := bat.NewChunk(s.Schema())
 	_ = c.AppendRow(bat.TimeValue(1), bat.IntValue(1), bat.FloatValue(1))
 	_ = h.sb.Append(c, 1)
-	if !h.fac.Ready() {
+	if !h.ready() {
 		t.Error("not ready with pending tuples")
 	}
 	if got := h.fac.Baskets(); len(got) != 1 || got[0] != "s" {
 		t.Errorf("baskets = %v", got)
 	}
-	h.fac.Step()
-	if h.fac.Ready() {
+	h.step()
+	if h.ready() {
 		t.Error("ready after drain")
 	}
 }
@@ -287,6 +314,8 @@ func TestFactoryStopUnregisters(t *testing.T) {
 	if h.sb.Consumers() != 1 {
 		t.Fatalf("consumers = %d", h.sb.Consumers())
 	}
+	h.g.Leave(h.m)
+	h.g.Close()
 	h.fac.Stop()
 	if h.sb.Consumers() != 0 {
 		t.Errorf("consumers after stop = %d", h.sb.Consumers())
@@ -307,15 +336,9 @@ func TestFactoryPlanStrings(t *testing.T) {
 func TestFactoryErrors(t *testing.T) {
 	h := newHarness(t, "SELECT k FROM s", Reeval)
 	// Incremental without decomposition.
-	_, err := New(Config{Name: "x", Full: h.fac.cfg.Full, Mode: Incremental, Emit: emitter.Null{}}, nil)
+	_, err := New(Config{Name: "x", Full: h.fac.cfg.Full, Mode: Incremental, Emit: emitter.Null{}})
 	if err == nil {
 		t.Error("incremental without decomp should fail")
-	}
-	// Missing basket binding.
-	_, err = New(Config{Name: "x", Full: h.fac.cfg.Full, Mode: Reeval, Emit: emitter.Null{}},
-		map[*plan.ScanStream]*basket.Sharded{})
-	if err == nil {
-		t.Error("missing binding should fail")
 	}
 }
 
@@ -325,7 +348,8 @@ func TestTimeWindowFactoryWithAdvance(t *testing.T) {
 	sec := int64(1_000_000)
 	h.pushS(t, [3]int64{sec / 2, 1, 1}, [3]int64{sec + sec/2, 1, 1})
 	// Buckets: 0 (1 tuple, closed by arrival of bucket-1 tuple), 1 open.
-	if got := h.fac.Advance(3 * sec); got != 2 {
+	h.g.Advance(3 * sec)
+	if got := h.m.Fire(); got != 2 {
 		t.Fatalf("Advance emitted %d results, want 2", got)
 	}
 	res := h.results()
@@ -432,15 +456,15 @@ func TestJoinOneSidedFeedStaysBounded(t *testing.T) {
 		`SELECT s.v, r.w FROM s [RANGE 2 SECONDS SLIDE 1 SECONDS ON ts], r [RANGE 2 SECONDS SLIDE 1 SECONDS ON ts] WHERE s.k = r.k`,
 	} {
 		h := newHarness(t, src, Incremental)
-		lead := h.fac.order.ins[0].lead
+		lead := h.g.seq.ins[0].lead
 		const sec = int64(1_000_000)
 		for i := int64(0); i < 500; i++ {
 			h.pushS(t, [3]int64{i * sec, i % 3, i})
-			if n := len(h.fac.order.ins[0].pending); n > lead {
+			if n := len(h.g.seq.ins[0].pending); n > lead {
 				t.Fatalf("%s: %d left windows queued after %d rows, bound %d", src, n, i+1, lead)
 			}
 		}
-		if n := len(h.fac.order.ins[0].pending); n != lead {
+		if n := len(h.g.seq.ins[0].pending); n != lead {
 			t.Errorf("%s: %d left windows queued, want the bound %d", src, n, lead)
 		}
 		if !h.fac.inputs[0].ring.Full() {

@@ -13,19 +13,20 @@ import (
 	"datacell/internal/window"
 )
 
-// frontEnd is the shared per-stream half of an execution group: basket
-// cursors on every shard, per-shard slicers, and the merger that seals
-// globally consistent basic windows — the machinery that, without
-// grouping, every query would duplicate. A Group owns one per side.
+// frontEnd is the per-stream half of an execution group: basket cursors
+// on every shard, per-shard slicers, and the merger that seals globally
+// consistent basic windows. A Group owns one per side. A non-windowed
+// stream's front end has cursors only: each drained basket segment is one
+// batch, handed to the sink as its own basic window.
 //
-// Locking mirrors Factory: each shard's slicer is guarded by its own
-// mutex, the merger by mergeMu. The owner's sink runs under mergeMu,
+// Each shard's cursor and slicer are guarded by its own mutex, the merger
+// by mergeMu. The owner's sink runs under mergeMu,
 // which is what keeps the fanned-out basic-window sequence in generation
 // order; the returned wake-up set is delivered after mergeMu is released
 // so scheduler Ready callbacks never contend with a fan-out in progress.
 type frontEnd struct {
 	basket *basket.Sharded
-	win    *plan.Window
+	win    *plan.Window // nil: non-windowed
 	schema bat.Schema
 	shards []*groupShard
 
@@ -44,30 +45,33 @@ type frontEnd struct {
 	sink func(ready []*window.BW, sealed int64) map[string]bool
 }
 
-// groupShard is a front end's cursor into one shard of the stream basket —
-// the shared counterpart of the factory's shardIn.
+// groupShard is a front end's cursor into one shard of the stream basket.
 type groupShard struct {
 	idx int
 	bk  *basket.Basket
 	cid int
 	mu  sync.Mutex
-	sl  *window.ShardSlicer
-	wm  atomic.Int64 // mirrors sl.Watermark() for lock-free shardReady
+	sl  *window.ShardSlicer // nil for a non-windowed stream
+	wm  atomic.Int64        // mirrors sl.Watermark() for lock-free shardReady
 }
 
 // newFrontEnd registers consumers on every shard of the stream basket and
-// builds the shared slicing pipeline.
+// builds the shared slicing pipeline (none for a nil win).
 func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *frontEnd {
 	fe := &frontEnd{basket: bk, win: win, schema: schema, sealed: window.NoEpoch}
 	fe.maxTs.Store(math.MinInt64)
 	for i := 0; i < bk.NumShards(); i++ {
 		b := bk.Shard(i)
-		gs := &groupShard{idx: i, bk: b, cid: b.Register(),
-			sl: window.NewShardSlicer(win, schema)}
-		gs.wm.Store(gs.sl.Watermark())
+		gs := &groupShard{idx: i, bk: b, cid: b.Register()}
+		if win != nil {
+			gs.sl = window.NewShardSlicer(win, schema)
+			gs.wm.Store(gs.sl.Watermark())
+		}
 		fe.shards = append(fe.shards, gs)
 	}
-	fe.merge = window.NewShardMerge(window.MergeConfig{Shards: bk.NumShards(), Data: schema})
+	if win != nil {
+		fe.merge = window.NewShardMerge(window.MergeConfig{Shards: bk.NumShards(), Data: schema})
+	}
 	return fe
 }
 
@@ -99,6 +103,9 @@ func (fe *frontEnd) shardReady(sh int) bool {
 	if gs.bk.Available(gs.cid) > 0 {
 		return true
 	}
+	if gs.sl == nil {
+		return false
+	}
 	wmGen, ok := fe.watermarkGen(gs)
 	if !ok {
 		return false
@@ -126,15 +133,85 @@ func (fe *frontEnd) fireShard(sh int) (notify map[string]bool, raised bool) {
 	gs := fe.shards[sh]
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	// Tuple windows: read the sealing watermark BEFORE the drain (see
-	// Factory.fireShardLocked for why the order matters).
+	if gs.sl == nil {
+		return fe.batches(gs), false
+	}
+	// Tuple windows must read the sealing watermark BEFORE the drain:
+	// every row of an epoch sealed by this watermark was appended to its
+	// shard before the watermark advanced, so the drain below is
+	// guaranteed to include it. Reading after the drain could seal an
+	// epoch whose rows arrived between the two steps.
 	var wmSeq int64
 	if fe.win.Tuples {
 		wmSeq = fe.basket.Settled()
 	}
-	frags, _, raised := sliceFlush(gs.bk, gs.cid, gs.sl, fe.win, wmSeq, &fe.maxTs)
+	frags, raised := sliceFlush(gs.bk, gs.cid, gs.sl, fe.win, wmSeq, &fe.maxTs)
 	gs.wm.Store(gs.sl.Watermark())
 	return fe.deliver(gs, frags), raised
+}
+
+// sliceFlush is a windowed shard firing's drain step: push the
+// consumer's pending rows, segment by segment, into the shard's slicer,
+// raise the stream's shared event-time watermark (time windows), and
+// flush every epoch the current watermark seals. For tuple windows the
+// caller must have captured wmSeq (the container's settled sequence)
+// BEFORE the drain. raised reports whether the event-time watermark
+// advanced (sibling shards may now hold sealed buckets and need a
+// re-notify).
+func sliceFlush(bk *basket.Basket, cid int, sl *window.ShardSlicer, w *plan.Window, wmSeq int64, maxTs *atomic.Int64) (frags []*window.Frag, raised bool) {
+	bk.ConsumeLeased(cid, func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints) {
+		sl.Push(c, l, arrivals, seqs)
+		if !w.Tuples {
+			ts := bat.AsInts(c.Cols[w.TimeIdx])
+			mx := int64(math.MinInt64)
+			for _, t := range ts {
+				if t > mx {
+					mx = t
+				}
+			}
+			raised = atomicMax(maxTs, mx) || raised
+		}
+	})
+	if w.Tuples {
+		frags = sl.Flush(wmSeq / w.Slide)
+	} else if mts := maxTs.Load(); mts != math.MinInt64 {
+		frags = sl.Flush(sl.TimeGen(mts))
+	}
+	return frags, raised
+}
+
+// atomicMax raises a to v and reports whether it advanced.
+func atomicMax(a *atomic.Int64, v int64) bool {
+	for {
+		cur := a.Load()
+		if v <= cur {
+			return false
+		}
+		if a.CompareAndSwap(cur, v) {
+			return true
+		}
+	}
+}
+
+// batches is a non-windowed shard firing: every drained basket segment
+// becomes one basic window (the paper's mode 1 evaluates each arriving
+// batch), sunk in drain order under mergeMu. ConsumeEach's views pin
+// their storage, so the batches stay valid in the members' queues.
+func (fe *frontEnd) batches(gs *groupShard) map[string]bool {
+	var ready []*window.BW
+	gs.bk.ConsumeEach(gs.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
+		bw := &window.BW{Data: bat.NewRuns(fe.schema, c)}
+		for _, a := range arrivals {
+			bw.MaxArrival = max(bw.MaxArrival, a)
+		}
+		ready = append(ready, bw)
+	})
+	if len(ready) == 0 {
+		return nil
+	}
+	fe.mergeMu.Lock()
+	defer fe.mergeMu.Unlock()
+	return fe.sink(ready, window.NoEpoch)
 }
 
 // deliver offers a shard's flushed fragments to the merger and sinks any
@@ -159,10 +236,10 @@ func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) map[string]
 }
 
 // advance closes time-window buckets up to the watermark (µs) on every
-// shard. Tuple-window front ends are unaffected.
+// shard. Tuple-window and non-windowed front ends are unaffected.
 func (fe *frontEnd) advance(watermark int64) map[string]bool {
-	if fe.win.Tuples || fe.maxTs.Load() == math.MinInt64 {
-		return nil // tuple windows never time out; no rows yet: nothing to shut
+	if fe.win == nil || fe.win.Tuples || fe.maxTs.Load() == math.MinInt64 {
+		return nil // only time windows time out; no rows yet: nothing to shut
 	}
 	atomicMax(&fe.maxTs, watermark)
 	mts := fe.maxTs.Load()
@@ -184,7 +261,7 @@ func (fe *frontEnd) advance(watermark int64) map[string]bool {
 // half of the dataflow — basket cursors, epoch slicing, shard merging —
 // runs once per stream and slide granularity, no matter how many
 // continuous queries consume it. Queries whose windowed scans agree on a
-// group key (plan.GroupKey / plan.JoinGroupKey) join as members; each
+// group key (plan.GroupKeyOf) join as members; each
 // sealed basic window is fanned out to every member as a refcounted
 // immutable columnar view, and the members' private tails run as
 // independent scheduler transitions. On top of the shared slice, each
@@ -198,6 +275,12 @@ func (fe *frontEnd) advance(watermark int64) map[string]bool {
 // the same join fingerprint share one pair cache: each (left, right)
 // basic-window pair is joined once for the whole group and survives
 // slides under the watermark eviction protocol of window.SharedPairCache.
+//
+// A query that shares nothing — registered ISOLATED, a non-windowed scan,
+// or a multi-stream read that does not decompose into a join — is the
+// only member of a private group under a nonce-unique key, with one side
+// per stream scan of its plan. A non-windowed side hands each basket
+// segment over as its own basic window.
 type Group struct {
 	cfg     GroupConfig
 	sides   []*groupSide
@@ -214,17 +297,16 @@ type Group struct {
 
 	cancels []func()
 
-	// seqMu orders fan-outs across the sides of a two-sided group: every
-	// member observes the same left/right interleaving, which is what
-	// makes the shared pair cache and the members' emission sequences
-	// line up. seq fixes that interleaving to the canonical order a
-	// private join factory uses (by window end, see inputSeq), so it does
-	// not depend on which side's shards fired first. Grouped joins
-	// decompose, so their two windows are of one kind and seq is never
-	// nil for them; a one-sided group has none (newInputSeq returns nil
-	// for a single window) and releases its windows in seal order under
-	// its front end's mergeMu. genCtr holds the per-side group-global
-	// basic-window generations.
+	// seqMu orders fan-outs across the sides of a multi-sided group:
+	// every member observes the same interleaving, which is what makes
+	// the shared pair cache and the members' emission sequences line up.
+	// seq fixes that interleaving to one canonical order (by window end,
+	// see inputSeq), so it does not depend on which side's shards fired
+	// first. It is nil — windows go out in seal order under seqMu — when
+	// the sides' windows share no axis (tuple and time windows mixed) or
+	// the sides are non-windowed. A one-sided group needs no seq and
+	// releases its windows in seal order under its front end's mergeMu.
+	// genCtr holds the per-side group-global basic-window generations.
 	seqMu  sync.Mutex
 	seq    *inputSeq
 	genCtr []int64
@@ -264,9 +346,10 @@ type GroupConfig struct {
 	// the key): a torn-down group's RemoveWait must never sweep up the
 	// same-keyed successor's freshly added transitions.
 	SchedGroup string
-	// Scans are the group's windowed stream scans, one per side: one for
-	// a single-stream group, the left and right scans (in plan order) for
-	// a join group. Each scan's window carries the slicing granularity
+	// Scans are the group's stream scans, one per side: one for a single-
+	// stream group, the left and right scans (in plan order) for a join
+	// group, every scan of the plan for a private group. Each scan's
+	// window (nil: non-windowed) carries the slicing granularity
 	// (slide / time bucket + ordering attribute); the SIZE of any
 	// particular member is irrelevant here: basic windows are cut at slide
 	// granularity and each member keeps its own ring extent.
@@ -414,7 +497,8 @@ func (g *Group) SubscribeAppend() {
 	}
 }
 
-// Key reports the group key (plan.GroupKey / plan.JoinGroupKey).
+// Key reports the group key (plan.GroupKeyOf, plus a nonce for a private
+// group).
 func (g *Group) Key() string { return g.cfg.Key }
 
 // Kind reports "scan" for single-stream groups, "join" for stream pairs.
@@ -544,7 +628,8 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	n := len(g.sides)
 	m := &Member{g: g, query: query, fac: fac, leaf: make([]*dagNode, n), seen: make([]int64, n)}
 	d := fac.cfg.Decomp
-	piped := d != nil && !fac.cfg.NoMemo && (n == 2 || fac.cfg.Mode == Incremental && d.Join == nil)
+	joined := d != nil && d.Join != nil
+	piped := d != nil && !fac.cfg.NoMemo && (joined || n == 1 && fac.cfg.Mode == Incremental)
 	if piped {
 		for s := range g.sides {
 			steps, ok := d.StepsMemo(s)
@@ -586,7 +671,7 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		}
 	}
 	g.mu.Lock()
-	if n == 2 {
+	if joined {
 		m.pcKey = d.JoinFingerprintMemo()
 		e := g.caches[m.pcKey]
 		if e == nil {
@@ -613,9 +698,9 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	}
 	g.members = append(g.members, m)
 	g.mu.Unlock()
-	if m.pc != nil {
-		fac.SetPairCache(m.pc)
-	}
+	// No firing is in flight yet: the member's tail transition is
+	// registered after Join returns.
+	fac.jc = m.pc
 	return m
 }
 
@@ -723,7 +808,7 @@ func (g *Group) OfferRemote(side, shard int, frags []*window.Frag, wm int64) {
 
 // ShardReady reports whether shard sh of side has pending tuples or
 // sealed epochs awaiting flush — the group's per-(side, shard) firing
-// condition (the shared analogue of Factory.ShardReady).
+// condition.
 func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardReady(sh) }
 
 // FireShard is one firing of side's shard sh: drain, slice, and
@@ -784,10 +869,6 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	for _, m := range members {
 		recycle = recycle && m.partialsOnly
 	}
-	var needDag [2]bool
-	for s, sd := range g.sides {
-		needDag[s] = sd.dag.Nodes() > 0
-	}
 	notify := make(map[string]bool, len(members))
 	release := func(side int, bw *window.BW) {
 		g.windowsOut.Add(1)
@@ -808,7 +889,7 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 			}
 		})
 		var dw *dagWin
-		if needDag[side] || len(classes) > 0 {
+		if len(classes) > 0 || g.sides[side].dag.Nodes() > 0 {
 			dw = newDagWin(kernel.RunsView(bw.Data))
 		}
 		var cells map[string]*mergeCell
@@ -846,6 +927,12 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	}
 	g.seqMu.Lock()
 	defer g.seqMu.Unlock()
+	if g.seq == nil {
+		for _, bw := range ready {
+			release(side, bw)
+		}
+		return notify
+	}
 	g.seq.push(side, ready, sealed, release)
 	return notify
 }
@@ -863,9 +950,9 @@ func (m *Member) warm(parts int) bool {
 }
 
 // Advance closes time-window buckets up to the watermark (microsecond
-// timestamp) on every shard of every side — the group-level counterpart
-// of Factory.Advance for the scheduler's time constraints. Tuple-window
-// sides are unaffected. Fabric-fed sides forward the watermark to the
+// timestamp) on every shard of every side — the scheduler's time
+// constraint for idle streams. Tuple-window and non-windowed sides are
+// unaffected. Fabric-fed sides forward the watermark to the
 // worker processes, whose slicers own the open buckets; the flushed
 // fragments come back through OfferRemote.
 func (g *Group) Advance(watermark int64) {

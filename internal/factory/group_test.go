@@ -3,7 +3,6 @@ package factory
 import (
 	"testing"
 
-	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/catalog"
 	"datacell/internal/emitter"
@@ -32,9 +31,9 @@ func sharedFactory(t *testing.T, cat *catalog.Catalog, name, src string, out emi
 	scan := plan.Streams(opt)[0]
 	now := int64(0)
 	fac, err := New(Config{
-		Name: name, Full: opt, Decomp: d, Mode: Incremental, Shared: true,
+		Name: name, Full: opt, Decomp: d, Mode: Incremental,
 		Emit: out, Now: func() int64 { now++; return now },
-	}, map[*plan.ScanStream]*basket.Sharded{scan: scan.Stream.Basket})
+	})
 	if err != nil {
 		t.Fatalf("factory: %v", err)
 	}

@@ -11,8 +11,9 @@ import (
 // query in one canonical order, whatever order the inputs' shard firings
 // seal them in. A join evaluates on each window it releases against the
 // other inputs' rings as they stand, so without a fixed order the result
-// sequence would depend on scheduling; with it, a shared join group and an
-// isolated twin over the same log emit identical results.
+// sequence would depend on scheduling; with it, a shared join group and
+// an isolated twin's private group over the same log emit identical
+// results.
 //
 // The order is by where a window ends on an axis the inputs share: a time
 // window's slide bucket e ends at (e+1)·slide µs of event time, a tuple
@@ -31,8 +32,7 @@ import (
 // Windows still queued when the query stops are never evaluated: their
 // partner stream never reached them.
 //
-// The caller serializes access (the factory's stepMu, the join group's
-// seqMu).
+// The caller serializes access (the group's seqMu).
 type inputSeq struct {
 	ins []seqInput
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 )
 
 // SharedScan reports whether a continuous plan is eligible for shared
@@ -126,15 +127,22 @@ func JoinMergeKey(d *Decomposition) (string, bool) {
 	return fmt.Sprintf("jmerge{parts=%d}(%s)", parts, Fingerprint(d.Join)), true
 }
 
-// JoinGroupKey is the shared-execution group key of a stream⋈stream join:
-// queries whose two windowed scans agree on it consume identical pairs of
-// basic-window sequences, so one join group can drain and slice both
-// streams once for all of them. Like GroupKey it is the slicing
-// granularity of each side — window SIZE stays per-member (rings of
-// different extents over the same shared pair sequence). The two sides
-// are ordered as they appear in the plan: s⋈r and r⋈s slice the same
-// streams but deliver sides in mirrored roles, so they form distinct
-// groups rather than sharing one with swapped semantics.
-func JoinGroupKey(left, right *ScanStream) string {
-	return GroupKey(left) + " ⋈ " + GroupKey(right)
+// GroupKeyOf is the execution-group key of a group with one side per
+// scan: each side's GroupKey (for a non-windowed scan, its stream name)
+// joined by " ⋈ ". Queries whose scans agree on it consume identical
+// basic-window sequences, so one group can drain and slice the streams
+// once for all of them; for a stream⋈stream join that is the join group
+// key. Like GroupKey it is the slicing granularity of each side — window
+// SIZE stays per-member (rings of different extents over the same shared
+// sequence). Sides are ordered as they appear in the plan: s⋈r and r⋈s
+// slice the same streams but deliver sides in mirrored roles, so they
+// form distinct groups rather than sharing one with swapped semantics.
+func GroupKeyOf(scans []*ScanStream) string {
+	parts := make([]string, len(scans))
+	for i, sc := range scans {
+		if parts[i] = GroupKey(sc); sc.Window == nil {
+			parts[i] = sc.Stream.Name
+		}
+	}
+	return strings.Join(parts, " ⋈ ")
 }

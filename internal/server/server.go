@@ -37,7 +37,7 @@ const Help = `commands:
   \catalog               list tables and streams
   \network               query network: baskets and queries (Figure 3)
   \queries               list registered continuous queries
-  \groups                shared execution groups (members, live buffers)
+  \groups                execution groups (members, live buffers)
   \tenants               per-tenant quotas, usage and throttle counters
   \fabric                distributed shard fabric (workers, streams, specs)
   \plan <query>          optimized one-time plan shape

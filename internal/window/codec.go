@@ -94,9 +94,9 @@ func UnmarshalBW(src []byte) (*BW, []byte, error) {
 // MarshalFrag appends the wire encoding of one shard's epoch fragment to
 // dst: epoch, shard index, max arrival stamp and the raw tuples, encoded
 // as one chunk (the fragment's runs concatenated).
-// Per-fragment intermediates (Out/Partial) are not encoded — the fabric
-// ships raw windows and lets the coordinator's sharing stack (operator
-// DAG, merge classes) evaluate pipelines once per window across members.
+// The fabric ships raw windows and lets the coordinator's sharing stack
+// (operator DAG, merge classes) evaluate pipelines once per window across
+// members.
 func MarshalFrag(dst []byte, f *Frag) []byte {
 	dst = binary.AppendVarint(dst, f.Gen)
 	dst = binary.AppendVarint(dst, int64(f.Shard))

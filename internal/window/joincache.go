@@ -22,9 +22,8 @@ import (
 // the backing buffers are reclaimable the moment the pair expires, even if
 // a stale reference to the chunk header survives.
 //
-// JoinCache itself is not safe for concurrent use: a private factory
-// serializes access under its step lock, and SharedPairCache adds the
-// mutex when one cache serves a whole join group.
+// JoinCache itself is not safe for concurrent use: SharedPairCache adds
+// the mutex when it serves a join group's member tails.
 type JoinCache struct {
 	join     *plan.Join
 	byLeft   map[int64]map[int64]*bat.Chunk

@@ -179,7 +179,6 @@ func TestSharedPairCacheProtocol(t *testing.T) {
 		lefts, rights = append(lefts, l), append(rights, r)
 		pc.AddLeft(l, rights)
 		pc.AddRight(r, lefts)
-		pc.EvictLeft(g - 3) // member-driven eviction must be a no-op
 	}
 	// Horizon 3 behind newest gen 5: generations ≤ 2 expired.
 	for _, l := range lefts {

@@ -7,30 +7,17 @@ import (
 	"datacell/internal/plan"
 )
 
-// PairCache is the join-pair caching contract a factory's incremental tail
-// drives: new basic windows are joined against the other side's live ring,
-// expired generations are evicted, and a slide merges the live pair set.
-// *JoinCache implements it for a private factory; *SharedPairCache lifts
-// one cache into a join group where every member query over the same
-// stream pair (and join fingerprint) shares the pair results.
-type PairCache interface {
-	AddLeft(l *BW, rights []*BW)
-	AddRight(r *BW, lefts []*BW)
-	EvictLeft(gen int64)
-	EvictRight(gen int64)
-	Merged(lefts, rights []*BW) *bat.Chunk
-	Pairs() int
-	Computed() int64
-}
-
-// SharedPairCache serves one join group's member tails concurrently. Two
-// things change relative to a private cache. Access is serialized by a
-// mutex (member tails are independent scheduler transitions). And eviction
-// is driven by generation watermarks instead of any single member's ring:
-// a pair (l, r) stays cached while l is within MaxParts — the largest
-// member window extent — of the newest left generation, and likewise for
-// r, so the member with the widest window always finds its pairs while
-// per-member EvictLeft/EvictRight calls become no-ops. A member whose
+// SharedPairCache is the pair cache a join group's member tails drive: a
+// new basic window is joined against the member's live ring of the other
+// side, and a slide merges the member's live pair set. Every member query
+// over the same stream pair and join fingerprint shares the pair results.
+// Two things change relative to a bare JoinCache. Access is serialized by
+// a mutex (member tails are independent scheduler transitions). And
+// eviction is driven by generation watermarks instead of any single
+// member's ring: a pair (l, r) stays cached while l is within MaxParts —
+// the largest member window extent — of the newest left generation, and
+// likewise for r, so the member with the widest window always finds its
+// pairs. A member whose
 // ring lags the watermarks (paused, then resumed with a backlog) simply
 // recomputes the expired pairs transiently during its merge — correctness
 // never depends on the cache's contents.
@@ -137,13 +124,6 @@ func (s *SharedPairCache) AddLeft(l *BW, rights []*BW) { s.add(0, l, rights) }
 // AddRight joins a new right basic window against the member's live left
 // ring, caching pairs that are within the retention horizon.
 func (s *SharedPairCache) AddRight(r *BW, lefts []*BW) { s.add(1, r, lefts) }
-
-// EvictLeft is a no-op: shared eviction is watermark-driven, because a
-// generation leaving one member's ring may still be live in a sibling's.
-func (s *SharedPairCache) EvictLeft(int64) {}
-
-// EvictRight is a no-op; see EvictLeft.
-func (s *SharedPairCache) EvictRight(int64) {}
 
 // Merged concatenates the member's live pair set in (leftGen, rightGen)
 // order, recomputing any pair the watermarks already expired.

@@ -25,12 +25,6 @@ type Frag struct {
 	Data *bat.Runs
 	// MaxArrival is the newest arrival stamp among the rows.
 	MaxArrival int64
-	// Out is the per-fragment pipeline output (incremental mode); computed
-	// by the firing shard in parallel with other shards.
-	Out *bat.Chunk
-	// Partial is the per-fragment partial aggregate (incremental mode,
-	// aggregate plans).
-	Partial *bat.Chunk
 }
 
 // ShardSlicer cuts one shard's arriving rows into per-epoch fragments
@@ -257,15 +251,6 @@ type MergeConfig struct {
 	Shards int
 	// Data is the stream schema of the basic windows' raw runs.
 	Data bat.Schema
-	// Out, when non-nil, concatenates the fragments' pipeline outputs
-	// into BW.Out with this schema (incremental mode).
-	Out *bat.Schema
-	// Partial, when non-nil, concatenates the fragments' partial
-	// aggregates into BW.Partial with this schema (incremental aggregate
-	// plans). Partials merge by concatenation because MergeAggregate
-	// re-aggregates by group — per-shard partials are just more rows of
-	// the same partial layout.
-	Partial *bat.Schema
 }
 
 // ShardMerge assembles per-shard fragments into complete basic windows at
@@ -274,7 +259,7 @@ type MergeConfig struct {
 // point no shard can contribute further rows to it. Completed epochs are
 // emitted in order with consecutive output generations, so the downstream
 // ring/join-cache machinery is oblivious to sharding. The caller
-// serializes access (the factory's per-input merge lock).
+// serializes access (the group front end's merge lock).
 type ShardMerge struct {
 	cfg     MergeConfig
 	wms     []int64 // per-shard exclusive flush watermark
@@ -384,22 +369,8 @@ func (m *ShardMerge) buildBW(g int64) *BW {
 			bw.Data.Take(f.Data)
 		}
 	}
-	var outs, parts []*bat.Chunk
-	var outRows, partRows int
 	for _, f := range frags {
 		bw.MaxArrival = max(bw.MaxArrival, f.MaxArrival)
-		if m.cfg.Out != nil && f.Out != nil {
-			outs, outRows = append(outs, f.Out), outRows+f.Out.Rows()
-		}
-		if m.cfg.Partial != nil && f.Partial != nil {
-			parts, partRows = append(parts, f.Partial), partRows+f.Partial.Rows()
-		}
-	}
-	if m.cfg.Out != nil {
-		bw.Out = bat.Concat(*m.cfg.Out, outs, outRows)
-	}
-	if m.cfg.Partial != nil {
-		bw.Partial = bat.Concat(*m.cfg.Partial, parts, partRows)
 	}
 	return bw
 }

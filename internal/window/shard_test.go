@@ -109,31 +109,6 @@ func TestShardMergeStartsAtFirstEpoch(t *testing.T) {
 	}
 }
 
-func TestShardMergeConcatsIntermediates(t *testing.T) {
-	sch := shardSchema()
-	outSch := bat.NewSchema([]string{"v"}, []bat.Kind{bat.Int})
-	m := NewShardMerge(MergeConfig{Shards: 2, Data: sch, Out: &outSch})
-	mk := func(vals ...int64) *bat.Chunk {
-		c := bat.NewChunk(outSch)
-		for _, v := range vals {
-			_ = c.AppendRow(bat.IntValue(v))
-		}
-		return c
-	}
-	m.Offer(0, []*Frag{{Gen: 0, Data: runsOf(shardChunk(1)), Out: mk(1, 2)}}, 1)
-	bws := m.Offer(1, []*Frag{{Gen: 0, Data: runsOf(shardChunk(2)), Out: mk(3)}}, 1)
-	if len(bws) != 1 {
-		t.Fatalf("bws = %+v", bws)
-	}
-	if bws[0].Out == nil || bws[0].Out.Rows() != 3 {
-		t.Fatalf("merged Out = %+v", bws[0].Out)
-	}
-	// The raw tuples are the fragments' runs in shard order, uncopied.
-	if len(bws[0].Data.Chunks) != 2 || bws[0].Data.Rows() != 2 {
-		t.Errorf("merged bw raw runs = %+v", bws[0].Data)
-	}
-}
-
 // TestShardSlicerLateTupleParity pins single-basket parity for
 // out-of-order time tuples inside one batch: a row older than the newest
 // seen epoch folds into that epoch (the pre-sharding slicer's rule), so

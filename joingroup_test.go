@@ -100,8 +100,8 @@ func TestJoinGroupEquivalenceIsolated(t *testing.T) {
 			"CREATE STREAM r (ts TIMESTAMP, k INT, v FLOAT) SHARD 4 KEY k"},
 	}
 	for _, ddl := range ddls {
-		// Isolated: all N queries on one engine, every one with its own
-		// cursors, slicers and private pair cache.
+		// Isolated: all N queries on one engine, every one in a private
+		// group with its own cursors, slicers and pair cache.
 		iso := New(&Options{Workers: 1})
 		for _, d := range ddl {
 			mustExecG(t, iso, d)
@@ -113,14 +113,15 @@ func TestJoinGroupEquivalenceIsolated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q.Grouped() {
-				t.Fatalf("isolated member %d joined a group", i)
-			}
 			isoQs[i] = q
 		}
 		feedPairwise(t, iso, ls, rs)
+		if got := len(iso.Groups()); got != members {
+			t.Fatalf("isolated engine has %d groups, want one per member (%d)", got, members)
+		}
 		want := make([][]string, members)
 		for i, q := range isoQs {
+			assertIsolation(t, iso, q, true)
 			want[i] = collectRendered(q)
 			if len(want[i]) == 0 {
 				t.Fatalf("ddl=%q isolated member %d emitted nothing", ddl[0], i)
@@ -139,9 +140,7 @@ func TestJoinGroupEquivalenceIsolated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !q.Grouped() {
-				t.Fatalf("member %d did not join the join group", i)
-			}
+			assertIsolation(t, eng, q, false)
 			qs[i] = q
 		}
 		groups := eng.Groups()
@@ -307,13 +306,11 @@ func TestReevalJoinGroupEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.Isolated == q.Grouped() {
-			t.Fatalf("Isolated=%v but Grouped=%v", opts.Isolated, q.Grouped())
-		}
 		if q.Mode() != "reeval" {
 			t.Fatalf("mode = %q, want reeval", q.Mode())
 		}
 		feedPairwise(t, eng, ls, rs)
+		assertIsolation(t, eng, q, opts.Isolated)
 		return collectSorted(q)
 	}
 	grouped := run(&RegisterOptions{Mode: ModeReeval})
@@ -556,13 +553,12 @@ func TestTimeJoinOffsetStartsAlignByEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !shared.Grouped() {
-				t.Fatal("shared registration did not join a join group")
-			}
 			iso, err := e.Register("iso", sql, &RegisterOptions{Isolated: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertIsolation(t, e, shared, false)
+			assertIsolation(t, e, iso, true)
 			run(func(stream string, sec int) {
 				side := 0
 				if stream == "r" {

@@ -3,7 +3,6 @@ package datacell
 import (
 	"fmt"
 
-	"datacell/internal/basket"
 	"datacell/internal/emitter"
 	"datacell/internal/factory"
 	"datacell/internal/plan"
@@ -34,12 +33,14 @@ type RegisterOptions struct {
 	// NoChannel suppresses the Out channel entirely (benchmarks that only
 	// want an emitter callback or none at all).
 	NoChannel bool
-	// Isolated opts the query out of shared multi-query execution: it
-	// keeps its own basket cursors and slicers instead of joining the
-	// stream's query group (SQL: REGISTER ISOLATED QUERY). The default is
-	// shared execution for every eligible plan — a single windowed stream
-	// scan, or an incremental stream⋈stream join (which joins the stream
-	// pair's join group).
+	// Isolated opts the query out of shared multi-query execution (SQL:
+	// REGISTER ISOLATED QUERY): it becomes the only member of a private
+	// group under a nonce-unique "!iso#n" key, with its own basket
+	// cursors, slicers, operator DAG and pair cache, instead of joining
+	// the stream's shared group. The default is shared execution for
+	// every eligible plan — a single windowed stream scan, or a
+	// decomposable stream⋈stream join (which joins the stream pair's join
+	// group); every other plan gets a private group either way.
 	Isolated bool
 	// NoMemo keeps a grouped query out of its group's shared operator
 	// DAG: the per-basic-window pipeline always evaluates privately, as if
@@ -80,17 +81,13 @@ type Query struct {
 	// ingest gating (tenant.go bindIngest); released on Stop.
 	ingestStreams []string
 
-	// Shared-execution state: zero for isolated and ineligible queries.
-	// The leave/close closures capture the group and the member.
+	// Execution-group state. The leave/close closures capture the group
+	// and the member.
 	groupKey   string
 	groupSched string // instance-unique scheduler group of the shard transitions
 	leaveGroup func()
 	closeGroup func()
-	// cancels removes the basket append subscriptions this query (or, for
-	// classic queries, its factory wiring) registered; Stop must run them
-	// or dropped queries keep taxing every later append.
-	cancels []func()
-	stopped bool // guarded by eng.mu
+	stopped    bool // guarded by eng.mu
 }
 
 // Register compiles and registers a continuous query from SQL text:
@@ -101,7 +98,7 @@ type Query struct {
 // single windowed stream join the stream's shared execution group (see
 // ARCHITECTURE.md, "Query groups"): the stream is drained and sliced once
 // for all member queries and only each query's private operator tail runs
-// per member.
+// per member. Every other query runs the same way in a private group.
 func (e *Engine) Register(name, selectSQL string, opts *RegisterOptions) (*Query, error) {
 	o := RegisterOptions{}
 	if opts != nil {
@@ -319,54 +316,51 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 		return nil, fmt.Errorf("datacell: %q reads no stream; use Exec for one-time queries", name)
 	}
 
-	// Shared multi-query execution: a single windowed stream scan joins
-	// the stream's query group, and a stream⋈stream join joins the stream
-	// pair's join group, unless the caller opted out. Re-evaluation joins
-	// group too when their plan decomposes: the decomposition certifies
-	// that the full-window recompute equals the merge of cached basic-
-	// window pairs, so the member shares the front ends and the
-	// fingerprint-keyed pair cache instead of staying isolated.
+	// Every query runs as a member of an execution group. A single
+	// windowed stream scan joins the stream's shared group, and a
+	// decomposable stream⋈stream join the stream pair's, unless the caller
+	// opted out. Re-evaluation joins share too when their plan
+	// decomposes: the decomposition certifies that the full-window
+	// recompute equals the merge of cached basic-window pairs. Every other
+	// query — ISOLATED, a non-windowed scan, a multi-stream read that does
+	// not decompose — is the only member of a private group, one side per
+	// stream scan of its plan, under a nonce-unique key.
+	scans := streams
+	if decomp != nil {
+		scans = nil
+		for _, p := range decomp.Pipelines {
+			scans = append(scans, p.Scan)
+		}
+	}
 	var groupScans []*plan.ScanStream
-	isolated := opts != nil && opts.Isolated
-	resolveShared := func() {
-		if sc, ok := plan.SharedScan(opt); ok {
-			groupScans = []*plan.ScanStream{sc}
-		} else if l, r, ok := plan.SharedJoin(decomp); ok {
-			// Covers incremental joins and forced-REEVAL joins alike: the
-			// mode switch above already decomposed both.
-			groupScans = []*plan.ScanStream{l, r}
+	if sc, ok := plan.SharedScan(opt); ok {
+		groupScans = []*plan.ScanStream{sc}
+	} else if l, r, ok := plan.SharedJoin(decomp); ok {
+		groupScans = []*plan.ScanStream{l, r}
+	}
+	windowed := 0
+	for _, sc := range scans {
+		if sc.Window != nil {
+			windowed++
+		}
+		// Streams exported to a shard fabric live in worker processes: a
+		// consumer must route through a group whose windowed front ends the
+		// fabric can feed. Plans no such shape fits would need local basket
+		// cursors, which see nothing.
+		if sc.Stream.RemoteTag() != "" && groupScans == nil {
+			return nil, fmt.Errorf("datacell: stream %q is exported to the shard fabric; only windowed stream scans and decomposable stream joins can consume it", sc.Stream.Name)
 		}
 	}
-	if !isolated {
-		resolveShared()
-	}
-
-	// Streams exported to a shard fabric live in worker processes, so any
-	// consumer must route through a group whose front ends the fabric can
-	// feed (the workers slice shard ranges and ship sealed epoch fragments
-	// into the group's merger). Isolated queries route the same way, but
-	// under a nonce-unique group key: a private, single-member group — the
-	// member shares nothing, yet its windows arrive over the wire like
-	// everyone else's. Only plans no group shape fits — non-windowed scans,
-	// non-decomposable multi-stream reads — are rejected; they would need
-	// local basket cursors, which see nothing.
-	var remoteStream string
-	for _, sc := range streams {
-		if sc.Stream.RemoteTag() != "" {
-			remoteStream = sc.Stream.Name
-		}
+	if windowed != 0 && windowed != len(scans) {
+		return nil, fmt.Errorf("datacell: %q mixes windowed and non-windowed streams; window every stream or none", name)
 	}
 	keySuffix := ""
-	if remoteStream != "" && groupScans == nil {
-		if isolated {
-			resolveShared()
-			keySuffix = fmt.Sprintf("!iso#%d", e.groupSeq.Add(1))
-		}
+	if groupScans == nil || (opts != nil && opts.Isolated) {
 		if groupScans == nil {
-			return nil, fmt.Errorf("datacell: stream %q is exported to the shard fabric; only windowed stream scans and decomposable stream joins can consume it", remoteStream)
+			groupScans = scans
 		}
+		keySuffix = fmt.Sprintf("!iso#%d", e.groupSeq.Add(1))
 	}
-	shared := groupScans != nil
 
 	var emitters emitter.Multi
 	var outCh *emitter.Channel
@@ -382,34 +376,17 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 		emit = emitter.Null{}
 	}
 
-	bind := map[*plan.ScanStream]*basket.Sharded{}
-	scans := streams
-	if decomp != nil {
-		scans = nil
-		for _, p := range decomp.Pipelines {
-			scans = append(scans, p.Scan)
-		}
-	}
-	for _, sc := range scans {
-		bind[sc] = sc.Stream.Basket
-	}
-
 	fac, err := factory.New(factory.Config{
 		Name:          name,
 		Full:          opt,
 		Decomp:        decomp,
 		Mode:          fmode,
-		Shared:        shared,
 		NoMemo:        opts != nil && opts.NoMemo,
 		NoSharedMerge: opts != nil && opts.NoSharedMerge,
 		NoFuse:        opts != nil && opts.NoFuse,
 		Emit:          emit,
 		Now:           e.now,
-		// A firing that raises an input's event-time watermark re-enables
-		// the whole query: sibling shards that fired earlier may now hold
-		// sealed buckets awaiting flush.
-		OnWatermark: func() { e.sched.NotifyGroup(name) },
-	}, bind)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -424,52 +401,21 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	e.queries[name] = q
 	e.mu.Unlock()
 
-	if shared {
-		if err := e.joinGroup(q, groupScans, keySuffix); err != nil {
-			e.mu.Lock()
-			delete(e.queries, q.name)
-			e.mu.Unlock()
-			fac.Stop()
-			return nil, err
-		}
-		return q, nil
+	if err := e.joinGroup(q, groupScans, keySuffix); err != nil {
+		e.mu.Lock()
+		delete(e.queries, q.name)
+		e.mu.Unlock()
+		fac.Stop()
+		return nil, err
 	}
-
-	// Isolated / multi-stream path: one scheduler transition per (input,
-	// shard). Shards of one query fire concurrently, sharing the query
-	// name as their group so pause/resume/remove act on the whole query.
-	// The shard index is the worker-affinity hint; idle workers steal
-	// across shards.
-	for idx := 0; idx < fac.Inputs(); idx++ {
-		for sh := 0; sh < fac.Shards(idx); sh++ {
-			idx, sh := idx, sh
-			e.sched.Add(&scheduler.Transition{
-				Name:     fmt.Sprintf("%s/%d.%d", name, idx, sh),
-				Group:    name,
-				Affinity: sh,
-				Ready:    func() bool { return fac.ShardReady(idx, sh) },
-				Fire:     func() { fac.FireShard(idx, sh) },
-			})
-		}
-	}
-	// Wire the Petri net: an append on any input basket enables every
-	// shard transition of this query — shards that received no rows must
-	// still observe the advanced epoch watermark to seal basic windows.
-	for _, sc := range scans {
-		q.cancels = append(q.cancels,
-			sc.Stream.Basket.OnAppend(func() { e.sched.NotifyGroup(name) }))
-	}
-	// Cover anything that arrived between consumer registration and the
-	// subscription above.
-	e.sched.NotifyGroup(name)
 	return q, nil
 }
 
-// joinGroup registers q as a member of its stream's — or, for a
-// stream⋈stream join, its stream pair's — shared execution group,
-// creating the group — front ends, operator DAGs, merge classes, pair
-// caches, and one scheduler transition per (side, shard) — when q is the
-// first consumer with this group key. The member's private tail runs as
+// joinGroup registers q as a member of the execution group over scans —
+// its stream's, or for a stream⋈stream join its stream pair's, shared
+// group, or a private one — creating the group — front ends, operator
+// DAGs, merge classes, pair caches, and one scheduler transition per
+// (side, shard) — when q is the first consumer with this group key. The member's private tail runs as
 // its own transition under the query's name, so pause/resume/drop of one
 // member never stalls its siblings or the shared shard firings.
 //
@@ -482,15 +428,10 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 // the join itself, stay here, where the members' shared pair caches live;
 // the sides are independent, so a remote stream can join a local one.
 //
-// keySuffix, when non-empty, privatizes the group: an isolated query over
-// an exported stream still needs the fabric feed, so it gets a group of
-// its own under a nonce-unique key instead of sharing the stream's.
+// keySuffix, when non-empty, privatizes the group: q gets a group of its
+// own under a nonce-unique key instead of sharing one.
 func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string) error {
-	key := plan.GroupKey(scans[0])
-	if len(scans) == 2 {
-		key = plan.JoinGroupKey(scans[0], scans[1])
-	}
-	key += keySuffix
+	key := plan.GroupKeyOf(scans) + keySuffix
 	var mem *factory.Member
 	var createErr error
 	gv, n := e.cat.JoinGroup(key, func() any {
@@ -552,7 +493,7 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 			for sh := 0; sh < g.NumShards(side); sh++ {
 				sh := sh
 				name := fmt.Sprintf("%s/%d", gname, sh)
-				if len(scans) == 2 {
+				if len(scans) > 1 {
 					name = fmt.Sprintf("%s/%d.%d", gname, side, sh)
 				}
 				e.sched.Add(&scheduler.Transition{
@@ -607,12 +548,8 @@ func (q *Query) Mode() string { return q.mode.String() }
 // untenanted).
 func (q *Query) Tenant() string { return q.tenant }
 
-// Grouped reports whether the query runs as a member of a shared
-// execution group (single-stream or join).
-func (q *Query) Grouped() bool { return q.groupKey != "" }
-
-// GroupKey reports the shared execution group the query belongs to ("" if
-// isolated).
+// GroupKey reports the execution group the query belongs to; a private
+// group's key ends in a nonce-unique "!iso#n".
 func (q *Query) GroupKey() string { return q.groupKey }
 
 // Out is the result channel (nil when registered with NoChannel). Each
@@ -632,11 +569,10 @@ func (q *Query) Dropped() int64 {
 	return q.out.Dropped()
 }
 
-// Pause suspends the query: events keep accumulating in its baskets (or,
-// for a grouped query, sealed basic windows in its member queue) and are
-// processed on Resume (demo §4, Pause and Resume). Pausing one member of
-// a shared group does not stall its siblings: the group keeps slicing and
-// fanning out.
+// Pause suspends the query: its group keeps draining and slicing its
+// streams, sealed basic windows (or batches) accumulate in its member
+// queue, and they are processed on Resume (demo §4, Pause and Resume).
+// Pausing one member of a shared group does not stall its siblings.
 func (q *Query) Pause() { q.eng.sched.Pause(q.name) }
 
 // Resume reactivates a paused query.
@@ -645,12 +581,11 @@ func (q *Query) Resume() { q.eng.sched.Resume(q.name) }
 // Paused reports whether the query is paused.
 func (q *Query) Paused() bool { return q.eng.sched.Paused(q.name) }
 
-// Stop removes the query from the network: its scheduler transitions are
-// removed (waiting out any in-flight firing), its basket subscriptions
-// and cursors are released, and — for a grouped query — it leaves its
-// execution group, tearing the group down when it was the last member.
-// Pending tuples or sealed windows it alone was holding get dropped, and
-// its emitters close.
+// Stop removes the query from the network: its tail transition is removed
+// (waiting out any in-flight firing) and it leaves its execution group,
+// tearing the group — shard transitions, basket cursors and subscriptions
+// — down when it was the last member. Pending tuples or sealed windows it
+// alone was holding get dropped, and its emitters close.
 func (q *Query) Stop() {
 	e := q.eng
 	e.mu.Lock()
@@ -670,14 +605,11 @@ func (q *Query) Stop() {
 	}
 
 	e.sched.RemoveWait(q.name)
-	for _, cancel := range q.cancels {
-		cancel()
-	}
 	if q.leaveGroup != nil {
 		_, remaining := e.cat.LeaveGroup(q.groupKey)
 		if remaining == 0 {
-			// Last member: retire the shared shard transitions, then
-			// release the group's cursors and subscriptions.
+			// Last member: retire the group's shard transitions, then
+			// release its cursors and subscriptions.
 			e.sched.RemoveWait(q.groupSched)
 			q.leaveGroup()
 			q.closeGroup()

@@ -17,7 +17,7 @@ type Stats struct {
 	Queries []factory.Stats
 }
 
-// GroupInfo is one shared execution group's observable state.
+// GroupInfo is one execution group's observable state.
 type GroupInfo struct {
 	// Key is the group key (stream | window kind | slide | schema; join
 	// groups pair two of these with ⋈).
@@ -96,7 +96,8 @@ func (e *Engine) factoryGroups() []*factory.Group {
 	return out
 }
 
-// Groups snapshots the shared execution groups, sorted by key.
+// Groups snapshots the execution groups, shared and private (an "!iso#n"
+// key), sorted by key. Every registered query is a member of one.
 func (e *Engine) Groups() []GroupInfo {
 	var out []GroupInfo
 	for _, g := range e.factoryGroups() {
@@ -215,13 +216,9 @@ func (e *Engine) NetworkString() string {
 		if s.Evals > 0 {
 			avgLat = s.SumLatency / s.Evals
 		}
-		shared := ""
-		if q.Grouped() {
-			shared = " [grouped]"
-		}
-		fmt.Fprintf(&b, "  %-16s <- %-24s mode=%-12s evals=%-8d in=%-10d out=%-10d avg_lat=%dµs%s%s\n",
+		fmt.Fprintf(&b, "  %-16s <- %-24s mode=%-12s evals=%-8d in=%-10d out=%-10d avg_lat=%dµs%s\n",
 			s.Name, strings.Join(q.fac.Baskets(), ","), s.Mode,
-			s.Evals, s.TuplesIn, s.RowsOut, avgLat, shared, paused)
+			s.Evals, s.TuplesIn, s.RowsOut, avgLat, paused)
 	}
 	if groups := e.Groups(); len(groups) > 0 {
 		b.WriteString("groups:\n")
