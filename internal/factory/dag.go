@@ -33,9 +33,19 @@ import (
 // aggregate members never materialize. Bytes are identical to the former
 // chunk-per-node memo: materializing a filter view IS the FetchChunk the
 // unfused step performed eagerly.
+//
+// Every live node holds a dense ordinal, its index into a window's memo
+// slab (dagWin.cells), so a member's per-window lookup is an index, not a
+// map insert under a lock. A pruned node's ordinal returns to a free list
+// and the next registered node reuses it; the dag's epoch, bumped on
+// every assignment, keeps a reused ordinal from reaching a cell an older
+// window filled for the previous holder.
 type dag struct {
 	mu    sync.Mutex
 	nodes map[string]*dagNode
+	free  []int // pruned nodes' ordinals, for reuse
+	size  int   // ordinals ever handed out: a new window's slab length
+	epoch int64 // ordinal assignments so far
 }
 
 // dagNode is one distinct operator in the DAG. parent == nil means the
@@ -43,9 +53,14 @@ type dag struct {
 type dagNode struct {
 	fp     string
 	parent *dagNode
-	step   plan.PipelineStep // the operator; unset for aggregate nodes
-	agg    *plan.Aggregate   // partial-aggregate nodes
-	refs   int               // registered paths through this node
+	step   kernel.Step     // the compiled operator; unset for aggregate nodes
+	agg    *plan.Aggregate // partial-aggregate nodes
+	refs   int             // registered paths through this node
+	// ord is the node's memo slab index and born the dag epoch at which
+	// it was assigned; a window created at an earlier epoch has no slab
+	// cell for the node.
+	ord  int
+	born int64
 	// hint is the newest observed output cardinality of an aggregate
 	// node, pre-sizing the next window's grouping hash table. Capacity
 	// never affects the grouping, so the hint is best-effort racy.
@@ -53,6 +68,26 @@ type dagNode struct {
 }
 
 func newDAG() *dag { return &dag{nodes: make(map[string]*dagNode)} }
+
+// node returns the registered node of fingerprint fp, creating it —
+// with a fresh or reused ordinal — when absent; created reports which.
+// Callers hold d.mu.
+func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
+	if n := d.nodes[fp]; n != nil {
+		return n, false
+	}
+	n = &dagNode{fp: fp, parent: parent}
+	if k := len(d.free); k > 0 {
+		n.ord, d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		n.ord = d.size
+		d.size++
+	}
+	d.epoch++
+	n.born = d.epoch
+	d.nodes[fp] = n
+	return n, true
+}
 
 // register adds a member's pipeline chain (and optional partial-aggregate
 // stage) to the DAG, reusing nodes whose cumulative fingerprints match.
@@ -64,10 +99,9 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, s := range steps {
-		n := d.nodes[s.Fp]
-		if n == nil {
-			n = &dagNode{fp: s.Fp, parent: leaf, step: s}
-			d.nodes[s.Fp] = n
+		n, created := d.node(s.Fp, leaf)
+		if created {
+			n.step = kernel.CompileStep(s)
 		}
 		leaf = n
 	}
@@ -83,12 +117,10 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 			}
 			fp = plan.FingerprintAggregate(agg, childFp)
 		}
-		n := d.nodes[fp]
-		if n == nil {
-			n = &dagNode{fp: fp, parent: leaf, agg: agg}
-			d.nodes[fp] = n
+		var created bool
+		if aggNode, created = d.node(fp, leaf); created {
+			aggNode.agg = agg
 		}
-		aggNode = n
 		d.retain(aggNode)
 	}
 	return leaf, aggNode
@@ -110,6 +142,7 @@ func (d *dag) unregister(n *dagNode) {
 		n.refs--
 		if n.refs <= 0 {
 			delete(d.nodes, n.fp)
+			d.free = append(d.free, n.ord)
 		}
 	}
 }
@@ -123,37 +156,60 @@ func (d *dag) Nodes() int {
 
 // dagWin is one sealed basic window's memo table, shared by every member
 // the window was fanned out to, rooted at the window's input view: the
-// raw basic window read through its runs (kernel.RunsView), or, in the
-// post-merge trie, a class's merged view. Cells latch with sync.Once:
-// concurrent member tails needing the same node compute it once and the
-// rest wait for (then reuse) the memoized view. Memoized views reference
-// the raw window's runs only until the batch of member firings that
-// carries this dagWin completes; whatever a member keeps longer (ring
-// contents) is a materialized immutable chunk, so buffer lifetime stays
-// governed by the refcounted fanout exactly as before.
+// raw basic window read through its runs (kernel.RunsView), or, in a
+// class's post-merge trie, the class's merged view. Cells latch with
+// sync.Once: concurrent member tails needing the same node compute it
+// once and the rest wait for (then reuse) the memoized view. Memoized
+// views reference the raw window's runs only until the batch of member
+// firings that carries this dagWin completes; whatever a member keeps
+// longer (ring contents) is a materialized immutable chunk, so buffer
+// lifetime stays governed by the refcounted fanout exactly as before.
+//
+// The cells are one slab indexed by node ordinal, sized to the dag's
+// ordinals when the window is created, and read without a lock. A node
+// born after that — a fresh ordinal, or a reused one whose slab cell may
+// hold the previous holder's output — has its cell in the locked late
+// map instead.
 type dagWin struct {
-	root *kernel.View
-	mu   sync.Mutex
-	memo map[*dagNode]*memoCell
+	root  *kernel.View
+	epoch int64 // the dag's epoch at creation: nodes born later use late
+	cells []memoCell
+	mu    sync.Mutex
+	late  map[*dagNode]*memoCell
 }
 
+// memoCell latches one node's output view. A filter's, a compiled
+// projection's or an aggregate's view lives in the cell itself (view),
+// so evaluating the node allocates only what the operator computes.
 type memoCell struct {
 	once sync.Once
 	out  *kernel.View
+	view kernel.View
 }
 
-func newDagWin(root *kernel.View) *dagWin {
-	return &dagWin{root: root, memo: make(map[*dagNode]*memoCell)}
+// newWin creates a window's memo table rooted at root.
+func (d *dag) newWin(root *kernel.View) *dagWin {
+	d.mu.Lock()
+	size, epoch := d.size, d.epoch
+	d.mu.Unlock()
+	return &dagWin{root: root, epoch: epoch, cells: make([]memoCell, size)}
 }
 
+// cell returns node n's memo cell in the window.
 func (w *dagWin) cell(n *dagNode) *memoCell {
+	if n.born <= w.epoch && n.ord < len(w.cells) {
+		return &w.cells[n.ord]
+	}
 	w.mu.Lock()
-	c := w.memo[n]
+	defer w.mu.Unlock()
+	if w.late == nil {
+		w.late = make(map[*dagNode]*memoCell)
+	}
+	c := w.late[n]
 	if c == nil {
 		c = &memoCell{}
-		w.memo[n] = c
+		w.late[n] = c
 	}
-	w.mu.Unlock()
 	return c
 }
 
@@ -169,11 +225,11 @@ func (w *dagWin) cell(n *dagNode) *memoCell {
 // itself, for a pipeline leaf the dense surviving rows. Interior nodes —
 // including the filter leaf under an aggregate member — never
 // materialize.
-func (d *dag) eval(w *dagWin, n *dagNode, hits, misses *atomic.Int64) *bat.Chunk {
+func eval(w *dagWin, n *dagNode, hits, misses *atomic.Int64) *bat.Chunk {
 	if n == nil {
 		return w.root.Materialize()
 	}
-	out, computed := d.evalNode(w, n, misses)
+	out, computed := evalNode(w, n, misses)
 	if !computed {
 		hits.Add(1)
 	}
@@ -183,19 +239,20 @@ func (d *dag) eval(w *dagWin, n *dagNode, hits, misses *atomic.Int64) *bat.Chunk
 // evalNode resolves n through the window memo, recursing parent-first.
 // computed reports whether THIS call performed n's evaluation (as opposed
 // to finding it latched).
-func (d *dag) evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, computed bool) {
+func evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, computed bool) {
 	if n == nil {
 		return w.root, false
 	}
 	c := w.cell(n)
 	c.once.Do(func() {
-		in, _ := d.evalNode(w, n.parent, misses)
+		in, _ := evalNode(w, n.parent, misses)
 		if n.agg != nil {
 			part := kernel.Aggregate(n.agg, in, int(n.hint.Load()))
 			n.hint.Store(int64(part.Rows()))
-			c.out = kernel.NewView(part)
+			c.view.Base = part
+			c.out = &c.view
 		} else {
-			c.out = kernel.ApplyStep(n.step, in)
+			c.out = n.step.Apply(in, &c.view)
 		}
 		misses.Add(1)
 		computed = true

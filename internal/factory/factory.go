@@ -381,9 +381,7 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 		return f.evalBatch(in.scan, bw)
 	}
 	if f.cfg.Mode == Reeval && !f.reevalJoin {
-		if evicted := in.ring.Push(bw); evicted != nil {
-			evicted.ReleaseData()
-		}
+		evict(in.ring.Push(bw))
 		if !f.ringsFull() {
 			return 0
 		}
@@ -399,6 +397,18 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 		return 1
 	}
 	return f.incrementalStep(idx, bw)
+}
+
+// evict drops a basic window that left the member's ring (nil: none
+// did): its share of the raw data, and its intermediates. The group's
+// fan-out allocates a window's member views in one slab, which lives as
+// long as any member's ring holds one of them, so a member with a wider
+// window would otherwise keep this member's evicted intermediates.
+func evict(bw *window.BW) {
+	if bw != nil {
+		bw.ReleaseData()
+		*bw = window.BW{}
+	}
 }
 
 func (f *Factory) ringsFull() bool {
@@ -463,9 +473,7 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	// ring eviction.
 	bw.ReleaseData()
 
-	if evicted := in.ring.Push(bw); evicted != nil {
-		evicted.ReleaseData()
-	}
+	evict(in.ring.Push(bw))
 	if bw.Final != nil || bw.Merged != nil {
 		// Shared merge: the member's merge class resolved the full-window
 		// merged view (and, for Final, the post-merge fragment) once for
@@ -504,7 +512,12 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	case f.jc != nil:
 		merged = f.jc.Merged(f.inputs[0].ring.Live(), f.inputs[1].ring.Live())
 	case d.Agg != nil:
-		merged = plan.MergeAggregate(d.Agg, in.ring.ConcatPartials(d.Agg.Out))
+		live := in.ring.Live()
+		parts := make([]*bat.Chunk, len(live))
+		for i, lbw := range live {
+			parts[i] = lbw.Partial
+		}
+		merged = mergePartials(d.MergePlanMemo(), parts)
 	default:
 		merged = in.ring.ConcatOuts(d.MergedLeaf.Out)
 	}

@@ -42,7 +42,7 @@ type frontEnd struct {
 	// transitions need a wake-up. It also runs when the frontier moved
 	// without sealing a window: a join's sequencer may then release the
 	// other side's waiting windows.
-	sink func(ready []*window.BW, sealed int64) map[string]bool
+	sink func(ready []*window.BW, sealed int64) []string
 }
 
 // groupShard is a front end's cursor into one shard of the stream basket.
@@ -128,8 +128,8 @@ func (fe *frontEnd) watermarkGen(gs *groupShard) (int64, bool) {
 // any basic windows this shard sealed last, feeding them to the owner's
 // sink. raised reports whether the event-time watermark advanced (sibling
 // shards may now hold sealed buckets and need a re-notify); notify is the
-// sink's wake-up set.
-func (fe *frontEnd) fireShard(sh int) (notify map[string]bool, raised bool) {
+// sink's wake-up list.
+func (fe *frontEnd) fireShard(sh int) (notify []string, raised bool) {
 	gs := fe.shards[sh]
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
@@ -197,7 +197,7 @@ func atomicMax(a *atomic.Int64, v int64) bool {
 // becomes one basic window (the paper's mode 1 evaluates each arriving
 // batch), sunk in drain order under mergeMu. ConsumeEach's views pin
 // their storage, so the batches stay valid in the members' queues.
-func (fe *frontEnd) batches(gs *groupShard) map[string]bool {
+func (fe *frontEnd) batches(gs *groupShard) []string {
 	var ready []*window.BW
 	gs.bk.ConsumeEach(gs.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
 		bw := &window.BW{Data: bat.NewRuns(fe.schema, c)}
@@ -216,7 +216,7 @@ func (fe *frontEnd) batches(gs *groupShard) map[string]bool {
 
 // deliver offers a shard's flushed fragments to the merger and sinks any
 // completed basic windows. Callers hold gs.mu.
-func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) map[string]bool {
+func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) []string {
 	fe.mergeMu.Lock()
 	defer fe.mergeMu.Unlock()
 	return fe.offer(gs.idx, frags, gs.sl.Watermark())
@@ -225,7 +225,7 @@ func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) map[string]boo
 // offer hands one shard's fragments and watermark to the merger and sinks
 // the basic windows they completed, or a frontier that moved. Callers
 // hold mergeMu.
-func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) map[string]bool {
+func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) []string {
 	ready := fe.merge.Offer(shard, frags, wm)
 	sealed := fe.merge.Sealed()
 	if len(ready) == 0 && sealed == fe.sealed {
@@ -236,21 +236,20 @@ func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) map[string]
 }
 
 // advance closes time-window buckets up to the watermark (µs) on every
-// shard. Tuple-window and non-windowed front ends are unaffected.
-func (fe *frontEnd) advance(watermark int64) map[string]bool {
+// shard. Tuple-window and non-windowed front ends are unaffected. The
+// returned wake-up list may name a query more than once.
+func (fe *frontEnd) advance(watermark int64) []string {
 	if fe.win == nil || fe.win.Tuples || fe.maxTs.Load() == math.MinInt64 {
 		return nil // only time windows time out; no rows yet: nothing to shut
 	}
 	atomicMax(&fe.maxTs, watermark)
 	mts := fe.maxTs.Load()
-	notify := map[string]bool{}
+	var notify []string
 	for _, gs := range fe.shards {
 		gs.mu.Lock()
 		frags := gs.sl.Flush(gs.sl.TimeGen(mts))
 		gs.wm.Store(gs.sl.Watermark())
-		for q := range fe.deliver(gs, frags) {
-			notify[q] = true
-		}
+		notify = append(notify, fe.deliver(gs, frags)...)
 		gs.mu.Unlock()
 	}
 	return notify
@@ -282,9 +281,8 @@ func (fe *frontEnd) advance(watermark int64) map[string]bool {
 // per stream scan of its plan. A non-windowed side hands each basket
 // segment over as its own basic window.
 type Group struct {
-	cfg     GroupConfig
-	sides   []*groupSide
-	postDag *dag // post-merge trie (rooted at each class's merged view)
+	cfg   GroupConfig
+	sides []*groupSide
 
 	liveBufs    atomic.Int64 // sealed shared buffers not yet released by all members
 	windowsOut  atomic.Int64 // basic windows fanned out
@@ -314,7 +312,10 @@ type Group struct {
 	mu      sync.Mutex
 	members []*Member
 	classes map[string]*mergeClass // merge classes by plan.MergeKey / plan.JoinMergeKey
-	caches  map[string]*jcEntry    // join pair caches by join fingerprint
+	// classSlots holds the live classes by ordinal (nil: a free slot): a
+	// fan-out indexes each window's merge cells by it.
+	classSlots []*mergeClass
+	caches     map[string]*jcEntry // join pair caches by join fingerprint
 	// retiredComputed accumulates Computed() of pair caches whose last
 	// member left, so PairStats stays cumulative instead of regressing
 	// when a fingerprint retires mid-session.
@@ -424,11 +425,12 @@ type Member struct {
 
 	// Shared-merge state. classKey is the member's merge-class key (""
 	// when the member merges privately: re-evaluation scans, non-
-	// linearizing pipelines, NoMemo, or NoSharedMerge). postLeaf is the
-	// member's post-merge chain in the group's post-merge trie (nil when
-	// the plan has no post fragment, or when it did not linearize —
-	// hasPost distinguishes the two).
+	// linearizing pipelines, NoMemo, or NoSharedMerge) and class the
+	// class itself. postLeaf is the member's post-merge chain in the
+	// class's post-merge trie (nil when the plan has no post fragment, or
+	// when it did not linearize — hasPost distinguishes the two).
 	classKey string
+	class    *mergeClass
 	postLeaf *dagNode
 	hasPost  bool
 
@@ -437,6 +439,10 @@ type Member struct {
 	// by fanout (under the front end's mergeMu, or seqMu for two sides).
 	seen []int64
 	q    memberQueue
+	// spare and evs are Fire's buffers, reused across firings: spare
+	// becomes the queue's next pending buffer.
+	spare []memberBW
+	evs   []SharedBW
 }
 
 // memberBW is one fanned-out basic window: its side, the member's
@@ -459,7 +465,7 @@ func NewGroup(cfg GroupConfig) *Group {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
 	wins := make([]*plan.Window, len(cfg.Scans))
-	g := &Group{cfg: cfg, postDag: newDAG(), genCtr: make([]int64, len(cfg.Scans)),
+	g := &Group{cfg: cfg, genCtr: make([]int64, len(cfg.Scans)),
 		classes: make(map[string]*mergeClass), caches: make(map[string]*jcEntry)}
 	for i, sc := range cfg.Scans {
 		side := &groupSide{dag: newDAG()}
@@ -472,7 +478,7 @@ func NewGroup(cfg GroupConfig) *Group {
 			side.fe = newFrontEnd(sc.Stream.Basket, sc.Window, sc.Out)
 		}
 		i := i
-		side.fe.sink = func(ready []*window.BW, sealed int64) map[string]bool {
+		side.fe.sink = func(ready []*window.BW, sealed int64) []string {
 			return g.fanout(i, ready, sealed)
 		}
 		g.sides = append(g.sides, side)
@@ -583,11 +589,16 @@ func (g *Group) MergeStats() (classes int, hits, misses int64) {
 	return classes, g.mergeHits.Load(), g.mergeMisses.Load()
 }
 
-// PostStats reports the post-merge trie: distinct post-merge fragment
+// PostStats reports the post-merge tries: distinct post-merge fragment
 // nodes (HAVING filters, final aggregates, sorts, limits) registered
-// across members and the trie's memo counters.
+// across members and the tries' memo counters.
 func (g *Group) PostStats() (nodes int, hits, misses int64) {
-	return g.postDag.Nodes(), g.postHits.Load(), g.postMisses.Load()
+	g.mu.Lock()
+	for _, mc := range g.classes {
+		nodes += mc.post.Nodes()
+	}
+	g.mu.Unlock()
+	return nodes, g.postHits.Load(), g.postMisses.Load()
 }
 
 // PairStats reports the shared join pair caches: distinct live caches
@@ -656,12 +667,6 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	}
 	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil &&
 		(m.aggLeaf != nil || fac.pipe(0) != nil)
-	if m.classKey != "" && d.Post != nil {
-		m.hasPost = true
-		if psteps, ok := d.PostStepsMemo(m.classKey); ok {
-			m.postLeaf, _ = g.postDag.register(psteps, nil, "")
-		}
-	}
 	if d != nil {
 		// A join decomposition requires the two sides' windows to slide in
 		// lockstep, so their extents agree today — take the max anyway so
@@ -687,6 +692,14 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		if mc == nil {
 			mc = newMergeClass(m, d)
 			g.classes[m.classKey] = mc
+			g.addClassSlot(mc)
+		}
+		m.class = mc
+		if d.Post != nil {
+			m.hasPost = true
+			if psteps, ok := d.PostStepsMemo(m.classKey); ok {
+				m.postLeaf, _ = mc.post.register(psteps, nil, "")
+			}
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
@@ -726,6 +739,7 @@ func (g *Group) Leave(m *Member) {
 		switch {
 		case mc.refs <= 0:
 			delete(g.classes, m.classKey)
+			g.classSlots[mc.ord] = nil
 			closeClass = mc
 		case mc.refs == 1 && mc.active:
 			// Sharing is over: release the rings so a lone survivor stops
@@ -750,7 +764,7 @@ func (g *Group) Leave(m *Member) {
 		closeClass.close()
 	}
 	if m.postLeaf != nil {
-		g.postDag.unregister(m.postLeaf)
+		m.class.post.unregister(m.postLeaf)
 	}
 	if m.aggLeaf != nil {
 		g.sides[0].dag.unregister(m.aggLeaf)
@@ -763,6 +777,19 @@ func (g *Group) Leave(m *Member) {
 	for _, it := range m.q.closeDrain() {
 		it.bw.ReleaseData()
 	}
+}
+
+// addClassSlot gives a new class the lowest free ordinal. Callers hold
+// g.mu.
+func (g *Group) addClassSlot(mc *mergeClass) {
+	for i, x := range g.classSlots {
+		if x == nil {
+			mc.ord, g.classSlots[i] = i, mc
+			return
+		}
+	}
+	mc.ord = len(g.classSlots)
+	g.classSlots = append(g.classSlots, mc)
 }
 
 // Close tears the group down after the last member left: cancels the
@@ -801,7 +828,7 @@ func (g *Group) OfferRemote(side, shard int, frags []*window.Frag, wm int64) {
 	s.fe.mergeMu.Lock()
 	notify := s.fe.offer(shard, frags, wm)
 	s.fe.mergeMu.Unlock()
-	for q := range notify {
+	for _, q := range notify {
 		g.cfg.NotifyMember(q)
 	}
 }
@@ -818,7 +845,7 @@ func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardRea
 // shard transitions (sibling shards may now hold sealed buckets).
 func (g *Group) FireShard(side, sh int) {
 	notify, raised := g.sides[side].fe.fireShard(sh)
-	for q := range notify {
+	for _, q := range notify {
 		g.cfg.NotifyMember(q)
 	}
 	if raised && g.cfg.NotifyShards != nil {
@@ -841,7 +868,10 @@ func (g *Group) FireShard(side, sh int) {
 // global per side: the shared pair cache keys pairs by them, so all
 // members must agree. It returns the queries whose tail transitions need
 // a wake-up.
-func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bool {
+//
+// Per window the members' basic-window views are one slab, and the merge
+// cells are indexed by class ordinal in a buffer the call's windows reuse.
+func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 	oneSided := len(g.sides) == 1
 	if oneSided && len(ready) == 0 {
 		return nil
@@ -850,10 +880,14 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	members := make([]*Member, len(g.members))
 	copy(members, g.members)
 	var classes []*mergeClass
-	for _, mc := range g.classes {
-		if mc.active {
+	for _, mc := range g.classSlots {
+		if mc != nil && mc.active {
 			classes = append(classes, mc)
 		}
+	}
+	var cells []*mergeCell
+	if len(classes) > 0 {
+		cells = make([]*mergeCell, len(g.classSlots))
 	}
 	g.mu.Unlock()
 
@@ -869,7 +903,11 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	for _, m := range members {
 		recycle = recycle && m.partialsOnly
 	}
-	notify := make(map[string]bool, len(members))
+	// A member's enqueues within one call succeed or fail together (a
+	// closed queue stays closed), so the first released window decides
+	// the wake-up list.
+	notify := make([]string, 0, len(members))
+	first := true
 	release := func(side int, bw *window.BW) {
 		g.windowsOut.Add(1)
 		gen := g.genCtr[side]
@@ -888,36 +926,41 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 				data.Release()
 			}
 		})
+		free := buf.Release
 		var dw *dagWin
-		if len(classes) > 0 || g.sides[side].dag.Nodes() > 0 {
-			dw = newDagWin(kernel.RunsView(bw.Data))
+		if d := g.sides[side].dag; len(classes) > 0 || d.Nodes() > 0 {
+			dw = d.newWin(kernel.RunsView(bw.Data))
 		}
-		var cells map[string]*mergeCell
-		if len(classes) > 0 {
-			cells = make(map[string]*mergeCell, len(classes))
+		if cells != nil {
+			clear(cells)
 			for _, mc := range classes {
-				if cell := mc.push(side, gen, dw, buf.Release); cell != nil {
-					cells[mc.key] = cell
-				}
+				cells[mc.ord] = mc.push(side, gen, dw, free)
 			}
 		}
-		for _, m := range members {
+		bws := make([]window.BW, len(members))
+		for i, m := range members {
 			mgen := gen
 			if oneSided {
 				mgen = m.seen[0]
 			}
 			m.seen[side]++
-			mbw := &window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: buf.Release}
+			mbw := &bws[i]
+			*mbw = window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: free}
 			item := memberBW{side: side, bw: mbw, dw: dw}
-			if cell := cells[m.classKey]; cell != nil && m.warm(cell.mc.parts) {
-				item.cell = cell
+			if mc := m.class; mc != nil && cells != nil {
+				if cell := cells[mc.ord]; cell != nil && m.warm(mc.parts) {
+					item.cell = cell
+				}
 			}
 			if !m.q.enqueue(item) {
 				mbw.ReleaseData() // member left between snapshot and enqueue
 				continue
 			}
-			notify[m.query] = true
+			if first {
+				notify = append(notify, m.query)
+			}
 		}
+		first = false
 	}
 	if oneSided {
 		for _, bw := range ready {
@@ -936,6 +979,10 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) map[string]bo
 	g.seq.push(side, ready, sealed, release)
 	return notify
 }
+
+// maxReusedBatch bounds the queue batches a member reuses: a steady
+// member drains a window or a few per firing.
+const maxReusedBatch = 16
 
 // warm reports whether the member has received a full window on every
 // side — only then may a merge cell serve it: a late joiner's first full
@@ -963,7 +1010,7 @@ func (g *Group) Advance(watermark int64) {
 			}
 			continue
 		}
-		for q := range s.fe.advance(watermark) {
+		for _, q := range s.fe.advance(watermark) {
 			g.cfg.NotifyMember(q)
 		}
 	}
@@ -989,8 +1036,8 @@ func (m *Member) Ready() bool { return m.q.ready() }
 // The scheduler guarantees a single in-flight Fire per member. It returns
 // the number of result sets emitted.
 func (m *Member) Fire() int {
-	items := m.q.drain()
-	evs := make([]SharedBW, 0, len(items))
+	items := m.q.drain(m.spare)
+	evs := m.evs[:0]
 	for _, it := range items {
 		bw := it.bw
 		if it.dw != nil {
@@ -999,12 +1046,11 @@ func (m *Member) Fire() int {
 			// only, so the pipeline leaf never materializes for it), the
 			// pipeline leaf otherwise. The raw-data reference is released
 			// by the factory tail after tuple accounting (incrementalStep).
-			dag := m.g.sides[it.side].dag
 			switch {
 			case m.aggLeaf != nil:
-				bw.Partial = dag.eval(it.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
+				bw.Partial = eval(it.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
 			case m.leaf[it.side] != nil:
-				bw.Out = dag.eval(it.dw, m.leaf[it.side], &m.g.memoHits, &m.g.memoMisses)
+				bw.Out = eval(it.dw, m.leaf[it.side], &m.g.memoHits, &m.g.memoMisses)
 			}
 		}
 		if it.cell != nil {
@@ -1016,7 +1062,7 @@ func (m *Member) Fire() int {
 			}
 			switch {
 			case m.postLeaf != nil:
-				bw.Final = m.g.postDag.eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
+				bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
 			case m.hasPost:
 				// Post fragment exists but did not linearize: the tail runs
 				// it privately over the shared merged view.
@@ -1027,5 +1073,15 @@ func (m *Member) Fire() int {
 		}
 		evs = append(evs, SharedBW{Input: it.side, BW: bw})
 	}
-	return m.fac.SharedFire(evs)
+	n := m.fac.SharedFire(evs)
+	// Keep the buffers, not what they point to; a backlog's buffer goes
+	// to the collector, so a member that once lagged does not keep its
+	// peak queue live.
+	m.spare, m.evs = nil, nil
+	if cap(items) <= maxReusedBatch {
+		clear(items)
+		clear(evs)
+		m.spare, m.evs = items[:0], evs[:0]
+	}
+	return n
 }

@@ -85,10 +85,8 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	}
 
 	for _, it := range items {
-		it.dw.mu.Lock()
-		cell := it.dw.memo[m1.leaf[0]]
-		it.dw.mu.Unlock()
-		if cell == nil || cell.out == nil {
+		cell := it.dw.cell(m1.leaf[0])
+		if cell.out == nil {
 			t.Fatal("filter leaf was never evaluated under the aggregate")
 		}
 		if cell.out.Materialized() {

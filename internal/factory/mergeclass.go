@@ -37,15 +37,22 @@ import (
 // a cell lives exactly as long as some member still has its window
 // queued or in flight, so paused members find their merged views on
 // resume without the class tracking per-member progress.
+//
+// The class owns its members' post-merge trie (post), rooted at its
+// merged view, so a merged view's memo slab holds exactly the class's
+// post-merge fragments.
 type mergeClass struct {
 	key   string
+	ord   int // index in the group's class slots (Group.classSlots)
 	parts int
 	leaf  []*dagNode // per-side pipeline leaves in the side DAGs (nil: raw)
 	view  func(c *mergeCell, g *Group) *bat.Chunk
+	post  *dag
 
-	// One side: the partial-aggregate stage (nil: the merged view is the
-	// concat of outs), its DAG node, and the merged view's schema.
-	agg       *plan.Aggregate
+	// One side: the merge plan of the partial-aggregate stage (nil: the
+	// merged view is the concat of outs), the stage's DAG node, and the
+	// merged view's schema.
+	merge     *plan.Aggregate
 	aggLeaf   *dagNode
 	outSchema bat.Schema
 	// Two sides: the class members' shared pair cache.
@@ -66,9 +73,9 @@ type mergeClass struct {
 // leaves (and, over one side, its partial-aggregate node) and, over two
 // sides, merges through m's pair cache.
 func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
-	mc := &mergeClass{key: m.classKey, parts: m.parts, leaf: m.leaf, pc: m.pc}
+	mc := &mergeClass{key: m.classKey, parts: m.parts, leaf: m.leaf, pc: m.pc, post: newDAG()}
 	if len(m.leaf) == 1 {
-		mc.agg, mc.aggLeaf, mc.outSchema, mc.view = d.Agg, m.aggLeaf, d.MergedLeaf.Out, mergeScanView
+		mc.merge, mc.aggLeaf, mc.outSchema, mc.view = d.MergePlanMemo(), m.aggLeaf, d.MergedLeaf.Out, mergeScanView
 	} else {
 		mc.view = mergeJoinView
 	}
@@ -149,7 +156,7 @@ func (mc *mergeClass) reopen() {
 // mergeCell memoizes one window's merged view for every member of a
 // merge class. The first member tail to need it evaluates the view under
 // the once latch and siblings reuse the result. pdw is the post-merge
-// memo table rooted at this merged view: the group's post-merge trie
+// memo table rooted at this merged view: the class's post-merge trie
 // latches HAVING/sort/limit fragments in it exactly like the pipeline DAG
 // latches operators in a dagWin.
 type mergeCell struct {
@@ -168,7 +175,7 @@ type mergeCell struct {
 func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) {
 	c.once.Do(func() {
 		c.out = c.mc.view(c, g)
-		c.pdw = newDagWin(kernel.NewView(c.out))
+		c.pdw = c.mc.post.newWin(kernel.NewView(c.out))
 		c.ins = [2][]mergeIn{} // release the input pointers: only the view survives
 		computed = true
 	})
@@ -184,7 +191,7 @@ func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
 	var discardHits, discardMisses atomic.Int64
 	outs := make([]*bat.Chunk, len(c.ins[side]))
 	for i, in := range c.ins[side] {
-		outs[i] = g.sides[side].dag.eval(in.dw, node, &discardHits, &discardMisses)
+		outs[i] = eval(in.dw, node, &discardHits, &discardMisses)
 	}
 	return outs
 }
@@ -193,20 +200,35 @@ func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
 // pipeline outputs, or the merge of its partial aggregates.
 func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
 	mc := c.mc
-	node, schema := mc.leaf[0], mc.outSchema
-	if mc.agg != nil {
-		node, schema = mc.aggLeaf, mc.agg.Out
+	if mc.merge != nil {
+		return mergePartials(mc.merge, c.resolve(g, 0, mc.aggLeaf))
 	}
-	parts := c.resolve(g, 0, node)
+	parts := c.resolve(g, 0, mc.leaf[0])
 	rows := 0
 	for _, p := range parts {
 		rows += p.Rows()
 	}
-	out := bat.Concat(schema, parts, rows)
-	if mc.agg != nil {
-		out = plan.MergeAggregate(mc.agg, out)
+	return bat.Concat(mc.outSchema, parts, rows)
+}
+
+// mergePartials is the full-window aggregate over a window's partial
+// aggregates, oldest first (nil entries are skipped): the decomposition's
+// merge plan (plan.MergePlan) run by kernel.Aggregate over the partials
+// as runs. The kernel gathers the runs' key and argument columns into
+// pooled scratch and accumulates in one order, the concatenation's, so
+// the result is byte-identical to plan.MergeAggregate over the
+// concatenated partials without building that chunk. The largest partial
+// pre-sizes the grouping: the window has at least that many groups.
+func mergePartials(merge *plan.Aggregate, parts []*bat.Chunk) *bat.Chunk {
+	runs := bat.Runs{Schema: merge.Out, Chunks: make([]*bat.Chunk, 0, len(parts))}
+	hint := 0
+	for _, p := range parts {
+		if p != nil {
+			runs.Append(p)
+			hint = max(hint, p.Rows())
+		}
 	}
-	return out
+	return kernel.Aggregate(merge, kernel.RunsView(&runs), hint)
 }
 
 // mergeJoinView is the two-sided merged view. It replays exactly what

@@ -31,12 +31,14 @@ func (q *memberQueue) enqueue(item memberBW) bool {
 	return true
 }
 
-// drain removes and returns everything queued, in order.
-func (q *memberQueue) drain() []memberBW {
+// drain removes and returns everything queued, in order. spare, an
+// emptied batch the caller no longer reads, becomes the next pending
+// buffer, so a member's enqueue/drain cycle alternates two buffers.
+func (q *memberQueue) drain(spare []memberBW) []memberBW {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	items := q.pending
-	q.pending = nil
+	q.pending = spare[:0]
 	q.pendingN.Store(0)
 	return items
 }

@@ -18,8 +18,11 @@
 //     exactly 4 bytes per survivor.
 //   - Project  of column references only re-indexes the base columns
 //     and keeps the selection: still a view, nothing is copied. A
-//     projection with computed expressions evaluates them under the
-//     selection into a dense chunk.
+//     compiled step (CompileStep) keeps the column map itself in the
+//     view, so re-indexing allocates no chunk and a later Materialize is
+//     one gather straight from the base columns. A projection with
+//     computed expressions evaluates them under the selection into a
+//     dense chunk.
 //   - Aggregate reads column-reference keys and arguments in place
 //     (base column + selection) and evaluates computed ones under the
 //     selection — byte-identical to plan.RunAggregate over the
@@ -48,6 +51,7 @@
 package kernel
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -65,13 +69,31 @@ type View struct {
 	Base *bat.Chunk
 	Sel  algebra.Sel // nil selects every row of Base
 
-	once sync.Once
-	done atomic.Bool // set once mat is built
-	mat  *bat.Chunk
+	mu  sync.Mutex // serializes the first Materialize
+	mat atomic.Pointer[bat.Chunk]
 	// runs, when non-nil, makes the view a sequence of two or more runs
-	// (Base and Sel are then unused). Held behind one pointer so a
+	// (Base, Sel and proj are then unused). Held behind one pointer so a
 	// single-run view stays in its allocation size class.
 	runs *runList
+	// proj, when non-nil, re-indexes Base: the view's column i is
+	// Base.Cols[proj.idx[i]], under the schema proj.out.
+	proj *colMap
+}
+
+// colMap is a compiled column-reference projection.
+type colMap struct {
+	idx []int
+	out bat.Schema
+}
+
+// reindex returns c's columns in the map's order as a chunk of the
+// projected schema; no column data moves.
+func (m *colMap) reindex(c *bat.Chunk) *bat.Chunk {
+	cols := make([]bat.Vector, len(m.idx))
+	for i, j := range m.idx {
+		cols[i] = c.Cols[j]
+	}
+	return &bat.Chunk{Schema: m.out, Cols: cols}
 }
 
 // runList is a multi-run view's content: the runs in canonical order,
@@ -120,26 +142,57 @@ func (v *View) Rows() int {
 // would have returned. A multi-run view gathers every run's selected rows
 // into one dense chunk, byte-identical to FetchChunk over the
 // concatenated runs.
+//
+// A re-indexed view gathers each of its columns straight from the base
+// column it maps to: one copy per column, byte-identical to FetchChunk
+// over the re-indexed chunk.
 func (v *View) Materialize() *bat.Chunk {
-	v.once.Do(func() {
-		if v.runs != nil {
-			v.mat = v.runs.materialize()
-		} else {
-			v.mat = algebra.FetchChunk(v.Base, v.Sel)
+	if c := v.mat.Load(); c != nil {
+		return c
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if c := v.mat.Load(); c != nil {
+		return c
+	}
+	var c *bat.Chunk
+	switch {
+	case v.runs != nil:
+		c = v.runs.materialize()
+	case v.proj != nil && v.Sel != nil:
+		cols := make([]bat.Vector, len(v.proj.idx))
+		for i, j := range v.proj.idx {
+			cols[i] = algebra.Fetch(v.Base.Cols[j], v.Sel)
 		}
-		v.done.Store(true)
-	})
-	return v.mat
+		c = &bat.Chunk{Schema: v.proj.out, Cols: cols}
+	case v.proj != nil:
+		c = v.proj.reindex(v.Base)
+	default:
+		c = algebra.FetchChunk(v.Base, v.Sel)
+	}
+	v.mat.Store(c)
+	return c
 }
 
 // Materialized reports whether Materialize has run — whether any
 // consumer needed this view's dense chunk.
-func (v *View) Materialized() bool { return v.done.Load() }
+func (v *View) Materialized() bool { return v.mat.Load() != nil }
+
+// flat returns v without a column map: the base re-indexed into a chunk
+// of the projected schema, under the same selection. Operators that
+// evaluate expressions over the base read it.
+func (v *View) flat() *View {
+	if v.proj == nil {
+		return v
+	}
+	return &View{Base: v.proj.reindex(v.Base), Sel: v.Sel}
+}
 
 // Filter composes a predicate into the view's selection — into each
 // run's selection for a multi-run view. No column data moves: the
 // returned view shares the input's chunks.
 func Filter(pred expr.Expr, v *View) *View {
+	v = v.flat()
 	if v.runs != nil {
 		out := v.runs.derive(v.runs.schema)
 		for i, r := range v.runs.runs {
@@ -161,6 +214,7 @@ func Filter(pred expr.Expr, v *View) *View {
 // projects run by run: re-indexed runs that keep their selections, or
 // one dense evaluated run per input run.
 func Project(exprs []expr.Expr, out bat.Schema, v *View) *View {
+	v = v.flat()
 	refs := colRefs(exprs)
 	if v.runs != nil {
 		rl := v.runs.derive(out)
@@ -225,6 +279,7 @@ func Aggregate(t *plan.Aggregate, v *View, hint int) *bat.Chunk {
 	if v.runs != nil {
 		return v.runs.aggregate(t, hint)
 	}
+	v = v.flat()
 	// One selection governs every key column, so keys read in place only
 	// when all of them are column references; otherwise all evaluate
 	// densely.
@@ -298,13 +353,33 @@ func (rl *runList) materialize() *bat.Chunk {
 }
 
 // gather appends column idx's selected rows of every run, in run order,
-// to dst.
+// to dst. It unboxes dst once: a Vector append per run would box a new
+// slice header each time.
 func (rl *runList) gather(dst bat.Vector, idx int) bat.Vector {
+	switch d := dst.(type) {
+	case bat.Ints:
+		return gatherRuns(rl, idx, d)
+	case bat.Times:
+		return gatherRuns(rl, idx, d)
+	case bat.Floats:
+		return gatherRuns(rl, idx, d)
+	case bat.Strs:
+		return gatherRuns(rl, idx, d)
+	case bat.Bools:
+		return gatherRuns(rl, idx, d)
+	}
+	panic(fmt.Sprintf("kernel: gather into unknown vector %T", dst))
+}
+
+func gatherRuns[V ~[]T, T any](rl *runList, idx int, dst V) V {
 	for _, r := range rl.runs {
+		src := r.c.Cols[idx].(V)
 		if r.sel == nil {
-			dst = dst.AppendVector(r.c.Cols[idx])
-		} else {
-			dst = bat.AppendFetch(dst, r.c.Cols[idx], r.sel)
+			dst = append(dst, src...)
+			continue
+		}
+		for _, i := range r.sel {
+			dst = append(dst, src[i])
 		}
 	}
 	return dst
@@ -314,7 +389,7 @@ func (rl *runList) gather(dst bat.Vector, idx int) bat.Vector {
 // gathered densely (only those, only at the selected rows) and grouped and
 // aggregated once, exactly as over the concatenated window.
 func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
-	in := denseInputs{rl: rl, rows: rl.rows(), cols: make(map[int]bat.Vector, len(t.Keys)+len(t.Aggs))}
+	in := denseInputs{rl: rl, rows: rl.rows(), vecs: make([]denseVec, 0, len(t.Keys)+len(t.Aggs))}
 	defer in.release()
 	keyVecs := make([]bat.Vector, len(t.Keys))
 	for i, k := range t.Keys {
@@ -323,6 +398,10 @@ func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
 	g := algebra.GroupHint(keyVecs, nil, in.rows, hint)
 	defer g.Release()
 	cols := groupKeys(t, keyVecs, g)
+	// groupKeys copied the keys out: their scratch goes back before the
+	// arguments are gathered, so keys and arguments never hold pooled
+	// storage at the same time.
+	in.release()
 	for _, spec := range t.Aggs {
 		var arg bat.Vector
 		if spec.Arg != nil {
@@ -342,8 +421,14 @@ func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
 type denseInputs struct {
 	rl   *runList
 	rows int
-	cols map[int]bat.Vector // gathered column references, by index
-	vecs []bat.Vector       // every vector handed out, for release
+	vecs []denseVec // every vector handed out, for reuse and release
+}
+
+// denseVec is one dense input: a gathered column reference (col is its
+// index) or an evaluated expression (col < 0).
+type denseVec struct {
+	col int
+	v   bat.Vector
 }
 
 // of returns expression e as a dense vector: a column reference is
@@ -351,12 +436,13 @@ type denseInputs struct {
 // run's selection and the results are concatenated.
 func (in *denseInputs) of(e expr.Expr) bat.Vector {
 	if c, ok := e.(*expr.Col); ok {
-		if v := in.cols[c.Idx]; v != nil {
-			return v
+		for _, d := range in.vecs {
+			if d.col == c.Idx {
+				return d.v
+			}
 		}
 		v := in.rl.gather(scratchVector(in.rl.runs[0].c.Cols[c.Idx], in.rows), c.Idx)
-		in.cols[c.Idx] = v
-		in.vecs = append(in.vecs, v)
+		in.vecs = append(in.vecs, denseVec{col: c.Idx, v: v})
 		return v
 	}
 	var dst bat.Vector
@@ -367,14 +453,17 @@ func (in *denseInputs) of(e expr.Expr) bat.Vector {
 		}
 		dst = dst.AppendVector(part)
 	}
-	in.vecs = append(in.vecs, dst)
+	in.vecs = append(in.vecs, denseVec{col: -1, v: dst})
 	return dst
 }
 
+// release hands every vector back to its pool; later calls to of gather
+// afresh.
 func (in *denseInputs) release() {
-	for _, v := range in.vecs {
-		releaseScratch(v)
+	for _, d := range in.vecs {
+		releaseScratch(d.v)
 	}
+	in.vecs = in.vecs[:0]
 }
 
 var (
@@ -431,6 +520,57 @@ func putScratch[T any](p *sync.Pool, s []T) {
 	p.Put(&s)
 }
 
+// Step is a linearized pipeline operator compiled for repeated
+// evaluation: a column-reference projection carries its column map, so
+// applying it to a single-run view re-indexes without building a chunk.
+type Step struct {
+	plan.PipelineStep
+	cols *colMap // column-reference Project only
+}
+
+// CompileStep prepares s for Apply.
+func CompileStep(s plan.PipelineStep) Step {
+	st := Step{PipelineStep: s}
+	if p, ok := s.Op.(*plan.Project); ok && colRefs(p.Exprs) {
+		st.cols = &colMap{idx: make([]int, len(p.Exprs)), out: p.Out}
+		for i, e := range p.Exprs {
+			st.cols.idx[i] = e.(*expr.Col).Idx
+		}
+	}
+	return st
+}
+
+// Apply runs the step over v: ApplyStep, except that a compiled
+// column-reference projection of a single-run view keeps the view's base
+// and selection and only attaches its column map. A filter or such a
+// projection over a single-run view is built in dst when dst is non-nil
+// (an unused view the caller owns, such as a memo cell's), so it
+// allocates nothing but the filter's selection; other results are fresh
+// views.
+func (s *Step) Apply(v, dst *View) *View {
+	if v.runs == nil {
+		switch op := s.Op.(type) {
+		case *plan.Filter:
+			v = v.flat()
+			sel := expr.EvalPred(op.Pred, v.Base, v.Sel)
+			if dst == nil {
+				dst = new(View)
+			}
+			*dst = View{Base: v.Base, Sel: sel}
+			return dst
+		case *plan.Project:
+			if s.cols != nil && v.proj == nil {
+				if dst == nil {
+					dst = new(View)
+				}
+				*dst = View{Base: v.Base, Sel: v.Sel, proj: s.cols}
+				return dst
+			}
+		}
+	}
+	return ApplyStep(s.PipelineStep, v)
+}
+
 // ApplyStep runs one linearized pipeline operator over a view, fusing
 // where the operator admits it and falling back to the unfused
 // plan.ApplyStep over the materialized view otherwise.
@@ -451,7 +591,7 @@ func ApplyStep(s plan.PipelineStep, v *View) *View {
 // operator steps of a decomposition pipeline plus its optional terminal
 // partial-aggregate stage.
 type Pipeline struct {
-	steps []plan.PipelineStep
+	steps []Step
 	agg   *plan.Aggregate
 	// needOut materializes the pipeline output chunk even when a terminal
 	// aggregate consumes the view directly. Single-stream aggregate plans
@@ -477,7 +617,11 @@ func Compile(d *plan.Decomposition, side int, agg *plan.Aggregate, needOut bool)
 	if !ok {
 		return nil, false
 	}
-	return &Pipeline{steps: steps, agg: agg, needOut: needOut}, true
+	kp := &Pipeline{steps: make([]Step, len(steps)), agg: agg, needOut: needOut}
+	for i, st := range steps {
+		kp.steps[i] = CompileStep(st)
+	}
+	return kp, true
 }
 
 // Run evaluates the fused chain over one dense basic-window chunk. out is
@@ -496,8 +640,8 @@ func (kp *Pipeline) RunRuns(raw *bat.Runs) (out, partial *bat.Chunk) {
 }
 
 func (kp *Pipeline) run(v *View) (out, partial *bat.Chunk) {
-	for _, s := range kp.steps {
-		v = ApplyStep(s, v)
+	for i := range kp.steps {
+		v = kp.steps[i].Apply(v, nil)
 	}
 	if kp.agg == nil {
 		return v.Materialize(), nil

@@ -99,6 +99,50 @@ func TestProjectUnderSelection(t *testing.T) {
 	mustEqualChunks(t, fused, unfused, "project under sel")
 }
 
+// TestCompiledProjectMatchesUnfused: a compiled column-reference
+// projection over a filtered view (reordering and repeating columns)
+// attaches its column map without building a chunk, and every consumer
+// of the re-indexed view — Materialize, a further filter, an aggregate —
+// reads exactly what the unfused executor computes over the projected
+// rows. With no selection the materialized chunk shares the base columns.
+func TestCompiledProjectMatchesUnfused(t *testing.T) {
+	c := testChunk(64)
+	filter := plan.PipelineStep{Op: &plan.Filter{Pred: cmp(algebra.GT, col(1, bat.Int), intConst(2))}}
+	proj := plan.PipelineStep{Op: &plan.Project{
+		Exprs: []expr.Expr{col(2, bat.Float), col(1, bat.Int), col(2, bat.Float)},
+		Out:   bat.Schema{Names: []string{"v", "k", "v2"}, Kinds: []bat.Kind{bat.Float, bat.Int, bat.Float}},
+	}}
+	fs, ps := CompileStep(filter), CompileStep(proj)
+	var cell View
+	v := ps.Apply(fs.Apply(NewView(c), nil), &cell)
+	if v != &cell || v.proj == nil {
+		t.Fatal("compiled projection of a single-run view did not re-index in place")
+	}
+	unfused := plan.ApplyStep(proj, plan.ApplyStep(filter, c))
+	mustEqualChunks(t, v.Materialize(), unfused, "compiled project")
+
+	pred := cmp(algebra.LT, col(0, bat.Float), floatConst(2))
+	again := fs.Apply(ps.Apply(NewView(c), nil), nil)
+	refilter := Filter(pred, again)
+	mustEqualChunks(t, refilter.Materialize(),
+		plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, plan.ApplyStep(filter, plan.ApplyStep(proj, c))),
+		"filter over re-indexed view")
+
+	agg := &plan.Aggregate{
+		Keys: []expr.Expr{col(1, bat.Int)}, KeyNames: []string{"k"},
+		Aggs: []plan.AggSpec{{Op: algebra.AggSum, Arg: col(2, bat.Float), Name: "s"}},
+		Out:  bat.Schema{Names: []string{"k", "s"}, Kinds: []bat.Kind{bat.Int, bat.Float}},
+	}
+	mustEqualChunks(t, Aggregate(agg, v, 0), plan.RunAggregate(agg, unfused), "aggregate over re-indexed view")
+
+	whole := ps.Apply(NewView(c), nil).Materialize()
+	if firstFloat(whole.Cols[0]) != firstFloat(c.Cols[2]) {
+		t.Fatal("re-indexing an unselected view copied a column")
+	}
+}
+
+func firstFloat(v bat.Vector) *float64 { return &v.(bat.Floats)[0] }
+
 // TestApplyStepFallback routes an operator the fused executor does not
 // specialize (Limit) through the materialize-and-fall-back path.
 func TestApplyStepFallback(t *testing.T) {
@@ -301,8 +345,8 @@ func TestRunNoOutForAggChains(t *testing.T) {
 		Aggs: []plan.AggSpec{{Op: algebra.AggCount, Name: "n"}},
 		Out:  bat.Schema{Names: []string{"k", "n"}, Kinds: []bat.Kind{bat.Int, bat.Int}},
 	}
-	kp := &Pipeline{steps: []plan.PipelineStep{
-		{Op: &plan.Filter{Pred: cmp(algebra.LT, col(1, bat.Int), intConst(3))}},
+	kp := &Pipeline{steps: []Step{
+		CompileStep(plan.PipelineStep{Op: &plan.Filter{Pred: cmp(algebra.LT, col(1, bat.Int), intConst(3))}}),
 	}, agg: agg}
 	out, partial := kp.Run(c)
 	if out != nil {

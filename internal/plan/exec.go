@@ -167,30 +167,37 @@ func RunAggregate(t *Aggregate, in *bat.Chunk) *bat.Chunk {
 	return &bat.Chunk{Schema: t.Out, Cols: cols}
 }
 
-// MergeAggregate re-aggregates already-aggregated partial results: counts
-// and sums add up, mins and maxes take extremes. The input layout must be
-// the Aggregate node's output layout (keys, then aggregates). This is the
+// MergePlan derives the aggregate that merges t's partial results — the
 // merge stage of the paper's incremental sliding-window processing: each
 // basic window contributes one partial, and a slide merges the cached
-// partials instead of recomputing the full window.
-func MergeAggregate(t *Aggregate, partials *bat.Chunk) *bat.Chunk {
+// partials instead of recomputing the full window. Its input layout is
+// t's output layout (keys, then aggregates): the group keys are the
+// partials' first len(t.Keys) columns, and each aggregate reads its own
+// partial column — counts and sums add up, mins and maxes take extremes.
+// Its output schema is t's.
+func MergePlan(t *Aggregate) *Aggregate {
 	nk := len(t.Keys)
-	keyVecs := partials.Cols[:nk]
-	g := algebra.Group(keyVecs, nil, partials.Rows())
-	defer g.Release()
-	cols := make([]bat.Vector, 0, partials.Schema.Width())
-	for _, kv := range keyVecs {
-		cols = append(cols, algebra.Fetch(kv, g.Repr))
+	col := func(i int) expr.Expr {
+		return &expr.Col{Idx: i, K: t.Out.Kinds[i], Name: t.Out.Names[i]}
+	}
+	m := &Aggregate{Keys: make([]expr.Expr, nk), KeyNames: t.KeyNames, Aggs: make([]AggSpec, len(t.Aggs)), Out: t.Out}
+	for i := range m.Keys {
+		m.Keys[i] = col(i)
 	}
 	for i, spec := range t.Aggs {
-		v := partials.Cols[nk+i]
-		mergeOp := spec.Op
-		if mergeOp == algebra.AggCount {
-			mergeOp = algebra.AggSum // counts merge by summation
+		op := spec.Op
+		if op == algebra.AggCount {
+			op = algebra.AggSum // counts merge by summation
 		}
-		cols = append(cols, algebra.Aggregate(mergeOp, v, nil, g))
+		m.Aggs[i] = AggSpec{Op: op, Arg: col(nk + i), Name: spec.Name}
 	}
-	return &bat.Chunk{Schema: t.Out, Cols: cols}
+	return m
+}
+
+// MergeAggregate merges already-aggregated partial results, concatenated
+// into one chunk, with the unfused executor: RunAggregate of MergePlan.
+func MergeAggregate(t *Aggregate, partials *bat.Chunk) *bat.Chunk {
+	return RunAggregate(MergePlan(t), partials)
 }
 
 // RunSort evaluates a Sort node over an input chunk.

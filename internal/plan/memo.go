@@ -34,6 +34,11 @@ type keyMemo struct {
 	ok   bool
 }
 
+type aggMemo struct {
+	once sync.Once
+	agg  *Aggregate
+}
+
 type postMemo struct {
 	once   sync.Once
 	rootFp string
@@ -45,12 +50,13 @@ type postMemo struct {
 // of one Decomposition. Zero value ready; unexported so plan construction
 // and the codec never see it.
 type decompMemo struct {
-	steps  [2]stepsMemo
-	merge  keyMemo
-	aggFp  keyMemo
-	joinFp keyMemo
-	jmerge keyMemo
-	post   postMemo
+	steps    [2]stepsMemo
+	merge    keyMemo
+	aggFp    keyMemo
+	joinFp   keyMemo
+	jmerge   keyMemo
+	post     postMemo
+	mergeAgg aggMemo
 }
 
 // StepsMemo is PipelineSteps over Pipelines[side], computed once per
@@ -130,4 +136,15 @@ func (d *Decomposition) PostStepsMemo(rootFp string) ([]PipelineStep, bool) {
 		return PostSteps(d.Post, d.MergedLeaf, rootFp)
 	}
 	return m.steps, m.ok
+}
+
+// MergePlanMemo is MergePlan(d.Agg), derived once per decomposition; nil
+// when the decomposition has no aggregate stage.
+func (d *Decomposition) MergePlanMemo() *Aggregate {
+	if d.Agg == nil {
+		return nil
+	}
+	m := &d.memo.mergeAgg
+	m.once.Do(func() { m.agg = MergePlan(d.Agg) })
+	return m.agg
 }

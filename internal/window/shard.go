@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"sort"
 
 	"datacell/internal/bat"
@@ -46,11 +47,50 @@ type ShardSlicer struct {
 	nextGen   int64 // all gens < nextGen have been flushed
 	maxGen    int64 // newest epoch that has received a row
 	open      map[int64]*Frag
+	// span caches the epoch of the last row assigned and its bounds, so
+	// a row inside them is assigned without a division.
+	span epochSpan
+}
+
+// epochSpan is one epoch's bounds on the slicing axis (sequence stamp or
+// timestamp): gen holds every x with lo <= x < hi. The bounds are clipped
+// to the int64 range, so they may cover less than the whole epoch; a row
+// outside them is assigned by division.
+type epochSpan struct {
+	gen, lo, hi int64
+}
+
+// of returns the epoch of x at the given slide: floorDiv(x, slide), read
+// from the cached span when x falls inside it, recomputed (and cached)
+// otherwise.
+func (sp *epochSpan) of(x, slide int64) int64 {
+	if sp.lo <= x && x < sp.hi {
+		return sp.gen
+	}
+	return sp.reset(x, slide)
+}
+
+// reset caches and returns the epoch of x, which lies outside the span.
+func (sp *epochSpan) reset(x, slide int64) int64 {
+	g := floorDiv(x, slide)
+	// r = x - g*slide is in [0, slide); the epoch is [x-r, x-r+slide),
+	// clipped where it leaves the int64 range.
+	r := x - g*slide
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	if x >= math.MinInt64+r {
+		lo = x - r
+	}
+	if x <= math.MaxInt64-(slide-r) {
+		hi = x + (slide - r)
+	}
+	*sp = epochSpan{gen: g, lo: lo, hi: hi}
+	return g
 }
 
 // NewShardSlicer builds a shard-local slicer for a stream scan's bound
 // window.
 func NewShardSlicer(w *plan.Window, schema bat.Schema) *ShardSlicer {
+	// The empty span (lo == hi) matches no row.
 	s := &ShardSlicer{w: w, schema: schema, open: make(map[int64]*Frag)}
 	if !w.Tuples {
 		s.slideUsec = w.SlideDur.Microseconds()
@@ -65,14 +105,6 @@ func NewShardSlicer(w *plan.Window, schema bat.Schema) *ShardSlicer {
 // TimeGen maps an event timestamp (µs) to its slide bucket — the sealing
 // watermark for a time window whose newest observed timestamp is ts.
 func (s *ShardSlicer) TimeGen(ts int64) int64 { return floorDiv(ts, s.slideUsec) }
-
-// genOf maps a row to its epoch.
-func (s *ShardSlicer) genOf(seq, ts int64) int64 {
-	if s.w.Tuples {
-		return seq / s.w.Slide
-	}
-	return floorDiv(ts, s.slideUsec)
-}
 
 func floorDiv(a, b int64) int64 {
 	q := a / b
@@ -96,8 +128,10 @@ func (s *ShardSlicer) Push(c *bat.Chunk, l bat.Lease, arrivals bat.Ints, seqs ba
 		return
 	}
 	var ts []int64
+	axis := []int64(seqs)
 	if !s.w.Tuples {
 		ts = bat.AsInts(c.Cols[s.w.TimeIdx])
+		axis = ts
 	}
 	// Run-length batching: consecutive rows almost always share an epoch.
 	runStart := 0
@@ -105,6 +139,12 @@ func (s *ShardSlicer) Push(c *bat.Chunk, l bat.Lease, arrivals bat.Ints, seqs ba
 	for i := 1; i <= rows; i++ {
 		var g int64
 		if i < rows {
+			// The span holds the previous row, whose epoch is runGen; a
+			// row inside it lands there too — a clamp that could move it
+			// would have moved the previous row the same way.
+			if x := axis[i]; s.span.lo <= x && x < s.span.hi {
+				continue
+			}
 			g = s.rowGen(i, seqs, ts)
 			if g == runGen {
 				continue
@@ -115,14 +155,17 @@ func (s *ShardSlicer) Push(c *bat.Chunk, l bat.Lease, arrivals bat.Ints, seqs ba
 	}
 }
 
+// rowGen assigns row i its epoch: seq / Slide for tuple windows, the
+// slide bucket of its timestamp for time windows, through the cached
+// epoch span.
 func (s *ShardSlicer) rowGen(i int, seqs, ts []int64) int64 {
-	var g int64
 	if s.w.Tuples {
 		// Sequence stamps are exact: a sealed epoch can never receive a
 		// row (settled-watermark guarantee), so no clamping is possible.
-		return s.genOf(seqs[i], 0)
+		// They are non-negative, where floor division is truncation.
+		return s.span.of(seqs[i], s.w.Slide)
 	}
-	g = s.genOf(0, ts[i])
+	g := s.span.of(ts[i], s.slideUsec)
 	// Late time tuples clamp into the newest epoch this shard has seen —
 	// the pre-sharding slicer's rule (it folds out-of-order rows into
 	// its current open bucket), which keeps the default 1-shard engine's

@@ -156,27 +156,18 @@ func (r *Ring) ConcatData(schema bat.Schema) *bat.Chunk {
 }
 
 // ConcatOuts concatenates the cached pipeline outputs of the live basic
-// windows — the merged intermediate for non-aggregate incremental plans.
+// windows (nil ones are skipped) — the merged intermediate for
+// non-aggregate incremental plans — through bat.Concat: a window whose
+// rows all sit in one basic window is that basic window's chunk, uncopied.
+// (Partial aggregates are not concatenated: the factory merges them as
+// runs.)
 func (r *Ring) ConcatOuts(schema bat.Schema) *bat.Chunk {
-	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Out })
-}
-
-// ConcatPartials concatenates the cached partial aggregates; feeding the
-// result through plan.MergeAggregate yields the full-window aggregate.
-func (r *Ring) ConcatPartials(schema bat.Schema) *bat.Chunk {
-	return r.concat(schema, func(bw *BW) *bat.Chunk { return bw.Partial })
-}
-
-// concat gathers one chunk per live basic window (nil ones are skipped)
-// through bat.Concat: a window whose rows all sit in one basic window is
-// that basic window's chunk, uncopied.
-func (r *Ring) concat(schema bat.Schema, part func(*BW) *bat.Chunk) *bat.Chunk {
 	chunks := make([]*bat.Chunk, len(r.bws))
 	rows := 0
 	for i, bw := range r.bws {
-		if c := part(bw); c != nil {
-			chunks[i] = c
-			rows += c.Rows()
+		if bw.Out != nil {
+			chunks[i] = bw.Out
+			rows += bw.Out.Rows()
 		}
 	}
 	return bat.Concat(schema, chunks, rows)

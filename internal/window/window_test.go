@@ -230,17 +230,14 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestRingConcatOutsAndPartials(t *testing.T) {
+func TestRingConcatOuts(t *testing.T) {
 	r := NewRing(2)
 	out1 := bat.NewChunk(sch())
 	_ = out1.AppendRow(bat.TimeValue(1), bat.IntValue(10))
-	r.Push(&BW{Gen: 0, Out: out1, Partial: out1})
+	r.Push(&BW{Gen: 0, Out: out1})
 	r.Push(&BW{Gen: 1}) // nil intermediates tolerated (empty bw)
 	if got := r.ConcatOuts(sch()); got.Rows() != 1 {
 		t.Errorf("ConcatOuts rows = %d", got.Rows())
-	}
-	if got := r.ConcatPartials(sch()); got.Rows() != 1 {
-		t.Errorf("ConcatPartials rows = %d", got.Rows())
 	}
 }
 

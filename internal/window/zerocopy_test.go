@@ -90,25 +90,25 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	}
 }
 
-// TestConcatPartialsOneWindowCopiesNothing: a full window made of a single
-// basic window is that basic window's partials, with no column data
+// TestConcatOutsOneWindowCopiesNothing: a full window made of a single
+// basic window is that basic window's pipeline output, with no column data
 // allocated.
-func TestConcatPartialsOneWindowCopiesNothing(t *testing.T) {
+func TestConcatOutsOneWindowCopiesNothing(t *testing.T) {
 	const rows = 4096
 	part := &bat.Chunk{Schema: shardSchema(), Cols: []bat.Vector{make(bat.Times, rows), make(bat.Ints, rows)}}
 	r := NewRing(1)
-	r.Push(&BW{Partial: part})
-	if got := r.ConcatPartials(shardSchema()); firstInt(got.Cols[1]) != firstInt(part.Cols[1]) {
-		t.Fatal("ConcatPartials copied a lone window's partials")
+	r.Push(&BW{Out: part})
+	if got := r.ConcatOuts(shardSchema()); firstInt(got.Cols[1]) != firstInt(part.Cols[1]) {
+		t.Fatal("ConcatOuts copied a lone window's output")
 	}
 	const calls = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		_ = r.ConcatPartials(shardSchema())
+		_ = r.ConcatOuts(shardSchema())
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= rows*8 {
-		t.Fatalf("ConcatPartials of one window allocated %d B per call — column data (%d B)", per, rows*8)
+		t.Fatalf("ConcatOuts of one window allocated %d B per call — column data (%d B)", per, rows*8)
 	}
 }
