@@ -712,108 +712,6 @@ func BenchmarkQueryGroupFanout(b *testing.B) {
 	}
 }
 
-// wideStream builds the fused-scan benchmark stream: (ts, k, v) plus
-// payloadCols float payload columns, so per-operator intermediate chunks
-// — what the fused executor never materializes — carry real copy cost.
-func wideStream(n, batch, nkeys, payloadCols int) (ddl string, chunks []*bat.Chunk) {
-	names := []string{"ts", "k", "v"}
-	kinds := []bat.Kind{bat.Time, bat.Int, bat.Float}
-	ddl = "CREATE STREAM w (ts TIMESTAMP, k INT, v FLOAT"
-	for p := 1; p <= payloadCols; p++ {
-		names = append(names, fmt.Sprintf("p%d", p))
-		kinds = append(kinds, bat.Float)
-		ddl += fmt.Sprintf(", p%d FLOAT", p)
-	}
-	ddl += ")"
-	sch := bat.NewSchema(names, kinds)
-	for pos := 0; pos < n; {
-		take := batch
-		if pos+take > n {
-			take = n - pos
-		}
-		cols := make([]bat.Vector, len(names))
-		ts := make(bat.Times, take)
-		ks := make(bat.Ints, take)
-		vs := make(bat.Floats, take)
-		for i := 0; i < take; i++ {
-			g := pos + i
-			ts[i] = int64(g)
-			ks[i] = int64((g * 2654435761) % nkeys)
-			if ks[i] < 0 {
-				ks[i] += int64(nkeys)
-			}
-			vs[i] = float64(g%1000) * 0.5
-		}
-		cols[0], cols[1], cols[2] = ts, ks, vs
-		for p := 3; p < len(cols); p++ {
-			ps := make(bat.Floats, take)
-			for i := 0; i < take; i++ {
-				ps[i] = float64((pos+i+p)%977) * 0.25
-			}
-			cols[p] = ps
-		}
-		chunks = append(chunks, &bat.Chunk{Schema: sch, Cols: cols})
-		pos += take
-	}
-	return ddl, chunks
-}
-
-// BenchmarkFusedScan is the fused-tail-executor benchmark: eight
-// isolated incremental filtered grouped aggregates (thresholds varying
-// per query) over one wide stream, fused (lazy selection views,
-// cardinality-hinted hash aggregation — the default) vs chunked (NoFuse: a materialized intermediate chunk
-// per operator). Isolated members each own their slicers and tails, so
-// the fused work scales with Q while the shared ingest copy amortizes;
-// NoMemo keeps both legs out of the (always fused) group operator DAG.
-// The dcbench floor is fused ≥ 1.3× chunked tuples/s on every machine
-// class; TestNoFuseAblationEquivalence pins that both paths produce
-// byte-identical results.
-func BenchmarkFusedScan(b *testing.B) {
-	const (
-		n     = 1 << 18
-		batch = 8192
-		nkeys = 64
-	)
-	ddl, chunks := wideStream(n, batch, nkeys, 16)
-	for _, noFuse := range []bool{false, true} {
-		label := "fused"
-		if noFuse {
-			label = "chunked"
-		}
-		noFuse := noFuse
-		b.Run(label, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := New(&Options{Workers: 1})
-				if _, err := eng.Exec(ddl); err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < 8; j++ {
-					sql := fmt.Sprintf(
-						"SELECT k, sum(v) AS s, count(*) AS n FROM w [SIZE 8192 SLIDE 2048] WHERE v > %d.0 GROUP BY k", 300+j*25)
-					opts := []RegisterOption{WithMode(ModeIncremental), Isolated(), NoMemo(), NoChannel()}
-					if noFuse {
-						opts = append(opts, NoFuse())
-					}
-					if _, err := eng.RegisterQuery(fmt.Sprintf("q%d", j), sql, opts...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				for _, c := range chunks {
-					_ = eng.Append("w", c)
-				}
-				eng.Drain()
-				b.StopTimer()
-				eng.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-		})
-	}
-}
-
 // BenchmarkHashAggPresize isolates the hash-aggregate pre-sizing win:
 // algebra.Group grows its group table from the fixed 64-slot default,
 // while GroupHint pre-sizes it from the observed cardinality — exactly

@@ -31,6 +31,7 @@ import (
 	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/catalog"
+	"datacell/internal/kernel"
 	"datacell/internal/plan"
 	"datacell/internal/scheduler"
 	"datacell/internal/sql"
@@ -330,7 +331,7 @@ func (e *Engine) execStmt(stmt sql.Stmt) (*Result, error) {
 		case "REEVAL":
 			mode = ModeReeval
 		}
-		q, err := e.register(s.Name, "", s.Select, mode, &RegisterOptions{Isolated: s.Isolated, Tenant: s.Tenant, NoFuse: s.NoFuse})
+		q, err := e.register(s.Name, "", s.Select, mode, &RegisterOptions{Isolated: s.Isolated, Tenant: s.Tenant})
 		if err != nil {
 			return nil, err
 		}
@@ -473,14 +474,18 @@ func (e *Engine) Select(s *sql.SelectStmt) (*bat.Chunk, error) {
 		return nil, err
 	}
 	opt := plan.Optimize(bound)
-	ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{}}
+	leaves := map[plan.Node]*kernel.View{}
 	for _, sc := range plan.Streams(opt) {
 		if sc.Window != nil {
 			return nil, fmt.Errorf("datacell: window on stream %q in a one-time query; use REGISTER QUERY", sc.Alias)
 		}
-		ex.StreamInputs[sc] = sc.Stream.Basket.Snapshot()
+		leaves[sc] = kernel.NewView(sc.Stream.Basket.Snapshot())
 	}
-	return ex.Run(opt)
+	out, err := kernel.Run(opt, leaves)
+	if err != nil {
+		return nil, err
+	}
+	return out.Materialize(), nil
 }
 
 // Query1 parses and runs a one-time SELECT.

@@ -1,23 +1,28 @@
 package datacell
 
-// Ablation equivalence suite for the fused vectorized tail executor
-// (internal/kernel): every workload in the matrix runs twice — once on
-// the default fused executor and once with NoFuse (operator-at-a-time
-// with a materialized chunk per step, default hash-table sizing) — and must produce byte-identical result streams.
+// The paper's equivalence claim as a test matrix: every workload runs
+// twice — once with each query's own options (incremental, shared or
+// isolated, memoized or not) and once re-evaluating every window from
+// scratch in a private group (WithMode(ModeReeval), Isolated()) — and
+// must produce byte-identical result streams. The data's floats are
+// multiples of 0.5, so sums are exact whatever order partials merge in.
 // Together with the kernel unit tests and the fabric differential
-// harness this is the proof surface of the fusion contract.
+// harness this is the proof surface of incremental evaluation.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"datacell/internal/emitter"
 )
 
-// fuseCase is one workload of the ablation matrix.
+// fuseCase is one workload of the matrix.
 type fuseCase struct {
 	name string
 	ddl  []string
-	// queries registered on both engines; the ablated engine appends
-	// NoFuse() and NoMemo() to each query's options.
+	// queries registered with these options on one engine, and with
+	// WithMode(ModeReeval), Isolated() on the reference engine.
 	queries map[string][]RegisterOption
 	// feed appends identical data to both engines.
 	feed func(t *testing.T, e *Engine)
@@ -43,7 +48,10 @@ func feedSensorRows(stream string, n, batch, nkeys int) func(*testing.T, *Engine
 	}
 }
 
-func runFuseCase(t *testing.T, fc fuseCase, ablate bool) map[string][]string {
+// runFuseCase registers the case's queries — with WithMode(ModeReeval),
+// Isolated() instead of their own options when reeval — feeds the data
+// and returns each query's result rows, one string per window result.
+func runFuseCase(t *testing.T, fc fuseCase, reeval bool) map[string][]string {
 	t.Helper()
 	e, _ := newTestEngine(t)
 	for _, ddl := range fc.ddl {
@@ -51,35 +59,30 @@ func runFuseCase(t *testing.T, fc fuseCase, ablate bool) map[string][]string {
 	}
 	qs := map[string]*Query{}
 	for name, opts := range fc.queries {
-		if ablate {
-			// NoMemo keeps the ablated leg out of its group's operator DAG,
-			// which is fused whatever the member asks: without it the suite
-			// would compare fused with fused.
-			opts = append(append([]RegisterOption{}, opts...), NoFuse(), NoMemo())
+		if reeval {
+			opts = []RegisterOption{WithMode(ModeReeval), Isolated()}
 		}
 		q, err := e.RegisterQuery(name, fuseSQL[name], opts...)
 		if err != nil {
 			t.Fatalf("register %s: %v", name, err)
+		}
+		if reeval && q.Mode() != "reeval" {
+			t.Fatalf("reference leg's %s runs %s", name, q.Mode())
 		}
 		qs[name] = q
 	}
 	fc.feed(t, e)
 	out := map[string][]string{}
 	for name, q := range qs {
-		out[name] = rowsOf(collect(e, q))
-	}
-	if ablate {
-		for _, g := range e.Groups() {
-			if g.DagNodes != 0 {
-				t.Fatalf("unfused leg's group %q has %d DAG nodes: it ran fused", g.Key, g.DagNodes)
-			}
+		for _, r := range collect(e, q) {
+			out[name] = append(out[name], strings.Join(rowsOf([]emitter.Result{r}), "\n"))
 		}
 	}
 	return out
 }
 
-// fuseSQL maps query names to their SQL so fused and ablated runs are
-// guaranteed to register the identical text.
+// fuseSQL maps query names to their SQL so both legs are guaranteed to
+// register the identical text.
 var fuseSQL = map[string]string{
 	"agg":      "SELECT k, sum(v) AS s, count(*) AS n FROM s [SIZE 40 SLIDE 10] WHERE v >= 1.0 GROUP BY k",
 	"agg2":     "SELECT k, sum(v) AS s, count(*) AS n FROM s [SIZE 40 SLIDE 10] WHERE v >= 2.0 GROUP BY k",
@@ -92,12 +95,13 @@ var fuseSQL = map[string]string{
 	"joinrows": "SELECT s.v, r.v FROM s [SIZE 32 SLIDE 8] , r [SIZE 32 SLIDE 8] WHERE s.k = r.k",
 }
 
-// TestNoFuseAblationEquivalence runs the matrix: fused and unfused
-// executors must be indistinguishable on every workload shape the
-// executor specializes — filtered grouped aggregates (isolated and
-// shared, one and four shards), pure projection tails, HAVING tails,
-// time- and tuple-based windows, and incremental stream⋈stream joins.
-func TestNoFuseAblationEquivalence(t *testing.T) {
+// TestIncrementalMatchesReevalMatrix runs the matrix: incremental
+// evaluation must be indistinguishable from re-evaluation on every
+// workload shape the engine specializes — filtered grouped aggregates
+// (isolated and shared, one and four shards, with and without the
+// operator DAG), pure projection tails, HAVING tails, time- and
+// tuple-based windows, and stream⋈stream joins.
+func TestIncrementalMatchesReevalMatrix(t *testing.T) {
 	sensorDDL := "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)"
 	cases := []fuseCase{
 		{
@@ -178,31 +182,23 @@ func TestNoFuseAblationEquivalence(t *testing.T) {
 				feedSensorRows("r", 200, 9, 4)(t, e)
 			},
 		},
-		{
-			name: "reeval_mode",
-			ddl:  []string{sensorDDL},
-			queries: map[string][]RegisterOption{
-				"agg": {WithMode(ModeReeval), Isolated()},
-			},
-			feed: feedSensorRows("s", 200, 7, 5),
-		},
 	}
 	for _, fc := range cases {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
-			fused := runFuseCase(t, fc, false)
-			unfused := runFuseCase(t, fc, true)
+			got := runFuseCase(t, fc, false)
+			want := runFuseCase(t, fc, true)
 			for name := range fc.queries {
-				f, u := fused[name], unfused[name]
-				if len(f) != len(u) {
-					t.Fatalf("%s: fused %d rows, unfused %d rows", name, len(f), len(u))
+				g, w := got[name], want[name]
+				if len(g) != len(w) {
+					t.Fatalf("%s: %d results, re-evaluation %d", name, len(g), len(w))
 				}
-				for i := range f {
-					if f[i] != u[i] {
-						t.Fatalf("%s row %d: fused %q != unfused %q", name, i, f[i], u[i])
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("%s result %d:\n%s\nre-evaluation:\n%s", name, i, g[i], w[i])
 					}
 				}
-				if len(f) == 0 {
+				if strings.Join(g, "") == "" {
 					t.Errorf("%s: produced no rows — workload exercises nothing", name)
 				}
 			}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"datacell"
-	"datacell/internal/bat"
 )
 
 // BenchResult is one measured benchmark configuration — the JSON unit of
@@ -255,122 +254,6 @@ func JoinShared(queries int, isolated bool, n, batch, nkeys int) BenchResult {
 	}
 }
 
-// wideChunks draws n rows of the 8-column fused-scan stream (ts, k, v,
-// p1..p5). The five payload columns widen the tuples so the per-operator
-// intermediate chunks the unfused executor materializes — exactly what
-// fusion removes — carry real copy cost, as they do on production schemas.
-func wideChunks(n, batch, nkeys int) []*bat.Chunk {
-	names := []string{"ts", "k", "v"}
-	kinds := []bat.Kind{bat.Time, bat.Int, bat.Float}
-	for p := 1; p <= widePayloadCols; p++ {
-		names = append(names, fmt.Sprintf("p%d", p))
-		kinds = append(kinds, bat.Float)
-	}
-	sch := bat.NewSchema(names, kinds)
-	var out []*bat.Chunk
-	for pos := 0; pos < n; {
-		take := batch
-		if pos+take > n {
-			take = n - pos
-		}
-		cols := make([]bat.Vector, len(names))
-		ts := make(bat.Times, take)
-		ks := make(bat.Ints, take)
-		vs := make(bat.Floats, take)
-		for i := 0; i < take; i++ {
-			g := pos + i
-			ts[i] = int64(g)
-			ks[i] = int64(g*2654435761) % int64(nkeys)
-			if ks[i] < 0 {
-				ks[i] += int64(nkeys)
-			}
-			vs[i] = float64(g%1000) * 0.5
-		}
-		cols[0], cols[1], cols[2] = ts, ks, vs
-		for p := 3; p < len(cols); p++ {
-			ps := make(bat.Floats, take)
-			for i := 0; i < take; i++ {
-				ps[i] = float64((pos+i+p)%977) * 0.25
-			}
-			cols[p] = ps
-		}
-		out = append(out, &bat.Chunk{Schema: sch, Cols: cols})
-		pos += take
-	}
-	return out
-}
-
-// widePayloadCols is the number of p<i> payload columns in the
-// fused-scan stream (19 columns total).
-const widePayloadCols = 16
-
-// FusedScan measures the PR-10 fused-tail benchmark: eight isolated
-// incremental filtered grouped sliding-window aggregates, thresholds
-// varying per query, over one wide 19-column stream. Fused (the
-// default) each tail runs filter → aggregate as one pass over a lazy
-// selection view, the leading filter is pushed into window slicing, and
-// the hash aggregate pre-sizes from observed group cardinality; with
-// NoFuse each step materializes a private intermediate chunk, nothing
-// is pushed below the window, and the hash table starts at the default
-// size. Selective filters on a wide schema are the workload shape
-// fusion is for: most of the window never deserves a wide copy. It
-// mirrors BenchmarkFusedScan in bench_test.go.
-// The caller passes the pre-built chunks so repeated samples (bestOf)
-// and the two ablation legs share one live data set — regenerating tens
-// of megabytes per sample turns the measurement into a GC benchmark.
-func FusedScan(noFuse bool, chunks []*bat.Chunk) BenchResult {
-	n := 0
-	for _, c := range chunks {
-		n += c.Rows()
-	}
-	runtime.GC()
-	eng := datacell.New(&datacell.Options{Workers: 1})
-	defer eng.Close()
-	ddl := "CREATE STREAM w (ts TIMESTAMP, k INT, v FLOAT"
-	for p := 1; p <= widePayloadCols; p++ {
-		ddl += fmt.Sprintf(", p%d FLOAT", p)
-	}
-	ddl += ")"
-	if _, err := eng.Exec(ddl); err != nil {
-		panic(err)
-	}
-	// Eight isolated members with per-query thresholds: each owns its
-	// slicers and fused chain, so the tail work the executor fuses scales
-	// with Q while the one-time ingest copy into the stream's basket —
-	// identical in both legs — amortizes across the members. NoMemo keeps
-	// every member's pipeline out of its private group's operator DAG,
-	// which is fused either way: the chunked leg then really runs the
-	// operator-at-a-time executor.
-	for j := 0; j < 8; j++ {
-		sql := fmt.Sprintf(
-			"SELECT k, sum(v) AS s, count(*) AS n FROM w [SIZE 8192 SLIDE 2048] WHERE v > %d.0 GROUP BY k", 300+j*25)
-		opts := []datacell.RegisterOption{datacell.WithMode(datacell.ModeIncremental),
-			datacell.Isolated(), datacell.NoMemo(), datacell.NoChannel()}
-		if noFuse {
-			opts = append(opts, datacell.NoFuse())
-		}
-		if _, err := eng.RegisterQuery(fmt.Sprintf("q%d", j), sql, opts...); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	for _, c := range chunks {
-		_ = eng.Append("w", c)
-	}
-	eng.Drain()
-	wall := time.Since(start)
-	label := "fused"
-	if noFuse {
-		label = "chunked"
-	}
-	return BenchResult{
-		Name:         "fused_scan/" + label,
-		Tuples:       n,
-		WallSec:      wall.Seconds(),
-		TuplesPerSec: float64(n) / wall.Seconds(),
-	}
-}
-
 // PlanCacheBench measures the PR-10 registration-storm benchmark: regs
 // shared-group registrations on one stream, timed over the registration
 // loop only (no data flows). Warm registers the identical SQL text every
@@ -445,15 +328,6 @@ func PlanCacheBench(warm bool, regs int) BenchResult {
 //	                         on / forced through the coordinator's control
 //	                         links (NoDirect) — the tentpole's win chart.
 //	                         Report-only.
-//	fused_vs_chunked:        eight isolated filtered grouped aggregates
-//	                         over one wide 19-column stream on the fused
-//	                         tail executor (lazy selection views,
-//	                         cardinality-hinted hash aggregation) / the
-//	                         same queries with NoFuse (operator-at-a-time,
-//	                         a materialized chunk per step). The median of
-//	                         per-round back-to-back
-//	                         ratios. Floored ≥1.3× on every machine class —
-//	                         fusion is a single-core win.
 //	plancache_ratio:         512 shared-group registrations of identical
 //	                         SQL text (warm: plan-cache hits skip parse/
 //	                         bind/optimize/decompose) / 512 with distinct
@@ -585,45 +459,6 @@ func CIBench(quick bool, match string) *BenchReport {
 		// and a run is tens of windows either way.
 		isolated := isolated
 		add(bestOf(2, func() BenchResult { return JoinShared(16, isolated, 1<<14, batch, 256) }))
-	}
-	if want("fused_scan/fused") || want("fused_scan/chunked") {
-		// The pair stays at full size in quick mode: it feeds a floor, and
-		// a run this small is noise-dominated. Samples interleave the two
-		// legs (fused, chunked, fused, ...) instead of exhausting one
-		// before the other: heap growth, GC pacing and CPU-frequency drift
-		// within the process then land on both sides of the ratio alike.
-		wideCh := wideChunks(1<<18, 8192, 64)
-		var bestF, bestC BenchResult
-		var ratios []float64
-		for round := 0; round < 5; round++ {
-			f := FusedScan(false, wideCh)
-			c := FusedScan(true, wideCh)
-			if f.TuplesPerSec > bestF.TuplesPerSec {
-				bestF = f
-			}
-			if c.TuplesPerSec > bestC.TuplesPerSec {
-				bestC = c
-			}
-			if c.TuplesPerSec > 0 {
-				ratios = append(ratios, f.TuplesPerSec/c.TuplesPerSec)
-			}
-		}
-		if want("fused_scan/fused") {
-			add(bestF)
-		}
-		if want("fused_scan/chunked") {
-			add(bestC)
-		}
-		if len(ratios) == 5 {
-			// fused_vs_chunked is the median of the per-round ratios, not
-			// the ratio of the two bests: each round's legs run back-to-back
-			// under the same machine state, so load spikes and GC pacing
-			// cancel within a sample instead of landing on one side of the
-			// division. A floor gates this ratio, so it gets the robust
-			// estimator.
-			sort.Float64s(ratios)
-			rep.Derived["fused_vs_chunked"] = ratios[len(ratios)/2]
-		}
 	}
 	for _, warm := range []bool{true, false} {
 		label := "cold"
@@ -781,7 +616,7 @@ func ReadBenchReport(path string) (*BenchReport, error) {
 // tuples/s are not).
 var trackedDerived = []string{"shard4_vs_shard1", "grouped16_vs_isolated16",
 	"memo16_vs_nomemo16", "sharedmerge16_vs_nosharedmerge16",
-	"joinshared16_vs_isolated16", "fused_vs_chunked", "plancache_ratio",
+	"joinshared16_vs_isolated16", "plancache_ratio",
 	"codec_delta_ratio", "codec_dict_ratio"}
 
 // GateBenchReports is the regression gate over the bench trajectory: the

@@ -161,12 +161,13 @@ func runDiffFabric(t *testing.T, ddl string, nWorkers int, qs []diffQuery, sChun
 	return out
 }
 
-// TestFabricDifferentialNoFuse is the cross-executor spot-check: the
-// local leg runs with the fused tail executor ablated (NoFuse) while the
-// fabric leg keeps the fused default. Byte-identical results pin the
-// fusion contract across the wire — fused-over-fabric equals
-// unfused-local equals (by TestFabricDifferential) fused-local.
-func TestFabricDifferentialNoFuse(t *testing.T) {
+// TestFabricDifferentialPrivate is the cross-path spot-check: the local
+// leg runs every member's tail privately (NoMemo and NoSharedMerge: each
+// member's own compiled pipelines, merge and post-merge chain) while the
+// fabric leg keeps the shared default. Byte-identical results pin the
+// sharing contract across the wire — shared-over-fabric equals
+// private-local equals (by TestFabricDifferential) shared-local.
+func TestFabricDifferentialPrivate(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -179,16 +180,16 @@ func TestFabricDifferentialNoFuse(t *testing.T) {
 			sChunks := diffChunks(rng, 150, nkeys)
 			rChunks := diffChunks(rng, 150, nkeys)
 			qs := diffWorkload(rng, size, slide)
-			ablated := make([]diffQuery, len(qs))
+			private := make([]diffQuery, len(qs))
 			for i, dq := range qs {
 				opts := *dq.opts
-				opts.NoFuse = true
-				ablated[i] = diffQuery{dq.sql, &opts}
+				opts.NoMemo, opts.NoSharedMerge = true, true
+				private[i] = diffQuery{dq.sql, &opts}
 			}
 
-			local := runDiffLocal(t, ddl, ablated, sChunks, rChunks)
+			local := runDiffLocal(t, ddl, private, sChunks, rChunks)
 			fab := runDiffFabric(t, ddl, 2, qs, sChunks, rChunks)
-			assertSameResults(t, fmt.Sprintf("nofuse seed=%d size=%d slide=%d", seed, size, slide), fab, local)
+			assertSameResults(t, fmt.Sprintf("private seed=%d size=%d slide=%d", seed, size, slide), fab, local)
 		})
 	}
 }

@@ -30,9 +30,9 @@ import (
 // one, its pipeline leaf otherwise — so a view materializes (latched,
 // once across all members) only when a non-aggregate member's chain ends
 // at that node and its ring needs the dense chunk. Filter nodes under
-// aggregate members never materialize. Bytes are identical to the former
-// chunk-per-node memo: materializing a filter view IS the FetchChunk the
-// unfused step performed eagerly.
+// aggregate members never materialize. Bytes are identical to a
+// chunk-per-node memo: materializing a filter view IS the FetchChunk a
+// dense filter would perform eagerly.
 //
 // Every live node holds a dense ordinal, its index into a window's memo
 // slab (dagWin.cells), so a member's per-window lookup is an index, not a

@@ -66,8 +66,9 @@ func TestDagOrdinalReuseNeverAliases(t *testing.T) {
 
 // TestQuickMergePartialsMatchesConcat: merging a window's partial
 // aggregates as runs through the merge plan is byte-identical to the
-// unfused merge of their concatenation, for integer and string keys,
-// every aggregate op, empty and missing partials, and one to five runs.
+// merge of their concatenation as one dense chunk, for integer and string
+// keys, every aggregate op, empty and missing partials, and one to five
+// runs.
 func TestQuickMergePartialsMatchesConcat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, keyKind := range []bat.Kind{bat.Int, bat.Str} {
@@ -106,7 +107,7 @@ func TestQuickMergePartialsMatchesConcat(t *testing.T) {
 				rows += p.Rows()
 			}
 			got := mergePartials(merge, parts)
-			want := plan.MergeAggregate(agg, bat.Concat(agg.Out, present, rows))
+			want := kernel.Aggregate(merge, kernel.NewView(bat.Concat(agg.Out, present, rows)), 0)
 			if got.String() != want.String() {
 				t.Fatalf("%v keys, round %d:\nruns:\n%s\nconcat:\n%s", keyKind, round, got, want)
 			}

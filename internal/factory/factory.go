@@ -6,14 +6,14 @@
 // in its output baskets. The factory remains active as long as the
 // continuous query remains in the system."
 //
-// A factory runs in one of the paper's two execution modes:
-//
-//   - Re-evaluation (mode 1): every firing materializes the full current
-//     window (or the new batch, for non-windowed queries) and runs the
-//     complete plan.
-//   - Incremental (mode 2): per-basic-window intermediates are computed
-//     once, cached in columnar form, and merged per slide according to the
-//     plan decomposition.
+// A factory runs in one of the paper's two execution modes, both on the
+// kernel operators (internal/kernel), which differ only in what they feed:
+//   - Re-evaluation (mode 1): every firing runs the complete plan
+//     (kernel.Run) over the full current window, one view over its basic
+//     windows' runs (or over the new batch, for non-windowed queries).
+//   - Incremental (mode 2): compiled per-basic-window chains compute
+//     intermediates once, cached in columnar form and merged per slide
+//     according to the plan decomposition.
 //
 // Every continuous query runs as a member of an execution group (Group):
 // the group's front ends drain every shard of every input basket, cut the
@@ -98,15 +98,6 @@ type Config struct {
 	// to measure what sharing past the merge boundary buys; it never
 	// changes results.
 	NoSharedMerge bool
-	// NoFuse disables the fused vectorized tail executor for this
-	// factory's private evaluation paths: per-basic-window pipelines run
-	// the classic one-materialized-chunk-per-operator executor
-	// (plan.Exec), no predicates push into the slice step, and grouping
-	// hash tables keep their fixed default capacity. A group's shared
-	// operator DAG is structural and stays fused either way. Results are
-	// byte-identical with or without; benchmarks and the ablation
-	// equivalence suite use it to measure (and prove) what fusion buys.
-	NoFuse bool
 	// Emit receives every evaluation's result set.
 	Emit emitter.Emitter
 	// Now supplies the wall clock in microseconds; defaults to the system
@@ -144,12 +135,13 @@ type Factory struct {
 	cfg    Config
 	inputs []*input
 	jc     *window.SharedPairCache // the group's pair cache (join plans)
-	// pipes holds one compiled fused pipeline per decomposition pipeline
-	// (nil entries fall back to the unfused plan.Exec executor): the
-	// kernel-fused per-basic-window chains a member runs when the group's
-	// DAG did not resolve its window. Empty when NoFuse or when the
-	// factory has no decomposition.
+	// pipes holds one compiled pipeline per decomposition pipeline: the
+	// per-basic-window chains a member runs when the group's DAG did not
+	// resolve its window. post is the compiled post-merge chain (nil when
+	// the decomposition has none), the same steps the group's post-merge
+	// trie registers. Both are unset without a decomposition.
 	pipes []*kernel.Pipeline
+	post  *kernel.Pipeline
 	// reevalJoin marks a re-evaluation-mode join whose plan decomposes:
 	// the full-window recompute is expressed as the merge of cached
 	// basic-window pairs through the group's pair cache instead of
@@ -203,17 +195,25 @@ func New(cfg Config) (*Factory, error) {
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("factory %s: plan reads no stream", cfg.Name)
 	}
-	if cfg.Decomp != nil && (cfg.Mode == Incremental || f.reevalJoin) && !cfg.NoFuse {
-		// Compile the fused per-basic-window chains. Single-stream
-		// aggregate plans skip materializing the pipeline output: only the
-		// per-window partials merge downstream, so the filtered
-		// intermediate chunk is never reconstructed.
-		needOut := cfg.Decomp.Agg == nil
-		f.pipes = make([]*kernel.Pipeline, len(cfg.Decomp.Pipelines))
-		for i := range cfg.Decomp.Pipelines {
-			if kp, ok := kernel.Compile(cfg.Decomp, i, cfg.Decomp.Agg, needOut); ok {
-				f.pipes[i] = kp
+	if d := cfg.Decomp; d != nil && (cfg.Mode == Incremental || f.reevalJoin) {
+		// Compile the per-basic-window chains and the post-merge chain.
+		// Single-stream aggregate plans skip materializing the pipeline
+		// output: only the per-window partials merge downstream, so the
+		// filtered intermediate chunk is never reconstructed.
+		f.pipes = make([]*kernel.Pipeline, len(d.Pipelines))
+		for i := range d.Pipelines {
+			kp, ok := kernel.Compile(d, i, d.Agg, d.Agg == nil)
+			if !ok {
+				return nil, fmt.Errorf("factory %s: pipeline of %s does not linearize", cfg.Name, d.Pipelines[i].Scan.Alias)
 			}
+			f.pipes[i] = kp
+		}
+		if d.Post != nil {
+			steps, ok := d.PostStepsMemo(d.ClassKeyMemo())
+			if !ok {
+				return nil, fmt.Errorf("factory %s: post-merge fragment does not linearize", cfg.Name)
+			}
+			f.post = kernel.Chain(steps, nil, true)
 		}
 	}
 	for _, s := range scans {
@@ -338,16 +338,6 @@ func (f *Factory) RecentLatencies() []int64 {
 	return out
 }
 
-// pipe returns the compiled fused pipeline for input idx, or nil when the
-// factory runs unfused (NoFuse, no decomposition, or a chain the
-// linearizer rejected).
-func (f *Factory) pipe(idx int) *kernel.Pipeline {
-	if idx >= len(f.pipes) {
-		return nil
-	}
-	return f.pipes[idx]
-}
-
 // evalBatch handles non-windowed continuous queries: the paper's mode 1
 // applied to each arriving batch (one basket segment, handed over as a
 // basic window). The batch feeds its own scan; any other stream scans in
@@ -355,12 +345,11 @@ func (f *Factory) pipe(idx int) *kernel.Pipeline {
 // their data arrives. The batch's data is released after evaluation.
 func (f *Factory) evalBatch(scan *plan.ScanStream, bw *window.BW) int {
 	defer bw.ReleaseData()
-	ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{scan: bw.Data.Concat()}}
-	out, err := ex.Run(f.cfg.Full)
+	out, err := kernel.Run(f.cfg.Full, map[plan.Node]*kernel.View{scan: kernel.RunsView(bw.Data)})
 	if err != nil {
 		return 0
 	}
-	f.emit(out, bw.MaxArrival, genIsSeq)
+	f.emit(out.Materialize(), bw.MaxArrival, genIsSeq)
 	return 1
 }
 
@@ -385,15 +374,15 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 		if !f.ringsFull() {
 			return 0
 		}
-		ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{}}
+		leaves := make(map[plan.Node]*kernel.View, len(f.inputs))
 		for _, i2 := range f.inputs {
-			ex.StreamInputs[i2.scan] = i2.ring.ConcatData(i2.scan.Out)
+			leaves[i2.scan] = kernel.RunsView(i2.ring.Runs(i2.scan.Out))
 		}
-		out, err := ex.Run(f.cfg.Full)
+		out, err := kernel.Run(f.cfg.Full, leaves)
 		if err != nil {
 			return 0
 		}
-		f.emit(out, f.triggerArrival(bw), bw.Gen)
+		f.emit(out.Materialize(), f.triggerArrival(bw), bw.Gen)
 		return 1
 	}
 	return f.incrementalStep(idx, bw)
@@ -450,23 +439,8 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		// Per-basic-window pipeline over the raw tuples: the path for
 		// members whose pipeline is not in the group's DAG (the DAG
 		// resolves Partial, or Out for plans without an aggregate, before
-		// the tail runs). A pipeline error substitutes an empty
-		// intermediate so the ring stays window-aligned and the shared
-		// buffer is still released below.
-		if kp := f.pipe(idx); kp != nil {
-			bw.Out, bw.Partial = kp.RunRuns(bw.Data)
-		} else {
-			pipe := d.Pipelines[idx]
-			ex := &plan.Exec{StreamInputs: map[*plan.ScanStream]*bat.Chunk{pipe.Scan: bw.Data.Concat()}}
-			out, err := ex.Run(pipe.Root)
-			if err != nil {
-				out = bat.NewChunk(pipe.Root.Schema())
-			}
-			bw.Out = out
-			if d.Agg != nil {
-				bw.Partial = plan.RunAggregate(d.Agg, out)
-			}
-		}
+		// the tail runs).
+		bw.Out, bw.Partial = f.pipes[idx].RunRuns(bw.Data)
 	}
 	// The cached intermediates replace the raw tuples, so they (and a
 	// group member's share of the buffer) are released now rather than at
@@ -474,21 +448,12 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	bw.ReleaseData()
 
 	evict(in.ring.Push(bw))
-	if bw.Final != nil || bw.Merged != nil {
+	if bw.Final != nil {
 		// Shared merge: the member's merge class resolved the full-window
-		// merged view (and, for Final, the post-merge fragment) once for
-		// every class member; the ring above only tracks window alignment
-		// for the private fallback path.
-		result := bw.Final
-		if result == nil {
-			ex := &plan.Exec{MergedInputs: map[*plan.Merged]*bat.Chunk{d.MergedLeaf: bw.Merged}}
-			out, err := ex.Run(d.Post)
-			if err != nil {
-				return 0
-			}
-			result = out
-		}
-		f.emit(result, f.triggerArrival(bw), bw.Gen)
+		// merged view and the post-merge fragment once for every class
+		// member; the ring above only tracks window alignment for the
+		// private path.
+		f.emit(bw.Final, f.triggerArrival(bw), bw.Gen)
 		return 1
 	}
 	if f.jc != nil {
@@ -522,16 +487,10 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		merged = in.ring.ConcatOuts(d.MergedLeaf.Out)
 	}
 
-	result := merged
-	if d.Post != nil {
-		ex := &plan.Exec{MergedInputs: map[*plan.Merged]*bat.Chunk{d.MergedLeaf: merged}}
-		out, err := ex.Run(d.Post)
-		if err != nil {
-			return 0
-		}
-		result = out
+	if f.post != nil {
+		merged, _ = f.post.Run(merged)
 	}
-	f.emit(result, f.triggerArrival(bw), bw.Gen)
+	f.emit(merged, f.triggerArrival(bw), bw.Gen)
 	return 1
 }
 

@@ -410,9 +410,8 @@ type Member struct {
 	aggLeaf *dagNode   // partial-aggregate node (one-sided groups only)
 	// partialsOnly: the member is an incremental aggregate whose tail
 	// keeps nothing of a basic window but its partial aggregate, computed
-	// by a kernel — through aggLeaf, or through the factory's fused
-	// pipeline, which leaves Out nil for aggregate plans. (The unfused
-	// executor's Out can be a view of the raw runs.)
+	// by a kernel — through aggLeaf, or through the factory's pipeline,
+	// which leaves Out nil for aggregate plans.
 	partialsOnly bool
 
 	// parts is the member's window extent in basic windows: its merge
@@ -424,15 +423,13 @@ type Member struct {
 	pc    *window.SharedPairCache
 
 	// Shared-merge state. classKey is the member's merge-class key (""
-	// when the member merges privately: re-evaluation scans, non-
-	// linearizing pipelines, NoMemo, or NoSharedMerge) and class the
+	// when the member merges privately: re-evaluation scans, NoMemo, or
+	// NoSharedMerge) and class the
 	// class itself. postLeaf is the member's post-merge chain in the
-	// class's post-merge trie (nil when the plan has no post fragment, or
-	// when it did not linearize — hasPost distinguishes the two).
+	// class's post-merge trie (nil when the plan has no post fragment).
 	classKey string
 	class    *mergeClass
 	postLeaf *dagNode
-	hasPost  bool
 
 	// seen counts the windows fanned out to this member per side; a
 	// one-sided member's windows are numbered by it. It is touched only
@@ -625,9 +622,9 @@ func (g *Group) PairStats() (caches, pairs int, computed int64) {
 // basic window of each side; tuples already buffered in the group's open
 // epochs are included in it.
 //
-// A member whose per-basic-window pipelines linearize (plan.PipelineSteps)
-// registers them in the side DAGs, unless the factory opted out (NoMemo);
-// in a one-sided group this takes an incremental plan, and its
+// A member registers its linearized per-basic-window pipelines
+// (plan.PipelineSteps) in the side DAGs, unless the factory opted out
+// (NoMemo); in a one-sided group this takes an incremental plan, and its
 // partial-aggregate stage registers too. Such a member additionally joins
 // the merge class of its merge key (unless NoSharedMerge) and registers
 // its post-merge fragment in the post-merge trie, so once a second member
@@ -642,31 +639,24 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	joined := d != nil && d.Join != nil
 	piped := d != nil && !fac.cfg.NoMemo && (joined || n == 1 && fac.cfg.Mode == Incremental)
 	if piped {
+		// factory.New compiled these pipelines, so they linearize.
 		for s := range g.sides {
-			steps, ok := d.StepsMemo(s)
-			switch {
-			case !ok:
-				piped = false
-			case n == 1:
+			steps, _ := d.StepsMemo(s)
+			if n == 1 {
 				m.leaf[s], m.aggLeaf = g.sides[s].dag.register(steps, d.Agg, d.AggFingerprintMemo())
-			default:
+			} else {
 				m.leaf[s], _ = g.sides[s].dag.register(steps, nil, "")
 			}
 		}
 	}
 	if piped && !fac.cfg.NoSharedMerge {
-		// The member's pipelines linearized into the side DAGs, so its
-		// merged view is a deterministic function of the class rings. A
-		// join class key embeds the join fingerprint, which covers both
-		// side pipelines: class siblings necessarily share a pair cache.
-		if n == 1 {
-			m.classKey, _ = d.MergeKeyMemo()
-		} else {
-			m.classKey, _ = d.JoinMergeKeyMemo()
-		}
+		// The member's pipelines are in the side DAGs, so its merged view
+		// is a deterministic function of the class rings. A join class key
+		// embeds the join fingerprint, which covers both side pipelines:
+		// class siblings necessarily share a pair cache.
+		m.classKey = d.ClassKeyMemo()
 	}
-	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil &&
-		(m.aggLeaf != nil || fac.pipe(0) != nil)
+	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil
 	if d != nil {
 		// A join decomposition requires the two sides' windows to slide in
 		// lockstep, so their extents agree today — take the max anyway so
@@ -696,10 +686,9 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		}
 		m.class = mc
 		if d.Post != nil {
-			m.hasPost = true
-			if psteps, ok := d.PostStepsMemo(m.classKey); ok {
-				m.postLeaf, _ = mc.post.register(psteps, nil, "")
-			}
+			// factory.New compiled this chain, so it linearizes.
+			psteps, _ := d.PostStepsMemo(m.classKey)
+			m.postLeaf, _ = mc.post.register(psteps, nil, "")
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
@@ -1060,14 +1049,9 @@ func (m *Member) Fire() int {
 			} else {
 				m.g.mergeHits.Add(1)
 			}
-			switch {
-			case m.postLeaf != nil:
+			if m.postLeaf != nil {
 				bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
-			case m.hasPost:
-				// Post fragment exists but did not linearize: the tail runs
-				// it privately over the shared merged view.
-				bw.Merged = merged
-			default:
+			} else {
 				bw.Final = merged
 			}
 		}

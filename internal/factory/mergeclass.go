@@ -216,8 +216,8 @@ func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
 // merge plan (plan.MergePlan) run by kernel.Aggregate over the partials
 // as runs. The kernel gathers the runs' key and argument columns into
 // pooled scratch and accumulates in one order, the concatenation's, so
-// the result is byte-identical to plan.MergeAggregate over the
-// concatenated partials without building that chunk. The largest partial
+// the result is byte-identical to the merge over the concatenated
+// partials without building that chunk. The largest partial
 // pre-sizes the grouping: the window has at least that many groups.
 func mergePartials(merge *plan.Aggregate, parts []*bat.Chunk) *bat.Chunk {
 	runs := bat.Runs{Schema: merge.Out, Chunks: make([]*bat.Chunk, 0, len(parts))}

@@ -1,7 +1,10 @@
-// Package kernel is the fused vectorized tail executor: lazy chunked
-// views composed by per-operator kernels, so a per-basic-window pipeline
-// (filter → project → partial aggregate) runs as one pass over the bat
-// vectors instead of materializing an intermediate chunk per operator.
+// Package kernel is DataCell's one plan evaluator: every operator of
+// every plan — a per-basic-window pipeline, a post-merge fragment, a
+// re-evaluated full window, a non-windowed batch, a one-time query —
+// runs on the kernels here, over lazy views. The paper's two continuous
+// modes differ only in what they feed a plan: re-evaluation (mode 1)
+// feeds Run the whole window, incremental (mode 2) feeds compiled
+// per-basic-window pipelines and then the merge of their intermediates.
 //
 // The fusion mechanism is the candidate list (algebra.Sel). Every expr
 // evaluator is dense-over-sel — e.Eval(c, sel) equals
@@ -25,19 +28,19 @@
 //     dense chunk.
 //   - Aggregate reads column-reference keys and arguments in place
 //     (base column + selection) and evaluates computed ones under the
-//     selection — byte-identical to plan.RunAggregate over the
-//     materialized input, without building it or copying any column.
-//   - Anything else (static-table joins, post-merge sorts) materializes
-//     the view and falls back to plan.ApplyStep, so fused chains evaluate
-//     exactly what the unfused executor would.
+//     selection — byte-identical to grouping the materialized input,
+//     without building it or copying any column.
+//   - Distinct, Sort, Limit and Join read materialized views: they
+//     reorder or pair rows, so they need dense columns anyway.
 //
 // A view may also be a sequence of runs (RunsView): a sharded basic
-// window is its shards' basket-segment runs in canonical order, and the
-// kernels read through them instead of copying them together first.
-// Filter and column-reference Project map over the runs (one selection
-// per run, still nothing copied) and a computed Project evaluates per
-// run. Materialize gathers the runs' selected rows into one dense chunk,
-// and Aggregate gathers only its key and argument columns, only at the
+// window is its shards' basket-segment runs in canonical order, and a
+// re-evaluated window is its basic windows' runs, and the kernels read
+// through them instead of copying them together first. Filter and
+// column-reference Project map over the runs (one selection per run,
+// still nothing copied) and a computed Project evaluates per run.
+// Materialize gathers the runs' selected rows into one dense chunk, and
+// Aggregate gathers only its key and argument columns, only at the
 // selected rows, into pooled scratch vectors (they live for one call),
 // then groups and aggregates them in one pass — one accumulation order,
 // the one a concatenated window would have, so results never depend on
@@ -45,9 +48,11 @@
 // timing). Every operator over runs is byte-identical to the same
 // operator over bat.Concat of the runs.
 //
-// Byte identity with the unfused path (plan.Exec / plan.ApplyStep) is the
-// package's contract — the NoFuse ablation and the fabric differential
-// harness are its proof surface.
+// Byte identity between the modes is the package's contract: the
+// incremental-versus-re-evaluation matrix, the shared-merge and
+// recycling suites and the fabric differential harness are its proof
+// surface, and the package's tests check each kernel against a dense
+// reference evaluator.
 package kernel
 
 import (
@@ -138,8 +143,7 @@ func (v *View) Rows() int {
 
 // Materialize reconstructs the dense chunk (late tuple reconstruction:
 // one Fetch per column), caching the result. A nil selection returns the
-// base chunk itself — exactly what the unfused executor's FetchChunk
-// would have returned. A multi-run view gathers every run's selected rows
+// base chunk itself — exactly what FetchChunk would return. A multi-run view gathers every run's selected rows
 // into one dense chunk, byte-identical to FetchChunk over the
 // concatenated runs.
 //
@@ -268,8 +272,8 @@ func colRefs(exprs []expr.Expr) bool {
 // the aggregate kernels, so no surviving-row copy is ever built for them;
 // only computed expressions evaluate (densely) under the selection. The
 // grouping hash table pre-sizes from hint (observed per-window
-// cardinality; ≤ 0 falls back to the default). Output bytes equal
-// plan.RunAggregate over the materialized view for every hint.
+// cardinality; ≤ 0 falls back to the default). Output bytes equal the
+// dense aggregate over the materialized view for every hint.
 //
 // Over a multi-run view the keys and arguments are first gathered into
 // dense vectors — column references straight from each run at its
@@ -571,9 +575,11 @@ func (s *Step) Apply(v, dst *View) *View {
 	return ApplyStep(s.PipelineStep, v)
 }
 
-// ApplyStep runs one linearized pipeline operator over a view, fusing
-// where the operator admits it and falling back to the unfused
-// plan.ApplyStep over the materialized view otherwise.
+// ApplyStep runs one linearized plan operator over a view. Filter,
+// Project and Aggregate are the fused view kernels; Distinct, Sort and
+// Limit read the materialized view (Limit passes a short enough view
+// through untouched), and a static-table Join evaluates its table side
+// with Run and joins it with the materialized stream side.
 func ApplyStep(s plan.PipelineStep, v *View) *View {
 	switch t := s.Op.(type) {
 	case *plan.Filter:
@@ -582,9 +588,115 @@ func ApplyStep(s plan.PipelineStep, v *View) *View {
 		return Project(t.Exprs, t.Out, v)
 	case *plan.Aggregate:
 		return NewView(Aggregate(t, v, 0))
-	default:
-		return NewView(plan.ApplyStep(s, v.Materialize()))
+	case *plan.Distinct:
+		in := v.Materialize()
+		g := algebra.Group(in.Cols, nil, in.Rows())
+		g.Release()
+		return NewView(algebra.FetchChunk(in, g.Repr))
+	case *plan.Sort:
+		return NewView(sortChunk(t, v.Materialize()))
+	case *plan.Limit:
+		if int64(v.Rows()) <= t.N {
+			return v
+		}
+		return NewView(v.Materialize().Slice(0, int(t.N)))
+	case *plan.Join:
+		other := t.L
+		if s.StreamLeft {
+			other = t.R
+		}
+		o, err := Run(other, nil)
+		if err != nil {
+			return NewView(bat.NewChunk(t.Out))
+		}
+		l, r := o, v
+		if s.StreamLeft {
+			l, r = v, o
+		}
+		return NewView(JoinChunks(t, l.Materialize(), r.Materialize()))
 	}
+	return NewView(bat.NewChunk(s.Op.Schema()))
+}
+
+// Run evaluates a plan tree bottom-up: the one evaluator of every plan,
+// continuous or one-time. leaves supplies the views its stream-scan and
+// Merged leaves read (a missing entry reads as an empty chunk of the
+// leaf's schema); table scans read their current snapshot. Unary
+// operators run through ApplyStep, and a join joins its two
+// materialized sides.
+func Run(n plan.Node, leaves map[plan.Node]*View) (*View, error) {
+	switch t := n.(type) {
+	case *plan.ScanTable:
+		return NewView(t.Table.Snapshot()), nil
+	case *plan.ScanStream, *plan.Merged:
+		if v := leaves[n]; v != nil {
+			return v, nil
+		}
+		return NewView(bat.NewChunk(n.Schema())), nil
+	case *plan.Join:
+		l, err := Run(t.L, leaves)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Run(t.R, leaves)
+		if err != nil {
+			return nil, err
+		}
+		return NewView(JoinChunks(t, l.Materialize(), r.Materialize())), nil
+	case *plan.Filter, *plan.Project, *plan.Aggregate, *plan.Distinct, *plan.Sort, *plan.Limit:
+		in, err := Run(n.Children()[0], leaves)
+		if err != nil {
+			return nil, err
+		}
+		return ApplyStep(plan.PipelineStep{Op: n}, in), nil
+	}
+	return nil, fmt.Errorf("kernel: cannot execute %T", n)
+}
+
+// JoinChunks joins two dense inputs: a hash join on the node's key
+// columns (a nested-loop cross product when it has none), then its
+// residual predicate. The window layer joins cached basic-window
+// intermediates with it.
+func JoinChunks(t *plan.Join, l, r *bat.Chunk) *bat.Chunk {
+	var lout, rout []int32
+	if len(t.LKeys) > 0 {
+		lkeys := make([]bat.Vector, len(t.LKeys))
+		rkeys := make([]bat.Vector, len(t.RKeys))
+		for i := range t.LKeys {
+			lkeys[i] = l.Cols[t.LKeys[i]]
+			rkeys[i] = r.Cols[t.RKeys[i]]
+		}
+		lout, rout = algebra.HashJoin(lkeys, rkeys, nil, nil)
+	} else {
+		lout, rout = algebra.NestedLoopJoin(l.Rows(), r.Rows(), nil, nil,
+			func(_, _ int32) bool { return true })
+	}
+	cols := make([]bat.Vector, 0, len(l.Cols)+len(r.Cols))
+	for _, c := range l.Cols {
+		cols = append(cols, algebra.Gather(c, lout))
+	}
+	for _, c := range r.Cols {
+		cols = append(cols, algebra.Gather(c, rout))
+	}
+	out := &bat.Chunk{Schema: t.Out, Cols: cols}
+	if t.Residual != nil {
+		out = algebra.FetchChunk(out, expr.EvalPred(t.Residual, out, nil))
+	}
+	return out
+}
+
+// sortChunk orders a dense chunk by the node's sort keys.
+func sortChunk(t *plan.Sort, in *bat.Chunk) *bat.Chunk {
+	keys := make([]algebra.SortKey, len(t.Keys))
+	for i, k := range t.Keys {
+		keys[i] = algebra.SortKey{Col: in.Cols[k.Col], Desc: k.Desc}
+	}
+	idx := algebra.Order(keys, nil, in.Rows())
+	cols := make([]bat.Vector, len(in.Cols))
+	for i, c := range in.Cols {
+		cols[i] = algebra.Gather(c, idx)
+	}
+	return &bat.Chunk{Schema: in.Schema, Cols: cols}
 }
 
 // Pipeline is one compiled fused per-basic-window chain: the linearized
@@ -610,25 +722,30 @@ type Pipeline struct {
 // partial-aggregate stage (nil when the decomposition has none); needOut
 // asks Run to materialize the pipeline output chunk even for aggregate
 // chains. ok is false when the pipeline contains a shape PipelineSteps
-// cannot linearize — the caller then keeps the unfused executor for this
-// pipeline.
+// cannot linearize, which Decompose never produces.
 func Compile(d *plan.Decomposition, side int, agg *plan.Aggregate, needOut bool) (*Pipeline, bool) {
 	steps, ok := d.StepsMemo(side)
 	if !ok {
 		return nil, false
 	}
+	return Chain(steps, agg, needOut), true
+}
+
+// Chain compiles linearized operator steps — a per-basic-window pipeline
+// or a post-merge fragment (plan.PostSteps) — and an optional terminal
+// aggregate into a pipeline.
+func Chain(steps []plan.PipelineStep, agg *plan.Aggregate, needOut bool) *Pipeline {
 	kp := &Pipeline{steps: make([]Step, len(steps)), agg: agg, needOut: needOut}
 	for i, st := range steps {
 		kp.steps[i] = CompileStep(st)
 	}
-	return kp, true
+	return kp
 }
 
 // Run evaluates the fused chain over one dense basic-window chunk. out is
 // the pipeline output chunk (nil when the chain terminates in an
 // aggregate and needOut is false); partial is the partial-aggregate chunk
-// (nil when the chain has no aggregate stage). Both are byte-identical to
-// the unfused executor's results over the same fragment.
+// (nil when the chain has no aggregate stage).
 func (kp *Pipeline) Run(raw *bat.Chunk) (out, partial *bat.Chunk) {
 	return kp.run(NewView(raw))
 }

@@ -79,9 +79,9 @@ func TestFilterComposition(t *testing.T) {
 
 	fused := Filter(p2, Filter(p1, NewView(c))).Materialize()
 
-	step1 := plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: p1}}, c)
-	unfused := plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: p2}}, step1)
-	mustEqualChunks(t, fused, unfused, "composed filters")
+	step1 := refStep(plan.PipelineStep{Op: &plan.Filter{Pred: p1}}, c)
+	dense := refStep(plan.PipelineStep{Op: &plan.Filter{Pred: p2}}, step1)
+	mustEqualChunks(t, fused, dense, "composed filters")
 }
 
 func TestProjectUnderSelection(t *testing.T) {
@@ -94,16 +94,16 @@ func TestProjectUnderSelection(t *testing.T) {
 
 	fused := Project(proj.Exprs, proj.Out, Filter(pred, NewView(c))).Materialize()
 
-	filtered := plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, c)
-	unfused := plan.ApplyStep(plan.PipelineStep{Op: proj}, filtered)
-	mustEqualChunks(t, fused, unfused, "project under sel")
+	filtered := refStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, c)
+	dense := refStep(plan.PipelineStep{Op: proj}, filtered)
+	mustEqualChunks(t, fused, dense, "project under sel")
 }
 
 // TestCompiledProjectMatchesUnfused: a compiled column-reference
 // projection over a filtered view (reordering and repeating columns)
 // attaches its column map without building a chunk, and every consumer
 // of the re-indexed view — Materialize, a further filter, an aggregate —
-// reads exactly what the unfused executor computes over the projected
+// reads exactly what the dense reference computes over the projected
 // rows. With no selection the materialized chunk shares the base columns.
 func TestCompiledProjectMatchesUnfused(t *testing.T) {
 	c := testChunk(64)
@@ -118,14 +118,14 @@ func TestCompiledProjectMatchesUnfused(t *testing.T) {
 	if v != &cell || v.proj == nil {
 		t.Fatal("compiled projection of a single-run view did not re-index in place")
 	}
-	unfused := plan.ApplyStep(proj, plan.ApplyStep(filter, c))
-	mustEqualChunks(t, v.Materialize(), unfused, "compiled project")
+	dense := refStep(proj, refStep(filter, c))
+	mustEqualChunks(t, v.Materialize(), dense, "compiled project")
 
 	pred := cmp(algebra.LT, col(0, bat.Float), floatConst(2))
 	again := fs.Apply(ps.Apply(NewView(c), nil), nil)
 	refilter := Filter(pred, again)
 	mustEqualChunks(t, refilter.Materialize(),
-		plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, plan.ApplyStep(filter, plan.ApplyStep(proj, c))),
+		refStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, refStep(filter, refStep(proj, c))),
 		"filter over re-indexed view")
 
 	agg := &plan.Aggregate{
@@ -133,7 +133,7 @@ func TestCompiledProjectMatchesUnfused(t *testing.T) {
 		Aggs: []plan.AggSpec{{Op: algebra.AggSum, Arg: col(2, bat.Float), Name: "s"}},
 		Out:  bat.Schema{Names: []string{"k", "s"}, Kinds: []bat.Kind{bat.Int, bat.Float}},
 	}
-	mustEqualChunks(t, Aggregate(agg, v, 0), plan.RunAggregate(agg, unfused), "aggregate over re-indexed view")
+	mustEqualChunks(t, Aggregate(agg, v, 0), refAggregate(agg, dense), "aggregate over re-indexed view")
 
 	whole := ps.Apply(NewView(c), nil).Materialize()
 	if firstFloat(whole.Cols[0]) != firstFloat(c.Cols[2]) {
@@ -143,8 +143,8 @@ func TestCompiledProjectMatchesUnfused(t *testing.T) {
 
 func firstFloat(v bat.Vector) *float64 { return &v.(bat.Floats)[0] }
 
-// TestApplyStepFallback routes an operator the fused executor does not
-// specialize (Limit) through the materialize-and-fall-back path.
+// TestApplyStepFallback routes an operator that reads the materialized
+// view (Limit) through ApplyStep.
 func TestApplyStepFallback(t *testing.T) {
 	c := testChunk(16)
 	pred := cmp(algebra.LT, col(0, bat.Time), intConst(10))
@@ -152,14 +152,15 @@ func TestApplyStepFallback(t *testing.T) {
 
 	fused := ApplyStep(lim, Filter(pred, NewView(c))).Materialize()
 
-	filtered := plan.ApplyStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, c)
-	unfused := plan.ApplyStep(lim, filtered)
-	mustEqualChunks(t, fused, unfused, "fallback step")
+	filtered := refStep(plan.PipelineStep{Op: &plan.Filter{Pred: pred}}, c)
+	dense := refStep(lim, filtered)
+	mustEqualChunks(t, fused, dense, "fallback step")
 }
 
 // TestAggregateMatchesRunAggregate is the pre-sizing correctness proof:
-// for every hint, Aggregate over a (filtered) view equals RunAggregate
-// over the materialized input — group order, representatives, sums.
+// for every hint, Aggregate over a (filtered) view equals the dense
+// reference aggregate (refAggregate) over the materialized input — group
+// order, representatives, sums.
 func TestAggregateMatchesRunAggregate(t *testing.T) {
 	aggSchema := bat.Schema{
 		Names: []string{"k", "n", "s", "mx"},
@@ -180,7 +181,7 @@ func TestAggregateMatchesRunAggregate(t *testing.T) {
 	for _, rows := range []int{0, 1, 5, 333} {
 		c := testChunk(rows)
 		v := Filter(pred, NewView(c))
-		want := plan.RunAggregate(agg, v.Materialize())
+		want := refAggregate(agg, v.Materialize())
 		for _, hint := range []int{0, -3, 1, 7, 4096} {
 			// A fresh view per hint: the latched materialization must not
 			// leak state between runs.
@@ -246,7 +247,7 @@ func TestAggregateKeyShapes(t *testing.T) {
 			"empty":    func() *View { return Filter(none, NewView(c)) },
 		}
 		for vname, view := range views {
-			want := plan.RunAggregate(tc.agg, view().Materialize())
+			want := refAggregate(tc.agg, view().Materialize())
 			got := Aggregate(tc.agg, view(), 2)
 			mustEqualChunks(t, got, want, tc.name+"/"+vname)
 		}
@@ -352,8 +353,8 @@ func TestRunNoOutForAggChains(t *testing.T) {
 	if out != nil {
 		t.Fatal("needOut=false aggregate chain materialized its output")
 	}
-	want := plan.RunAggregate(agg,
-		plan.ApplyStep(plan.PipelineStep{Op: kp.steps[0].Op}, c))
+	want := refAggregate(agg,
+		refStep(plan.PipelineStep{Op: kp.steps[0].Op}, c))
 	mustEqualChunks(t, partial, want, "partial without out")
 }
 

@@ -94,7 +94,8 @@ func aggSpec(keys []expr.Expr, aggs ...plan.AggSpec) *plan.Aggregate {
 // TestRunBoundaryInvariance is the kernels' run-boundary contract: over a
 // window split into runs at random boundaries, with and without
 // selections, Filter, both Project forms, Aggregate (every AggOp, every
-// key family, zero keys, empty selections) and Materialize are
+// key family, zero keys, empty selections), Distinct, Sort, Limit and
+// Materialize are
 // byte-identical to the same operators over bat.Concat of the runs.
 // Run boundaries follow producer batch sizes and drain timing, so
 // results must never depend on them.
@@ -177,6 +178,14 @@ func TestRunBoundaryInvariance(t *testing.T) {
 			second := cmp(algebra.NE, k, intConst(1))
 			mustSameBytes(t, Filter(second, view(RunsView(runs))).Materialize(),
 				Filter(second, view(NewView(dense))).Materialize(), what+" filter∘filter")
+			// A re-evaluated window reaches the row-reordering operators
+			// as runs too.
+			for _, op := range []plan.Node{&plan.Distinct{}, &plan.Limit{N: 5},
+				&plan.Sort{Keys: []plan.SortSpec{{Col: 4}, {Col: 2, Desc: true}}}} {
+				st := plan.PipelineStep{Op: op}
+				mustSameBytes(t, ApplyStep(st, view(RunsView(runs))).Materialize(),
+					ApplyStep(st, view(NewView(dense))).Materialize(), fmt.Sprintf("%s %T", what, op))
+			}
 		}
 	}
 }

@@ -2,6 +2,9 @@ package plan
 
 import (
 	"fmt"
+
+	"datacell/internal/algebra"
+	"datacell/internal/expr"
 )
 
 // Decomposition is a continuous plan split for incremental evaluation
@@ -260,4 +263,31 @@ func (d *Decomposition) ContinuousString() string {
 		out += "\n-- per slide --\n" + String(d.Post)
 	}
 	return out
+}
+
+// MergePlan derives the aggregate that merges t's partial results — the
+// merge stage of the paper's incremental sliding-window processing: each
+// basic window contributes one partial, and a slide merges the cached
+// partials instead of recomputing the full window. Its input layout is
+// t's output layout (keys, then aggregates): the group keys are the
+// partials' first len(t.Keys) columns, and each aggregate reads its own
+// partial column — counts and sums add up, mins and maxes take extremes.
+// Its output schema is t's.
+func MergePlan(t *Aggregate) *Aggregate {
+	nk := len(t.Keys)
+	col := func(i int) expr.Expr {
+		return &expr.Col{Idx: i, K: t.Out.Kinds[i], Name: t.Out.Names[i]}
+	}
+	m := &Aggregate{Keys: make([]expr.Expr, nk), KeyNames: t.KeyNames, Aggs: make([]AggSpec, len(t.Aggs)), Out: t.Out}
+	for i := range m.Keys {
+		m.Keys[i] = col(i)
+	}
+	for i, spec := range t.Aggs {
+		op := spec.Op
+		if op == algebra.AggCount {
+			op = algebra.AggSum // counts merge by summation
+		}
+		m.Aggs[i] = AggSpec{Op: op, Arg: col(nk + i), Name: spec.Name}
+	}
+	return m
 }

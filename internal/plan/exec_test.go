@@ -1,10 +1,15 @@
-package plan
+package plan_test
+
+// One-time evaluation of bound plans through the kernel's tree walker:
+// the operator semantics every continuous mode builds on.
 
 import (
 	"testing"
 
 	"datacell/internal/bat"
 	"datacell/internal/catalog"
+	"datacell/internal/kernel"
+	"datacell/internal/plan"
 )
 
 // sensorChunk builds rows (ts, room, temp).
@@ -22,22 +27,34 @@ func sensorChunk(t *testing.T, cat *catalog.Catalog, rows ...[3]float64) *bat.Ch
 	return c
 }
 
+// run evaluates a plan over the given leaf inputs.
+func run(t *testing.T, n plan.Node, leaves map[plan.Node]*bat.Chunk) *bat.Chunk {
+	t.Helper()
+	views := map[plan.Node]*kernel.View{}
+	for leaf, c := range leaves {
+		views[leaf] = kernel.NewView(c)
+	}
+	out, err := kernel.Run(n, views)
+	if err != nil {
+		t.Fatalf("run %s: %v", plan.String(n), err)
+	}
+	return out.Materialize()
+}
+
 func runOn(t *testing.T, cat *catalog.Catalog, src string, input *bat.Chunk) *bat.Chunk {
 	t.Helper()
-	n := Optimize(mustBind(t, cat, src))
-	ex := &Exec{StreamInputs: map[*ScanStream]*bat.Chunk{}}
-	for _, s := range Streams(n) {
-		ex.StreamInputs[s] = input
+	n := plan.Optimize(plan.MustBind(t, cat, src))
+	leaves := map[plan.Node]*bat.Chunk{}
+	for _, s := range plan.Streams(n) {
+		if input != nil {
+			leaves[s] = input
+		}
 	}
-	out, err := ex.Run(n)
-	if err != nil {
-		t.Fatalf("run %q: %v", src, err)
-	}
-	return out
+	return run(t, n, leaves)
 }
 
 func TestExecFilterProject(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat,
 		[3]float64{1, 1, 18}, [3]float64{2, 2, 25}, [3]float64{3, 1, 30})
 	out := runOn(t, cat, "SELECT room, temp * 2.0 AS dbl FROM sensors WHERE temp > 20.0", in)
@@ -53,7 +70,7 @@ func TestExecFilterProject(t *testing.T) {
 }
 
 func TestExecAggregate(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat,
 		[3]float64{1, 1, 10}, [3]float64{2, 1, 20}, [3]float64{3, 2, 30})
 	out := runOn(t, cat, `
@@ -74,7 +91,7 @@ func TestExecAggregate(t *testing.T) {
 }
 
 func TestExecAggregateNoKeysEmptyInput(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat)
 	out := runOn(t, cat, "SELECT count(*) FROM sensors", in)
 	if out.Rows() != 0 {
@@ -88,7 +105,7 @@ func TestExecAggregateNoKeysEmptyInput(t *testing.T) {
 }
 
 func TestExecHaving(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat,
 		[3]float64{1, 1, 10}, [3]float64{2, 1, 20}, [3]float64{3, 2, 30})
 	out := runOn(t, cat,
@@ -99,7 +116,7 @@ func TestExecHaving(t *testing.T) {
 }
 
 func TestExecStreamTableJoin(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat,
 		[3]float64{1, 1, 10}, [3]float64{2, 2, 20}, [3]float64{3, 9, 30})
 	out := runOn(t, cat, `
@@ -114,36 +131,32 @@ func TestExecStreamTableJoin(t *testing.T) {
 }
 
 func TestExecStreamStreamJoin(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	sens := sensorChunk(t, cat, [3]float64{1, 1, 10}, [3]float64{2, 2, 20})
 	ev, _ := cat.Stream("events")
 	evc := bat.NewChunk(ev.Schema())
 	_ = evc.AppendRow(bat.TimeValue(5), bat.IntValue(1), bat.IntValue(7))
 	_ = evc.AppendRow(bat.TimeValue(6), bat.IntValue(1), bat.IntValue(8))
 
-	n := Optimize(mustBind(t, cat, `
+	n := plan.Optimize(plan.MustBind(t, cat, `
 		SELECT s.temp, e.code FROM sensors s, events e
 		WHERE s.room = e.room`))
-	streams := Streams(n)
-	ex := &Exec{StreamInputs: map[*ScanStream]*bat.Chunk{}}
-	for _, sc := range streams {
+	leaves := map[plan.Node]*bat.Chunk{}
+	for _, sc := range plan.Streams(n) {
 		if sc.Alias == "s" {
-			ex.StreamInputs[sc] = sens
+			leaves[sc] = sens
 		} else {
-			ex.StreamInputs[sc] = evc
+			leaves[sc] = evc
 		}
 	}
-	out, err := ex.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, n, leaves)
 	if out.Rows() != 2 {
 		t.Fatalf("rows = %d:\n%s", out.Rows(), out)
 	}
 }
 
 func TestExecCrossJoinWithResidual(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat, [3]float64{1, 1, 10}, [3]float64{2, 2, 30})
 	out := runOn(t, cat, `
 		SELECT s.temp, r.name FROM sensors s, rooms r
@@ -156,7 +169,7 @@ func TestExecCrossJoinWithResidual(t *testing.T) {
 }
 
 func TestExecDistinctSortLimit(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat,
 		[3]float64{1, 2, 10}, [3]float64{2, 1, 20},
 		[3]float64{3, 2, 30}, [3]float64{4, 3, 40})
@@ -167,7 +180,7 @@ func TestExecDistinctSortLimit(t *testing.T) {
 }
 
 func TestExecLimitLargerThanInput(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat, [3]float64{1, 1, 10})
 	out := runOn(t, cat, "SELECT room FROM sensors LIMIT 100", in)
 	if out.Rows() != 1 {
@@ -176,20 +189,16 @@ func TestExecLimitLargerThanInput(t *testing.T) {
 }
 
 func TestExecMissingStreamInputYieldsEmpty(t *testing.T) {
-	cat := testCatalog(t)
-	n := Optimize(mustBind(t, cat, "SELECT room FROM sensors"))
-	ex := &Exec{}
-	out, err := ex.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := plan.TestCatalog(t)
+	n := plan.Optimize(plan.MustBind(t, cat, "SELECT room FROM sensors"))
+	out := run(t, n, nil)
 	if out.Rows() != 0 {
 		t.Errorf("rows = %d", out.Rows())
 	}
 }
 
 func TestExecScalarFunctions(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	in := sensorChunk(t, cat, [3]float64{1, 1, -12.5})
 	out := runOn(t, cat, "SELECT abs(temp) AS a, floor(temp) AS f FROM sensors", in)
 	if out.Row(0)[0].F != 12.5 || out.Row(0)[1].F != -13 {
@@ -198,10 +207,10 @@ func TestExecScalarFunctions(t *testing.T) {
 }
 
 func TestMergeAggregate(t *testing.T) {
-	cat := testCatalog(t)
-	n := mustBind(t, cat,
+	cat := plan.TestCatalog(t)
+	n := plan.MustBind(t, cat,
 		"SELECT room, count(*) AS n, sum(temp) AS s, min(temp) AS lo FROM sensors GROUP BY room")
-	agg := n.(*Project).Child.(*Aggregate)
+	agg := n.(*plan.Project).Child.(*plan.Aggregate)
 
 	// Two partials, overlapping groups.
 	partials := bat.NewChunk(agg.Out)
@@ -211,7 +220,7 @@ func TestMergeAggregate(t *testing.T) {
 	_ = partials.AppendRow(bat.IntValue(2), bat.IntValue(1), bat.FloatValue(5), bat.FloatValue(5))
 	_ = partials.AppendRow(bat.IntValue(1), bat.IntValue(3), bat.FloatValue(60), bat.FloatValue(8))
 
-	merged := MergeAggregate(agg, partials)
+	merged := kernel.Aggregate(plan.MergePlan(agg), kernel.NewView(partials), 0)
 	if merged.Rows() != 2 {
 		t.Fatalf("merged rows = %d", merged.Rows())
 	}
@@ -226,7 +235,7 @@ func TestMergeAggregate(t *testing.T) {
 }
 
 func TestExecOneTimeTableQuery(t *testing.T) {
-	cat := testCatalog(t)
+	cat := plan.TestCatalog(t)
 	out := runOn(t, cat, "SELECT name FROM rooms WHERE floor = 1 ORDER BY name", nil)
 	if out.Rows() != 2 || out.Row(0)[0].S != "office" {
 		t.Errorf("table query:\n%s", out)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"datacell/internal/algebra"
 	"datacell/internal/bat"
 	"datacell/internal/expr"
 )
@@ -161,8 +160,9 @@ type PipelineStep struct {
 
 // PipelineSteps walks root down its stream-side spine to the scan and
 // returns the steps scan-upward. ok is false if the spine contains an
-// unsupported operator (the caller then skips DAG registration and the
-// member evaluates its pipeline privately, as before).
+// operator other than a filter, projection or static-table join — which
+// a decomposition pipeline never does (pipelineRoot admits exactly
+// those), so the engine rejects such a plan at registration.
 func PipelineSteps(root Node, scan *ScanStream) (steps []PipelineStep, ok bool) {
 	var chain []PipelineStep
 	cur := root
@@ -206,9 +206,9 @@ func PipelineSteps(root Node, scan *ScanStream) (steps []PipelineStep, ok bool) 
 // sorts and LIMITs evaluate once per merged full-window view. rootFp
 // seeds the cumulative fingerprints — callers pass the merge class key
 // (plan.MergeKey), so chains over distinct merged views can never
-// collide in one trie. ok is false when the fragment contains an
-// operator the trie cannot apply stepwise (the member then evaluates its
-// post fragment privately, as before).
+// collide in one trie. The same chain is the member's private post-merge
+// evaluation. ok is false when the fragment contains an operator other
+// than those clonePath copies, which a decomposition never does.
 func PostSteps(root Node, leaf *Merged, rootFp string) (steps []PipelineStep, ok bool) {
 	var chain []PipelineStep
 	cur := root
@@ -245,62 +245,6 @@ func PostSteps(root Node, leaf *Merged, rootFp string) (steps []PipelineStep, ok
 		chain[i].Fp = fp
 	}
 	return chain, true
-}
-
-// ApplyStep runs one chain operator over an explicit input chunk — the
-// evaluation unit of a group's shared operator tries (the stream-side
-// input of a per-basic-window pipeline step, or the merged view of a
-// post-merge step). Static join sides (tables only) are snapshotted per
-// call, exactly as a private per-member pipeline evaluation would. Each
-// case mirrors Exec.Run's evaluation of the same operator, which is what
-// makes a shared chain byte-identical to a private one. An evaluation
-// error degrades to an empty chunk of the operator's schema, mirroring
-// the factory's per-basic-window error handling.
-func ApplyStep(s PipelineStep, in *bat.Chunk) *bat.Chunk {
-	switch t := s.Op.(type) {
-	case *Filter:
-		sel := expr.EvalPred(t.Pred, in, nil)
-		return algebra.FetchChunk(in, sel)
-	case *Project:
-		cols := make([]bat.Vector, len(t.Exprs))
-		for i, e := range t.Exprs {
-			cols[i] = e.Eval(in, nil)
-		}
-		return &bat.Chunk{Schema: t.Out, Cols: cols}
-	case *Sort:
-		return RunSort(t, in)
-	case *Limit:
-		if int64(in.Rows()) <= t.N {
-			return in
-		}
-		return in.Slice(0, int(t.N))
-	case *Distinct:
-		g := algebra.Group(in.Cols, nil, in.Rows())
-		g.Release()
-		return algebra.FetchChunk(in, g.Repr)
-	case *Aggregate:
-		return RunAggregate(t, in)
-	case *Join:
-		ex := &Exec{}
-		l, r := in, in
-		var other Node
-		if s.StreamLeft {
-			other = t.R
-		} else {
-			other = t.L
-		}
-		o, err := ex.Run(other)
-		if err != nil {
-			return bat.NewChunk(t.Out)
-		}
-		if s.StreamLeft {
-			r = o
-		} else {
-			l = o
-		}
-		return JoinChunks(t, l, r)
-	}
-	return bat.NewChunk(s.Op.Schema())
 }
 
 // stepFingerprint is Fingerprint with the chain-side child replaced by an

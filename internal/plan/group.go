@@ -76,8 +76,8 @@ func GroupKey(sc *ScanStream) string {
 // (HAVING, final sort/limit) are deliberately absent — they diverge per
 // member and share separately through the group's post-merge trie,
 // rooted at this key. ok is false for plans the shared merge cannot
-// serve: join decompositions (they merge through pair caches) and
-// pipelines that do not linearize. steps must be the decomposition's
+// serve: join decompositions (they merge through pair caches) and scans
+// without a window. steps must be the decomposition's
 // already-linearized pipeline chain (PipelineSteps over Pipelines[0]) —
 // the key is derived from the same chain the caller registers in the
 // group DAG, so the two can never drift apart.

@@ -115,6 +115,18 @@ func (d *Decomposition) JoinFingerprintMemo() string {
 	return m.s
 }
 
+// ClassKeyMemo is the decomposition's merge-class key: JoinMergeKeyMemo
+// for a join, MergeKeyMemo otherwise. It is also the root fingerprint of
+// the post-merge chain (PostStepsMemo).
+func (d *Decomposition) ClassKeyMemo() string {
+	if d.Join != nil {
+		s, _ := d.JoinMergeKeyMemo()
+		return s
+	}
+	s, _ := d.MergeKeyMemo()
+	return s
+}
+
 // JoinMergeKeyMemo is JoinMergeKey, computed once per decomposition.
 func (d *Decomposition) JoinMergeKeyMemo() (string, bool) {
 	m := &d.memo.jmerge

@@ -83,16 +83,12 @@ func (*SetTenantQuota) stmt() {}
 // slicers instead of joining the stream's query group — the knob behind
 // the grouped-vs-isolated fan-out benchmarks. TENANT (also contextual)
 // attributes the query to a named tenant for quota accounting and
-// admission control. NOFUSE (contextual, between the name/TENANT clause
-// and AS) disables the fused vectorized tail executor — results are
-// byte-identical, only the evaluation strategy changes; it is the SQL
-// form of the RegisterOptions.NoFuse ablation knob.
+// admission control.
 type RegisterQuery struct {
 	Name     string
 	Mode     string // "", "INCREMENTAL" or "REEVAL"
 	Isolated bool
 	Tenant   string // "" when untenanted
-	NoFuse   bool
 	Select   *SelectStmt
 }
 

@@ -263,9 +263,6 @@ func (p *parser) parseRegister() (Stmt, error) {
 		}
 		tenant = t.Text
 	}
-	// NOFUSE is contextual as well: the fused-executor ablation knob,
-	// legal only between the name/TENANT clause and AS.
-	noFuse := p.accept(TokIdent, "nofuse")
 	if _, err := p.expect(TokKeyword, "AS"); err != nil {
 		return nil, err
 	}
@@ -273,7 +270,7 @@ func (p *parser) parseRegister() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RegisterQuery{Name: name.Text, Mode: mode, Isolated: isolated, Tenant: tenant, NoFuse: noFuse, Select: sel.(*SelectStmt)}, nil
+	return &RegisterQuery{Name: name.Text, Mode: mode, Isolated: isolated, Tenant: tenant, Select: sel.(*SelectStmt)}, nil
 }
 
 // parseSet parses SET TENANT QUOTA name with its optional limit clauses

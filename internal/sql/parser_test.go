@@ -233,15 +233,20 @@ func TestParseRegisterQuery(t *testing.T) {
 	if s.Mode != "REEVAL" {
 		t.Errorf("reeval mode = %q", s.Mode)
 	}
-	s = mustParse(t, "REGISTER QUERY q4 NOFUSE AS SELECT v FROM s").(*RegisterQuery)
-	if !s.NoFuse {
-		t.Errorf("NOFUSE not parsed: %+v", s)
+	s = mustParse(t, "REGISTER INCREMENTAL QUERY q5 TENANT acme AS SELECT v FROM s").(*RegisterQuery)
+	if s.Tenant != "acme" {
+		t.Errorf("TENANT = %+v", s)
 	}
-	s = mustParse(t, "REGISTER INCREMENTAL QUERY q5 TENANT acme NOFUSE AS SELECT v FROM s").(*RegisterQuery)
-	if !s.NoFuse || s.Tenant != "acme" {
-		t.Errorf("TENANT+NOFUSE = %+v", s)
+	// There is no executor knob between the name and AS, but "nofuse"
+	// stays a legal column name.
+	for _, src := range []string{
+		"REGISTER QUERY q4 NOFUSE AS SELECT v FROM s",
+		"REGISTER QUERY q4 TENANT acme NOFUSE AS SELECT v FROM s",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%q parsed", src)
+		}
 	}
-	// Contextual: "nofuse" stays a legal column name.
 	sel := mustParse(t, "SELECT nofuse FROM s").(*SelectStmt)
 	if sel.Items[0].Expr.String() != "nofuse" {
 		t.Errorf("nofuse as column = %+v", sel.Items[0])

@@ -25,7 +25,7 @@ const (
 
 // MarshalBW appends the wire encoding of a sealed basic window to dst:
 // generation, max arrival stamp, and whichever of the Data/Out/Partial
-// column chunks are present. Merged/Final views and the Free hook are
+// column chunks are present. The Final view and the Free hook are
 // deliberately not encoded — they are coordinator-side sharing state.
 func MarshalBW(dst []byte, bw *BW) []byte {
 	dst = binary.AppendVarint(dst, bw.Gen)

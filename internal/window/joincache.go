@@ -2,6 +2,7 @@ package window
 
 import (
 	"datacell/internal/bat"
+	"datacell/internal/kernel"
 	"datacell/internal/plan"
 )
 
@@ -73,7 +74,7 @@ func (jc *JoinCache) ensure(l, r *BW) *bat.Chunk {
 // compute evaluates one pair without touching the cache.
 func (jc *JoinCache) compute(l, r *BW) *bat.Chunk {
 	jc.computed++
-	return plan.JoinChunks(jc.join, l.Out, r.Out)
+	return kernel.JoinChunks(jc.join, l.Out, r.Out)
 }
 
 // Get looks up a cached pair result.

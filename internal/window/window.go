@@ -20,10 +20,10 @@
 // shard order (bat.Runs) — the same rows, in the same order, that
 // concatenating them would produce. The kernels read through the runs in
 // place; a dense copy is made only where a consumer needs one chunk (the
-// re-evaluation window, the wire and snapshot encodings, the unfused
-// executor). The runs are immutable until released: each run holds a
-// lease on its basket segment's storage (bat.Runs), the slicer's fragment
-// takes it and the merged basic window inherits it. A query group whose
+// wire and snapshot encodings, an operator that reorders rows). The runs
+// are immutable until released: each run holds a lease on its basket
+// segment's storage (bat.Runs), the slicer's fragment takes it and the
+// merged basic window inherits it. A query group whose
 // members keep nothing but partial aggregates releases a basic window's
 // leases when its SharedBuf count reaches zero, and the basket reuses the
 // storage; everywhere else the leases are dropped unreleased and the
@@ -61,16 +61,10 @@ type BW struct {
 	// Partial caches the per-basic-window partial aggregate (incremental
 	// mode, aggregate path).
 	Partial *bat.Chunk
-	// Merged, when non-nil, is the group-resolved full-window merged view
-	// this basic window completed: the member's merge class evaluated the
-	// merge once for every member, and the tail only runs its private
-	// post-merge fragment over it. Set by shared-merge group members whose
-	// post fragment did not register in the post-merge trie.
-	Merged *bat.Chunk
 	// Final, when non-nil, is the complete per-slide result for the
 	// window this basic window completed: merge AND post-merge fragment
 	// were resolved through the group's shared machinery, and the tail
-	// only emits. Merged and Final are mutually exclusive.
+	// only emits.
 	Final *bat.Chunk
 	// Free, when non-nil, releases the basic window's share of a group's
 	// refcounted data buffer. Query-group members set it; standalone
@@ -139,20 +133,19 @@ func (r *Ring) MaxArrival() int64 {
 	return m
 }
 
-// ConcatData concatenates the raw tuples of the live basic windows — the
-// full current window, used by the re-evaluation mode. It copies straight
-// from every basic window's runs, so each tuple is copied once per slide
-// (a window made of a single run passes through as a view).
-func (r *Ring) ConcatData(schema bat.Schema) *bat.Chunk {
-	var runs []*bat.Chunk
-	rows := 0
+// Runs lists the raw tuples of the live basic windows as one run list —
+// the full current window the re-evaluation mode reads, without copying
+// it.
+func (r *Ring) Runs(schema bat.Schema) *bat.Runs {
+	runs := &bat.Runs{Schema: schema}
 	for _, bw := range r.bws {
 		if bw.Data != nil {
-			runs = append(runs, bw.Data.Chunks...)
-			rows += bw.Data.Rows()
+			for _, c := range bw.Data.Chunks {
+				runs.Append(c)
+			}
 		}
 	}
-	return bat.Concat(schema, runs, rows)
+	return runs
 }
 
 // ConcatOuts concatenates the cached pipeline outputs of the live basic

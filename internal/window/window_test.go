@@ -224,9 +224,9 @@ func TestRing(t *testing.T) {
 	if r.MaxArrival() != 4 {
 		t.Errorf("MaxArrival = %d", r.MaxArrival())
 	}
-	cc := r.ConcatData(sch())
-	if cc.Rows() != 3 || cc.Row(0)[1].I != 2 {
-		t.Errorf("ConcatData = %v", cc)
+	runs := r.Runs(sch())
+	if runs.Rows() != 3 || runs.Chunks[0] != live[0].Data.Chunks[0] || runs.Concat().Row(0)[1].I != 2 {
+		t.Errorf("Runs = %v", runs.Concat())
 	}
 }
 

@@ -55,12 +55,6 @@ type RegisterOptions struct {
 	// the pre-PR-4 behavior. Results are unaffected; benchmarks use it to
 	// measure what sharing past the merge boundary buys.
 	NoSharedMerge bool
-	// NoFuse disables the fused vectorized tail executor for this query:
-	// per-basic-window pipelines evaluate operator-at-a-time with a
-	// materialized chunk per step (the pre-fusion executor), and aggregate
-	// hash tables use the default capacity. Results are byte-identical with or without it; the ablation
-	// suite and benchmarks use it to measure what fusion buys.
-	NoFuse bool
 	// Tenant attributes the query to a named tenant for quota accounting
 	// and admission control (SQL: REGISTER QUERY name TENANT t AS ...).
 	// Registration fails with a *QuotaError when the tenant is at its
@@ -181,12 +175,6 @@ func NoMemo() RegisterOption {
 // and post-merge trie; results are unaffected.
 func NoSharedMerge() RegisterOption {
 	return func(o *RegisterOptions) { o.NoSharedMerge = true }
-}
-
-// NoFuse disables the fused vectorized tail executor for the query;
-// results are byte-identical, only the evaluation strategy changes.
-func NoFuse() RegisterOption {
-	return func(o *RegisterOptions) { o.NoFuse = true }
 }
 
 // NoChannel suppresses the query's Out channel.
@@ -383,7 +371,6 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 		Mode:          fmode,
 		NoMemo:        opts != nil && opts.NoMemo,
 		NoSharedMerge: opts != nil && opts.NoSharedMerge,
-		NoFuse:        opts != nil && opts.NoFuse,
 		Emit:          emit,
 		Now:           e.now,
 	})

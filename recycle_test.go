@@ -154,10 +154,10 @@ func TestSegmentRecyclingEquivalence(t *testing.T) {
 
 // TestSegmentRecyclingNeedsPartialsOnly: a group recycles only when every
 // member keeps nothing of a window but its partial aggregate. A member
-// whose ring holds pipeline outputs (views of the runs), a re-evaluation
-// member, or an aggregate that runs through the unfused executor without
-// the shared DAG (whose pipeline output can be a view) turns recycling
-// off for the whole group; an aggregate alone, fused or not, keeps it on.
+// whose ring holds pipeline outputs (views of the runs) or a
+// re-evaluation member turns recycling off for the whole group; an
+// aggregate alone keeps it on, whether the shared DAG computes its
+// partials or its own pipeline does (NoMemo).
 func TestSegmentRecyclingNeedsPartialsOnly(t *testing.T) {
 	const win = "[SIZE 9000 SLIDE 3000]"
 	agg := "SELECT k, sum(v) AS s, count(*) AS n FROM s " + win + " GROUP BY k"
@@ -168,10 +168,9 @@ func TestSegmentRecyclingNeedsPartialsOnly(t *testing.T) {
 		recycle bool
 	}{
 		{"aggregate", agg, nil, true},
-		{"unfused aggregate", agg, &RegisterOptions{NoFuse: true}, true},
 		{"rows", "SELECT k, v FROM s " + win + " WHERE v > 10.0", nil, false},
 		{"reeval", agg, &RegisterOptions{Mode: ModeReeval}, false},
-		{"unfused private aggregate", agg, &RegisterOptions{NoFuse: true, NoMemo: true}, false},
+		{"private aggregate", agg, &RegisterOptions{NoMemo: true}, true},
 	}
 	log := recycleLog(rand.New(rand.NewSource(5)), 8)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep released storage for reuse
