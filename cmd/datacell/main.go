@@ -67,8 +67,6 @@ func main() {
 		"with -fabric-listen: staged append bytes per worker lane before a batch ships")
 	fabricFlushDelay := flag.Duration("fabric-flush-delay", 2*time.Millisecond,
 		"with -fabric-listen: max time appends wait in a lane before a batch ships")
-	fabricNoDirect := flag.Bool("fabric-no-direct", false,
-		"with -fabric-listen: do not dial worker receptors; all traffic rides the control links")
 	metricsListen := flag.String("metrics-listen", "",
 		"serve a Prometheus-text /metrics endpoint on this address")
 	var receptors receptorFlags
@@ -102,7 +100,6 @@ func main() {
 			Workers:    *fabricWorkers,
 			FlushBytes: *fabricFlushBytes,
 			FlushDelay: *fabricFlushDelay,
-			NoDirect:   *fabricNoDirect,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fabric:", err)

@@ -46,8 +46,6 @@ func main() {
 	snapEvery := flag.Duration("snapshot-interval", 500*time.Millisecond, "interval between periodic snapshots (with -snapshot-dir)")
 	metricsListen := flag.String("metrics-listen", "",
 		"serve a Prometheus-text /metrics endpoint on this address")
-	dataListen := flag.String("data-listen", "",
-		"receptor listener address producers append to directly (default: an ephemeral loopback port; \"none\" disables the direct plane)")
 	flag.Parse()
 	if *join == "" {
 		fmt.Fprintln(os.Stderr, "dcworker: -join is required")
@@ -60,7 +58,6 @@ func main() {
 		ID:            *id,
 		SnapshotDir:   *snapDir,
 		SnapshotEvery: *snapEvery,
-		DataListen:    *dataListen,
 	})
 	fmt.Println(w.Describe())
 

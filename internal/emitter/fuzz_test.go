@@ -22,9 +22,10 @@ func FuzzReadFrame(f *testing.F) {
 	// The fabric's coalesced traffic: a batch frame (type 18) whose payload
 	// concatenates {type, uvarint len, payload} sub-frames — here a spec
 	// (type 6, as a join side registers per side) and a fragment (type 13)
-	// — and a data-plane handshake (type 19). The framing layer treats
-	// payloads as opaque; these seeds keep the corpus shaped like live
-	// traffic.
+	// — and a type the fabric no longer defines (19, the retired
+	// data-plane handshake, carrying a version-3 Hello). The framing layer
+	// treats types and payloads as opaque; these seeds keep the corpus
+	// shaped like live traffic.
 	f.Add(seed(Frame{Type: 18, Seq: 3, Payload: []byte{6, 4, 14, 1, 115, 0, 13, 2, 9, 9}}))
 	f.Add(seed(Frame{Type: 19, Seq: 1, Payload: []byte{3, 1, 0, 3, 119, 45, 49, 0}}))
 	f.Add([]byte(nil))

@@ -316,18 +316,12 @@ func PlanCacheBench(warm bool, regs int) BenchResult {
 //	                         twins each owning a private join group.
 //	                         Floored ≥1.5× on multi-core runners,
 //	                         report-only on 1-core containers.
-//	fabric2_vs_local:        16 grouped queries over a 4-shard stream run
+//	fabric_direct_vs_local:  16 grouped queries over a 4-shard stream run
 //	                         through the shard fabric (coordinator + 2
-//	                         loopback workers, direct worker receptors and
+//	                         loopback workers, one link each carrying
 //	                         batched delta/dict wire frames) / entirely
-//	                         in-process. Also exported as
-//	                         fabric_direct_vs_local, the gate name: floored
-//	                         ≥1× on multi-core runners, report-only on
-//	                         1-core containers.
-//	fabric_direct_vs_relay:  the same fabric workload with direct receptors
-//	                         on / forced through the coordinator's control
-//	                         links (NoDirect) — the tentpole's win chart.
-//	                         Report-only.
+//	                         in-process. Floored ≥1× on multi-core
+//	                         runners, report-only on 1-core containers.
 //	plancache_ratio:         512 shared-group registrations of identical
 //	                         SQL text (warm: plan-cache hits skip parse/
 //	                         bind/optimize/decompose) / 512 with distinct
@@ -473,39 +467,29 @@ func CIBench(quick bool, match string) *BenchReport {
 		add(bestOf(3, func() BenchResult { return PlanCacheBench(warm, 512) }))
 	}
 	for _, cfg := range []struct {
-		workers  int
-		snap     bool
-		noDirect bool
-	}{{0, false, false}, {2, false, false}, {2, true, false}, {2, false, true}} {
+		workers int
+		snap    bool
+	}{{0, false}, {2, false}, {2, true}} {
 		label := "local"
 		if cfg.workers > 0 {
 			label = fmt.Sprintf("fabric%d", cfg.workers)
 			if cfg.snap {
 				label += "snap"
 			}
-			if cfg.noDirect {
-				label += "nodirect"
-			}
 		}
 		name := fmt.Sprintf("fabric_fanout/%s/q_16", label)
 		if !want(name) {
 			continue
 		}
-		// fabric2 runs the direct-receptor + batched-wire path (the
-		// default since PR 8) and feeds fabric_direct_vs_local — floored
-		// ≥1× on multi-core runners, report-only on 1-core containers
-		// where the loopback fabric shares the local engine's only CPU.
-		// fabric2nodirect pins the old coordinator-relayed topology so
-		// fabric_direct_vs_relay charts what the tentpole bought;
-		// snapshot_overhead stays the periodic-checkpoint cost. Those two
-		// are report-only trajectory points.
+		// fabric2 runs the batched-wire path and feeds
+		// fabric_direct_vs_local — floored ≥1× on multi-core runners,
+		// report-only on 1-core containers where the loopback fabric
+		// shares the local engine's only CPU. fabric2snap feeds the
+		// report-only snapshot_overhead, the periodic-checkpoint cost.
 		cfg := cfg
 		run := func() BenchResult { return FabricFanout(16, cfg.workers, fanN, batch, 256) }
-		switch {
-		case cfg.snap:
+		if cfg.snap {
 			run = func() BenchResult { return FabricFanoutSnap(16, cfg.workers, fanN, batch, 256) }
-		case cfg.noDirect:
-			run = func() BenchResult { return FabricFanoutNoDirect(16, cfg.workers, fanN, batch, 256) }
 		}
 		add(bestOf(2, run))
 	}
@@ -542,15 +526,8 @@ func CIBench(quick bool, match string) *BenchReport {
 		"join_shared/shared/q_16", "join_shared/isolated/q_16")
 	ratio("plancache_ratio",
 		"plan_cache/warm/q_512", "plan_cache/cold/q_512")
-	ratio("fabric2_vs_local",
-		"fabric_fanout/fabric2/q_16", "fabric_fanout/local/q_16")
-	// fabric_direct_vs_local is the same measurement under its gate name:
-	// the trajectory keeps charting fabric2_vs_local across PRs while the
-	// floor assertion (≥1× on multi-core) keys on the direct-path name.
 	ratio("fabric_direct_vs_local",
 		"fabric_fanout/fabric2/q_16", "fabric_fanout/local/q_16")
-	ratio("fabric_direct_vs_relay",
-		"fabric_fanout/fabric2/q_16", "fabric_fanout/fabric2nodirect/q_16")
 	ratio("snapshot_overhead",
 		"fabric_fanout/fabric2snap/q_16", "fabric_fanout/fabric2/q_16")
 	if want("codec_ratios") {

@@ -8,6 +8,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -112,7 +114,9 @@ func (r runResult) usPerEval() float64 {
 }
 
 // runQuery feeds chunks through a single registered query and measures
-// wall time to fully drain the network.
+// wall time to fully drain the network. It collects garbage before the
+// clock starts, so a collection owed by an earlier run is not charged to
+// this one.
 func runQuery(mode datacell.Mode, sql string, chunks []*bat.Chunk, extraDDL ...string) runResult {
 	eng := datacell.New(&datacell.Options{Workers: 2})
 	defer eng.Close()
@@ -128,6 +132,7 @@ func runQuery(mode datacell.Mode, sql string, chunks []*bat.Chunk, extraDDL ...s
 	if err != nil {
 		panic(fmt.Sprintf("experiments: register %q: %v", sql, err))
 	}
+	runtime.GC()
 	start := time.Now()
 	for _, c := range chunks {
 		if err := eng.Append("s", c); err != nil {
@@ -140,11 +145,35 @@ func runQuery(mode datacell.Mode, sql string, chunks []*bat.Chunk, extraDDL ...s
 	return runResult{Wall: wall, Evals: st.Evals, TuplesIn: st.TuplesIn, RowsOut: st.RowsOut}
 }
 
+// modeLegs is how many timed runs of each mode E1 and E2 take. The modes
+// alternate leg by leg, so drift over the sweep lands on both alike.
+const modeLegs = 5
+
+// compareModes runs sql over chunks modeLegs times in each mode,
+// alternating, and returns each mode's median µs per slide and the
+// incremental run's evaluation count.
+func compareModes(sql string, chunks []*bat.Chunk) (reUs, incUs float64, evals int64) {
+	re := make([]float64, modeLegs)
+	inc := make([]float64, modeLegs)
+	for i := range re {
+		re[i] = runQuery(datacell.ModeReeval, sql, chunks).usPerEval()
+		r := runQuery(datacell.ModeIncremental, sql, chunks)
+		inc[i], evals = r.usPerEval(), r.Evals
+	}
+	return median(re), median(inc), evals
+}
+
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
 // E1ReevalVsIncremental sweeps the window size with a fixed size/slide
 // ratio and compares the two execution modes — the demo's "Simple
 // Re-evaluation vs Incremental" scenario. Expected shape: incremental wins
 // and the gap grows with the window size (re-evaluation is O(W) per slide,
-// incremental is O(s + merge)).
+// incremental is O(s + merge)). Each cell is the median of modeLegs
+// alternating runs.
 func E1ReevalVsIncremental(sizes []int64, parts int64) *Table {
 	t := &Table{
 		Title: "E1: re-evaluation vs incremental, per-slide cost",
@@ -157,18 +186,17 @@ func E1ReevalVsIncremental(sizes []int64, parts int64) *Table {
 		chunks := sensorChunks(n, int(s), 16)
 		sql := fmt.Sprintf(
 			"SELECT k, sum(v) AS s, count(*) AS n FROM s [SIZE %d SLIDE %d] GROUP BY k", w, s)
-		re := runQuery(datacell.ModeReeval, sql, chunks)
-		inc := runQuery(datacell.ModeIncremental, sql, chunks)
+		re, inc, evals := compareModes(sql, chunks)
 		speedup := 0.0
-		if inc.usPerEval() > 0 {
-			speedup = re.usPerEval() / inc.usPerEval()
+		if inc > 0 {
+			speedup = re / inc
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(w), fmt.Sprint(s),
-			fmt.Sprintf("%.1f", re.usPerEval()),
-			fmt.Sprintf("%.1f", inc.usPerEval()),
+			fmt.Sprintf("%.1f", re),
+			fmt.Sprintf("%.1f", inc),
 			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprint(inc.Evals),
+			fmt.Sprint(evals),
 		})
 	}
 	return t
@@ -178,7 +206,7 @@ func E1ReevalVsIncremental(sizes []int64, parts int64) *Table {
 // "Window Sizes" scenario. Expected shape: the incremental advantage is
 // largest for small slides (many basic windows reused) and vanishes as the
 // slide approaches the window (tumbling windows, where both modes do the
-// same work).
+// same work). Each cell is the median of modeLegs alternating runs.
 func E2SlideSweep(size int64, parts []int64) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("E2: slide sweep at window=%d", size),
@@ -191,16 +219,15 @@ func E2SlideSweep(size int64, parts []int64) *Table {
 		chunks := sensorChunks(n, int(s), 16)
 		sql := fmt.Sprintf(
 			"SELECT k, sum(v) AS s FROM s [SIZE %d SLIDE %d] GROUP BY k", size, s)
-		re := runQuery(datacell.ModeReeval, sql, chunks)
-		inc := runQuery(datacell.ModeIncremental, sql, chunks)
+		re, inc, _ := compareModes(sql, chunks)
 		speedup := 0.0
-		if inc.usPerEval() > 0 {
-			speedup = re.usPerEval() / inc.usPerEval()
+		if inc > 0 {
+			speedup = re / inc
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(s), fmt.Sprint(p),
-			fmt.Sprintf("%.1f", re.usPerEval()),
-			fmt.Sprintf("%.1f", inc.usPerEval()),
+			fmt.Sprintf("%.1f", re),
+			fmt.Sprintf("%.1f", inc),
 			fmt.Sprintf("%.2fx", speedup),
 		})
 	}

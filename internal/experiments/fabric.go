@@ -15,22 +15,13 @@ import (
 // fabric with a coordinator plus `workers` worker runtimes over loopback
 // TCP ("fabricN") — same workload, same grouped sharing stack, with the
 // shard front ends (drain, slice, seal) running behind the wire. The
-// tracked fabric2_vs_local ratio is report-only for now: on one machine
-// the fabric pays serialization and loopback cost for work the local
-// engine shares over memory, so the ratio charts the overhead the
-// scale-out path must amortize with real second-machine capacity. It
-// mirrors BenchmarkFabricFanout in internal/fabric.
+// tracked fabric_direct_vs_local ratio is floored only on multi-core
+// machines: on one core the fabric pays serialization and loopback cost
+// for work the local engine shares over memory, so the ratio charts the
+// overhead the scale-out path must amortize with real second-machine
+// capacity. It mirrors BenchmarkFabricFanout in internal/fabric.
 func FabricFanout(queries, workers, n, batch, nkeys int) BenchResult {
-	return fabricFanout(queries, workers, n, batch, nkeys, false, false)
-}
-
-// FabricFanoutNoDirect is FabricFanout with the direct worker receptors
-// disabled (fabric.Options.NoDirect): every append rides the coordinator's
-// control links, the PR-5 topology. The fabric_direct_vs_relay ratio
-// (fabric2 / fabric2nodirect, report-only) charts what taking the
-// coordinator off the data path buys on this machine class.
-func FabricFanoutNoDirect(queries, workers, n, batch, nkeys int) BenchResult {
-	return fabricFanout(queries, workers, n, batch, nkeys, false, true)
+	return fabricFanout(queries, workers, n, batch, nkeys, false)
 }
 
 // FabricFanoutSnap is FabricFanout with worker snapshotting enabled: each
@@ -39,10 +30,10 @@ func FabricFanoutNoDirect(queries, workers, n, batch, nkeys int) BenchResult {
 // (fabric2snap / fabric2, report-only) charts what the copy-on-write
 // checkpoint path costs on the hot ingest path.
 func FabricFanoutSnap(queries, workers, n, batch, nkeys int) BenchResult {
-	return fabricFanout(queries, workers, n, batch, nkeys, true, false)
+	return fabricFanout(queries, workers, n, batch, nkeys, true)
 }
 
-func fabricFanout(queries, workers, n, batch, nkeys int, snapshot, noDirect bool) BenchResult {
+func fabricFanout(queries, workers, n, batch, nkeys int, snapshot bool) BenchResult {
 	chunks := sensorChunks(n, batch, nkeys)
 	eng := datacell.New(&datacell.Options{Workers: 4})
 	defer eng.Close()
@@ -66,7 +57,7 @@ func fabricFanout(queries, workers, n, batch, nkeys int, snapshot, noDirect bool
 	}()
 	if workers > 0 {
 		var err error
-		coord, err = fabric.NewCoordinator(eng, fabric.Options{Workers: workers, NoDirect: noDirect})
+		coord, err = fabric.NewCoordinator(eng, fabric.Options{Workers: workers})
 		if err != nil {
 			panic(err)
 		}
@@ -119,9 +110,6 @@ func fabricFanout(queries, workers, n, batch, nkeys int, snapshot, noDirect bool
 		label = fmt.Sprintf("fabric%d", workers)
 		if snapshot {
 			label += "snap"
-		}
-		if noDirect {
-			label += "nodirect"
 		}
 	}
 	return BenchResult{

@@ -22,17 +22,13 @@ type historyFloor struct {
 }
 
 // historyFloors mirrors dcbench -assert-floors (see docs/BENCHMARKS.md).
-// fabric2_vs_local (the pre-gate trajectory of the direct-path ratio),
-// fabric_direct_vs_relay and snapshot_overhead are tracked report-only
-// and so carry no floor.
+// snapshot_overhead is tracked report-only and so carries no floor.
 var historyFloors = []historyFloor{
 	{"shard4_vs_shard1", 0.9, true},
 	{"grouped16_vs_isolated16", 1.5, false},
 	{"memo16_vs_nomemo16", 1.5, false},
 	{"sharedmerge16_vs_nosharedmerge16", 1.5, false},
-	{"fabric2_vs_local", 0, false},
 	{"fabric_direct_vs_local", 1.0, true},
-	{"fabric_direct_vs_relay", 0, false},
 	{"snapshot_overhead", 0, false},
 	{"codec_delta_ratio", 2.0, false},
 	{"codec_dict_ratio", 2.0, false},
@@ -126,7 +122,7 @@ func HistoryMarkdown(points []HistoryPoint, skipped []string) string {
 		b.WriteString(", no floor breaches")
 	}
 	b.WriteString(". Ratios are machine-relative (see docs/BENCHMARKS.md); ")
-	b.WriteString("fabric2_vs_local, fabric_direct_vs_relay and snapshot_overhead are tracked report-only.\n")
+	b.WriteString("snapshot_overhead is tracked report-only.\n")
 	if len(skipped) > 0 {
 		fmt.Fprintf(&b, "\nskipped unparseable: %s\n", strings.Join(skipped, ", "))
 	}

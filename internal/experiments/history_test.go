@@ -21,7 +21,7 @@ func TestBenchHistoryMarkdown(t *testing.T) {
 		Derived: map[string]float64{
 			"shard4_vs_shard1": 1.2, "grouped16_vs_isolated16": 3.4,
 			"memo16_vs_nomemo16": 3.7, "sharedmerge16_vs_nosharedmerge16": 6.1,
-			"fabric2_vs_local": 0.4, "snapshot_overhead": 0.97,
+			"fabric_direct_vs_local": 1.4, "snapshot_overhead": 0.97,
 		},
 	})
 	// A breach point: grouped16 under its 1.5 floor.
@@ -58,7 +58,7 @@ func TestBenchHistoryMarkdown(t *testing.T) {
 	md := HistoryMarkdown(points, skipped)
 	for _, want := range []string{
 		"| 0001_aaaa | 8 |",
-		"0.40x",                     // report-only fabric ratio rendered plainly
+		"1.40x",                     // fabric ratio above its floor rendered plainly
 		"0.97x",                     // report-only snapshot overhead rendered plainly
 		"⚠️ **1.10x** (floor 1.5x)", // grouped16 breach flagged
 		"0.80x (floor n/a: 1 cpu)",  // multi-core-only floor annotated, not flagged

@@ -9,8 +9,8 @@ import (
 // BenchmarkFabricFanout measures the 16-query grouped workload over a
 // 4-shard stream, in-process vs through the shard fabric (coordinator + 2
 // worker runtimes over loopback TCP). The dcbench counterpart derives the
-// report-only fabric2_vs_local trajectory ratio; here the sub-benchmarks
-// make the same comparison visible to `go test -bench`.
+// fabric_direct_vs_local ratio (floored ≥1× on multi-core runners); here
+// the sub-benchmarks make the same comparison visible to `go test -bench`.
 func BenchmarkFabricFanout(b *testing.B) {
 	const n, batch, nkeys = 1 << 15, 2048, 256
 	for _, cfg := range []struct {

@@ -32,14 +32,6 @@ type Options struct {
 	// before flushing (default 2ms) — the worst-case added latency between
 	// an append and the watermark that lets workers seal it.
 	FlushDelay time.Duration
-	// NoDirect disables the receptor data plane: batch frames stay on the
-	// control session instead of a direct connection to each worker's
-	// receptor listener.
-	NoDirect bool
-	// DataDialer overrides how the coordinator dials worker receptor
-	// listeners (fault-injection harnesses interpose proxies here); nil
-	// means plain TCP.
-	DataDialer func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 // Coordinator is the fabric's engine-side half: it owns the exported
@@ -87,13 +79,8 @@ type peer struct {
 	idx  int
 	sess *session
 
-	// dataKick wakes the receptor dial loop the moment a Hello advertises
-	// a receptor address — dialing must not wait out a poll interval.
-	dataKick chan struct{}
-
-	mu       sync.Mutex
-	id       string // last Hello's self-reported id
-	dataAddr string // last Hello's receptor listener ("" = plane disabled)
+	mu sync.Mutex
+	id string // last Hello's self-reported id
 }
 
 // Lane flush causes (counters on /metrics).
@@ -290,19 +277,13 @@ func NewCoordinator(eng *datacell.Engine, opts Options) (*Coordinator, error) {
 	}
 	c.pingC = sync.NewCond(&c.mu)
 	for i := 0; i < opts.Workers; i++ {
-		p := &peer{idx: i, sess: newSession(true), dataKick: make(chan struct{}, 1)}
+		p := &peer{idx: i, sess: newSession(true)}
 		c.peers = append(c.peers, p)
 		c.lanes = append(c.lanes, &lane{c: c, p: p, dirty: make(map[*coordStream]struct{})})
 	}
 	eng.AttachFabric(c)
 	c.wg.Add(1)
 	go c.acceptLoop()
-	if !opts.NoDirect {
-		for _, p := range c.peers {
-			c.wg.Add(1)
-			go c.dataDialLoop(p)
-		}
-	}
 	return c, nil
 }
 
@@ -813,14 +794,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	p := c.peers[hello.Index]
 	p.mu.Lock()
 	p.id = hello.ID
-	p.dataAddr = hello.DataAddr
 	p.mu.Unlock()
-	if hello.DataAddr != "" {
-		select {
-		case p.dataKick <- struct{}{}:
-		default:
-		}
-	}
 	if f.Seq > p.sess.sentSeq() {
 		// The worker claims frames this coordinator never sent: its
 		// cursors (snapshot included) are from another coordinator life.
@@ -902,86 +876,6 @@ func (c *Coordinator) applyPeerFrame(p *peer, ftype byte, payload []byte) {
 			c.pingC.Broadcast()
 		}
 	}
-}
-
-// dataDialLoop keeps one receptor-plane connection to a worker alive:
-// once the worker's Hello advertises a receptor address, the coordinator
-// dials it, hands the conn to the session as its data plane, and blocks
-// reading (the worker never writes there — the read is the liveness
-// monitor). On loss the session falls batch traffic back to the control
-// conn and this loop redials.
-func (c *Coordinator) dataDialLoop(p *peer) {
-	defer c.wg.Done()
-	backoff := 25 * time.Millisecond
-	for {
-		select {
-		case <-c.doneC:
-			return
-		default:
-		}
-		p.mu.Lock()
-		addr := p.dataAddr
-		p.mu.Unlock()
-		if addr == "" || p.sess.hasData() {
-			select {
-			case <-c.doneC:
-				return
-			case <-p.dataKick:
-			case <-time.After(25 * time.Millisecond):
-			}
-			continue
-		}
-		conn, err := c.dialData(addr, p.idx)
-		if err != nil {
-			select {
-			case <-c.doneC:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > 500*time.Millisecond {
-				backoff = 500 * time.Millisecond
-			}
-			continue
-		}
-		backoff = 25 * time.Millisecond
-		p.sess.attachData(conn)
-		for {
-			if _, err := emitter.ReadFrame(conn); err != nil {
-				break
-			}
-		}
-		p.sess.detachData(conn)
-	}
-}
-
-// dialData performs the receptor-plane handshake: frameDataHello carrying
-// the coordinator's identity and the target worker index, answered by a
-// bare Welcome.
-func (c *Coordinator) dialData(addr string, idx int) (net.Conn, error) {
-	dial := c.opts.DataDialer
-	if dial == nil {
-		dial = func(a string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, timeout)
-		}
-	}
-	conn, err := dial(addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	hello := emitter.Frame{Type: frameDataHello,
-		Payload: marshalHello(helloMsg{Version: protoVersion, Index: idx, ID: "coordinator"})}
-	if err := emitter.WriteFrame(conn, hello); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := emitter.ReadFrame(conn)
-	if err != nil || f.Type != frameWelcome {
-		_ = conn.Close()
-		return nil, fmt.Errorf("fabric: receptor handshake with %s failed", addr)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	return conn, nil
 }
 
 // specPayload marshals one spec's broadcast frame.

@@ -10,7 +10,6 @@ package fabric_test
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -917,12 +916,12 @@ func TestFabricReassign(t *testing.T) {
 // the fabric's output is byte-identical to the fault-free local run.
 // The workload is the mixed matrix (single-stream, shared join, reeval
 // join, isolated members), so the faults land on join-fragment and
-// join-spec frames mid-epoch as well as plain scan traffic. Worker 1
-// suffers faults on BOTH planes: its control dial to the coordinator and
-// the coordinator's direct receptor dial back to it each run through
-// their own fault proxy, so cuts land mid-batched-frame on the data plane
-// and the pipelined-ack replay path is exercised too. Failures reproduce
-// from the seed.
+// join-spec frames mid-epoch as well as plain scan traffic. Worker 1's
+// link runs through a fault proxy with a schedule for EACH direction:
+// worker→coordinator fragments and acks, and coordinator→worker batches,
+// barriers and acks, so cuts land mid-batched-frame both ways and the
+// pipelined-ack replay path is exercised too. Failures reproduce from
+// the seed.
 func TestFabricFaultSchedules(t *testing.T) {
 	const members = 16
 	const size, slide = 20, 10
@@ -938,32 +937,11 @@ func TestFabricFaultSchedules(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ctlSchedule := fabrictest.RandomSchedule(rng, 3, 24)
 			dataSchedule := fabrictest.RandomSchedule(rng, 3, 16)
-			// The receptor proxy can only be built once worker 1 exists and
-			// has bound its listener, but the coordinator needs its dialer
-			// at construction — so data dials block on dataReady until the
-			// proxy is wired, and even the first dial runs through it.
-			var dataMu sync.Mutex
-			var w1data string
-			var dataProxy *fabrictest.FaultProxy
-			dataReady := make(chan struct{})
 			eng := datacell.New(&datacell.Options{Workers: 1})
 			coord, err := fabric.NewCoordinator(eng, fabric.Options{
 				Workers: 2,
 				// Small batches: many flush boundaries for faults to land on.
 				FlushBytes: 4 << 10,
-				DataDialer: func(addr string, timeout time.Duration) (net.Conn, error) {
-					select {
-					case <-dataReady:
-					case <-time.After(timeout):
-						return nil, fmt.Errorf("receptor proxy not wired yet")
-					}
-					dataMu.Lock()
-					if addr == w1data {
-						addr = dataProxy.Addr()
-					}
-					dataMu.Unlock()
-					return net.DialTimeout("tcp", addr, timeout)
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -979,29 +957,16 @@ func TestFabricFaultSchedules(t *testing.T) {
 			if err := coord.ExportStream("r"); err != nil {
 				t.Fatal(err)
 			}
-			proxy, err := fabrictest.NewFaultProxy(coord.Addr(), ctlSchedule)
+			proxy, err := fabrictest.NewFaultProxy(coord.Addr(), ctlSchedule, dataSchedule)
 			if err != nil {
 				t.Fatal(err)
 			}
 			proxy.DupOK = fabric.DupSafe
 			fc.proxies = append(fc.proxies, proxy)
-			// Worker 1 suffers the schedule; worker 0 connects clean.
+			// Worker 1 suffers the schedules; worker 0 connects clean.
 			fc.workers = append(fc.workers,
 				fabric.NewWorker(fabric.WorkerOptions{Coordinator: coord.Addr(), Index: 0}),
 				fabric.NewWorker(fabric.WorkerOptions{Coordinator: proxy.Addr(), Index: 1}))
-			if fc.workers[1].DataAddr() == "" {
-				t.Fatal("worker 1 bound no receptor listener")
-			}
-			dp, err := fabrictest.NewFaultProxy(fc.workers[1].DataAddr(), dataSchedule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp.DupOK = fabric.DupSafe
-			fc.proxies = append(fc.proxies, dp)
-			dataMu.Lock()
-			w1data, dataProxy = fc.workers[1].DataAddr(), dp
-			dataMu.Unlock()
-			close(dataReady)
 			qs := make([]*datacell.Query, members)
 			for i := range qs {
 				sql, opts := mixedMember(i, size, slide)
@@ -1020,11 +985,13 @@ func TestFabricFaultSchedules(t *testing.T) {
 				got[i] = collectRendered(q)
 			}
 			assertSameResults(t, fmt.Sprintf("faults seed=%d ctl=%v data=%v", seed, ctlSchedule, dataSchedule), got, local)
-			if proxy.Triggered() == 0 {
-				t.Fatalf("control schedule %v never fired; the run proved nothing", ctlSchedule)
+			t.Logf("faults fired: worker→coordinator %d, coordinator→worker %d",
+				proxy.Triggered(fabrictest.Up), proxy.Triggered(fabrictest.Down))
+			if proxy.Triggered(fabrictest.Up) == 0 {
+				t.Fatalf("worker→coordinator schedule %v never fired; the run proved nothing", ctlSchedule)
 			}
-			if dataProxy.Triggered() == 0 {
-				t.Fatalf("receptor schedule %v never fired; the run proved nothing", dataSchedule)
+			if proxy.Triggered(fabrictest.Down) == 0 {
+				t.Fatalf("coordinator→worker schedule %v never fired; the run proved nothing", dataSchedule)
 			}
 		})
 	}

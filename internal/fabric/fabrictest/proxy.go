@@ -13,7 +13,6 @@ package fabrictest
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"net"
 	"sort"
@@ -53,8 +52,8 @@ func (k FaultKind) String() string {
 }
 
 // Fault is one scheduled fault: when frame ordinal Frame (1-based,
-// counted in the worker→coordinator direction, ACROSS reconnects — the
-// counter survives a cut) passes through the proxy, apply Kind. A
+// counted per direction, ACROSS reconnects — the counter survives a cut)
+// passes through the proxy in its schedule's direction, apply Kind. A
 // duplicate fault landing on a frame the DupOK predicate rejects (a
 // control frame) is deferred to the next dup-safe frame rather than
 // silently dropped, so every scheduled fault eventually fires as long as
@@ -97,36 +96,55 @@ func RandomSchedule(r *rand.Rand, n, maxFrame int) Schedule {
 	return s
 }
 
-// FaultProxy is a frame-aware TCP proxy applying a Schedule to the
-// worker→coordinator direction (a cut kills both directions; the
-// coordinator→worker stream is otherwise forwarded untouched).
+// Direction names one way through a FaultProxy.
+type Direction int
+
+const (
+	// Up is the dialer → target direction (worker → coordinator).
+	Up Direction = iota
+	// Down is the target → dialer direction (coordinator → worker).
+	Down
+)
+
+// FaultProxy is a frame-aware TCP proxy applying one Schedule to each
+// direction. A cut in either direction kills both.
 type FaultProxy struct {
-	ln       net.Listener
-	target   string
-	schedule Schedule // sorted by Frame
+	ln     net.Listener
+	target string
 	// DupOK gates FaultDup per frame. nil means never duplicate.
 	DupOK func(emitter.Frame) bool
 
-	mu        sync.Mutex
-	frameNo   int // worker→coordinator frames seen, across connections
-	nextFault int // index into schedule of the next pending fault
-	dupOwed   bool
-	triggered int
-	wg        sync.WaitGroup
-	conns     map[net.Conn]bool
-	closed    bool
+	mu     sync.Mutex
+	dirs   [2]faultDir // indexed by Direction
+	wg     sync.WaitGroup
+	conns  map[net.Conn]bool
+	closed bool
 }
 
-// NewFaultProxy listens on loopback and forwards to target under the
-// schedule. Set DupOK before the first connection arrives.
-func NewFaultProxy(target string, schedule Schedule) (*FaultProxy, error) {
+// faultDir is one direction's schedule and progress (guarded by the
+// proxy's mu).
+type faultDir struct {
+	schedule  Schedule // sorted by Frame
+	frameNo   int      // frames seen in this direction, across connections
+	nextFault int      // index into schedule of the next pending fault
+	dupOwed   bool
+	triggered int
+}
+
+// NewFaultProxy listens on loopback and forwards to target, applying up
+// to the dialer → target frames and down to the target → dialer frames.
+// Set DupOK before the first connection arrives.
+func NewFaultProxy(target string, up, down Schedule) (*FaultProxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	sorted := append(Schedule(nil), schedule...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Frame < sorted[j].Frame })
-	p := &FaultProxy{ln: ln, target: target, schedule: sorted, conns: make(map[net.Conn]bool)}
+	p := &FaultProxy{ln: ln, target: target, conns: make(map[net.Conn]bool)}
+	for d, sch := range []Schedule{up, down} {
+		sorted := append(Schedule(nil), sch...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Frame < sorted[j].Frame })
+		p.dirs[d].schedule = sorted
+	}
 	p.wg.Add(1)
 	go p.accept()
 	return p, nil
@@ -135,12 +153,12 @@ func NewFaultProxy(target string, schedule Schedule) (*FaultProxy, error) {
 // Addr is the address workers should dial instead of the coordinator.
 func (p *FaultProxy) Addr() string { return p.ln.Addr().String() }
 
-// Triggered reports how many scheduled faults actually fired — tests
-// assert it is nonzero, or the run proved nothing.
-func (p *FaultProxy) Triggered() int {
+// Triggered reports how many scheduled faults actually fired in one
+// direction — tests assert it is nonzero, or the run proved nothing.
+func (p *FaultProxy) Triggered(d Direction) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.triggered
+	return p.dirs[d].triggered
 }
 
 // Close stops the proxy and severs every live connection.
@@ -193,32 +211,34 @@ func (p *FaultProxy) untrack(cs ...net.Conn) {
 	p.mu.Unlock()
 }
 
-// faultFor advances the global frame counter for one forwarded frame and
-// reports the fault to apply to it, if any. A pending duplicate that the
-// predicate rejected earlier (dupOwed) fires on the first dup-safe frame.
-func (p *FaultProxy) faultFor(f emitter.Frame) *Fault {
+// faultFor advances one direction's frame counter for one forwarded
+// frame and reports the fault to apply to it, if any. A pending duplicate
+// that the predicate rejected earlier (dupOwed) fires on the first
+// dup-safe frame.
+func (p *FaultProxy) faultFor(d Direction, f emitter.Frame) *Fault {
 	dupSafe := p.DupOK != nil && p.DupOK(f)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.frameNo++
-	if p.dupOwed {
+	fd := &p.dirs[d]
+	fd.frameNo++
+	if fd.dupOwed {
 		if !dupSafe {
 			return nil
 		}
-		p.dupOwed = false
-		p.triggered++
+		fd.dupOwed = false
+		fd.triggered++
 		return &Fault{Kind: FaultDup}
 	}
-	if p.nextFault >= len(p.schedule) || p.frameNo < p.schedule[p.nextFault].Frame {
+	if fd.nextFault >= len(fd.schedule) || fd.frameNo < fd.schedule[fd.nextFault].Frame {
 		return nil
 	}
-	fl := &p.schedule[p.nextFault]
-	p.nextFault++
+	fl := &fd.schedule[fd.nextFault]
+	fd.nextFault++
 	if fl.Kind == FaultDup && !dupSafe {
-		p.dupOwed = true
+		fd.dupOwed = true
 		return nil
 	}
-	p.triggered++
+	fd.triggered++
 	return fl
 }
 
@@ -236,44 +256,50 @@ func (p *FaultProxy) pipe(client net.Conn) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // coordinator → worker: untouched
-		defer wg.Done()
-		_, _ = io.Copy(client, upstream)
-		kill()
-	}()
-	go func() { // worker → coordinator: frame-parsed, faults applied
+	go func() {
 		defer wg.Done()
 		defer kill()
-		for {
-			f, err := emitter.ReadFrame(client)
-			if err != nil {
-				return
-			}
-			var buf bytes.Buffer
-			if err := emitter.WriteFrame(&buf, f); err != nil {
-				return
-			}
-			raw := buf.Bytes()
-			if fl := p.faultFor(f); fl != nil {
-				switch fl.Kind {
-				case FaultCut:
-					// Deliver a torn frame: header plus half the payload.
-					_, _ = upstream.Write(raw[:len(raw)-len(f.Payload)/2-1])
-					time.Sleep(5 * time.Millisecond)
-					return
-				case FaultDelay:
-					time.Sleep(fl.Delay)
-				case FaultDup:
-					if _, err := upstream.Write(raw); err != nil {
-						return
-					}
-				}
-			}
-			if _, err := upstream.Write(raw); err != nil {
-				return
-			}
-		}
+		p.forward(Up, client, upstream)
+	}()
+	go func() {
+		defer wg.Done()
+		defer kill()
+		p.forward(Down, upstream, client)
 	}()
 	wg.Wait()
 	p.untrack(client, upstream)
+}
+
+// forward copies frames from src to dst, applying direction d's faults,
+// until either side fails or a cut fires.
+func (p *FaultProxy) forward(d Direction, src, dst net.Conn) {
+	for {
+		f, err := emitter.ReadFrame(src)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := emitter.WriteFrame(&buf, f); err != nil {
+			return
+		}
+		raw := buf.Bytes()
+		if fl := p.faultFor(d, f); fl != nil {
+			switch fl.Kind {
+			case FaultCut:
+				// Deliver a torn frame: header plus half the payload.
+				_, _ = dst.Write(raw[:len(raw)-len(f.Payload)/2-1])
+				time.Sleep(5 * time.Millisecond)
+				return
+			case FaultDelay:
+				time.Sleep(fl.Delay)
+			case FaultDup:
+				if _, err := dst.Write(raw); err != nil {
+					return
+				}
+			}
+		}
+		if _, err := dst.Write(raw); err != nil {
+			return
+		}
+	}
 }

@@ -39,7 +39,7 @@ func fuzzChunk() *bat.Chunk {
 
 func FuzzWirePayloads(f *testing.F) {
 	ch := fuzzChunk()
-	f.Add(fzHello, marshalHello(helloMsg{Version: protoVersion, Index: 1, Snap: 42, ID: "w-1", DataAddr: "127.0.0.1:9"}))
+	f.Add(fzHello, marshalHello(helloMsg{Version: protoVersion, Index: 1, Snap: 42, ID: "w-1"}))
 	f.Add(fzStream, marshalStream(streamMsg{Name: "s", Schema: ch.Schema, Shards: 4, Lo: 0, Hi: 2}))
 	// Join sides register one spec each; the sliding window is the joined
 	// window both sides cut at.

@@ -42,8 +42,6 @@ var CoordinatorMetricDescs = []metrics.Desc{
 		Help: "Sub-frames (appends and watermarks) carried inside the worker's batch frames.", Labels: []string{"worker"}},
 	{Name: "datacell_fabric_batch_bytes_total", Type: metrics.Counter,
 		Help: "Batch payload bytes shipped on the worker's lane.", Labels: []string{"worker"}},
-	{Name: "datacell_fabric_worker_data_plane_up", Type: metrics.Gauge,
-		Help: "1 when the direct receptor connection to the worker is attached.", Labels: []string{"worker"}},
 	{Name: "datacell_fabric_wire_bytes_total", Type: metrics.Counter,
 		Help: "Encoded append payload bytes routed to workers."},
 	{Name: "datacell_fabric_wire_plain_bytes_total", Type: metrics.Counter,
@@ -68,10 +66,6 @@ func (c *Coordinator) collectMetrics(emit func(metrics.Metric)) {
 		if p.sess.conn != nil {
 			connected = 1
 		}
-		dataUp := 0.0
-		if p.sess.dataConn != nil {
-			dataUp = 1
-		}
 		framesOut, framesIn := p.sess.framesOut, p.sess.framesIn
 		retained, snapCur, reconnects := len(p.sess.outbox), p.sess.snapAcked, p.sess.reconnects
 		p.sess.mu.Unlock()
@@ -81,7 +75,6 @@ func (c *Coordinator) collectMetrics(emit func(metrics.Metric)) {
 		g("datacell_fabric_worker_retained_frames", float64(retained))
 		g("datacell_fabric_worker_snap_cursor", float64(snapCur))
 		g("datacell_fabric_worker_reconnects_total", float64(reconnects))
-		g("datacell_fabric_worker_data_plane_up", dataUp)
 
 		l := c.lanes[p.idx]
 		l.mu.Lock()
@@ -142,12 +135,6 @@ var WorkerMetricDescs = []metrics.Desc{
 		Help: "Installed slicing specs on this worker."},
 	{Name: "datacell_fabric_worker_link_up", Type: metrics.Gauge,
 		Help: "1 when the coordinator link is connected."},
-	{Name: "datacell_fabric_worker_receptor_conns", Type: metrics.Gauge,
-		Help: "Live producer connections on the receptor listener."},
-	{Name: "datacell_fabric_worker_receptor_frames_total", Type: metrics.Counter,
-		Help: "Frames ingested on the receptor plane (the rest arrived on the control link)."},
-	{Name: "datacell_fabric_worker_pending_frames", Type: metrics.Gauge,
-		Help: "Out-of-order frames parked in the reorder buffer awaiting their sequence gap."},
 	{Name: "datacell_fabric_worker_batches_out_total", Type: metrics.Counter,
 		Help: "Coalesced output batch frames sent to the coordinator."},
 	{Name: "datacell_fabric_worker_subframes_out_total", Type: metrics.Counter,
@@ -183,15 +170,6 @@ func (w *Worker) collectMetrics(emit func(metrics.Metric)) {
 		up = 1
 	}
 	g("datacell_fabric_worker_link_up", up)
-	w.dataMu.Lock()
-	dataConns, dataFrames := len(w.dataConns), w.dataFrames
-	w.dataMu.Unlock()
-	g("datacell_fabric_worker_receptor_conns", float64(dataConns))
-	g("datacell_fabric_worker_receptor_frames_total", float64(dataFrames))
-	w.rxMu.Lock()
-	pending := len(w.pending)
-	w.rxMu.Unlock()
-	g("datacell_fabric_worker_pending_frames", float64(pending))
 	g("datacell_fabric_worker_batches_out_total", float64(batchesOut))
 	g("datacell_fabric_worker_subframes_out_total", float64(subOut))
 }

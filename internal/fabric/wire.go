@@ -67,10 +67,9 @@ const (
 	frameShardState                   // worker → coord: exported shard state (handoff payload)
 	frameShardInstall                 // coord → worker: install shipped shard state
 	frameBatch                        // either direction: coalesced session sub-frames
-	frameDataHello                    // producer → worker receptor: data-plane handshake
 )
 
-const protoVersion = 3
+const protoVersion = 4
 
 // DupSafe reports whether a frame may be duplicated in transit without
 // desynchronizing a session: stamped session frames are deduplicated by
@@ -87,25 +86,19 @@ const welcomeReset byte = 1
 
 // helloMsg introduces (or re-introduces) a worker. Snap is the cursor of
 // the worker's last durable snapshot (0 when it never snapshotted): the
-// coordinator's replay-log retention floor for this worker. DataAddr
-// advertises the worker's receptor listener — the address producers dial
-// to ship ingest batches straight to the worker, off the control session
-// ("" when the receptor plane is disabled). A frameDataHello on that
-// listener reuses this message with the dialer's identity.
+// coordinator's replay-log retention floor for this worker.
 type helloMsg struct {
-	Version  int
-	Index    int
-	Snap     uint64
-	ID       string
-	DataAddr string
+	Version int
+	Index   int
+	Snap    uint64
+	ID      string
 }
 
 func marshalHello(m helloMsg) []byte {
 	b := binary.AppendUvarint(nil, uint64(m.Version))
 	b = binary.AppendUvarint(b, uint64(m.Index))
 	b = binary.AppendUvarint(b, m.Snap)
-	b = bat.AppendString(b, m.ID)
-	return bat.AppendString(b, m.DataAddr)
+	return bat.AppendString(b, m.ID)
 }
 
 func unmarshalHello(src []byte) (helloMsg, error) {
@@ -123,11 +116,8 @@ func unmarshalHello(src []byte) (helloMsg, error) {
 	if m.Snap, src, err = bat.ReadUvarint(src); err != nil {
 		return m, fmt.Errorf("fabric: hello snap: %w", err)
 	}
-	if m.ID, src, err = bat.ReadString(src); err != nil {
+	if m.ID, _, err = bat.ReadString(src); err != nil {
 		return m, fmt.Errorf("fabric: hello id: %w", err)
-	}
-	if m.DataAddr, _, err = bat.ReadString(src); err != nil {
-		return m, fmt.Errorf("fabric: hello data addr: %w", err)
 	}
 	return m, nil
 }

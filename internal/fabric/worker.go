@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,12 +27,6 @@ type WorkerOptions struct {
 	Index int
 	// ID is a self-reported label for introspection (default "w<Index>").
 	ID string
-	// DataListen is the receptor listener address — the port producers
-	// dial to ship ingest batches straight to this worker, bypassing the
-	// control session. Default "127.0.0.1:0" (enabled on an ephemeral
-	// port); "none" disables the receptor plane, leaving all ingest on
-	// the control session.
-	DataListen string
 	// SnapshotDir, when set, enables durable checkpoints: the worker
 	// periodically writes its state to SnapshotDir/worker-<Index>.snap and
 	// restores from it on startup, so a crashed worker resumes from its
@@ -65,30 +58,6 @@ type Worker struct {
 	opts WorkerOptions
 	sess *session
 	wg   sync.WaitGroup
-
-	// dataLn is the receptor listener (nil when disabled); dataAddr its
-	// bound address, advertised in every Hello.
-	dataLn   net.Listener
-	dataAddr string
-
-	// rxMu serializes frame application across the control and receptor
-	// planes; pending buffers out-of-order frames until the sequence gap
-	// fills (frames from the other plane). rxCond wakes a receptor reader
-	// blocked on a full pending buffer. Lock order: rxMu → mu.
-	rxMu    sync.Mutex
-	rxCond  *sync.Cond
-	pending map[uint64]emitter.Frame
-
-	// dataMu guards the live receptor connections (closed on retire).
-	dataMu     sync.Mutex
-	dataConns  map[net.Conn]struct{}
-	dataClosed bool
-	dataFrames uint64 // frames ingested via the receptor plane
-
-	// ackMu guards the coalesced-ack cursor: acks are pipelined — sent when
-	// a reader drains its buffer or every ackEvery frames — never per frame.
-	ackMu   sync.Mutex
-	lastAck uint64
 
 	// outBatch stages the handlers' output sub-frames; flushed as one batch
 	// frame per applied input frame (see flushOutLocked). Guarded by mu.
@@ -177,30 +146,11 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts.SnapshotEvery = 500 * time.Millisecond
 	}
 	w := &Worker{
-		opts:      opts,
-		sess:      newSession(false),
-		streams:   make(map[string]*workerStream),
-		specs:     make(map[int64]*workerSpec),
-		pending:   make(map[uint64]emitter.Frame),
-		dataConns: make(map[net.Conn]struct{}),
-		done:      make(chan struct{}),
-	}
-	w.rxCond = sync.NewCond(&w.rxMu)
-	if opts.DataListen != "none" {
-		addr := opts.DataListen
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		if ln, err := net.Listen("tcp", addr); err != nil {
-			// A receptor listener that cannot bind is not fatal: ingest
-			// falls back to the control session.
-			fmt.Fprintf(os.Stderr, "fabric worker %s: receptor listen %s: %v\n", opts.ID, addr, err)
-		} else {
-			w.dataLn = ln
-			w.dataAddr = ln.Addr().String()
-			w.wg.Add(1)
-			go w.dataAcceptLoop()
-		}
+		opts:    opts,
+		sess:    newSession(false),
+		streams: make(map[string]*workerStream),
+		specs:   make(map[int64]*workerSpec),
+		done:    make(chan struct{}),
 	}
 	if opts.SnapshotDir != "" {
 		if snap, err := snapshot.Load(opts.SnapshotDir, opts.Index); err != nil {
@@ -261,20 +211,7 @@ func (w *Worker) noteErr(what string, err error) {
 }
 
 func (w *Worker) retire() {
-	w.doneMu.Do(func() {
-		close(w.done)
-		if w.dataLn != nil {
-			_ = w.dataLn.Close()
-		}
-		w.dataMu.Lock()
-		w.dataClosed = true
-		for conn := range w.dataConns {
-			_ = conn.Close()
-		}
-		w.dataMu.Unlock()
-		// Wake any receptor reader parked on a sequence gap.
-		w.rxCond.Broadcast()
-	})
+	w.doneMu.Do(func() { close(w.done) })
 }
 
 func (w *Worker) isClosed() bool {
@@ -320,7 +257,7 @@ func (w *Worker) serve(conn net.Conn) bool {
 	w.mu.Unlock()
 	hello := emitter.Frame{Type: frameHello, Seq: w.sess.cursor(),
 		Payload: marshalHello(helloMsg{Version: protoVersion, Index: w.opts.Index,
-			Snap: snapCur, ID: w.opts.ID, DataAddr: w.dataAddr})}
+			Snap: snapCur, ID: w.opts.ID})}
 	if err := emitter.WriteFrame(conn, hello); err != nil {
 		_ = conn.Close()
 		return w.isClosed()
@@ -355,12 +292,10 @@ func (w *Worker) serve(conn net.Conn) bool {
 	_ = conn.SetReadDeadline(time.Time{})
 	w.sess.attach(conn, f.Seq, nil)
 
-	// The coalesced-ack cursor is connection-scoped (see the coordinator's
-	// handleConn): resetting it guarantees one ack per cursor position even
-	// when a replay delivers only duplicates.
-	w.ackMu.Lock()
-	w.lastAck = 0
-	w.ackMu.Unlock()
+	// The coalesced-ack cursor is connection-scoped, as in the
+	// coordinator's handleConn: starting at 0 guarantees one ack per
+	// cursor position even when a replay delivers only duplicates.
+	var lastAck uint64
 	for {
 		f, err := emitter.ReadFrame(br)
 		if err != nil {
@@ -374,157 +309,32 @@ func (w *Worker) serve(conn net.Conn) bool {
 		case frameWelcome:
 			continue // duplicate handshake reply from a racy reattach
 		}
-		if bye := w.ingest(f, false); bye {
+		// Frames arrive in sequence order on the one link: a duplicate is
+		// a replay of an applied frame, and a gap means the stream is
+		// broken — drop the conn and let the resume handshake replay from
+		// the cursor.
+		if fresh, gap := w.sess.accept(f.Seq); gap {
+			w.sess.detach(conn)
+			return w.isClosed()
+		} else if fresh && w.handle(f) {
 			w.retire()
 			w.sess.detach(conn)
 			return true
 		}
-		w.maybeAck(br.Buffered() == 0)
+		// Acks are pipelined: sent when the read buffer drains, or every
+		// ackEvery frames within a burst — never one per frame.
+		if cur := w.sess.cursor(); cur > lastAck && (br.Buffered() == 0 || cur-lastAck >= ackEvery) {
+			lastAck = cur
+			w.sess.sendCtl(emitter.Frame{Type: frameAck, Seq: cur})
+		}
 	}
 }
-
-// maxPending bounds the out-of-order buffer for the receptor plane: a
-// receptor reader that races this far ahead of the control stream blocks
-// (TCP backpressure on the producer) until the control conn fills the
-// sequence gap. The control reader itself never blocks here — it is the
-// gap filler.
-const maxPending = 256
 
 // ackEvery caps how many frames a burst may run before an ack goes out
 // even with more input buffered; between bursts the reader acks as soon
 // as its buffer drains. Pipelining acks this way keeps the peer's outbox
-// bounded without paying a control-plane frame per data frame.
+// bounded without paying an ack frame per session frame.
 const ackEvery = 64
-
-// ingest merges one stamped frame — from either plane — into the strict
-// sequence order the handlers require, and reports whether it (or a
-// buffered successor it unblocked) was a Bye. Duplicates fall out here;
-// future frames park in pending until the gap fills.
-func (w *Worker) ingest(f emitter.Frame, fromData bool) bool {
-	w.rxMu.Lock()
-	defer w.rxMu.Unlock()
-	for {
-		cur := w.sess.cursor()
-		if f.Seq <= cur {
-			return false // duplicate of an applied frame
-		}
-		if f.Seq == cur+1 {
-			return w.applyRxLocked(f)
-		}
-		if !fromData || len(w.pending) < maxPending {
-			w.pending[f.Seq] = f
-			return false
-		}
-		select {
-		case <-w.done:
-			return false
-		default:
-		}
-		w.rxCond.Wait()
-	}
-}
-
-// applyRxLocked applies f, then drains every buffered successor the new
-// cursor unblocks. Caller holds rxMu (which makes the accept-then-handle
-// pair atomic against the other plane's reader).
-func (w *Worker) applyRxLocked(f emitter.Frame) bool {
-	for {
-		if fresh, _ := w.sess.accept(f.Seq); fresh {
-			if w.handle(f) {
-				w.rxCond.Broadcast()
-				return true
-			}
-		}
-		w.rxCond.Broadcast()
-		nf, ok := w.pending[w.sess.cursor()+1]
-		if !ok {
-			return false
-		}
-		delete(w.pending, nf.Seq)
-		f = nf
-	}
-}
-
-// maybeAck acknowledges the receive cursor if it moved, coalescing: when
-// quiet (the reader's buffer is drained) ack immediately, otherwise only
-// after ackEvery unacknowledged frames.
-func (w *Worker) maybeAck(quiet bool) {
-	w.ackMu.Lock()
-	if cur := w.sess.cursor(); cur > w.lastAck && (quiet || cur-w.lastAck >= ackEvery) {
-		w.lastAck = cur
-		w.sess.sendCtl(emitter.Frame{Type: frameAck, Seq: cur})
-	}
-	w.ackMu.Unlock()
-}
-
-// dataAcceptLoop accepts producer connections on the receptor listener
-// until retire closes it.
-func (w *Worker) dataAcceptLoop() {
-	defer w.wg.Done()
-	for {
-		conn, err := w.dataLn.Accept()
-		if err != nil {
-			return
-		}
-		w.wg.Add(1)
-		go w.serveData(conn)
-	}
-}
-
-// serveData runs one receptor connection: a frameDataHello handshake
-// (version + worker index must match), then a one-way stream of session
-// frames merged into the shared sequence space. The receptor plane keeps
-// no resume state of its own — losing a data conn costs nothing, because
-// the control session's replay covers every sequence.
-func (w *Worker) serveData(conn net.Conn) {
-	defer w.wg.Done()
-	defer func() {
-		w.dataMu.Lock()
-		delete(w.dataConns, conn)
-		w.dataMu.Unlock()
-		_ = conn.Close()
-	}()
-	w.dataMu.Lock()
-	if w.dataClosed {
-		w.dataMu.Unlock()
-		return
-	}
-	w.dataConns[conn] = struct{}{}
-	w.dataMu.Unlock()
-
-	br := bufio.NewReaderSize(conn, 256<<10)
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := emitter.ReadFrame(br)
-	if err != nil || f.Type != frameDataHello {
-		return
-	}
-	m, err := unmarshalHello(f.Payload)
-	if err != nil || m.Version != protoVersion || m.Index != w.opts.Index {
-		return
-	}
-	if err := emitter.WriteFrame(conn, emitter.Frame{Type: frameWelcome}); err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	for {
-		f, err := emitter.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case frameAck, frameWelcome, frameDataHello:
-			continue
-		}
-		w.dataMu.Lock()
-		w.dataFrames++
-		w.dataMu.Unlock()
-		if bye := w.ingest(f, true); bye {
-			w.retire()
-			return
-		}
-		w.maybeAck(br.Buffered() == 0)
-	}
-}
 
 // wipe discards all state, cursors and the snapshot file — the Welcome
 // reset flag's order to rejoin as a blank worker.
@@ -541,10 +351,6 @@ func (w *Worker) wipe() {
 	w.lastSnap = 0
 	w.outBatch, w.outBatchN = nil, 0
 	w.mu.Unlock()
-	w.rxMu.Lock()
-	w.pending = make(map[uint64]emitter.Frame)
-	w.rxMu.Unlock()
-	w.rxCond.Broadcast()
 	w.sess.restore(0, 0, nil)
 	if w.opts.SnapshotDir != "" {
 		snapshot.Remove(w.opts.SnapshotDir, w.opts.Index)
@@ -1011,18 +817,7 @@ func (w *Worker) snapLoop() {
 func (w *Worker) Describe() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.dataMu.Lock()
-	dataFrames := w.dataFrames
-	dataConns := len(w.dataConns)
-	w.dataMu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "fabric worker %s index=%d coordinator=%s connected=%v streams=%d specs=%d applied=%d snap_cursor=%d frame_errs=%d receptor=%s data_conns=%d data_frames=%d",
+	return fmt.Sprintf("fabric worker %s index=%d coordinator=%s connected=%v streams=%d specs=%d applied=%d snap_cursor=%d frame_errs=%d",
 		w.opts.ID, w.opts.Index, w.opts.Coordinator, w.sess.connected(),
-		len(w.streams), len(w.specs), w.applied, w.lastSnap, w.frameErrs,
-		w.dataAddr, dataConns, dataFrames)
-	return b.String()
+		len(w.streams), len(w.specs), w.applied, w.lastSnap, w.frameErrs)
 }
-
-// DataAddr reports the receptor listener's bound address ("" when the
-// receptor plane is disabled).
-func (w *Worker) DataAddr() string { return w.dataAddr }
