@@ -11,7 +11,9 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"testing"
 
 	"datacell/internal/bat"
 )
@@ -75,17 +77,29 @@ func (op CmpOp) String() string {
 // Select filters a vector with a single comparison against a constant and
 // returns the qualifying candidate list, intersected with sel.
 func Select(v bat.Vector, sel Sel, op CmpOp, c bat.Value) Sel {
+	return selectTo(v, sel, op, c, selDst{})
+}
+
+// SelectView is Select for a lazy view's selection. When sel is nil and
+// every row qualifies it returns nil (every row) and allocates nothing.
+// With a non-nil s the survivors stay in the kernel's pooled candidate
+// buffer, lent to s until s.Release, instead of being copied out.
+func SelectView(v bat.Vector, sel Sel, op CmpOp, c bat.Value, s *Scratch) Sel {
+	return selectTo(v, sel, op, c, selDst{view: true, s: s})
+}
+
+func selectTo(v bat.Vector, sel Sel, op CmpOp, c bat.Value, dst selDst) Sel {
 	switch xs := v.(type) {
 	case bat.Ints:
-		return selectCmp(xs, sel, op, c.AsInt())
+		return selectCmp(xs, sel, op, c.AsInt(), dst)
 	case bat.Times:
-		return selectCmp(xs, sel, op, c.AsInt())
+		return selectCmp(xs, sel, op, c.AsInt(), dst)
 	case bat.Floats:
-		return selectCmp(xs, sel, op, c.AsFloat())
+		return selectCmp(xs, sel, op, c.AsFloat(), dst)
 	case bat.Strs:
-		return selectCmp(xs, sel, op, c.S)
+		return selectCmp(xs, sel, op, c.S, dst)
 	case bat.Bools:
-		return selectBool(xs, sel, op, c.B)
+		return selectBool(xs, sel, op, c.B, dst)
 	}
 	panic(fmt.Sprintf("algebra: Select on unknown vector %T", v))
 }
@@ -104,16 +118,67 @@ func candBuf(n int) (*[]int32, []int32) {
 	return bp, (*bp)[:n]
 }
 
-// survivors copies the k kept positions out of a candidate buffer into an
-// exactly sized candidate list and returns the buffer to the pool.
-// Appending to an empty non-nil list allocates without first zeroing the
-// memory the copy overwrites, and keeps an empty result non-nil (nil
-// would select every row).
-func survivors(bp *[]int32, buf []int32, k int) Sel {
+// selDst says where a select kernel leaves its survivors: Select's zero
+// value copies them into an exactly sized list; a view destination
+// returns nil when every row of an unselected input qualifies, and with
+// a Scratch keeps them in the candidate buffer.
+type selDst struct {
+	view bool
+	s    *Scratch
+}
+
+// survivors hands over the k kept positions of a candidate buffer; all
+// reports that the kernel scanned no selection and kept every row. An
+// exactly sized copy appends to an empty non-nil list, which allocates
+// without first zeroing the memory the copy overwrites and keeps an
+// empty result non-nil (nil would select every row).
+func (d selDst) survivors(bp *[]int32, buf []int32, k int, all bool) Sel {
+	switch {
+	case d.view && all:
+		selScratch.Put(bp)
+		return nil
+	case d.s != nil && k > 0:
+		d.s.bufs = append(d.s.bufs, bp)
+		return buf[:k]
+	}
 	out := append(Sel{}, buf[:k]...)
 	selScratch.Put(bp)
 	return out
 }
+
+// Scratch lends the select kernels' candidate buffers to a caller that
+// reads a selection only within one operator call, such as a filter
+// whose only reader is an aggregate: a selection built into a Scratch is
+// the kernel's own pooled buffer, and Release hands every buffer back at
+// once. Nothing may read such a selection after Release; test binaries
+// overwrite released buffers with out-of-range positions so that such a
+// read fails loudly instead of seeing plausible stale candidates. The
+// zero value is ready to use.
+type Scratch struct {
+	bufs []*[]int32
+}
+
+// Release hands every lent buffer back to the select kernels' pool and
+// leaves s empty for reuse.
+func (s *Scratch) Release() {
+	for i, bp := range s.bufs {
+		if poison {
+			buf := (*bp)[:cap(*bp)]
+			for j := range buf {
+				buf[j] = poisonPos
+			}
+		}
+		selScratch.Put(bp)
+		s.bufs[i] = nil
+	}
+	s.bufs = s.bufs[:0]
+}
+
+// poison is on in test binaries: released Scratch buffers are overwritten
+// with poisonPos, a position no vector has.
+var poison = testing.Testing()
+
+const poisonPos = math.MinInt32
 
 // selectCmp is the generic single-comparison kernel, written predicated
 // rather than branchy: every candidate position is stored into the
@@ -121,7 +186,7 @@ func survivors(bp *[]int32, buf []int32, k int) Sel {
 // outcome, so the loop carries no data-dependent branch and the result
 // is copied out once at its exact size. The operator is hoisted out of
 // the loops (one loop per operator and access path).
-func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
+func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T, dst selDst) Sel {
 	bp, buf := candBuf(SelLen(sel, len(xs)))
 	k := 0
 	if sel == nil {
@@ -157,7 +222,7 @@ func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
 				k += b2i(x >= c)
 			}
 		}
-		return survivors(bp, buf, k)
+		return dst.survivors(bp, buf, k, k == len(xs))
 	}
 	switch op {
 	case EQ:
@@ -191,13 +256,13 @@ func selectCmp[T int64 | float64 | string](xs []T, sel Sel, op CmpOp, c T) Sel {
 			k += b2i(xs[i] >= c)
 		}
 	}
-	return survivors(bp, buf, k)
+	return dst.survivors(bp, buf, k, false)
 }
 
 // selectBool decides the comparison once per boolean value (ordered
 // comparisons use false < true) and collects through a two-entry keep
 // table indexed by each row's value.
-func selectBool(xs []bool, sel Sel, op CmpOp, c bool) Sel {
+func selectBool(xs []bool, sel Sel, op CmpOp, c bool, dst selDst) Sel {
 	var keep [2]int
 	for x := range keep {
 		keep[x] = b2i(cmpInts(x, b2i(c), op))
@@ -215,7 +280,7 @@ func selectBool(xs []bool, sel Sel, op CmpOp, c bool) Sel {
 			k += keep[b2i(xs[i])]
 		}
 	}
-	return survivors(bp, buf, k)
+	return dst.survivors(bp, buf, k, sel == nil && k == len(xs))
 }
 
 func cmpInts(a, b int, op CmpOp) bool {

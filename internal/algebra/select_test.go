@@ -325,3 +325,43 @@ func TestSelectDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectViewPassesAndLends: SelectView returns nil when every row of
+// an unselected vector qualifies (Select still returns the full list),
+// an exactly sized list without a Scratch, and with one a list that
+// Release poisons in test binaries — no position a vector has — so a
+// read after release cannot pass for a valid selection.
+func TestSelectViewPassesAndLends(t *testing.T) {
+	v := bat.Ints{5, 1, 7, 3, 9}
+	if got := SelectView(v, nil, GE, bat.IntValue(0), nil); got != nil {
+		t.Fatalf("all-pass SelectView = %v, want nil", got)
+	}
+	if got := Select(v, nil, GE, bat.IntValue(0)); !selEqual(got, Sel{0, 1, 2, 3, 4}) {
+		t.Fatalf("all-pass Select = %v, want the full list", got)
+	}
+	if got := SelectView(v, Sel{0, 1, 2, 3, 4}, GE, bat.IntValue(0), nil); !selEqual(got, Sel{0, 1, 2, 3, 4}) {
+		t.Fatalf("SelectView under a selection = %v, want the full list", got)
+	}
+	if got := SelectView(v, nil, GT, bat.IntValue(100), nil); got == nil || len(got) != 0 {
+		t.Fatalf("none-pass SelectView = %#v, want an empty non-nil list", got)
+	}
+	var s Scratch
+	lent := SelectView(v, nil, GT, bat.IntValue(4), &s)
+	if !selEqual(lent, Sel{0, 2, 4}) {
+		t.Fatalf("SelectView into a Scratch = %v", lent)
+	}
+	if got := SelectView(v, lent, LT, bat.IntValue(8), &s); !selEqual(got, Sel{0, 2}) {
+		t.Fatalf("SelectView into a Scratch under a lent selection = %v", got)
+	}
+	s.Release()
+	if len(s.bufs) != 0 {
+		t.Fatalf("released Scratch still lends %d buffers", len(s.bufs))
+	}
+	if poison {
+		for _, p := range lent {
+			if p != poisonPos {
+				t.Fatalf("released selection reads %v, want poison", lent)
+			}
+		}
+	}
+}

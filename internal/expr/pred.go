@@ -21,15 +21,8 @@ import (
 func EvalPred(e Expr, c *bat.Chunk, sel algebra.Sel) algebra.Sel {
 	switch n := e.(type) {
 	case *Cmp:
-		if col, ok := n.L.(*Col); ok {
-			if k, ok := n.R.(*Const); ok {
-				return algebra.Select(c.Cols[col.Idx], sel, n.Op, k.V)
-			}
-		}
-		if k, ok := n.L.(*Const); ok {
-			if col, ok := n.R.(*Col); ok {
-				return algebra.Select(c.Cols[col.Idx], sel, flipOp(n.Op), k.V)
-			}
+		if col, op, v, ok := colConst(n); ok {
+			return algebra.Select(c.Cols[col], sel, op, v)
 		}
 	case *Logic:
 		switch n.Op {
@@ -63,6 +56,45 @@ func EvalPred(e Expr, c *bat.Chunk, sel algebra.Sel) algebra.Sel {
 		}
 	}
 	return out
+}
+
+// Restrict is EvalPred for a view's selection. When sel is nil and every
+// row qualifies it returns nil (every row) instead of the full list, and
+// its comparisons and conjunctions build their candidate lists in s when
+// s is non-nil (algebra.SelectView): the result is then valid only until
+// s.Release. Other shapes evaluate through EvalPred.
+func Restrict(e Expr, c *bat.Chunk, sel algebra.Sel, s *algebra.Scratch) algebra.Sel {
+	switch n := e.(type) {
+	case *Cmp:
+		if col, op, v, ok := colConst(n); ok {
+			return algebra.SelectView(c.Cols[col], sel, op, v, s)
+		}
+	case *Logic:
+		if n.Op == And {
+			return Restrict(n.R, c, Restrict(n.L, c, sel, s), s)
+		}
+	}
+	out := EvalPred(e, c, sel)
+	if sel == nil && len(out) == c.Rows() {
+		return nil
+	}
+	return out
+}
+
+// colConst matches col <op> const and const <op> col, returning the
+// column's index and the comparison with the column on the left.
+func colConst(n *Cmp) (col int, op algebra.CmpOp, v bat.Value, ok bool) {
+	if c, isCol := n.L.(*Col); isCol {
+		if k, isConst := n.R.(*Const); isConst {
+			return c.Idx, n.Op, k.V, true
+		}
+	}
+	if k, isConst := n.L.(*Const); isConst {
+		if c, isCol := n.R.(*Col); isCol {
+			return c.Idx, flipOp(n.Op), k.V, true
+		}
+	}
+	return 0, 0, bat.Value{}, false
 }
 
 func materialize(sel algebra.Sel, n int) algebra.Sel {

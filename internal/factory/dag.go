@@ -1,6 +1,7 @@
 package factory
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,16 +24,27 @@ import (
 // it catches up.
 //
 // Evaluation is fused (internal/kernel): memo cells hold lazy views —
-// a filter node's cell is just a candidate list over its parent's view,
-// and an aggregate node consumes its parent's view directly, evaluating
-// keys and arguments in place through the selection. Each member
-// requests exactly one node per window — its aggregate node when it has
-// one, its pipeline leaf otherwise — so a view materializes (latched,
-// once across all members) only when a non-aggregate member's chain ends
-// at that node and its ring needs the dense chunk. Filter nodes under
-// aggregate members never materialize. Bytes are identical to a
+// a memoized filter node's cell is a candidate list over its parent's
+// view (none when the filter keeps every row of an unselected run), and
+// an aggregate node consumes its parent's view directly, evaluating keys
+// and arguments in place through the selection. Each member requests
+// exactly one node per window — its aggregate node when it has one, its
+// pipeline leaf otherwise — so a view materializes (latched, once across
+// all members) only when a non-aggregate member's chain ends at that
+// node and its ring needs the dense chunk. Bytes are identical to a
 // chunk-per-node memo: materializing a filter view IS the FetchChunk a
 // dense filter would perform eagerly.
+//
+// A node whose only reader is one aggregate node — no member's chain
+// ends at it and it has no other child — is fused into that aggregate
+// (dagNode.fused), and so is a chain of such nodes: the aggregate's
+// evaluation derives the chain's views itself, with selections that live
+// only for the call (kernel.AggregateSteps), and the chain's memo cells
+// stay empty. The slab, which the class rings keep for a whole window
+// extent, then holds no selection nobody reads again. The flag is
+// decided under the dag's lock whenever a path registers or leaves; an
+// evaluation that reads it mid-change is still correct either way, since
+// a memoized evaluation of the same node yields the same view.
 //
 // Every live node holds a dense ordinal, its index into a window's memo
 // slab (dagWin.cells), so a member's per-window lookup is an index, not a
@@ -56,6 +68,14 @@ type dagNode struct {
 	step   kernel.Step     // the compiled operator; unset for aggregate nodes
 	agg    *plan.Aggregate // partial-aggregate nodes
 	refs   int             // registered paths through this node
+	// kids are the registered nodes whose parent is this node, and ends
+	// counts the registered paths that read this node's own output: the
+	// non-aggregate members whose chain ends here. Both are guarded by
+	// the dag's mu; fused caches what they decide for the lock-free
+	// evaluator.
+	kids  []*dagNode
+	ends  int
+	fused atomic.Bool
 	// ord is the node's memo slab index and born the dag epoch at which
 	// it was assigned; a window created at an earlier epoch has no slab
 	// cell for the node.
@@ -77,6 +97,9 @@ func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
 		return n, false
 	}
 	n = &dagNode{fp: fp, parent: parent}
+	if parent != nil {
+		parent.kids = append(parent.kids, n)
+	}
 	if k := len(d.free); k > 0 {
 		n.ord, d.free = d.free[k-1], d.free[:k-1]
 	} else {
@@ -93,8 +116,10 @@ func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
 // stage) to the DAG, reusing nodes whose cumulative fingerprints match.
 // It returns the member's pipeline leaf and aggregate node (either may be
 // nil: an empty chain means the member consumes raw basic windows).
-// Each registered path holds one reference on every node it traverses;
-// unregister releases them.
+// Each registered path holds one reference on every node it traverses —
+// an aggregate member registers two, its leaf's and its aggregate's —
+// and a member without an aggregate reads its leaf (ends); unregister
+// releases both.
 func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp string) (leaf, aggNode *dagNode) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -122,7 +147,10 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 			aggNode.agg = agg
 		}
 		d.retain(aggNode)
+	} else if leaf != nil {
+		leaf.ends++
 	}
+	settle(leaf)
 	return leaf, aggNode
 }
 
@@ -133,17 +161,43 @@ func (d *dag) retain(n *dagNode) {
 	}
 }
 
-// unregister releases one path reference from n upward, pruning nodes no
-// member reaches anymore.
-func (d *dag) unregister(n *dagNode) {
+// unregister releases what register(…) returning leaf and aggNode took,
+// pruning nodes no member reaches anymore.
+func (d *dag) unregister(leaf, aggNode *dagNode) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if aggNode != nil {
+		d.release(aggNode)
+	} else if leaf != nil {
+		leaf.ends--
+	}
+	d.release(leaf)
+	settle(leaf)
+}
+
+// release drops one path reference from n upward. Callers hold d.mu.
+func (d *dag) release(n *dagNode) {
 	for ; n != nil; n = n.parent {
 		n.refs--
-		if n.refs <= 0 {
-			delete(d.nodes, n.fp)
-			d.free = append(d.free, n.ord)
+		if n.refs > 0 {
+			continue
 		}
+		delete(d.nodes, n.fp)
+		d.free = append(d.free, n.ord)
+		if p := n.parent; p != nil {
+			p.kids = slices.DeleteFunc(p.kids, func(k *dagNode) bool { return k == n })
+		}
+	}
+}
+
+// settle recomputes fused from n up to the root, children first: a
+// non-aggregate node is fused when nothing reads it but its only child,
+// and that child is an aggregate or fused itself. Callers hold the dag's
+// mu.
+func settle(n *dagNode) {
+	for ; n != nil; n = n.parent {
+		one := len(n.kids) == 1 && (n.kids[0].agg != nil || n.kids[0].fused.Load())
+		n.fused.Store(n.agg == nil && n.ends == 0 && one)
 	}
 }
 
@@ -245,17 +299,34 @@ func evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, co
 	}
 	c := w.cell(n)
 	c.once.Do(func() {
-		in, _ := evalNode(w, n.parent, misses)
 		if n.agg != nil {
-			part := kernel.Aggregate(n.agg, in, int(n.hint.Load()))
-			n.hint.Store(int64(part.Rows()))
-			c.view.Base = part
+			c.view.Base = evalAggregate(w, n, misses)
 			c.out = &c.view
 		} else {
+			in, _ := evalNode(w, n.parent, misses)
 			c.out = n.step.Apply(in, &c.view)
 		}
 		misses.Add(1)
 		computed = true
 	})
 	return c.out, computed
+}
+
+// evalAggregate computes aggregate node n's partial: over its memoized
+// input when its parent is not fused, otherwise over the fused chain
+// above it, evaluated for this call only. Each fused node counts one
+// miss, as its memoized evaluation would.
+func evalAggregate(w *dagWin, n *dagNode, misses *atomic.Int64) *bat.Chunk {
+	var buf [4]*kernel.Step
+	steps := buf[:0]
+	top := n.parent
+	for ; top != nil && top.fused.Load(); top = top.parent {
+		steps = append(steps, &top.step)
+	}
+	slices.Reverse(steps)
+	in, _ := evalNode(w, top, misses)
+	part := kernel.AggregateSteps(n.agg, steps, in, int(n.hint.Load()))
+	n.hint.Store(int64(part.Rows()))
+	misses.Add(int64(len(steps)))
+	return part
 }

@@ -37,7 +37,7 @@ func TestDagOrdinalReuseNeverAliases(t *testing.T) {
 		t.Fatalf("x < 3 kept %d rows, want 2", got)
 	}
 
-	d.unregister(gone)
+	d.unregister(gone, nil)
 	late, _ := d.register(filterStep("late", algebra.GE, 5), nil, "")
 	if late.ord != gone.ord {
 		t.Fatalf("pruned ordinal %d not reused (new node got %d)", gone.ord, late.ord)
@@ -61,6 +61,48 @@ func TestDagOrdinalReuseNeverAliases(t *testing.T) {
 	}
 	if len(fresh.cells) != 2 {
 		t.Fatalf("slab of %d cells for 2 live nodes", len(fresh.cells))
+	}
+}
+
+// TestDagFusesSoleAggregateReaders: a non-aggregate node is fused into
+// its child exactly while nothing else reads it — no member's chain ends
+// there and the child, its only one, is an aggregate or fused itself —
+// and the flag follows every register and unregister, along the whole
+// chain.
+func TestDagFusesSoleAggregateReaders(t *testing.T) {
+	agg := func(fn algebra.AggOp) *plan.Aggregate {
+		return &plan.Aggregate{Aggs: []plan.AggSpec{{Op: fn, Name: "a"}}, Out: bat.NewSchema([]string{"a"}, []bat.Kind{bat.Int})}
+	}
+	count, max := agg(algebra.AggCount), agg(algebra.AggMax)
+	chain := append(filterStep("f1", algebra.GT, 0), filterStep("f1/f2", algebra.LT, 9)...)
+	d := newDAG()
+	fused := func(want ...bool) {
+		t.Helper()
+		for i, fp := range []string{"f1", "f1/f2"} {
+			n := d.nodes[fp]
+			if got := n != nil && n.fused.Load(); got != want[i] {
+				t.Fatalf("%s fused = %v, want %v", fp, got, want[i])
+			}
+		}
+	}
+
+	leaf, a1 := d.register(chain, count, "count")
+	fused(true, true)
+	mid, _ := d.register(chain[:1], nil, "") // a member reading f1's output
+	fused(false, true)
+	_, a2 := d.register(chain, max, "max") // a second aggregate under f2
+	fused(false, false)
+	d.unregister(mid, nil)
+	fused(false, false)
+	d.unregister(leaf, a2)
+	fused(true, true)
+	end, _ := d.register(chain, nil, "") // a member reading f2's output
+	fused(false, false)
+	d.unregister(end, nil)
+	fused(true, true)
+	d.unregister(leaf, a1)
+	if len(d.nodes) != 0 {
+		t.Fatalf("%d nodes left after every path left", len(d.nodes))
 	}
 }
 

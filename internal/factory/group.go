@@ -753,14 +753,12 @@ func (g *Group) Leave(m *Member) {
 		closeClass.close()
 	}
 	if m.postLeaf != nil {
-		m.class.post.unregister(m.postLeaf)
-	}
-	if m.aggLeaf != nil {
-		g.sides[0].dag.unregister(m.aggLeaf)
+		m.class.post.unregister(m.postLeaf, nil)
 	}
 	for s, leaf := range m.leaf {
-		if leaf != nil {
-			g.sides[s].dag.unregister(leaf)
+		// Only a one-sided group's member has an aggregate node.
+		if leaf != nil || m.aggLeaf != nil {
+			g.sides[s].dag.unregister(leaf, m.aggLeaf)
 		}
 	}
 	for _, it := range m.q.closeDrain() {
@@ -883,11 +881,14 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 	// Recycle a window's basket storage when its last shared reference
 	// goes only if nothing a member keeps aliases the runs: in a one-sided
 	// group whose members all cache partial aggregates alone — fresh
-	// chunks — and whose merge classes therefore merge partials too. Any
-	// other member may hold views of the runs past its release (a
-	// pipeline output in its ring, a re-evaluation window, a join's pair
-	// cache), so those windows drop their leases unreleased and the
-	// garbage collector frees the storage once no view references it.
+	// chunks — and whose merge classes therefore merge partials too. A
+	// fused filter's selections die with the aggregate's call, before the
+	// member releases its reference. Any other member may hold views of
+	// the runs past its release (a pipeline output in its ring — the run
+	// itself when a filter keeps every row —, a re-evaluation window, a
+	// join's pair cache), so those windows drop their leases unreleased
+	// and the garbage collector frees the storage once no view
+	// references it.
 	recycle := len(g.sides) == 1
 	for _, m := range members {
 		recycle = recycle && m.partialsOnly

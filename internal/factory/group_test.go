@@ -43,7 +43,9 @@ func sharedFactory(t *testing.T, cat *catalog.Catalog, name, src string, out emi
 // TestAggregateMemberRingHoldsPartialsOnly: a grouped aggregate member
 // resolves only its partial-aggregate node through the shared DAG. Its
 // ring slots carry partials and no pipeline output, and the filter leaf
-// feeding the aggregate is never materialized — by either member.
+// feeding the aggregate is fused into it: its selection is never
+// memoized in the window's slab, let alone materialized — by either
+// member.
 func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	cat := catalog.New()
 	s, err := cat.CreateStream("s", bat.NewSchema(
@@ -62,6 +64,9 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	m1, m2 := g.Join("q1", fac1), g.Join("q2", fac2)
 	if m1.aggLeaf == nil || m1.leaf[0] == nil || m1.leaf[0] != m2.leaf[0] {
 		t.Fatalf("members did not share a filter leaf under their aggregate nodes")
+	}
+	if !m1.leaf[0].fused.Load() {
+		t.Fatal("the filter leaf read only by one aggregate node is not fused into it")
 	}
 
 	c := bat.NewChunk(s.Schema())
@@ -85,12 +90,12 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	}
 
 	for _, it := range items {
-		cell := it.dw.cell(m1.leaf[0])
-		if cell.out == nil {
-			t.Fatal("filter leaf was never evaluated under the aggregate")
+		if it.dw.cell(m1.aggLeaf).out == nil {
+			t.Fatalf("basic window %d: aggregate node was never evaluated", it.bw.Gen)
 		}
-		if cell.out.Materialized() {
-			t.Errorf("basic window %d: filter leaf view was materialized", it.bw.Gen)
+		cell := it.dw.cell(m1.leaf[0])
+		if cell.out != nil || cell.view.Sel != nil || cell.view.Materialized() {
+			t.Errorf("basic window %d: filter leaf selection was memoized", it.bw.Gen)
 		}
 	}
 	for _, fac := range []*Factory{fac1, fac2} {

@@ -18,12 +18,19 @@
 //
 //   - Filter   composes the selection; nothing is copied. The selection
 //     itself is built by the predicated select kernels, which allocate
-//     exactly 4 bytes per survivor.
+//     exactly 4 bytes per survivor — nothing when every row of an
+//     unselected run survives: the run then passes through with no
+//     selection. A chain whose only reader is an aggregate
+//     (AggregateSteps) builds its selections in pooled scratch that
+//     lives for the aggregate's call alone.
 //   - Project  of column references only re-indexes the base columns
 //     and keeps the selection: still a view, nothing is copied. A
 //     compiled step (CompileStep) keeps the column map itself in the
 //     view, so re-indexing allocates no chunk and a later Materialize is
-//     one gather straight from the base columns. A projection with
+//     one gather straight from the base columns — or, without a
+//     selection, a chunk over the base's own columns, and for an empty
+//     selection the step's one cached empty chunk (results are
+//     immutable, so materialized chunks may alias). A projection with
 //     computed expressions evaluates them under the selection into a
 //     dense chunk.
 //   - Aggregate reads column-reference keys and arguments in place
@@ -85,15 +92,25 @@ type View struct {
 	proj *colMap
 }
 
-// colMap is a compiled column-reference projection.
+// colMap is a compiled column-reference projection. ident marks a map
+// that keeps a prefix of its base's columns in place, and empty is the
+// projection of zero rows: every empty result of the step shares it, as
+// results are immutable.
 type colMap struct {
-	idx []int
-	out bat.Schema
+	idx   []int
+	out   bat.Schema
+	ident bool
+	empty *bat.Chunk
 }
 
 // reindex returns c's columns in the map's order as a chunk of the
-// projected schema; no column data moves.
+// projected schema; no column data moves, and an identity map reuses c's
+// column slice.
 func (m *colMap) reindex(c *bat.Chunk) *bat.Chunk {
+	if m.ident {
+		n := len(m.idx)
+		return &bat.Chunk{Schema: m.out, Cols: c.Cols[:n:n]}
+	}
 	cols := make([]bat.Vector, len(m.idx))
 	for i, j := range m.idx {
 		cols[i] = c.Cols[j]
@@ -163,6 +180,8 @@ func (v *View) Materialize() *bat.Chunk {
 	switch {
 	case v.runs != nil:
 		c = v.runs.materialize()
+	case v.proj != nil && v.Sel != nil && len(v.Sel) == 0:
+		c = v.proj.empty
 	case v.proj != nil && v.Sel != nil:
 		cols := make([]bat.Vector, len(v.proj.idx))
 		for i, j := range v.proj.idx {
@@ -194,17 +213,27 @@ func (v *View) flat() *View {
 
 // Filter composes a predicate into the view's selection — into each
 // run's selection for a multi-run view. No column data moves: the
-// returned view shares the input's chunks.
-func Filter(pred expr.Expr, v *View) *View {
+// returned view shares the input's chunks, and a run without a selection
+// whose every row qualifies keeps no selection (expr.Restrict), so an
+// all-pass filter builds no candidate list.
+func Filter(pred expr.Expr, v *View) *View { return filter(pred, v, nil, nil) }
+
+// filter is Filter building a single-run result in dst when dst is
+// non-nil, and its selections in s when s is non-nil.
+func filter(pred expr.Expr, v, dst *View, s *algebra.Scratch) *View {
 	v = v.flat()
 	if v.runs != nil {
 		out := v.runs.derive(v.runs.schema)
 		for i, r := range v.runs.runs {
-			out.runs[i] = run{c: r.c, sel: expr.EvalPred(pred, r.c, r.sel)}
+			out.runs[i] = run{c: r.c, sel: expr.Restrict(pred, r.c, r.sel, s)}
 		}
 		return &View{runs: out}
 	}
-	return &View{Base: v.Base, Sel: expr.EvalPred(pred, v.Base, v.Sel)}
+	if dst == nil {
+		dst = new(View)
+	}
+	*dst = View{Base: v.Base, Sel: expr.Restrict(pred, v.Base, v.Sel, s)}
+	return dst
 }
 
 // Project evaluates projection expressions under the view's selection.
@@ -264,6 +293,38 @@ func colRefs(exprs []expr.Expr) bool {
 		}
 	}
 	return len(exprs) > 0
+}
+
+// AggregateSteps is Aggregate over the view that steps derive from v: the
+// evaluation of an operator chain whose only reader is the aggregate. The
+// chain's selections live only as long as the call — built in pooled
+// scratch and handed back before it returns — which is safe because
+// Aggregate keeps nothing of its input: keys are fetched at the group
+// representatives and aggregates accumulate into fresh vectors.
+func AggregateSteps(t *plan.Aggregate, steps []*Step, v *View, hint int) *bat.Chunk {
+	cs := chainScratches.Get().(*chainScratch)
+	defer cs.release()
+	for i, st := range steps {
+		v = st.apply(v, &cs.views[i%2], &cs.sels)
+	}
+	return Aggregate(t, v, hint)
+}
+
+// chainScratch is one AggregateSteps call's transient state: the chain's
+// selections and the views single-run steps are built in, alternating.
+// It is pooled, so a warm call allocates nothing for it, and emptied
+// before it goes back, so the pool never keeps a window's data alive.
+type chainScratch struct {
+	sels  algebra.Scratch
+	views [2]View
+}
+
+var chainScratches = sync.Pool{New: func() any { return new(chainScratch) }}
+
+func (cs *chainScratch) release() {
+	cs.sels.Release()
+	cs.views = [2]View{}
+	chainScratches.Put(cs)
 }
 
 // Aggregate runs a partial (or full) grouped aggregation directly over
@@ -433,6 +494,7 @@ type denseInputs struct {
 type denseVec struct {
 	col int
 	v   bat.Vector
+	box any // the pool box of v's storage
 }
 
 // of returns expression e as a dense vector: a column reference is
@@ -445,19 +507,21 @@ func (in *denseInputs) of(e expr.Expr) bat.Vector {
 				return d.v
 			}
 		}
-		v := in.rl.gather(scratchVector(in.rl.runs[0].c.Cols[c.Idx], in.rows), c.Idx)
-		in.vecs = append(in.vecs, denseVec{col: c.Idx, v: v})
+		v, box := scratchVector(in.rl.runs[0].c.Cols[c.Idx], in.rows)
+		v = in.rl.gather(v, c.Idx)
+		in.vecs = append(in.vecs, denseVec{col: c.Idx, v: v, box: box})
 		return v
 	}
 	var dst bat.Vector
+	var box any
 	for _, r := range in.rl.runs {
 		part := e.Eval(r.c, r.sel)
 		if dst == nil {
-			dst = scratchVector(part, in.rows)
+			dst, box = scratchVector(part, in.rows)
 		}
 		dst = dst.AppendVector(part)
 	}
-	in.vecs = append(in.vecs, denseVec{col: -1, v: dst})
+	in.vecs = append(in.vecs, denseVec{col: -1, v: dst, box: box})
 	return dst
 }
 
@@ -465,7 +529,7 @@ func (in *denseInputs) of(e expr.Expr) bat.Vector {
 // afresh.
 func (in *denseInputs) release() {
 	for _, d := range in.vecs {
-		releaseScratch(d.v)
+		releaseScratch(d.v, d.box)
 	}
 	in.vecs = in.vecs[:0]
 }
@@ -478,50 +542,65 @@ var (
 )
 
 // scratchVector returns an empty vector of like's type with room for n
-// values, reusing pooled storage when a large enough buffer is free.
-func scratchVector(like bat.Vector, n int) bat.Vector {
+// values, reusing pooled storage when a large enough buffer is free, and
+// the pool box releaseScratch returns the storage in (nil: unpooled).
+func scratchVector(like bat.Vector, n int) (bat.Vector, any) {
 	switch like.(type) {
 	case bat.Ints:
-		return bat.Ints(getScratch[int64](&int64Scratch, n))
+		s, box := getScratch[int64](&int64Scratch, n)
+		return bat.Ints(s), box
 	case bat.Times:
-		return bat.Times(getScratch[int64](&int64Scratch, n))
+		s, box := getScratch[int64](&int64Scratch, n)
+		return bat.Times(s), box
 	case bat.Floats:
-		return bat.Floats(getScratch[float64](&float64Scratch, n))
+		s, box := getScratch[float64](&float64Scratch, n)
+		return bat.Floats(s), box
 	case bat.Strs:
-		return bat.Strs(getScratch[string](&stringScratch, n))
+		s, box := getScratch[string](&stringScratch, n)
+		return bat.Strs(s), box
 	case bat.Bools:
-		return bat.Bools(getScratch[bool](&boolScratch, n))
+		s, box := getScratch[bool](&boolScratch, n)
+		return bat.Bools(s), box
 	}
-	return like.New(n)
+	return like.New(n), nil
 }
 
-// releaseScratch hands a scratch vector's storage back to its pool; the
-// caller must not use the vector afterwards.
-func releaseScratch(v bat.Vector) {
+// releaseScratch hands a scratch vector's storage back to its pool in
+// box, the one scratchVector returned with it; the caller must not use
+// the vector afterwards.
+func releaseScratch(v bat.Vector, box any) {
 	switch x := v.(type) {
 	case bat.Ints:
-		putScratch(&int64Scratch, []int64(x))
+		putScratch(&int64Scratch, box, []int64(x))
 	case bat.Times:
-		putScratch(&int64Scratch, []int64(x))
+		putScratch(&int64Scratch, box, []int64(x))
 	case bat.Floats:
-		putScratch(&float64Scratch, []float64(x))
+		putScratch(&float64Scratch, box, []float64(x))
 	case bat.Strs:
-		putScratch(&stringScratch, []string(x))
+		putScratch(&stringScratch, box, []string(x))
 	case bat.Bools:
-		putScratch(&boolScratch, []bool(x))
+		putScratch(&boolScratch, box, []bool(x))
 	}
 }
 
-func getScratch[T any](p *sync.Pool, n int) []T {
-	if bp, ok := p.Get().(*[]T); ok && cap(*bp) >= n {
-		return (*bp)[:0]
+// getScratch returns an empty slice with room for n values and the pool
+// box it travels in; putScratch puts the same box back, so a warm
+// get/put cycle allocates nothing.
+func getScratch[T any](p *sync.Pool, n int) ([]T, *[]T) {
+	bp, _ := p.Get().(*[]T)
+	if bp == nil {
+		bp = new([]T)
 	}
-	return make([]T, 0, n)
+	if cap(*bp) < n {
+		*bp = make([]T, 0, n)
+	}
+	return (*bp)[:0], bp
 }
 
-func putScratch[T any](p *sync.Pool, s []T) {
-	s = s[:0]
-	p.Put(&s)
+func putScratch[T any](p *sync.Pool, box any, s []T) {
+	bp := box.(*[]T)
+	*bp = s[:0]
+	p.Put(bp)
 }
 
 // Step is a linearized pipeline operator compiled for repeated
@@ -536,9 +615,11 @@ type Step struct {
 func CompileStep(s plan.PipelineStep) Step {
 	st := Step{PipelineStep: s}
 	if p, ok := s.Op.(*plan.Project); ok && colRefs(p.Exprs) {
-		st.cols = &colMap{idx: make([]int, len(p.Exprs)), out: p.Out}
+		st.cols = &colMap{idx: make([]int, len(p.Exprs)), out: p.Out, ident: true, empty: bat.NewChunk(p.Out)}
 		for i, e := range p.Exprs {
-			st.cols.idx[i] = e.(*expr.Col).Idx
+			j := e.(*expr.Col).Idx
+			st.cols.idx[i] = j
+			st.cols.ident = st.cols.ident && j == i
 		}
 	}
 	return st
@@ -549,27 +630,22 @@ func CompileStep(s plan.PipelineStep) Step {
 // and selection and only attaches its column map. A filter or such a
 // projection over a single-run view is built in dst when dst is non-nil
 // (an unused view the caller owns, such as a memo cell's), so it
-// allocates nothing but the filter's selection; other results are fresh
-// views.
-func (s *Step) Apply(v, dst *View) *View {
-	if v.runs == nil {
-		switch op := s.Op.(type) {
-		case *plan.Filter:
-			v = v.flat()
-			sel := expr.EvalPred(op.Pred, v.Base, v.Sel)
+// allocates nothing but the filter's selection — none when the filter
+// keeps every row of an unselected run; other results are fresh views.
+func (s *Step) Apply(v, dst *View) *View { return s.apply(v, dst, nil) }
+
+// apply is Apply building filter selections in sc when sc is non-nil.
+func (s *Step) apply(v, dst *View, sc *algebra.Scratch) *View {
+	switch op := s.Op.(type) {
+	case *plan.Filter:
+		return filter(op.Pred, v, dst, sc)
+	case *plan.Project:
+		if s.cols != nil && v.runs == nil && v.proj == nil {
 			if dst == nil {
 				dst = new(View)
 			}
-			*dst = View{Base: v.Base, Sel: sel}
+			*dst = View{Base: v.Base, Sel: v.Sel, proj: s.cols}
 			return dst
-		case *plan.Project:
-			if s.cols != nil && v.proj == nil {
-				if dst == nil {
-					dst = new(View)
-				}
-				*dst = View{Base: v.Base, Sel: v.Sel, proj: s.cols}
-				return dst
-			}
 		}
 	}
 	return ApplyStep(s.PipelineStep, v)

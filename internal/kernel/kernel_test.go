@@ -377,19 +377,29 @@ func minAllocBytes(run func()) float64 {
 // filter allocates its exactly sized candidate list (4 bytes per
 // survivor) plus the view, with no growth slack, at every selectivity.
 // The survivor counts keep 4 bytes per survivor at a whole size class.
+// A filter keeping every row of an unselected view returns the view's
+// rows with no selection and allocates no list.
 func TestFilterAllocatesSurvivorsOnly(t *testing.T) {
 	const rows = 1 << 15
 	c := testChunk(rows)
 	for _, keep := range []int64{0, 100, rows / 8, rows / 2, rows} {
 		pred := cmp(algebra.LT, col(0, bat.Time), intConst(keep))
 		v := NewView(c)
-		if got := Filter(pred, v).Rows(); got != int(keep) {
+		f := Filter(pred, v)
+		if got := f.Rows(); got != int(keep) {
 			t.Fatalf("filter kept %d rows, want %d", got, keep)
+		}
+		list := 4 * keep
+		if keep == rows {
+			if f.Sel != nil {
+				t.Fatalf("all-pass filter built a %d-entry selection, want none", len(f.Sel))
+			}
+			list = 0
 		}
 		bytes := minAllocBytes(func() { Filter(pred, v) })
 		// The constant covers the View and size-class rounding of the
 		// 400-byte list.
-		if budget := float64(4*keep + 256); bytes > budget {
+		if budget := float64(list + 256); bytes > budget {
 			t.Errorf("Filter keeping %d of %d rows allocated %.0f B, budget %.0f B", keep, rows, bytes, budget)
 		}
 	}
@@ -398,17 +408,22 @@ func TestFilterAllocatesSurvivorsOnly(t *testing.T) {
 // TestProjectColumnRefsCopyNothing: a projection of column references
 // over a filtered view re-indexes the base columns instead of copying
 // them, and materializes to exactly the dense chunk that evaluating each
-// expression under the selection builds.
+// expression under the selection builds. Over an all-pass filter — one
+// run or several — the projection still reads the base columns' own
+// storage; so does a compiled identity projection, which also reuses the
+// base's column slice, and its empty results share one chunk.
 func TestProjectColumnRefsCopyNothing(t *testing.T) {
 	const rows = 1 << 15
 	c := testChunk(rows)
 	exprs := []expr.Expr{col(2, bat.Float), col(1, bat.Int), col(3, bat.Str), col(1, bat.Int)}
 	out := bat.Schema{Names: []string{"v", "k", "tag", "k2"},
 		Kinds: []bat.Kind{bat.Float, bat.Int, bat.Str, bat.Int}}
+	allPass := cmp(algebra.GE, col(2, bat.Float), floatConst(0))
 	for name, v := range map[string]*View{
 		"all":      NewView(c),
 		"filtered": Filter(cmp(algebra.GE, col(2, bat.Float), floatConst(1.5)), NewView(c)),
 		"empty":    Filter(cmp(algebra.LT, col(1, bat.Int), intConst(0)), NewView(c)),
+		"all-pass": Filter(allPass, NewView(c)),
 	} {
 		if bytes := minAllocBytes(func() { Project(exprs, out, v) }); bytes > 1024 {
 			t.Errorf("%s: column-reference Project allocated %.0f B over %d rows", name, bytes, v.Rows())
@@ -426,5 +441,55 @@ func TestProjectColumnRefsCopyNothing(t *testing.T) {
 			t.Fatalf("%s: schema %v, want %v", name, got.Schema, out)
 		}
 		mustEqualChunks(t, got, &bat.Chunk{Schema: out, Cols: dense}, name)
+		if v.Sel == nil {
+			for i, e := range exprs {
+				if colData(got.Cols[i]) != colData(c.Cols[e.(*expr.Col).Idx]) {
+					t.Errorf("%s: column %d of the projection does not share the base column's storage", name, i)
+				}
+			}
+		}
+	}
+
+	// Several runs, every one passing the filter whole: the projected runs
+	// keep no selection and read the runs' own columns.
+	runs := bat.NewRuns(c.Schema, c.Slice(0, rows/3), c.Slice(rows/3, rows/2), c.Slice(rows/2, rows))
+	p := Project(exprs, out, Filter(allPass, RunsView(runs)))
+	for r, run := range p.runs.runs {
+		if run.sel != nil {
+			t.Fatalf("run %d: all-pass filter kept a %d-entry selection", r, len(run.sel))
+		}
+		for i, e := range exprs {
+			if colData(run.c.Cols[i]) != colData(runs.Chunks[r].Cols[e.(*expr.Col).Idx]) {
+				t.Errorf("run %d: column %d of the projection does not share the run's storage", r, i)
+			}
+		}
+	}
+	dense := make([]bat.Vector, len(exprs))
+	for i, e := range exprs {
+		dense[i] = e.Eval(c, nil)
+	}
+	mustEqualChunks(t, p.Materialize(), &bat.Chunk{Schema: out, Cols: dense}, "all-pass runs")
+
+	// A compiled identity projection (a rename) over an all-pass filter
+	// reuses the base's column slice; over an empty selection it returns
+	// the step's one empty chunk.
+	ident := CompileStep(plan.PipelineStep{Op: &plan.Project{
+		Exprs: []expr.Expr{col(0, bat.Time), col(1, bat.Int)},
+		Out:   bat.Schema{Names: []string{"t", "key"}, Kinds: []bat.Kind{bat.Time, bat.Int}},
+	}})
+	fs := CompileStep(plan.PipelineStep{Op: &plan.Filter{Pred: allPass}})
+	got := ident.Apply(fs.Apply(NewView(c), nil), nil).Materialize()
+	if &got.Cols[0] != &c.Cols[0] || len(got.Cols) != 2 || got.Rows() != rows {
+		t.Error("identity projection over an all-pass filter did not reuse the base's column slice")
+	}
+	none := CompileStep(plan.PipelineStep{Op: &plan.Filter{Pred: cmp(algebra.LT, col(1, bat.Int), intConst(0))}})
+	e1 := ident.Apply(none.Apply(NewView(c), nil), nil).Materialize()
+	e2 := ident.Apply(none.Apply(NewView(testChunk(8)), nil), nil).Materialize()
+	if e1 != e2 || e1.Rows() != 0 || !reflect.DeepEqual(e1.Schema, ident.cols.out) {
+		t.Error("empty results of a compiled projection do not share its empty chunk")
 	}
 }
+
+// colData is the address of a vector's first element: two vectors with
+// the same colData share storage.
+func colData(v bat.Vector) uintptr { return reflect.ValueOf(v).Pointer() }

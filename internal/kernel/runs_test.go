@@ -251,3 +251,68 @@ func BenchmarkAggregateRuns(b *testing.B) {
 		})
 	}
 }
+
+// TestAggregateStepsMatchesMemoizedChain: a fused chain's aggregate —
+// its selections built in scratch and released on return — is
+// byte-identical to Aggregate over the same chain applied step by step,
+// over one run and over several, for one filter, two filters (the second
+// reads the first's selection), filters around a column-reference
+// projection, and filters keeping no, some and every row. Test binaries
+// poison released scratch and every later call reuses it, so a release
+// before the aggregate, or between steps, reads poison; and a result
+// that still referenced a call's views or selections after it returned
+// would change under the later calls, which the final comparison of
+// every result catches.
+func TestAggregateStepsMatchesMemoizedChain(t *testing.T) {
+	ts, k, g, v, tag := col(0, bat.Time), col(1, bat.Int), col(2, bat.Int), col(3, bat.Float), col(4, bat.Str)
+	agg := aggSpec([]expr.Expr{k, tag},
+		plan.AggSpec{Op: algebra.AggCount}, plan.AggSpec{Op: algebra.AggSum, Arg: v},
+		plan.AggSpec{Op: algebra.AggMax, Arg: g}, plan.AggSpec{Op: algebra.AggMin, Arg: ts})
+	step := func(op plan.Node) Step { return CompileStep(plan.PipelineStep{Op: op}) }
+	filter := func(pred expr.Expr) Step { return step(&plan.Filter{Pred: pred}) }
+	some, second := filter(cmp(algebra.GT, v, floatConst(0))), filter(cmp(algebra.LT, g, intConst(1000)))
+	none, all := filter(cmp(algebra.LT, g, intConst(-5000))), filter(cmp(algebra.GE, ts, intConst(0)))
+	// Column 0 moves, so the map is not an identity; the aggregate's
+	// columns keep their positions.
+	proj := step(&plan.Project{Exprs: []expr.Expr{tag, k, g, v, tag}, Out: bat.Schema{
+		Names: []string{"t0", "k", "g", "v", "tag"},
+		Kinds: []bat.Kind{bat.Str, bat.Int, bat.Int, bat.Float, bat.Str}}})
+	chains := [][]Step{{some}, {some, second}, {proj, some}, {some, proj, second}, {none}, {all}, {all, second}, {}}
+
+	type result struct {
+		got  *bat.Chunk
+		want []byte
+		what string
+	}
+	var results []result
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 8; round++ {
+		c := randomWindow(rng, 200+rng.Intn(600))
+		for ci, chain := range chains {
+			for _, runs := range []bool{false, true} {
+				in := func() *View {
+					if runs {
+						return RunsView(randomSplit(rng, c))
+					}
+					return NewView(c)
+				}
+				memo := in()
+				steps := make([]*Step, len(chain))
+				for i := range chain {
+					memo = chain[i].Apply(memo, nil)
+					steps[i] = &chain[i]
+				}
+				want := Aggregate(agg, memo, 0)
+				got := AggregateSteps(agg, steps, in(), 0)
+				what := fmt.Sprintf("round %d, chain %d, runs %v", round, ci, runs)
+				mustSameBytes(t, got, want, what)
+				results = append(results, result{got, bat.MarshalChunk(nil, want), what})
+			}
+		}
+	}
+	for _, r := range results {
+		if !bytes.Equal(bat.MarshalChunk(nil, r.got), r.want) {
+			t.Fatalf("%s: a later fused aggregate changed this result: it references released scratch", r.what)
+		}
+	}
+}
