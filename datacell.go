@@ -135,8 +135,6 @@ type FabricSpec struct {
 	// offer, which feeds the consuming group side's merger. Call after the
 	// creating member joined, before data must flow.
 	Attach func(offer func(shard int, frags []*window.Frag, wm int64))
-	// Advance forwards a time watermark to the workers.
-	Advance func(watermark int64)
 	// Drop retires the spec on all workers (wired into the group's Close).
 	Drop func()
 }
@@ -689,12 +687,16 @@ func (e *Engine) ResumeStream(stream string) error {
 
 // AdvanceTime closes time-window buckets up to the watermark (microsecond
 // timestamp) across all continuous queries — the scheduler's time
-// constraint for idle streams. Every query reads through an execution
-// group, and each group advances once for all its members. Tuple windows
-// are unaffected.
+// constraint for idle streams. It raises each stream's settled event
+// time, the one clock its time windows seal on, and the groups reading
+// the stream (or the fabric workers slicing it) fire on the raise as they
+// do on an append. A stream with no settled row yet is left alone. Tuple
+// windows are unaffected.
 func (e *Engine) AdvanceTime(watermark int64) {
-	for _, g := range e.factoryGroups() {
-		g.Advance(watermark)
+	for _, n := range e.cat.StreamNames() {
+		if st, ok := e.cat.Stream(n); ok {
+			st.Basket.AdvanceTime(watermark)
+		}
 	}
 }
 

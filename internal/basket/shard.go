@@ -32,18 +32,24 @@ var (
 //
 // Epoch sealing: every appended row is assigned a global sequence number.
 // The container tracks the settled watermark — the largest n such that
-// every row with sequence < n has been fully appended to its shard. Tuple
-// windows with slide S seal epoch g (rows [g·S, (g+1)·S)) exactly when the
-// watermark passes (g+1)·S, which is what lets per-shard factory instances
-// cut globally consistent basic windows without any cross-shard locking:
-// the union of the shards' epoch-g slices is precisely the basic window g
-// of the single-basket engine.
+// every row with sequence < n has been fully appended to its shard — and,
+// for each TIMESTAMP column, the largest event time over that settled
+// prefix. Tuple windows with slide S seal epoch g (rows [g·S, (g+1)·S))
+// exactly when the watermark passes (g+1)·S; time windows seal every
+// bucket below the settled time's. Both clocks cover only rows that are
+// already visible in their shards, which is what lets per-shard factory
+// instances cut globally consistent basic windows without any cross-shard
+// locking: the union of the shards' epoch-g slices is precisely the basic
+// window g of the single-basket engine.
 type Sharded struct {
 	name   string
 	schema bat.Schema
 	shards []*Basket
 	keyIdx int // hash column index; <0 = round-robin per chunk
 	seed   maphash.Seed
+	// tsCols are the schema's TIMESTAMP columns, in schema order: the
+	// settled tracker keeps each one's largest event time.
+	tsCols []int
 	// sels recycles the per-shard selection lists a keyed append routes
 	// its rows through (*[]algebra.Sel, one list per shard): they live
 	// for one append.
@@ -58,7 +64,7 @@ type Sharded struct {
 
 	mu        sync.Mutex
 	claimed   int64        // sequence numbers handed out
-	settled   SeqTracker   // contiguous prefix of shard-visible sequences
+	settled   seqTracker   // settled prefix of shard-visible sequences and its event times
 	rr        int64        // round-robin chunk counter
 	pending   []*bat.Chunk // appends buffered while paused (pre-sequencing)
 	pendArr   []int64
@@ -82,56 +88,93 @@ type RemotePart struct {
 // but each shard's rows are delivered to fn — with base/rows identifying
 // the append's claimed sequence range [base, base+rows) — instead of
 // entering the local shard baskets, whose consumers would never see them.
-// The container keeps settling sequence ranges, so Settled() stays
-// meaningful for introspection; epoch sealing across the fabric is driven
-// by the router's own sent-watermark, which it derives from the base/rows
-// ranges it has forwarded. fn is invoked outside the container mutex;
-// concurrent appends may invoke it out of sequence order, which is why the
-// router must track contiguous ranges itself. Call before any consumer
-// registers or any append flows.
+// A range settles once fn returns, so Settled and SettledTime cover only
+// rows the router has already staged: they are the clocks the router
+// ships to its workers, and an OnAppend subscriber learns of each advance.
+// fn is invoked outside the container mutex; concurrent appends may
+// invoke it out of sequence order. Call before any consumer registers or
+// any append flows.
 func (s *Sharded) SetRemote(fn func(parts []RemotePart, base int64, rows int, arrival int64)) {
 	s.mu.Lock()
 	s.remote = fn
 	s.mu.Unlock()
 }
 
-// SeqTracker derives the contiguous-prefix watermark of completed
-// sequence ranges: ranges may complete out of order (concurrent producers
-// claim, then settle), and the watermark only advances once every earlier
-// sequence is covered — which is what makes it a safe epoch-sealing
-// clock. The sharded container uses it for shard-visible rows; the
-// distributed fabric's coordinator uses the same tracker for rows routed
-// to workers. Callers serialize access (it holds no lock of its own).
-type SeqTracker struct {
+// seqTracker derives the sealing clocks of a sharded container from its
+// completed sequence ranges: the contiguous-prefix watermark, and the
+// largest event time of each tracked TIMESTAMP column over that prefix.
+// Ranges may complete out of order (concurrent producers claim, then
+// settle); the watermark advances, and a range's event-time maxima fold
+// in, only once every earlier sequence is covered — which is what makes
+// both safe epoch-sealing clocks. Callers serialize access (it holds no
+// lock of its own).
+type seqTracker struct {
 	wm   int64
-	done map[int64]int64 // completed ranges above the watermark: lo → hi
+	ts   []int64            // per tracked column: largest event time below wm
+	done map[int64]seqRange // completed ranges above the watermark, by lo
 }
 
-// Add records the completed range [lo, hi) and advances the watermark
-// over any now-contiguous prefix. Each range is recorded and absorbed
-// once, so a backlog of out-of-order completions costs O(1) per range.
-func (t *SeqTracker) Add(lo, hi int64) {
+// seqRange is a completed range waiting for the prefix below it: its end
+// and its event-time maxima.
+type seqRange struct {
+	hi int64
+	ts []int64
+}
+
+// newSeqTracker tracks cols TIMESTAMP columns, none of which has a
+// settled event time yet.
+func newSeqTracker(cols int) seqTracker {
+	t := seqTracker{ts: make([]int64, cols)}
+	for i := range t.ts {
+		t.ts[i] = math.MinInt64
+	}
+	return t
+}
+
+// add records the completed range [lo, hi), whose rows' event-time maxima
+// are ts, and advances the watermark over any now-contiguous prefix. Each
+// range is recorded and absorbed once, so a backlog of out-of-order
+// completions costs O(1) per range; only an out-of-order range copies
+// its maxima.
+func (t *seqTracker) add(lo, hi int64, ts []int64) {
 	if lo != t.wm {
 		if t.done == nil {
-			t.done = make(map[int64]int64)
+			t.done = make(map[int64]seqRange)
 		}
-		t.done[lo] = hi
+		t.done[lo] = seqRange{hi: hi, ts: append([]int64(nil), ts...)}
 		return
 	}
 	t.wm = hi
+	t.raise(ts)
 	for {
 		next, ok := t.done[t.wm]
 		if !ok {
 			return
 		}
 		delete(t.done, t.wm)
-		t.wm = next
+		t.wm = next.hi
+		t.raise(next.ts)
 	}
 }
 
-// Watermark reports the contiguous prefix: every sequence below it has
-// completed.
-func (t *SeqTracker) Watermark() int64 { return t.wm }
+// raise lifts each column's settled event time to at least ts's.
+func (t *seqTracker) raise(ts []int64) {
+	for i, v := range ts {
+		t.ts[i] = max(t.ts[i], v)
+	}
+}
+
+// advance lifts every column that has a settled event time to at least
+// wm, and reports whether any rose.
+func (t *seqTracker) advance(wm int64) bool {
+	raised := false
+	for i, v := range t.ts {
+		if v != math.MinInt64 && v < wm {
+			t.ts[i], raised = wm, true
+		}
+	}
+	return raised
+}
 
 // NewSharded creates a sharded basket with n shards (minimum 1). keyIdx is
 // the schema index of the partitioning key, or -1 for round-robin.
@@ -148,6 +191,12 @@ func NewSharded(name string, schema bat.Schema, n, keyIdx int) *Sharded {
 		keyIdx: keyIdx,
 		seed:   maphash.MakeSeed(),
 	}
+	for i, k := range schema.Kinds {
+		if k == bat.Time {
+			s.tsCols = append(s.tsCols, i)
+		}
+	}
+	s.settled = newSeqTracker(len(s.tsCols))
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, New(fmt.Sprintf("%s/%d", name, i), schema))
 	}
@@ -187,12 +236,56 @@ func (s *Sharded) Consumers() int { return s.shards[0].Consumers() }
 func (s *Sharded) Settled() int64 {
 	s.mu.Lock()
 	remote := s.remote
-	settled := s.settled.Watermark()
+	settled := s.settled.wm
 	s.mu.Unlock()
 	if remote == nil && len(s.shards) == 1 {
 		return s.shards[0].TotalIn()
 	}
 	return settled
+}
+
+// SettledTime reports the largest event time of TIMESTAMP column col over
+// the settled prefix, raised by AdvanceTime: every row of the prefix is
+// visible in its shard (or handed to the router) before the clock covers
+// it. It is the sealing clock of time windows, read before the drain as
+// Settled is for tuple windows. math.MinInt64 means no row has settled
+// yet, or col is not a TIMESTAMP column.
+func (s *Sharded) SettledTime(col int) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range s.tsCols {
+		if c == col {
+			return s.settled.ts[i]
+		}
+	}
+	return math.MinInt64
+}
+
+// AdvanceTime raises the settled event time of every TIMESTAMP column to
+// at least wm — the scheduler's time constraint for idle streams, which
+// closes open time-window buckets — and notifies the OnAppend subscribers
+// as an append does. Before the stream's first settled row it does
+// nothing: there is no bucket to close.
+func (s *Sharded) AdvanceTime(wm int64) {
+	s.mu.Lock()
+	raised := s.settled.advance(wm)
+	subs := s.onAppend
+	s.mu.Unlock()
+	if raised {
+		fireSubs(subs)
+	}
+}
+
+// timeMax appends c's largest value of each TIMESTAMP column to dst.
+func (s *Sharded) timeMax(dst []int64, c *bat.Chunk) []int64 {
+	for _, col := range s.tsCols {
+		mx := int64(math.MinInt64)
+		for _, v := range bat.AsInts(c.Cols[col]) {
+			mx = max(mx, v)
+		}
+		dst = append(dst, mx)
+	}
+	return dst
 }
 
 // OnAppend registers a callback invoked after every container append has
@@ -251,12 +344,18 @@ func (s *Sharded) Append(c *bat.Chunk, arrival int64) error {
 	if s.remote == nil && len(s.shards) == 1 {
 		// Fast path: the shard's own dense counter yields the identical
 		// sequence stamps, so skip range claiming and settling entirely
-		// (Settled reads the shard's append counter instead).
-		subs := s.onAppend
+		// (Settled reads the shard's append counter instead). The shard's
+		// visible rows are always a prefix, so the settled event times
+		// rise once the rows are visible.
 		s.mu.Unlock()
 		if err := s.shards[0].AppendSeqs(c, arrival, nil); err != nil {
 			return err
 		}
+		var buf [2]int64
+		s.mu.Lock()
+		s.settled.raise(s.timeMax(buf[:0], c))
+		subs := s.onAppend
+		s.mu.Unlock()
 		fireSubs(subs)
 		return nil
 	}
@@ -282,6 +381,8 @@ func (s *Sharded) claimLocked(rows int) (base int64, target int) {
 // settles the range, and fires the append notifications.
 func (s *Sharded) appendClaimed(c *bat.Chunk, arrival, base int64, target int) error {
 	rows := c.Rows()
+	var buf [2]int64
+	ts := s.timeMax(buf[:0], c)
 	s.mu.Lock()
 	remote := s.remote
 	s.mu.Unlock()
@@ -296,7 +397,7 @@ func (s *Sharded) appendClaimed(c *bat.Chunk, arrival, base int64, target int) e
 	}
 
 	s.mu.Lock()
-	s.settleLocked(base, base+int64(rows))
+	s.settled.add(base, base+int64(rows), ts)
 	subs := s.onAppend
 	s.mu.Unlock()
 	fireSubs(subs)
@@ -437,12 +538,6 @@ func denseSeqs(base int64, rows int) bat.Ints {
 	return seqs
 }
 
-// settleLocked records a completed append's sequence range; the tracker
-// advances the settled watermark only over the contiguous prefix, which
-// is what makes it a safe epoch-sealing clock under concurrent producers
-// completing out of order.
-func (s *Sharded) settleLocked(lo, hi int64) { s.settled.Add(lo, hi) }
-
 // Pause holds subsequent appends back at the container level — they are
 // neither sequenced nor routed until Resume, so epoch sealing is unaffected
 // by a paused stream. Pause waits for in-flight appends to finish: once it
@@ -472,7 +567,11 @@ func (s *Sharded) Resume() {
 		for i, c := range pending {
 			_ = s.shards[0].AppendSeqs(c, arr[i], nil)
 		}
+		var buf [2]int64
 		s.mu.Lock()
+		for _, c := range pending {
+			s.settled.raise(s.timeMax(buf[:0], c))
+		}
 		subs := s.onAppend
 		s.mu.Unlock()
 		s.pauseMu.Unlock()

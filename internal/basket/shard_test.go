@@ -2,6 +2,7 @@ package basket
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -275,25 +276,110 @@ func TestShardedPauseIsAtomic(t *testing.T) {
 }
 
 // TestSeqTrackerOutOfOrder: ranges completing in any order advance the
-// watermark exactly over the contiguous prefix, and only there.
+// watermark exactly over the contiguous prefix, and only there; a range's
+// event-time maximum folds into the settled time only once the prefix
+// below it has completed.
 func TestSeqTrackerOutOfOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var bounds []int64
 	for lo := int64(0); lo < 5000; lo += 1 + rng.Int63n(7) {
 		bounds = append(bounds, lo)
 	}
+	tsMax := make([]int64, len(bounds)-1)
+	for i := range tsMax {
+		tsMax[i] = rng.Int63n(1_000_000)
+	}
 	order := rng.Perm(len(bounds) - 1)
-	var tr SeqTracker
+	tr := newSeqTracker(1)
 	covered := make([]bool, len(bounds)-1)
 	for _, i := range order {
-		tr.Add(bounds[i], bounds[i+1])
+		tr.add(bounds[i], bounds[i+1], []int64{tsMax[i]})
 		covered[i] = true
-		want := bounds[0]
+		want, wantTs := bounds[0], int64(math.MinInt64)
 		for j := 0; j < len(covered) && covered[j]; j++ {
-			want = bounds[j+1]
+			want, wantTs = bounds[j+1], max(wantTs, tsMax[j])
 		}
-		if got := tr.Watermark(); got != want {
+		if got := tr.wm; got != want {
 			t.Fatalf("after range %d: watermark %d, want %d", i, got, want)
 		}
+		if got := tr.ts[0]; got != wantTs {
+			t.Fatalf("after range %d: settled time %d, want %d", i, got, wantTs)
+		}
+	}
+}
+
+func timeSchema() bat.Schema {
+	return bat.NewSchema([]string{"k", "ts", "at"}, []bat.Kind{bat.Int, bat.Time, bat.Time})
+}
+
+func timeRows(k int64, ts ...int64) *bat.Chunk {
+	c := bat.NewChunk(timeSchema())
+	for _, v := range ts {
+		_ = c.AppendRow(bat.IntValue(k), bat.TimeValue(v), bat.TimeValue(-v))
+	}
+	return c
+}
+
+// TestShardedSettledTime: each TIMESTAMP column's settled time is the
+// largest value over the settled rows, on the single-shard fast path, the
+// sharded path and through a pause; AdvanceTime raises it only once a row
+// has settled, and wakes the subscribers as an append does.
+func TestShardedSettledTime(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		s := NewSharded("s", timeSchema(), n, 0)
+		fired := 0
+		s.OnAppend(func() { fired++ })
+		s.AdvanceTime(50)
+		if got := s.SettledTime(1); got != math.MinInt64 || fired != 0 {
+			t.Fatalf("%d shards: advance before any row: settled time %d, %d notifications", n, got, fired)
+		}
+		if err := s.Append(timeRows(1, 30, 10, 20), 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, at := s.SettledTime(1), s.SettledTime(2); got != 30 || at != -10 {
+			t.Fatalf("%d shards: settled times %d, %d; want 30, -10", n, got, at)
+		}
+		if got := s.SettledTime(0); got != math.MinInt64 {
+			t.Fatalf("%d shards: INT column has settled time %d", n, got)
+		}
+		s.Pause()
+		_ = s.Append(timeRows(2, 40), 1)
+		if got := s.SettledTime(1); got != 30 {
+			t.Fatalf("%d shards: held row moved the settled time to %d", n, got)
+		}
+		s.Resume()
+		if got := s.SettledTime(1); got != 40 {
+			t.Fatalf("%d shards: settled time after resume %d, want 40", n, got)
+		}
+		before := fired
+		s.AdvanceTime(-20)
+		if got := s.SettledTime(1); got != 40 || fired != before {
+			t.Fatalf("%d shards: advance below the clock: %d, %d notifications", n, got, fired-before)
+		}
+		s.AdvanceTime(70)
+		if got, at := s.SettledTime(1), s.SettledTime(2); got != 70 || at != 70 || fired != before+1 {
+			t.Fatalf("%d shards: advance to 70: settled times %d, %d, %d notifications", n, got, at, fired-before)
+		}
+		_ = s.Append(timeRows(3, 60), 1)
+		if got := s.SettledTime(1); got != 70 {
+			t.Fatalf("%d shards: a late row lowered the settled time to %d", n, got)
+		}
+	}
+}
+
+// TestShardedAppendAllocsInOrder: an in-order append settles its range
+// and folds its event-time maximum without allocating in the container.
+func TestShardedAppendAllocsInOrder(t *testing.T) {
+	s := NewSharded("s", timeSchema(), 1, 0)
+	c := timeRows(1, 5, 6, 7)
+	var clock int64
+	allocs := testing.AllocsPerRun(200, func() {
+		var buf [2]int64
+		clock++
+		s.settled.add(s.settled.wm, s.settled.wm+3, s.timeMax(buf[:0], c))
+		s.AdvanceTime(clock)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order settle allocates %.1f times", allocs)
 	}
 }

@@ -125,10 +125,11 @@ func (l *lane) enqueue(cs *coordStream, payload []byte) bool {
 	return len(l.buf) >= l.c.opts.FlushBytes
 }
 
-// markDirty notes that the stream's sealing clocks advanced: the next
-// flush (armed here if need be) carries a watermark sub-frame even if no
-// appends staged for this lane — every worker's shards must observe the
-// advance or the group's min-watermark merge stalls.
+// markDirty notes that the stream's sealing clocks advanced (an append
+// settled, or time advanced): the next flush (armed here if need be)
+// carries a watermark sub-frame even if no appends staged for this lane —
+// every worker's shards must observe the advance or the group's
+// min-watermark merge stalls.
 func (l *lane) markDirty(cs *coordStream) {
 	l.mu.Lock()
 	l.dirty[cs] = struct{}{}
@@ -149,12 +150,12 @@ func (l *lane) armLocked() {
 }
 
 // flush ships the staged sub-frames plus one watermark sub-frame per
-// dirty stream as a single batch frame. The watermarks are computed while
-// the lane is locked: every routed range the tracker has recorded was
-// enqueued (to this or another lane) before recording, so a watermark
-// built here can never cover a row this lane would only flush later —
-// rows always precede, within this batch or an earlier one, the watermark
-// that seals them.
+// dirty stream as a single batch frame. The watermarks are read while the
+// lane is locked: the container settles a range only after route has
+// enqueued its rows (to this or another lane), so a watermark built here
+// can never cover a row this lane would only flush later — rows always
+// precede, within this batch or an earlier one, the watermark that seals
+// them.
 func (l *lane) flush(cause int) {
 	l.mu.Lock()
 	l.armed = false
@@ -195,26 +196,19 @@ func (c *Coordinator) flushLanes() {
 
 // coordStream is one exported stream's routing state. Its mutex serializes
 // appends, spec changes and shard moves, so every worker observes them at
-// one consistent append boundary. The sealing clocks live under their own
-// locks (wmMu, specMu) because lane flushes — which run off the routing
-// path, on timers — read them while holding only their lane's lock.
-// Lock order: cs.mu → lane.mu → cs.wmMu → cs.specMu → sp.mu.
+// one consistent append boundary. The sealing clocks are the exported
+// container's own (Settled, SettledTime), which lane flushes — off the
+// routing path, on timers — read while holding only their lane's lock.
+// Lock order: cs.mu → lane.mu → container mutex; cs.specMu → sp.mu.
 type coordStream struct {
 	name   string
 	schema bat.Schema
 	shards int
+	bk     *basket.Sharded
 
 	mu     sync.Mutex
 	owner  []int // per-shard owning worker index
 	moving map[int]*shardMove
-
-	// wmMu guards the routed-sequence trackers: one per shard (what each
-	// shard has been sent, the per-shard local sequencing view) and the
-	// global tracker reconciling them into the settled watermark the lanes
-	// broadcast at flush.
-	wmMu      sync.Mutex
-	sent      basket.SeqTracker
-	shardSent []basket.SeqTracker
 
 	specMu sync.RWMutex
 	specs  map[int64]*coordSpec
@@ -240,7 +234,6 @@ type coordSpec struct {
 	// offer feeds worker fragments into the consuming group side's
 	// merger; nil until Attach.
 	offer   func(shard int, frags []*window.Frag, wm int64)
-	maxTs   int64   // event-time high mark (time windows); minInt64 until rows
 	applied []int64 // per-shard applied flush watermark (introspection)
 }
 
@@ -312,13 +305,13 @@ func (c *Coordinator) ExportStream(name string) error {
 	shards := st.Basket.NumShards()
 	w := len(c.peers)
 	cs := &coordStream{
-		name:      name,
-		schema:    st.Schema(),
-		shards:    shards,
-		owner:     make([]int, shards),
-		moving:    make(map[int]*shardMove),
-		shardSent: make([]basket.SeqTracker, shards),
-		specs:     make(map[int64]*coordSpec),
+		name:   name,
+		schema: st.Schema(),
+		shards: shards,
+		bk:     st.Basket,
+		owner:  make([]int, shards),
+		moving: make(map[int]*shardMove),
+		specs:  make(map[int64]*coordSpec),
 	}
 	ranges := make([][2]int, w)
 	tags := make([]string, w)
@@ -352,21 +345,28 @@ func (c *Coordinator) ExportStream(name string) error {
 		}))
 	}
 	cs.mu.Unlock()
-	st.Basket.SetRemote(func(parts []basket.RemotePart, base int64, rows int, arrival int64) {
-		c.route(cs, parts, base, rows, arrival)
+	st.Basket.SetRemote(func(parts []basket.RemotePart, _ int64, _ int, arrival int64) {
+		c.route(cs, parts, arrival)
+	})
+	// The container settles a range only after route has staged it, and
+	// notifies its subscribers after every settle and time advance: every
+	// lane then ships the advanced clocks at its next flush. Workers whose
+	// shards saw no rows still must observe them, or the group's
+	// min-watermark merge would wait on them forever.
+	st.Basket.OnAppend(func() {
+		for _, l := range c.lanes {
+			l.markDirty(cs)
+		}
 	})
 	return nil
 }
 
-// route stages one sequenced append onto the owning workers' lanes and
-// records the routed ranges into the per-shard trackers. It runs under the
-// stream's routing mutex so concurrent appends reach every lane in one
-// consistent order; the watermark itself is NOT broadcast here — lanes
-// carry the reconciled watermark at flush, amortizing what used to be a
-// per-append broadcast to every worker. Ranges are recorded only after
-// their payloads are staged, which is what lets a concurrent flush build a
-// safe watermark (see lane.flush).
-func (c *Coordinator) route(cs *coordStream, parts []basket.RemotePart, base int64, rows int, arrival int64) {
+// route stages one sequenced append onto the owning workers' lanes. It
+// runs under the stream's routing mutex so concurrent appends reach every
+// lane in one consistent order; the watermark itself is NOT broadcast
+// here — lanes carry the container's clocks at flush, amortizing what
+// would be a per-append broadcast to every worker.
+func (c *Coordinator) route(cs *coordStream, parts []basket.RemotePart, arrival int64) {
 	var sizeFlush []*lane
 	var wireB, plainB uint64
 	cs.mu.Lock()
@@ -388,52 +388,6 @@ func (c *Coordinator) route(cs *coordStream, parts []basket.RemotePart, base int
 			sizeFlush = append(sizeFlush, l)
 		}
 	}
-	// Per-shard local sequencing: each shard's tracker records the runs it
-	// was sent; the global tracker reconciles them into the settled
-	// watermark (the contiguous prefix of routed sequences).
-	cs.wmMu.Lock()
-	for _, p := range parts {
-		for _, r := range seqRuns(p.Seqs) {
-			cs.shardSent[p.Shard].Add(r[0], r[1])
-			cs.sent.Add(r[0], r[1])
-		}
-	}
-	cs.wmMu.Unlock()
-	// One timestamp scan per distinct ordering column, not per spec —
-	// many time-window groups almost always share one TimeIdx, and this
-	// runs on the ingestion path under the routing mutex.
-	var tsMax map[int]int64
-	for _, sp := range cs.specs {
-		if sp.win.Tuples {
-			continue
-		}
-		mx, ok := tsMax[sp.win.TimeIdx]
-		if !ok {
-			mx = minInt64
-			for _, p := range parts {
-				for _, ts := range bat.AsInts(p.Chunk.Cols[sp.win.TimeIdx]) {
-					if ts > mx {
-						mx = ts
-					}
-				}
-			}
-			if tsMax == nil {
-				tsMax = make(map[int]int64, 1)
-			}
-			tsMax[sp.win.TimeIdx] = mx
-		}
-		sp.mu.Lock()
-		if mx > sp.maxTs {
-			sp.maxTs = mx
-		}
-		sp.mu.Unlock()
-	}
-	// Every lane gets the advanced clocks at its next flush: workers whose
-	// shards saw no rows still must observe the watermark, or the group's
-	// min-watermark merge would wait on them forever.
-	for _, l := range c.lanes {
-		l.markDirty(cs)
-	}
 	cs.mu.Unlock()
 
 	c.wireMu.Lock()
@@ -445,44 +399,20 @@ func (c *Coordinator) route(cs *coordStream, parts []basket.RemotePart, base int
 	}
 }
 
-// seqRuns decomposes an ascending stamp list into maximal contiguous
-// [lo, hi) runs: a round-robin part is one run, a hash-routed part's
-// ascending subset a few.
-func seqRuns(seqs bat.Ints) [][2]int64 {
-	var runs [][2]int64
-	for i := 0; i < len(seqs); {
-		j := i + 1
-		for j < len(seqs) && seqs[j] == seqs[i]+int64(j-i) {
-			j++
-		}
-		runs = append(runs, [2]int64{seqs[i], seqs[i] + int64(j-i)})
-		i = j
-	}
-	return runs
-}
-
-// watermarkPayload builds the stream's current sealing clocks: the
-// reconciled settled watermark plus each time-windowed spec's event-time
-// high mark. Safe without the routing mutex — lane flushes call it from
-// timers (lock order: lane.mu → wmMu → specMu → sp.mu).
+// watermarkPayload builds the stream's current sealing clocks from the
+// exported container: the settled sequence watermark plus the settled
+// event time of each TIMESTAMP column that has one. Safe without the
+// routing mutex — lane flushes call it from timers.
 func (c *Coordinator) watermarkPayload(cs *coordStream) []byte {
-	cs.wmMu.Lock()
-	wm := watermarkMsg{Stream: cs.name, Settled: cs.sent.Watermark()}
-	cs.wmMu.Unlock()
-	cs.specMu.RLock()
-	for _, sp := range cs.specs {
-		if sp.win.Tuples {
+	wm := watermarkMsg{Stream: cs.name, Settled: cs.bk.Settled()}
+	for col, k := range cs.schema.Kinds {
+		if k != bat.Time {
 			continue
 		}
-		sp.mu.Lock()
-		mx := sp.maxTs
-		sp.mu.Unlock()
-		if mx != minInt64 {
-			wm.Specs = append(wm.Specs, specMax{ID: sp.id, MaxTs: mx})
+		if ts := cs.bk.SettledTime(col); ts != minInt64 {
+			wm.Times = append(wm.Times, colTime{Col: col, Ts: ts})
 		}
 	}
-	cs.specMu.RUnlock()
-	sort.Slice(wm.Specs, func(i, j int) bool { return wm.Specs[i].ID < wm.Specs[j].ID })
 	return marshalWatermark(wm)
 }
 
@@ -600,7 +530,6 @@ func (c *Coordinator) AddSpec(stream, key string, win *plan.Window, schema bat.S
 	c.specSeq++
 	sp := &coordSpec{
 		id: c.specSeq, key: key, cs: cs, win: win,
-		maxTs:   minInt64,
 		applied: make([]int64, cs.shards),
 	}
 	for i := range sp.applied {
@@ -610,10 +539,9 @@ func (c *Coordinator) AddSpec(stream, key string, win *plan.Window, schema bat.S
 	c.mu.Unlock()
 
 	return &datacell.FabricSpec{
-		Shards:  cs.shards,
-		Attach:  func(offer func(int, []*window.Frag, int64)) { c.attachSpec(sp, offer) },
-		Advance: func(wm int64) { c.advanceSpec(sp, wm) },
-		Drop:    func() { c.dropSpec(sp) },
+		Shards: cs.shards,
+		Attach: func(offer func(int, []*window.Frag, int64)) { c.attachSpec(sp, offer) },
+		Drop:   func() { c.dropSpec(sp) },
 	}, nil
 }
 
@@ -638,36 +566,6 @@ func (c *Coordinator) attachSpec(sp *coordSpec, offer func(int, []*window.Frag, 
 	payload := specPayload(sp)
 	for _, p := range c.peers {
 		p.sess.send(frameSpec, payload)
-	}
-	cs.mu.Unlock()
-}
-
-// advanceSpec forwards a forced time watermark (Engine.AdvanceTime, the
-// heartbeat) to the spec's workers.
-func (c *Coordinator) advanceSpec(sp *coordSpec, wm int64) {
-	if sp.win.Tuples {
-		return
-	}
-	cs := sp.cs
-	cs.mu.Lock()
-	// Barrier: the advance must order after every staged row on every
-	// session, as it did when appends were sent inline.
-	c.flushLanes()
-	sp.mu.Lock()
-	if sp.maxTs == minInt64 {
-		// No rows yet: nothing to force shut (mirrors frontEnd.advance).
-		sp.mu.Unlock()
-		cs.mu.Unlock()
-		return
-	}
-	if wm > sp.maxTs {
-		sp.maxTs = wm
-	}
-	wm = sp.maxTs
-	sp.mu.Unlock()
-	payload := marshalInt64s(sp.id, wm)
-	for _, p := range c.peers {
-		p.sess.send(frameAdvance, payload)
 	}
 	cs.mu.Unlock()
 }
@@ -959,9 +857,7 @@ func (c *Coordinator) Describe() string {
 		ranges := ownerRuns(cs.owner)
 		moving := len(cs.moving)
 		cs.mu.Unlock()
-		cs.wmMu.Lock()
-		settled := cs.sent.Watermark()
-		cs.wmMu.Unlock()
+		settled := cs.bk.Settled()
 		fmt.Fprintf(&b, "  stream %s shards=%d ranges=[%s] routed_settled=%d", n, cs.shards, ranges, settled)
 		if moving > 0 {
 			fmt.Fprintf(&b, " moving=%d", moving)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -251,28 +252,23 @@ func mixedMember(i, size, slide int) (string, *datacell.RegisterOptions) {
 	}
 }
 
-// feedMixed interleaves the two streams' chunks with a drain barrier after
-// every append: the left/right window sealing order — and with it the join
-// members' pairing and emission sequence — is then a function of the data
-// alone, making the single-process and fabric runs comparable byte-for-byte.
+// feedMixed interleaves the two streams' chunks and drains once at the
+// end: windows seal on each stream's settled prefix and a join pairs them
+// by epoch, so the members' pairing and emission sequence are a function
+// of the data alone, and the single-process and fabric runs compare
+// byte-for-byte.
 func feedMixed(t *testing.T, eng *datacell.Engine, drain func(), sChunks, rChunks []*bat.Chunk) {
 	t.Helper()
-	n := len(sChunks)
-	if len(rChunks) > n {
-		n = len(rChunks)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < max(len(sChunks), len(rChunks)); i++ {
 		if i < len(sChunks) {
 			if err := eng.Append("s", sChunks[i]); err != nil {
 				t.Fatal(err)
 			}
-			drain()
 		}
 		if i < len(rChunks) {
 			if err := eng.Append("r", rChunks[i]); err != nil {
 				t.Fatal(err)
 			}
-			drain()
 		}
 	}
 	drain()
@@ -422,6 +418,100 @@ func TestFabricTimeWindows(t *testing.T) {
 	got := collectRendered(qF)
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("time windows diverge:\nfabric %v\nlocal  %v", got, want)
+	}
+}
+
+// TestFabricTimeWindowsSettledPrefix feeds a SHARD 4 stream without
+// draining: each round, two concurrent appenders add rows inside one
+// bucket, then one chunk straddles the edge into the next bucket. The
+// workers seal on the coordinator container's settled event time,
+// shipped after each settle, and must emit what a single-process run
+// that drains after every round emits.
+func TestFabricTimeWindowsSettledPrefix(t *testing.T) {
+	const ddl = "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT) SHARD 4 KEY k"
+	sql := "SELECT k, count(*) AS n, sum(v) AS s FROM s [RANGE 2 SECONDS SLIDE 1 SECOND ON ts] GROUP BY k"
+	sch := bat.NewSchema([]string{"ts", "k", "v"}, []bat.Kind{bat.Time, bat.Int, bat.Float})
+	rng := rand.New(rand.NewSource(5))
+	chunk := func(from, span int64) *bat.Chunk {
+		n := 8 + rng.Intn(24)
+		ts, ks, vs := make(bat.Times, n), make(bat.Ints, n), make(bat.Floats, n)
+		for i := range ts {
+			ts[i] = from + int64(i)*span/int64(n)
+			ks[i] = int64(rng.Intn(8))
+			vs[i] = float64(rng.Intn(50))
+		}
+		return &bat.Chunk{Schema: sch, Cols: []bat.Vector{ts, ks, vs}}
+	}
+	// Round r: two chunks in [r, r+0.5) s, appended concurrently, then one
+	// spanning [r+0.5, r+1.5) s. No row is older than an earlier row's
+	// bucket, whichever appender wins.
+	const rounds = 60
+	var log [rounds][3]*bat.Chunk
+	for r := range log {
+		for a := 0; a < 2; a++ {
+			log[r][a] = chunk(int64(r)*1_000_000, 500_000)
+		}
+		log[r][2] = chunk(int64(r)*1_000_000+500_000, 1_000_000)
+	}
+	feed := func(eng *datacell.Engine, drain func(), each bool) {
+		for r := range log {
+			var wg sync.WaitGroup
+			for _, c := range log[r][:2] {
+				wg.Add(1)
+				go func(c *bat.Chunk) {
+					defer wg.Done()
+					if err := eng.Append("s", c); err != nil {
+						t.Error(err)
+					}
+				}(c)
+			}
+			wg.Wait()
+			if err := eng.Append("s", log[r][2]); err != nil {
+				t.Fatal(err)
+			}
+			if each {
+				drain()
+			}
+		}
+		drain()
+		eng.AdvanceTime((rounds + 3) * 1_000_000)
+		drain()
+	}
+	// Row order inside a window follows how the appenders interleaved,
+	// so each result is compared as its sorted rows.
+	sorted := func(res []string) string {
+		for i, r := range res {
+			rows := strings.Split(r, "\n")
+			sort.Strings(rows)
+			res[i] = strings.Join(rows, ";")
+		}
+		return strings.Join(res, "|")
+	}
+
+	engL := datacell.New(&datacell.Options{Workers: 1})
+	defer engL.Close()
+	if _, err := engL.Exec(ddl); err != nil {
+		t.Fatal(err)
+	}
+	qL, err := engL.Register("q", sql, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(engL, engL.Drain, true)
+	want := sorted(collectRendered(qL))
+
+	for run := 0; run < 3; run++ {
+		fc := startFabric(t, ddl, 2, nil)
+		qF, err := fc.eng.Register("q", sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(fc.eng, fc.coord.Drain, false)
+		got := sorted(collectRendered(qF))
+		fc.close()
+		if got != want {
+			t.Fatalf("run %d: time windows diverge:\nfabric %v\nlocal  %v", run, got, want)
+		}
 	}
 }
 
@@ -976,10 +1066,21 @@ func TestFabricFaultSchedules(t *testing.T) {
 				}
 				qs[i] = q
 			}
-			// feedMixed drains after every append, so faults land across
-			// the whole run and the join members' sealing order matches
-			// the local baseline.
-			feedMixed(t, eng, coord.Drain, sChunks, rChunks)
+			// Drain after every append: paced traffic spreads the session
+			// frames over the whole run, so both directions' fault
+			// schedules find frames to land on.
+			paced := func(stream string, chunks []*bat.Chunk, i int) {
+				if i < len(chunks) {
+					if err := eng.Append(stream, chunks[i]); err != nil {
+						t.Fatal(err)
+					}
+					coord.Drain()
+				}
+			}
+			for i := 0; i < max(len(sChunks), len(rChunks)); i++ {
+				paced("s", sChunks, i)
+				paced("r", rChunks, i)
+			}
 			got := make([][]string, members)
 			for i, q := range qs {
 				got[i] = collectRendered(q)

@@ -47,7 +47,7 @@ func FuzzWirePayloads(f *testing.F) {
 	f.Add(fzSpec, marshalSpec(specMsg{ID: 8, Stream: "r", Win: &plan.Window{Size: 24, Slide: 12}}))
 	f.Add(fzAppend, marshalAppend(appendMsg{Stream: "s", Shard: 2, Arrival: 5, Seqs: bat.Ints{10, 11, 12}, Chunk: ch}))
 	f.Add(fzAppend, marshalAppend(appendMsg{Stream: "r", Shard: 0, Arrival: 5, Seqs: bat.Ints{3, 9, 40}, Chunk: ch}))
-	f.Add(fzWatermark, marshalWatermark(watermarkMsg{Stream: "s", Settled: 99, Specs: []specMax{{ID: 7, MaxTs: 5000}}}))
+	f.Add(fzWatermark, marshalWatermark(watermarkMsg{Stream: "s", Settled: 99, Times: []colTime{{Col: 0, Ts: 5000}, {Col: 2, Ts: -7}}}))
 	f.Add(fzFrag, marshalFragMsg(fragMsg{Spec: 7, Shard: 1, Wm: 36, Frags: []*window.Frag{
 		{Gen: 3, Shard: 1, Data: bat.NewRuns(ch.Schema, ch), MaxArrival: 5},
 		{Gen: 4, Shard: 1, Data: bat.NewRuns(ch.Schema, ch), MaxArrival: 6},

@@ -106,8 +106,9 @@ func (c *Coordinator) collectMetrics(emit func(metrics.Metric)) {
 	c.mu.Unlock()
 	for _, cs := range streams {
 		cs.mu.Lock()
-		shards, settled, moving := cs.shards, cs.sent.Watermark(), len(cs.moving)
+		shards, moving := cs.shards, len(cs.moving)
 		cs.mu.Unlock()
+		settled := cs.bk.Settled()
 		g := func(name string, v float64) {
 			emit(metrics.Metric{Name: name, LabelValues: []string{cs.name}, Value: v})
 		}

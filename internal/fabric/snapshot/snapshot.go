@@ -30,7 +30,7 @@ import (
 // back to a full replay, which is slow but lossless.
 var magic = [4]byte{'D', 'C', 'S', 'N'}
 
-const version = 1
+const version = 2
 
 // Snapshot is one worker's complete checkpoint.
 type Snapshot struct {
@@ -54,15 +54,17 @@ type StreamState struct {
 	Schema  bat.Schema
 	Shards  int   // total across all workers
 	Settled int64 // sealing sequence watermark
-	Specs   []SpecState
-	Locals  []ShardState // sorted by Global
+	// Times is the settled event time of each schema column (time-window
+	// sealing clocks; math.MinInt64 where the column has none).
+	Times  []int64
+	Specs  []SpecState
+	Locals []ShardState // sorted by Global
 }
 
 // SpecState is one slicing spec registered on the stream.
 type SpecState struct {
-	ID    int64
-	Win   *plan.Window
-	MaxTs int64
+	ID  int64
+	Win *plan.Window
 }
 
 // ShardState is one locally owned shard: its basket image plus each
@@ -107,11 +109,14 @@ func appendStream(dst []byte, st *StreamState) []byte {
 	dst = bat.MarshalSchema(dst, st.Schema)
 	dst = binary.AppendUvarint(dst, uint64(st.Shards))
 	dst = binary.AppendVarint(dst, st.Settled)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Times)))
+	for _, ts := range st.Times {
+		dst = binary.AppendVarint(dst, ts)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(st.Specs)))
 	for _, sp := range st.Specs {
 		dst = binary.AppendVarint(dst, sp.ID)
 		dst = plan.AppendWindow(dst, sp.Win)
-		dst = binary.AppendVarint(dst, sp.MaxTs)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(st.Locals)))
 	for i := range st.Locals {
@@ -218,6 +223,16 @@ func readStream(src []byte, st *StreamState) ([]byte, error) {
 	if st.Settled, src, err = bat.ReadVarint(src); err != nil {
 		return nil, fmt.Errorf("settled: %w", err)
 	}
+	nTimes, src, err := bat.ReadUvarint(src)
+	if err != nil || nTimes > uint64(len(src)) {
+		return nil, fmt.Errorf("time count")
+	}
+	st.Times = make([]int64, nTimes)
+	for i := range st.Times {
+		if st.Times[i], src, err = bat.ReadVarint(src); err != nil {
+			return nil, fmt.Errorf("time %d: %w", i, err)
+		}
+	}
 	nSpecs, src, err := bat.ReadUvarint(src)
 	if err != nil || nSpecs > uint64(len(src))+1 {
 		return nil, fmt.Errorf("spec count")
@@ -230,9 +245,6 @@ func readStream(src []byte, st *StreamState) ([]byte, error) {
 		}
 		if sp.Win, src, err = plan.ReadWindow(src); err != nil {
 			return nil, fmt.Errorf("spec %d window: %w", i, err)
-		}
-		if sp.MaxTs, src, err = bat.ReadVarint(src); err != nil {
-			return nil, fmt.Errorf("spec %d max-ts: %w", i, err)
 		}
 	}
 	nLocals, src, err := bat.ReadUvarint(src)

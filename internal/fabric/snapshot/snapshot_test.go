@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,9 +47,10 @@ func sampleSnapshot() *Snapshot {
 				Schema:  sch,
 				Shards:  4,
 				Settled: 220,
+				Times:   []int64{5_000_000, math.MinInt64, math.MinInt64},
 				Specs: []SpecState{
-					{ID: 1, Win: tupleWin, MaxTs: -1 << 62},
-					{ID: 2, Win: timeWin, MaxTs: 5_000_000},
+					{ID: 1, Win: tupleWin},
+					{ID: 2, Win: timeWin},
 				},
 				Locals: []ShardState{
 					{
@@ -153,10 +155,12 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("decoded bad magic")
 	}
-	bad = append([]byte(nil), enc...)
-	bad[4] = version + 1
-	if _, err := Decode(bad); err == nil {
-		t.Fatal("decoded unsupported version")
+	for _, v := range []byte{version - 1, version + 1} {
+		bad = append([]byte(nil), enc...)
+		bad[4] = v
+		if _, err := Decode(bad); err == nil {
+			t.Fatalf("decoded unsupported version %d", v)
+		}
 	}
 }
 
@@ -206,7 +210,7 @@ func TestStoreSaveLoadRemove(t *testing.T) {
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(Encode(nil, sampleSnapshot()))
 	f.Add(Encode(nil, &Snapshot{}))
-	f.Add([]byte("DCSN\x01"))
+	f.Add([]byte("DCSN\x02"))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)

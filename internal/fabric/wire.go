@@ -9,8 +9,9 @@
 // Each worker runs the existing sharded front end for its range: rows
 // land in per-shard baskets, per-(shard, spec) ShardSlicers cut them into
 // globally consistent epoch fragments, and watermark frames from the
-// coordinator (the settled sequence for tuple windows, the shared
-// event-time high mark for time windows) seal them. Sealed fragments ship
+// coordinator carry the exported container's sealing clocks (the settled
+// sequence for tuple windows, the settled prefix's event times for time
+// windows) that seal them. Sealed fragments ship
 // back as length-prefixed frames (emitter.WriteFrame; payloads via
 // window.MarshalFrag) and feed the query group's ordinary ShardMerge —
 // min-watermark sealing across processes — so everything above the merge
@@ -34,6 +35,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"datacell/internal/bat"
 	"datacell/internal/emitter"
@@ -57,8 +59,7 @@ const (
 	frameSpec                         // coord → worker: slicing spec for a new query group
 	frameSpecDrop                     // coord → worker: group torn down
 	frameAppend                       // coord → worker: routed rows for one shard
-	frameWatermark                    // coord → worker: settled sequence + event-time high marks
-	frameAdvance                      // coord → worker: forced time watermark (heartbeat)
+	frameWatermark                    // coord → worker: the stream's settled sequence and event times
 	framePing                         // coord → worker: drain barrier probe
 	framePong                         // worker → coord: barrier reply
 	frameFrag                         // worker → coord: sealed epoch fragments + shard watermark
@@ -69,7 +70,7 @@ const (
 	frameBatch                        // either direction: coalesced session sub-frames
 )
 
-const protoVersion = 4
+const protoVersion = 5
 
 // DupSafe reports whether a frame may be duplicated in transit without
 // desynchronizing a session: stamped session frames are deduplicated by
@@ -385,27 +386,29 @@ func forEachSubFrame(src []byte, fn func(t byte, payload []byte) error) error {
 	return nil
 }
 
-// watermarkMsg advances a stream's sealing clocks after routed appends:
-// the settled sequence watermark (tuple windows) and each time-windowed
-// spec's event-time high mark.
+// watermarkMsg advances a stream's sealing clocks after routed appends
+// and time advances: the container's settled sequence watermark (tuple
+// windows) and the settled event time of each TIMESTAMP column that has
+// one (time windows).
 type watermarkMsg struct {
 	Stream  string
 	Settled int64
-	Specs   []specMax
+	Times   []colTime
 }
 
-type specMax struct {
-	ID    int64
-	MaxTs int64
+// colTime is one TIMESTAMP column's settled event time.
+type colTime struct {
+	Col int
+	Ts  int64
 }
 
 func marshalWatermark(m watermarkMsg) []byte {
 	b := bat.AppendString(nil, m.Stream)
 	b = binary.AppendVarint(b, m.Settled)
-	b = binary.AppendUvarint(b, uint64(len(m.Specs)))
-	for _, s := range m.Specs {
-		b = binary.AppendVarint(b, s.ID)
-		b = binary.AppendVarint(b, s.MaxTs)
+	b = binary.AppendUvarint(b, uint64(len(m.Times)))
+	for _, ct := range m.Times {
+		b = binary.AppendUvarint(b, uint64(ct.Col))
+		b = binary.AppendVarint(b, ct.Ts)
 	}
 	return b
 }
@@ -421,22 +424,24 @@ func unmarshalWatermark(src []byte) (watermarkMsg, error) {
 	}
 	n, src, err := bat.ReadUvarint(src)
 	if err != nil || n > uint64(len(src)) {
-		return m, fmt.Errorf("fabric: watermark spec count")
+		return m, fmt.Errorf("fabric: watermark column count")
 	}
-	m.Specs = make([]specMax, n)
-	for i := range m.Specs {
-		if m.Specs[i].ID, src, err = bat.ReadVarint(src); err != nil {
-			return m, fmt.Errorf("fabric: watermark spec id: %w", err)
+	m.Times = make([]colTime, n)
+	for i := range m.Times {
+		col, rest, err := bat.ReadUvarint(src)
+		if err != nil || col > math.MaxInt32 {
+			return m, fmt.Errorf("fabric: watermark column")
 		}
-		if m.Specs[i].MaxTs, src, err = bat.ReadVarint(src); err != nil {
-			return m, fmt.Errorf("fabric: watermark spec ts: %w", err)
+		m.Times[i].Col = int(col)
+		if m.Times[i].Ts, src, err = bat.ReadVarint(rest); err != nil {
+			return m, fmt.Errorf("fabric: watermark time: %w", err)
 		}
 	}
 	return m, nil
 }
 
 // marshalInt64s / unmarshalInt64s encode the small fixed-arity frames
-// (advance, spec drop, ping, pong) as varint tuples.
+// (spec drop, ping, pong) as varint tuples.
 func marshalInt64s(vals ...int64) []byte {
 	var b []byte
 	for _, v := range vals {

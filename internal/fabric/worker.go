@@ -103,12 +103,16 @@ type Worker struct {
 // per-shard, not a contiguous range, because elastic handoff moves single
 // shards between workers.
 type workerStream struct {
-	name    string
-	schema  bat.Schema
-	shards  int // total across all workers
-	locals  map[int]*workerShard
-	order   []int // sorted keys of locals: firing order must be deterministic
-	settled int64 // sealing sequence watermark from the coordinator
+	name   string
+	schema bat.Schema
+	shards int // total across all workers
+	locals map[int]*workerShard
+	order  []int // sorted keys of locals: firing order must be deterministic
+	// settled and times are the coordinator container's sealing clocks:
+	// the settled sequence watermark, and each schema column's settled
+	// event time (math.MinInt64 where it has none).
+	settled int64
+	times   []int64
 	// specList is the stream's specs in id order, maintained on spec
 	// add/drop so the per-watermark firing pass (once per routed append)
 	// neither allocates nor sorts.
@@ -129,10 +133,9 @@ type workerShard struct {
 
 // workerSpec is one query group's slicing spec over a stream.
 type workerSpec struct {
-	id    int64
-	st    *workerStream
-	win   *plan.Window
-	maxTs int64
+	id  int64
+	st  *workerStream
+	win *plan.Window
 }
 
 // NewWorker starts a worker: it restores its snapshot (if any), dials the
@@ -415,6 +418,7 @@ func (w *Worker) handleSub(ftype byte, payload []byte) bool {
 		}
 		st := &workerStream{
 			name: m.Name, schema: m.Schema, shards: m.Shards,
+			times:  noTimes(m.Schema.Width()),
 			locals: make(map[int]*workerShard),
 		}
 		for sh := m.Lo; sh < m.Hi; sh++ {
@@ -443,7 +447,7 @@ func (w *Worker) handleSub(ftype byte, payload []byte) bool {
 			w.noteErr("spec", fmt.Errorf("unknown stream %q", m.Stream))
 			return false
 		}
-		sp := &workerSpec{id: m.ID, st: st, win: m.Win, maxTs: math.MinInt64}
+		sp := &workerSpec{id: m.ID, st: st, win: m.Win}
 		for _, g := range st.order {
 			ws := st.locals[g]
 			ws.cids[sp.id] = ws.bk.Register()
@@ -517,30 +521,15 @@ func (w *Worker) handleSub(ftype byte, payload []byte) bool {
 			w.noteErr("watermark", fmt.Errorf("unknown stream %q", m.Stream))
 			return false
 		}
-		if m.Settled > st.settled {
-			st.settled = m.Settled
-		}
-		for _, sm := range m.Specs {
-			if sp := w.specs[sm.ID]; sp != nil && sm.MaxTs > sp.maxTs {
-				sp.maxTs = sm.MaxTs
+		st.settled = max(st.settled, m.Settled)
+		for _, ct := range m.Times {
+			if ct.Col < len(st.times) {
+				st.times[ct.Col] = max(st.times[ct.Col], ct.Ts)
 			}
 		}
 		// One firing pass: every spec of this stream drains its cursors,
 		// slices, and flushes what the advanced watermarks seal.
 		for _, sp := range st.specList {
-			w.fireSpec(sp)
-		}
-
-	case frameAdvance:
-		vals, err := unmarshalInt64s(f.Payload, 2)
-		if err != nil {
-			w.noteErr("advance", err)
-			return false
-		}
-		if sp := w.specs[vals[0]]; sp != nil {
-			if vals[1] > sp.maxTs {
-				sp.maxTs = vals[1]
-			}
 			w.fireSpec(sp)
 		}
 
@@ -600,6 +589,16 @@ func (w *Worker) handleSub(ftype byte, payload []byte) bool {
 	return false
 }
 
+// noTimes is the event-time clock of a stream with no settled row yet:
+// one math.MinInt64 per schema column.
+func noTimes(width int) []int64 {
+	ts := make([]int64, width)
+	for i := range ts {
+		ts[i] = math.MinInt64
+	}
+	return ts
+}
+
 // fireSpec is one firing of a spec across its local shards: drain each
 // shard's cursor, slice, flush every epoch the current watermark seals,
 // and ship fragments plus the advanced shard watermark. Shards with no
@@ -618,8 +617,8 @@ func (w *Worker) fireSpec(sp *workerSpec) {
 		var frags []*window.Frag
 		if sp.win.Tuples {
 			frags = sl.Flush(st.settled / sp.win.Slide)
-		} else if sp.maxTs != math.MinInt64 {
-			frags = sl.Flush(sl.TimeGen(sp.maxTs))
+		} else if ts := st.times[sp.win.TimeIdx]; ts != math.MinInt64 {
+			frags = sl.Flush(sl.TimeGen(ts))
 		}
 		wm := sl.Watermark()
 		if len(frags) == 0 && wm <= ws.sentWm[sp.id] {
@@ -715,10 +714,11 @@ func (w *Worker) captureLocked() *snapshot.Snapshot {
 	for _, n := range names {
 		st := w.streams[n]
 		ss := snapshot.StreamState{
-			Name: st.name, Schema: st.schema, Shards: st.shards, Settled: st.settled,
+			Name: st.name, Schema: st.schema, Shards: st.shards,
+			Settled: st.settled, Times: append([]int64(nil), st.times...),
 		}
 		for _, sp := range st.specList {
-			ss.Specs = append(ss.Specs, snapshot.SpecState{ID: sp.id, Win: sp.win, MaxTs: sp.maxTs})
+			ss.Specs = append(ss.Specs, snapshot.SpecState{ID: sp.id, Win: sp.win})
 		}
 		for _, g := range st.order {
 			ss.Locals = append(ss.Locals, w.exportShardLocked(st, st.locals[g]))
@@ -736,11 +736,13 @@ func (w *Worker) restoreSnapshot(snap *snapshot.Snapshot) {
 		ss := &snap.Streams[i]
 		st := &workerStream{
 			name: ss.Name, schema: ss.Schema, shards: ss.Shards, settled: ss.Settled,
+			times:  noTimes(ss.Schema.Width()),
 			locals: make(map[int]*workerShard),
 		}
+		copy(st.times, ss.Times)
 		w.streams[st.name] = st
 		for _, sp := range ss.Specs {
-			spec := &workerSpec{id: sp.ID, st: st, win: sp.Win, maxTs: sp.MaxTs}
+			spec := &workerSpec{id: sp.ID, st: st, win: sp.Win}
 			w.specs[spec.id] = spec
 			st.specList = append(st.specList, spec) // snapshot order is id order
 		}

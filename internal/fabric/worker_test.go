@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"datacell"
 	"datacell/internal/bat"
 	"datacell/internal/emitter"
 )
@@ -120,5 +121,37 @@ func TestFabricWorkerGapDropsConn(t *testing.T) {
 	}
 	if !hasStream("c") || w.sess.cursor() != 3 {
 		t.Fatalf("after replay: stream c=%v cursor=%d, want true and 3", hasStream("c"), w.sess.cursor())
+	}
+}
+
+// TestFabricHelloVersionMismatch: a peer speaking another protocol
+// version is refused at the handshake instead of misreading frames, and
+// the current version is welcomed.
+func TestFabricHelloVersionMismatch(t *testing.T) {
+	eng := datacell.New(&datacell.Options{Workers: 1})
+	defer eng.Close()
+	c, err := NewCoordinator(eng, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, v := range []int{protoVersion - 1, protoVersion + 1, protoVersion} {
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		hello := marshalHello(helloMsg{Version: v, Index: 0, ID: "probe"})
+		if err := emitter.WriteFrame(conn, emitter.Frame{Type: frameHello, Payload: hello}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := emitter.ReadFrame(bufio.NewReader(conn))
+		_ = conn.Close()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("version %d: no answer to the Hello", v)
+		}
+		if welcomed := err == nil && f.Type == frameWelcome; welcomed != (v == protoVersion) {
+			t.Fatalf("version %d (current %d): welcomed=%v", v, protoVersion, welcomed)
+		}
 	}
 }

@@ -96,15 +96,12 @@ func newHarness(t *testing.T, src string, mode Mode) *harness {
 	return h
 }
 
-// step fires every (side, shard) of the group twice — the second pass
-// flushes buckets an earlier shard's event-time watermark raise sealed on
-// a sibling — then the member's tail. It returns the result sets emitted.
+// step fires every (side, shard) of the group, then the member's tail.
+// It returns the result sets emitted.
 func (h *harness) step() int {
-	for pass := 0; pass < 2; pass++ {
-		for side := range h.g.sides {
-			for sh := 0; sh < h.g.NumShards(side); sh++ {
-				h.g.FireShard(side, sh)
-			}
+	for side := range h.g.sides {
+		for sh := 0; sh < h.g.NumShards(side); sh++ {
+			h.g.FireShard(side, sh)
 		}
 	}
 	return h.m.Fire()
@@ -348,8 +345,8 @@ func TestTimeWindowFactoryWithAdvance(t *testing.T) {
 	sec := int64(1_000_000)
 	h.pushS(t, [3]int64{sec / 2, 1, 1}, [3]int64{sec + sec/2, 1, 1})
 	// Buckets: 0 (1 tuple, closed by arrival of bucket-1 tuple), 1 open.
-	h.g.Advance(3 * sec)
-	if got := h.m.Fire(); got != 2 {
+	h.sb.AdvanceTime(3 * sec)
+	if got := h.step(); got != 2 {
 		t.Fatalf("Advance emitted %d results, want 2", got)
 	}
 	res := h.results()

@@ -19,10 +19,10 @@ import (
 // stream's front end has cursors only: each drained basket segment is one
 // batch, handed to the sink as its own basic window.
 //
-// Each shard's cursor and slicer are guarded by its own mutex, the merger
-// by mergeMu. The owner's sink runs under mergeMu,
-// which is what keeps the fanned-out basic-window sequence in generation
-// order; the returned wake-up set is delivered after mergeMu is released
+// Each shard's cursor and slicer belong to its scheduler transition,
+// which never fires concurrently with itself; the merger is guarded by
+// mergeMu. The owner's sink runs under mergeMu, which is what keeps the
+// fanned-out basic-window sequence in generation order; the returned wake-up set is delivered after mergeMu is released
 // so scheduler Ready callbacks never contend with a fan-out in progress.
 type frontEnd struct {
 	basket *basket.Sharded
@@ -32,7 +32,6 @@ type frontEnd struct {
 
 	merge   *window.ShardMerge
 	mergeMu sync.Mutex
-	maxTs   atomic.Int64 // shared event-time watermark (time windows)
 	// sealed is the merger frontier last handed to sink (guarded by
 	// mergeMu).
 	sealed int64
@@ -50,7 +49,6 @@ type groupShard struct {
 	idx int
 	bk  *basket.Basket
 	cid int
-	mu  sync.Mutex
 	sl  *window.ShardSlicer // nil for a non-windowed stream
 	wm  atomic.Int64        // mirrors sl.Watermark() for lock-free shardReady
 }
@@ -59,7 +57,6 @@ type groupShard struct {
 // builds the shared slicing pipeline (none for a nil win).
 func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *frontEnd {
 	fe := &frontEnd{basket: bk, win: win, schema: schema, sealed: window.NoEpoch}
-	fe.maxTs.Store(math.MinInt64)
 	for i := 0; i < bk.NumShards(); i++ {
 		b := bk.Shard(i)
 		gs := &groupShard{idx: i, bk: b, cid: b.Register()}
@@ -80,7 +77,6 @@ func newFrontEnd(bk *basket.Sharded, win *plan.Window, schema bat.Schema) *front
 // processes and only the min-watermark merger runs here.
 func newRemoteFrontEnd(shards int, win *plan.Window, schema bat.Schema) *frontEnd {
 	fe := &frontEnd{win: win, schema: schema, sealed: window.NoEpoch}
-	fe.maxTs.Store(math.MinInt64)
 	fe.merge = window.NewShardMerge(window.MergeConfig{Shards: shards, Data: schema})
 	return fe
 }
@@ -89,9 +85,7 @@ func newRemoteFrontEnd(shards int, win *plan.Window, schema bat.Schema) *frontEn
 // shard transitions first (RemoveWait) so no firing is in flight.
 func (fe *frontEnd) close() {
 	for _, gs := range fe.shards {
-		gs.mu.Lock()
 		gs.bk.Unregister(gs.cid)
-		gs.mu.Unlock()
 	}
 }
 
@@ -113,84 +107,42 @@ func (fe *frontEnd) shardReady(sh int) bool {
 	return gs.wm.Load() < wmGen
 }
 
-func (fe *frontEnd) watermarkGen(gs *groupShard) (int64, bool) {
+// watermarkGen reads the stream's sealing clock as an epoch: the settled
+// sequence over the slide for tuple windows, the bucket of the settled
+// event time for time windows. ok is false before a time window's first
+// row has settled.
+func (fe *frontEnd) watermarkGen(gs *groupShard) (gen int64, ok bool) {
 	if fe.win.Tuples {
 		return fe.basket.Settled() / fe.win.Slide, true
 	}
-	mts := fe.maxTs.Load()
-	if mts == math.MinInt64 {
+	ts := fe.basket.SettledTime(fe.win.TimeIdx)
+	if ts == math.MinInt64 {
 		return 0, false
 	}
-	return gs.sl.TimeGen(mts), true
+	return gs.sl.TimeGen(ts), true
 }
 
 // fireShard is one firing of shard sh: drain, slice, and merge-complete
 // any basic windows this shard sealed last, feeding them to the owner's
-// sink. raised reports whether the event-time watermark advanced (sibling
-// shards may now hold sealed buckets and need a re-notify); notify is the
-// sink's wake-up list.
-func (fe *frontEnd) fireShard(sh int) (notify []string, raised bool) {
+// sink. It returns the sink's wake-up list.
+func (fe *frontEnd) fireShard(sh int) []string {
 	gs := fe.shards[sh]
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
 	if gs.sl == nil {
-		return fe.batches(gs), false
+		return fe.batches(gs)
 	}
-	// Tuple windows must read the sealing watermark BEFORE the drain:
-	// every row of an epoch sealed by this watermark was appended to its
-	// shard before the watermark advanced, so the drain below is
-	// guaranteed to include it. Reading after the drain could seal an
-	// epoch whose rows arrived between the two steps.
-	var wmSeq int64
-	if fe.win.Tuples {
-		wmSeq = fe.basket.Settled()
+	// Read the sealing clock BEFORE the drain: the clock covers only
+	// the settled prefix, whose rows were all visible in their shards
+	// before it moved, so the drain below includes every row of an epoch
+	// it seals. Reading after the drain could seal an epoch whose rows
+	// arrived between the two steps.
+	gen, ok := fe.watermarkGen(gs)
+	gs.bk.ConsumeLeased(gs.cid, gs.sl.Push)
+	var frags []*window.Frag
+	if ok {
+		frags = gs.sl.Flush(gen)
 	}
-	frags, raised := sliceFlush(gs.bk, gs.cid, gs.sl, fe.win, wmSeq, &fe.maxTs)
 	gs.wm.Store(gs.sl.Watermark())
-	return fe.deliver(gs, frags), raised
-}
-
-// sliceFlush is a windowed shard firing's drain step: push the
-// consumer's pending rows, segment by segment, into the shard's slicer,
-// raise the stream's shared event-time watermark (time windows), and
-// flush every epoch the current watermark seals. For tuple windows the
-// caller must have captured wmSeq (the container's settled sequence)
-// BEFORE the drain. raised reports whether the event-time watermark
-// advanced (sibling shards may now hold sealed buckets and need a
-// re-notify).
-func sliceFlush(bk *basket.Basket, cid int, sl *window.ShardSlicer, w *plan.Window, wmSeq int64, maxTs *atomic.Int64) (frags []*window.Frag, raised bool) {
-	bk.ConsumeLeased(cid, func(c *bat.Chunk, l bat.Lease, arrivals, seqs bat.Ints) {
-		sl.Push(c, l, arrivals, seqs)
-		if !w.Tuples {
-			ts := bat.AsInts(c.Cols[w.TimeIdx])
-			mx := int64(math.MinInt64)
-			for _, t := range ts {
-				if t > mx {
-					mx = t
-				}
-			}
-			raised = atomicMax(maxTs, mx) || raised
-		}
-	})
-	if w.Tuples {
-		frags = sl.Flush(wmSeq / w.Slide)
-	} else if mts := maxTs.Load(); mts != math.MinInt64 {
-		frags = sl.Flush(sl.TimeGen(mts))
-	}
-	return frags, raised
-}
-
-// atomicMax raises a to v and reports whether it advanced.
-func atomicMax(a *atomic.Int64, v int64) bool {
-	for {
-		cur := a.Load()
-		if v <= cur {
-			return false
-		}
-		if a.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
+	return fe.deliver(gs, frags)
 }
 
 // batches is a non-windowed shard firing: every drained basket segment
@@ -215,7 +167,7 @@ func (fe *frontEnd) batches(gs *groupShard) []string {
 }
 
 // deliver offers a shard's flushed fragments to the merger and sinks any
-// completed basic windows. Callers hold gs.mu.
+// completed basic windows.
 func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) []string {
 	fe.mergeMu.Lock()
 	defer fe.mergeMu.Unlock()
@@ -233,26 +185,6 @@ func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) []string {
 	}
 	fe.sealed = sealed
 	return fe.sink(ready, sealed)
-}
-
-// advance closes time-window buckets up to the watermark (µs) on every
-// shard. Tuple-window and non-windowed front ends are unaffected. The
-// returned wake-up list may name a query more than once.
-func (fe *frontEnd) advance(watermark int64) []string {
-	if fe.win == nil || fe.win.Tuples || fe.maxTs.Load() == math.MinInt64 {
-		return nil // only time windows time out; no rows yet: nothing to shut
-	}
-	atomicMax(&fe.maxTs, watermark)
-	mts := fe.maxTs.Load()
-	var notify []string
-	for _, gs := range fe.shards {
-		gs.mu.Lock()
-		frags := gs.sl.Flush(gs.sl.TimeGen(mts))
-		gs.wm.Store(gs.sl.Watermark())
-		notify = append(notify, fe.deliver(gs, frags)...)
-		gs.mu.Unlock()
-	}
-	return notify
 }
 
 // Group is a shared execution group over one stream, or over the two
@@ -371,7 +303,7 @@ type GroupConfig struct {
 	// wires it to the scheduler.
 	NotifyMember func(query string)
 	// NotifyShards re-enables the group's shard transitions (wired to
-	// basket appends and event-time watermark raises).
+	// the local sides' basket settles and time advances).
 	NotifyShards func()
 }
 
@@ -380,10 +312,6 @@ type RemoteSource struct {
 	// Shards is the stream's total shard count across all workers — the
 	// width of the side's merger.
 	Shards int
-	// Advance forwards time-watermark raises (Engine.AdvanceTime, the
-	// heartbeat) to the worker processes, whose slicers own the open
-	// buckets.
-	Advance func(watermark int64)
 	// Close tears the fabric spec down when the group closes (broadcast to
 	// workers so they drop their slicers and cursors).
 	Close func()
@@ -828,15 +756,10 @@ func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardRea
 // FireShard is one firing of side's shard sh: drain, slice, and
 // merge-complete any basic windows this shard sealed last, fanning them
 // out to every member's queue. Sealed windows wake the members' tail
-// transitions; a raised event-time watermark re-notifies the group's
-// shard transitions (sibling shards may now hold sealed buckets).
+// transitions.
 func (g *Group) FireShard(side, sh int) {
-	notify, raised := g.sides[side].fe.fireShard(sh)
-	for _, q := range notify {
+	for _, q := range g.sides[side].fe.fireShard(sh) {
 		g.cfg.NotifyMember(q)
-	}
-	if raised && g.cfg.NotifyShards != nil {
-		g.cfg.NotifyShards()
 	}
 }
 
@@ -984,26 +907,6 @@ func (m *Member) warm(parts int) bool {
 		}
 	}
 	return true
-}
-
-// Advance closes time-window buckets up to the watermark (microsecond
-// timestamp) on every shard of every side — the scheduler's time
-// constraint for idle streams. Tuple-window and non-windowed sides are
-// unaffected. Fabric-fed sides forward the watermark to the
-// worker processes, whose slicers own the open buckets; the flushed
-// fragments come back through OfferRemote.
-func (g *Group) Advance(watermark int64) {
-	for _, s := range g.sides {
-		if s.remote != nil {
-			if s.remote.Advance != nil {
-				s.remote.Advance(watermark)
-			}
-			continue
-		}
-		for _, q := range s.fe.advance(watermark) {
-			g.cfg.NotifyMember(q)
-		}
-	}
 }
 
 // Query reports the member's query name.

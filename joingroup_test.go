@@ -567,14 +567,6 @@ func TestTimeJoinOffsetStartsAlignByEpoch(t *testing.T) {
 				if err := e.Append(stream, chunk(side, sec)); err != nil {
 					t.Fatal(err)
 				}
-				if shard != "" {
-					// A sharded time window seals by the stream-wide newest
-					// timestamp, so a shard that drains late clamps its
-					// rows into a newer bucket. Draining keeps the window
-					// contents fixed; under s_first every s window still
-					// has to wait for r.
-					e.Drain()
-				}
 			})
 			for qn, got := range map[string][]string{"shared": render(e, shared), "isolated": render(e, iso)} {
 				if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -459,9 +459,8 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 				return nil
 			}
 			cfg.Remote[side] = &factory.RemoteSource{
-				Shards:  specs[side].Shards,
-				Advance: specs[side].Advance,
-				Close:   specs[side].Drop,
+				Shards: specs[side].Shards,
+				Close:  specs[side].Drop,
 			}
 		}
 		g := factory.NewGroup(cfg)

@@ -31,11 +31,9 @@ var recycleSchema = bat.NewSchema(
 // recycleSlide is the time windows' slide, in microseconds.
 const recycleSlide = 2_000_000
 
-// recycleLog builds appends of 4000 to 4399 rows, append a spanning
-// exactly the event-time bucket [2a, 2a+2) s. (Sharded time windows clamp
-// a late shard's rows into a newer bucket — a known defect; appends that
-// straddle a bucket boundary make the isolated registration's windows
-// depend on scheduling.)
+// recycleLog builds appends of 4000 to 4399 rows, append a spanning the
+// event time [2a+1, 2a+3) s: every append straddles a bucket edge, so its
+// rows reach two buckets on both shards at once.
 func recycleLog(rng *rand.Rand, appends int) []*bat.Chunk {
 	var out []*bat.Chunk
 	for a := 0; a < appends; a++ {
@@ -43,7 +41,7 @@ func recycleLog(rng *rand.Rand, appends int) []*bat.Chunk {
 		ts, ks, gs := make(bat.Times, n), make(bat.Ints, n), make(bat.Ints, n)
 		vs, tags := make(bat.Floats, n), make(bat.Strs, n)
 		for i := 0; i < n; i++ {
-			ts[i] = int64(a)*recycleSlide + int64(i)*recycleSlide/int64(n)
+			ts[i] = int64(a)*recycleSlide + recycleSlide/2 + int64(i)*recycleSlide/int64(n)
 			ks[i] = int64(rng.Intn(8))
 			gs[i] = int64(rng.Intn(3))
 			vs[i] = float64(rng.Intn(800)-200) * 0.25
@@ -111,7 +109,7 @@ func TestSegmentRecyclingEquivalence(t *testing.T) {
 					}
 					drain()
 				}
-				e.AdvanceTime(appends * recycleSlide) // seals the open time buckets
+				e.AdvanceTime((appends + 1) * recycleSlide) // seals the open time buckets
 				drain()
 				return got, e
 			}

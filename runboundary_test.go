@@ -67,34 +67,25 @@ func rebatch(rng *rand.Rand, log []*bat.Chunk, how string) []*bat.Chunk {
 }
 
 func TestRunBoundaryInvarianceSharded(t *testing.T) {
-	// Time windows drain after every append. A hash-sharded time window
-	// seals on the stream-wide newest timestamp, so a shard that drains
-	// late can clamp its rows into a newer bucket depending on scheduling
-	// — a known defect (ROADMAP item 1) that is not the property under
-	// test. Draining fixes each append's rows as one run per shard, so the
-	// batchings still cut the windows into different runs.
-	windows := map[string]struct {
-		win          string
-		drainAppends bool
-	}{
-		"tuple": {"[SIZE 48 SLIDE 16]", false},
-		"time":  {"[RANGE 3 SECONDS SLIDE 1 SECOND ON ts]", true},
+	windows := map[string]string{
+		"tuple": "[SIZE 48 SLIDE 16]",
+		"time":  "[RANGE 3 SECONDS SLIDE 1 SECOND ON ts]",
 	}
 	type reg struct {
 		name, sql string
 		opts      *RegisterOptions
 	}
 	for wname, w := range windows {
-		agg := "SELECT k, sum(v) AS s, count(*) AS n, min(v) AS lo, max(tag) AS hi FROM s " + w.win +
+		agg := "SELECT k, sum(v) AS s, count(*) AS n, min(v) AS lo, max(tag) AS hi FROM s " + w +
 			" WHERE v > -20.0 GROUP BY k"
 		regs := []reg{
 			// Two identical grouped members share the scan group's DAG
 			// nodes and merge class; a third differs in its key.
 			{"grouped_a", agg, nil},
 			{"grouped_b", agg, nil},
-			{"grouped_composite", "SELECT tag, g, sum(v * 3.0) AS s3, count(*) AS n FROM s " + w.win +
+			{"grouped_composite", "SELECT tag, g, sum(v * 3.0) AS s3, count(*) AS n FROM s " + w +
 				" GROUP BY tag, g", nil},
-			{"grouped_rows", "SELECT k, v, tag FROM s " + w.win + " WHERE v >= 40.0", nil},
+			{"grouped_rows", "SELECT k, v, tag FROM s " + w + " WHERE v >= 40.0", nil},
 			{"isolated", agg, &RegisterOptions{Isolated: true}},
 			{"reeval", agg, &RegisterOptions{Mode: ModeReeval}},
 		}
@@ -116,9 +107,6 @@ func TestRunBoundaryInvarianceSharded(t *testing.T) {
 			for _, c := range rebatch(rng, log, how) {
 				if err := e.Append("s", c); err != nil {
 					t.Fatal(err)
-				}
-				if w.drainAppends {
-					e.Drain()
 				}
 			}
 			e.Drain()
