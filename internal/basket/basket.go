@@ -96,8 +96,9 @@ type segment struct {
 
 // segFloor is the smallest segment capacity: tiny appends (single-row
 // INSERTs) share a segment instead of allocating one each. Larger appends
-// get a segment sized exactly to their rows, so a retained view never pins
-// much more than the rows appended with it.
+// get a segment with room for exactly their rows, on a store at most an
+// eighth larger (see freeList.get), so a retained view never pins much
+// more than the rows appended with it.
 const segFloor = 1024
 
 // newSegment starts a segment with room for exactly capacity rows, on

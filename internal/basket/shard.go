@@ -438,11 +438,19 @@ func (s *Sharded) appendHashed(c *bat.Chunk, arrival, base int64) error {
 }
 
 // route hashes c's key column into one selection list per shard, taken
-// from the container's pool; the caller puts them back when done.
+// from the container's pool; the caller puts them back when done. A list
+// shorter than an even share plus a quarter — a pool miss, after a
+// collection emptied the pool — is allocated at that size, so routing
+// does not grow it by doubling.
 func (s *Sharded) route(c *bat.Chunk) *[]algebra.Sel {
 	sels := s.sels.Get().(*[]algebra.Sel)
-	for i := range *sels {
-		(*sels)[i] = (*sels)[i][:0]
+	share := c.Rows() / len(*sels)
+	share += share/4 + 8
+	for i, sel := range *sels {
+		if cap(sel) < share {
+			sel = make(algebra.Sel, 0, share)
+		}
+		(*sels)[i] = sel[:0]
 	}
 	s.hashRows(c.Cols[s.keyIdx], *sels)
 	return sels

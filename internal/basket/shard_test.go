@@ -383,3 +383,29 @@ func TestShardedAppendAllocsInOrder(t *testing.T) {
 		t.Fatalf("in-order settle allocates %.1f times", allocs)
 	}
 }
+
+// TestShardedRouteAllocs: routing a keyed append allocates nothing once
+// the container's selection lists are warm. On a pool miss it allocates
+// each shard's list once, sized to its share, instead of growing it by
+// doubling.
+func TestShardedRouteAllocs(t *testing.T) {
+	const rows, n = 6000, 2
+	s := NewSharded("s", shardSchema(), n, 0)
+	ks := make(bat.Ints, rows)
+	for i := range ks {
+		ks[i] = int64(i % 97)
+	}
+	c := &bat.Chunk{Schema: shardSchema(), Cols: []bat.Vector{ks, make(bat.Ints, rows)}}
+	if !raceEnabled { // the race detector makes sync.Pool drop what it is given
+		warm := func() { s.sels.Put(s.route(c)) }
+		warm()
+		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
+			t.Fatalf("a warm keyed route allocates %.1f times", allocs)
+		}
+	}
+	// Never handed back, so every route misses the pool: the pool's slice
+	// of lists (two allocations) and one list per shard.
+	if allocs := testing.AllocsPerRun(20, func() { s.route(c) }); allocs > n+2 {
+		t.Fatalf("a keyed route on a pool miss allocates %.1f times, want ≤ %d", allocs, n+2)
+	}
+}

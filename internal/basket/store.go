@@ -87,8 +87,12 @@ func (l *freeList) put(st *store) {
 }
 
 // get returns a store for n rows holding one reference: the best-fitting
-// released one, with room for n to n + n/16 rows (reused), or a fresh
-// one.
+// released one, with room for n to n + n/8 rows (reused), or a fresh one
+// with room for n + n/16. The fresh store's headroom lets it serve later
+// requests a little larger than this one — a sharded stream's appends
+// vary by a few percent per shard — and the reuse window lets a store
+// serve requests up to an eighth smaller. Either way the caller caps the
+// vectors at n (capped), so a retained view pins at most n/8 spare rows.
 func (l *freeList) get(n int) (*store, bool) {
 	l.mu.Lock()
 	best, bestAt, kept := (*store)(nil), -1, 0
@@ -98,7 +102,7 @@ func (l *freeList) get(n int) (*store, bool) {
 			continue // collected: drop the entry
 		}
 		l.items[kept] = p
-		if cand.size >= n && cand.size <= n+n/16 && (best == nil || cand.size < best.size) {
+		if cand.size >= n && cand.size <= n+n/8 && (best == nil || cand.size < best.size) {
 			best, bestAt = cand, kept
 		}
 		kept++
@@ -110,7 +114,7 @@ func (l *freeList) get(n int) (*store, bool) {
 	}
 	l.mu.Unlock()
 	if best == nil {
-		return newStore(l.kinds, n, l), false
+		return newStore(l.kinds, n+n/16, l), false
 	}
 	best.refs.Store(1)
 	return best, true

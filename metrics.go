@@ -25,6 +25,10 @@ var EngineMetricDescs = []metrics.Desc{
 		Help: "Registered basket consumers (query cursors).", Labels: []string{"stream"}},
 	{Name: "datacell_basket_shards", Type: metrics.Gauge,
 		Help: "Shard count of the stream's basket container.", Labels: []string{"stream"}},
+	{Name: "datacell_basket_segments_total", Type: metrics.Counter,
+		Help: "Storage segments ever started in the stream's basket, summed over shards.", Labels: []string{"stream"}},
+	{Name: "datacell_basket_segments_reused_total", Type: metrics.Counter,
+		Help: "Segments whose columns reuse storage released by consumed segments, summed over shards.", Labels: []string{"stream"}},
 
 	// Continuous queries.
 	{Name: "datacell_query_evals_total", Type: metrics.Counter,
@@ -136,6 +140,8 @@ func (e *Engine) collectMetrics(emit func(metrics.Metric)) {
 		g1("datacell_basket_dropped_tuples_total", b.Name, float64(b.TotalDrop))
 		g1("datacell_basket_consumers", b.Name, float64(b.Consumers))
 		g1("datacell_basket_shards", b.Name, float64(b.Shards))
+		g1("datacell_basket_segments_total", b.Name, float64(b.Segments))
+		g1("datacell_basket_segments_reused_total", b.Name, float64(b.Reused))
 	}
 
 	e.mu.Lock()

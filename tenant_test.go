@@ -256,6 +256,56 @@ func TestEngineMetricsCollector(t *testing.T) {
 	}
 }
 
+// TestBasketSegmentMetrics: the scrape exports a sharded stream's
+// segment counters, summed over its shards as Stats reports them, and
+// never counts more reused segments than segments.
+func TestBasketSegmentMetrics(t *testing.T) {
+	e, clock := newTestEngine(t)
+	mustExec(t, e, "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT) SHARD 2 KEY k")
+	mustExec(t, e, "REGISTER QUERY q AS SELECT k, sum(v) FROM s [SIZE 3000 SLIDE 3000] GROUP BY k")
+	for round := 0; round < 8; round++ {
+		rows := make([][]any, 3000)
+		for i := range rows {
+			rows[i] = []any{time.UnixMicro(clock.Load()), int64(i % 16), float64(i)}
+		}
+		if err := e.Append("s", rows); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
+
+	reg := metrics.NewRegistry()
+	reg.MustRegister(e.MetricsCollector())
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatalf("scrape is not valid Prometheus text: %v", err)
+	}
+	got := map[string]float64{}
+	for _, f := range fams {
+		for _, sm := range f.Samples {
+			if sm.Labels["stream"] == "s" {
+				got[sm.Name] = sm.Value
+			}
+		}
+	}
+	segs, ok := got["datacell_basket_segments_total"]
+	reused, ok2 := got["datacell_basket_segments_reused_total"]
+	if !ok || !ok2 {
+		t.Fatalf("scrape lacks the segment counters:\n%s", b.String())
+	}
+	st := e.Stats().Baskets[0]
+	if segs != float64(st.Segments) || reused != float64(st.Reused) {
+		t.Fatalf("scraped %v segments, %v reused; Stats reports %d, %d", segs, reused, st.Segments, st.Reused)
+	}
+	if segs < 2 || reused > segs {
+		t.Fatalf("%v segments, %v reused: want at least one per shard, and reused ≤ segments", segs, reused)
+	}
+}
+
 func TestSetTenantQuotaDDL(t *testing.T) {
 	e, _ := newTestEngine(t)
 	mustExec(t, e, "CREATE STREAM s (ts TIMESTAMP, v FLOAT)")
