@@ -11,6 +11,7 @@ package datacell
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -709,6 +710,65 @@ func BenchmarkQueryGroupFanout(b *testing.B) {
 				b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(n)/float64(qn)*1e9, "ns/tuple/query")
 			})
 		}
+	}
+}
+
+// BenchmarkMemberScaling measures what one more standing query costs as
+// the query count Q grows (the paper's E5 claim that an added query is
+// nearly free): Q grouped aggregates over one 16-key stream, query i
+// `SELECT k, count(*), sum(v) FROM s [SIZE 1024 SLIDE 256] WHERE v > i%8
+// GROUP BY k HAVING count(*) > i`, so the queries form 8 merge classes
+// whose members all differ in their HAVING threshold, on one worker over
+// 2^18 tuples. Setup stays outside the timed region. It reports the
+// timed ns per tuple per query, and the bytes and allocations per
+// member-window (one basic window delivered to one query) over the timed
+// region.
+func BenchmarkMemberScaling(b *testing.B) {
+	const (
+		n     = 1 << 18
+		slide = 256
+		batch = 1024
+		nkeys = 16
+	)
+	chunks := feedSensor(n, batch, nkeys)
+	for _, qn := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("q_%d", qn), func(b *testing.B) {
+			var bytes, allocs uint64
+			var before, after runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := New(&Options{Workers: 1})
+				if _, err := eng.Exec("CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)"); err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < qn; j++ {
+					sql := fmt.Sprintf("SELECT k, count(*) AS n, sum(v) AS sv FROM s [SIZE 1024 SLIDE %d] WHERE v > %d GROUP BY k HAVING count(*) > %d",
+						slide, j%8, j)
+					if _, err := eng.Register(fmt.Sprintf("q%04d", j), sql,
+						&RegisterOptions{Mode: ModeIncremental, NoChannel: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				for _, c := range chunks {
+					if err := eng.Append("s", c); err != nil {
+						b.Fatal(err)
+					}
+				}
+				eng.Drain()
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				allocs += after.Mallocs - before.Mallocs
+				eng.Close()
+				b.StartTimer()
+			}
+			memberWindows := float64(b.N) * float64(qn) * n / slide
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/n/float64(qn), "ns/tuple/query")
+			b.ReportMetric(float64(bytes)/memberWindows, "B/member-window")
+			b.ReportMetric(float64(allocs)/memberWindows, "allocs/member-window")
+		})
 	}
 }
 

@@ -58,6 +58,9 @@ type dag struct {
 	free  []int // pruned nodes' ordinals, for reuse
 	size  int   // ordinals ever handed out: a new window's slab length
 	epoch int64 // ordinal assignments so far
+	// shared counts the nodes two or more registered paths pass through
+	// (dagNode.shared). It changes under mu and is read without it.
+	shared atomic.Int64
 }
 
 // dagNode is one distinct operator in the DAG. parent == nil means the
@@ -76,6 +79,10 @@ type dagNode struct {
 	kids  []*dagNode
 	ends  int
 	fused atomic.Bool
+	// shared caches refs ≥ 2 for the lock-free evaluator. In a post-merge
+	// trie, where every path is one member's chain, a chain whose first
+	// node is not shared shares no node at all.
+	shared atomic.Bool
 	// ord is the node's memo slab index and born the dag epoch at which
 	// it was assigned; a window created at an earlier epoch has no slab
 	// cell for the node.
@@ -158,6 +165,10 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 func (d *dag) retain(n *dagNode) {
 	for ; n != nil; n = n.parent {
 		n.refs++
+		if n.refs == 2 {
+			n.shared.Store(true)
+			d.shared.Add(1)
+		}
 	}
 }
 
@@ -179,6 +190,10 @@ func (d *dag) unregister(leaf, aggNode *dagNode) {
 func (d *dag) release(n *dagNode) {
 	for ; n != nil; n = n.parent {
 		n.refs--
+		if n.refs == 1 {
+			n.shared.Store(false)
+			d.shared.Add(-1)
+		}
 		if n.refs > 0 {
 			continue
 		}
@@ -201,6 +216,17 @@ func settle(n *dagNode) {
 	}
 }
 
+// chain returns the compiled steps of the path from the root to leaf,
+// root first, and the path's first node.
+func chain(leaf *dagNode) (steps []*kernel.Step, top *dagNode) {
+	for n := leaf; n != nil; n = n.parent {
+		steps = append(steps, &n.step)
+		top = n
+	}
+	slices.Reverse(steps)
+	return steps, top
+}
+
 // Nodes reports the number of distinct operator nodes registered.
 func (d *dag) Nodes() int {
 	d.mu.Lock()
@@ -211,13 +237,14 @@ func (d *dag) Nodes() int {
 // dagWin is one sealed basic window's memo table, shared by every member
 // the window was fanned out to, rooted at the window's input view: the
 // raw basic window read through its runs (kernel.RunsView), or, in a
-// class's post-merge trie, the class's merged view. Cells latch with
-// sync.Once: concurrent member tails needing the same node compute it
-// once and the rest wait for (then reuse) the memoized view. Memoized
-// views reference the raw window's runs only until the batch of member
-// firings that carries this dagWin completes; whatever a member keeps
-// longer (ring contents) is a materialized immutable chunk, so buffer
-// lifetime stays governed by the refcounted fanout exactly as before.
+// class's post-merge trie whose chains share a node, the class's merged
+// view. Cells latch with sync.Once: concurrent member tails needing the
+// same node compute it once and the rest wait for (then reuse) the
+// memoized view. Memoized views reference the raw window's runs only
+// until the batch of member firings that carries this dagWin completes;
+// whatever a member keeps longer (ring contents) is a materialized
+// immutable chunk, so buffer lifetime stays governed by the refcounted
+// fanout exactly as before.
 //
 // The cells are one slab indexed by node ordinal, sized to the dag's
 // ordinals when the window is created, and read without a lock. A node

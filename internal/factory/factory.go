@@ -149,6 +149,9 @@ type Factory struct {
 	// isolated and fabric-routed registrations of the same join thus order
 	// joined rows identically.
 	reevalJoin bool
+	// retired collects the window records the tail is done with, emptied,
+	// for its member to hand back to the group's fan-out (Member.Fire).
+	retired []*window.BW
 
 	mu    sync.Mutex
 	seq   int64
@@ -344,7 +347,7 @@ func (f *Factory) RecentLatencies() []int64 {
 // the plan see empty input and are evaluated on their own batches as
 // their data arrives. The batch's data is released after evaluation.
 func (f *Factory) evalBatch(scan *plan.ScanStream, bw *window.BW) int {
-	defer bw.ReleaseData()
+	defer f.retire(bw)
 	out, err := kernel.Run(f.cfg.Full, map[plan.Node]*kernel.View{scan: kernel.RunsView(bw.Data)})
 	if err != nil {
 		return 0
@@ -370,7 +373,7 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 		return f.evalBatch(in.scan, bw)
 	}
 	if f.cfg.Mode == Reeval && !f.reevalJoin {
-		evict(in.ring.Push(bw))
+		f.retire(in.ring.Push(bw))
 		if !f.ringsFull() {
 			return 0
 		}
@@ -388,15 +391,18 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 	return f.incrementalStep(idx, bw)
 }
 
-// evict drops a basic window that left the member's ring (nil: none
-// did): its share of the raw data, and its intermediates. The group's
-// fan-out allocates a window's member views in one slab, which lives as
-// long as any member's ring holds one of them, so a member with a wider
-// window would otherwise keep this member's evicted intermediates.
-func evict(bw *window.BW) {
+// retire empties a basic window the tail is done with — one that left
+// the member's ring, or an evaluated batch (nil: none) — releasing its
+// share of the raw data and dropping its intermediates, and keeps the
+// record (up to maxFreeRecords) for the group's fan-out to reuse for a
+// later window.
+func (f *Factory) retire(bw *window.BW) {
 	if bw != nil {
 		bw.ReleaseData()
 		*bw = window.BW{}
+		if len(f.retired) < maxFreeRecords {
+			f.retired = append(f.retired, bw)
+		}
 	}
 }
 
@@ -447,7 +453,7 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	// ring eviction.
 	bw.ReleaseData()
 
-	evict(in.ring.Push(bw))
+	f.retire(in.ring.Push(bw))
 	if bw.Final != nil {
 		// Shared merge: the member's merge class resolved the full-window
 		// merged view and the post-merge fragment once for every class

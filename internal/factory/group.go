@@ -2,6 +2,7 @@ package factory
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,8 +242,12 @@ type Group struct {
 	seq    *inputSeq
 	genCtr []int64
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// members and queries (the members' query names, in the same order)
+	// only grow at their end or are replaced by a copy, never modified in
+	// place, so a fan-out reads them without copying.
 	members []*Member
+	queries []string
 	classes map[string]*mergeClass // merge classes by plan.MergeKey / plan.JoinMergeKey
 	// classSlots holds the live classes by ordinal (nil: a free slot): a
 	// fan-out indexes each window's merge cells by it.
@@ -354,10 +359,15 @@ type Member struct {
 	// when the member merges privately: re-evaluation scans, NoMemo, or
 	// NoSharedMerge) and class the
 	// class itself. postLeaf is the member's post-merge chain in the
-	// class's post-merge trie (nil when the plan has no post fragment).
-	classKey string
-	class    *mergeClass
-	postLeaf *dagNode
+	// class's post-merge trie (nil when the plan has no post fragment),
+	// postSteps the chain's compiled steps, root first, and postTop its
+	// first node: while postTop is not shared, no other chain reads any
+	// node of the member's.
+	classKey  string
+	class     *mergeClass
+	postLeaf  *dagNode
+	postSteps []*kernel.Step
+	postTop   *dagNode
 
 	// seen counts the windows fanned out to this member per side; a
 	// one-sided member's windows are numbered by it. It is touched only
@@ -617,6 +627,7 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 			// factory.New compiled this chain, so it linearizes.
 			psteps, _ := d.PostStepsMemo(m.classKey)
 			m.postLeaf, _ = mc.post.register(psteps, nil, "")
+			m.postSteps, m.postTop = chain(m.postLeaf)
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
@@ -627,6 +638,7 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		}
 	}
 	g.members = append(g.members, m)
+	g.queries = append(g.queries, query)
 	g.mu.Unlock()
 	// No firing is in flight yet: the member's tail transition is
 	// registered after Join returns.
@@ -645,11 +657,9 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 func (g *Group) Leave(m *Member) {
 	var closeClass *mergeClass
 	g.mu.Lock()
-	for i, x := range g.members {
-		if x == m {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
+	if i := slices.Index(g.members, m); i >= 0 {
+		g.members = slices.Delete(slices.Clone(g.members), i, i+1)
+		g.queries = slices.Delete(slices.Clone(g.queries), i, i+1)
 	}
 	if mc := g.classes[m.classKey]; mc != nil {
 		mc.refs--
@@ -779,16 +789,17 @@ func (g *Group) FireShard(side, sh int) {
 // members must agree. It returns the queries whose tail transitions need
 // a wake-up.
 //
-// Per window the members' basic-window views are one slab, and the merge
-// cells are indexed by class ordinal in a buffer the call's windows reuse.
+// Each member's basic-window view is a record its tail retired (its
+// queue keeps them), the members and their wake-up list are the group's
+// own snapshots, and the merge cells are indexed by class ordinal in a
+// buffer the call's windows reuse.
 func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 	oneSided := len(g.sides) == 1
 	if oneSided && len(ready) == 0 {
 		return nil
 	}
 	g.mu.Lock()
-	members := make([]*Member, len(g.members))
-	copy(members, g.members)
+	members, queries := g.members, g.queries
 	var classes []*mergeClass
 	for _, mc := range g.classSlots {
 		if mc != nil && mc.active {
@@ -818,10 +829,17 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 	}
 	// A member's enqueues within one call succeed or fail together (a
 	// closed queue stays closed), so the first released window decides
-	// the wake-up list.
-	notify := make([]string, 0, len(members))
+	// the wake-up list: every member's query, shared with the group,
+	// unless a member turns out to have left.
+	notify, whole := queries, true
 	first := true
+	// left is how many more windows the call expects to release — a
+	// sequencer may release more, or fewer — so that a member queue that
+	// must grow grows once for the whole call.
+	left := len(ready)
 	release := func(side int, bw *window.BW) {
+		more := max(left, 1)
+		left--
 		g.windowsOut.Add(1)
 		gen := g.genCtr[side]
 		g.genCtr[side]++
@@ -850,36 +868,43 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 				cells[mc.ord] = mc.push(side, gen, dw, free)
 			}
 		}
-		bws := make([]window.BW, len(members))
 		for i, m := range members {
 			mgen := gen
 			if oneSided {
 				mgen = m.seen[0]
 			}
 			m.seen[side]++
-			mbw := &bws[i]
-			*mbw = window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: free}
-			item := memberBW{side: side, bw: mbw, dw: dw}
+			mbw := window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: free}
+			item := memberBW{side: side, dw: dw}
 			if mc := m.class; mc != nil && cells != nil {
 				if cell := cells[mc.ord]; cell != nil && m.warm(mc.parts) {
 					item.cell = cell
 				}
 			}
-			if !m.q.enqueue(item) {
+			if !m.q.enqueue(item, mbw, more) {
 				mbw.ReleaseData() // member left between snapshot and enqueue
+				if first && whole {
+					notify, whole = slices.Clone(queries[:i]), false
+				}
 				continue
 			}
-			if first {
+			if first && !whole {
 				notify = append(notify, m.query)
 			}
 		}
 		first = false
 	}
+	woken := func() []string {
+		if first {
+			return nil // nothing released
+		}
+		return notify
+	}
 	if oneSided {
 		for _, bw := range ready {
 			release(side, bw)
 		}
-		return notify
+		return woken()
 	}
 	g.seqMu.Lock()
 	defer g.seqMu.Unlock()
@@ -887,10 +912,10 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 		for _, bw := range ready {
 			release(side, bw)
 		}
-		return notify
+		return woken()
 	}
 	g.seq.push(side, ready, sealed, release)
-	return notify
+	return woken()
 }
 
 // maxReusedBatch bounds the queue batches a member reuses: a steady
@@ -929,8 +954,13 @@ func (m *Member) Ready() bool { return m.q.ready() }
 // The scheduler guarantees a single in-flight Fire per member. It returns
 // the number of result sets emitted.
 func (m *Member) Fire() int {
-	items := m.q.drain(m.spare)
+	items := m.q.drain(m.spare, m.fac.retired)
+	clear(m.fac.retired)
+	m.fac.retired = m.fac.retired[:0]
 	evs := m.evs[:0]
+	if cap(evs) < len(items) {
+		evs = make([]SharedBW, 0, len(items))
+	}
 	for _, it := range items {
 		bw := it.bw
 		if it.dw != nil {
@@ -953,10 +983,17 @@ func (m *Member) Fire() int {
 			} else {
 				m.g.mergeHits.Add(1)
 			}
-			if m.postLeaf != nil {
-				bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
-			} else {
+			switch {
+			case m.postLeaf == nil:
 				bw.Final = merged
+			case pdw == nil || !m.postTop.shared.Load():
+				// No other chain reads a node of this one (or none did when
+				// the cell was evaluated): the member evaluates it alone,
+				// counting one miss per node as the memo would.
+				bw.Final = kernel.MaterializeSteps(m.postSteps, merged)
+				m.g.postMisses.Add(int64(len(m.postSteps)))
+			default:
+				bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
 			}
 		}
 		evs = append(evs, SharedBW{Input: it.side, BW: bw})

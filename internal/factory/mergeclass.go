@@ -38,9 +38,12 @@ import (
 // queued or in flight, so paused members find their merged views on
 // resume without the class tracking per-member progress.
 //
-// The class owns its members' post-merge trie (post), rooted at its
-// merged view, so a merged view's memo slab holds exactly the class's
-// post-merge fragments.
+// The class owns its members' post-merge trie (post): the registry of
+// their HAVING/sort/limit chains over its merged view. A chain no other
+// member shares a node of is evaluated by its member alone, straight
+// from the merged view (kernel.MaterializeSteps); only while some node
+// has two or more readers does a window's merge cell carry a memo slab
+// over the trie, so identical fragments still evaluate once per window.
 type mergeClass struct {
 	key   string
 	ord   int // index in the group's class slots (Group.classSlots)
@@ -156,9 +159,10 @@ func (mc *mergeClass) reopen() {
 // mergeCell memoizes one window's merged view for every member of a
 // merge class. The first member tail to need it evaluates the view under
 // the once latch and siblings reuse the result. pdw is the post-merge
-// memo table rooted at this merged view: the class's post-merge trie
-// latches HAVING/sort/limit fragments in it exactly like the pipeline DAG
-// latches operators in a dagWin.
+// memo table rooted at this merged view, built only when some node of
+// the class's post-merge trie has two or more readers at that moment
+// (nil otherwise): the trie latches shared HAVING/sort/limit fragments
+// in it exactly like the pipeline DAG latches operators in a dagWin.
 type mergeCell struct {
 	mc   *mergeClass
 	side int // the side whose window triggered this cell
@@ -175,7 +179,9 @@ type mergeCell struct {
 func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) {
 	c.once.Do(func() {
 		c.out = c.mc.view(c, g)
-		c.pdw = c.mc.post.newWin(kernel.NewView(c.out))
+		if c.mc.post.shared.Load() > 0 {
+			c.pdw = c.mc.post.newWin(kernel.NewView(c.out))
+		}
 		c.ins = [2][]mergeIn{} // release the input pointers: only the view survives
 		computed = true
 	})

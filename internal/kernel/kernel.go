@@ -21,8 +21,9 @@
 //     exactly 4 bytes per survivor — nothing when every row of an
 //     unselected run survives: the run then passes through with no
 //     selection. A chain whose only reader is an aggregate
-//     (AggregateSteps) builds its selections in pooled scratch that
-//     lives for the aggregate's call alone.
+//     (AggregateSteps), or a single caller that wants its dense result
+//     (MaterializeSteps), builds its selections in pooled scratch that
+//     lives for that one call.
 //   - Project  of column references only re-indexes the base columns
 //     and keeps the selection: still a view, nothing is copied. A
 //     compiled step (CompileStep) keeps the column map itself in the
@@ -304,19 +305,41 @@ func colRefs(exprs []expr.Expr) bool {
 func AggregateSteps(t *plan.Aggregate, steps []*Step, v *View, hint int) *bat.Chunk {
 	cs := chainScratches.Get().(*chainScratch)
 	defer cs.release()
-	for i, st := range steps {
-		v = st.apply(v, &cs.views[i%2], &cs.sels)
-	}
-	return Aggregate(t, v, hint)
+	return Aggregate(t, cs.apply(steps, v), hint)
 }
 
-// chainScratch is one AggregateSteps call's transient state: the chain's
-// selections and the views single-run steps are built in, alternating.
-// It is pooled, so a warm call allocates nothing for it, and emptied
-// before it goes back, so the pool never keeps a window's data alive.
+// MaterializeSteps is the dense result of steps applied to c: the
+// evaluation of an operator chain whose only reader is the caller, such
+// as a post-merge fragment no other query shares. Like AggregateSteps it
+// builds the chain's views and selections in pooled scratch that lives
+// only for the call; what it returns never references that scratch. The
+// result is copied rows, a re-index of c (or c itself) when the chain
+// keeps every row, or a compiled projection's cached empty chunk —
+// byte-identical to materializing the step-by-step chain.
+func MaterializeSteps(steps []*Step, c *bat.Chunk) *bat.Chunk {
+	cs := chainScratches.Get().(*chainScratch)
+	defer cs.release()
+	cs.views[1] = View{Base: c}
+	return cs.apply(steps, &cs.views[1]).Materialize()
+}
+
+// chainScratch is one AggregateSteps or MaterializeSteps call's transient
+// state: the chain's selections and the views single-run steps are built
+// in, alternating. It is pooled, so a warm call allocates nothing for it,
+// and emptied before it goes back, so the pool never keeps a window's
+// data alive.
 type chainScratch struct {
 	sels  algebra.Scratch
 	views [2]View
+}
+
+// apply runs steps over v, building single-run results in the scratch
+// views, alternating, and selections in the scratch.
+func (cs *chainScratch) apply(steps []*Step, v *View) *View {
+	for i, st := range steps {
+		v = st.apply(v, &cs.views[i%2], &cs.sels)
+	}
+	return v
 }
 
 var chainScratches = sync.Pool{New: func() any { return new(chainScratch) }}

@@ -316,3 +316,76 @@ func TestAggregateStepsMatchesMemoizedChain(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeStepsMatchesMemoizedChain: MaterializeSteps is
+// byte-identical to applying the same compiled steps one by one and
+// materializing the last view, for post-merge-shaped chains over a dense
+// chunk — filters keeping none, some or every row, column-reference and
+// computed projections, sorts, limits shorter and longer than the input,
+// distinct. Every result is re-checked after later calls reused (and, in
+// a test binary, poisoned) the pooled scratch, so a result that kept a
+// scratch selection fails here.
+func TestMaterializeStepsMatchesMemoizedChain(t *testing.T) {
+	k, g, v, tag := col(1, bat.Int), col(2, bat.Int), col(3, bat.Float), col(4, bat.Str)
+	step := func(op plan.Node) Step { return CompileStep(plan.PipelineStep{Op: op}) }
+	filter := func(pred expr.Expr) Step { return step(&plan.Filter{Pred: pred}) }
+	some, second := filter(cmp(algebra.GT, v, floatConst(0))), filter(cmp(algebra.LT, g, intConst(1000)))
+	none, all := filter(cmp(algebra.LT, g, intConst(-5000))), filter(cmp(algebra.GE, col(0, bat.Time), intConst(0)))
+	refs := step(&plan.Project{Exprs: []expr.Expr{tag, k, v}, Out: bat.Schema{
+		Names: []string{"tag", "k", "v"}, Kinds: []bat.Kind{bat.Str, bat.Int, bat.Float}}})
+	ident := step(&plan.Project{Exprs: []expr.Expr{col(0, bat.Time), k}, Out: bat.Schema{
+		Names: []string{"ts", "k"}, Kinds: []bat.Kind{bat.Time, bat.Int}}})
+	computed := step(&plan.Project{Exprs: []expr.Expr{k, &expr.Arith{Op: expr.Add, L: v, R: floatConst(1)}}, Out: bat.Schema{
+		Names: []string{"k", "v1"}, Kinds: []bat.Kind{bat.Int, bat.Float}}})
+	sorted := step(&plan.Sort{Keys: []plan.SortSpec{{Col: 2, Desc: true}, {Col: 0}}})
+	short, long := step(&plan.Limit{N: 5}), step(&plan.Limit{N: 1 << 20})
+	distinct := step(&plan.Distinct{})
+	chains := [][]Step{
+		{}, {some}, {none}, {all}, {some, second}, {some, refs}, {none, refs}, {all, refs},
+		{all, ident}, {none, ident}, {some, computed}, {none, computed}, {some, refs, sorted},
+		{some, refs, sorted, short}, {some, refs, long}, {long, some, refs}, {all, long, second},
+		{some, refs, distinct}, {short, some},
+	}
+
+	type result struct {
+		got  *bat.Chunk
+		want []byte
+		what string
+	}
+	var results []result
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 6; round++ {
+		c := randomWindow(rng, 100+rng.Intn(400))
+		for ci, chain := range chains {
+			memo := NewView(c)
+			steps := make([]*Step, len(chain))
+			for i := range chain {
+				memo = chain[i].Apply(memo, nil)
+				steps[i] = &chain[i]
+			}
+			want := memo.Materialize()
+			got := MaterializeSteps(steps, c)
+			what := fmt.Sprintf("round %d, chain %d", round, ci)
+			mustSameBytes(t, got, want, what)
+			results = append(results, result{got, bat.MarshalChunk(nil, want), what})
+		}
+	}
+	for _, r := range results {
+		if !bytes.Equal(bat.MarshalChunk(nil, r.got), r.want) {
+			t.Fatalf("%s: a later call changed this result: it references released scratch", r.what)
+		}
+	}
+
+	// A chain that rejects every row and then re-indexes returns the
+	// step's cached empty chunk, and a warm call allocates nothing else.
+	c := randomWindow(rng, 256)
+	empty := []*Step{&none, &refs}
+	if got := MaterializeSteps(empty, c); got.Rows() != 0 || got != MaterializeSteps(empty, c) {
+		t.Fatalf("empty result is not the step's cached chunk: %d rows", got.Rows())
+	}
+	if !raceEnabled {
+		if b := minAllocBytes(func() { MaterializeSteps(empty, c) }); b != 0 {
+			t.Errorf("warm empty MaterializeSteps allocated %.0f B, want 0", b)
+		}
+	}
+}

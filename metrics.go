@@ -78,9 +78,9 @@ var EngineMetricDescs = []metrics.Desc{
 	{Name: "datacell_group_post_nodes", Type: metrics.Gauge,
 		Help: "Distinct post-merge fragment operators in the group's trie.", Labels: []string{"group"}},
 	{Name: "datacell_group_post_hits_total", Type: metrics.Counter,
-		Help: "Post-merge fragments served from the trie's memo.", Labels: []string{"group"}},
+		Help: "Post-merge chain requests served whole from the trie's memo.", Labels: []string{"group"}},
 	{Name: "datacell_group_post_misses_total", Type: metrics.Counter,
-		Help: "Post-merge fragments actually computed.", Labels: []string{"group"}},
+		Help: "Post-merge operator evaluations, one per node, memoized or private.", Labels: []string{"group"}},
 	{Name: "datacell_group_post_hit_ratio", Type: metrics.Gauge,
 		Help: "Post-merge trie memo hit rate in [0,1].", Labels: []string{"group"}},
 	{Name: "datacell_group_pair_caches", Type: metrics.Gauge,
