@@ -100,16 +100,18 @@ func extremeGroups(v bat.Vector, sel Sel, g Grouping, isMin bool) bat.Vector {
 	panic(fmt.Sprintf("algebra: min/max on %s vector", v.Kind()))
 }
 
+// extreme needs no per-group "seen" flags: groups are numbered in
+// first-appearance order over the same qualifying rows it iterates, so a
+// group's first row is exactly the one whose id is the next unseen one.
 func extreme[T int64 | float64 | string](xs []T, sel Sel, g Grouping, isMin bool) []T {
 	out := make([]T, g.N)
-	seen := make([]bool, g.N)
-	k := 0
+	k, next := 0, int32(0)
 	eachSel(xs, sel, func(_ int32, x T) {
 		gid := g.GIDs[k]
 		k++
-		if !seen[gid] {
+		if gid == next {
 			out[gid] = x
-			seen[gid] = true
+			next++
 			return
 		}
 		if isMin {

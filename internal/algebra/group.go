@@ -23,35 +23,52 @@ type Grouping struct {
 	// candidate list would mean "all rows").
 	Repr Sel
 
-	// box holds GIDs' pooled storage until Release.
-	box *[]int32
+	// box and reprBox hold GIDs' and Repr's pooled storage until Release.
+	box, reprBox *[]int32
 }
 
-// gidScratch recycles the per-row group ids: a grouping's GIDs are read
-// only by the aggregate kernels its caller runs over it, and every basic
-// window of a grouped aggregate groups afresh, so a new vector per call
-// would be pure garbage.
-var gidScratch = sync.Pool{New: func() any { return new([]int32) }}
+// gidScratch and reprScratch recycle the per-row group ids and the
+// representatives: a grouping's GIDs and Repr are read only by the
+// aggregate kernels and the key fetch its caller runs over it, and every
+// basic window of a grouped aggregate groups afresh, so new vectors per
+// call would be pure garbage. They pool apart because their sizes differ
+// (one id per row, one representative per group).
+var (
+	gidScratch  = sync.Pool{New: func() any { return new([]int32) }}
+	reprScratch = sync.Pool{New: func() any { return new([]int32) }}
+)
 
 // newGrouping starts a grouping of rows qualifying rows: pooled group ids
-// of length rows (unzeroed) and room for reprCap representatives.
+// of length rows (unzeroed) and an empty, non-nil pooled representative
+// list with room for reprCap representatives.
 func newGrouping(rows, reprCap int) Grouping {
-	box := gidScratch.Get().(*[]int32)
+	box, reprBox := gidScratch.Get().(*[]int32), reprScratch.Get().(*[]int32)
 	if cap(*box) < rows {
 		*box = make([]int32, rows)
 	}
-	return Grouping{GIDs: (*box)[:rows], Repr: make(Sel, 0, reprCap), box: box}
+	if *reprBox == nil || cap(*reprBox) < reprCap {
+		*reprBox = make([]int32, 0, reprCap)
+	}
+	return Grouping{GIDs: (*box)[:rows], Repr: (*reprBox)[:0], box: box, reprBox: reprBox}
 }
 
-// Release hands the grouping's group ids back for reuse by later Group
-// calls. Call it once the aggregate kernels have run, and only when
-// nothing kept g.GIDs; a grouping that is never released is left to the
-// garbage collector.
+// Release hands the grouping's group ids and representatives back for
+// reuse by later Group calls. Call it once the aggregate kernels and the
+// key fetch have run, and only when nothing kept g.GIDs or g.Repr; a
+// grouping that is never released is left to the garbage collector. Test
+// binaries overwrite the released storage with poisonPos, so that a read
+// after Release fails loudly instead of seeing a later grouping's ids.
 func (g *Grouping) Release() {
-	if g.box != nil {
-		gidScratch.Put(g.box)
-		g.box, g.GIDs = nil, nil
+	if g.box == nil {
+		return
 	}
+	// Repr may have outgrown its box; the grown storage goes back instead.
+	*g.reprBox = g.Repr[:0]
+	poisonBox(g.box)
+	poisonBox(g.reprBox)
+	gidScratch.Put(g.box)
+	reprScratch.Put(g.reprBox)
+	g.box, g.reprBox, g.GIDs, g.Repr = nil, nil, nil, nil
 }
 
 // Group computes a dense grouping of the rows covered by sel over one or
@@ -85,11 +102,11 @@ func GroupHint(keys []bat.Vector, sel Sel, n, hint int) Grouping {
 		hint = defaultGroupHint
 	}
 	if len(keys) == 0 {
-		g := newGrouping(rows, 0)
+		g := newGrouping(rows, 1)
 		clear(g.GIDs)
 		if rows > 0 {
 			g.N = 1
-			g.Repr = Sel{firstPos(sel)}
+			g.Repr = append(g.Repr, firstPos(sel))
 		}
 		return g
 	}
@@ -210,9 +227,10 @@ func (t *groupTable) grow() {
 // first-appearance order, so ids and representatives do not depend on
 // the path taken.
 func groupInts(keys []bat.Vector, sel Sel, rows, hint int) Grouping {
-	cols := make([][]int64, len(keys))
-	for c, k := range keys {
-		cols[c] = bat.AsInts(k)
+	var colBuf [maxDenseCols][]int64 // the usual key width allocates no column list
+	cols := colBuf[:0]
+	for _, k := range keys {
+		cols = append(cols, bat.AsInts(k))
 	}
 	bp := hashScratch.Get().(*[]uint64)
 	if cap(*bp) < rows {

@@ -224,17 +224,6 @@ func TestOrderNoKeysAndCandidates(t *testing.T) {
 	}
 }
 
-func TestTopN(t *testing.T) {
-	v := ints(5, 1, 4, 2)
-	idx := TopN([]SortKey{{Col: v}}, nil, 4, 2)
-	if len(idx) != 2 || v[idx[0]] != 1 || v[idx[1]] != 2 {
-		t.Errorf("TopN = %v", idx)
-	}
-	if got := TopN([]SortKey{{Col: v}}, nil, 4, 10); len(got) != 4 {
-		t.Errorf("TopN over-limit = %v", got)
-	}
-}
-
 func TestOrderFloatsBoolsTimes(t *testing.T) {
 	f := bat.Floats{2.5, 1.5}
 	if idx := Order([]SortKey{{Col: f}}, nil, 2); idx[0] != 1 {

@@ -162,23 +162,29 @@ type Scratch struct {
 // leaves s empty for reuse.
 func (s *Scratch) Release() {
 	for i, bp := range s.bufs {
-		if poison {
-			buf := (*bp)[:cap(*bp)]
-			for j := range buf {
-				buf[j] = poisonPos
-			}
-		}
+		poisonBox(bp)
 		selScratch.Put(bp)
 		s.bufs[i] = nil
 	}
 	s.bufs = s.bufs[:0]
 }
 
-// poison is on in test binaries: released Scratch buffers are overwritten
-// with poisonPos, a position no vector has.
+// poison is on in test binaries: released Scratch buffers and groupings
+// are overwritten with poisonPos, a position (and group id) no vector has.
 var poison = testing.Testing()
 
 const poisonPos = math.MinInt32
+
+// poisonBox overwrites the whole of a released pooled buffer with
+// poisonPos when poison is on.
+func poisonBox(bp *[]int32) {
+	if poison {
+		buf := (*bp)[:cap(*bp)]
+		for j := range buf {
+			buf[j] = poisonPos
+		}
+	}
+}
 
 // selectCmp is the generic single-comparison kernel, written predicated
 // rather than branchy: every candidate position is stored into the

@@ -71,14 +71,3 @@ func cmpOrd[T int64 | float64 | string](a, b T) int {
 	}
 	return 0
 }
-
-// TopN returns the first n positions of the full ordering. It currently
-// sorts and truncates; the operator boundary exists so a heap-based
-// implementation can slot in without touching callers.
-func TopN(keys []SortKey, sel Sel, total, n int) []int32 {
-	idx := Order(keys, sel, total)
-	if n < len(idx) {
-		idx = idx[:n]
-	}
-	return idx
-}

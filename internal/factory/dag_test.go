@@ -148,7 +148,7 @@ func TestQuickMergePartialsMatchesConcat(t *testing.T) {
 				present = append(present, p)
 				rows += p.Rows()
 			}
-			got := mergePartials(merge, parts)
+			got := kernel.Merge(merge, parts, 0)
 			want := kernel.Aggregate(merge, kernel.NewView(bat.Concat(agg.Out, present, rows)), 0)
 			if got.String() != want.String() {
 				t.Fatalf("%v keys, round %d:\nruns:\n%s\nconcat:\n%s", keyKind, round, got, want)

@@ -152,6 +152,9 @@ type Factory struct {
 	// retired collects the window records the tail is done with, emptied,
 	// for its member to hand back to the group's fan-out (Member.Fire).
 	retired []*window.BW
+	// parts is the private merge stage's list of the live windows'
+	// partial aggregates, reused across slides and emptied after each.
+	parts []*bat.Chunk
 
 	mu    sync.Mutex
 	seq   int64
@@ -483,12 +486,12 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	case f.jc != nil:
 		merged = f.jc.Merged(f.inputs[0].ring.Live(), f.inputs[1].ring.Live())
 	case d.Agg != nil:
-		live := in.ring.Live()
-		parts := make([]*bat.Chunk, len(live))
-		for i, lbw := range live {
-			parts[i] = lbw.Partial
+		for _, lbw := range in.ring.Live() {
+			f.parts = append(f.parts, lbw.Partial)
 		}
-		merged = mergePartials(d.MergePlanMemo(), parts)
+		merged = kernel.Merge(d.MergePlanMemo(), f.parts, 0)
+		clear(f.parts)
+		f.parts = f.parts[:0]
 	default:
 		merged = in.ring.ConcatOuts(d.MergedLeaf.Out)
 	}

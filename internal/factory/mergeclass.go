@@ -207,7 +207,7 @@ func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
 func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
 	mc := c.mc
 	if mc.merge != nil {
-		return mergePartials(mc.merge, c.resolve(g, 0, mc.aggLeaf))
+		return kernel.Merge(mc.merge, c.resolve(g, 0, mc.aggLeaf), 0)
 	}
 	parts := c.resolve(g, 0, mc.leaf[0])
 	rows := 0
@@ -215,26 +215,6 @@ func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
 		rows += p.Rows()
 	}
 	return bat.Concat(mc.outSchema, parts, rows)
-}
-
-// mergePartials is the full-window aggregate over a window's partial
-// aggregates, oldest first (nil entries are skipped): the decomposition's
-// merge plan (plan.MergePlan) run by kernel.Aggregate over the partials
-// as runs. The kernel gathers the runs' key and argument columns into
-// pooled scratch and accumulates in one order, the concatenation's, so
-// the result is byte-identical to the merge over the concatenated
-// partials without building that chunk. The largest partial
-// pre-sizes the grouping: the window has at least that many groups.
-func mergePartials(merge *plan.Aggregate, parts []*bat.Chunk) *bat.Chunk {
-	runs := bat.Runs{Schema: merge.Out, Chunks: make([]*bat.Chunk, 0, len(parts))}
-	hint := 0
-	for _, p := range parts {
-		if p != nil {
-			runs.Append(p)
-			hint = max(hint, p.Rows())
-		}
-	}
-	return kernel.Aggregate(merge, kernel.RunsView(&runs), hint)
 }
 
 // mergeJoinView is the two-sided merged view. It replays exactly what

@@ -56,6 +56,16 @@
 // timing). Every operator over runs is byte-identical to the same
 // operator over bat.Concat of the runs.
 //
+// Merge is the incremental mode's merge of a window's cached partial
+// aggregates, the same gather-group-aggregate over the partials as runs.
+// Partials are immutable, so a merge copies nothing it would copy
+// unchanged: when the oldest partial's rows are exactly the groups, the
+// merged key columns are that partial's key columns, and over a single
+// partial its counts, integer sums and min/max columns are too. Merged
+// chunks may therefore share storage with partials, capped so that an
+// append copies; whatever recycles a partial must account for the merged
+// chunks that read it.
+//
 // Byte identity between the modes is the package's contract: the
 // incremental-versus-re-evaluation matrix, the shared-merge and
 // recycling suites and the fabric differential harness are its proof
@@ -435,62 +445,151 @@ func (rl *runList) materialize() *bat.Chunk {
 	rows := rl.rows()
 	cols := make([]bat.Vector, len(rl.schema.Kinds))
 	for i := range cols {
-		cols[i] = rl.gather(rl.runs[0].c.Cols[i].New(rows), i)
+		cols[i] = resize(bat.NewVector(rl.runs[0].c.Cols[i].Kind(), 0), rows)
+		rl.fill(cols[i], i)
 	}
 	return &bat.Chunk{Schema: rl.schema, Cols: cols}
 }
 
-// gather appends column idx's selected rows of every run, in run order,
-// to dst. It unboxes dst once: a Vector append per run would box a new
-// slice header each time.
-func (rl *runList) gather(dst bat.Vector, idx int) bat.Vector {
-	switch d := dst.(type) {
-	case bat.Ints:
-		return gatherRuns(rl, idx, d)
-	case bat.Times:
-		return gatherRuns(rl, idx, d)
-	case bat.Floats:
-		return gatherRuns(rl, idx, d)
-	case bat.Strs:
-		return gatherRuns(rl, idx, d)
-	case bat.Bools:
-		return gatherRuns(rl, idx, d)
+// fill writes column idx's selected rows of every run, in run order, over
+// dst, which holds exactly that many rows.
+func (rl *runList) fill(dst bat.Vector, idx int) {
+	off := 0
+	for _, r := range rl.runs {
+		off = writeAt(dst, off, r.c.Cols[idx], r.sel)
 	}
-	panic(fmt.Sprintf("kernel: gather into unknown vector %T", dst))
 }
 
-func gatherRuns[V ~[]T, T any](rl *runList, idx int, dst V) V {
-	for _, r := range rl.runs {
-		src := r.c.Cols[idx].(V)
-		if r.sel == nil {
-			dst = append(dst, src...)
-			continue
-		}
-		for _, i := range r.sel {
-			dst = append(dst, src[i])
-		}
+// writeAt writes src's rows at sel (every row when sel is nil) into dst
+// from position off and returns the position after them. It unboxes dst
+// in place, so the write boxes no new slice header; dst and src share a
+// kind.
+func writeAt(dst bat.Vector, off int, src bat.Vector, sel algebra.Sel) int {
+	switch d := dst.(type) {
+	case bat.Ints:
+		return writeRows(d, off, src.(bat.Ints), sel)
+	case bat.Times:
+		return writeRows(d, off, src.(bat.Times), sel)
+	case bat.Floats:
+		return writeRows(d, off, src.(bat.Floats), sel)
+	case bat.Strs:
+		return writeRows(d, off, src.(bat.Strs), sel)
+	case bat.Bools:
+		return writeRows(d, off, src.(bat.Bools), sel)
 	}
-	return dst
+	panic(fmt.Sprintf("kernel: write into unknown vector %T", dst))
+}
+
+func writeRows[T any](dst []T, off int, src []T, sel algebra.Sel) int {
+	if sel == nil {
+		return off + copy(dst[off:], src)
+	}
+	for _, i := range sel {
+		dst[off] = src[i]
+		off++
+	}
+	return off
 }
 
 // aggregate is Aggregate over the runs: the key and argument columns are
 // gathered densely (only those, only at the selected rows) and grouped and
 // aggregated once, exactly as over the concatenated window.
 func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
-	in := denseInputs{rl: rl, rows: rl.rows(), vecs: make([]denseVec, 0, len(t.Keys)+len(t.Aggs))}
-	defer in.release()
-	keyVecs := make([]bat.Vector, len(t.Keys))
-	for i, k := range t.Keys {
-		keyVecs[i] = in.of(k)
+	as := aggScratches.Get().(*aggScratch)
+	defer as.release()
+	return as.aggregate(t, rl, hint, false)
+}
+
+// Merge is the full-window aggregate over a window's partial aggregates,
+// oldest first (nil entries are skipped): the decomposition's merge plan
+// (plan.MergePlan) run over the partials as runs, byte-identical to the
+// merge of their concatenation without building that chunk. The largest
+// partial pre-sizes the grouping when it exceeds hint: the window has at
+// least that many groups.
+//
+// Partials are immutable, so the merge copies nothing it would copy
+// unchanged. When the first partial's rows are exactly the groups, in
+// order — no later partial adds a group — the output's key columns are
+// that partial's key columns; with a single partial, its merged counts
+// and other integer sums and its min/max columns are shared too, as each
+// group then merges one value. The merged chunk may therefore share
+// storage with the partials (capped, so an append copies). Float sums are
+// always recomputed: 0.0 + (−0.0) is +0.0, not the partial's value.
+func Merge(merge *plan.Aggregate, parts []*bat.Chunk, hint int) *bat.Chunk {
+	as := aggScratches.Get().(*aggScratch)
+	defer as.release()
+	rl := &as.parts
+	for _, p := range parts {
+		if p != nil {
+			rl.runs = append(rl.runs, run{c: p})
+			hint = max(hint, p.Rows())
+		}
 	}
-	g := algebra.GroupHint(keyVecs, nil, in.rows, hint)
+	if len(rl.runs) == 0 {
+		return Aggregate(merge, NewView(bat.NewChunk(merge.Out)), hint)
+	}
+	return as.aggregate(merge, rl, hint, true)
+}
+
+// aggScratch is one multi-run aggregate's or Merge's transient state: the
+// merged partials' run list, the dense inputs and the key vectors. It is
+// pooled, so a warm call allocates nothing for it, and emptied before it
+// goes back, so the pool never keeps a window's data alive.
+type aggScratch struct {
+	parts runList
+	in    denseInputs
+	keys  []bat.Vector
+}
+
+var aggScratches = sync.Pool{New: func() any { return new(aggScratch) }}
+
+func (as *aggScratch) release() {
+	clear(as.parts.runs)
+	as.parts = runList{runs: as.parts.runs[:0]}
+	as.in.release()
+	as.in.rl = nil
+	clear(as.keys)
+	as.keys = as.keys[:0]
+	aggScratches.Put(as)
+}
+
+// aggregate groups and aggregates rl's rows. With share (Merge's
+// partials, which are immutable) it returns the first run's own columns
+// wherever the result would copy them unchanged; see Merge.
+func (as *aggScratch) aggregate(t *plan.Aggregate, rl *runList, hint int, share bool) *bat.Chunk {
+	in := &as.in
+	in.rl, in.rows = rl, rl.rows()
+	for _, k := range t.Keys {
+		as.keys = append(as.keys, in.of(k))
+	}
+	g := algebra.GroupHint(as.keys, nil, in.rows, hint)
 	defer g.Release()
-	cols := groupKeys(t, keyVecs, g)
-	// groupKeys copied the keys out: their scratch goes back before the
-	// arguments are gathered, so keys and arguments never hold pooled
+	first := rl.runs[0].c
+	// Groups number in first-appearance order, so the representatives
+	// ascend: the first run's rows are the groups exactly when there are
+	// as many groups as it has rows and the last representative is its
+	// last row.
+	share = share && g.N == first.Rows() && (g.N == 0 || g.Repr[g.N-1] == int32(g.N-1))
+	cols := make([]bat.Vector, 0, len(t.Keys)+len(t.Aggs))
+	for i, kv := range as.keys {
+		if c, ok := t.Keys[i].(*expr.Col); ok && share {
+			cols = append(cols, capped(first.Cols[c.Idx]))
+		} else {
+			cols = append(cols, algebra.Fetch(kv, g.Repr))
+		}
+	}
+	// The keys are copied out or shared: their scratch goes back before
+	// the arguments are gathered, so keys and arguments never hold pooled
 	// storage at the same time.
 	in.release()
+	single := share && len(rl.runs) == 1
 	for _, spec := range t.Aggs {
+		if single {
+			if v := unchangedAgg(spec, first); v != nil {
+				cols = append(cols, v)
+				continue
+			}
+		}
 		var arg bat.Vector
 		if spec.Arg != nil {
 			arg = in.of(spec.Arg)
@@ -500,12 +599,59 @@ func (rl *runList) aggregate(t *plan.Aggregate, hint int) *bat.Chunk {
 	return &bat.Chunk{Schema: t.Out, Cols: cols}
 }
 
+// unchangedAgg returns c's argument column of spec when aggregating it
+// over groups of one row each reproduces it exactly: an integer sum
+// (0 + x is x) or a min/max. It is nil otherwise — for a float sum, whose
+// −0.0 would become +0.0, and for a count.
+func unchangedAgg(spec plan.AggSpec, c *bat.Chunk) bat.Vector {
+	a, ok := spec.Arg.(*expr.Col)
+	if !ok {
+		return nil
+	}
+	v := c.Cols[a.Idx]
+	switch spec.Op {
+	case algebra.AggSum:
+		if _, ok := v.(bat.Ints); !ok {
+			return nil
+		}
+	case algebra.AggMin, algebra.AggMax:
+	default:
+		return nil
+	}
+	return capped(v)
+}
+
+// capped returns v without spare capacity, so that an append to a column
+// the merged chunk shares copies instead of writing into storage its
+// partial owns: v itself when it has none, which boxes no new slice
+// header, and v[:n:n] otherwise.
+func capped(v bat.Vector) bat.Vector {
+	var spare bool
+	switch x := v.(type) {
+	case bat.Ints:
+		spare = cap(x) > len(x)
+	case bat.Times:
+		spare = cap(x) > len(x)
+	case bat.Floats:
+		spare = cap(x) > len(x)
+	case bat.Strs:
+		spare = cap(x) > len(x)
+	case bat.Bools:
+		spare = cap(x) > len(x)
+	}
+	if spare {
+		return v.Slice(0, v.Len())
+	}
+	return v
+}
+
 // denseInputs holds a multi-run Aggregate's keys and arguments as dense
 // vectors over the runs' selected rows, in run order. They live for one
 // call — the grouping and the aggregate kernels copy whatever they keep
 // (keys through Fetch at the group representatives, results into fresh
 // per-group vectors) — so their storage comes from, and goes back to,
-// per-element-type pools.
+// per-kind pools. A single run without a selection (a merge of one
+// partial) is already dense: its columns are read in place.
 type denseInputs struct {
 	rl   *runList
 	rows int
@@ -516,8 +662,7 @@ type denseInputs struct {
 // index) or an evaluated expression (col < 0).
 type denseVec struct {
 	col int
-	v   bat.Vector
-	box any // the pool box of v's storage
+	b   *denseBuf
 }
 
 // of returns expression e as a dense vector: a column reference is
@@ -525,105 +670,88 @@ type denseVec struct {
 // run's selection and the results are concatenated.
 func (in *denseInputs) of(e expr.Expr) bat.Vector {
 	if c, ok := e.(*expr.Col); ok {
+		if len(in.rl.runs) == 1 && in.rl.runs[0].sel == nil {
+			return in.rl.runs[0].c.Cols[c.Idx]
+		}
 		for _, d := range in.vecs {
 			if d.col == c.Idx {
-				return d.v
+				return d.b.v
 			}
 		}
-		v, box := scratchVector(in.rl.runs[0].c.Cols[c.Idx], in.rows)
-		v = in.rl.gather(v, c.Idx)
-		in.vecs = append(in.vecs, denseVec{col: c.Idx, v: v, box: box})
-		return v
+		b := getDense(in.rl.runs[0].c.Cols[c.Idx].Kind(), in.rows)
+		in.rl.fill(b.v, c.Idx)
+		in.vecs = append(in.vecs, denseVec{col: c.Idx, b: b})
+		return b.v
 	}
-	var dst bat.Vector
-	var box any
+	var b *denseBuf
+	off := 0
 	for _, r := range in.rl.runs {
 		part := e.Eval(r.c, r.sel)
-		if dst == nil {
-			dst, box = scratchVector(part, in.rows)
+		if b == nil {
+			b = getDense(part.Kind(), in.rows)
 		}
-		dst = dst.AppendVector(part)
+		off = writeAt(b.v, off, part, nil)
 	}
-	in.vecs = append(in.vecs, denseVec{col: -1, v: dst, box: box})
-	return dst
+	in.vecs = append(in.vecs, denseVec{col: -1, b: b})
+	return b.v
 }
 
 // release hands every vector back to its pool; later calls to of gather
 // afresh.
 func (in *denseInputs) release() {
-	for _, d := range in.vecs {
-		releaseScratch(d.v, d.box)
+	for i, d := range in.vecs {
+		densePools[d.b.v.Kind()].Put(d.b)
+		in.vecs[i].b = nil
 	}
 	in.vecs = in.vecs[:0]
 }
 
-var (
-	int64Scratch   sync.Pool // *[]int64, for Int and Time vectors
-	float64Scratch sync.Pool // *[]float64
-	stringScratch  sync.Pool // *[]string
-	boolScratch    sync.Pool // *[]bool
-)
+// denseBuf is a pooled dense input: its storage, boxed as the vector
+// last handed out over it. A request of the same length — a merge of
+// windows the size of the last ones — hands the box out as it is, so a
+// warm call boxes no new slice header either.
+type denseBuf struct{ v bat.Vector }
 
-// scratchVector returns an empty vector of like's type with room for n
-// values, reusing pooled storage when a large enough buffer is free, and
-// the pool box releaseScratch returns the storage in (nil: unpooled).
-func scratchVector(like bat.Vector, n int) (bat.Vector, any) {
-	switch like.(type) {
-	case bat.Ints:
-		s, box := getScratch[int64](&int64Scratch, n)
-		return bat.Ints(s), box
-	case bat.Times:
-		s, box := getScratch[int64](&int64Scratch, n)
-		return bat.Times(s), box
-	case bat.Floats:
-		s, box := getScratch[float64](&float64Scratch, n)
-		return bat.Floats(s), box
-	case bat.Strs:
-		s, box := getScratch[string](&stringScratch, n)
-		return bat.Strs(s), box
-	case bat.Bools:
-		s, box := getScratch[bool](&boolScratch, n)
-		return bat.Bools(s), box
+// densePools pools denseBufs by kind.
+var densePools [bat.Time + 1]sync.Pool
+
+// getDense returns a pooled vector of kind k and length n (contents
+// unspecified), reusing pooled storage when it is large enough.
+func getDense(k bat.Kind, n int) *denseBuf {
+	b, _ := densePools[k].Get().(*denseBuf)
+	switch {
+	case b == nil:
+		b = &denseBuf{v: resize(bat.NewVector(k, 0), n)}
+	case b.v.Len() != n:
+		b.v = resize(b.v, n)
 	}
-	return like.New(n), nil
+	return b
 }
 
-// releaseScratch hands a scratch vector's storage back to its pool in
-// box, the one scratchVector returned with it; the caller must not use
-// the vector afterwards.
-func releaseScratch(v bat.Vector, box any) {
+// resize returns a vector of v's kind and length n over v's storage when
+// it has room for n values (contents unspecified), over fresh zeroed
+// storage otherwise.
+func resize(v bat.Vector, n int) bat.Vector {
 	switch x := v.(type) {
 	case bat.Ints:
-		putScratch(&int64Scratch, box, []int64(x))
+		return bat.Ints(sized(x, n))
 	case bat.Times:
-		putScratch(&int64Scratch, box, []int64(x))
+		return bat.Times(sized(x, n))
 	case bat.Floats:
-		putScratch(&float64Scratch, box, []float64(x))
+		return bat.Floats(sized(x, n))
 	case bat.Strs:
-		putScratch(&stringScratch, box, []string(x))
+		return bat.Strs(sized(x, n))
 	case bat.Bools:
-		putScratch(&boolScratch, box, []bool(x))
+		return bat.Bools(sized(x, n))
 	}
+	panic(fmt.Sprintf("kernel: resize of unknown vector %T", v))
 }
 
-// getScratch returns an empty slice with room for n values and the pool
-// box it travels in; putScratch puts the same box back, so a warm
-// get/put cycle allocates nothing.
-func getScratch[T any](p *sync.Pool, n int) ([]T, *[]T) {
-	bp, _ := p.Get().(*[]T)
-	if bp == nil {
-		bp = new([]T)
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if cap(*bp) < n {
-		*bp = make([]T, 0, n)
-	}
-	return (*bp)[:0], bp
-}
-
-func putScratch[T any](p *sync.Pool, box any, s []T) {
-	bp := box.(*[]T)
-	*bp = s[:0]
-	p.Put(bp)
+	return s[:n]
 }
 
 // Step is a linearized pipeline operator compiled for repeated
@@ -690,8 +818,9 @@ func ApplyStep(s plan.PipelineStep, v *View) *View {
 	case *plan.Distinct:
 		in := v.Materialize()
 		g := algebra.Group(in.Cols, nil, in.Rows())
+		out := algebra.FetchChunk(in, g.Repr)
 		g.Release()
-		return NewView(algebra.FetchChunk(in, g.Repr))
+		return NewView(out)
 	case *plan.Sort:
 		return NewView(sortChunk(t, v.Materialize()))
 	case *plan.Limit:
