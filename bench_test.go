@@ -722,7 +722,7 @@ func BenchmarkQueryGroupFanout(b *testing.B) {
 // 2^18 tuples. Setup stays outside the timed region. It reports the
 // timed ns per tuple per query, and the bytes and allocations per
 // member-window (one basic window delivered to one query) over the timed
-// region.
+// region. Q=4096 is the end point of the paper's E5 sweep.
 func BenchmarkMemberScaling(b *testing.B) {
 	const (
 		n     = 1 << 18
@@ -731,7 +731,7 @@ func BenchmarkMemberScaling(b *testing.B) {
 		nkeys = 16
 	)
 	chunks := feedSensor(n, batch, nkeys)
-	for _, qn := range []int{64, 256, 1024} {
+	for _, qn := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("q_%d", qn), func(b *testing.B) {
 			var bytes, allocs uint64
 			var before, after runtime.MemStats

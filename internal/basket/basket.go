@@ -460,15 +460,6 @@ func (b *Basket) Available(id int) int64 {
 	return b.end - cur
 }
 
-// Peek returns up to n pending tuples for the consumer without consuming
-// them, plus their arrival stamps. Like PeekSeqs it returns the pending
-// rows of at most one segment, so it may return fewer than are Available.
-// It returns nil when nothing is pending.
-func (b *Basket) Peek(id int, n int) (*bat.Chunk, bat.Ints) {
-	c, arr, _ := b.PeekSeqs(id, n)
-	return c, arr
-}
-
 // PeekSeqs returns up to n of the consumer's pending rows, with their
 // arrival and sequence stamps, without consuming them. The rows all come
 // from one segment and are zero-copy views handed out without a lease,
@@ -622,19 +613,6 @@ func (b *Basket) RegisterAt(cursor int64) int {
 	b.nextID++
 	b.consumers[id] = min(max(cursor, b.base), b.end)
 	return id
-}
-
-// Consume advances the consumer's cursor by n tuples and vacuums tuples
-// every consumer has passed.
-func (b *Basket) Consume(id int, n int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur, ok := b.consumers[id]
-	if !ok {
-		return
-	}
-	b.consumers[id] = min(cur+n, b.end)
-	b.vacuumLocked()
 }
 
 // ConsumeEach drains the consumer's backlog as it stands when called, one

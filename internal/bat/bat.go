@@ -15,9 +15,6 @@ type BAT struct {
 	Tail Vector
 }
 
-// NewBAT returns an empty BAT of the given kind starting at row id 0.
-func NewBAT(k Kind) *BAT { return &BAT{Tail: NewVector(k, 0)} }
-
 // Len reports the number of tuples in the BAT.
 func (b *BAT) Len() int { return b.Tail.Len() }
 

@@ -213,7 +213,7 @@ func TestAsInts(t *testing.T) {
 }
 
 func TestBAT(t *testing.T) {
-	b := NewBAT(Int)
+	b := &BAT{Tail: NewVector(Int, 0)}
 	b.Tail = b.Tail.Append(IntValue(5)).Append(IntValue(6))
 	if b.Len() != 2 || b.Hi() != 2 {
 		t.Errorf("Len/Hi = %d/%d", b.Len(), b.Hi())

@@ -19,12 +19,13 @@
 // the group's front ends drain every shard of every input basket, cut the
 // rows into globally consistent epochs (window.ShardSlicer), merge the
 // shards' fragments into basic windows (window.ShardMerge) and fan them
-// out to the members' queues. A Factory is only the member's tail: one
-// scheduler activation (SharedFire) runs ring maintenance, the per-basic-
-// window pipeline unless the group's DAG resolved it, partial-aggregate
-// merging, join caching and the post-merge fragment, then emits. A
-// non-windowed input's front end hands over each basket segment as its
-// own batch, which the tail evaluates with the full plan (mode 1).
+// out once, into the group's delivery log, which each member reads from
+// its own cursor. A Factory is only the member's tail: per logged window
+// it runs ring maintenance, the per-basic-window pipeline unless the
+// group's DAG resolved it, partial-aggregate merging, join caching and
+// the post-merge fragment, then emits. A non-windowed input's front end
+// hands over each basket segment as its own batch, which the tail
+// evaluates with the full plan (mode 1).
 //
 // Shared multi-query execution: continuous queries over the same stream
 // and slide granularity run as members of one shared execution group
@@ -129,8 +130,8 @@ type Stats struct {
 }
 
 // Factory executes one continuous query's tail over the basic windows its
-// group fans out. SharedFire is not reentrant: the scheduler guarantees a
-// single in-flight firing of the member's tail transition.
+// group fans out. It is not reentrant: the scheduler guarantees a single
+// in-flight firing of the member's tail transition.
 type Factory struct {
 	cfg    Config
 	inputs []*input
@@ -149,12 +150,13 @@ type Factory struct {
 	// isolated and fabric-routed registrations of the same join thus order
 	// joined rows identically.
 	reevalJoin bool
-	// retired collects the window records the tail is done with, emptied,
-	// for its member to hand back to the group's fan-out (Member.Fire).
-	retired []*window.BW
 	// parts is the private merge stage's list of the live windows'
 	// partial aggregates, reused across slides and emptied after each.
 	parts []*bat.Chunk
+
+	// fireStart and fireTuples accumulate the firing in progress
+	// (beginFiring … endFiring).
+	fireStart, fireTuples int64
 
 	mu    sync.Mutex
 	seq   int64
@@ -275,48 +277,34 @@ func (f *Factory) Stop() {
 	f.cfg.Emit.Close()
 }
 
-// SharedBW is one merged basic window handed to a member's tail: the
-// window plus the factory input (group side) it belongs to. Single-stream
-// groups always deliver input 0; multi-stream groups interleave their
-// inputs in the group's global order.
-type SharedBW struct {
-	Input int
-	BW    *window.BW
+// beginFiring starts one scheduler activation of the member's tail,
+// which hands it windows through fireWindow and ends it with endFiring.
+func (f *Factory) beginFiring() {
+	f.fireStart, f.fireTuples = f.cfg.Now(), 0
 }
 
-// SharedFire runs the member tail over a batch of merged basic windows
-// handed over by the factory's execution group, in delivery order: one
-// scheduler activation of the member's tail transition. Windows whose
-// Partial (or, for plans without an aggregate, Out) was already resolved
-// through the group's operator DAG skip the private pipeline. It returns
-// the number of result sets emitted.
-func (f *Factory) SharedFire(evs []SharedBW) int {
-	if len(evs) == 0 {
-		return 0
+// fireWindow runs the tail over one merged basic window of input idx
+// (group side): single-stream groups always deliver input 0, two-sided
+// groups interleave their inputs in the group's global order. A window
+// whose Partial (or, for plans without an aggregate, Out) was already
+// resolved through the group's operator DAG skips the private pipeline.
+// It returns the number of result sets emitted.
+func (f *Factory) fireWindow(idx int, bw window.BW) int {
+	if bw.Data != nil {
+		f.fireTuples += int64(bw.Data.Rows())
+	} else if bw.Out != nil {
+		f.fireTuples += int64(bw.Out.Rows())
 	}
-	start := f.cfg.Now()
-	var tuples int64
-	for _, ev := range evs {
-		if ev.BW.Data != nil {
-			tuples += int64(ev.BW.Data.Rows())
-		} else if ev.BW.Out != nil {
-			tuples += int64(ev.BW.Out.Rows())
-		}
-	}
+	return f.onBasicWindow(idx, bw)
+}
+
+// endFiring books the activation's counters.
+func (f *Factory) endFiring() {
 	f.mu.Lock()
 	f.stats.Firings++
-	f.stats.TuplesIn += tuples
+	f.stats.TuplesIn += f.fireTuples
+	f.stats.BusyUsec += f.cfg.Now() - f.fireStart
 	f.mu.Unlock()
-
-	emitted := 0
-	for _, ev := range evs {
-		emitted += f.onBasicWindow(ev.Input, ev.BW)
-	}
-
-	f.mu.Lock()
-	f.stats.BusyUsec += f.cfg.Now() - start
-	f.mu.Unlock()
-	return emitted
 }
 
 // Stats returns a snapshot of the factory's counters.
@@ -349,8 +337,8 @@ func (f *Factory) RecentLatencies() []int64 {
 // basic window). The batch feeds its own scan; any other stream scans in
 // the plan see empty input and are evaluated on their own batches as
 // their data arrives. The batch's data is released after evaluation.
-func (f *Factory) evalBatch(scan *plan.ScanStream, bw *window.BW) int {
-	defer f.retire(bw)
+func (f *Factory) evalBatch(scan *plan.ScanStream, bw window.BW) int {
+	defer bw.ReleaseData()
 	out, err := kernel.Run(f.cfg.Full, map[plan.Node]*kernel.View{scan: kernel.RunsView(bw.Data)})
 	if err != nil {
 		return 0
@@ -370,13 +358,13 @@ const genIsSeq = int64(-1)
 // evaluation join-group members run the incremental tail: the
 // decomposition certified their full-window recompute equals the merge of
 // cached basic-window pairs, which the shared pair cache serves.
-func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
+func (f *Factory) onBasicWindow(idx int, bw window.BW) int {
 	in := f.inputs[idx]
 	if in.ring == nil {
 		return f.evalBatch(in.scan, bw)
 	}
 	if f.cfg.Mode == Reeval && !f.reevalJoin {
-		f.retire(in.ring.Push(bw))
+		in.ring.Push(bw)
 		if !f.ringsFull() {
 			return 0
 		}
@@ -388,25 +376,10 @@ func (f *Factory) onBasicWindow(idx int, bw *window.BW) int {
 		if err != nil {
 			return 0
 		}
-		f.emit(out.Materialize(), f.triggerArrival(bw), bw.Gen)
+		f.emit(out.Materialize(), f.triggerArrival(bw.MaxArrival), bw.Gen)
 		return 1
 	}
 	return f.incrementalStep(idx, bw)
-}
-
-// retire empties a basic window the tail is done with — one that left
-// the member's ring, or an evaluated batch (nil: none) — releasing its
-// share of the raw data and dropping its intermediates, and keeps the
-// record (up to maxFreeRecords) for the group's fan-out to reuse for a
-// later window.
-func (f *Factory) retire(bw *window.BW) {
-	if bw != nil {
-		bw.ReleaseData()
-		*bw = window.BW{}
-		if len(f.retired) < maxFreeRecords {
-			f.retired = append(f.retired, bw)
-		}
-	}
 }
 
 func (f *Factory) ringsFull() bool {
@@ -419,11 +392,12 @@ func (f *Factory) ringsFull() bool {
 }
 
 // triggerArrival picks the arrival stamp representing the data that
-// triggered this evaluation: the new basic window's newest tuple, falling
-// back to the window's newest tuple when the basic window was empty.
-func (f *Factory) triggerArrival(bw *window.BW) int64 {
-	if bw.MaxArrival > 0 {
-		return bw.MaxArrival
+// triggered this evaluation: the new basic window's newest tuple
+// (maxArrival), falling back to the window's newest tuple when the basic
+// window was empty.
+func (f *Factory) triggerArrival(maxArrival int64) int64 {
+	if maxArrival > 0 {
+		return maxArrival
 	}
 	var m int64
 	for _, in := range f.inputs {
@@ -440,7 +414,7 @@ func (f *Factory) triggerArrival(bw *window.BW) int64 {
 // intermediates are resolved (through the group's DAG, or here by the
 // member's own pipeline), the window enters the ring, and cached
 // intermediates merge when a slide completes.
-func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
+func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 	d := f.cfg.Decomp
 	in := f.inputs[idx]
 
@@ -456,13 +430,13 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	// ring eviction.
 	bw.ReleaseData()
 
-	f.retire(in.ring.Push(bw))
+	slot := in.ring.Push(bw)
 	if bw.Final != nil {
 		// Shared merge: the member's merge class resolved the full-window
 		// merged view and the post-merge fragment once for every class
 		// member; the ring above only tracks window alignment for the
 		// private path.
-		f.emit(bw.Final, f.triggerArrival(bw), bw.Gen)
+		f.emit(bw.Final, f.triggerArrival(bw.MaxArrival), bw.Gen)
 		return 1
 	}
 	if f.jc != nil {
@@ -470,9 +444,9 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 		// this member's ring: an evicted window may be live in a sibling's.
 		other := f.inputs[1-idx]
 		if idx == 0 {
-			f.jc.AddLeft(bw, other.ring.Live())
+			f.jc.AddLeft(slot, other.ring.Live())
 		} else {
-			f.jc.AddRight(bw, other.ring.Live())
+			f.jc.AddRight(slot, other.ring.Live())
 		}
 	}
 
@@ -499,7 +473,7 @@ func (f *Factory) incrementalStep(idx int, bw *window.BW) int {
 	if f.post != nil {
 		merged, _ = f.post.Run(merged)
 	}
-	f.emit(merged, f.triggerArrival(bw), bw.Gen)
+	f.emit(merged, f.triggerArrival(bw.MaxArrival), bw.Gen)
 	return 1
 }
 

@@ -149,7 +149,7 @@ func (fe *frontEnd) fireShard(sh int) []string {
 // batches is a non-windowed shard firing: every drained basket segment
 // becomes one basic window (the paper's mode 1 evaluates each arriving
 // batch), sunk in drain order under mergeMu. ConsumeEach's views pin
-// their storage, so the batches stay valid in the members' queues.
+// their storage, so the batches stay valid until the members read them.
 func (fe *frontEnd) batches(gs *groupShard) []string {
 	var ready []*window.BW
 	gs.bk.ConsumeEach(gs.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
@@ -194,9 +194,10 @@ func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) []string {
 // runs once per stream and slide granularity, no matter how many
 // continuous queries consume it. Queries whose windowed scans agree on a
 // group key (plan.GroupKeyOf) join as members; each
-// sealed basic window is fanned out to every member as a refcounted
-// immutable columnar view, and the members' private tails run as
-// independent scheduler transitions. On top of the shared slice, each
+// sealed basic window is fanned out once, into the group's delivery log,
+// as a refcounted immutable columnar view that every member reads from
+// its own cursor, and the members' private tails run as independent
+// scheduler transitions. On top of the shared slice, each
 // side's operator DAG memoizes common member sub-tails: identical
 // filter/project/partial-aggregate prefixes (by plan.Fingerprint) are
 // evaluated once per basic window and the member tails diverge only where
@@ -217,7 +218,7 @@ type Group struct {
 	cfg   GroupConfig
 	sides []*groupSide
 
-	liveBufs    atomic.Int64 // sealed shared buffers not yet released by all members
+	liveBufs    atomic.Int64 // fanned-out windows not yet released by every reader
 	windowsOut  atomic.Int64 // basic windows fanned out
 	memoHits    atomic.Int64
 	memoMisses  atomic.Int64
@@ -243,11 +244,17 @@ type Group struct {
 	genCtr []int64
 
 	mu sync.Mutex
+	// log holds the fanned-out windows; appends and member cursors start
+	// under mu (see deliveryLog).
+	log deliveryLog
 	// members and queries (the members' query names, in the same order)
 	// only grow at their end or are replaced by a copy, never modified in
-	// place, so a fan-out reads them without copying.
+	// place, so a fan-out hands queries out without copying. viewers
+	// counts the members that may keep views of a window's runs past
+	// their release (all but partialsOnly ones).
 	members []*Member
 	queries []string
+	viewers int
 	classes map[string]*mergeClass // merge classes by plan.MergeKey / plan.JoinMergeKey
 	// classSlots holds the live classes by ordinal (nil: a free slot): a
 	// fan-out indexes each window's merge cells by it.
@@ -322,9 +329,9 @@ type RemoteSource struct {
 	Close func()
 }
 
-// Member is one continuous query's membership in a group: a queue of
-// (side, sealed basic window) events in the group's fan-out order,
-// drained by the member's scheduler transition. Members whose pipelines
+// Member is one continuous query's membership in a group: a cursor into
+// the group's delivery log, whose windows (in the group's fan-out order)
+// the member's scheduler transition reads. Members whose pipelines
 // registered in the side DAGs carry their leaf nodes; their tails resolve
 // Partial (one-sided aggregate plans) or Out (all others) through the
 // shared memo before the merge stage. Members in a merge class
@@ -369,25 +376,12 @@ type Member struct {
 	postSteps []*kernel.Step
 	postTop   *dagNode
 
-	// seen counts the windows fanned out to this member per side; a
-	// one-sided member's windows are numbered by it. It is touched only
-	// by fanout (under the front end's mergeMu, or seqMu for two sides).
+	// cur is the member's position in the group's delivery log; seen
+	// counts the windows it read per side, and a one-sided member's
+	// windows are numbered by it. Only Fire (and Leave, once no firing is
+	// in flight) moves them.
+	cur  logCursor
 	seen []int64
-	q    memberQueue
-	// spare and evs are Fire's buffers, reused across firings: spare
-	// becomes the queue's next pending buffer.
-	spare []memberBW
-	evs   []SharedBW
-}
-
-// memberBW is one fanned-out basic window: its side, the member's
-// refcounted view, the side's shared memo table, and — for warm merge-
-// class members — the window's merged-view memo cell.
-type memberBW struct {
-	side int
-	bw   *window.BW
-	dw   *dagWin
-	cell *mergeCell
 }
 
 // NewGroup builds a group over its scans' stream baskets. It registers
@@ -637,8 +631,12 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 			mc.reopen()
 		}
 	}
+	g.log.start(&m.cur)
 	g.members = append(g.members, m)
 	g.queries = append(g.queries, query)
+	if !m.partialsOnly {
+		g.viewers++
+	}
 	g.mu.Unlock()
 	// No firing is in flight yet: the member's tail transition is
 	// registered after Join returns.
@@ -646,21 +644,27 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	return m
 }
 
-// Leave removes a member, releasing any sealed basic windows still queued
-// for it, its DAG and post-merge trie path references, its merge-class
-// membership — the class's rings (and their shared-buffer references) are
-// released when sharing ends — and its pair-cache reference. A surviving
-// cache recomputes its retention horizon from the remaining members'
-// extents, so a departing wide member no longer pins pairs beyond the
-// widest surviving ring. The caller must have removed the member's
-// scheduler transition first (RemoveWait) so no tail firing is in flight.
+// Leave removes a member, releasing its references to the logged windows
+// it has not read, its DAG and post-merge trie path references, its
+// merge-class membership — the class's rings (and their references on the
+// logged windows) are released when sharing ends — and its pair-cache
+// reference. A surviving cache recomputes its retention horizon from the
+// remaining members' extents, so a departing wide member no longer pins
+// pairs beyond the widest surviving ring. The caller must have removed
+// the member's scheduler transition first (RemoveWait) so no tail firing
+// is in flight.
 func (g *Group) Leave(m *Member) {
 	var closeClass *mergeClass
 	g.mu.Lock()
 	if i := slices.Index(g.members, m); i >= 0 {
 		g.members = slices.Delete(slices.Clone(g.members), i, i+1)
 		g.queries = slices.Delete(slices.Clone(g.queries), i, i+1)
+		if !m.partialsOnly {
+			g.viewers--
+		}
 	}
+	// Every entry published so far counted the member; later ones do not.
+	unread := g.log.head.Load() - m.cur.read.Load()
 	if mc := g.classes[m.classKey]; mc != nil {
 		mc.refs--
 		switch {
@@ -699,8 +703,9 @@ func (g *Group) Leave(m *Member) {
 			g.sides[s].dag.unregister(leaf, m.aggLeaf)
 		}
 	}
-	for _, it := range m.q.closeDrain() {
-		it.bw.ReleaseData()
+	m.cur.read.Add(unread)
+	for ; unread > 0; unread-- {
+		m.cur.next().release()
 	}
 }
 
@@ -765,7 +770,7 @@ func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardRea
 
 // FireShard is one firing of side's shard sh: drain, slice, and
 // merge-complete any basic windows this shard sealed last, fanning them
-// out to every member's queue. Sealed windows wake the members' tail
+// out through the delivery log. Sealed windows wake the members' tail
 // transitions.
 func (g *Group) FireShard(side, sh int) {
 	for _, q := range g.sides[side].fe.fireShard(sh) {
@@ -773,138 +778,29 @@ func (g *Group) FireShard(side, sh int) {
 	}
 }
 
-// fanout hands one side's sealed basic windows to every member as
-// refcounted shared views, together with the window's DAG memo table,
-// and feeds the active merge-class rings — each ring slot holds its own
-// reference on the shared buffer, and once a class's rings cover a full
-// window the window's merged-view memo cell rides the warm class members'
-// queue items. Callers hold the side's mergeMu.
+// fanout publishes one side's sealed basic windows to the group's
+// delivery log, one entry per window, and returns the queries whose tail
+// transitions need a wake-up. Callers hold the side's mergeMu.
 //
 // A one-sided group releases the windows in seal order, and each member
 // numbers them from its join. A two-sided group first passes them, with
 // the side's merger frontier, through its sequencer under seqMu, so every
-// member's queue carries the same canonical left/right interleaving — a
-// side that seals ahead of the other waits — and generations are group-
-// global per side: the shared pair cache keys pairs by them, so all
-// members must agree. It returns the queries whose tail transitions need
-// a wake-up.
-//
-// Each member's basic-window view is a record its tail retired (its
-// queue keeps them), the members and their wake-up list are the group's
-// own snapshots, and the merge cells are indexed by class ordinal in a
-// buffer the call's windows reuse.
+// member reads the same canonical left/right interleaving — a side that
+// seals ahead of the other waits — and generations are group-global per
+// side: the shared pair cache keys pairs by them, so all members must
+// agree.
 func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
-	oneSided := len(g.sides) == 1
-	if oneSided && len(ready) == 0 {
-		return nil
-	}
-	g.mu.Lock()
-	members, queries := g.members, g.queries
-	var classes []*mergeClass
-	for _, mc := range g.classSlots {
-		if mc != nil && mc.active {
-			classes = append(classes, mc)
-		}
-	}
-	var cells []*mergeCell
-	if len(classes) > 0 {
-		cells = make([]*mergeCell, len(g.classSlots))
-	}
-	g.mu.Unlock()
-
-	// Recycle a window's basket storage when its last shared reference
-	// goes only if nothing a member keeps aliases the runs: in a one-sided
-	// group whose members all cache partial aggregates alone — fresh
-	// chunks — and whose merge classes therefore merge partials too. A
-	// fused filter's selections die with the aggregate's call, before the
-	// member releases its reference. Any other member may hold views of
-	// the runs past its release (a pipeline output in its ring — the run
-	// itself when a filter keeps every row —, a re-evaluation window, a
-	// join's pair cache), so those windows drop their leases unreleased
-	// and the garbage collector frees the storage once no view
-	// references it.
-	recycle := len(g.sides) == 1
-	for _, m := range members {
-		recycle = recycle && m.partialsOnly
-	}
-	// A member's enqueues within one call succeed or fail together (a
-	// closed queue stays closed), so the first released window decides
-	// the wake-up list: every member's query, shared with the group,
-	// unless a member turns out to have left.
-	notify, whole := queries, true
-	first := true
-	// left is how many more windows the call expects to release — a
-	// sequencer may release more, or fewer — so that a member queue that
-	// must grow grows once for the whole call.
-	left := len(ready)
+	var notify []string
 	release := func(side int, bw *window.BW) {
-		more := max(left, 1)
-		left--
-		g.windowsOut.Add(1)
-		gen := g.genCtr[side]
-		g.genCtr[side]++
-		if len(members) == 0 {
-			if recycle {
-				bw.Data.Release() // nobody reads the window
-			}
-			return
+		if q := g.publish(side, bw); q != nil {
+			notify = q
 		}
-		g.liveBufs.Add(1)
-		data := bw.Data
-		buf := window.NewSharedBuf(len(members)+len(classes), func() {
-			g.liveBufs.Add(-1)
-			if recycle {
-				data.Release()
-			}
-		})
-		free := buf.Release
-		var dw *dagWin
-		if d := g.sides[side].dag; len(classes) > 0 || d.Nodes() > 0 {
-			dw = d.newWin(kernel.RunsView(bw.Data))
-		}
-		if cells != nil {
-			clear(cells)
-			for _, mc := range classes {
-				cells[mc.ord] = mc.push(side, gen, dw, free)
-			}
-		}
-		for i, m := range members {
-			mgen := gen
-			if oneSided {
-				mgen = m.seen[0]
-			}
-			m.seen[side]++
-			mbw := window.BW{Gen: mgen, Data: bw.Data, MaxArrival: bw.MaxArrival, Free: free}
-			item := memberBW{side: side, dw: dw}
-			if mc := m.class; mc != nil && cells != nil {
-				if cell := cells[mc.ord]; cell != nil && m.warm(mc.parts) {
-					item.cell = cell
-				}
-			}
-			if !m.q.enqueue(item, mbw, more) {
-				mbw.ReleaseData() // member left between snapshot and enqueue
-				if first && whole {
-					notify, whole = slices.Clone(queries[:i]), false
-				}
-				continue
-			}
-			if first && !whole {
-				notify = append(notify, m.query)
-			}
-		}
-		first = false
 	}
-	woken := func() []string {
-		if first {
-			return nil // nothing released
-		}
-		return notify
-	}
-	if oneSided {
+	if len(g.sides) == 1 {
 		for _, bw := range ready {
 			release(side, bw)
 		}
-		return woken()
+		return notify
 	}
 	g.seqMu.Lock()
 	defer g.seqMu.Unlock()
@@ -912,19 +808,74 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 		for _, bw := range ready {
 			release(side, bw)
 		}
-		return woken()
+		return notify
 	}
 	g.seq.push(side, ready, sealed, release)
-	return woken()
+	return notify
 }
 
-// maxReusedBatch bounds the queue batches a member reuses: a steady
-// member drains a window or a few per firing.
-const maxReusedBatch = 16
+// publish appends one released window of side to the delivery log and
+// feeds it to the active merge-class rings. Its reference count is the
+// members at that moment plus the class rings it enters (each ring slot
+// holds one, released on eviction); once the class rings cover a full
+// window, the entry carries the window's merge cell per class. It returns
+// the members' queries (nil: the group had no member, and the window is
+// dropped).
+//
+// Everything happens under g.mu, where a joining member takes its cursor:
+// the entry counts exactly the members that will read it.
+func (g *Group) publish(side int, bw *window.BW) []string {
+	g.windowsOut.Add(1)
+	gen := g.genCtr[side]
+	g.genCtr[side]++
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	// Recycle a window's basket storage when its last reference goes only
+	// if nothing a reader keeps aliases the runs: in a one-sided group
+	// whose members all cache partial aggregates alone — fresh chunks —
+	// and whose merge classes therefore merge partials too. A fused
+	// filter's selections die with the aggregate's call, before the member
+	// releases its reference. Any other member may hold views of the runs
+	// past its release (a pipeline output in its ring — the run itself
+	// when a filter keeps every row —, a re-evaluation window, a join's
+	// pair cache), so those windows drop their leases unreleased and the
+	// garbage collector frees the storage once no view references it.
+	recycle := len(g.sides) == 1 && g.viewers == 0
+	if len(g.members) == 0 {
+		if recycle {
+			bw.Data.Release() // nobody reads the window
+		}
+		return nil
+	}
+	classes := 0
+	for _, mc := range g.classSlots {
+		if mc != nil && mc.active {
+			classes++
+		}
+	}
+	e := g.log.append()
+	e.g, e.side, e.recycle, e.gen = g, side, recycle, gen
+	e.data, e.maxArrival, e.free = bw.Data, bw.MaxArrival, e.release
+	e.refs.Store(int32(len(g.members) + classes))
+	g.liveBufs.Add(1)
+	if d := g.sides[side].dag; classes > 0 || d.Nodes() > 0 {
+		e.dw = d.newWin(kernel.RunsView(bw.Data))
+	}
+	if classes > 0 {
+		e.cells = make([]*mergeCell, len(g.classSlots))
+		for _, mc := range g.classSlots {
+			if mc != nil && mc.active {
+				e.cells[mc.ord] = mc.push(side, gen, e.dw, e.free)
+			}
+		}
+	}
+	g.log.head.Add(1)
+	return g.queries
+}
 
-// warm reports whether the member has received a full window on every
-// side — only then may a merge cell serve it: a late joiner's first full
-// window must cover exactly the windows it received, as it would alone.
+// warm reports whether the member has read a full window on every side —
+// only then may a merge cell serve it: a late joiner's first full window
+// must cover exactly the windows it read, as it would alone.
 func (m *Member) warm(parts int) bool {
 	for _, n := range m.seen {
 		if n < int64(parts) {
@@ -937,33 +888,40 @@ func (m *Member) warm(parts int) bool {
 // Query reports the member's query name.
 func (m *Member) Query() string { return m.query }
 
-// Ready reports whether fanned-out basic windows await the member's tail
-// — the firing condition of the member's scheduler transition. It reads
-// an atomic mirror only (the scheduler calls it under its own lock).
-func (m *Member) Ready() bool { return m.q.ready() }
+// Ready reports whether logged basic windows await the member's tail —
+// the firing condition of the member's scheduler transition. It reads
+// atomics only (the scheduler calls it under its own lock).
+func (m *Member) Ready() bool { return m.cur.read.Load() < m.g.log.head.Load() }
 
-// Fire drains the member's queue and runs its private tail over the
-// batch, in fan-out order. Members registered in the side DAGs resolve
-// their partial aggregate (or, without one, their pipeline output)
-// through the window's memo first — evaluating each distinct operator
-// once across all members. Merge-class members then resolve the merged
-// view through the window's merge cell (one merge evaluation per sealed
-// window across the class) and their post-merge fragment through the
-// post-merge trie, so the factory tail only emits; everyone else merges
-// privately in the tail (a join member through the shared pair cache).
-// The scheduler guarantees a single in-flight Fire per member. It returns
-// the number of result sets emitted.
+// Fire reads the delivery log from the member's cursor to the head it
+// finds and runs the member's private tail once per window, in fan-out
+// order. Members registered in the side DAGs resolve their partial
+// aggregate (or, without one, their pipeline output) through the
+// window's memo first — evaluating each distinct operator once across
+// all members. Warm merge-class members then resolve the merged view
+// through the window's merge cell (one merge evaluation per sealed window
+// across the class) and their post-merge fragment through the post-merge
+// trie, so the factory tail only emits; everyone else merges privately in
+// the tail (a join member through the shared pair cache). The window
+// itself is a value the tail keeps in a ring slot, so a member-window
+// allocates nothing. The scheduler guarantees a single in-flight Fire per
+// member. It returns the number of result sets emitted.
 func (m *Member) Fire() int {
-	items := m.q.drain(m.spare, m.fac.retired)
-	clear(m.fac.retired)
-	m.fac.retired = m.fac.retired[:0]
-	evs := m.evs[:0]
-	if cap(evs) < len(items) {
-		evs = make([]SharedBW, 0, len(items))
+	head := m.g.log.head.Load()
+	read := m.cur.read.Load()
+	if read == head {
+		return 0
 	}
-	for _, it := range items {
-		bw := it.bw
-		if it.dw != nil {
+	m.fac.beginFiring()
+	n := 0
+	for ; read < head; read++ {
+		e := m.cur.next()
+		bw := window.BW{Gen: e.gen, Data: e.data, MaxArrival: e.maxArrival, Free: e.free}
+		if len(m.seen) == 1 {
+			bw.Gen = m.seen[0]
+		}
+		m.seen[e.side]++
+		if e.dw != nil {
 			// A member resolves only the node its tail consumes: the
 			// partial aggregate when it has one (its ring keeps partials
 			// only, so the pipeline leaf never materializes for it), the
@@ -971,42 +929,40 @@ func (m *Member) Fire() int {
 			// by the factory tail after tuple accounting (incrementalStep).
 			switch {
 			case m.aggLeaf != nil:
-				bw.Partial = eval(it.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
-			case m.leaf[it.side] != nil:
-				bw.Out = eval(it.dw, m.leaf[it.side], &m.g.memoHits, &m.g.memoMisses)
+				bw.Partial = eval(e.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
+			case m.leaf[e.side] != nil:
+				bw.Out = eval(e.dw, m.leaf[e.side], &m.g.memoHits, &m.g.memoMisses)
 			}
 		}
-		if it.cell != nil {
-			merged, pdw, computed := it.cell.eval(m.g)
-			if computed {
-				m.g.mergeMisses.Add(1)
-			} else {
-				m.g.mergeHits.Add(1)
-			}
-			switch {
-			case m.postLeaf == nil:
-				bw.Final = merged
-			case pdw == nil || !m.postTop.shared.Load():
-				// No other chain reads a node of this one (or none did when
-				// the cell was evaluated): the member evaluates it alone,
-				// counting one miss per node as the memo would.
-				bw.Final = kernel.MaterializeSteps(m.postSteps, merged)
-				m.g.postMisses.Add(int64(len(m.postSteps)))
-			default:
-				bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
-			}
+		if mc := m.class; mc != nil && e.cells != nil && e.cells[mc.ord] != nil && m.warm(mc.parts) {
+			m.resolveFinal(&bw, e.cells[mc.ord])
 		}
-		evs = append(evs, SharedBW{Input: it.side, BW: bw})
+		n += m.fac.fireWindow(e.side, bw)
 	}
-	n := m.fac.SharedFire(evs)
-	// Keep the buffers, not what they point to; a backlog's buffer goes
-	// to the collector, so a member that once lagged does not keep its
-	// peak queue live.
-	m.spare, m.evs = nil, nil
-	if cap(items) <= maxReusedBatch {
-		clear(items)
-		clear(evs)
-		m.spare, m.evs = items[:0], evs[:0]
-	}
+	m.cur.read.Store(head)
+	m.fac.endFiring()
 	return n
+}
+
+// resolveFinal sets bw.Final from the window's merge cell: the class's
+// merged view, through the member's post-merge chain.
+func (m *Member) resolveFinal(bw *window.BW, cell *mergeCell) {
+	merged, pdw, computed := cell.eval(m.g)
+	if computed {
+		m.g.mergeMisses.Add(1)
+	} else {
+		m.g.mergeHits.Add(1)
+	}
+	switch {
+	case m.postLeaf == nil:
+		bw.Final = merged
+	case pdw == nil || !m.postTop.shared.Load():
+		// No other chain reads a node of this one (or none did when the
+		// cell was evaluated): the member evaluates it alone, counting one
+		// miss per node as the memo would.
+		bw.Final = kernel.MaterializeSteps(m.postSteps, merged)
+		m.g.postMisses.Add(int64(len(m.postSteps)))
+	default:
+		bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
+	}
 }

@@ -79,23 +79,27 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 	for sh := 0; sh < g.NumShards(0); sh++ {
 		g.FireShard(0, sh)
 	}
-	m1.q.mu.Lock()
-	items := append([]memberBW(nil), m1.q.pending...)
-	m1.q.mu.Unlock()
-	if len(items) != 4 {
-		t.Fatalf("%d basic windows queued, want 4", len(items))
+	// The memo tables of the logged windows, read before the members
+	// release (and so clear) the entries.
+	var dws []*dagWin
+	cur := logCursor{blk: m1.cur.blk, off: m1.cur.off}
+	for n := g.log.head.Load() - m1.cur.read.Load(); n > 0; n-- {
+		dws = append(dws, cur.next().dw)
+	}
+	if len(dws) != 4 {
+		t.Fatalf("%d basic windows logged, want 4", len(dws))
 	}
 	if m1.Fire()+m2.Fire() == 0 {
 		t.Fatal("no results emitted")
 	}
 
-	for _, it := range items {
-		if it.dw.cell(m1.aggLeaf).out == nil {
-			t.Fatalf("basic window %d: aggregate node was never evaluated", it.bw.Gen)
+	for i, dw := range dws {
+		if dw.cell(m1.aggLeaf).out == nil {
+			t.Fatalf("basic window %d: aggregate node was never evaluated", i)
 		}
-		cell := it.dw.cell(m1.leaf[0])
+		cell := dw.cell(m1.leaf[0])
 		if cell.out != nil || cell.view.Sel != nil || cell.view.Materialized() {
-			t.Errorf("basic window %d: filter leaf selection was memoized", it.bw.Gen)
+			t.Errorf("basic window %d: filter leaf selection was memoized", i)
 		}
 	}
 	for _, fac := range []*Factory{fac1, fac2} {

@@ -28,14 +28,14 @@ import (
 // its rings — when membership drops back to one: a singleton extent
 // always merges through its private rings, so the class never pins raw
 // window buffers without at least two members sharing the result. Each
-// ring slot holds one reference on the window's shared buffer
-// (window.SharedBuf), released on eviction, so the group's live-buffer
-// gauge accounts for the class rings exactly like member queues.
+// ring slot holds one reference on the window's delivery-log entry,
+// released on eviction, so the group's live-buffer gauge accounts for the
+// class rings exactly like the members' unread windows.
 //
 // The merged views themselves are memoized per window in mergeCells that
-// ride the fan-out items (like the pipeline DAG's dagWin memo tables):
-// a cell lives exactly as long as some member still has its window
-// queued or in flight, so paused members find their merged views on
+// the window's log entry carries (like the pipeline DAG's dagWin memo
+// tables): a cell lives exactly as long as some member has yet to read or
+// release its window, so paused members find their merged views on
 // resume without the class tracking per-member progress.
 //
 // The class owns its members' post-merge trie (post): the registry of
@@ -88,7 +88,7 @@ func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
 // mergeIn is one sealed basic window as a class ring sees it: the side's
 // group-global generation (a pair cache keys pairs by it), the window's
 // shared memo table (rooted at its raw runs), and the release hook for the
-// class's reference on the shared buffer.
+// class's reference on the window's log entry.
 type mergeIn struct {
 	gen  int64
 	dw   *dagWin
@@ -96,10 +96,10 @@ type mergeIn struct {
 }
 
 // push appends a sealed window to the side's class ring (taking ownership
-// of one shared-buffer reference via free), evicting the oldest slot when
-// the ring exceeds the window extent. Once every side's ring holds a full
-// window it returns the window's merge cell — the memo the fan-out
-// attaches to every warm class member's queue item; nil during warm-up.
+// of one reference on its log entry via free), evicting the oldest slot
+// when the ring exceeds the window extent. Once every side's ring holds a
+// full window it returns the window's merge cell — the memo the window's
+// log entry carries for the warm class members; nil during warm-up.
 // Callers are the group fan-out only, which delivers windows in the
 // group's fan-out order.
 func (mc *mergeClass) push(side int, gen int64, dw *dagWin, free func()) *mergeCell {
@@ -124,7 +124,7 @@ func (mc *mergeClass) push(side int, gen int64, dw *dagWin, free func()) *mergeC
 	}
 	// The cell snapshots the rings: its input pointers stay valid after
 	// eviction (the chunks are immutable and GC-kept), so a lagging member
-	// can still resolve an old window's merged view from its queued cell.
+	// can still resolve an old window's merged view from its unread entry.
 	c := &mergeCell{mc: mc, side: side}
 	for s := range mc.leaf {
 		c.ins[s] = append([]mergeIn(nil), mc.rings[s]...)

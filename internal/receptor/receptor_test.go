@@ -47,7 +47,7 @@ func TestReplayCSV(t *testing.T) {
 	if n != 3 {
 		t.Errorf("replayed %d tuples", n)
 	}
-	c, arr := bk.Peek(id, 10)
+	c, arr, _ := bk.PeekSeqs(id, 10)
 	if c.Rows() != 3 || arr[0] != 9 {
 		t.Errorf("basket = %v arr=%v", c, arr)
 	}
@@ -89,7 +89,7 @@ func TestTCPReceptor(t *testing.T) {
 	if r.BadLines() != 1 {
 		t.Errorf("bad lines = %d", r.BadLines())
 	}
-	c, _ := bk.Peek(id, 10)
+	c, _, _ := bk.PeekSeqs(id, 10)
 	if c.Rows() != 2 || c.Row(1)[2].F != 1.5 {
 		t.Errorf("basket contents = %v", c)
 	}

@@ -23,51 +23,6 @@ func codecChunk(vals ...int64) *bat.Chunk {
 	return &bat.Chunk{Schema: sch, Cols: []bat.Vector{bat.Ints(append([]int64{}, vals...))}}
 }
 
-func TestBWCodecRoundTrip(t *testing.T) {
-	bws := []*BW{
-		{Gen: 0, Data: runsOf(codecChunk(1, 2), codecChunk(3))},
-		{Gen: 41, MaxArrival: 123456, Data: runsOf(codecChunk()), Out: codecChunk(9)},
-		{Gen: -7, Data: runsOf(codecChunk(5)), Partial: codecChunk(6, 7)},
-		{Gen: 3}, // all chunks absent
-	}
-	var buf []byte
-	for _, bw := range bws {
-		buf = MarshalBW(buf, bw)
-	}
-	for i, want := range bws {
-		var got *BW
-		var err error
-		got, buf, err = UnmarshalBW(buf)
-		if err != nil {
-			t.Fatalf("bw %d: %v", i, err)
-		}
-		if got.Gen != want.Gen || got.MaxArrival != want.MaxArrival {
-			t.Fatalf("bw %d: gen/arrival = %d/%d, want %d/%d",
-				i, got.Gen, got.MaxArrival, want.Gen, want.MaxArrival)
-		}
-		if got.Free != nil {
-			t.Fatalf("bw %d: decoded window carries a Free hook", i)
-		}
-		if (got.Data == nil) != (want.Data == nil) {
-			t.Fatalf("bw %d data: presence mismatch", i)
-		}
-		for name, pair := range map[string][2]*bat.Chunk{
-			"data": {concatOrNil(got.Data), concatOrNil(want.Data)}, "out": {got.Out, want.Out}, "partial": {got.Partial, want.Partial},
-		} {
-			g, w := pair[0], pair[1]
-			if (g == nil) != (w == nil) {
-				t.Fatalf("bw %d %s: presence mismatch", i, name)
-			}
-			if g != nil && !reflect.DeepEqual(g.Cols, w.Cols) {
-				t.Fatalf("bw %d %s: %v, want %v", i, name, g.Cols, w.Cols)
-			}
-		}
-	}
-	if len(buf) != 0 {
-		t.Fatalf("trailing bytes: %d", len(buf))
-	}
-}
-
 func TestFragCodecRoundTrip(t *testing.T) {
 	want := &Frag{Gen: 17, Shard: 3, MaxArrival: 99, Data: runsOf(codecChunk(4), codecChunk(5))}
 	buf := MarshalFrag(nil, want)

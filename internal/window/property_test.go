@@ -129,7 +129,7 @@ func TestQuickRingKeepsLastN(t *testing.T) {
 		r := NewRing(n)
 		pushed := int(total % 40)
 		for i := 0; i < pushed; i++ {
-			r.Push(&BW{Gen: int64(i)})
+			r.Push(BW{Gen: int64(i)})
 		}
 		live := r.Live()
 		wantLen := pushed

@@ -25,8 +25,8 @@
 // segment's storage (bat.Runs), the slicer's fragment takes it and the
 // merged basic window inherits it. A query group whose
 // members keep nothing but partial aggregates releases a basic window's
-// leases when its SharedBuf count reaches zero, and the basket reuses the
-// storage; everywhere else the leases are dropped unreleased and the
+// leases when the last reference to the window goes (each holder calls
+// BW.Free once), and the basket reuses the storage; everywhere else the leases are dropped unreleased and the
 // garbage collector frees the storage once no view references it.
 package window
 
@@ -85,10 +85,15 @@ func (bw *BW) ReleaseData() {
 	}
 }
 
-// Ring keeps the last n basic windows — the live window contents.
+// Ring keeps the last n basic windows — the live window contents — in n
+// slots it reuses in place: pushing into a full ring releases the oldest
+// window's raw data (ReleaseData) and overwrites its slot. A slot's
+// address is stable for the ring's lifetime, so callers may hold slot
+// pointers (a join's pair cache reads Gen and Out through them); what a
+// slot holds changes on every push that reuses it.
 type Ring struct {
-	n   int
-	bws []*BW
+	slots []BW
+	live  []*BW // the filled slots, oldest first
 }
 
 // NewRing builds a ring holding n basic windows.
@@ -96,36 +101,39 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		panic(fmt.Sprintf("window: ring of %d basic windows", n))
 	}
-	return &Ring{n: n}
+	return &Ring{slots: make([]BW, n), live: make([]*BW, 0, n)}
 }
 
-// Push appends a basic window, evicting the oldest when the ring is full.
-// It returns the evicted basic window (nil if none).
-func (r *Ring) Push(bw *BW) *BW {
-	r.bws = append(r.bws, bw)
-	if len(r.bws) > r.n {
-		old := r.bws[0]
-		// Copy down rather than re-slicing so evicted windows are GC-able.
-		copy(r.bws, r.bws[1:])
-		r.bws = r.bws[:r.n]
-		return old
+// Push stores bw as the newest basic window, evicting the oldest when the
+// ring is full, and returns the slot that now holds it.
+func (r *Ring) Push(bw BW) *BW {
+	var slot *BW
+	if n := len(r.live); n < len(r.slots) {
+		slot = &r.slots[n]
+		r.live = append(r.live, slot)
+	} else {
+		slot = r.live[0]
+		slot.ReleaseData()
+		copy(r.live, r.live[1:])
+		r.live[n-1] = slot
 	}
-	return nil
+	*slot = bw
+	return slot
 }
 
 // Full reports whether the ring holds a complete window.
-func (r *Ring) Full() bool { return len(r.bws) == r.n }
+func (r *Ring) Full() bool { return len(r.live) == len(r.slots) }
 
 // Live returns the current basic windows, oldest first.
-func (r *Ring) Live() []*BW { return r.bws }
+func (r *Ring) Live() []*BW { return r.live }
 
 // Parts reports the ring capacity.
-func (r *Ring) Parts() int { return r.n }
+func (r *Ring) Parts() int { return len(r.slots) }
 
 // MaxArrival reports the latest arrival stamp across live basic windows.
 func (r *Ring) MaxArrival() int64 {
 	var m int64
-	for _, bw := range r.bws {
+	for _, bw := range r.live {
 		if bw.MaxArrival > m {
 			m = bw.MaxArrival
 		}
@@ -138,7 +146,7 @@ func (r *Ring) MaxArrival() int64 {
 // it.
 func (r *Ring) Runs(schema bat.Schema) *bat.Runs {
 	runs := &bat.Runs{Schema: schema}
-	for _, bw := range r.bws {
+	for _, bw := range r.live {
 		if bw.Data != nil {
 			for _, c := range bw.Data.Chunks {
 				runs.Append(c)
@@ -155,9 +163,9 @@ func (r *Ring) Runs(schema bat.Schema) *bat.Runs {
 // (Partial aggregates are not concatenated: the factory merges them as
 // runs.)
 func (r *Ring) ConcatOuts(schema bat.Schema) *bat.Chunk {
-	chunks := make([]*bat.Chunk, len(r.bws))
+	chunks := make([]*bat.Chunk, len(r.live))
 	rows := 0
-	for i, bw := range r.bws {
+	for i, bw := range r.live {
 		if bw.Out != nil {
 			chunks[i] = bw.Out
 			rows += bw.Out.Rows()

@@ -205,17 +205,27 @@ func TestRing(t *testing.T) {
 	if r.Full() {
 		t.Error("empty ring full")
 	}
-	var evicted *BW
+	var freed []int64
+	slots := map[*BW]bool{}
 	for i := int64(0); i < 5; i++ {
 		c := bat.NewChunk(sch())
 		_ = c.AppendRow(bat.TimeValue(i), bat.IntValue(i))
-		evicted = r.Push(&BW{Gen: i, Data: bat.NewRuns(c.Schema, c), MaxArrival: i})
+		gen := i
+		slot := r.Push(BW{Gen: i, Data: bat.NewRuns(c.Schema, c), MaxArrival: i,
+			Free: func() { freed = append(freed, gen) }})
+		if slot.Gen != i {
+			t.Fatalf("push %d returned a slot holding %d", i, slot.Gen)
+		}
+		slots[slot] = true
 	}
 	if !r.Full() {
 		t.Error("ring should be full")
 	}
-	if evicted == nil || evicted.Gen != 1 {
-		t.Errorf("evicted = %+v", evicted)
+	if len(freed) != 2 || freed[0] != 0 || freed[1] != 1 {
+		t.Errorf("evicted windows released = %v, want [0 1]", freed)
+	}
+	if len(slots) != 3 {
+		t.Errorf("5 pushes used %d slots, want the ring's 3 reused in place", len(slots))
 	}
 	live := r.Live()
 	if len(live) != 3 || live[0].Gen != 2 || live[2].Gen != 4 {
@@ -234,8 +244,8 @@ func TestRingConcatOuts(t *testing.T) {
 	r := NewRing(2)
 	out1 := bat.NewChunk(sch())
 	_ = out1.AppendRow(bat.TimeValue(1), bat.IntValue(10))
-	r.Push(&BW{Gen: 0, Out: out1})
-	r.Push(&BW{Gen: 1}) // nil intermediates tolerated (empty bw)
+	r.Push(BW{Gen: 0, Out: out1})
+	r.Push(BW{Gen: 1}) // nil intermediates tolerated (empty bw)
 	if got := r.ConcatOuts(sch()); got.Rows() != 1 {
 		t.Errorf("ConcatOuts rows = %d", got.Rows())
 	}

@@ -58,8 +58,9 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	bk := basket.New("s", shardSchema())
 	cid := bk.Register()
 	_ = bk.Append(shardChunk(10, 11), 1)
-	first, arr, seqs := bk.PeekSeqs(cid, 2)
-	bk.Consume(cid, 2)
+	var first *bat.Chunk
+	var arr, seqs bat.Ints
+	bk.ConsumeEach(cid, func(c *bat.Chunk, arrivals, ss bat.Ints) { first, arr, seqs = c, arrivals, ss })
 	_ = bk.Append(shardChunk(12, 13), 2) // same segment, right after the view
 
 	w := &plan.Window{Tuples: true, Size: 16, Slide: 8}
@@ -97,7 +98,7 @@ func TestConcatOutsOneWindowCopiesNothing(t *testing.T) {
 	const rows = 4096
 	part := &bat.Chunk{Schema: shardSchema(), Cols: []bat.Vector{make(bat.Times, rows), make(bat.Ints, rows)}}
 	r := NewRing(1)
-	r.Push(&BW{Out: part})
+	r.Push(BW{Out: part})
 	if got := r.ConcatOuts(shardSchema()); firstInt(got.Cols[1]) != firstInt(part.Cols[1]) {
 		t.Fatal("ConcatOuts copied a lone window's output")
 	}

@@ -556,8 +556,9 @@ func (q *Query) Dropped() int64 {
 }
 
 // Pause suspends the query: its group keeps draining and slicing its
-// streams, sealed basic windows (or batches) accumulate in its member
-// queue, and they are processed on Resume (demo §4, Pause and Resume).
+// streams, sealed basic windows (or batches) accumulate in the group's
+// delivery log past the member's cursor, and they are processed on Resume
+// (demo §4, Pause and Resume).
 // Pausing one member of a shared group does not stall its siblings.
 func (q *Query) Pause() { q.eng.sched.Pause(q.name) }
 
