@@ -38,80 +38,126 @@ func (op AggOp) String() string {
 }
 
 // CountGroups counts qualifying rows per group.
-func CountGroups(g Grouping) bat.Ints {
-	out := make(bat.Ints, g.N)
-	for _, gid := range g.GIDs {
-		out[gid]++
+func CountGroups(g Grouping) bat.Ints { return Aggregate(AggCount, nil, nil, g).(bat.Ints) }
+
+// SumGroups sums a value column per group. Int and Time inputs produce an
+// Int sum; Float inputs a Float sum. Each group's sum accumulates in row
+// order.
+func SumGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggSum, v, sel, g) }
+
+// MinGroups computes the per-group minimum of a value column.
+func MinGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggMin, v, sel, g) }
+
+// MaxGroups computes the per-group maximum of a value column.
+func MaxGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggMax, v, sel, g) }
+
+// Aggregate applies one aggregate op to a value column under a grouping,
+// one value per group of g's id space. For AggCount, v may be nil
+// (count(*)).
+func Aggregate(op AggOp, v bat.Vector, sel Sel, g Grouping) bat.Vector {
+	var out bat.Vector
+	if op == AggCount || op == AggSum && v.Kind() == bat.Time {
+		out = make(bat.Ints, g.N)
+	} else {
+		out = resultOf(v, g.N)
 	}
+	AggregateInto(out, op, v, sel, g)
 	return out
 }
 
-// SumGroups sums a value column per group. Int and Time inputs produce an
-// Int sum; Float inputs a Float sum.
-func SumGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector {
-	switch xs := v.(type) {
+// resultOf returns a zeroed vector of v's kind and length n.
+func resultOf(v bat.Vector, n int) bat.Vector {
+	switch v.(type) {
 	case bat.Ints:
-		return sumInt(xs, sel, g)
+		return make(bat.Ints, n)
 	case bat.Times:
-		return sumInt(bat.AsInts(v), sel, g)
+		return make(bat.Times, n)
 	case bat.Floats:
-		out := make(bat.Floats, g.N)
-		k := 0
-		eachSel(xs, sel, func(_ int32, x float64) {
-			out[g.GIDs[k]] += x
-			k++
-		})
-		return out
+		return make(bat.Floats, n)
+	case bat.Strs:
+		return make(bat.Strs, n)
 	}
-	panic(fmt.Sprintf("algebra: SumGroups on %s vector", v.Kind()))
+	panic(fmt.Sprintf("algebra: aggregate of %s vector", v.Kind()))
 }
 
-func sumInt(xs []int64, sel Sel, g Grouping) bat.Ints {
-	out := make(bat.Ints, g.N)
+// AggregateInto is Aggregate writing its g.N results over dst, a vector
+// of the result's kind and length g.N; whatever dst held is overwritten.
+// A caller that keeps only some of the groups — a grouping Within a
+// selection — accumulates in pooled storage and copies out the groups it
+// keeps.
+func AggregateInto(dst bat.Vector, op AggOp, v bat.Vector, sel Sel, g Grouping) {
+	switch op {
+	case AggCount:
+		out := dst.(bat.Ints)
+		clear(out)
+		if g.At != nil {
+			for _, i := range g.At {
+				out[g.GIDs[i]]++
+			}
+			return
+		}
+		for _, gid := range g.GIDs {
+			out[gid]++
+		}
+	case AggSum:
+		switch xs := v.(type) {
+		case bat.Ints:
+			sum(dst.(bat.Ints), xs, sel, g)
+		case bat.Times:
+			sum(dst.(bat.Ints), bat.AsInts(v), sel, g)
+		case bat.Floats:
+			sum(dst.(bat.Floats), xs, sel, g)
+		default:
+			panic(fmt.Sprintf("algebra: SumGroups on %s vector", v.Kind()))
+		}
+	case AggMin, AggMax:
+		isMin := op == AggMin
+		switch xs := v.(type) {
+		case bat.Ints:
+			extreme(dst.(bat.Ints), xs, sel, g, isMin)
+		case bat.Times:
+			extreme(bat.AsInts(dst), bat.AsInts(v), sel, g, isMin)
+		case bat.Floats:
+			extreme(dst.(bat.Floats), xs, sel, g, isMin)
+		case bat.Strs:
+			extreme(dst.(bat.Strs), xs, sel, g, isMin)
+		default:
+			panic(fmt.Sprintf("algebra: min/max on %s vector", v.Kind()))
+		}
+	default:
+		panic("algebra: unknown aggregate")
+	}
+}
+
+// sum accumulates each group's values, in row order, over out.
+func sum[T int64 | float64](out, xs []T, sel Sel, g Grouping) {
+	clear(out)
+	if g.At != nil {
+		for _, i := range g.At {
+			out[g.GIDs[i]] += xs[i]
+		}
+		return
+	}
 	k := 0
-	eachSel(xs, sel, func(_ int32, x int64) {
+	eachSel(xs, sel, func(_ int32, x T) {
 		out[g.GIDs[k]] += x
 		k++
 	})
-	return out
 }
 
-// MinGroups computes the per-group minimum of a value column.
-func MinGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector {
-	return extremeGroups(v, sel, g, true)
-}
-
-// MaxGroups computes the per-group maximum of a value column.
-func MaxGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector {
-	return extremeGroups(v, sel, g, false)
-}
-
-func extremeGroups(v bat.Vector, sel Sel, g Grouping, isMin bool) bat.Vector {
-	switch xs := v.(type) {
-	case bat.Ints:
-		return bat.Ints(extreme(xs, sel, g, isMin))
-	case bat.Times:
-		return bat.Times(extreme(bat.AsInts(v), sel, g, isMin))
-	case bat.Floats:
-		return bat.Floats(extreme(xs, sel, g, isMin))
-	case bat.Strs:
-		return bat.Strs(extreme(xs, sel, g, isMin))
-	}
-	panic(fmt.Sprintf("algebra: min/max on %s vector", v.Kind()))
-}
-
-// extreme needs no per-group "seen" flags: groups are numbered in
-// first-appearance order over the same qualifying rows it iterates, so a
-// group's first row is exactly the one whose id is the next unseen one.
-func extreme[T int64 | float64 | string](xs []T, sel Sel, g Grouping, isMin bool) []T {
-	out := make([]T, g.N)
-	k, next := 0, int32(0)
-	eachSel(xs, sel, func(_ int32, x T) {
-		gid := g.GIDs[k]
-		k++
-		if gid == next {
+// extreme needs no per-group "seen" flags: the groups appear over the
+// rows it iterates in a known order — 0, 1, … for a Group result, Order
+// for a grouping Within a selection — so a row is its group's first
+// exactly when its group is the next one due. Groups that never appear
+// keep whatever out held.
+func extreme[T int64 | float64 | string](out, xs []T, sel Sel, g Grouping, isMin bool) {
+	next := 0
+	due := g.due(0)
+	step := func(gid int32, x T) {
+		if gid == due {
 			out[gid] = x
 			next++
+			due = g.due(next)
 			return
 		}
 		if isMin {
@@ -121,24 +167,18 @@ func extreme[T int64 | float64 | string](xs []T, sel Sel, g Grouping, isMin bool
 		} else if x > out[gid] {
 			out[gid] = x
 		}
-	})
-	return out
-}
-
-// Aggregate applies one aggregate op to a value column under a grouping.
-// For AggCount, v may be nil (count(*)).
-func Aggregate(op AggOp, v bat.Vector, sel Sel, g Grouping) bat.Vector {
-	switch op {
-	case AggCount:
-		return CountGroups(g)
-	case AggSum:
-		return SumGroups(v, sel, g)
-	case AggMin:
-		return MinGroups(v, sel, g)
-	case AggMax:
-		return MaxGroups(v, sel, g)
 	}
-	panic("algebra: unknown aggregate")
+	if g.At != nil {
+		for _, i := range g.At {
+			step(g.GIDs[i], xs[i])
+		}
+		return
+	}
+	k := 0
+	eachSel(xs, sel, func(_ int32, x T) {
+		step(g.GIDs[k], x)
+		k++
+	})
 }
 
 // MergeAgg combines two already-aggregated vectors element-wise according

@@ -10,29 +10,56 @@ import (
 // Grouping is the result of a Group call: a dense group id per qualifying
 // input row, the number of groups, and one representative input position
 // per group (in first-appearance order), from which the key columns can be
-// reconstructed with Fetch.
+// reconstructed with Fetch. Within derives from it the grouping of a
+// subset of its rows that keeps its ids: several selections over the same
+// rows then share one Group call.
 type Grouping struct {
 	// GIDs[k] is the group of the k-th qualifying row (the k-th row of
-	// sel, or row k if sel is nil).
+	// sel, or row k if sel is nil). A grouping Within a selection reads
+	// it by row position instead, through At.
 	GIDs []int32
-	// N is the number of distinct groups.
+	// N is the number of distinct groups: the size of the id space the
+	// aggregate kernels accumulate in.
 	N int
-	// Repr[g] is the input position of the first row of group g. It is
-	// never nil — an empty grouping has an empty Repr — so Fetch(key,
-	// Repr) reconstructs exactly the group keys even then (a nil
-	// candidate list would mean "all rows").
+	// Repr[g] is the input position of the first row of group g — of the
+	// g-th group to appear when Order is set. It is never nil — an empty
+	// grouping has an empty Repr — so Fetch(key, Repr) reconstructs
+	// exactly the group keys even then (a nil candidate list would mean
+	// "all rows").
 	Repr Sel
+	// At, when set, lists the qualifying rows by position: the k-th is
+	// row At[k], of group GIDs[At[k]]. The aggregate kernels read values
+	// at the same positions, so their sel must be At.
+	At Sel
+	// Order, when set, lists the groups present in the order they first
+	// appear over the qualifying rows; the groups of the id space that do
+	// not appear are absent. Nil means every group appears, in id order.
+	Order []int32
 
-	// box and reprBox hold GIDs' and Repr's pooled storage until Release.
-	box, reprBox *[]int32
+	// box, reprBox and orderBox hold GIDs', Repr's and Order's pooled
+	// storage until Release (nil for storage the grouping borrows).
+	box, reprBox, orderBox *[]int32
+}
+
+// due returns the j-th group to appear over the qualifying rows, or −1
+// after the last.
+func (g *Grouping) due(j int) int32 {
+	switch {
+	case g.Order != nil && j < len(g.Order):
+		return g.Order[j]
+	case g.Order == nil && j < g.N:
+		return int32(j)
+	}
+	return -1
 }
 
 // gidScratch and reprScratch recycle the per-row group ids and the
-// representatives: a grouping's GIDs and Repr are read only by the
-// aggregate kernels and the key fetch its caller runs over it, and every
-// basic window of a grouped aggregate groups afresh, so new vectors per
-// call would be pure garbage. They pool apart because their sizes differ
-// (one id per row, one representative per group).
+// per-group lists (representatives, orders, first-seen marks): a
+// grouping's GIDs and Repr are read only by the aggregate kernels and the
+// key fetch its caller runs over it, and every basic window of a grouped
+// aggregate groups afresh, so new vectors per call would be pure garbage.
+// They pool apart because their sizes differ (one id per row, one entry
+// per group).
 var (
 	gidScratch  = sync.Pool{New: func() any { return new([]int32) }}
 	reprScratch = sync.Pool{New: func() any { return new([]int32) }}
@@ -42,33 +69,96 @@ var (
 // of length rows (unzeroed) and an empty, non-nil pooled representative
 // list with room for reprCap representatives.
 func newGrouping(rows, reprCap int) Grouping {
-	box, reprBox := gidScratch.Get().(*[]int32), reprScratch.Get().(*[]int32)
+	box := gidScratch.Get().(*[]int32)
 	if cap(*box) < rows {
 		*box = make([]int32, rows)
 	}
-	if *reprBox == nil || cap(*reprBox) < reprCap {
-		*reprBox = make([]int32, 0, reprCap)
-	}
-	return Grouping{GIDs: (*box)[:rows], Repr: (*reprBox)[:0], box: box, reprBox: reprBox}
+	reprBox, repr := groupList(reprCap)
+	return Grouping{GIDs: (*box)[:rows], Repr: repr, box: box, reprBox: reprBox}
 }
 
-// Release hands the grouping's group ids and representatives back for
-// reuse by later Group calls. Call it once the aggregate kernels and the
-// key fetch have run, and only when nothing kept g.GIDs or g.Repr; a
-// grouping that is never released is left to the garbage collector. Test
-// binaries overwrite the released storage with poisonPos, so that a read
-// after Release fails loudly instead of seeing a later grouping's ids.
+// groupList returns an empty, non-nil pooled per-group list with room for
+// n entries.
+func groupList(n int) (*[]int32, []int32) {
+	bp := reprScratch.Get().(*[]int32)
+	if *bp == nil || cap(*bp) < n {
+		*bp = make([]int32, 0, n)
+	}
+	return bp, (*bp)[:0]
+}
+
+// Release hands the grouping's pooled storage back for reuse by later
+// Group and Within calls. Call it once the aggregate kernels and the key
+// fetch have run, and only when nothing kept g.GIDs, g.Repr or g.Order;
+// release a grouping Within g before g itself. A grouping that is never
+// released is left to the garbage collector. Test binaries overwrite the
+// released storage with poisonPos, so that a read after Release fails
+// loudly instead of seeing a later grouping's ids.
 func (g *Grouping) Release() {
-	if g.box == nil {
+	if g.box != nil {
+		poisonBox(g.box)
+		gidScratch.Put(g.box)
+	}
+	putList(g.reprBox, g.Repr)
+	putList(g.orderBox, g.Order)
+	*g = Grouping{}
+}
+
+// putList hands a per-group list back to its pool (nothing for a nil
+// box). The list may have outgrown its box; the grown storage goes back
+// instead.
+func putList(box *[]int32, list []int32) {
+	if box == nil {
 		return
 	}
-	// Repr may have outgrown its box; the grown storage goes back instead.
-	*g.reprBox = g.Repr[:0]
-	poisonBox(g.box)
-	poisonBox(g.reprBox)
-	gidScratch.Put(g.box)
-	reprScratch.Put(g.reprBox)
-	g.box, g.reprBox, g.GIDs, g.Repr = nil, nil, nil, nil
+	*box = list[:0]
+	poisonBox(box)
+	reprScratch.Put(box)
+}
+
+// Within returns the grouping of the rows at positions at under g, where
+// g grouped every row of the same input (a Group call without a
+// selection): the sub-grouping keeps g's ids, so the aggregate kernels
+// accumulate in g's id space reading ids through at, and its Order and
+// Repr list the groups at reaches, in first-appearance order over at, and
+// their first rows. The scan that finds them stops once every group of g
+// has appeared; when they appear in id order, Order is left nil and the
+// kernels' results need no reordering. A nil at is g itself (borrowed).
+// Release the result, which owns only its Order and Repr, before g.
+func (g *Grouping) Within(at Sel) Grouping {
+	sub := Grouping{GIDs: g.GIDs, N: g.N, Repr: g.Repr}
+	if at == nil {
+		return sub
+	}
+	sub.At = at
+	sub.reprBox, sub.Repr = groupList(g.N)
+	sub.orderBox, sub.Order = groupList(g.N)
+	seenBox, _ := groupList(g.N)
+	seen := (*seenBox)[:g.N]
+	clear(seen)
+	inOrder := true
+	for _, i := range at {
+		id := g.GIDs[i]
+		if seen[id] != 0 {
+			continue
+		}
+		seen[id] = 1
+		inOrder = inOrder && int(id) == len(sub.Order)
+		sub.Order = append(sub.Order, id)
+		sub.Repr = append(sub.Repr, i)
+		if len(sub.Order) == g.N {
+			break
+		}
+	}
+	putList(seenBox, seen)
+	if inOrder {
+		// Groups 0 … len−1 appeared in id order: the id space shrinks to
+		// them and nothing needs reordering.
+		sub.N = len(sub.Order)
+		putList(sub.orderBox, sub.Order)
+		sub.Order, sub.orderBox = nil, nil
+	}
+	return sub
 }
 
 // Group computes a dense grouping of the rows covered by sel over one or

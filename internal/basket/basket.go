@@ -21,8 +21,8 @@
 // let go, the store returns to a per-basket free list and a later append
 // of a fitting size writes into it again — the storage the paper drops
 // "once a tuple has been seen by all relevant queries" is reused rather
-// than collected. A view handed out without a lease (PeekSeqs,
-// ConsumeEach, a single-segment Snapshot or ExportState) pins its store
+// than collected. A view handed out without a lease (ConsumeEach, a
+// single-segment Snapshot or ExportState) pins its store
 // instead: it is never reused, and the view stays valid however the
 // basket changes afterwards.
 //
@@ -205,13 +205,6 @@ func (b *Basket) OnAppend(f func()) (cancel func()) {
 		b.onAppend = cancelSub(b.onAppend, id)
 		b.mu.Unlock()
 	}
-}
-
-// Subscribers reports the number of live OnAppend subscriptions.
-func (b *Basket) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.onAppend)
 }
 
 // Register adds a consumer whose cursor starts at the current end of the
@@ -460,25 +453,6 @@ func (b *Basket) Available(id int) int64 {
 	return b.end - cur
 }
 
-// PeekSeqs returns up to n of the consumer's pending rows, with their
-// arrival and sequence stamps, without consuming them. The rows all come
-// from one segment and are zero-copy views handed out without a lease,
-// so they pin the segment's storage: it is never reused, and the views
-// stay valid after any later append, consume or vacuum (a vacuum only
-// drops the basket's reference). A consumer drains its backlog by
-// peeking and consuming until nothing is returned; nil means nothing is
-// pending. ConsumeLeased is the read path that lets storage be reused.
-func (b *Basket) PeekSeqs(id int, n int) (*bat.Chunk, bat.Ints, bat.Ints) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	sg, lo, ok := b.pendingLocked(id)
-	if !ok || n <= 0 {
-		return nil, nil, nil
-	}
-	sg.pin()
-	return sg.view(b.schema, lo, min(sg.rows(), lo+n))
-}
-
 // pendingLocked finds the segment holding the consumer's next pending
 // row and that row's offset in it; ok is false when nothing is pending.
 func (b *Basket) pendingLocked(id int) (sg *segment, lo int, ok bool) {
@@ -618,8 +592,8 @@ func (b *Basket) RegisterAt(cursor int64) int {
 // ConsumeEach drains the consumer's backlog as it stands when called, one
 // segment at a time: it consumes each segment's pending rows and passes
 // their views to fn, outside the basket lock. Rows appended meanwhile
-// wait for the next call. The views carry no lease, so, like PeekSeqs,
-// they pin their segments' storage. It returns the rows consumed.
+// wait for the next call. The views carry no lease, so they pin their
+// segments' storage. It returns the rows consumed.
 func (b *Basket) ConsumeEach(id int, fn func(c *bat.Chunk, arrivals, seqs bat.Ints)) int {
 	return b.consume(id, false, func(c *bat.Chunk, _ bat.Lease, arrivals, seqs bat.Ints) {
 		fn(c, arrivals, seqs)

@@ -71,9 +71,6 @@ func (e *Channel) Dropped() int64 { return e.dropped.Load() }
 // /metrics results backlog.
 func (e *Channel) Pending() int { return len(e.ch) }
 
-// Cap reports the buffer capacity.
-func (e *Channel) Cap() int { return cap(e.ch) }
-
 // Emit implements Emitter.
 func (e *Channel) Emit(c *bat.Chunk, m Meta) {
 	e.closeMu.Lock()

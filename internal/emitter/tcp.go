@@ -37,13 +37,6 @@ func ListenTCP(addr string) (*TCPServer, error) {
 // Addr reports the listener address.
 func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
 
-// Clients reports the number of connected clients.
-func (s *TCPServer) Clients() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 func (s *TCPServer) acceptLoop() {
 	defer s.wg.Done()
 	for {

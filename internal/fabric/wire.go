@@ -38,7 +38,6 @@ import (
 	"math"
 
 	"datacell/internal/bat"
-	"datacell/internal/emitter"
 	"datacell/internal/plan"
 	"datacell/internal/window"
 )
@@ -71,14 +70,6 @@ const (
 )
 
 const protoVersion = 5
-
-// DupSafe reports whether a frame may be duplicated in transit without
-// desynchronizing a session: stamped session frames are deduplicated by
-// sequence on receive, but control frames (Hello/Welcome/Ack/SnapAck) are
-// connection-scoped and carry cursors, not sequences — duplicating a
-// handshake confuses the accept loop. Fault-injection harnesses
-// (fabrictest.FaultProxy) consult this before applying a duplicate fault.
-func DupSafe(f emitter.Frame) bool { return f.Type > frameSnapAck }
 
 // welcomeReset in a Welcome payload tells the worker its cursors are from
 // another coordinator life (its Hello claimed frames this coordinator

@@ -1,6 +1,7 @@
 package factory
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,6 +47,17 @@ import (
 // evaluation that reads it mid-change is still correct either way, since
 // a memoized evaluation of the same node yields the same view.
 //
+// Aggregate nodes that hang off the same node — their first non-fused
+// ancestor, or the window's root view — through fused chains of filters
+// and column-reference projections, and group by the same columns of it,
+// form a sibling set (siblingSet): per window the whole set evaluates in
+// one call (kernel.AggregateSet), which groups the ancestor's rows once
+// for all of them instead of once per sibling. Sets are decided under
+// the dag's lock whenever a path registers or leaves, right after the
+// fused flags, and published to the nodes atomically; an evaluation that
+// reads a node's set mid-change is still correct either way, since a
+// set's partials are byte-identical to the siblings' own.
+//
 // Every live node holds a dense ordinal, its index into a window's memo
 // slab (dagWin.cells), so a member's per-window lookup is an index, not a
 // map insert under a lock. A pruned node's ordinal returns to a free list
@@ -55,9 +67,10 @@ import (
 type dag struct {
 	mu    sync.Mutex
 	nodes map[string]*dagNode
-	free  []int // pruned nodes' ordinals, for reuse
-	size  int   // ordinals ever handed out: a new window's slab length
-	epoch int64 // ordinal assignments so far
+	roots []*dagNode // the registered nodes that read the window's root view
+	free  []int      // pruned nodes' ordinals, for reuse
+	size  int        // ordinals ever handed out: a new window's slab length
+	epoch int64      // ordinal assignments so far
 	// shared counts the nodes two or more registered paths pass through
 	// (dagNode.shared). It changes under mu and is read without it.
 	shared atomic.Int64
@@ -92,6 +105,25 @@ type dagNode struct {
 	// node, pre-sizing the next window's grouping hash table. Capacity
 	// never affects the grouping, so the hint is best-effort racy.
 	hint atomic.Int64
+	// set is the sibling set an aggregate node belongs to, nil when none.
+	set atomic.Pointer[siblingSet]
+}
+
+// siblingSet is a set of sibling aggregates: aggregate nodes whose fused
+// chains start at the same node (top; nil is the window's root view) and
+// that group by the same columns of it. It is immutable once published:
+// a change of membership publishes a new set. The leader's memo cell —
+// nodes[0], the earliest born — latches the whole set's evaluation in a
+// window; nodes ascend by birth, so every evaluator takes the siblings'
+// latches in one order.
+type siblingSet struct {
+	top   *dagNode
+	nodes []*dagNode
+	sibs  []*kernel.Sibling
+	chain []int // the fused nodes above each sibling, counted as misses
+	// hint is the largest partial of the newest evaluation, pre-sizing
+	// the shared grouping (best-effort racy, like dagNode.hint).
+	hint atomic.Int64
 }
 
 func newDAG() *dag { return &dag{nodes: make(map[string]*dagNode)} }
@@ -106,6 +138,8 @@ func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
 	n = &dagNode{fp: fp, parent: parent}
 	if parent != nil {
 		parent.kids = append(parent.kids, n)
+	} else {
+		d.roots = append(d.roots, n)
 	}
 	if k := len(d.free); k > 0 {
 		n.ord, d.free = d.free[k-1], d.free[:k-1]
@@ -130,6 +164,7 @@ func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
 func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp string) (leaf, aggNode *dagNode) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	nodes := len(d.nodes)
 	for _, s := range steps {
 		n, created := d.node(s.Fp, leaf)
 		if created {
@@ -158,6 +193,11 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 		leaf.ends++
 	}
 	settle(leaf)
+	if agg == nil || len(d.nodes) != nodes {
+		// A new node or a new reader of leaf may move sibling sets; a
+		// path that only retains existing nodes moves none.
+		d.regroup(leaf)
+	}
 	return leaf, aggNode
 }
 
@@ -177,6 +217,7 @@ func (d *dag) retain(n *dagNode) {
 func (d *dag) unregister(leaf, aggNode *dagNode) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	nodes := len(d.nodes)
 	if aggNode != nil {
 		d.release(aggNode)
 	} else if leaf != nil {
@@ -184,6 +225,9 @@ func (d *dag) unregister(leaf, aggNode *dagNode) {
 	}
 	d.release(leaf)
 	settle(leaf)
+	if aggNode == nil || len(d.nodes) != nodes {
+		d.regroup(leaf)
+	}
 }
 
 // release drops one path reference from n upward. Callers hold d.mu.
@@ -199,8 +243,12 @@ func (d *dag) release(n *dagNode) {
 		}
 		delete(d.nodes, n.fp)
 		d.free = append(d.free, n.ord)
+		n.set.Store(nil)
+		drop := func(k *dagNode) bool { return k == n }
 		if p := n.parent; p != nil {
-			p.kids = slices.DeleteFunc(p.kids, func(k *dagNode) bool { return k == n })
+			p.kids = slices.DeleteFunc(p.kids, drop)
+		} else {
+			d.roots = slices.DeleteFunc(d.roots, drop)
 		}
 	}
 }
@@ -213,6 +261,78 @@ func settle(n *dagNode) {
 	for ; n != nil; n = n.parent {
 		one := len(n.kids) == 1 && (n.kids[0].agg != nil || n.kids[0].fused.Load())
 		n.fused.Store(n.agg == nil && n.ends == 0 && one)
+	}
+}
+
+// regroup recomputes the sibling sets a change of the path from leaf to
+// the root may have moved: the sets under each node of the path and under
+// the root view. Only fused flags on that path change, so every aggregate
+// whose first non-fused ancestor changed hangs below one of those nodes,
+// and both its old and its new ancestor are among them. The work is
+// proportional to those nodes' children. Callers hold the dag's mu, after
+// settle.
+func (d *dag) regroup(leaf *dagNode) {
+	tops := []*dagNode{nil}
+	for n := leaf; n != nil; n = n.parent {
+		tops = append(tops, n)
+	}
+	for _, top := range tops {
+		d.under(top, func(a *dagNode, _ []*kernel.Step) { a.set.Store(nil) })
+	}
+	type candidate struct {
+		n     *dagNode
+		sib   *kernel.Sibling
+		chain int
+	}
+	for _, top := range tops {
+		if top != nil && (top.fused.Load() || top.refs == 0) {
+			continue // not a first non-fused ancestor, or pruned
+		}
+		var cands []candidate
+		d.under(top, func(a *dagNode, steps []*kernel.Step) {
+			if sib, ok := kernel.NewSibling(a.agg, steps); ok {
+				cands = append(cands, candidate{a, sib, len(steps)})
+			}
+		})
+		slices.SortFunc(cands, func(x, y candidate) int { return cmp.Compare(x.n.born, y.n.born) })
+		var sets []*siblingSet
+		for _, c := range cands {
+			i := slices.IndexFunc(sets, func(s *siblingSet) bool { return slices.Equal(s.sibs[0].Keys(), c.sib.Keys()) })
+			if i < 0 {
+				i = len(sets)
+				sets = append(sets, &siblingSet{top: top})
+			}
+			s := sets[i]
+			s.nodes, s.sibs, s.chain = append(s.nodes, c.n), append(s.sibs, c.sib), append(s.chain, c.chain)
+		}
+		for _, s := range sets {
+			if len(s.nodes) < 2 {
+				continue
+			}
+			for _, a := range s.nodes {
+				a.set.Store(s)
+			}
+		}
+	}
+}
+
+// under calls f for every aggregate node whose fused chain starts at top
+// (nil: the root view), with the chain's compiled steps, top first.
+// Callers hold the dag's mu.
+func (d *dag) under(top *dagNode, f func(a *dagNode, steps []*kernel.Step)) {
+	kids := d.roots
+	if top != nil {
+		kids = top.kids
+	}
+	for _, n := range kids {
+		var steps []*kernel.Step
+		for n.agg == nil && n.fused.Load() {
+			steps = append(steps, &n.step)
+			n = n.kids[0]
+		}
+		if n.agg != nil {
+			f(n, steps)
+		}
 	}
 }
 
@@ -324,6 +444,9 @@ func evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, co
 	if n == nil {
 		return w.root, false
 	}
+	if s := n.set.Load(); s != nil {
+		computed = s.eval(w, misses)
+	}
 	c := w.cell(n)
 	c.once.Do(func() {
 		if n.agg != nil {
@@ -356,4 +479,49 @@ func evalAggregate(w *dagWin, n *dagNode, misses *atomic.Int64) *bat.Chunk {
 	n.hint.Store(int64(part.Rows()))
 	misses.Add(int64(len(steps)))
 	return part
+}
+
+// eval evaluates the sibling set once per window, latched on its leader's
+// memo cell, and fills every sibling's memo cell from the set's result —
+// each sibling counting one miss per node, as its own evaluation would. A
+// sibling whose cell is already latched keeps its own result, and when
+// the leader's cell was latched outside the set (a private evaluation
+// that read the node before the set formed) the set does not evaluate in
+// this window and every sibling evaluates alone. computed reports whether
+// this call performed the evaluation.
+func (s *siblingSet) eval(w *dagWin, misses *atomic.Int64) (computed bool) {
+	lead := w.cell(s.nodes[0])
+	lead.once.Do(func() {
+		in, _ := evalNode(w, s.top, misses)
+		var buf [8]*bat.Chunk // the usual set allocates no result list
+		out := buf[:]
+		if len(s.nodes) > len(buf) {
+			out = make([]*bat.Chunk, len(s.nodes))
+		}
+		out = out[:len(s.nodes)]
+		kernel.AggregateSet(s.sibs, in, int(s.hint.Load()), out)
+		rows := 0
+		for i, n := range s.nodes {
+			part := out[i]
+			rows = max(rows, part.Rows())
+			n.hint.Store(int64(part.Rows()))
+			c := lead
+			if i > 0 {
+				c = w.cell(n)
+			}
+			fill := func() {
+				c.view.Base = part
+				c.out = &c.view
+				misses.Add(int64(1 + s.chain[i]))
+			}
+			if i == 0 {
+				fill()
+			} else {
+				c.once.Do(fill)
+			}
+		}
+		s.hint.Store(int64(rows))
+		computed = true
+	})
+	return computed
 }

@@ -98,7 +98,7 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 			t.Fatalf("basic window %d: aggregate node was never evaluated", i)
 		}
 		cell := dw.cell(m1.leaf[0])
-		if cell.out != nil || cell.view.Sel != nil || cell.view.Materialized() {
+		if cell.out != nil || cell.view.Base != nil || cell.view.Sel != nil {
 			t.Errorf("basic window %d: filter leaf selection was memoized", i)
 		}
 	}

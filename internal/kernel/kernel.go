@@ -41,6 +41,17 @@
 //   - Distinct, Sort, Limit and Join read materialized views: they
 //     reorder or pair rows, so they need dense columns anyway.
 //
+// Sibling aggregates — aggregates over chains of filters and
+// column-reference projections from one ancestor view that group by the
+// same ancestor columns — evaluate together (AggregateSet). Once their
+// selections cover the ancestor's rows, those rows are grouped once, and
+// each sibling aggregates in that grouping's shared id space: the
+// aggregate kernels read ids by row position through the sibling's
+// selection (algebra.Grouping.Within). Its results are then compacted to
+// the groups its selection reaches, in their first-appearance order over
+// it — copied out of a pooled accumulator, or used as they are when that
+// order is the shared one. The bytes equal the sibling's own grouping.
+//
 // A view may also be a sequence of runs (RunsView): a sharded basic
 // window is its shards' basket-segment runs in canonical order, and a
 // re-evaluated window is its basic windows' runs, and the kernels read
@@ -75,6 +86,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -207,10 +219,6 @@ func (v *View) Materialize() *bat.Chunk {
 	v.mat.Store(c)
 	return c
 }
-
-// Materialized reports whether Materialize has run — whether any
-// consumer needed this view's dense chunk.
-func (v *View) Materialized() bool { return v.mat.Load() != nil }
 
 // flat returns v without a column map: the base re-indexed into a chunk
 // of the projected schema, under the same selection. Operators that
@@ -445,7 +453,7 @@ func (rl *runList) materialize() *bat.Chunk {
 	rows := rl.rows()
 	cols := make([]bat.Vector, len(rl.schema.Kinds))
 	for i := range cols {
-		cols[i] = resize(bat.NewVector(rl.runs[0].c.Cols[i].Kind(), 0), rows)
+		cols[i] = resize(bat.NewVector(rl.runs[0].c.Cols[i].Kind(), 0), rows, 0)
 		rl.fill(cols[i], i)
 	}
 	return &bat.Chunk{Schema: rl.schema, Cols: cols}
@@ -539,6 +547,14 @@ type aggScratch struct {
 	parts runList
 	in    denseInputs
 	keys  []bat.Vector
+	// A sibling set's state (AggregateSet): a single-run ancestor's base
+	// chunk, one sibling's positions in a multi-run ancestor, the siblings
+	// waiting for the sharing decision, and the shared-id accumulators,
+	// one per kind.
+	base    *bat.Chunk
+	at      []int32
+	pending []pendingSib
+	acc     [bat.Time + 1]bat.Vector
 }
 
 var aggScratches = sync.Pool{New: func() any { return new(aggScratch) }}
@@ -550,6 +566,15 @@ func (as *aggScratch) release() {
 	as.in.rl = nil
 	clear(as.keys)
 	as.keys = as.keys[:0]
+	as.base = nil
+	if poison {
+		fill(as.at[:cap(as.at)], math.MinInt32)
+		for _, v := range as.acc {
+			if v != nil {
+				poisonVector(v)
+			}
+		}
+	}
 	aggScratches.Put(as)
 }
 
@@ -670,18 +695,7 @@ type denseVec struct {
 // run's selection and the results are concatenated.
 func (in *denseInputs) of(e expr.Expr) bat.Vector {
 	if c, ok := e.(*expr.Col); ok {
-		if len(in.rl.runs) == 1 && in.rl.runs[0].sel == nil {
-			return in.rl.runs[0].c.Cols[c.Idx]
-		}
-		for _, d := range in.vecs {
-			if d.col == c.Idx {
-				return d.b.v
-			}
-		}
-		b := getDense(in.rl.runs[0].c.Cols[c.Idx].Kind(), in.rows)
-		in.rl.fill(b.v, c.Idx)
-		in.vecs = append(in.vecs, denseVec{col: c.Idx, b: b})
-		return b.v
+		return in.col(c.Idx)
 	}
 	var b *denseBuf
 	off := 0
@@ -696,11 +710,27 @@ func (in *denseInputs) of(e expr.Expr) bat.Vector {
 	return b.v
 }
 
+// col returns column idx of the runs as a dense vector, gathered once.
+func (in *denseInputs) col(idx int) bat.Vector {
+	if len(in.rl.runs) == 1 && in.rl.runs[0].sel == nil {
+		return in.rl.runs[0].c.Cols[idx]
+	}
+	for _, d := range in.vecs {
+		if d.col == idx {
+			return d.b.v
+		}
+	}
+	b := getDense(in.rl.runs[0].c.Cols[idx].Kind(), in.rows)
+	in.rl.fill(b.v, idx)
+	in.vecs = append(in.vecs, denseVec{col: idx, b: b})
+	return b.v
+}
+
 // release hands every vector back to its pool; later calls to of gather
 // afresh.
 func (in *denseInputs) release() {
 	for i, d := range in.vecs {
-		densePools[d.b.v.Kind()].Put(d.b)
+		putDense(d.b)
 		in.vecs[i].b = nil
 	}
 	in.vecs = in.vecs[:0]
@@ -716,40 +746,53 @@ type denseBuf struct{ v bat.Vector }
 var densePools [bat.Time + 1]sync.Pool
 
 // getDense returns a pooled vector of kind k and length n (contents
-// unspecified), reusing pooled storage when it is large enough.
+// unspecified), reusing pooled storage when it is large enough. Storage
+// it has to allocate has room for n/16 more values, as the basket stores
+// do: windows whose sizes jitter upwards then reuse it instead of
+// reallocating it for each larger one.
 func getDense(k bat.Kind, n int) *denseBuf {
 	b, _ := densePools[k].Get().(*denseBuf)
 	switch {
 	case b == nil:
-		b = &denseBuf{v: resize(bat.NewVector(k, 0), n)}
+		b = &denseBuf{v: resize(bat.NewVector(k, 0), n, n/16)}
 	case b.v.Len() != n:
-		b.v = resize(b.v, n)
+		b.v = resize(b.v, n, n/16)
 	}
 	return b
 }
 
+// putDense hands b back to its pool. Test binaries first overwrite its
+// storage with poison values, so that a result still reading it fails
+// loudly instead of seeing a later window's rows.
+func putDense(b *denseBuf) {
+	if poison {
+		poisonVector(b.v)
+	}
+	densePools[b.v.Kind()].Put(b)
+}
+
 // resize returns a vector of v's kind and length n over v's storage when
 // it has room for n values (contents unspecified), over fresh zeroed
-// storage otherwise.
-func resize(v bat.Vector, n int) bat.Vector {
+// storage with room for spare more otherwise.
+func resize(v bat.Vector, n, spare int) bat.Vector {
 	switch x := v.(type) {
 	case bat.Ints:
-		return bat.Ints(sized(x, n))
+		return bat.Ints(sized(x, n, spare))
 	case bat.Times:
-		return bat.Times(sized(x, n))
+		return bat.Times(sized(x, n, spare))
 	case bat.Floats:
-		return bat.Floats(sized(x, n))
+		return bat.Floats(sized(x, n, spare))
 	case bat.Strs:
-		return bat.Strs(sized(x, n))
+		return bat.Strs(sized(x, n, spare))
 	case bat.Bools:
-		return bat.Bools(sized(x, n))
+		return bat.Bools(sized(x, n, spare))
 	}
 	panic(fmt.Sprintf("kernel: resize of unknown vector %T", v))
 }
 
-func sized[T any](s []T, n int) []T {
+func sized[T any](s []T, n, spare int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+spare)
 	}
 	return s[:n]
 }

@@ -42,19 +42,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig matches a small but representative run: 1 expressway, 500
-// cars, 5 simulated minutes.
-func DefaultConfig() Config {
-	return Config{
-		Xways:          1,
-		CarsPerXway:    500,
-		DurationSec:    300,
-		ReportEverySec: 30,
-		AccidentProb:   0.002,
-		Seed:           42,
-	}
-}
-
 // Segments per expressway and direction, from the benchmark definition.
 const Segments = 100
 

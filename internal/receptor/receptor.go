@@ -133,12 +133,6 @@ func ListenTCP(addr string, bk basket.Appender, now func() int64) (*TCP, error) 
 // Addr reports the listener address.
 func (r *TCP) Addr() string { return r.ln.Addr().String() }
 
-// Received reports the number of tuples appended so far.
-func (r *TCP) Received() int64 { return r.total.Load() }
-
-// BadLines reports the number of malformed lines skipped.
-func (r *TCP) BadLines() int64 { return r.badLine.Load() }
-
 // Close stops accepting, closes live connections and waits for handlers.
 func (r *TCP) Close() {
 	r.mu.Lock()
@@ -202,38 +196,4 @@ func (r *TCP) handle(conn net.Conn) {
 		}
 		r.total.Add(1)
 	}
-}
-
-// RatedReplay pushes pre-built chunks into a basket at a target rate of
-// tuples per second, in batches. It blocks until done or until stop is
-// closed, and returns the tuples pushed and the elapsed wall time —
-// emulating the demo's configurable-rate stream driver.
-func RatedReplay(bk basket.Appender, src []*bat.Chunk, tuplesPerSec int, stop <-chan struct{}, now func() int64) (int64, time.Duration) {
-	if now == nil {
-		now = func() int64 { return time.Now().UnixMicro() }
-	}
-	start := time.Now()
-	var sent int64
-	for _, c := range src {
-		select {
-		case <-stop:
-			return sent, time.Since(start)
-		default:
-		}
-		if err := bk.Append(c, now()); err != nil {
-			return sent, time.Since(start)
-		}
-		sent += int64(c.Rows())
-		if tuplesPerSec > 0 {
-			target := time.Duration(float64(sent) / float64(tuplesPerSec) * float64(time.Second))
-			if ahead := target - time.Since(start); ahead > 0 {
-				select {
-				case <-time.After(ahead):
-				case <-stop:
-					return sent, time.Since(start)
-				}
-			}
-		}
-	}
-	return sent, time.Since(start)
 }

@@ -47,7 +47,9 @@ func TestReplayCSV(t *testing.T) {
 	if n != 3 {
 		t.Errorf("replayed %d tuples", n)
 	}
-	c, arr, _ := bk.PeekSeqs(id, 10)
+	var c *bat.Chunk
+	var arr bat.Ints
+	bk.ConsumeEach(id, func(cc *bat.Chunk, a, _ bat.Ints) { c, arr = cc, a })
 	if c.Rows() != 3 || arr[0] != 9 {
 		t.Errorf("basket = %v arr=%v", c, arr)
 	}
@@ -89,7 +91,8 @@ func TestTCPReceptor(t *testing.T) {
 	if r.BadLines() != 1 {
 		t.Errorf("bad lines = %d", r.BadLines())
 	}
-	c, _, _ := bk.PeekSeqs(id, 10)
+	var c *bat.Chunk
+	bk.ConsumeEach(id, func(cc *bat.Chunk, _, _ bat.Ints) { c = cc })
 	if c.Rows() != 2 || c.Row(1)[2].F != 1.5 {
 		t.Errorf("basket contents = %v", c)
 	}

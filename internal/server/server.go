@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -363,14 +362,3 @@ func (c *Client) Call(request string) (string, error) {
 
 // Close terminates the connection.
 func (c *Client) Close() { _ = c.conn.Close() }
-
-// SortedCommands lists the control commands (for cmd completion/docs).
-func SortedCommands() []string {
-	cmds := []string{
-		`\help`, `\catalog`, `\network`, `\queries`, `\groups`, `\tenants`, `\fabric`,
-		`\plan`, `\cplan`, `\stats`, `\results`, `\pause`, `\resume`,
-		`\pause-stream`, `\resume-stream`, `\shards`, `\advance`, `\quit`,
-	}
-	sort.Strings(cmds)
-	return cmds
-}

@@ -22,7 +22,9 @@ func TestSingleRunEpochSharesBasketSegment(t *testing.T) {
 	if err := bk.Append(shardChunk(10, 11, 12, 13), 7); err != nil {
 		t.Fatal(err)
 	}
-	seg, arrivals, seqs := bk.PeekSeqs(cid, 4)
+	var seg *bat.Chunk
+	var arrivals, seqs bat.Ints
+	bk.ConsumeEach(cid, func(c *bat.Chunk, arr, ss bat.Ints) { seg, arrivals, seqs = c, arr, ss })
 
 	w := &plan.Window{Tuples: true, Size: 8, Slide: 4}
 	s := NewShardSlicer(w, shardSchema())
@@ -67,7 +69,9 @@ func TestEpochRunsAppendWithoutWritingSegment(t *testing.T) {
 	s := NewShardSlicer(w, shardSchema())
 	s.Push(first, nil, arr, seqs)
 	s.Push(shardChunk(90, 91), nil, bat.Ints{3, 3}, seqsOf(2, 3))
-	if next, _, _ := bk.PeekSeqs(cid, 2); next.String() != shardChunk(12, 13).String() {
+	var next *bat.Chunk
+	bk.ConsumeEach(cid, func(c *bat.Chunk, _, _ bat.Ints) { next = c })
+	if next.String() != shardChunk(12, 13).String() {
 		t.Fatalf("appending to the epoch wrote into the basket segment:\n%s", next)
 	}
 	frags := s.Flush(1)
