@@ -37,23 +37,10 @@ func (op AggOp) String() string {
 	return "agg?"
 }
 
-// CountGroups counts qualifying rows per group.
-func CountGroups(g Grouping) bat.Ints { return Aggregate(AggCount, nil, nil, g).(bat.Ints) }
-
-// SumGroups sums a value column per group. Int and Time inputs produce an
-// Int sum; Float inputs a Float sum. Each group's sum accumulates in row
-// order.
-func SumGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggSum, v, sel, g) }
-
-// MinGroups computes the per-group minimum of a value column.
-func MinGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggMin, v, sel, g) }
-
-// MaxGroups computes the per-group maximum of a value column.
-func MaxGroups(v bat.Vector, sel Sel, g Grouping) bat.Vector { return Aggregate(AggMax, v, sel, g) }
-
 // Aggregate applies one aggregate op to a value column under a grouping,
 // one value per group of g's id space. For AggCount, v may be nil
-// (count(*)).
+// (count(*)). Int and Time inputs sum to an Int sum, Float inputs to a
+// Float sum, and each group's sum accumulates in row order.
 func Aggregate(op AggOp, v bat.Vector, sel Sel, g Grouping) bat.Vector {
 	var out bat.Vector
 	if op == AggCount || op == AggSum && v.Kind() == bat.Time {
@@ -108,7 +95,7 @@ func AggregateInto(dst bat.Vector, op AggOp, v bat.Vector, sel Sel, g Grouping) 
 		case bat.Floats:
 			sum(dst.(bat.Floats), xs, sel, g)
 		default:
-			panic(fmt.Sprintf("algebra: SumGroups on %s vector", v.Kind()))
+			panic(fmt.Sprintf("algebra: sum of %s vector", v.Kind()))
 		}
 	case AggMin, AggMax:
 		isMin := op == AggMin

@@ -74,19 +74,19 @@ func TestAggregates(t *testing.T) {
 	vals := ints(10, 20, 30, 40, 50)
 	g := Group([]bat.Vector{keys}, nil, keys.Len())
 
-	cnt := CountGroups(g)
+	cnt := Aggregate(AggCount, nil, nil, g).(bat.Ints)
 	if cnt[0] != 3 || cnt[1] != 2 {
 		t.Errorf("count = %v", cnt)
 	}
-	sum := SumGroups(vals, nil, g).(bat.Ints)
+	sum := Aggregate(AggSum, vals, nil, g).(bat.Ints)
 	if sum[0] != 90 || sum[1] != 60 {
 		t.Errorf("sum = %v", sum)
 	}
-	minv := MinGroups(vals, nil, g).(bat.Ints)
+	minv := Aggregate(AggMin, vals, nil, g).(bat.Ints)
 	if minv[0] != 10 || minv[1] != 20 {
 		t.Errorf("min = %v", minv)
 	}
-	maxv := MaxGroups(vals, nil, g).(bat.Ints)
+	maxv := Aggregate(AggMax, vals, nil, g).(bat.Ints)
 	if maxv[0] != 50 || maxv[1] != 40 {
 		t.Errorf("max = %v", maxv)
 	}
@@ -96,11 +96,11 @@ func TestAggregateFloats(t *testing.T) {
 	keys := ints(1, 1)
 	vals := bat.Floats{1.5, 2.0}
 	g := Group([]bat.Vector{keys}, nil, 2)
-	sum := SumGroups(vals, nil, g).(bat.Floats)
+	sum := Aggregate(AggSum, vals, nil, g).(bat.Floats)
 	if sum[0] != 3.5 {
 		t.Errorf("float sum = %v", sum)
 	}
-	if got := MinGroups(vals, nil, g).(bat.Floats); got[0] != 1.5 {
+	if got := Aggregate(AggMin, vals, nil, g).(bat.Floats); got[0] != 1.5 {
 		t.Errorf("float min = %v", got)
 	}
 }
@@ -109,10 +109,10 @@ func TestAggregateStringsMinMax(t *testing.T) {
 	keys := ints(1, 1, 1)
 	vals := bat.Strs{"m", "a", "z"}
 	g := Group([]bat.Vector{keys}, nil, 3)
-	if got := MinGroups(vals, nil, g).(bat.Strs); got[0] != "a" {
+	if got := Aggregate(AggMin, vals, nil, g).(bat.Strs); got[0] != "a" {
 		t.Errorf("string min = %v", got)
 	}
-	if got := MaxGroups(vals, nil, g).(bat.Strs); got[0] != "z" {
+	if got := Aggregate(AggMax, vals, nil, g).(bat.Strs); got[0] != "z" {
 		t.Errorf("string max = %v", got)
 	}
 }

@@ -67,10 +67,11 @@ import (
 type dag struct {
 	mu    sync.Mutex
 	nodes map[string]*dagNode
-	roots []*dagNode // the registered nodes that read the window's root view
-	free  []int      // pruned nodes' ordinals, for reuse
-	size  int        // ordinals ever handed out: a new window's slab length
-	epoch int64      // ordinal assignments so far
+	roots []*dagNode         // the registered nodes that read the window's root view
+	free  []int              // pruned nodes' ordinals, for reuse
+	size  int                // ordinals ever handed out: a new window's slab length
+	epoch int64              // ordinal assignments so far
+	cands []siblingCandidate // regroup's scratch
 	// shared counts the nodes two or more registered paths pass through
 	// (dagNode.shared). It changes under mu and is read without it.
 	shared atomic.Int64
@@ -107,6 +108,13 @@ type dagNode struct {
 	hint atomic.Int64
 	// set is the sibling set an aggregate node belongs to, nil when none.
 	set atomic.Pointer[siblingSet]
+	// sib is an aggregate node's compiled sibling over its fused chain
+	// from sibTop, nil when the chain cannot join a set; compiled tells a
+	// chain from the root view apart from none compiled yet. Guarded by
+	// the dag's mu.
+	sib      *kernel.Sibling
+	sibTop   *dagNode
+	compiled bool
 }
 
 // siblingSet is a set of sibling aggregates: aggregate nodes whose fused
@@ -268,64 +276,80 @@ func settle(n *dagNode) {
 // the root may have moved: the sets under each node of the path and under
 // the root view. Only fused flags on that path change, so every aggregate
 // whose first non-fused ancestor changed hangs below one of those nodes,
-// and both its old and its new ancestor are among them. The work is
-// proportional to those nodes' children. Callers hold the dag's mu, after
-// settle.
+// and both its old and its new ancestor are among them. An aggregate's
+// compiled sibling is kept until its chain starts at another node, and a
+// set whose membership did not change stays published, so the work is a
+// walk of those nodes' children. Callers hold the dag's mu, after settle.
 func (d *dag) regroup(leaf *dagNode) {
 	tops := []*dagNode{nil}
 	for n := leaf; n != nil; n = n.parent {
 		tops = append(tops, n)
 	}
 	for _, top := range tops {
-		d.under(top, func(a *dagNode, _ []*kernel.Step) { a.set.Store(nil) })
-	}
-	type candidate struct {
-		n     *dagNode
-		sib   *kernel.Sibling
-		chain int
-	}
-	for _, top := range tops {
 		if top != nil && (top.fused.Load() || top.refs == 0) {
 			continue // not a first non-fused ancestor, or pruned
 		}
-		var cands []candidate
+		cands := d.cands[:0]
 		d.under(top, func(a *dagNode, steps []*kernel.Step) {
-			if sib, ok := kernel.NewSibling(a.agg, steps); ok {
-				cands = append(cands, candidate{a, sib, len(steps)})
+			if !a.compiled || a.sibTop != top {
+				a.sib, _ = kernel.NewSibling(a.agg, slices.Clone(steps))
+				a.sibTop, a.compiled = top, true
 			}
+			if a.sib == nil {
+				a.set.Store(nil)
+				return
+			}
+			cands = append(cands, siblingCandidate{a, len(steps)})
 		})
-		slices.SortFunc(cands, func(x, y candidate) int { return cmp.Compare(x.n.born, y.n.born) })
+		slices.SortFunc(cands, func(x, y siblingCandidate) int { return cmp.Compare(x.n.born, y.n.born) })
 		var sets []*siblingSet
-		for _, c := range cands {
-			i := slices.IndexFunc(sets, func(s *siblingSet) bool { return slices.Equal(s.sibs[0].Keys(), c.sib.Keys()) })
+		for ci, c := range cands {
+			i := slices.IndexFunc(sets, func(s *siblingSet) bool { return slices.Equal(s.sibs[0].Keys(), c.n.sib.Keys()) })
 			if i < 0 {
 				i = len(sets)
-				sets = append(sets, &siblingSet{top: top})
+				rest := len(cands) - ci // the usual top holds one set
+				sets = append(sets, &siblingSet{top: top, nodes: make([]*dagNode, 0, rest),
+					sibs: make([]*kernel.Sibling, 0, rest), chain: make([]int, 0, rest)})
 			}
 			s := sets[i]
-			s.nodes, s.sibs, s.chain = append(s.nodes, c.n), append(s.sibs, c.sib), append(s.chain, c.chain)
+			s.nodes, s.sibs, s.chain = append(s.nodes, c.n), append(s.sibs, c.n.sib), append(s.chain, c.chain)
 		}
 		for _, s := range sets {
 			if len(s.nodes) < 2 {
+				s.nodes[0].set.Store(nil)
 				continue
+			}
+			if old := s.nodes[0].set.Load(); old != nil && old.top == top &&
+				slices.Equal(old.nodes, s.nodes) && slices.Equal(old.sibs, s.sibs) {
+				continue // unchanged: every member still holds old
 			}
 			for _, a := range s.nodes {
 				a.set.Store(s)
 			}
 		}
+		clear(cands)
+		d.cands = cands[:0]
 	}
 }
 
+// siblingCandidate is an aggregate node regroup may put in a set, with the
+// number of fused nodes in its chain.
+type siblingCandidate struct {
+	n     *dagNode
+	chain int
+}
+
 // under calls f for every aggregate node whose fused chain starts at top
-// (nil: the root view), with the chain's compiled steps, top first.
-// Callers hold the dag's mu.
+// (nil: the root view), with the chain's compiled steps, top first; f
+// must copy steps to keep them. Callers hold the dag's mu.
 func (d *dag) under(top *dagNode, f func(a *dagNode, steps []*kernel.Step)) {
 	kids := d.roots
 	if top != nil {
 		kids = top.kids
 	}
+	var steps []*kernel.Step
 	for _, n := range kids {
-		var steps []*kernel.Step
+		steps = steps[:0]
 		for n.agg == nil && n.fused.Load() {
 			steps = append(steps, &n.step)
 			n = n.kids[0]
@@ -445,7 +469,7 @@ func evalNode(w *dagWin, n *dagNode, misses *atomic.Int64) (out *kernel.View, co
 		return w.root, false
 	}
 	if s := n.set.Load(); s != nil {
-		computed = s.eval(w, misses)
+		computed = s.eval(w, n, misses)
 	}
 	c := w.cell(n)
 	c.once.Do(func() {
@@ -487,12 +511,19 @@ func evalAggregate(w *dagWin, n *dagNode, misses *atomic.Int64) *bat.Chunk {
 // sibling whose cell is already latched keeps its own result, and when
 // the leader's cell was latched outside the set (a private evaluation
 // that read the node before the set formed) the set does not evaluate in
-// this window and every sibling evaluates alone. computed reports whether
-// this call performed the evaluation.
-func (s *siblingSet) eval(w *dagWin, misses *atomic.Int64) (computed bool) {
+// this window and every sibling evaluates alone. Over a multi-run
+// ancestor (a sharded window) the set does not evaluate either: sharing
+// the gathered runs' grouping measured no faster on lroad, allocated
+// more, and would serialize siblings that evaluate in parallel. computed
+// reports whether this call filled n's own cell, n being one of the
+// set's nodes.
+func (s *siblingSet) eval(w *dagWin, n *dagNode, misses *atomic.Int64) (computed bool) {
+	in, _ := evalNode(w, s.top, misses)
+	if in.MultiRun() {
+		return false
+	}
 	lead := w.cell(s.nodes[0])
 	lead.once.Do(func() {
-		in, _ := evalNode(w, s.top, misses)
 		var buf [8]*bat.Chunk // the usual set allocates no result list
 		out := buf[:]
 		if len(s.nodes) > len(buf) {
@@ -501,18 +532,19 @@ func (s *siblingSet) eval(w *dagWin, misses *atomic.Int64) (computed bool) {
 		out = out[:len(s.nodes)]
 		kernel.AggregateSet(s.sibs, in, int(s.hint.Load()), out)
 		rows := 0
-		for i, n := range s.nodes {
+		for i, sn := range s.nodes {
 			part := out[i]
 			rows = max(rows, part.Rows())
-			n.hint.Store(int64(part.Rows()))
+			sn.hint.Store(int64(part.Rows()))
 			c := lead
 			if i > 0 {
-				c = w.cell(n)
+				c = w.cell(sn)
 			}
 			fill := func() {
 				c.view.Base = part
 				c.out = &c.view
 				misses.Add(int64(1 + s.chain[i]))
+				computed = computed || sn == n
 			}
 			if i == 0 {
 				fill()
@@ -521,7 +553,6 @@ func (s *siblingSet) eval(w *dagWin, misses *atomic.Int64) (computed bool) {
 			}
 		}
 		s.hint.Store(int64(rows))
-		computed = true
 	})
 	return computed
 }

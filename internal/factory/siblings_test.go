@@ -30,8 +30,14 @@ func sensorWindow(n int) *bat.Chunk {
 // siblingChain is "WHERE v > c GROUP BY k" with count(*) and sum(v): a
 // fused filter under an aggregate node.
 func siblingChain(c float64) ([]plan.PipelineStep, *plan.Aggregate) {
-	pred := &expr.Cmp{Op: algebra.GT, L: &expr.Col{Idx: 1, K: bat.Float}, R: &expr.Const{V: bat.FloatValue(c)}}
-	steps := []plan.PipelineStep{{Op: &plan.Filter{Pred: pred}, Fp: fmt.Sprintf("v>%g", c)}}
+	return filteredChain(1, algebra.GT, bat.FloatValue(c), fmt.Sprintf("v>%g", c))
+}
+
+// filteredChain is "WHERE <column col> op c GROUP BY k" with count(*)
+// and sum(v); fp is the filter's fingerprint.
+func filteredChain(col int, op algebra.CmpOp, c bat.Value, fp string) ([]plan.PipelineStep, *plan.Aggregate) {
+	pred := &expr.Cmp{Op: op, L: &expr.Col{Idx: col, K: sensorSchema.Kinds[col]}, R: &expr.Const{V: c}}
+	steps := []plan.PipelineStep{{Op: &plan.Filter{Pred: pred}, Fp: fp}}
 	agg := &plan.Aggregate{
 		Keys: []expr.Expr{&expr.Col{Idx: 0, K: bat.Int}}, KeyNames: []string{"k"},
 		Aggs: []plan.AggSpec{{Op: algebra.AggCount, Name: "n"}, {Op: algebra.AggSum, Arg: &expr.Col{Idx: 1, K: bat.Float}, Name: "sv"}},
@@ -45,8 +51,9 @@ func siblingChain(c float64) ([]plan.PipelineStep, *plan.Aggregate) {
 // at every register and unregister: a second sibling forms the set, a
 // member ending at a sibling's filter unfuses it and moves that sibling
 // out, and a leaving sibling dissolves the set. Every partial a set fills
-// equals the sibling's own evaluation, and each node still counts one
-// miss per window.
+// equals the sibling's own evaluation, each node still counts one miss
+// per window, and a request served from the memo counts a hit. Over a
+// sharded window the siblings evaluate alone.
 func TestDagSiblingSets(t *testing.T) {
 	d := newDAG()
 	win := kernel.NewView(sensorWindow(512))
@@ -55,19 +62,29 @@ func TestDagSiblingSets(t *testing.T) {
 		steps, a := siblingChain(c)
 		return d.register(steps, a, "")
 	}
+	// sharded is a two-shard window: a multi-run root, over which every
+	// sibling evaluates alone.
+	sharded := kernel.RunsView(bat.NewRuns(sensorSchema, sensorWindow(200), sensorWindow(312)))
 	check := func(what string, aggs ...*dagNode) {
 		t.Helper()
-		w := d.newWin(win)
-		misses.Store(0)
-		for _, a := range aggs {
-			got := eval(w, a, &hits, &misses)
-			steps, _ := chain(a.parent)
-			if alone := kernel.AggregateSteps(a.agg, steps, win, 0); got.String() != alone.String() {
-				t.Fatalf("%s: set partial differs from the sibling's own:\n%s\nwant\n%s", what, got, alone)
+		for _, in := range []*kernel.View{win, sharded} {
+			w := d.newWin(in)
+			misses.Store(0)
+			for i, a := range aggs {
+				got := eval(w, a, &hits, &misses)
+				steps, _ := chain(a.parent)
+				if alone := kernel.AggregateSteps(a.agg, steps, in, 0); got.String() != alone.String() {
+					t.Fatalf("%s: set partial differs from the sibling's own:\n%s\nwant\n%s", what, got, alone)
+				}
+				for _, b := range aggs[i+1:] {
+					if in == sharded && w.cell(b).out != nil {
+						t.Fatalf("%s: a sharded window evaluated a set", what)
+					}
+				}
 			}
-		}
-		if want := int64(2 * len(aggs)); misses.Load() != want {
-			t.Fatalf("%s: %d misses, want one per node (%d)", what, misses.Load(), want)
+			if want := int64(2 * len(aggs)); misses.Load() != want {
+				t.Fatalf("%s: %d misses, want one per node (%d)", what, misses.Load(), want)
+			}
 		}
 	}
 	set := func(what string, a *dagNode, want ...*dagNode) {
@@ -102,8 +119,28 @@ func TestDagSiblingSets(t *testing.T) {
 	set("an unfused sibling", a2)
 	set("the fused siblings", a3, a1, a3)
 	check("an unfused sibling", a1, a2, a3)
+	// A window that evaluated a2 alone keeps that result once a2 rejoins
+	// the set. The set then evaluates for its other siblings, and every
+	// later request, a2's included, is a memo hit.
+	w := d.newWin(win)
+	eval(w, a2, &hits, &misses)
 	d.unregister(f2, nil)
 	set("refused", a1, a1, a2, a3)
+	hits.Store(0)
+	for _, a := range []*dagNode{a2, a1, a3} {
+		eval(w, a, &hits, &misses)
+	}
+	if hits.Load() != 3 {
+		t.Fatalf("rejoined: %d of 3 requests are memo hits", hits.Load())
+	}
+	// A path that moves no sibling leaves the published set as it is.
+	published := a1.set.Load()
+	other, _ := siblingChain(50)
+	f4, _ := d.register(other, nil, "")
+	d.unregister(f4, nil)
+	if a1.set.Load() != published || a3.set.Load() != published {
+		t.Fatal("a path that moved no sibling republished the set")
+	}
 
 	// The leader leaves: the next-born sibling leads.
 	d.unregister(l1, a1)
@@ -114,33 +151,100 @@ func TestDagSiblingSets(t *testing.T) {
 	check("a lone survivor", a2)
 }
 
-// BenchmarkSiblingAggregates: q filter variants ("WHERE v > c GROUP BY
-// k", count and float sum) over one key on 4096-row windows, each
-// partial requested through the DAG as a member tail does. ns/row is the
-// partial aggregation's time per window row, all variants together.
+// BenchmarkSiblingAggregates: q filter variants over one key (count and
+// float sum GROUP BY k, 64 keys) on 4096-row windows, each partial
+// requested through the DAG as a member tail does. ns/row is the partial
+// aggregation's time per window row, all variants together. The variant
+// families differ in how much of the window their selections cover
+// together, which decides whether a set shares one grouping:
+//
+//   - spread: "WHERE v > 256·i/q", every group reached; the selections
+//     add up to about (q+1)/2 × the rows.
+//   - cover_F: "WHERE v > c_i", each keeping about F/q of the rows, so
+//     the selections add up to about F × the rows.
+//   - key: "WHERE k = i", each reaching one group; together q/64 × the
+//     rows.
 func BenchmarkSiblingAggregates(b *testing.B) {
 	const rows = 4096
 	win := sensorWindow(rows)
-	for _, q := range []int{1, 2, 8, 32} {
+	type chainer func(i, q int) ([]plan.PipelineStep, *plan.Aggregate)
+	selective := []int{2, 8, 32} // one aggregate forms no set
+	cover := func(f float64) chainer {
+		return func(i, q int) ([]plan.PipelineStep, *plan.Aggregate) {
+			return siblingChain(256*(1-f/float64(q)) + float64(i)/1024)
+		}
+	}
+	families := []struct {
+		name  string
+		qs    []int
+		chain chainer
+	}{
+		{"spread", []int{1, 2, 8, 32}, func(i, q int) ([]plan.PipelineStep, *plan.Aggregate) {
+			return siblingChain(256 * float64(i) / float64(q))
+		}},
+		{"cover_0.5", selective, cover(0.5)},
+		{"cover_1", selective, cover(1)},
+		{"cover_1.25", selective, cover(1.25)},
+		{"cover_2", selective, cover(2)},
+		{"key", selective, func(i, q int) ([]plan.PipelineStep, *plan.Aggregate) {
+			return filteredChain(0, algebra.EQ, bat.IntValue(int64(i)), fmt.Sprintf("k=%d", i))
+		}},
+	}
+	for _, fam := range families {
+		for _, q := range fam.qs {
+			b.Run(fmt.Sprintf("%s/q_%d", fam.name, q), func(b *testing.B) {
+				d := newDAG()
+				var aggs []*dagNode
+				for i := 0; i < q; i++ {
+					steps, agg := fam.chain(i, q)
+					_, a := d.register(steps, agg, "")
+					aggs = append(aggs, a)
+				}
+				var hits, misses atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				start := time.Now()
+				for n := 0; n < b.N; n++ {
+					w := d.newWin(kernel.NewView(win))
+					for _, a := range aggs {
+						eval(w, a, &hits, &misses)
+					}
+				}
+				b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkSiblingRegister: q distinct root-level filters ("WHERE v > c
+// GROUP BY k") register one by one into one sibling set and then leave.
+// us/op is the time of one register or unregister, which recomputes the
+// sets under the root view.
+func BenchmarkSiblingRegister(b *testing.B) {
+	for _, q := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("q_%d", q), func(b *testing.B) {
-			d := newDAG()
-			var aggs []*dagNode
-			for i := 0; i < q; i++ {
-				steps, agg := siblingChain(256 * float64(i) / float64(q))
-				_, a := d.register(steps, agg, "")
-				aggs = append(aggs, a)
+			type path struct {
+				steps []plan.PipelineStep
+				agg   *plan.Aggregate
 			}
-			var hits, misses atomic.Int64
+			paths := make([]path, q)
+			for i := range paths {
+				paths[i].steps, paths[i].agg = siblingChain(float64(i) / 4)
+			}
+			leaves, aggs := make([]*dagNode, q), make([]*dagNode, q)
 			b.ReportAllocs()
 			b.ResetTimer()
 			start := time.Now()
 			for n := 0; n < b.N; n++ {
-				w := d.newWin(kernel.NewView(win))
-				for _, a := range aggs {
-					eval(w, a, &hits, &misses)
+				d := newDAG()
+				for i, p := range paths {
+					leaves[i], aggs[i] = d.register(p.steps, p.agg, "")
+				}
+				for i := range paths {
+					d.unregister(leaves[i], aggs[i])
 				}
 			}
-			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(time.Since(start).Microseconds())/float64(2*b.N*q), "us/op")
 		})
 	}
 }

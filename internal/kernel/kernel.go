@@ -43,14 +43,15 @@
 //
 // Sibling aggregates — aggregates over chains of filters and
 // column-reference projections from one ancestor view that group by the
-// same ancestor columns — evaluate together (AggregateSet). Once their
-// selections cover the ancestor's rows, those rows are grouped once, and
-// each sibling aggregates in that grouping's shared id space: the
-// aggregate kernels read ids by row position through the sibling's
-// selection (algebra.Grouping.Within). Its results are then compacted to
-// the groups its selection reaches, in their first-appearance order over
-// it — copied out of a pooled accumulator, or used as they are when that
-// order is the shared one. The bytes equal the sibling's own grouping.
+// same ancestor columns — evaluate together (AggregateSet) over a
+// single-run ancestor. Once their selections cover 1.25× the ancestor's
+// rows, those rows are grouped once, and each sibling aggregates in that
+// grouping's shared id space: the aggregate kernels read ids by row
+// position through the sibling's selection (algebra.Grouping.Within).
+// Its results are then compacted to the groups its selection reaches, in
+// their first-appearance order over it — copied out of a pooled
+// accumulator, or used as they are when that order is the shared one.
+// The bytes equal the sibling's own grouping.
 //
 // A view may also be a sequence of runs (RunsView): a sharded basic
 // window is its shards' basket-segment runs in canonical order, and a
@@ -86,7 +87,6 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -172,6 +172,10 @@ func RunsView(r *bat.Runs) *View {
 	}
 	return &View{runs: rl}
 }
+
+// MultiRun reports whether v reads a sequence of runs (RunsView) rather
+// than one chunk.
+func (v *View) MultiRun() bool { return v.runs != nil }
 
 // Rows reports the view's logical row count without materializing.
 func (v *View) Rows() int {
@@ -547,12 +551,10 @@ type aggScratch struct {
 	parts runList
 	in    denseInputs
 	keys  []bat.Vector
-	// A sibling set's state (AggregateSet): a single-run ancestor's base
-	// chunk, one sibling's positions in a multi-run ancestor, the siblings
-	// waiting for the sharing decision, and the shared-id accumulators,
-	// one per kind.
+	// A sibling set's state (AggregateSet): the ancestor's base chunk,
+	// the siblings waiting for the sharing decision, and the shared-id
+	// accumulators, one per kind.
 	base    *bat.Chunk
-	at      []int32
 	pending []pendingSib
 	acc     [bat.Time + 1]bat.Vector
 }
@@ -568,7 +570,6 @@ func (as *aggScratch) release() {
 	as.keys = as.keys[:0]
 	as.base = nil
 	if poison {
-		fill(as.at[:cap(as.at)], math.MinInt32)
 		for _, v := range as.acc {
 			if v != nil {
 				poisonVector(v)
@@ -695,7 +696,18 @@ type denseVec struct {
 // run's selection and the results are concatenated.
 func (in *denseInputs) of(e expr.Expr) bat.Vector {
 	if c, ok := e.(*expr.Col); ok {
-		return in.col(c.Idx)
+		if len(in.rl.runs) == 1 && in.rl.runs[0].sel == nil {
+			return in.rl.runs[0].c.Cols[c.Idx]
+		}
+		for _, d := range in.vecs {
+			if d.col == c.Idx {
+				return d.b.v
+			}
+		}
+		b := getDense(in.rl.runs[0].c.Cols[c.Idx].Kind(), in.rows)
+		in.rl.fill(b.v, c.Idx)
+		in.vecs = append(in.vecs, denseVec{col: c.Idx, b: b})
+		return b.v
 	}
 	var b *denseBuf
 	off := 0
@@ -707,22 +719,6 @@ func (in *denseInputs) of(e expr.Expr) bat.Vector {
 		off = writeAt(b.v, off, part, nil)
 	}
 	in.vecs = append(in.vecs, denseVec{col: -1, b: b})
-	return b.v
-}
-
-// col returns column idx of the runs as a dense vector, gathered once.
-func (in *denseInputs) col(idx int) bat.Vector {
-	if len(in.rl.runs) == 1 && in.rl.runs[0].sel == nil {
-		return in.rl.runs[0].c.Cols[idx]
-	}
-	for _, d := range in.vecs {
-		if d.col == idx {
-			return d.b.v
-		}
-	}
-	b := getDense(in.rl.runs[0].c.Cols[idx].Kind(), in.rows)
-	in.rl.fill(b.v, idx)
-	in.vecs = append(in.vecs, denseVec{col: idx, b: b})
 	return b.v
 }
 

@@ -83,27 +83,40 @@ func isFilter(st *Step) bool {
 func (s *Sibling) Keys() []int { return s.keys }
 
 // AggregateSet evaluates sibling aggregates over their shared ancestor
-// view v, writing sibs[i]'s partial to out[i]: each partial is
-// byte-identical to AggregateSteps of its own chain over v. Every
-// sibling's chain runs into scratch selections that live for the call.
-// Once the siblings' selections together cover at least the ancestor's
-// base rows — the rows a shared grouping groups, v's own selection
-// included — those rows are grouped once, and every sibling aggregates in
-// that grouping's id space, reading ids and values through its own
-// selection (algebra.Grouping.Within). Its results are then compacted to
-// the groups its selection reaches, in their first-appearance order over
-// it — the order its own grouping would have numbered them in — and
+// view v, which must not be multi-run (View.MultiRun), writing sibs[i]'s
+// partial to out[i]: each partial is byte-identical to AggregateSteps of
+// its own chain over v. Every sibling's chain runs into scratch
+// selections that live for the call. Once the siblings' selections
+// together cover at least 1.25× the ancestor's base rows — the rows a
+// shared grouping groups, v's own selection included — those rows are
+// grouped once, and every sibling aggregates in that grouping's id
+// space, reading ids and values through its own selection
+// (algebra.Grouping.Within). Its results are then compacted to the
+// groups its selection reaches, in their first-appearance order over it
+// — the order its own grouping would have numbered them in — and
 // reordered only when that order is not the shared one. Below that
 // coverage each sibling groups its own rows, as AggregateSteps does. All
 // siblings must have equal Keys; hint pre-sizes the groupings.
+//
+// The coverage is where sharing starts to pay, as measured on 4096-row
+// windows of 64 keys with 2 to 32 siblings (BenchmarkSiblingAggregates):
+// grouping each sibling alone wins clearly when the filters keep few
+// rows (by 16–48% when each reaches one group), the two are within about
+// 10% of each other between 1× and 2× with the crossover near 1.1×, and
+// sharing wins by 22–42% when the selections add up to many times the
+// rows.
 //
 // The decision waits only until the coverage is reached, so at most the
 // selections of the siblings before that point are held at once. shared
 // reports whether the siblings shared a grouping.
 func AggregateSet(sibs []*Sibling, v *View, hint int, out []*bat.Chunk) (shared bool) {
+	if v.MultiRun() {
+		panic("kernel: AggregateSet over a multi-run view")
+	}
 	as := aggScratches.Get().(*aggScratch)
 	defer as.release()
-	rows := as.ancestor(v)
+	as.base = v.flat().Base
+	rows := as.base.Rows()
 	covered, grouped := 0, false
 	var g algebra.Grouping
 	pending := as.pending[:0]
@@ -116,11 +129,11 @@ func AggregateSet(sibs []*Sibling, v *View, hint int, out []*bat.Chunk) (shared 
 			continue
 		}
 		pending = append(pending, pendingSib{i: i, cs: cs, v: sv})
-		if covered += sv.Rows(); covered < rows {
+		if covered += sv.Rows(); covered < rows+rows/4 {
 			continue
 		}
 		for _, k := range sibs[0].keys {
-			as.keys = append(as.keys, as.col(k))
+			as.keys = append(as.keys, as.base.Cols[k])
 		}
 		g = algebra.GroupHint(as.keys, nil, rows, hint)
 		grouped = true
@@ -150,66 +163,9 @@ type pendingSib struct {
 	v  *View
 }
 
-// ancestor prepares the ancestor's base rows for a shared grouping and
-// returns their number: a single-run view's base chunk, or every row of a
-// multi-run view's runs, whose columns col gathers on first use.
-func (as *aggScratch) ancestor(v *View) int {
-	if v.runs == nil {
-		as.base = v.flat().Base
-		return as.base.Rows()
-	}
-	rl := &as.parts
-	for _, r := range v.runs.runs {
-		rl.runs = append(rl.runs, run{c: r.c})
-	}
-	as.in.rl, as.in.rows = rl, rl.rows()
-	return as.in.rows
-}
-
-// col returns the ancestor's column idx over its base rows.
-func (as *aggScratch) col(idx int) bat.Vector {
-	if as.base != nil {
-		return as.base.Cols[idx]
-	}
-	return as.in.col(idx)
-}
-
-// positions returns the ancestor base rows a sibling's view selects: its
-// selection for a single-run view, and for a multi-run one its runs'
-// selections offset to the concatenated runs, built in as.at. Nil means
-// every row.
-func (as *aggScratch) positions(sv *View) algebra.Sel {
-	if sv.runs == nil {
-		return sv.Sel
-	}
-	all := true
-	for _, r := range sv.runs.runs {
-		all = all && r.sel == nil
-	}
-	if all {
-		return nil
-	}
-	at, off := as.at[:0], int32(0)
-	for _, r := range sv.runs.runs {
-		n := int32(r.c.Rows())
-		if r.sel == nil {
-			for i := int32(0); i < n; i++ {
-				at = append(at, off+i)
-			}
-		} else {
-			for _, i := range r.sel {
-				at = append(at, off+i)
-			}
-		}
-		off += n
-	}
-	as.at = at
-	return at
-}
-
 // within is sibling s's partial over view sv in the shared grouping g.
 func (as *aggScratch) within(s *Sibling, sv *View, g *algebra.Grouping) *bat.Chunk {
-	at := as.positions(sv)
+	at := sv.Sel
 	sub := g.Within(at)
 	defer sub.Release()
 	t := s.agg
@@ -220,7 +176,7 @@ func (as *aggScratch) within(s *Sibling, sv *View, g *algebra.Grouping) *bat.Chu
 	for j, spec := range t.Aggs {
 		var arg bat.Vector
 		if s.args[j] >= 0 {
-			arg = as.col(s.args[j])
+			arg = as.base.Cols[s.args[j]]
 		}
 		if sub.Order == nil {
 			cols = append(cols, algebra.Aggregate(spec.Op, arg, at, sub))

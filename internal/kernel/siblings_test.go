@@ -14,12 +14,13 @@ import (
 
 // TestAggregateSetMatchesSteps: every partial of a sibling set equals
 // AggregateSteps of the sibling's own chain over the same view, byte for
-// byte, over dense and multi-run views, for integer, time, string,
-// composite and high-cardinality keys and every aggregate op. Chains keep
-// no row, some rows, every row (with and without a filter), and
-// re-index through a projection, whose key columns the set maps back to
-// the ancestor's. A set whose selections cover the window shares its
-// grouping; one of selective chains only groups each sibling alone.
+// byte, for integer, time, string, composite and high-cardinality keys
+// and every aggregate op. Chains keep no row, some rows, every row (with
+// and without a filter), and re-index through a projection, whose key
+// columns the set maps back to the ancestor's. A set whose selections
+// cover the window one and a quarter times shares its grouping; one of
+// selective chains, or one whose selections add up to exactly the
+// window, groups each sibling alone.
 // Results are re-checked after later calls reused (and, in a test binary,
 // poisoned) the pooled groupings and accumulators.
 func TestAggregateSetMatchesSteps(t *testing.T) {
@@ -57,6 +58,9 @@ func TestAggregateSetMatchesSteps(t *testing.T) {
 	covering := []chain{{[]Step{some}, false}, {nil, false}, {[]Step{none}, false}, {[]Step{proj, second}, true},
 		{[]Step{some, proj}, true}, {[]Step{all}, false}, {[]Step{all, second}, false}, {[]Step{few}, false}}
 	selective := []chain{{[]Step{none}, false}, {[]Step{few}, false}, {[]Step{some, proj}, true}}
+	// exact's selections add up to exactly the window's rows: too few
+	// for a shared grouping to pay.
+	exact := []chain{{[]Step{none}, false}, {nil, false}, {[]Step{none, proj}, true}}
 	// agg aggregates by keys (window columns) with every op, through proj
 	// when permuted.
 	agg := func(keys []*expr.Col, permuted func(*expr.Col) expr.Expr) *plan.Aggregate {
@@ -86,47 +90,38 @@ func TestAggregateSetMatchesSteps(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		c := randomWindow(rng, 100+rng.Intn(700))
 		for ki, keys := range keySets {
-			for si, chains := range [][]chain{covering, selective} {
-				for _, runs := range []bool{false, true} {
-					split := randomSplit(rng, c)
-					in := func() *View {
-						if runs {
-							return RunsView(split)
-						}
-						return NewView(c)
+			for si, chains := range [][]chain{covering, selective, exact} {
+				sibs := make([]*Sibling, len(chains))
+				aggs := make([]*plan.Aggregate, len(chains))
+				steps := make([][]*Step, len(chains))
+				for i, ch := range chains {
+					if ch.permuted {
+						aggs[i] = agg(keys, permuted)
+					} else {
+						aggs[i] = agg(keys, nil)
 					}
-					sibs := make([]*Sibling, len(chains))
-					aggs := make([]*plan.Aggregate, len(chains))
-					steps := make([][]*Step, len(chains))
-					for i, ch := range chains {
-						if ch.permuted {
-							aggs[i] = agg(keys, permuted)
-						} else {
-							aggs[i] = agg(keys, nil)
-						}
-						for j := range ch.steps {
-							steps[i] = append(steps[i], &ch.steps[j])
-						}
-						s, ok := NewSibling(aggs[i], steps[i])
-						if !ok {
-							t.Fatalf("chain %d is not a sibling", i)
-						}
-						if i > 0 && fmt.Sprint(s.Keys()) != fmt.Sprint(sibs[0].Keys()) {
-							t.Fatalf("chain %d maps its keys to %v, chain 0 to %v", i, s.Keys(), sibs[0].Keys())
-						}
-						sibs[i] = s
+					for j := range ch.steps {
+						steps[i] = append(steps[i], &ch.steps[j])
 					}
-					out := make([]*bat.Chunk, len(sibs))
-					shared := AggregateSet(sibs, in(), rng.Intn(64), out)
-					if want := si == 0; shared != want {
-						t.Fatalf("round %d keys %d set %d runs %v: shared %v, want %v", round, ki, si, runs, shared, want)
+					s, ok := NewSibling(aggs[i], steps[i])
+					if !ok {
+						t.Fatalf("chain %d is not a sibling", i)
 					}
-					for i := range sibs {
-						want := AggregateSteps(aggs[i], steps[i], in(), 0)
-						what := fmt.Sprintf("round %d, keys %d, set %d, chain %d, runs %v", round, ki, si, i, runs)
-						mustSameBytes(t, out[i], want, what)
-						results = append(results, result{out[i], bat.MarshalChunk(nil, want), what})
+					if i > 0 && fmt.Sprint(s.Keys()) != fmt.Sprint(sibs[0].Keys()) {
+						t.Fatalf("chain %d maps its keys to %v, chain 0 to %v", i, s.Keys(), sibs[0].Keys())
 					}
+					sibs[i] = s
+				}
+				out := make([]*bat.Chunk, len(sibs))
+				shared := AggregateSet(sibs, NewView(c), rng.Intn(64), out)
+				if want := si == 0; shared != want {
+					t.Fatalf("round %d keys %d set %d: shared %v, want %v", round, ki, si, shared, want)
+				}
+				for i := range sibs {
+					want := AggregateSteps(aggs[i], steps[i], NewView(c), 0)
+					what := fmt.Sprintf("round %d, keys %d, set %d, chain %d", round, ki, si, i)
+					mustSameBytes(t, out[i], want, what)
+					results = append(results, result{out[i], bat.MarshalChunk(nil, want), what})
 				}
 			}
 		}

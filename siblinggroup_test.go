@@ -57,7 +57,8 @@ func siblingRows(lo, hi int) *bat.Chunk {
 // TestSiblingGroupingMatchesPrivate registers every family's siblings
 // shared and, next to each, a twin that evaluates alone (NoMemo,
 // NoSharedMerge), and compares their result sequences window by window,
-// over a single-run stream and a two-shard one. One more sibling joins
+// over a single-run stream and a two-shard one, whose multi-run windows
+// evaluate each sibling alone. One more sibling joins
 // mid-stream, is paused across a burst that seals several windows in one
 // append, and leaves mid-stream. Released groupings and accumulators are
 // poisoned in test binaries, so a partial that kept scratch storage fails
