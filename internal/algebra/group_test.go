@@ -180,7 +180,7 @@ func TestQuickAggMergeEquivalence(t *testing.T) {
 			la := Aggregate(op, lv, nil, left)
 			ra := Aggregate(op, rv, nil, right)
 			got := MergeAgg(op, la, ra).Get(0)
-			if !got.Equal(want) {
+			if got.Compare(want) != 0 {
 				t.Fatalf("iter %d op %s: merged %v != whole %v", iter, op, got, want)
 			}
 		}

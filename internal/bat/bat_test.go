@@ -97,13 +97,18 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestValueEqualCrossKind: numeric kinds compare by widening, and any
+// other kind mismatch is refused, never reported as equal.
 func TestValueEqualCrossKind(t *testing.T) {
-	if !IntValue(2).Equal(FloatValue(2.0)) {
+	if IntValue(2).Compare(FloatValue(2.0)) != 0 {
 		t.Error("INT 2 should equal FLOAT 2.0")
 	}
-	if IntValue(2).Equal(StrValue("2")) {
-		t.Error("INT 2 should not equal STRING \"2\"")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("comparing INT with STRING should panic")
+		}
+	}()
+	IntValue(2).Compare(StrValue("2"))
 }
 
 func TestParseValue(t *testing.T) {
@@ -373,13 +378,11 @@ func TestSchemaHelpers(t *testing.T) {
 	}
 }
 
-// Property: Value.Compare is antisymmetric and consistent with Equal for
-// random int pairs.
+// Property: Value.Compare is antisymmetric for random int pairs.
 func TestQuickCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := IntValue(a), IntValue(b)
-		return va.Compare(vb) == -vb.Compare(va) &&
-			(va.Compare(vb) == 0) == va.Equal(vb)
+		return va.Compare(vb) == -vb.Compare(va)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

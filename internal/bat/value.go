@@ -153,15 +153,6 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Equal reports whether two values have the same kind and payload (with
-// Int/Float widening, matching Compare).
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind && !(v.Kind.Numeric() && o.Kind.Numeric()) {
-		return false
-	}
-	return v.Compare(o) == 0
-}
-
 // ParseValue parses the textual form of a value of the given kind, the
 // format spoken by CSV receptors. Timestamps accept RFC3339 or raw
 // microseconds.

@@ -165,10 +165,11 @@ func (d *dag) node(fp string, parent *dagNode) (n *dagNode, created bool) {
 // stage) to the DAG, reusing nodes whose cumulative fingerprints match.
 // It returns the member's pipeline leaf and aggregate node (either may be
 // nil: an empty chain means the member consumes raw basic windows).
-// Each registered path holds one reference on every node it traverses —
-// an aggregate member registers two, its leaf's and its aggregate's —
-// and a member without an aggregate reads its leaf (ends); unregister
-// releases both.
+// aggFp is the aggregate stage's fingerprint over the chain
+// (plan.Decomposition.AggFp). Each registered path holds one reference on
+// every node it traverses — an aggregate member registers two, its leaf's
+// and its aggregate's — and a member without an aggregate reads its leaf
+// (ends); unregister releases both.
 func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp string) (leaf, aggNode *dagNode) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -182,18 +183,8 @@ func (d *dag) register(steps []plan.PipelineStep, agg *plan.Aggregate, aggFp str
 	}
 	d.retain(leaf)
 	if agg != nil {
-		// aggFp is the caller's memoized render (plan-cache-shared plans
-		// pay it once); fall back to rendering here when absent.
-		fp := aggFp
-		if fp == "" {
-			childFp := "raw"
-			if leaf != nil {
-				childFp = leaf.fp
-			}
-			fp = plan.FingerprintAggregate(agg, childFp)
-		}
 		var created bool
-		if aggNode, created = d.node(fp, leaf); created {
+		if aggNode, created = d.node(aggFp, leaf); created {
 			aggNode.agg = agg
 		}
 		d.retain(aggNode)

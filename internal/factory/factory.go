@@ -11,9 +11,14 @@
 //   - Re-evaluation (mode 1): every firing runs the complete plan
 //     (kernel.Run) over the full current window, one view over its basic
 //     windows' runs (or over the new batch, for non-windowed queries).
-//   - Incremental (mode 2): compiled per-basic-window chains compute
-//     intermediates once, cached in columnar form and merged per slide
-//     according to the plan decomposition.
+//   - Incremental (mode 2): the decomposition's linearized chains
+//     (plan.Decompose derives them once per plan) compute per-basic-window
+//     intermediates once, cached in columnar form and merged per slide,
+//     and the post-merge chain runs over the merged view. A member
+//     compiles each chain once: as nodes of the group's shared tries, or,
+//     outside them, as its own chain. The kernel's step kernels evaluate
+//     both, memoized step by step in the tries or in one pooled call
+//     (kernel.AggregateSteps, kernel.MaterializeSteps) for a private one.
 //
 // Every continuous query runs as a member of an execution group (Group):
 // the group's front ends drain every shard of every input basket, cut the
@@ -21,11 +26,11 @@
 // shards' fragments into basic windows (window.ShardMerge) and fan them
 // out once, into the group's delivery log, which each member reads from
 // its own cursor. A Factory is only the member's tail: per logged window
-// it runs ring maintenance, the per-basic-window pipeline unless the
-// group's DAG resolved it, partial-aggregate merging, join caching and
-// the post-merge fragment, then emits. A non-windowed input's front end
-// hands over each basket segment as its own batch, which the tail
-// evaluates with the full plan (mode 1).
+// it runs ring maintenance, its own per-basic-window chain when the
+// member is outside the group's DAG, partial-aggregate merging, join
+// caching and the post-merge chain, then emits. A non-windowed input's
+// front end hands over each basket segment as its own batch, which the
+// tail evaluates with the full plan (mode 1).
 //
 // Shared multi-query execution: continuous queries over the same stream
 // and slide granularity run as members of one shared execution group
@@ -136,13 +141,17 @@ type Factory struct {
 	cfg    Config
 	inputs []*input
 	jc     *window.SharedPairCache // the group's pair cache (join plans)
-	// pipes holds one compiled pipeline per decomposition pipeline: the
-	// per-basic-window chains a member runs when the group's DAG did not
-	// resolve its window. post is the compiled post-merge chain (nil when
-	// the decomposition has none), the same steps the group's post-merge
-	// trie registers. Both are unset without a decomposition.
-	pipes []*kernel.Pipeline
-	post  *kernel.Pipeline
+	// steps holds the per-basic-window chains, one per side, that the
+	// member evaluates itself: compiled only for a member outside the
+	// group's DAG (NoMemo); a member in the DAG resolves its windows there,
+	// and its raw (empty-chain) side reads the window as it is. post is the
+	// post-merge chain (nil without a post fragment): the member's path in
+	// its merge class's post-merge trie, compiled on its own only without a
+	// class. Group.Join sets both; hint pre-sizes the private partial
+	// aggregate's grouping with the last one's cardinality.
+	steps [][]*kernel.Step
+	post  []*kernel.Step
+	hint  int
 	// reevalJoin marks a re-evaluation-mode join whose plan decomposes:
 	// the full-window recompute is expressed as the merge of cached
 	// basic-window pairs through the group's pair cache instead of
@@ -203,27 +212,7 @@ func New(cfg Config) (*Factory, error) {
 	if len(scans) == 0 {
 		return nil, fmt.Errorf("factory %s: plan reads no stream", cfg.Name)
 	}
-	if d := cfg.Decomp; d != nil && (cfg.Mode == Incremental || f.reevalJoin) {
-		// Compile the per-basic-window chains and the post-merge chain.
-		// Single-stream aggregate plans skip materializing the pipeline
-		// output: only the per-window partials merge downstream, so the
-		// filtered intermediate chunk is never reconstructed.
-		f.pipes = make([]*kernel.Pipeline, len(d.Pipelines))
-		for i := range d.Pipelines {
-			kp, ok := kernel.Compile(d, i, d.Agg, d.Agg == nil)
-			if !ok {
-				return nil, fmt.Errorf("factory %s: pipeline of %s does not linearize", cfg.Name, d.Pipelines[i].Scan.Alias)
-			}
-			f.pipes[i] = kp
-		}
-		if d.Post != nil {
-			steps, ok := d.PostStepsMemo(d.ClassKeyMemo())
-			if !ok {
-				return nil, fmt.Errorf("factory %s: post-merge fragment does not linearize", cfg.Name)
-			}
-			f.post = kernel.Chain(steps, nil, true)
-		}
-	}
+	f.steps = make([][]*kernel.Step, len(scans))
 	for _, s := range scans {
 		in := &input{scan: s}
 		if s.Window != nil {
@@ -412,18 +401,25 @@ func (f *Factory) triggerArrival(maxArrival int64) int64 {
 
 // incrementalStep is the paper's mode 2: the merged basic window's
 // intermediates are resolved (through the group's DAG, or here by the
-// member's own pipeline), the window enters the ring, and cached
+// member's own chain), the window enters the ring, and cached
 // intermediates merge when a slide completes.
 func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 	d := f.cfg.Decomp
 	in := f.inputs[idx]
 
 	if bw.Out == nil && bw.Partial == nil {
-		// Per-basic-window pipeline over the raw tuples: the path for
-		// members whose pipeline is not in the group's DAG (the DAG
-		// resolves Partial, or Out for plans without an aggregate, before
-		// the tail runs).
-		bw.Out, bw.Partial = f.pipes[idx].RunRuns(bw.Data)
+		// The group's DAG did not resolve the window (it resolves Partial,
+		// or Out for plans without an aggregate, before the tail runs): the
+		// member's own chain reads the raw runs — an empty chain for a DAG
+		// member's raw side. Single-stream aggregate plans only merge the
+		// partials, so the chain's output is never materialized.
+		v := kernel.RunsView(bw.Data)
+		if d.Agg != nil {
+			bw.Partial = kernel.AggregateSteps(d.Agg, f.steps[idx], v, f.hint)
+			f.hint = bw.Partial.Rows()
+		} else {
+			bw.Out = kernel.MaterializeView(f.steps[idx], v)
+		}
 	}
 	// The cached intermediates replace the raw tuples, so they (and a
 	// group member's share of the buffer) are released now rather than at
@@ -463,7 +459,7 @@ func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 		for _, lbw := range in.ring.Live() {
 			f.parts = append(f.parts, lbw.Partial)
 		}
-		merged = kernel.Merge(d.MergePlanMemo(), f.parts, 0)
+		merged = kernel.Merge(d.Merge, f.parts, 0)
 		clear(f.parts)
 		f.parts = f.parts[:0]
 	default:
@@ -471,7 +467,7 @@ func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 	}
 
 	if f.post != nil {
-		merged, _ = f.post.Run(merged)
+		merged = kernel.MaterializeSteps(f.post, merged)
 	}
 	f.emit(merged, f.triggerArrival(bw.MaxArrival), bw.Gen)
 	return 1

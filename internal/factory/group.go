@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"datacell/internal/basket"
 	"datacell/internal/bat"
@@ -255,7 +254,7 @@ type Group struct {
 	members []*Member
 	queries []string
 	viewers int
-	classes map[string]*mergeClass // merge classes by plan.MergeKey / plan.JoinMergeKey
+	classes map[string]*mergeClass // merge classes by plan.Decomposition.ClassKey
 	// classSlots holds the live classes by ordinal (nil: a free slot): a
 	// fan-out indexes each window's merge cells by it.
 	classSlots []*mergeClass
@@ -308,9 +307,6 @@ type GroupConfig struct {
 	// merge classes, pair caches, post-merge trie — works unchanged on
 	// remote windows, and a join may pair a remote stream with a local one.
 	Remote []*RemoteSource
-	// Now supplies the clock in microseconds (defaults to the system
-	// clock).
-	Now func() int64
 	// NotifyMember re-enables a member query's tail transition; the engine
 	// wires it to the scheduler.
 	NotifyMember func(query string)
@@ -364,17 +360,15 @@ type Member struct {
 
 	// Shared-merge state. classKey is the member's merge-class key (""
 	// when the member merges privately: re-evaluation scans, NoMemo, or
-	// NoSharedMerge) and class the
-	// class itself. postLeaf is the member's post-merge chain in the
-	// class's post-merge trie (nil when the plan has no post fragment),
-	// postSteps the chain's compiled steps, root first, and postTop its
-	// first node: while postTop is not shared, no other chain reads any
-	// node of the member's.
-	classKey  string
-	class     *mergeClass
-	postLeaf  *dagNode
-	postSteps []*kernel.Step
-	postTop   *dagNode
+	// NoSharedMerge) and class the class itself. postLeaf is the member's
+	// post-merge chain in the class's post-merge trie (nil when the plan
+	// has no post fragment), whose compiled steps are the factory's post
+	// chain, and postTop its first node: while postTop is not shared, no
+	// other chain reads any node of the member's.
+	classKey string
+	class    *mergeClass
+	postLeaf *dagNode
+	postTop  *dagNode
 
 	// cur is the member's position in the group's delivery log; seen
 	// counts the windows it read per side, and a one-sided member's
@@ -390,9 +384,6 @@ type Member struct {
 // registers the shard transitions, then calls SubscribeAppend, so no basic
 // window can seal while the group has no members.
 func NewGroup(cfg GroupConfig) *Group {
-	if cfg.Now == nil {
-		cfg.Now = func() int64 { return time.Now().UnixMicro() }
-	}
 	wins := make([]*plan.Window, len(cfg.Scans))
 	g := &Group{cfg: cfg, genCtr: make([]int64, len(cfg.Scans)),
 		classes: make(map[string]*mergeClass), caches: make(map[string]*jcEntry)}
@@ -501,12 +492,11 @@ func (g *Group) MemoHits() int64 { return g.memoHits.Load() }
 func (g *Group) MemoMisses() int64 { return g.memoMisses.Load() }
 
 // MergeStats reports the active merge classes (group-owned merge rings
-// serving two or more members holding byte-identical merged views —
-// plan.MergeKey for single-stream groups, plan.JoinMergeKey for join
-// groups) and the merged-view memo counters: hits are merged views served
-// from a sibling's evaluation, misses actual merge evaluations — for N
-// class members, one miss and N-1 hits per sealed window once everyone is
-// warm.
+// serving two or more members holding byte-identical merged views, by
+// plan.Decomposition.ClassKey) and the merged-view memo counters: hits
+// are merged views served from a sibling's evaluation, misses actual
+// merge evaluations — for N class members, one miss and N-1 hits per
+// sealed window once everyone is warm.
 func (g *Group) MergeStats() (classes int, hits, misses int64) {
 	g.mu.Lock()
 	for _, mc := range g.classes {
@@ -555,30 +545,31 @@ func (g *Group) PairStats() (caches, pairs int, computed int64) {
 // epochs are included in it.
 //
 // A member registers its linearized per-basic-window pipelines
-// (plan.PipelineSteps) in the side DAGs, unless the factory opted out
-// (NoMemo); in a one-sided group this takes an incremental plan, and its
-// partial-aggregate stage registers too. Such a member additionally joins
-// the merge class of its merge key (unless NoSharedMerge) and registers
-// its post-merge fragment in the post-merge trie, so once a second member
-// with the same key arrives, merge and identical post fragments evaluate
-// once per sealed window for the whole class. A join member also acquires
-// the shared pair cache of its join fingerprint — created on first use —
-// which replaces the factory's private cache.
+// (plan.Pipeline.Steps) in the side DAGs, unless the factory opted out
+// (NoMemo) and compiles them for itself; in a one-sided group this takes
+// an incremental plan, and its partial-aggregate stage registers too.
+// Such a member additionally joins the merge class of its merge key
+// (unless NoSharedMerge) and registers its post-merge fragment in the
+// post-merge trie, so once a second member with the same key arrives,
+// merge and identical post fragments evaluate once per sealed window for
+// the whole class; a member without a class compiles its post-merge
+// chain for itself. A join member also acquires the shared pair cache of
+// its join fingerprint, created on first use.
 func (g *Group) Join(query string, fac *Factory) *Member {
 	n := len(g.sides)
 	m := &Member{g: g, query: query, fac: fac, leaf: make([]*dagNode, n), seen: make([]int64, n)}
 	d := fac.cfg.Decomp
 	joined := d != nil && d.Join != nil
 	piped := d != nil && !fac.cfg.NoMemo && (joined || n == 1 && fac.cfg.Mode == Incremental)
-	if piped {
-		// factory.New compiled these pipelines, so they linearize.
-		for s := range g.sides {
-			steps, _ := d.StepsMemo(s)
-			if n == 1 {
-				m.leaf[s], m.aggLeaf = g.sides[s].dag.register(steps, d.Agg, d.AggFingerprintMemo())
-			} else {
-				m.leaf[s], _ = g.sides[s].dag.register(steps, nil, "")
-			}
+	for s := range g.sides {
+		switch {
+		case d == nil:
+		case !piped:
+			fac.steps[s] = kernel.CompileSteps(d.Pipelines[s].Steps)
+		case n == 1:
+			m.leaf[s], m.aggLeaf = g.sides[s].dag.register(d.Pipelines[s].Steps, d.Agg, d.AggFp)
+		default:
+			m.leaf[s], _ = g.sides[s].dag.register(d.Pipelines[s].Steps, nil, "")
 		}
 	}
 	if piped && !fac.cfg.NoSharedMerge {
@@ -586,7 +577,7 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		// is a deterministic function of the class rings. A join class key
 		// embeds the join fingerprint, which covers both side pipelines:
 		// class siblings necessarily share a pair cache.
-		m.classKey = d.ClassKeyMemo()
+		m.classKey = d.ClassKey
 	}
 	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil
 	if d != nil {
@@ -599,7 +590,7 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	}
 	g.mu.Lock()
 	if joined {
-		m.pcKey = d.JoinFingerprintMemo()
+		m.pcKey = d.JoinFp
 		e := g.caches[m.pcKey]
 		if e == nil {
 			e = &jcEntry{pc: window.NewSharedPairCache(d.Join)}
@@ -618,10 +609,10 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 		}
 		m.class = mc
 		if d.Post != nil {
-			// factory.New compiled this chain, so it linearizes.
-			psteps, _ := d.PostStepsMemo(m.classKey)
-			m.postLeaf, _ = mc.post.register(psteps, nil, "")
-			m.postSteps, m.postTop = chain(m.postLeaf)
+			// The trie nodes' compiled steps are also the member's private
+			// post-merge chain.
+			m.postLeaf, _ = mc.post.register(d.PostSteps, nil, "")
+			fac.post, m.postTop = chain(m.postLeaf)
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
@@ -641,6 +632,9 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 	// No firing is in flight yet: the member's tail transition is
 	// registered after Join returns.
 	fac.jc = m.pc
+	if d != nil && d.Post != nil && m.class == nil {
+		fac.post = kernel.CompileSteps(d.PostSteps)
+	}
 	return m
 }
 
@@ -960,8 +954,8 @@ func (m *Member) resolveFinal(bw *window.BW, cell *mergeCell) {
 		// No other chain reads a node of this one (or none did when the
 		// cell was evaluated): the member evaluates it alone, counting one
 		// miss per node as the memo would.
-		bw.Final = kernel.MaterializeSteps(m.postSteps, merged)
-		m.g.postMisses.Add(int64(len(m.postSteps)))
+		bw.Final = kernel.MaterializeSteps(m.fac.post, merged)
+		m.g.postMisses.Add(int64(len(m.fac.post)))
 	default:
 		bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
 	}

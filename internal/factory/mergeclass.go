@@ -14,8 +14,8 @@ import (
 // extension of the per-member window rings past the merge boundary.
 // Members of one Group whose decompositions agree on a merge key — window
 // extent plus the canonical fingerprint of the merged view's content
-// (plan.MergeKey; plan.JoinMergeKey, whose join fingerprint covers both
-// side pipelines, for a join group) — hold byte-identical merged views,
+// (plan.Decomposition.ClassKey; over a join, the join fingerprint, which
+// covers both side pipelines) — hold byte-identical merged views,
 // so the group keeps ONE ring of the last `parts` sealed basic windows
 // per side and class and evaluates the merged view once per window for
 // all of them. How depends on the number of sides, fixed when the class
@@ -45,7 +45,6 @@ import (
 // has two or more readers does a window's merge cell carry a memo slab
 // over the trie, so identical fragments still evaluate once per window.
 type mergeClass struct {
-	key   string
 	ord   int // index in the group's class slots (Group.classSlots)
 	parts int
 	leaf  []*dagNode // per-side pipeline leaves in the side DAGs (nil: raw)
@@ -76,9 +75,9 @@ type mergeClass struct {
 // leaves (and, over one side, its partial-aggregate node) and, over two
 // sides, merges through m's pair cache.
 func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
-	mc := &mergeClass{key: m.classKey, parts: m.parts, leaf: m.leaf, pc: m.pc, post: newDAG()}
+	mc := &mergeClass{parts: m.parts, leaf: m.leaf, pc: m.pc, post: newDAG()}
 	if len(m.leaf) == 1 {
-		mc.merge, mc.aggLeaf, mc.outSchema, mc.view = d.MergePlanMemo(), m.aggLeaf, d.MergedLeaf.Out, mergeScanView
+		mc.merge, mc.aggLeaf, mc.outSchema, mc.view = d.Merge, m.aggLeaf, d.MergedLeaf.Out, mergeScanView
 	} else {
 		mc.view = mergeJoinView
 	}

@@ -46,6 +46,12 @@ func filteredChain(col int, op algebra.CmpOp, c bat.Value, fp string) ([]plan.Pi
 	return steps, agg
 }
 
+// aggFp is the aggregate stage's fingerprint over steps, as Decompose
+// renders it.
+func aggFp(steps []plan.PipelineStep, a *plan.Aggregate) string {
+	return plan.FingerprintAggregate(a, steps[len(steps)-1].Fp)
+}
+
 // TestDagSiblingSets: aggregate nodes whose fused chains start at the
 // same node and group by the same columns form one sibling set, decided
 // at every register and unregister: a second sibling forms the set, a
@@ -60,7 +66,7 @@ func TestDagSiblingSets(t *testing.T) {
 	var hits, misses atomic.Int64
 	join := func(c float64) (leaf, agg *dagNode) {
 		steps, a := siblingChain(c)
-		return d.register(steps, a, "")
+		return d.register(steps, a, aggFp(steps, a))
 	}
 	// sharded is a two-shard window: a multi-run root, over which every
 	// sibling evaluates alone.
@@ -197,7 +203,7 @@ func BenchmarkSiblingAggregates(b *testing.B) {
 				var aggs []*dagNode
 				for i := 0; i < q; i++ {
 					steps, agg := fam.chain(i, q)
-					_, a := d.register(steps, agg, "")
+					_, a := d.register(steps, agg, aggFp(steps, agg))
 					aggs = append(aggs, a)
 				}
 				var hits, misses atomic.Int64
@@ -238,7 +244,7 @@ func BenchmarkSiblingRegister(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				d := newDAG()
 				for i, p := range paths {
-					leaves[i], aggs[i] = d.register(p.steps, p.agg, "")
+					leaves[i], aggs[i] = d.register(p.steps, p.agg, aggFp(p.steps, p.agg))
 				}
 				for i := range paths {
 					d.unregister(leaves[i], aggs[i])

@@ -3,8 +3,13 @@
 // re-evaluated full window, a non-windowed batch, a one-time query —
 // runs on the kernels here, over lazy views. The paper's two continuous
 // modes differ only in what they feed a plan: re-evaluation (mode 1)
-// feeds Run the whole window, incremental (mode 2) feeds compiled
-// per-basic-window pipelines and then the merge of their intermediates.
+// feeds Run the whole window, incremental (mode 2) feeds each basic
+// window to the plan's linearized chains (CompileStep), and then the
+// merge of their intermediates to its post-merge chain. A chain evaluates
+// in one of two ways over the same compiled steps: memoized step by step
+// (Step.Apply, which the factory's shared tries latch per window), or in
+// one call whose transient state is pooled (AggregateSteps,
+// MaterializeSteps).
 //
 // The fusion mechanism is the candidate list (algebra.Sel). Every expr
 // evaluator is dense-over-sel — e.Eval(c, sel) equals
@@ -345,9 +350,17 @@ func MaterializeSteps(steps []*Step, c *bat.Chunk) *bat.Chunk {
 	return cs.apply(steps, &cs.views[1]).Materialize()
 }
 
-// chainScratch is one AggregateSteps or MaterializeSteps call's transient
-// state: the chain's selections and the views single-run steps are built
-// in, alternating. It is pooled, so a warm call allocates nothing for it,
+// MaterializeView is MaterializeSteps over a view, such as a basic window
+// held as runs (RunsView), read in place.
+func MaterializeView(steps []*Step, v *View) *bat.Chunk {
+	cs := chainScratches.Get().(*chainScratch)
+	defer cs.release()
+	return cs.apply(steps, v).Materialize()
+}
+
+// chainScratch is one AggregateSteps, MaterializeSteps or MaterializeView
+// call's transient state: the chain's selections and the views single-run
+// steps are built in, alternating. It is pooled, so a warm call allocates nothing for it,
 // and emptied before it goes back, so the pool never keeps a window's
 // data alive.
 type chainScratch struct {
@@ -966,74 +979,47 @@ func sortChunk(t *plan.Sort, in *bat.Chunk) *bat.Chunk {
 	return &bat.Chunk{Schema: in.Schema, Cols: cols}
 }
 
-// Pipeline is one compiled fused per-basic-window chain: the linearized
-// operator steps of a decomposition pipeline plus its optional terminal
-// partial-aggregate stage.
+// CompileSteps compiles a linearized chain — a per-basic-window pipeline
+// or a post-merge fragment — for AggregateSteps and MaterializeSteps.
+func CompileSteps(steps []plan.PipelineStep) []*Step {
+	out := make([]*Step, len(steps))
+	for i, s := range steps {
+		st := CompileStep(s)
+		out[i] = &st
+	}
+	return out
+}
+
+// Pipeline is one decomposition pipeline compiled for the step kernels —
+// AggregateSteps and MaterializeSteps, the evaluator every continuous
+// query's private chains run — plus its optional partial-aggregate stage.
 type Pipeline struct {
-	steps []Step
+	steps []*Step
 	agg   *plan.Aggregate
-	// needOut materializes the pipeline output chunk even when a terminal
-	// aggregate consumes the view directly. Single-stream aggregate plans
-	// clear it: downstream only merges the partials, so the filtered
-	// intermediate never needs reconstructing.
+	// needOut materializes the pipeline output even when the aggregate
+	// stage consumes the chain.
 	needOut bool
-	// hint remembers the newest observed aggregate output cardinality,
-	// pre-sizing the next window's grouping hash table.
-	hint atomic.Int64
 }
 
-// Compile linearizes a decomposition pipeline into a fused chain. side
-// selects the pipeline (0, or 1 for a join's right side); the steps come
-// from the decomposition's memoized linearization, so plan-cache-shared
-// plans fingerprint once across registrations. agg is the plan's
-// partial-aggregate stage (nil when the decomposition has none); needOut
-// asks Run to materialize the pipeline output chunk even for aggregate
-// chains. ok is false when the pipeline contains a shape PipelineSteps
-// cannot linearize, which Decompose never produces.
+// Compile compiles pipeline side of d (0, or 1 for a join's right side)
+// and agg, the plan's partial-aggregate stage (nil for none); needOut
+// asks Run to materialize the pipeline output for aggregate chains too.
+// ok is always true: Decompose rejects a pipeline that does not
+// linearize.
 func Compile(d *plan.Decomposition, side int, agg *plan.Aggregate, needOut bool) (*Pipeline, bool) {
-	steps, ok := d.StepsMemo(side)
-	if !ok {
-		return nil, false
-	}
-	return Chain(steps, agg, needOut), true
+	return &Pipeline{steps: CompileSteps(d.Pipelines[side].Steps), agg: agg, needOut: needOut}, true
 }
 
-// Chain compiles linearized operator steps — a per-basic-window pipeline
-// or a post-merge fragment (plan.PostSteps) — and an optional terminal
-// aggregate into a pipeline.
-func Chain(steps []plan.PipelineStep, agg *plan.Aggregate, needOut bool) *Pipeline {
-	kp := &Pipeline{steps: make([]Step, len(steps)), agg: agg, needOut: needOut}
-	for i, st := range steps {
-		kp.steps[i] = CompileStep(st)
-	}
-	return kp
-}
-
-// Run evaluates the fused chain over one dense basic-window chunk. out is
-// the pipeline output chunk (nil when the chain terminates in an
-// aggregate and needOut is false); partial is the partial-aggregate chunk
-// (nil when the chain has no aggregate stage).
+// Run evaluates the chain over one dense basic-window chunk. out is the
+// pipeline output (nil when the chain ends in an aggregate and needOut is
+// unset); partial is the partial aggregate (nil without one).
 func (kp *Pipeline) Run(raw *bat.Chunk) (out, partial *bat.Chunk) {
-	return kp.run(NewView(raw))
-}
-
-// RunRuns is Run over a basic window or fragment held as runs, read in
-// place: its results are byte-identical to Run over the runs' Concat.
-func (kp *Pipeline) RunRuns(raw *bat.Runs) (out, partial *bat.Chunk) {
-	return kp.run(RunsView(raw))
-}
-
-func (kp *Pipeline) run(v *View) (out, partial *bat.Chunk) {
-	for i := range kp.steps {
-		v = kp.steps[i].Apply(v, nil)
+	switch {
+	case kp.agg == nil:
+		return MaterializeSteps(kp.steps, raw), nil
+	case kp.needOut:
+		out = MaterializeSteps(kp.steps, raw)
+		return out, Aggregate(kp.agg, NewView(out), 0)
 	}
-	if kp.agg == nil {
-		return v.Materialize(), nil
-	}
-	partial = Aggregate(kp.agg, v, int(kp.hint.Load()))
-	kp.hint.Store(int64(partial.Rows()))
-	if kp.needOut {
-		out = v.Materialize()
-	}
-	return out, partial
+	return nil, AggregateSteps(kp.agg, kp.steps, NewView(raw), 0)
 }

@@ -337,8 +337,9 @@ func TestEmptyWindow(t *testing.T) {
 	}
 }
 
-// TestRunNoOutForAggChains: with needOut unset, an aggregate chain skips
-// materializing the pipeline output entirely.
+// TestRunNoOutForAggChains: with needOut unset, a compiled aggregate
+// chain skips materializing the pipeline output entirely; with it set,
+// Run returns both, each equal to the dense reference.
 func TestRunNoOutForAggChains(t *testing.T) {
 	c := testChunk(64)
 	agg := &plan.Aggregate{
@@ -346,16 +347,32 @@ func TestRunNoOutForAggChains(t *testing.T) {
 		Aggs: []plan.AggSpec{{Op: algebra.AggCount, Name: "n"}},
 		Out:  bat.Schema{Names: []string{"k", "n"}, Kinds: []bat.Kind{bat.Int, bat.Int}},
 	}
-	kp := &Pipeline{steps: []Step{
-		CompileStep(plan.PipelineStep{Op: &plan.Filter{Pred: cmp(algebra.LT, col(1, bat.Int), intConst(3))}}),
-	}, agg: agg}
+	step := plan.PipelineStep{Op: &plan.Filter{Pred: cmp(algebra.LT, col(1, bat.Int), intConst(3))}}
+	d := &plan.Decomposition{Pipelines: []*plan.Pipeline{{Steps: []plan.PipelineStep{step}}}, Agg: agg}
+	wantOut := refStep(step, c)
+	want := refAggregate(agg, wantOut)
+
+	kp, ok := Compile(d, 0, d.Agg, false)
+	if !ok {
+		t.Fatal("Compile refused a linearized pipeline")
+	}
 	out, partial := kp.Run(c)
 	if out != nil {
 		t.Fatal("needOut=false aggregate chain materialized its output")
 	}
-	want := refAggregate(agg,
-		refStep(plan.PipelineStep{Op: kp.steps[0].Op}, c))
 	mustEqualChunks(t, partial, want, "partial without out")
+
+	kp, _ = Compile(d, 0, d.Agg, true)
+	out, partial = kp.Run(c)
+	mustEqualChunks(t, out, wantOut, "out with needOut")
+	mustEqualChunks(t, partial, want, "partial with out")
+
+	kp, _ = Compile(d, 0, nil, false)
+	out, partial = kp.Run(c)
+	if partial != nil {
+		t.Fatal("chain without an aggregate returned a partial")
+	}
+	mustEqualChunks(t, out, wantOut, "out without aggregate")
 }
 
 // minAllocBytes is the fewest bytes run allocated over several runs: a

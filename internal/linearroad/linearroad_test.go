@@ -71,7 +71,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		for r := 0; r < a[i].Rows(); r++ {
 			ra, rb := a[i].Row(r), b[i].Row(r)
 			for j := range ra {
-				if !ra[j].Equal(rb[j]) {
+				if ra[j].Compare(rb[j]) != 0 {
 					t.Fatalf("chunk %d row %d col %d: %v vs %v", i, r, j, ra[j], rb[j])
 				}
 			}

@@ -38,16 +38,37 @@ type Decomposition struct {
 	// the query result.
 	Post Node
 
-	// memo caches the linearizations and canonical fingerprints derived
-	// from this (immutable) decomposition, so plan-cache-shared plans pay
-	// the renders once across registrations. See memo.go.
-	memo decompMemo
+	// The plan's identity, derived once by Decompose: the engine's plan
+	// cache hands the same decomposition to every registration of a
+	// repeated source, so they all reuse these renders.
+	//
+	// PostSteps linearizes Post (postSteps, rooted at ClassKey; nil
+	// without Post). ClassKey is the merge-class key: members of one
+	// execution group that agree on it hold byte-identical full-window
+	// merged views (mergeKey). AggFp is the partial-aggregate stage's
+	// fingerprint over the pipeline chain ("raw" for an empty chain; ""
+	// without Agg), JoinFp Fingerprint(Join) ("" without Join), and Merge
+	// MergePlan(Agg) (nil without Agg).
+	//
+	// Stream-scan fingerprints fold in the stream's fabric partition tag
+	// (GroupKey), which can change without a catalog generation bump, so a
+	// cached decomposition may carry a tag from an earlier partitioning
+	// epoch. It can only repeat a key the same plan already produced,
+	// never one that collides with a different computation: the worst case
+	// is a missed share across a re-partitioning, not a cross-wiring.
+	PostSteps []PipelineStep
+	ClassKey  string
+	AggFp     string
+	JoinFp    string
+	Merge     *Aggregate
 }
 
-// Pipeline is one per-basic-window fragment.
+// Pipeline is one per-basic-window fragment and its linearization
+// (pipelineSteps), scan first.
 type Pipeline struct {
-	Scan *ScanStream
-	Root Node
+	Scan  *ScanStream
+	Root  Node
+	Steps []PipelineStep
 }
 
 // Decompose splits an optimized continuous plan for incremental
@@ -71,10 +92,50 @@ func Decompose(root Node) (*Decomposition, error) {
 
 	parents := parentMap(root)
 
+	var d *Decomposition
+	var err error
 	if len(streams) == 1 {
-		return decomposeSingle(root, streams[0], parents)
+		d, err = decomposeSingle(root, streams[0], parents)
+	} else {
+		d, err = decomposeJoin(root, streams, parents)
 	}
-	return decomposeJoin(root, streams, parents)
+	if err != nil {
+		return nil, err
+	}
+	return d, d.identify()
+}
+
+// identify linearizes the decomposition's fragments and derives its
+// identity fields. A fragment that does not linearize is an error, so the
+// plan falls back to re-evaluation like any other unsupported shape.
+func (d *Decomposition) identify() error {
+	for _, p := range d.Pipelines {
+		steps, ok := pipelineSteps(p.Root, p.Scan)
+		if !ok {
+			return fmt.Errorf("plan: pipeline of %s does not linearize", p.Scan.Alias)
+		}
+		p.Steps = steps
+	}
+	if d.Join != nil {
+		d.JoinFp = Fingerprint(d.Join)
+	}
+	if d.Agg != nil {
+		childFp := "raw"
+		if steps := d.Pipelines[0].Steps; len(steps) > 0 {
+			childFp = steps[len(steps)-1].Fp
+		}
+		d.AggFp = FingerprintAggregate(d.Agg, childFp)
+		d.Merge = MergePlan(d.Agg)
+	}
+	d.ClassKey = d.mergeKey()
+	if d.Post != nil {
+		steps, ok := postSteps(d.Post, d.MergedLeaf, d.ClassKey)
+		if !ok {
+			return fmt.Errorf("plan: post-merge fragment does not linearize")
+		}
+		d.PostSteps = steps
+	}
+	return nil
 }
 
 func decomposeSingle(root Node, scan *ScanStream, parents map[Node]Node) (*Decomposition, error) {

@@ -31,8 +31,8 @@ import (
 // fragments (HAVING filters, final sorts, LIMIT) share through the
 // group's post-merge trie, whose node identities are built from these
 // forms. Merged leaves fingerprint by pointer identity: a merged view's
-// identity is its merge class (plan.MergeKey), which the caller supplies
-// as the explicit root fingerprint of a post-merge chain (PostSteps).
+// identity is its merge class (Decomposition.ClassKey), which seeds
+// the root fingerprint of its post-merge chain (postSteps).
 func Fingerprint(n Node) string {
 	switch t := n.(type) {
 	case *ScanStream:
@@ -143,8 +143,8 @@ func canonExpr(e expr.Expr) string {
 
 // PipelineStep is one operator of a linearized plan chain — the unit a
 // group's shared operator tries register as trie nodes. Two chains exist:
-// per-basic-window pipelines (PipelineSteps, rooted at the stream scan)
-// and post-merge fragments (PostSteps, rooted at a merged full-window
+// per-basic-window pipelines (pipelineSteps, rooted at the stream scan)
+// and post-merge fragments (postSteps, rooted at a merged full-window
 // view). StreamLeft marks, for joins against static tables, which side
 // carries the stream data.
 type PipelineStep struct {
@@ -158,12 +158,12 @@ type PipelineStep struct {
 	Fp string
 }
 
-// PipelineSteps walks root down its stream-side spine to the scan and
+// pipelineSteps walks root down its stream-side spine to the scan and
 // returns the steps scan-upward. ok is false if the spine contains an
 // operator other than a filter, projection or static-table join — which
 // a decomposition pipeline never does (pipelineRoot admits exactly
-// those), so the engine rejects such a plan at registration.
-func PipelineSteps(root Node, scan *ScanStream) (steps []PipelineStep, ok bool) {
+// those); Decompose reports it as an error.
+func pipelineSteps(root Node, scan *ScanStream) (steps []PipelineStep, ok bool) {
 	var chain []PipelineStep
 	cur := root
 	for cur != scan {
@@ -200,16 +200,17 @@ func PipelineSteps(root Node, scan *ScanStream) (steps []PipelineStep, ok bool) 
 	return chain, true
 }
 
-// PostSteps linearizes a post-merge fragment from its Merged leaf up to
+// postSteps linearizes a post-merge fragment from its Merged leaf up to
 // (and including) root: the operator chain a group's post-merge trie
 // registers so identical HAVING filters, projections, final aggregates,
 // sorts and LIMITs evaluate once per merged full-window view. rootFp
-// seeds the cumulative fingerprints — callers pass the merge class key
-// (plan.MergeKey), so chains over distinct merged views can never
-// collide in one trie. The same chain is the member's private post-merge
-// evaluation. ok is false when the fragment contains an operator other
-// than those clonePath copies, which a decomposition never does.
-func PostSteps(root Node, leaf *Merged, rootFp string) (steps []PipelineStep, ok bool) {
+// seeds the cumulative fingerprints — Decompose passes the merge-class
+// key (Decomposition.ClassKey), so chains over distinct merged views can
+// never collide in one trie. The same chain is the member's private
+// post-merge evaluation. ok is false when the fragment contains an
+// operator other than those clonePath copies, which Decompose reports as
+// an error.
+func postSteps(root Node, leaf *Merged, rootFp string) (steps []PipelineStep, ok bool) {
 	var chain []PipelineStep
 	cur := root
 	for cur != Node(leaf) {

@@ -64,67 +64,40 @@ func GroupKey(sc *ScanStream) string {
 	return key
 }
 
-// MergeKey is the merge-class key of an incremental single-stream
-// decomposition: members of one execution group whose decompositions
-// agree on it hold byte-identical full-window merged views, so the group
-// can own one merge ring per class and evaluate the merge — partial-
-// aggregate merging, or concatenation of cached pipeline outputs — once
-// per sealed full window for all of them. The key is the window extent
-// in basic windows plus the canonical fingerprint of the merged view's
+// mergeKey is the decomposition's merge-class key. Members of one
+// execution group whose decompositions agree on it hold byte-identical
+// full-window merged views, so the group can own one merge ring per class
+// and evaluate the merge once per sealed window for all of them: partial-
+// aggregate merging or concatenation of cached pipeline outputs over one
+// stream, the (leftGen, rightGen)-ordered concatenation of the live
+// basic-window pair results over a join. The key is the window extent in
+// basic windows plus the canonical fingerprint of the merged view's
 // content: the pipeline chain's fingerprint, wrapped in the partial-
-// aggregate fingerprint when the plan aggregates. Post-merge fragments
-// (HAVING, final sort/limit) are deliberately absent — they diverge per
-// member and share separately through the group's post-merge trie,
-// rooted at this key. ok is false for plans the shared merge cannot
-// serve: join decompositions (they merge through pair caches) and scans
-// without a window. steps must be the decomposition's
-// already-linearized pipeline chain (PipelineSteps over Pipelines[0]) —
-// the key is derived from the same chain the caller registers in the
-// group DAG, so the two can never drift apart.
-func MergeKey(d *Decomposition, steps []PipelineStep) (string, bool) {
-	if d == nil || d.Join != nil || len(d.Pipelines) != 1 {
-		return "", false
+// aggregate fingerprint when the plan aggregates, or the join's
+// fingerprint, which recursively covers both side pipelines, so two join
+// members share a class exactly when they share a pair cache. Post-merge
+// fragments (HAVING, final aggregates, sort/limit) are deliberately
+// absent: they diverge per member and share separately through the
+// group's post-merge trie, rooted at this key. Decompose certified every
+// scan windowed.
+func (d *Decomposition) mergeKey() string {
+	if d.Join != nil {
+		parts := 0
+		for _, p := range d.Pipelines {
+			parts = max(parts, p.Scan.Window.Parts())
+		}
+		return fmt.Sprintf("jmerge{parts=%d}(%s)", parts, d.JoinFp)
 	}
-	scan := d.Pipelines[0].Scan
-	if scan.Window == nil {
-		return "", false
+	p := d.Pipelines[0]
+	fp := d.AggFp
+	switch {
+	case d.Agg != nil:
+	case len(p.Steps) > 0:
+		fp = p.Steps[len(p.Steps)-1].Fp
+	default:
+		fp = Fingerprint(p.Scan)
 	}
-	fp := Fingerprint(scan)
-	if len(steps) > 0 {
-		fp = steps[len(steps)-1].Fp
-	}
-	if d.Agg != nil {
-		fp = FingerprintAggregate(d.Agg, fp)
-	}
-	return fmt.Sprintf("merge{parts=%d}(%s)", scan.Window.Parts(), fp), true
-}
-
-// JoinMergeKey is the merge-class key of a join decomposition: members of
-// one join group whose decompositions agree on it hold byte-identical
-// merged join views — the concatenation, in (leftGen, rightGen) order, of
-// the live basic-window pair results — so the group can own one pair of
-// merge rings per class and evaluate the merged view once per fanned-out
-// window for all of them. The key is the window extent in basic windows
-// plus the join node's canonical fingerprint, which recursively includes
-// both side pipelines' fingerprints: two members share a class exactly
-// when their per-window pipelines AND their join agree, which is also
-// when they share a pair cache. Post-merge fragments (HAVING, final
-// aggregates, sort/limit) are deliberately absent — they diverge per
-// member and share separately through the join group's post-merge trie,
-// rooted at this key. ok is false for non-join decompositions.
-func JoinMergeKey(d *Decomposition) (string, bool) {
-	if d == nil || d.Join == nil || len(d.Pipelines) != 2 {
-		return "", false
-	}
-	l, r := d.Pipelines[0].Scan, d.Pipelines[1].Scan
-	if l.Window == nil || r.Window == nil {
-		return "", false
-	}
-	parts := l.Window.Parts()
-	if p := r.Window.Parts(); p > parts {
-		parts = p
-	}
-	return fmt.Sprintf("jmerge{parts=%d}(%s)", parts, Fingerprint(d.Join)), true
+	return fmt.Sprintf("merge{parts=%d}(%s)", p.Scan.Window.Parts(), fp)
 }
 
 // GroupKeyOf is the execution-group key of a group with one side per

@@ -7,12 +7,15 @@ import (
 	"testing"
 )
 
-// TestDecompositionsLinearize: every plan Decompose accepts linearizes —
-// each per-basic-window pipeline into PipelineSteps and the post-merge
-// fragment into PostSteps — because pipelineRoot and PipelineSteps, and
-// clonePath and PostSteps, admit the same operators. The engine relies
-// on it: a continuous plan runs only as compiled kernel chains, so a
-// plan that did not linearize could not register.
+// TestDecompositionsLinearize: Decompose linearizes every plan it
+// accepts — each per-basic-window pipeline into pipelineSteps and the
+// post-merge fragment into postSteps — because pipelineRoot and
+// pipelineSteps, and clonePath and postSteps, admit the same operators;
+// no shape of the corpus is refused for not linearizing. Every accepted
+// shape (Decompose certifies its scans windowed) carries its identity:
+// a merge-class key, the post chain rooted at it, the aggregate
+// fingerprint and merge plan exactly when it aggregates, and the join
+// fingerprint exactly when it joins two streams.
 func TestDecompositionsLinearize(t *testing.T) {
 	cat := testCatalog(t)
 	srcs := []string{
@@ -34,18 +37,33 @@ func TestDecompositionsLinearize(t *testing.T) {
 		stmt := mustBind(t, cat, src)
 		d, err := Decompose(Optimize(stmt))
 		if err != nil {
+			if strings.Contains(err.Error(), "linearize") {
+				t.Errorf("%s: %v", src, err)
+			}
 			continue
 		}
 		accepted++
-		for i := range d.Pipelines {
-			if _, ok := d.StepsMemo(i); !ok {
-				t.Errorf("pipeline %d does not linearize: %s\n%s", i, src, String(d.Pipelines[i].Root))
+		for i, p := range d.Pipelines {
+			if p.Scan.Window == nil {
+				t.Errorf("pipeline %d of an accepted shape reads an unwindowed scan: %s", i, src)
+			}
+			if len(p.Steps) == 0 && p.Root != Node(p.Scan) {
+				t.Errorf("pipeline %d has no steps: %s\n%s", i, src, String(p.Root))
 			}
 		}
-		if d.Post != nil {
-			if _, ok := d.PostStepsMemo(d.ClassKeyMemo()); !ok {
-				t.Errorf("post-merge fragment does not linearize: %s\n%s", src, String(d.Post))
-			}
+		if d.ClassKey == "" {
+			t.Errorf("no merge-class key: %s", src)
+		}
+		if (d.Post != nil) != (len(d.PostSteps) > 0) {
+			t.Errorf("post fragment %v but %d post steps: %s", d.Post != nil, len(d.PostSteps), src)
+		} else if len(d.PostSteps) > 0 && !strings.HasSuffix(d.PostSteps[0].Fp, "("+d.ClassKey+")") {
+			t.Errorf("post chain not rooted at the class key: %s\n%s", src, d.PostSteps[0].Fp)
+		}
+		if (d.Agg != nil) != (d.AggFp != "") || (d.Agg != nil) != (d.Merge != nil) {
+			t.Errorf("aggregate %v but fingerprint %q, merge plan %v: %s", d.Agg != nil, d.AggFp, d.Merge != nil, src)
+		}
+		if (d.Join != nil) != (d.JoinFp != "") {
+			t.Errorf("join %v but fingerprint %q: %s", d.Join != nil, d.JoinFp, src)
 		}
 	}
 	t.Logf("%d of %d shapes decomposed", accepted, len(srcs))

@@ -26,40 +26,54 @@ func jcFixture() (*plan.Join, func(gen int64) *BW) {
 	return join, mk
 }
 
-// TestJoinCacheEvictionOnSlide drives the ring protocol — add a new basic
-// window per slide, evict the expired one — and checks the pair set stays
-// exactly the live cross product, with evicted results' buffers released
-// eagerly.
+// cached looks a pair result up in the cache without computing it.
+func cached(pc *SharedPairCache, lGen, rGen int64) (*bat.Chunk, bool) {
+	c, ok := pc.byLeft[lGen][rGen]
+	return c, ok
+}
+
+// newPairCache is a cache retaining one member of window extent parts.
+func newPairCache(join *plan.Join, parts int) *SharedPairCache {
+	pc := NewSharedPairCache(join)
+	pc.Retain(parts)
+	return pc
+}
+
+// TestJoinCacheEvictionOnSlide drives a member tail's protocol — per slide
+// a new basic window enters each side's ring, evicting the oldest, and is
+// joined against the other side's live ring — and checks the pair set
+// stays exactly the live cross product, with evicted results' buffers
+// released eagerly.
 func TestJoinCacheEvictionOnSlide(t *testing.T) {
 	join, mk := jcFixture()
-	jc := NewJoinCache(join)
 	const parts = 3
+	pc := newPairCache(join, parts)
 	var lefts, rights []*BW
 	for g := int64(0); g < 8; g++ {
-		l, r := mk(g), mk(g)
-		lefts, rights = append(lefts, l), append(rights, r)
-		jc.AddLeft(l, rights)
-		jc.AddRight(r, lefts)
-		if len(lefts) > parts {
-			evL, evR := lefts[0], rights[0]
-			lefts, rights = lefts[1:], rights[1:]
-			c, ok := jc.Get(evL.Gen, evR.Gen)
+		var expired *bat.Chunk
+		if g >= parts {
+			c, ok := cached(pc, g-parts, g-parts)
 			if !ok {
-				t.Fatalf("gen %d: pair (%d,%d) missing before eviction", g, evL.Gen, evR.Gen)
+				t.Fatalf("gen %d: pair (%d,%d) missing before eviction", g, g-parts, g-parts)
 			}
-			jc.EvictLeft(evL.Gen)
-			jc.EvictRight(evR.Gen)
-			if c.Cols != nil {
-				t.Fatalf("gen %d: evicted pair result still holds its buffers", g)
-			}
+			expired = c
+			lefts, rights = lefts[1:], rights[1:]
+		}
+		l, r := mk(g), mk(g)
+		lefts = append(lefts, l)
+		pc.AddLeft(l, rights)
+		rights = append(rights, r)
+		pc.AddRight(r, lefts)
+		if expired != nil && expired.Cols != nil {
+			t.Fatalf("gen %d: evicted pair result still holds its buffers", g)
 		}
 		want := len(lefts) * len(rights)
-		if jc.Pairs() != want {
-			t.Fatalf("gen %d: pairs = %d, want %d (live cross product)", g, jc.Pairs(), want)
+		if pc.Pairs() != want {
+			t.Fatalf("gen %d: pairs = %d, want %d (live cross product)", g, pc.Pairs(), want)
 		}
 		for _, l := range lefts {
 			for _, r := range rights {
-				if _, ok := jc.Get(l.Gen, r.Gen); !ok {
+				if _, ok := cached(pc, l.Gen, r.Gen); !ok {
 					t.Fatalf("gen %d: live pair (%d,%d) evicted", g, l.Gen, r.Gen)
 				}
 			}
@@ -76,11 +90,11 @@ func TestJoinCacheMergedDeterminism(t *testing.T) {
 	lefts := []*BW{mk(0), mk(1), mk(2)}
 	rights := []*BW{mk(0), mk(1), mk(2)}
 
-	forward := NewJoinCache(join)
+	forward := newPairCache(join, 3)
 	for _, l := range lefts {
 		forward.AddLeft(l, rights)
 	}
-	backward := NewJoinCache(join)
+	backward := newPairCache(join, 3)
 	for i := len(rights) - 1; i >= 0; i-- {
 		backward.AddRight(rights[i], lefts)
 	}
@@ -92,47 +106,46 @@ func TestJoinCacheMergedDeterminism(t *testing.T) {
 	if c := forward.Merged(lefts, rights).String(); c != a {
 		t.Fatal("repeated Merged diverged")
 	}
-	if a == "" || forward.Pairs() != 9 {
-		t.Fatalf("unexpected merge state: pairs=%d", forward.Pairs())
+	if a == "" || forward.Pairs() != 9 || backward.Pairs() != 9 {
+		t.Fatalf("unexpected merge state: pairs=%d, %d", forward.Pairs(), backward.Pairs())
 	}
 }
 
 // TestJoinCacheNoRecompute: surviving pairs must never be re-joined —
 // Computed counts only first-time pair evaluations, staying flat across
-// redundant Adds and any number of Merged calls.
+// redundant adds and any number of Merged calls.
 func TestJoinCacheNoRecompute(t *testing.T) {
 	join, mk := jcFixture()
-	jc := NewJoinCache(join)
+	pc := newPairCache(join, 2)
 	lefts := []*BW{mk(0), mk(1)}
 	rights := []*BW{mk(0), mk(1)}
 	for _, l := range lefts {
-		jc.AddLeft(l, rights)
+		pc.AddLeft(l, rights)
 	}
-	if jc.Computed() != 4 {
-		t.Fatalf("computed = %d, want 4", jc.Computed())
+	if pc.Computed() != 4 {
+		t.Fatalf("computed = %d, want 4", pc.Computed())
 	}
 	for _, r := range rights {
-		jc.AddRight(r, lefts) // every pair already cached
+		pc.AddRight(r, lefts) // every pair already cached
 	}
 	for i := 0; i < 3; i++ {
-		_ = jc.Merged(lefts, rights)
+		_ = pc.Merged(lefts, rights)
 	}
-	if jc.Computed() != 4 {
-		t.Fatalf("computed grew to %d on surviving pairs", jc.Computed())
+	if pc.Computed() != 4 {
+		t.Fatalf("computed grew to %d on surviving pairs", pc.Computed())
 	}
-	// A slide: one eviction, one new window per side. Only the new row and
-	// column of pairs are computed.
-	jc.EvictLeft(0)
-	jc.EvictRight(0)
+	// A slide: generation 0 expires and one new window enters each side.
+	// Only the new row and column of pairs are computed.
 	l2, r2 := mk(2), mk(2)
-	lefts, rights = []*BW{lefts[1], l2}, []*BW{rights[1], r2}
-	jc.AddLeft(l2, rights[:1])
-	jc.AddRight(r2, lefts)
-	if jc.Computed() != 4+3 {
-		t.Fatalf("computed = %d after slide, want 7", jc.Computed())
+	lefts, rights = []*BW{lefts[1], l2}, []*BW{rights[1]}
+	pc.AddLeft(l2, rights)
+	rights = append(rights, r2)
+	pc.AddRight(r2, lefts)
+	if pc.Computed() != 4+3 {
+		t.Fatalf("computed = %d after slide, want 7", pc.Computed())
 	}
-	if jc.Pairs() != 4 {
-		t.Fatalf("pairs = %d after slide, want 4", jc.Pairs())
+	if pc.Pairs() != 4 {
+		t.Fatalf("pairs = %d after slide, want 4", pc.Pairs())
 	}
 }
 
@@ -140,39 +153,38 @@ func TestJoinCacheNoRecompute(t *testing.T) {
 // at or below the thresholds and tolerates already-evicted prefixes.
 func TestJoinCacheEvictThrough(t *testing.T) {
 	join, mk := jcFixture()
-	jc := NewJoinCache(join)
+	pc := newPairCache(join, 6)
 	var lefts, rights []*BW
 	for g := int64(0); g < 6; g++ {
 		lefts, rights = append(lefts, mk(g)), append(rights, mk(g))
 	}
 	for _, l := range lefts {
-		jc.AddLeft(l, rights)
+		pc.AddLeft(l, rights)
 	}
-	jc.EvictThrough(2, 1)
+	pc.evictThrough(2, 1)
 	for _, l := range lefts {
 		for _, r := range rights {
-			_, ok := jc.Get(l.Gen, r.Gen)
+			_, ok := cached(pc, l.Gen, r.Gen)
 			want := l.Gen > 2 && r.Gen > 1
 			if ok != want {
 				t.Fatalf("pair (%d,%d) cached=%v, want %v", l.Gen, r.Gen, ok, want)
 			}
 		}
 	}
-	jc.EvictThrough(2, 1) // idempotent on the already-swept prefix
-	if jc.Pairs() != 3*4 {
-		t.Fatalf("pairs = %d, want 12", jc.Pairs())
+	pc.evictThrough(2, 1) // idempotent on the already-swept prefix
+	if pc.Pairs() != 3*4 {
+		t.Fatalf("pairs = %d, want 12", pc.Pairs())
 	}
 }
 
-// TestSharedPairCacheProtocol drives the group-level wrapper: per-member
-// evictions are no-ops, watermarks evict by the widest member's extent,
-// stale re-adds after a pause are not cached, and MergedEnsure recomputes
-// expired pairs transiently with identical output.
+// TestSharedPairCacheProtocol drives the cache as several members do:
+// watermarks evict by the widest member's extent, stale re-adds after a
+// pause are not cached, and Merged recomputes expired pairs transiently
+// with identical output.
 func TestSharedPairCacheProtocol(t *testing.T) {
 	join, mk := jcFixture()
-	pc := NewSharedPairCache(join)
-	pc.Retain(2) // narrow member
-	pc.Retain(3) // widest member wins
+	pc := newPairCache(join, 2) // narrow member
+	pc.Retain(3)                // widest member wins
 	var lefts, rights []*BW
 	for g := int64(0); g < 6; g++ {
 		l, r := mk(g), mk(g)
@@ -183,7 +195,7 @@ func TestSharedPairCacheProtocol(t *testing.T) {
 	// Horizon 3 behind newest gen 5: generations ≤ 2 expired.
 	for _, l := range lefts {
 		for _, r := range rights {
-			_, ok := pc.jc.Get(l.Gen, r.Gen)
+			_, ok := cached(pc, l.Gen, r.Gen)
 			want := l.Gen > 2 && r.Gen > 2
 			if ok != want {
 				t.Fatalf("pair (%d,%d) cached=%v, want %v", l.Gen, r.Gen, ok, want)
@@ -191,9 +203,9 @@ func TestSharedPairCacheProtocol(t *testing.T) {
 		}
 	}
 	// A lagging member merges a window the cache expired: identical output
-	// to a private cache over the same windows, via transient recompute.
+	// to a cache over just those windows, via transient recompute.
 	lagL, lagR := lefts[1:4], rights[1:4]
-	priv := NewJoinCache(join)
+	priv := newPairCache(join, 3)
 	for _, l := range lagL {
 		priv.AddLeft(l, lagR)
 	}
@@ -204,13 +216,19 @@ func TestSharedPairCacheProtocol(t *testing.T) {
 	}
 	pairs := pc.Pairs()
 	// The recomputed stale pairs must not have been cached.
-	if pc.Pairs() != pairs || func() bool { _, ok := pc.jc.Get(1, 1); return ok }() {
-		t.Fatal("stale pairs were cached by MergedEnsure")
+	if _, ok := cached(pc, 1, 1); ok || pc.Pairs() != pairs {
+		t.Fatal("stale pairs were cached by Merged")
 	}
-	// And a stale Add is skipped outright.
+	// And a stale add is skipped outright.
 	pc.AddLeft(lefts[0], rights)
-	if _, ok := pc.jc.Get(0, 5); ok {
+	if _, ok := cached(pc, 0, 5); ok {
 		t.Fatal("stale AddLeft cached a pair behind the watermark")
+	}
+	// The widest member leaves: pairs beyond the narrower horizon go at
+	// once.
+	pc.Release(3)
+	if _, ok := cached(pc, 3, 5); ok || pc.Pairs() != 4 {
+		t.Fatalf("after the widest member left: pairs = %d, want 4", pc.Pairs())
 	}
 }
 
@@ -218,13 +236,13 @@ func TestSharedPairCacheProtocol(t *testing.T) {
 // over the caller's window order.
 func TestJoinCacheMergedOrder(t *testing.T) {
 	join, mk := jcFixture()
-	jc := NewJoinCache(join)
+	pc := newPairCache(join, 2)
 	lefts := []*BW{mk(0), mk(1)}
 	rights := []*BW{mk(0), mk(1)}
 	for _, l := range lefts {
-		jc.AddLeft(l, rights)
+		pc.AddLeft(l, rights)
 	}
-	m := jc.Merged(lefts, rights)
+	m := pc.Merged(lefts, rights)
 	var keys []string
 	for i := 0; i < m.Rows(); i++ {
 		row := m.Row(i)

@@ -12,7 +12,7 @@
 // assembles complete basic windows once every shard's flush watermark has
 // passed an epoch. The union of the shards' epoch fragments is exactly the
 // basic window a single ordered stream would be cut into, so everything
-// downstream of the merge — Ring, JoinCache, partial-aggregate merging —
+// downstream of the merge — Ring, SharedPairCache, partial-aggregate merging —
 // is oblivious to sharding. An unsharded stream is the one-shard case.
 //
 // Slicing copies nothing: an epoch fragment is the list of basket-segment

@@ -281,39 +281,40 @@ func bwWithOut(gen int64, vals ...int64) *BW {
 }
 
 func TestJoinCache(t *testing.T) {
-	jc := NewJoinCache(joinNode())
+	pc := NewSharedPairCache(joinNode())
+	pc.Retain(2)
 	l0 := bwWithOut(0, 1, 2)
 	r0 := bwWithOut(0, 2, 3)
-	jc.AddLeft(l0, []*BW{r0})
-	if jc.Pairs() != 1 {
-		t.Fatalf("pairs = %d", jc.Pairs())
+	pc.AddLeft(l0, []*BW{r0})
+	if pc.Pairs() != 1 {
+		t.Fatalf("pairs = %d", pc.Pairs())
 	}
-	merged := jc.Merged([]*BW{l0}, []*BW{r0})
+	merged := pc.Merged([]*BW{l0}, []*BW{r0})
 	if merged.Rows() != 1 || merged.Row(0)[1].I != 2 {
 		t.Fatalf("merged = %v", merged)
 	}
 	// New right bw joins against existing lefts.
 	r1 := bwWithOut(1, 1, 1)
-	jc.AddRight(r1, []*BW{l0})
-	if jc.Pairs() != 2 {
-		t.Fatalf("pairs = %d", jc.Pairs())
+	pc.AddRight(r1, []*BW{l0})
+	if pc.Pairs() != 2 {
+		t.Fatalf("pairs = %d", pc.Pairs())
 	}
-	merged = jc.Merged([]*BW{l0}, []*BW{r0, r1})
+	merged = pc.Merged([]*BW{l0}, []*BW{r0, r1})
 	if merged.Rows() != 3 { // (1,2)x(2,3)→1 match; (1,2)x(1,1)→2 matches
 		t.Fatalf("merged rows = %d", merged.Rows())
 	}
 	// Re-adding an existing pair is a no-op.
-	jc.AddLeft(l0, []*BW{r0})
-	if jc.Pairs() != 2 {
-		t.Error("duplicate pair cached")
+	pc.AddLeft(l0, []*BW{r0})
+	if pc.Pairs() != 2 || pc.Computed() != 2 {
+		t.Errorf("duplicate pair cached: pairs %d, computed %d", pc.Pairs(), pc.Computed())
 	}
 	// Eviction drops a full row/column of pairs.
-	jc.EvictRight(0)
-	if jc.Pairs() != 1 {
-		t.Errorf("pairs after evict = %d", jc.Pairs())
+	pc.evictThrough(-1, 0)
+	if pc.Pairs() != 1 {
+		t.Errorf("pairs after evict = %d", pc.Pairs())
 	}
-	jc.EvictLeft(0)
-	if jc.Pairs() != 0 {
-		t.Errorf("pairs after evict = %d", jc.Pairs())
+	pc.evictThrough(0, -1)
+	if pc.Pairs() != 0 {
+		t.Errorf("pairs after evict = %d", pc.Pairs())
 	}
 }

@@ -431,7 +431,6 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 			SchedGroup:   gname,
 			Scans:        scans,
 			Remote:       make([]*factory.RemoteSource, len(scans)),
-			Now:          e.now,
 			NotifyMember: func(query string) { e.sched.NotifyGroup(query) },
 			NotifyShards: func() { e.sched.NotifyGroup(gname) },
 		}

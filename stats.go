@@ -42,7 +42,7 @@ type GroupInfo struct {
 	MemoMisses int64
 	// MergeClasses counts the group-owned merge rings: classes of two or
 	// more members whose full-window merges are byte-identical
-	// (plan.MergeKey; plan.JoinMergeKey for join groups) and therefore
+	// (plan.Decomposition.ClassKey) and therefore
 	// evaluate once per sealed window.
 	// MergeHits / MergeMisses are the merged-view memo counters — for an
 	// N-member class, one miss and N-1 hits per full window.
