@@ -159,9 +159,25 @@ func TestFanoutCursorLifecycle(t *testing.T) {
 		h.register("b", oneSQL(1))
 		h.register("c", oneSQL(2))
 		h.feed("s", 0, 50, 10)
-		h.shared["c"].Pause()
+		c := h.shared["c"]
+		c.Pause()
+		evals := c.Stats().Evals
 		h.feed("s", 50, 210, 160)
 		h.stop("c") // leaves with 16 windows unread
+		// Stop drops the unread log entries [cursor, head) by design: none
+		// of the 16 windows is evaluated, and the closed Out channel holds
+		// nothing emitted after the pause.
+		if n := c.Stats().Evals - evals; n != 0 {
+			t.Errorf("c evaluated %d windows it left unread", n)
+		}
+		select {
+		case r, open := <-c.Out():
+			if open {
+				t.Errorf("c emitted window %d after it left with its backlog unread", r.Meta.TriggerGen)
+			}
+		default:
+			t.Error("c's Out channel is still open after Stop")
+		}
 		h.feed("s", 210, 240, 10)
 		if n := h.group("a").LiveBufs(); n != parts {
 			t.Fatalf("after the paused member left: %d live buffers, want the class rings' %d", n, parts)

@@ -7,30 +7,36 @@
 // continuous query remains in the system."
 //
 // A factory runs in one of the paper's two execution modes, both on the
-// kernel operators (internal/kernel), which differ only in what they feed:
-//   - Re-evaluation (mode 1): every firing runs the complete plan
-//     (kernel.Run) over the full current window, one view over its basic
-//     windows' runs (or over the new batch, for non-windowed queries).
-//   - Incremental (mode 2): the decomposition's linearized chains
-//     (plan.Decompose derives them once per plan) compute per-basic-window
-//     intermediates once, cached in columnar form and merged per slide,
-//     and the post-merge chain runs over the merged view. A member
-//     compiles each chain once: as nodes of the group's shared tries, or,
-//     outside them, as its own chain. The kernel's step kernels evaluate
-//     both, memoized step by step in the tries or in one pooled call
-//     (kernel.AggregateSteps, kernel.MaterializeSteps) for a private one.
+// kernel operators (internal/kernel), which differ only in what they feed.
+// The plan's decomposition alone picks one:
+//   - Re-evaluation (mode 1, no decomposition): every firing runs the
+//     complete plan (kernel.Run) over the full current window, one view
+//     over its basic windows' runs (or over the new batch, for
+//     non-windowed queries).
+//   - Incremental (mode 2, a decomposition): the decomposition's
+//     linearized chains (plan.Decompose derives them once per plan)
+//     compute per-basic-window intermediates once, cached in columnar form
+//     and merged per slide, and the post-merge chain runs over the merged
+//     view. A factory compiles each chain once: as nodes of the group's
+//     shared tries, or, outside them, as its own chain. The kernel's step
+//     kernels evaluate both, memoized step by step in the tries or in one
+//     pooled call (kernel.AggregateSteps, kernel.MaterializeSteps) for a
+//     private one. A re-evaluation join whose plan decomposes runs this
+//     tail too: the decomposition certifies that its full-window recompute
+//     equals the merge of cached basic-window pairs.
 //
 // Every continuous query runs as a member of an execution group (Group):
 // the group's front ends drain every shard of every input basket, cut the
 // rows into globally consistent epochs (window.ShardSlicer), merge the
 // shards' fragments into basic windows (window.ShardMerge) and fan them
-// out once, into the group's delivery log, which each member reads from
-// its own cursor. A Factory is only the member's tail: per logged window
-// it runs ring maintenance, its own per-basic-window chain when the
-// member is outside the group's DAG, partial-aggregate merging, join
-// caching and the post-merge chain, then emits. A non-windowed input's
-// front end hands over each basket segment as its own batch, which the
-// tail evaluates with the full plan (mode 1).
+// out once, into the group's delivery log. A Factory is one query's
+// membership and tail: it reads the log from its own cursor and, per
+// logged window, runs ring maintenance, its own per-basic-window chain
+// when it is outside the group's DAG, the merge of the window's cached
+// intermediates (mergeView, or the pair cache's for a join), join caching
+// and the post-merge chain, then emits. A non-windowed input's front end
+// hands over each basket segment as its own batch, which the tail
+// evaluates with the full plan (mode 1).
 //
 // Shared multi-query execution: continuous queries over the same stream
 // and slide granularity run as members of one shared execution group
@@ -50,7 +56,6 @@
 package factory
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -84,12 +89,15 @@ type Config struct {
 	// Name is the continuous query name.
 	Name string
 	// Full is the optimized full plan (always required; re-evaluation runs
-	// it directly, incremental mode keeps it for inspection).
+	// it directly, the decomposed tail keeps it for inspection).
 	Full plan.Node
-	// Decomp is the incremental decomposition; required iff Mode is
-	// Incremental.
+	// Decomp is the incremental decomposition. It alone selects the tail:
+	// with one the factory runs the decomposed tail, without one it
+	// re-evaluates Full.
 	Decomp *plan.Decomposition
-	// Mode selects the execution strategy.
+	// Mode labels the strategy the query was registered with (Stats.Mode,
+	// ContinuousPlanString). A re-evaluation join whose plan decomposes
+	// keeps the reeval label and runs the decomposed tail.
 	Mode Mode
 	// NoMemo opts a shared member out of the group's operator DAG: its
 	// per-basic-window pipeline always evaluates privately, as if no
@@ -111,71 +119,97 @@ type Config struct {
 	Now func() int64
 }
 
-// input is one stream scan of the plan and, when windowed, the ring of
-// merged basic windows its current window spans.
-type input struct {
-	scan *plan.ScanStream
-	ring *window.Ring // nil for non-windowed scans
-}
-
 // Stats is a snapshot of a factory's counters, feeding the demo's analysis
 // pane.
 type Stats struct {
-	Name        string
-	Mode        string
-	Firings     int64 // tail activations
-	Evals       int64 // window/batch evaluations (results emitted)
-	TuplesIn    int64
-	RowsOut     int64
-	BusyUsec    int64 // total time spent inside tail activations
+	Name     string
+	Mode     string
+	Firings  int64 // tail activations
+	Evals    int64 // window/batch evaluations (results emitted)
+	TuplesIn int64
+	RowsOut  int64
+	// BusyUsec sums the tail activations' wall time, each read off the
+	// engine clock in whole microseconds (a shorter one may add 0).
+	BusyUsec    int64
 	LastLatency int64 // response time of the newest result (µs)
 	MaxLatency  int64
 	SumLatency  int64 // across evals, for averaging
 	CachedPairs int   // live join-pair cache entries (join plans)
 }
 
-// Factory executes one continuous query's tail over the basic windows its
-// group fans out. It is not reentrant: the scheduler guarantees a single
-// in-flight firing of the member's tail transition.
+// Factory is one continuous query's membership in its execution group and
+// the tail it runs over the basic windows the group fans out: a cursor
+// into the group's delivery log, read in the group's fan-out order, and
+// the rings, chains and counters of the query's evaluation. It is not
+// reentrant: the scheduler guarantees a single in-flight Fire.
 type Factory struct {
-	cfg    Config
-	inputs []*input
-	jc     *window.SharedPairCache // the group's pair cache (join plans)
+	cfg Config
+	// scans are Full's stream scans (plan.Streams), one tail input each, in
+	// order; rings holds, per input, the merged basic windows its current
+	// window spans (nil for a non-windowed scan).
+	scans []*plan.ScanStream
+	rings []*window.Ring
+	g     *Group // set by Group.Join
+
+	// leaf holds the per-side pipeline leaves in the side DAGs (nil:
+	// evaluate privately) and aggLeaf the partial-aggregate node (one-sided
+	// groups only). Such a factory resolves Partial (one-sided aggregate
+	// plans) or Out (all others) through the shared memo before the merge
+	// stage. partialsOnly: the factory keeps nothing of a basic window but
+	// its partial aggregate, computed by a kernel — through aggLeaf, or
+	// through its own chain, which leaves Out nil for aggregate plans.
+	leaf         []*dagNode
+	aggLeaf      *dagNode
+	partialsOnly bool
+
+	// extent is the window extent in basic windows: the merge class's ring
+	// length and, in a two-sided group, what the factory retains in (and
+	// releases from, on leave) pc, the shared pair cache of its join
+	// fingerprint.
+	extent int
+	pc     *window.SharedPairCache
+
+	// Shared-merge state. class is the merge class of the plan's ClassKey
+	// (nil when the factory merges privately: re-evaluation scans, NoMemo,
+	// or NoSharedMerge). postLeaf is the post-merge chain in the class's
+	// post-merge trie (nil when the plan has no post fragment) and postTop
+	// its first node: while postTop is not shared, no other chain reads
+	// any node of this one.
+	class    *mergeClass
+	postLeaf *dagNode
+	postTop  *dagNode
+
+	// cur is the position in the group's delivery log; seen counts the
+	// windows read per side, and a one-sided factory's windows are numbered
+	// by it. Only Fire (and leave, once no firing is in flight) moves them.
+	cur  logCursor
+	seen []int64
+
 	// steps holds the per-basic-window chains, one per side, that the
-	// member evaluates itself: compiled only for a member outside the
-	// group's DAG (NoMemo); a member in the DAG resolves its windows there,
-	// and its raw (empty-chain) side reads the window as it is. post is the
-	// post-merge chain (nil without a post fragment): the member's path in
-	// its merge class's post-merge trie, compiled on its own only without a
-	// class. Group.Join sets both; hint pre-sizes the private partial
-	// aggregate's grouping with the last one's cardinality.
+	// factory evaluates itself: compiled only outside the group's DAG
+	// (NoMemo); a factory in the DAG resolves its windows there, and its
+	// raw (empty-chain) side reads the window as it is. post is the
+	// post-merge chain (nil without a post fragment): the path in the merge
+	// class's post-merge trie, compiled on its own only without a class.
+	// Group.Join sets both; hint pre-sizes the private partial aggregate's
+	// grouping with the last one's cardinality.
 	steps [][]*kernel.Step
 	post  []*kernel.Step
 	hint  int
-	// reevalJoin marks a re-evaluation-mode join whose plan decomposes:
-	// the full-window recompute is expressed as the merge of cached
-	// basic-window pairs through the group's pair cache instead of
-	// re-running the whole plan over the concatenated rings. Shared,
-	// isolated and fabric-routed registrations of the same join thus order
-	// joined rows identically.
-	reevalJoin bool
 	// parts is the private merge stage's list of the live windows'
-	// partial aggregates, reused across slides and emptied after each.
+	// intermediates, reused across slides and emptied after each.
 	parts []*bat.Chunk
-
-	// fireStart and fireTuples accumulate the firing in progress
-	// (beginFiring … endFiring).
-	fireStart, fireTuples int64
 
 	mu    sync.Mutex
 	seq   int64
 	stats Stats
-	// recentLat is a bounded ring of the newest evaluations' response
+	// recentLat is a bounded sample of the newest evaluations' response
 	// times (µs) — the sample behind per-query latency percentiles in the
-	// /metrics exporter and the multi-tenant harness. recentN is the count
-	// of valid entries while the ring is still filling.
-	recentLat [recentLatSize]int64
-	recentN   int
+	// /metrics exporter and the multi-tenant harness. It is allocated at
+	// the first evaluation, so a query that never evaluates holds none,
+	// fills up to recentLatSize entries, then wraps at recentPos, the
+	// oldest entry.
+	recentLat []int64
 	recentPos int
 }
 
@@ -186,55 +220,36 @@ const recentLatSize = 512
 
 // New builds a factory. It reads nothing until it joins a group
 // (Group.Join), whose front ends feed its tail.
-func New(cfg Config) (*Factory, error) {
+func New(cfg Config) *Factory {
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixMicro() }
 	}
-	if cfg.Mode == Incremental && cfg.Decomp == nil {
-		return nil, fmt.Errorf("factory %s: incremental mode without decomposition", cfg.Name)
-	}
-	f := &Factory{cfg: cfg}
+	scans := plan.Streams(cfg.Full)
+	f := &Factory{cfg: cfg, scans: scans, rings: make([]*window.Ring, len(scans)), steps: make([][]*kernel.Step, len(scans))}
 	f.stats.Name = cfg.Name
 	f.stats.Mode = cfg.Mode.String()
-
-	scans := plan.Streams(cfg.Full)
-	f.reevalJoin = cfg.Mode == Reeval &&
-		cfg.Decomp != nil && cfg.Decomp.Join != nil
-	if cfg.Mode == Incremental || f.reevalJoin {
-		// Incremental execution — and the re-evaluation join-group tail,
-		// which recomputes full windows through the same pair-cache
-		// machinery — reads through the decomposition's scans.
-		scans = nil
-		for _, p := range cfg.Decomp.Pipelines {
-			scans = append(scans, p.Scan)
-		}
-	}
-	if len(scans) == 0 {
-		return nil, fmt.Errorf("factory %s: plan reads no stream", cfg.Name)
-	}
-	f.steps = make([][]*kernel.Step, len(scans))
-	for _, s := range scans {
-		in := &input{scan: s}
+	for i, s := range scans {
 		if s.Window != nil {
-			in.ring = window.NewRing(s.Window.Parts())
+			f.rings[i] = window.NewRing(s.Window.Parts())
 		}
-		f.inputs = append(f.inputs, in)
 	}
-	return f, nil
+	return f
 }
 
-// Name reports the query name.
-func (f *Factory) Name() string { return f.cfg.Name }
+// Group reports the execution group the factory joined (nil before
+// Group.Join).
+func (f *Factory) Group() *Group { return f.g }
 
-// Mode reports the execution mode.
-func (f *Factory) Mode() Mode { return f.cfg.Mode }
+// Scans lists the plan's stream scans, the tail's inputs in order: the
+// sides of the group it joins.
+func (f *Factory) Scans() []*plan.ScanStream { return f.scans }
 
 // Baskets lists the names of the factory's input baskets (for the query
 // network view).
 func (f *Factory) Baskets() []string {
-	out := make([]string, len(f.inputs))
-	for i, in := range f.inputs {
-		out[i] = in.scan.Stream.Basket.Name()
+	out := make([]string, len(f.scans))
+	for i, s := range f.scans {
+		out[i] = s.Stream.Basket.Name()
 	}
 	return out
 }
@@ -243,8 +258,8 @@ func (f *Factory) Baskets() []string {
 func (f *Factory) PlanString() string { return plan.String(f.cfg.Full) }
 
 // ContinuousPlanString renders the continuous form: the incremental
-// decomposition when available, otherwise the full plan annotated with the
-// re-evaluation mode.
+// decomposition for an incremental query, otherwise the full plan
+// annotated with the re-evaluation mode.
 func (f *Factory) ContinuousPlanString() string {
 	if f.cfg.Mode == Incremental {
 		return f.cfg.Decomp.ContinuousString()
@@ -252,13 +267,18 @@ func (f *Factory) ContinuousPlanString() string {
 	return "-- re-evaluate per firing --\n" + plan.String(f.cfg.Full)
 }
 
-// Stop releases any shared basic-window buffers the factory's rings still
-// hold and closes its emitter. The caller must ensure no firing is in
-// flight (the engine uses scheduler.RemoveWait).
+// Stop tears the tail down in one call: it leaves its group, releasing
+// the logged windows [cursor, head) it has not read — they are dropped,
+// never evaluated —, releases the windows its rings still hold, and
+// closes its emitter. The caller must ensure no firing is in flight (the
+// engine uses scheduler.RemoveWait).
 func (f *Factory) Stop() {
-	for _, in := range f.inputs {
-		if in.ring != nil {
-			for _, bw := range in.ring.Live() {
+	if f.g != nil {
+		f.g.leave(f)
+	}
+	for _, r := range f.rings {
+		if r != nil {
+			for _, bw := range r.Live() {
 				bw.ReleaseData()
 			}
 		}
@@ -266,43 +286,13 @@ func (f *Factory) Stop() {
 	f.cfg.Emit.Close()
 }
 
-// beginFiring starts one scheduler activation of the member's tail,
-// which hands it windows through fireWindow and ends it with endFiring.
-func (f *Factory) beginFiring() {
-	f.fireStart, f.fireTuples = f.cfg.Now(), 0
-}
-
-// fireWindow runs the tail over one merged basic window of input idx
-// (group side): single-stream groups always deliver input 0, two-sided
-// groups interleave their inputs in the group's global order. A window
-// whose Partial (or, for plans without an aggregate, Out) was already
-// resolved through the group's operator DAG skips the private pipeline.
-// It returns the number of result sets emitted.
-func (f *Factory) fireWindow(idx int, bw window.BW) int {
-	if bw.Data != nil {
-		f.fireTuples += int64(bw.Data.Rows())
-	} else if bw.Out != nil {
-		f.fireTuples += int64(bw.Out.Rows())
-	}
-	return f.onBasicWindow(idx, bw)
-}
-
-// endFiring books the activation's counters.
-func (f *Factory) endFiring() {
-	f.mu.Lock()
-	f.stats.Firings++
-	f.stats.TuplesIn += f.fireTuples
-	f.stats.BusyUsec += f.cfg.Now() - f.fireStart
-	f.mu.Unlock()
-}
-
 // Stats returns a snapshot of the factory's counters.
 func (f *Factory) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.stats
-	if f.jc != nil {
-		s.CachedPairs = f.jc.Pairs()
+	if f.pc != nil {
+		s.CachedPairs = f.pc.Pairs()
 	}
 	return s
 }
@@ -313,12 +303,105 @@ func (f *Factory) Stats() Stats {
 func (f *Factory) RecentLatencies() []int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]int64, 0, f.recentN)
-	start := f.recentPos - f.recentN
-	for i := 0; i < f.recentN; i++ {
-		out = append(out, f.recentLat[(start+i+recentLatSize)%recentLatSize])
+	out := make([]int64, 0, len(f.recentLat))
+	out = append(out, f.recentLat[f.recentPos:]...)
+	return append(out, f.recentLat[:f.recentPos]...)
+}
+
+// Ready reports whether logged basic windows await the tail — the firing
+// condition of the query's scheduler transition. It reads atomics only
+// (the scheduler calls it under its own lock).
+func (f *Factory) Ready() bool { return f.cur.read.Load() < f.g.log.head.Load() }
+
+// Fire reads the delivery log from the factory's cursor to the head it
+// finds and runs the tail once per window, in fan-out order. A factory
+// registered in the side DAGs resolves its partial aggregate (or, without
+// one, its pipeline output) through the window's memo first — evaluating
+// each distinct operator once across all members. A warm merge-class
+// member then resolves the merged view through the window's merge cell
+// (one merge evaluation per sealed window across the class) and its
+// post-merge fragment through the post-merge trie, so its tail only
+// emits; everyone else merges privately (a join through the shared pair
+// cache). The window itself is a value the tail keeps in a ring slot, so
+// a member-window allocates nothing. It returns the number of result sets
+// emitted.
+func (f *Factory) Fire() int {
+	head := f.g.log.head.Load()
+	read := f.cur.read.Load()
+	if read == head {
+		return 0
 	}
-	return out
+	start, tuples, n := f.cfg.Now(), int64(0), 0
+	for ; read < head; read++ {
+		e := f.cur.next()
+		bw := window.BW{Gen: e.gen, Data: e.data, MaxArrival: e.maxArrival, Free: e.free}
+		if len(f.seen) == 1 {
+			bw.Gen = f.seen[0]
+		}
+		f.seen[e.side]++
+		if e.data != nil {
+			tuples += int64(e.data.Rows())
+		}
+		if e.dw != nil {
+			// A factory resolves only the node its tail consumes: the
+			// partial aggregate when it has one (its ring keeps partials
+			// only, so the pipeline leaf never materializes for it), the
+			// pipeline leaf otherwise. The raw-data reference is released
+			// by incrementalStep.
+			switch {
+			case f.aggLeaf != nil:
+				bw.Partial = eval(e.dw, f.aggLeaf, &f.g.memoHits, &f.g.memoMisses)
+			case f.leaf[e.side] != nil:
+				bw.Out = eval(e.dw, f.leaf[e.side], &f.g.memoHits, &f.g.memoMisses)
+			}
+		}
+		if mc := f.class; mc != nil && e.cells != nil && e.cells[mc.ord] != nil && f.warm(mc.parts) {
+			f.resolveFinal(&bw, e.cells[mc.ord])
+		}
+		n += f.onBasicWindow(e.side, bw)
+	}
+	f.cur.read.Store(head)
+	f.mu.Lock()
+	f.stats.Firings++
+	f.stats.TuplesIn += tuples
+	f.stats.BusyUsec += f.cfg.Now() - start
+	f.mu.Unlock()
+	return n
+}
+
+// warm reports whether the factory has read a full window on every side —
+// only then may a merge cell serve it: a late joiner's first full window
+// must cover exactly the windows it read, as it would alone.
+func (f *Factory) warm(parts int) bool {
+	for _, n := range f.seen {
+		if n < int64(parts) {
+			return false
+		}
+	}
+	return true
+}
+
+// resolveFinal sets bw.Final from the window's merge cell: the class's
+// merged view, through the post-merge chain.
+func (f *Factory) resolveFinal(bw *window.BW, cell *mergeCell) {
+	merged, pdw, computed := cell.eval()
+	if computed {
+		f.g.mergeMisses.Add(1)
+	} else {
+		f.g.mergeHits.Add(1)
+	}
+	switch {
+	case f.postLeaf == nil:
+		bw.Final = merged
+	case pdw == nil || !f.postTop.shared.Load():
+		// No other chain reads a node of this one (or none did when the
+		// cell was evaluated): the factory evaluates it alone, counting one
+		// miss per node as the memo would.
+		bw.Final = kernel.MaterializeSteps(f.post, merged)
+		f.g.postMisses.Add(int64(len(f.post)))
+	default:
+		bw.Final = eval(pdw, f.postLeaf, &f.g.postHits, &f.g.postMisses)
+	}
 }
 
 // evalBatch handles non-windowed continuous queries: the paper's mode 1
@@ -343,37 +426,36 @@ const genIsSeq = int64(-1)
 
 // onBasicWindow advances the window state of input idx with a merged,
 // completed basic window and evaluates if a slide completed; a non-
-// windowed input's window is one batch, evaluated on its own. Re-
-// evaluation join-group members run the incremental tail: the
-// decomposition certified their full-window recompute equals the merge of
-// cached basic-window pairs, which the shared pair cache serves.
+// windowed input's window is one batch, evaluated on its own. A factory
+// with a decomposition runs the decomposed tail, one without re-evaluates
+// the full plan over the rings.
 func (f *Factory) onBasicWindow(idx int, bw window.BW) int {
-	in := f.inputs[idx]
-	if in.ring == nil {
-		return f.evalBatch(in.scan, bw)
+	ring := f.rings[idx]
+	if ring == nil {
+		return f.evalBatch(f.scans[idx], bw)
 	}
-	if f.cfg.Mode == Reeval && !f.reevalJoin {
-		in.ring.Push(bw)
-		if !f.ringsFull() {
-			return 0
-		}
-		leaves := make(map[plan.Node]*kernel.View, len(f.inputs))
-		for _, i2 := range f.inputs {
-			leaves[i2.scan] = kernel.RunsView(i2.ring.Runs(i2.scan.Out))
-		}
-		out, err := kernel.Run(f.cfg.Full, leaves)
-		if err != nil {
-			return 0
-		}
-		f.emit(out.Materialize(), f.triggerArrival(bw.MaxArrival), bw.Gen)
-		return 1
+	if f.cfg.Decomp != nil {
+		return f.incrementalStep(idx, bw)
 	}
-	return f.incrementalStep(idx, bw)
+	ring.Push(bw)
+	if !f.ringsFull() {
+		return 0
+	}
+	leaves := make(map[plan.Node]*kernel.View, len(f.rings))
+	for i, s := range f.scans {
+		leaves[s] = kernel.RunsView(f.rings[i].Runs(s.Out))
+	}
+	out, err := kernel.Run(f.cfg.Full, leaves)
+	if err != nil {
+		return 0
+	}
+	f.emit(out.Materialize(), f.triggerArrival(bw.MaxArrival), bw.Gen)
+	return 1
 }
 
 func (f *Factory) ringsFull() bool {
-	for _, in := range f.inputs {
-		if in.ring != nil && !in.ring.Full() {
+	for _, r := range f.rings {
+		if r != nil && !r.Full() {
 			return false
 		}
 	}
@@ -389,11 +471,9 @@ func (f *Factory) triggerArrival(maxArrival int64) int64 {
 		return maxArrival
 	}
 	var m int64
-	for _, in := range f.inputs {
-		if in.ring != nil {
-			if a := in.ring.MaxArrival(); a > m {
-				m = a
-			}
+	for _, r := range f.rings {
+		if r != nil {
+			m = max(m, r.MaxArrival())
 		}
 	}
 	return m
@@ -401,16 +481,15 @@ func (f *Factory) triggerArrival(maxArrival int64) int64 {
 
 // incrementalStep is the paper's mode 2: the merged basic window's
 // intermediates are resolved (through the group's DAG, or here by the
-// member's own chain), the window enters the ring, and cached
+// factory's own chain), the window enters the ring, and cached
 // intermediates merge when a slide completes.
 func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 	d := f.cfg.Decomp
-	in := f.inputs[idx]
 
 	if bw.Out == nil && bw.Partial == nil {
 		// The group's DAG did not resolve the window (it resolves Partial,
 		// or Out for plans without an aggregate, before the tail runs): the
-		// member's own chain reads the raw runs — an empty chain for a DAG
+		// factory's own chain reads the raw runs — an empty chain for a DAG
 		// member's raw side. Single-stream aggregate plans only merge the
 		// partials, so the chain's output is never materialized.
 		v := kernel.RunsView(bw.Data)
@@ -426,23 +505,22 @@ func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 	// ring eviction.
 	bw.ReleaseData()
 
-	slot := in.ring.Push(bw)
+	slot := f.rings[idx].Push(bw)
 	if bw.Final != nil {
-		// Shared merge: the member's merge class resolved the full-window
-		// merged view and the post-merge fragment once for every class
-		// member; the ring above only tracks window alignment for the
-		// private path.
+		// Shared merge: the merge class resolved the full-window merged
+		// view and the post-merge fragment once for every class member; the
+		// ring above only tracks window alignment for the private path.
 		f.emit(bw.Final, f.triggerArrival(bw.MaxArrival), bw.Gen)
 		return 1
 	}
-	if f.jc != nil {
+	if f.pc != nil {
 		// The cache evicts by the group's generation watermarks, not by
-		// this member's ring: an evicted window may be live in a sibling's.
-		other := f.inputs[1-idx]
+		// this factory's ring: an evicted window may be live in a sibling's.
+		other := f.rings[1-idx].Live()
 		if idx == 0 {
-			f.jc.AddLeft(slot, other.ring.Live())
+			f.pc.AddLeft(slot, other)
 		} else {
-			f.jc.AddRight(slot, other.ring.Live())
+			f.pc.AddRight(slot, other)
 		}
 	}
 
@@ -450,27 +528,46 @@ func (f *Factory) incrementalStep(idx int, bw window.BW) int {
 		return 0
 	}
 
-	// Merge stage.
 	var merged *bat.Chunk
-	switch {
-	case f.jc != nil:
-		merged = f.jc.Merged(f.inputs[0].ring.Live(), f.inputs[1].ring.Live())
-	case d.Agg != nil:
-		for _, lbw := range in.ring.Live() {
-			f.parts = append(f.parts, lbw.Partial)
+	if f.pc != nil {
+		merged = f.pc.Merged(f.rings[0].Live(), f.rings[1].Live())
+	} else {
+		for _, lbw := range f.rings[idx].Live() {
+			if d.Agg != nil {
+				f.parts = append(f.parts, lbw.Partial)
+			} else {
+				f.parts = append(f.parts, lbw.Out)
+			}
 		}
-		merged = kernel.Merge(d.Merge, f.parts, 0)
+		merged = mergeView(d, f.parts)
 		clear(f.parts)
 		f.parts = f.parts[:0]
-	default:
-		merged = in.ring.ConcatOuts(d.MergedLeaf.Out)
 	}
-
 	if f.post != nil {
 		merged = kernel.MaterializeSteps(f.post, merged)
 	}
 	f.emit(merged, f.triggerArrival(bw.MaxArrival), bw.Gen)
 	return 1
+}
+
+// mergeView is the one merge of a one-sided full window's cached
+// intermediates, evaluated by a factory's private ring and by a merge cell
+// alike: the merge of the windows' partial aggregates (outs) or, without
+// an aggregate, the concat of their pipeline outputs (nil ones are
+// skipped; a window whose rows all sit in one basic window is that
+// window's chunk, uncopied). A join's merged view is its pair cache's
+// (SharedPairCache.Merged).
+func mergeView(d *plan.Decomposition, outs []*bat.Chunk) *bat.Chunk {
+	if d.Agg != nil {
+		return kernel.Merge(d.Merge, outs, 0)
+	}
+	rows := 0
+	for _, c := range outs {
+		if c != nil {
+			rows += c.Rows()
+		}
+	}
+	return bat.Concat(d.MergedLeaf.Out, outs, rows)
 }
 
 func (f *Factory) emit(c *bat.Chunk, maxArrival, gen int64) {
@@ -492,10 +589,14 @@ func (f *Factory) emit(c *bat.Chunk, maxArrival, gen int64) {
 	if lat > f.stats.MaxLatency {
 		f.stats.MaxLatency = lat
 	}
-	f.recentLat[f.recentPos] = lat
-	f.recentPos = (f.recentPos + 1) % recentLatSize
-	if f.recentN < recentLatSize {
-		f.recentN++
+	if len(f.recentLat) < recentLatSize {
+		if f.recentLat == nil {
+			f.recentLat = make([]int64, 0, recentLatSize)
+		}
+		f.recentLat = append(f.recentLat, lat)
+	} else {
+		f.recentLat[f.recentPos] = lat
+		f.recentPos = (f.recentPos + 1) % recentLatSize
 	}
 	f.mu.Unlock()
 	f.cfg.Emit.Emit(c, emitter.Meta{

@@ -3,6 +3,7 @@ package factory
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -22,7 +23,6 @@ type harness struct {
 	cat  *catalog.Catalog
 	fac  *Factory
 	g    *Group
-	m    *Member
 	out  *emitter.Channel
 	sb   *basket.Sharded
 	rb   *basket.Sharded
@@ -81,18 +81,10 @@ func newHarness(t *testing.T, src string, mode Mode) *harness {
 	h.out = emitter.NewChannel(4096)
 	cfg.Emit = h.out
 
-	fac, err := New(cfg)
-	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	h.fac = fac
-	scans := make([]*plan.ScanStream, len(fac.inputs))
-	for i, in := range fac.inputs {
-		scans[i] = in.scan
-	}
-	h.g = NewGroup(GroupConfig{Key: "q!iso#1", SchedGroup: "group:q", Scans: scans,
+	h.fac = New(cfg)
+	h.g = NewGroup(GroupConfig{Key: "q!iso#1", SchedGroup: "group:q", Scans: h.fac.Scans(),
 		NotifyMember: func(string) {}})
-	h.m = h.g.Join("q", fac)
+	h.g.Join(h.fac)
 	return h
 }
 
@@ -104,7 +96,7 @@ func (h *harness) step() int {
 			h.g.FireShard(side, sh)
 		}
 	}
-	return h.m.Fire()
+	return h.fac.Fire()
 }
 
 // ready reports whether any (side, shard) of the group has work.
@@ -311,9 +303,8 @@ func TestFactoryStopUnregisters(t *testing.T) {
 	if h.sb.Consumers() != 1 {
 		t.Fatalf("consumers = %d", h.sb.Consumers())
 	}
-	h.g.Leave(h.m)
-	h.g.Close()
 	h.fac.Stop()
+	h.g.Close()
 	if h.sb.Consumers() != 0 {
 		t.Errorf("consumers after stop = %d", h.sb.Consumers())
 	}
@@ -327,15 +318,6 @@ func TestFactoryPlanStrings(t *testing.T) {
 	h2 := newHarness(t, "SELECT k FROM s", Reeval)
 	if h2.fac.ContinuousPlanString() == "" {
 		t.Error("empty reeval continuous plan")
-	}
-}
-
-func TestFactoryErrors(t *testing.T) {
-	h := newHarness(t, "SELECT k FROM s", Reeval)
-	// Incremental without decomposition.
-	_, err := New(Config{Name: "x", Full: h.fac.cfg.Full, Mode: Incremental, Emit: emitter.Null{}})
-	if err == nil {
-		t.Error("incremental without decomp should fail")
 	}
 }
 
@@ -464,11 +446,85 @@ func TestJoinOneSidedFeedStaysBounded(t *testing.T) {
 		if n := len(h.g.seq.ins[0].pending); n != lead {
 			t.Errorf("%s: %d left windows queued, want the bound %d", src, n, lead)
 		}
-		if !h.fac.inputs[0].ring.Full() {
+		if !h.fac.rings[0].Full() {
 			t.Errorf("%s: left ring never filled from released windows", src)
 		}
 		if res := h.results(); len(res) != 0 {
 			t.Errorf("%s: %d results with an empty right stream", src, len(res))
 		}
 	}
+}
+
+// TestMergeViewConcatSkipsNilOuts: without an aggregate the merged view is
+// the concat of the windows' pipeline outputs, and a window that cached
+// none (an empty basic window) contributes no rows.
+func TestMergeViewConcatSkipsNilOuts(t *testing.T) {
+	sch := bat.NewSchema([]string{"ts", "k"}, []bat.Kind{bat.Time, bat.Int})
+	d := &plan.Decomposition{MergedLeaf: &plan.Merged{Out: sch}}
+	out := bat.NewChunk(sch)
+	_ = out.AppendRow(bat.TimeValue(1), bat.IntValue(10))
+	if got := mergeView(d, []*bat.Chunk{out, nil}); got.Rows() != 1 {
+		t.Errorf("merged rows = %d", got.Rows())
+	}
+}
+
+// TestMergeViewOneWindowCopiesNothing: a full window whose rows all sit
+// in a single basic window merges to that basic window's pipeline output,
+// with no column data allocated.
+func TestMergeViewOneWindowCopiesNothing(t *testing.T) {
+	const rows = 4096
+	sch := bat.NewSchema([]string{"ts", "k"}, []bat.Kind{bat.Time, bat.Int})
+	d := &plan.Decomposition{MergedLeaf: &plan.Merged{Out: sch}}
+	part := &bat.Chunk{Schema: sch, Cols: []bat.Vector{make(bat.Times, rows), make(bat.Ints, rows)}}
+	outs := []*bat.Chunk{part}
+	if got := mergeView(d, outs); &bat.AsInts(got.Cols[1])[0] != &bat.AsInts(part.Cols[1])[0] {
+		t.Fatal("mergeView copied a lone window's output")
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		_ = mergeView(d, outs)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= rows*8 {
+		t.Fatalf("mergeView of one window allocated %d B per call — column data (%d B)", per, rows*8)
+	}
+}
+
+// TestRecentLatencies: the latency sample lists the newest evaluations'
+// response times oldest first; it holds only the evaluations so far until
+// it fills, and stays bounded at recentLatSize once it wraps.
+func TestRecentLatencies(t *testing.T) {
+	const now = int64(1_000_000)
+	f := New(Config{Name: "q", Full: &plan.ScanStream{}, Emit: emitter.Null{}, Now: func() int64 { return now }})
+	if f.recentLat != nil {
+		t.Fatal("the latency sample is allocated before the first evaluation")
+	}
+	empty := bat.NewChunk(bat.NewSchema(nil, nil))
+	emitted := 0
+	emitUpTo := func(n int) {
+		for ; emitted < n; emitted++ {
+			f.emit(empty, now-int64(emitted), 0) // response time = emitted
+		}
+	}
+	check := func(first, n int) {
+		t.Helper()
+		got := f.RecentLatencies()
+		if len(got) != n {
+			t.Fatalf("after %d evaluations: %d latencies, want %d", emitted, len(got), n)
+		}
+		for i, lat := range got {
+			if lat != int64(first+i) {
+				t.Fatalf("after %d evaluations: latency %d = %d, want %d (oldest first)", emitted, i, lat, first+i)
+			}
+		}
+	}
+	check(0, 0)
+	emitUpTo(100)
+	check(0, 100)
+	emitUpTo(recentLatSize)
+	check(0, recentLatSize)
+	emitUpTo(3*recentLatSize + 37)
+	check(emitted-recentLatSize, recentLatSize)
 }

@@ -37,11 +37,11 @@ type frontEnd struct {
 	sealed int64
 
 	// sink consumes sealed basic windows and the merger's new sealed
-	// frontier under mergeMu and returns the queries whose tail
+	// frontier under mergeMu and returns the members whose tail
 	// transitions need a wake-up. It also runs when the frontier moved
 	// without sealing a window: a join's sequencer may then release the
 	// other side's waiting windows.
-	sink func(ready []*window.BW, sealed int64) []string
+	sink func(ready []*window.BW, sealed int64) []*Factory
 }
 
 // groupShard is a front end's cursor into one shard of the stream basket.
@@ -125,7 +125,7 @@ func (fe *frontEnd) watermarkGen(gs *groupShard) (gen int64, ok bool) {
 // fireShard is one firing of shard sh: drain, slice, and merge-complete
 // any basic windows this shard sealed last, feeding them to the owner's
 // sink. It returns the sink's wake-up list.
-func (fe *frontEnd) fireShard(sh int) []string {
+func (fe *frontEnd) fireShard(sh int) []*Factory {
 	gs := fe.shards[sh]
 	if gs.sl == nil {
 		return fe.batches(gs)
@@ -149,7 +149,7 @@ func (fe *frontEnd) fireShard(sh int) []string {
 // becomes one basic window (the paper's mode 1 evaluates each arriving
 // batch), sunk in drain order under mergeMu. ConsumeEach's views pin
 // their storage, so the batches stay valid until the members read them.
-func (fe *frontEnd) batches(gs *groupShard) []string {
+func (fe *frontEnd) batches(gs *groupShard) []*Factory {
 	var ready []*window.BW
 	gs.bk.ConsumeEach(gs.cid, func(c *bat.Chunk, arrivals, _ bat.Ints) {
 		bw := &window.BW{Data: bat.NewRuns(fe.schema, c)}
@@ -168,7 +168,7 @@ func (fe *frontEnd) batches(gs *groupShard) []string {
 
 // deliver offers a shard's flushed fragments to the merger and sinks any
 // completed basic windows.
-func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) []string {
+func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) []*Factory {
 	fe.mergeMu.Lock()
 	defer fe.mergeMu.Unlock()
 	return fe.offer(gs.idx, frags, gs.sl.Watermark())
@@ -177,7 +177,7 @@ func (fe *frontEnd) deliver(gs *groupShard, frags []*window.Frag) []string {
 // offer hands one shard's fragments and watermark to the merger and sinks
 // the basic windows they completed, or a frontier that moved. Callers
 // hold mergeMu.
-func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) []string {
+func (fe *frontEnd) offer(shard int, frags []*window.Frag, wm int64) []*Factory {
 	ready := fe.merge.Offer(shard, frags, wm)
 	sealed := fe.merge.Sealed()
 	if len(ready) == 0 && sealed == fe.sealed {
@@ -246,13 +246,11 @@ type Group struct {
 	// log holds the fanned-out windows; appends and member cursors start
 	// under mu (see deliveryLog).
 	log deliveryLog
-	// members and queries (the members' query names, in the same order)
-	// only grow at their end or are replaced by a copy, never modified in
-	// place, so a fan-out hands queries out without copying. viewers
+	// members only grows at its end or is replaced by a copy, never
+	// modified in place, so a fan-out hands it out without copying. viewers
 	// counts the members that may keep views of a window's runs past
 	// their release (all but partialsOnly ones).
-	members []*Member
-	queries []string
+	members []*Factory
 	viewers int
 	classes map[string]*mergeClass // merge classes by plan.Decomposition.ClassKey
 	// classSlots holds the live classes by ordinal (nil: a free slot): a
@@ -325,59 +323,6 @@ type RemoteSource struct {
 	Close func()
 }
 
-// Member is one continuous query's membership in a group: a cursor into
-// the group's delivery log, whose windows (in the group's fan-out order)
-// the member's scheduler transition reads. Members whose pipelines
-// registered in the side DAGs carry their leaf nodes; their tails resolve
-// Partial (one-sided aggregate plans) or Out (all others) through the
-// shared memo before the merge stage. Members in a merge class
-// additionally resolve the merge itself — and, through postLeaf, their
-// post-merge fragment — from the group's shared machinery, so their
-// private tail only emits. Join members, incremental and re-evaluation
-// alike, share the fingerprint-keyed pair cache: the decomposition
-// certifies that a re-evaluation join's full-window recompute equals the
-// merge of cached basic-window pairs.
-type Member struct {
-	g     *Group
-	query string
-	fac   *Factory
-
-	leaf    []*dagNode // per-side pipeline leaves (nil: evaluate privately)
-	aggLeaf *dagNode   // partial-aggregate node (one-sided groups only)
-	// partialsOnly: the member is an incremental aggregate whose tail
-	// keeps nothing of a basic window but its partial aggregate, computed
-	// by a kernel — through aggLeaf, or through the factory's pipeline,
-	// which leaves Out nil for aggregate plans.
-	partialsOnly bool
-
-	// parts is the member's window extent in basic windows: its merge
-	// class's ring length and, in a two-sided group, what it retains in
-	// (and releases from, on Leave) pc, the shared pair cache of its join
-	// fingerprint pcKey.
-	parts int
-	pcKey string
-	pc    *window.SharedPairCache
-
-	// Shared-merge state. classKey is the member's merge-class key (""
-	// when the member merges privately: re-evaluation scans, NoMemo, or
-	// NoSharedMerge) and class the class itself. postLeaf is the member's
-	// post-merge chain in the class's post-merge trie (nil when the plan
-	// has no post fragment), whose compiled steps are the factory's post
-	// chain, and postTop its first node: while postTop is not shared, no
-	// other chain reads any node of the member's.
-	classKey string
-	class    *mergeClass
-	postLeaf *dagNode
-	postTop  *dagNode
-
-	// cur is the member's position in the group's delivery log; seen
-	// counts the windows it read per side, and a one-sided member's
-	// windows are numbered by it. Only Fire (and Leave, once no firing is
-	// in flight) moves them.
-	cur  logCursor
-	seen []int64
-}
-
 // NewGroup builds a group over its scans' stream baskets. It registers
 // consumers on every local shard but does not yet subscribe to append
 // notifications — the engine first joins the creating member and
@@ -398,7 +343,7 @@ func NewGroup(cfg GroupConfig) *Group {
 			side.fe = newFrontEnd(sc.Stream.Basket, sc.Window, sc.Out)
 		}
 		i := i
-		side.fe.sink = func(ready []*window.BW, sealed int64) []string {
+		side.fe.sink = func(ready []*window.BW, sealed int64) []*Factory {
 			return g.fanout(i, ready, sealed)
 		}
 		g.sides = append(g.sides, side)
@@ -540,79 +485,73 @@ func (g *Group) PairStats() (caches, pairs int, computed int64) {
 	return caches, pairs, computed
 }
 
-// Join adds a query as a member. The member starts at the next sealed
+// Join adds a query's factory as a member. It starts at the next sealed
 // basic window of each side; tuples already buffered in the group's open
 // epochs are included in it.
 //
-// A member registers its linearized per-basic-window pipelines
-// (plan.Pipeline.Steps) in the side DAGs, unless the factory opted out
-// (NoMemo) and compiles them for itself; in a one-sided group this takes
-// an incremental plan, and its partial-aggregate stage registers too.
-// Such a member additionally joins the merge class of its merge key
-// (unless NoSharedMerge) and registers its post-merge fragment in the
-// post-merge trie, so once a second member with the same key arrives,
-// merge and identical post fragments evaluate once per sealed window for
-// the whole class; a member without a class compiles its post-merge
-// chain for itself. A join member also acquires the shared pair cache of
-// its join fingerprint, created on first use.
-func (g *Group) Join(query string, fac *Factory) *Member {
+// A factory with a decomposition registers its linearized per-basic-window
+// pipelines (plan.Pipeline.Steps) in the side DAGs, unless it opted out
+// (NoMemo) and compiles them for itself; in a one-sided group its
+// partial-aggregate stage registers too. Such a member additionally joins
+// the merge class of its merge key (unless NoSharedMerge) and registers
+// its post-merge fragment in the post-merge trie, so once a second member
+// with the same key arrives, merge and identical post fragments evaluate
+// once per sealed window for the whole class; a member without a class
+// compiles its post-merge chain for itself. A join member also acquires
+// the shared pair cache of its join fingerprint, created on first use.
+func (g *Group) Join(f *Factory) {
 	n := len(g.sides)
-	m := &Member{g: g, query: query, fac: fac, leaf: make([]*dagNode, n), seen: make([]int64, n)}
-	d := fac.cfg.Decomp
-	joined := d != nil && d.Join != nil
-	piped := d != nil && !fac.cfg.NoMemo && (joined || n == 1 && fac.cfg.Mode == Incremental)
+	f.g, f.leaf, f.seen = g, make([]*dagNode, n), make([]int64, n)
+	d := f.cfg.Decomp
+	piped := d != nil && !f.cfg.NoMemo
 	for s := range g.sides {
 		switch {
 		case d == nil:
 		case !piped:
-			fac.steps[s] = kernel.CompileSteps(d.Pipelines[s].Steps)
+			f.steps[s] = kernel.CompileSteps(d.Pipelines[s].Steps)
 		case n == 1:
-			m.leaf[s], m.aggLeaf = g.sides[s].dag.register(d.Pipelines[s].Steps, d.Agg, d.AggFp)
+			f.leaf[s], f.aggLeaf = g.sides[s].dag.register(d.Pipelines[s].Steps, d.Agg, d.AggFp)
 		default:
-			m.leaf[s], _ = g.sides[s].dag.register(d.Pipelines[s].Steps, nil, "")
+			f.leaf[s], _ = g.sides[s].dag.register(d.Pipelines[s].Steps, nil, "")
 		}
 	}
-	if piped && !fac.cfg.NoSharedMerge {
-		// The member's pipelines are in the side DAGs, so its merged view
-		// is a deterministic function of the class rings. A join class key
-		// embeds the join fingerprint, which covers both side pipelines:
-		// class siblings necessarily share a pair cache.
-		m.classKey = d.ClassKey
-	}
-	m.partialsOnly = n == 1 && fac.cfg.Mode == Incremental && d != nil && d.Agg != nil
+	f.partialsOnly = n == 1 && d != nil && d.Agg != nil
 	if d != nil {
 		// A join decomposition requires the two sides' windows to slide in
 		// lockstep, so their extents agree today — take the max anyway so
 		// the retention horizon stays correct if that invariant loosens.
 		for s := range g.sides {
-			m.parts = max(m.parts, d.Pipelines[s].Scan.Window.Parts())
+			f.extent = max(f.extent, d.Pipelines[s].Scan.Window.Parts())
 		}
 	}
 	g.mu.Lock()
-	if joined {
-		m.pcKey = d.JoinFp
-		e := g.caches[m.pcKey]
+	if d != nil && d.Join != nil {
+		e := g.caches[d.JoinFp]
 		if e == nil {
 			e = &jcEntry{pc: window.NewSharedPairCache(d.Join)}
-			g.caches[m.pcKey] = e
+			g.caches[d.JoinFp] = e
 		}
 		e.refs++
-		m.pc = e.pc
-		m.pc.Retain(m.parts)
+		f.pc = e.pc
+		f.pc.Retain(f.extent)
 	}
-	if m.classKey != "" {
-		mc := g.classes[m.classKey]
+	if piped && !f.cfg.NoSharedMerge {
+		// The member's pipelines are in the side DAGs, so its merged view
+		// is a deterministic function of the class rings. A join class key
+		// embeds the join fingerprint, which covers both side pipelines:
+		// class siblings necessarily share a pair cache.
+		mc := g.classes[d.ClassKey]
 		if mc == nil {
-			mc = newMergeClass(m, d)
-			g.classes[m.classKey] = mc
+			mc = newMergeClass(f)
+			g.classes[d.ClassKey] = mc
 			g.addClassSlot(mc)
 		}
-		m.class = mc
+		f.class = mc
 		if d.Post != nil {
 			// The trie nodes' compiled steps are also the member's private
 			// post-merge chain.
-			m.postLeaf, _ = mc.post.register(d.PostSteps, nil, "")
-			fac.post, m.postTop = chain(m.postLeaf)
+			f.postLeaf, _ = mc.post.register(d.PostSteps, nil, "")
+			f.post, f.postTop = chain(f.postLeaf)
 		}
 		mc.refs++
 		if mc.refs >= 2 && !mc.active {
@@ -622,48 +561,44 @@ func (g *Group) Join(query string, fac *Factory) *Member {
 			mc.reopen()
 		}
 	}
-	g.log.start(&m.cur)
-	g.members = append(g.members, m)
-	g.queries = append(g.queries, query)
-	if !m.partialsOnly {
+	g.log.start(&f.cur)
+	g.members = append(g.members, f)
+	if !f.partialsOnly {
 		g.viewers++
 	}
 	g.mu.Unlock()
-	// No firing is in flight yet: the member's tail transition is
-	// registered after Join returns.
-	fac.jc = m.pc
-	if d != nil && d.Post != nil && m.class == nil {
-		fac.post = kernel.CompileSteps(d.PostSteps)
+	// No firing is in flight yet: the tail transition is registered after
+	// Join returns.
+	if d != nil && d.Post != nil && f.class == nil {
+		f.post = kernel.CompileSteps(d.PostSteps)
 	}
-	return m
 }
 
-// Leave removes a member, releasing its references to the logged windows
-// it has not read, its DAG and post-merge trie path references, its
-// merge-class membership — the class's rings (and their references on the
-// logged windows) are released when sharing ends — and its pair-cache
-// reference. A surviving cache recomputes its retention horizon from the
-// remaining members' extents, so a departing wide member no longer pins
-// pairs beyond the widest surviving ring. The caller must have removed
-// the member's scheduler transition first (RemoveWait) so no tail firing
-// is in flight.
-func (g *Group) Leave(m *Member) {
+// leave removes a member (Factory.Stop), releasing its references to the
+// logged windows [cursor, head) it has not read, its DAG and post-merge
+// trie path references, its merge-class membership — the class's rings
+// (and their references on the logged windows) are released when sharing
+// ends — and its pair-cache reference. A surviving cache recomputes its
+// retention horizon from the remaining members' extents, so a departing
+// wide member no longer pins pairs beyond the widest surviving ring. The
+// caller must have removed the member's scheduler transition first
+// (RemoveWait) so no tail firing is in flight.
+func (g *Group) leave(f *Factory) {
 	var closeClass *mergeClass
 	g.mu.Lock()
-	if i := slices.Index(g.members, m); i >= 0 {
+	if i := slices.Index(g.members, f); i >= 0 {
 		g.members = slices.Delete(slices.Clone(g.members), i, i+1)
-		g.queries = slices.Delete(slices.Clone(g.queries), i, i+1)
-		if !m.partialsOnly {
+		if !f.partialsOnly {
 			g.viewers--
 		}
 	}
 	// Every entry published so far counted the member; later ones do not.
-	unread := g.log.head.Load() - m.cur.read.Load()
-	if mc := g.classes[m.classKey]; mc != nil {
+	unread := g.log.head.Load() - f.cur.read.Load()
+	if mc := f.class; mc != nil {
 		mc.refs--
 		switch {
 		case mc.refs <= 0:
-			delete(g.classes, m.classKey)
+			delete(g.classes, f.cfg.Decomp.ClassKey)
 			g.classSlots[mc.ord] = nil
 			closeClass = mc
 		case mc.refs == 1 && mc.active:
@@ -675,31 +610,32 @@ func (g *Group) Leave(m *Member) {
 			closeClass = mc
 		}
 	}
-	if e := g.caches[m.pcKey]; e != nil {
+	if f.pc != nil {
+		e := g.caches[f.cfg.Decomp.JoinFp]
 		e.refs--
 		if e.refs <= 0 {
 			g.retiredComputed += e.pc.Computed()
-			delete(g.caches, m.pcKey)
+			delete(g.caches, f.cfg.Decomp.JoinFp)
 		} else {
-			e.pc.Release(m.parts)
+			e.pc.Release(f.extent)
 		}
 	}
 	g.mu.Unlock()
 	if closeClass != nil {
 		closeClass.close()
 	}
-	if m.postLeaf != nil {
-		m.class.post.unregister(m.postLeaf, nil)
+	if f.postLeaf != nil {
+		f.class.post.unregister(f.postLeaf, nil)
 	}
-	for s, leaf := range m.leaf {
+	for s, leaf := range f.leaf {
 		// Only a one-sided group's member has an aggregate node.
-		if leaf != nil || m.aggLeaf != nil {
-			g.sides[s].dag.unregister(leaf, m.aggLeaf)
+		if leaf != nil || f.aggLeaf != nil {
+			g.sides[s].dag.unregister(leaf, f.aggLeaf)
 		}
 	}
-	m.cur.read.Add(unread)
+	f.cur.read.Add(unread)
 	for ; unread > 0; unread-- {
-		m.cur.next().release()
+		f.cur.next().release()
 	}
 }
 
@@ -752,8 +688,8 @@ func (g *Group) OfferRemote(side, shard int, frags []*window.Frag, wm int64) {
 	s.fe.mergeMu.Lock()
 	notify := s.fe.offer(shard, frags, wm)
 	s.fe.mergeMu.Unlock()
-	for _, q := range notify {
-		g.cfg.NotifyMember(q)
+	for _, f := range notify {
+		g.cfg.NotifyMember(f.cfg.Name)
 	}
 }
 
@@ -767,13 +703,13 @@ func (g *Group) ShardReady(side, sh int) bool { return g.sides[side].fe.shardRea
 // out through the delivery log. Sealed windows wake the members' tail
 // transitions.
 func (g *Group) FireShard(side, sh int) {
-	for _, q := range g.sides[side].fe.fireShard(sh) {
-		g.cfg.NotifyMember(q)
+	for _, f := range g.sides[side].fe.fireShard(sh) {
+		g.cfg.NotifyMember(f.cfg.Name)
 	}
 }
 
 // fanout publishes one side's sealed basic windows to the group's
-// delivery log, one entry per window, and returns the queries whose tail
+// delivery log, one entry per window, and returns the members whose tail
 // transitions need a wake-up. Callers hold the side's mergeMu.
 //
 // A one-sided group releases the windows in seal order, and each member
@@ -783,11 +719,11 @@ func (g *Group) FireShard(side, sh int) {
 // seals ahead of the other waits — and generations are group-global per
 // side: the shared pair cache keys pairs by them, so all members must
 // agree.
-func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
-	var notify []string
+func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []*Factory {
+	var notify []*Factory
 	release := func(side int, bw *window.BW) {
-		if q := g.publish(side, bw); q != nil {
-			notify = q
+		if m := g.publish(side, bw); m != nil {
+			notify = m
 		}
 	}
 	if len(g.sides) == 1 {
@@ -813,12 +749,11 @@ func (g *Group) fanout(side int, ready []*window.BW, sealed int64) []string {
 // members at that moment plus the class rings it enters (each ring slot
 // holds one, released on eviction); once the class rings cover a full
 // window, the entry carries the window's merge cell per class. It returns
-// the members' queries (nil: the group had no member, and the window is
-// dropped).
+// the members (nil: the group had no member, and the window is dropped).
 //
 // Everything happens under g.mu, where a joining member takes its cursor:
 // the entry counts exactly the members that will read it.
-func (g *Group) publish(side int, bw *window.BW) []string {
+func (g *Group) publish(side int, bw *window.BW) []*Factory {
 	g.windowsOut.Add(1)
 	gen := g.genCtr[side]
 	g.genCtr[side]++
@@ -864,99 +799,5 @@ func (g *Group) publish(side int, bw *window.BW) []string {
 		}
 	}
 	g.log.head.Add(1)
-	return g.queries
-}
-
-// warm reports whether the member has read a full window on every side —
-// only then may a merge cell serve it: a late joiner's first full window
-// must cover exactly the windows it read, as it would alone.
-func (m *Member) warm(parts int) bool {
-	for _, n := range m.seen {
-		if n < int64(parts) {
-			return false
-		}
-	}
-	return true
-}
-
-// Query reports the member's query name.
-func (m *Member) Query() string { return m.query }
-
-// Ready reports whether logged basic windows await the member's tail —
-// the firing condition of the member's scheduler transition. It reads
-// atomics only (the scheduler calls it under its own lock).
-func (m *Member) Ready() bool { return m.cur.read.Load() < m.g.log.head.Load() }
-
-// Fire reads the delivery log from the member's cursor to the head it
-// finds and runs the member's private tail once per window, in fan-out
-// order. Members registered in the side DAGs resolve their partial
-// aggregate (or, without one, their pipeline output) through the
-// window's memo first — evaluating each distinct operator once across
-// all members. Warm merge-class members then resolve the merged view
-// through the window's merge cell (one merge evaluation per sealed window
-// across the class) and their post-merge fragment through the post-merge
-// trie, so the factory tail only emits; everyone else merges privately in
-// the tail (a join member through the shared pair cache). The window
-// itself is a value the tail keeps in a ring slot, so a member-window
-// allocates nothing. The scheduler guarantees a single in-flight Fire per
-// member. It returns the number of result sets emitted.
-func (m *Member) Fire() int {
-	head := m.g.log.head.Load()
-	read := m.cur.read.Load()
-	if read == head {
-		return 0
-	}
-	m.fac.beginFiring()
-	n := 0
-	for ; read < head; read++ {
-		e := m.cur.next()
-		bw := window.BW{Gen: e.gen, Data: e.data, MaxArrival: e.maxArrival, Free: e.free}
-		if len(m.seen) == 1 {
-			bw.Gen = m.seen[0]
-		}
-		m.seen[e.side]++
-		if e.dw != nil {
-			// A member resolves only the node its tail consumes: the
-			// partial aggregate when it has one (its ring keeps partials
-			// only, so the pipeline leaf never materializes for it), the
-			// pipeline leaf otherwise. The raw-data reference is released
-			// by the factory tail after tuple accounting (incrementalStep).
-			switch {
-			case m.aggLeaf != nil:
-				bw.Partial = eval(e.dw, m.aggLeaf, &m.g.memoHits, &m.g.memoMisses)
-			case m.leaf[e.side] != nil:
-				bw.Out = eval(e.dw, m.leaf[e.side], &m.g.memoHits, &m.g.memoMisses)
-			}
-		}
-		if mc := m.class; mc != nil && e.cells != nil && e.cells[mc.ord] != nil && m.warm(mc.parts) {
-			m.resolveFinal(&bw, e.cells[mc.ord])
-		}
-		n += m.fac.fireWindow(e.side, bw)
-	}
-	m.cur.read.Store(head)
-	m.fac.endFiring()
-	return n
-}
-
-// resolveFinal sets bw.Final from the window's merge cell: the class's
-// merged view, through the member's post-merge chain.
-func (m *Member) resolveFinal(bw *window.BW, cell *mergeCell) {
-	merged, pdw, computed := cell.eval(m.g)
-	if computed {
-		m.g.mergeMisses.Add(1)
-	} else {
-		m.g.mergeHits.Add(1)
-	}
-	switch {
-	case m.postLeaf == nil:
-		bw.Final = merged
-	case pdw == nil || !m.postTop.shared.Load():
-		// No other chain reads a node of this one (or none did when the
-		// cell was evaluated): the member evaluates it alone, counting one
-		// miss per node as the memo would.
-		bw.Final = kernel.MaterializeSteps(m.fac.post, merged)
-		m.g.postMisses.Add(int64(len(m.fac.post)))
-	default:
-		bw.Final = eval(pdw, m.postLeaf, &m.g.postHits, &m.g.postMisses)
-	}
+	return g.members
 }

@@ -28,16 +28,12 @@ func sharedFactory(t *testing.T, cat *catalog.Catalog, name, src string, out emi
 	if err != nil {
 		t.Fatalf("decompose: %v", err)
 	}
-	scan := plan.Streams(opt)[0]
 	now := int64(0)
-	fac, err := New(Config{
+	fac := New(Config{
 		Name: name, Full: opt, Decomp: d, Mode: Incremental,
 		Emit: out, Now: func() int64 { now++; return now },
 	})
-	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	return fac, scan
+	return fac, fac.Scans()[0]
 }
 
 // TestAggregateMemberRingHoldsPartialsOnly: a grouped aggregate member
@@ -61,7 +57,9 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 		Key: "s", SchedGroup: "group:s", Scans: []*plan.ScanStream{scan},
 		NotifyMember: func(string) {},
 	})
-	m1, m2 := g.Join("q1", fac1), g.Join("q2", fac2)
+	g.Join(fac1)
+	g.Join(fac2)
+	m1, m2 := fac1, fac2
 	if m1.aggLeaf == nil || m1.leaf[0] == nil || m1.leaf[0] != m2.leaf[0] {
 		t.Fatalf("members did not share a filter leaf under their aggregate nodes")
 	}
@@ -103,7 +101,7 @@ func TestAggregateMemberRingHoldsPartialsOnly(t *testing.T) {
 		}
 	}
 	for _, fac := range []*Factory{fac1, fac2} {
-		live := fac.inputs[0].ring.Live()
+		live := fac.rings[0].Live()
 		if len(live) == 0 {
 			t.Fatal("empty ring")
 		}

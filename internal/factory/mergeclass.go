@@ -47,16 +47,12 @@ import (
 type mergeClass struct {
 	ord   int // index in the group's class slots (Group.classSlots)
 	parts int
-	leaf  []*dagNode // per-side pipeline leaves in the side DAGs (nil: raw)
-	view  func(c *mergeCell, g *Group) *bat.Chunk
-	post  *dag
-
-	// One side: the merge plan of the partial-aggregate stage (nil: the
-	// merged view is the concat of outs), the stage's DAG node, and the
-	// merged view's schema.
-	merge     *plan.Aggregate
-	aggLeaf   *dagNode
-	outSchema bat.Schema
+	d     *plan.Decomposition // the first member's: fixes what mergeView does over one side
+	// leaf holds, per side, the DAG node whose outputs the merge reads:
+	// over one side with an aggregate its partial-aggregate node, else the
+	// side's pipeline leaf (nil: raw).
+	leaf []*dagNode
+	post *dag
 	// Two sides: the class members' shared pair cache.
 	pc *window.SharedPairCache
 
@@ -70,16 +66,13 @@ type mergeClass struct {
 	rings  [2][]mergeIn // last `parts` sealed windows per side, oldest first
 }
 
-// newMergeClass builds the class of its first member m, whose
-// decomposition is d: the class resolves ring windows through m's side
-// leaves (and, over one side, its partial-aggregate node) and, over two
-// sides, merges through m's pair cache.
-func newMergeClass(m *Member, d *plan.Decomposition) *mergeClass {
-	mc := &mergeClass{parts: m.parts, leaf: m.leaf, pc: m.pc, post: newDAG()}
-	if len(m.leaf) == 1 {
-		mc.merge, mc.aggLeaf, mc.outSchema, mc.view = d.Merge, m.aggLeaf, d.MergedLeaf.Out, mergeScanView
-	} else {
-		mc.view = mergeJoinView
+// newMergeClass builds the class of its first member f: the class
+// resolves ring windows through f's nodes and, over two sides, merges
+// through f's pair cache.
+func newMergeClass(f *Factory) *mergeClass {
+	mc := &mergeClass{parts: f.extent, d: f.cfg.Decomp, leaf: f.leaf, pc: f.pc, post: newDAG()}
+	if f.aggLeaf != nil {
+		mc.leaf = []*dagNode{f.aggLeaf}
 	}
 	return mc
 }
@@ -175,9 +168,9 @@ type mergeCell struct {
 // window across all class members. computed reports whether THIS call
 // performed the merge — the group's merge hit/miss counters are an
 // honest cross-query sharing rate, like the DAG memo's.
-func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) {
+func (c *mergeCell) eval() (out *bat.Chunk, pdw *dagWin, computed bool) {
 	c.once.Do(func() {
-		c.out = c.mc.view(c, g)
+		c.out = c.merge()
 		if c.mc.post.shared.Load() > 0 {
 			c.pdw = c.mc.post.newWin(kernel.NewView(c.out))
 		}
@@ -187,46 +180,34 @@ func (c *mergeCell) eval(g *Group) (out *bat.Chunk, pdw *dagWin, computed bool) 
 	return c.out, c.pdw, computed
 }
 
-// resolve returns the node's outputs over side's ring windows through the
-// side DAG's per-window memos. The lookups count into discard counters:
-// they are re-lookups of work the member tails already accounted for, and
-// crediting them to the group's DAG gauges would inflate the documented
-// cross-query hit rate.
-func (c *mergeCell) resolve(g *Group, side int, node *dagNode) []*bat.Chunk {
+// resolve returns the class node's outputs over side's ring windows
+// through the side DAG's per-window memos. The lookups count into discard
+// counters: they are re-lookups of work the member tails already
+// accounted for, and crediting them to the group's DAG gauges would
+// inflate the documented cross-query hit rate.
+func (c *mergeCell) resolve(side int) []*bat.Chunk {
 	var discardHits, discardMisses atomic.Int64
 	outs := make([]*bat.Chunk, len(c.ins[side]))
 	for i, in := range c.ins[side] {
-		outs[i] = eval(in.dw, node, &discardHits, &discardMisses)
+		outs[i] = eval(in.dw, c.mc.leaf[side], &discardHits, &discardMisses)
 	}
 	return outs
 }
 
-// mergeScanView is the one-sided merged view: the concat of the ring's
-// pipeline outputs, or the merge of its partial aggregates.
-func mergeScanView(c *mergeCell, g *Group) *bat.Chunk {
-	mc := c.mc
-	if mc.merge != nil {
-		return kernel.Merge(mc.merge, c.resolve(g, 0, mc.aggLeaf), 0)
+// merge evaluates the merged view: over one side through mergeView, as a
+// member's private ring does. Over two sides it first replays what each
+// warm member's private tail would do with the same windows: drive the
+// shared pair cache with the triggering side's newest window against the
+// other side's live ring, then read the cache's merged view. Every step is
+// a deterministic function of the same generation-stamped inputs, which is
+// what keeps a shared merged view byte-identical to a private one.
+func (c *mergeCell) merge() *bat.Chunk {
+	if len(c.mc.leaf) == 1 {
+		return mergeView(c.mc.d, c.resolve(0))
 	}
-	parts := c.resolve(g, 0, mc.leaf[0])
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows()
-	}
-	return bat.Concat(mc.outSchema, parts, rows)
-}
-
-// mergeJoinView is the two-sided merged view. It replays exactly what
-// each warm member's private tail would do with the same windows: drive
-// the shared pair cache with the triggering side's newest window against
-// the other side's live ring, then concatenate the live pair set in
-// (leftGen, rightGen) order. Every step is a deterministic function of
-// the same generation-stamped inputs, which is what keeps a shared merged
-// view byte-identical to a private one.
-func mergeJoinView(c *mergeCell, g *Group) *bat.Chunk {
 	var bws [2][]*window.BW
 	for side := range bws {
-		outs := c.resolve(g, side, c.mc.leaf[side])
+		outs := c.resolve(side)
 		bws[side] = make([]*window.BW, len(outs))
 		for i, out := range outs {
 			bws[side][i] = &window.BW{Gen: c.ins[side][i].gen, Out: out}

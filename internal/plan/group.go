@@ -5,35 +5,6 @@ import (
 	"strings"
 )
 
-// SharedScan reports whether a continuous plan is eligible for shared
-// multi-query execution: exactly one windowed stream scan. Such plans can
-// join a query group that drains, sequences and slices the stream once and
-// fans each sealed basic window out to the member queries' private
-// operator tails (selections, projections, aggregations, joins against
-// static tables). Plans over two streams group through SharedJoin instead:
-// their basic windows pair across inputs, which a join group models with
-// two paired front ends.
-func SharedScan(root Node) (*ScanStream, bool) {
-	streams := Streams(root)
-	if len(streams) != 1 || streams[0].Window == nil {
-		return nil, false
-	}
-	return streams[0], true
-}
-
-// SharedJoin reports whether an incremental decomposition is eligible for
-// a shared stream⋈stream join group: exactly two windowed stream scans
-// meeting at a single join (the shape Decompose already certified when it
-// produced a non-nil Join). Members of a join group share two stream front
-// ends — each stream drained, sequenced and sliced once — and one pair
-// cache per distinct join fingerprint.
-func SharedJoin(d *Decomposition) (left, right *ScanStream, ok bool) {
-	if d == nil || d.Join == nil || len(d.Pipelines) != 2 {
-		return nil, nil, false
-	}
-	return d.Pipelines[0].Scan, d.Pipelines[1].Scan, true
-}
-
 // GroupKey is the shared-execution group key of a windowed stream scan:
 // queries whose scans agree on it consume identical basic windows and can
 // share one slice of the stream. The key is the slicing granularity —

@@ -15,7 +15,9 @@ import (
 // shape (Decompose certifies its scans windowed) carries its identity:
 // a merge-class key, the post chain rooted at it, the aggregate
 // fingerprint and merge plan exactly when it aggregates, and the join
-// fingerprint exactly when it joins two streams.
+// fingerprint exactly when it joins two streams. Its pipelines read the
+// plan's stream scans (Streams), the same nodes in the same order, which
+// is what lets a standing query's tail and its group read one scan list.
 func TestDecompositionsLinearize(t *testing.T) {
 	cat := testCatalog(t)
 	srcs := []string{
@@ -34,8 +36,8 @@ func TestDecompositionsLinearize(t *testing.T) {
 	}
 	accepted := 0
 	for _, src := range srcs {
-		stmt := mustBind(t, cat, src)
-		d, err := Decompose(Optimize(stmt))
+		opt := Optimize(mustBind(t, cat, src))
+		d, err := Decompose(opt)
 		if err != nil {
 			if strings.Contains(err.Error(), "linearize") {
 				t.Errorf("%s: %v", src, err)
@@ -43,7 +45,16 @@ func TestDecompositionsLinearize(t *testing.T) {
 			continue
 		}
 		accepted++
+		// The tail's inputs and its group's sides are the plan's stream
+		// scans: each pipeline reads the same node, in the same order.
+		streams := Streams(opt)
+		if len(streams) != len(d.Pipelines) {
+			t.Errorf("%d pipelines over %d stream scans: %s", len(d.Pipelines), len(streams), src)
+		}
 		for i, p := range d.Pipelines {
+			if i < len(streams) && p.Scan != streams[i] {
+				t.Errorf("pipeline %d reads %s, not stream scan %d of the plan: %s", i, p.Scan.Alias, i, src)
+			}
 			if p.Scan.Window == nil {
 				t.Errorf("pipeline %d of an accepted shape reads an unwindowed scan: %s", i, src)
 			}

@@ -155,21 +155,3 @@ func (r *Ring) Runs(schema bat.Schema) *bat.Runs {
 	}
 	return runs
 }
-
-// ConcatOuts concatenates the cached pipeline outputs of the live basic
-// windows (nil ones are skipped) — the merged intermediate for
-// non-aggregate incremental plans — through bat.Concat: a window whose
-// rows all sit in one basic window is that basic window's chunk, uncopied.
-// (Partial aggregates are not concatenated: the factory merges them as
-// runs.)
-func (r *Ring) ConcatOuts(schema bat.Schema) *bat.Chunk {
-	chunks := make([]*bat.Chunk, len(r.live))
-	rows := 0
-	for i, bw := range r.live {
-		if bw.Out != nil {
-			chunks[i] = bw.Out
-			rows += bw.Out.Rows()
-		}
-	}
-	return bat.Concat(schema, chunks, rows)
-}

@@ -240,17 +240,6 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestRingConcatOuts(t *testing.T) {
-	r := NewRing(2)
-	out1 := bat.NewChunk(sch())
-	_ = out1.AppendRow(bat.TimeValue(1), bat.IntValue(10))
-	r.Push(BW{Gen: 0, Out: out1})
-	r.Push(BW{Gen: 1}) // nil intermediates tolerated (empty bw)
-	if got := r.ConcatOuts(sch()); got.Rows() != 1 {
-		t.Errorf("ConcatOuts rows = %d", got.Rows())
-	}
-}
-
 func TestRingPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -38,7 +38,7 @@ var EngineMetricDescs = []metrics.Desc{
 	{Name: "datacell_query_rows_out_total", Type: metrics.Counter,
 		Help: "Result rows emitted by the query.", Labels: []string{"query"}},
 	{Name: "datacell_query_busy_usec_total", Type: metrics.Counter,
-		Help: "Total time spent inside the query's shard firings (microseconds).", Labels: []string{"query"}},
+		Help: "Wall time of the query's tail activations, each truncated to whole microseconds.", Labels: []string{"query"}},
 	{Name: "datacell_query_last_latency_usec", Type: metrics.Gauge,
 		Help: "Response time of the newest result (microseconds).", Labels: []string{"query"}},
 	{Name: "datacell_query_max_latency_usec", Type: metrics.Gauge,

@@ -65,23 +65,17 @@ type RegisterOptions struct {
 
 // Query is a registered continuous query handle.
 type Query struct {
-	name   string
-	eng    *Engine
+	name string
+	eng  *Engine
+	// fac is the query's tail and its membership in its execution group,
+	// which it reports once joined (fac.Group).
 	fac    *factory.Factory
 	out    *emitter.Channel // nil with NoChannel
-	mode   factory.Mode
-	tenant string // "" when untenanted
+	tenant string           // "" when untenanted
 	// ingestStreams are the input streams this query's tenant claims for
 	// ingest gating (tenant.go bindIngest); released on Stop.
 	ingestStreams []string
-
-	// Execution-group state. The leave/close closures capture the group
-	// and the member.
-	groupKey   string
-	groupSched string // instance-unique scheduler group of the shard transitions
-	leaveGroup func()
-	closeGroup func()
-	stopped    bool // guarded by eng.mu
+	stopped       bool // guarded by eng.mu
 }
 
 // Register compiles and registers a continuous query from SQL text:
@@ -271,85 +265,27 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 		opt := plan.Optimize(bound)
 
 		// Resolve the execution mode: the paper's mode 2 (incremental)
-		// when the plan decomposes, mode 1 (re-evaluation) otherwise.
+		// when the plan decomposes, mode 1 (re-evaluation) otherwise. A
+		// forced re-evaluation join whose plan decomposes keeps its
+		// decomposition, which selects the pair-cache tail: it certifies
+		// that the recompute equals the merge of cached basic-window pairs,
+		// and shared, isolated and fabric-routed registrations of the same
+		// join then order joined rows identically.
 		ent = &planEntry{opt: opt, fmode: factory.Reeval}
-		switch mode {
-		case ModeIncremental:
-			d, err := plan.Decompose(opt)
-			if err != nil {
-				return nil, fmt.Errorf("datacell: incremental mode: %w", err)
-			}
+		d, err := plan.Decompose(opt)
+		switch {
+		case err != nil && mode == ModeIncremental:
+			return nil, fmt.Errorf("datacell: incremental mode: %w", err)
+		case err != nil:
+		case mode != ModeReeval:
 			ent.decomp, ent.fmode = d, factory.Incremental
-		case ModeAuto:
-			if d, err := plan.Decompose(opt); err == nil {
-				ent.decomp, ent.fmode = d, factory.Incremental
-			}
-		case ModeReeval:
-			// A forced re-evaluation join whose plan decomposes still runs
-			// the pair-cache tail: the decomposition certifies the recompute
-			// equals the merge of cached basic-window pairs, and shared,
-			// isolated and fabric-routed registrations of the same join then
-			// order joined rows identically.
-			if d, err := plan.Decompose(opt); err == nil && d.Join != nil {
-				ent.decomp = d
-			}
+		case d.Join != nil:
+			ent.decomp = d
 		}
 		if cacheKey != "" {
 			e.planCachePut(cacheKey, ent)
 		}
 	}
-	opt, decomp, fmode := ent.opt, ent.decomp, ent.fmode
-	streams := plan.Streams(opt)
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("datacell: %q reads no stream; use Exec for one-time queries", name)
-	}
-
-	// Every query runs as a member of an execution group. A single
-	// windowed stream scan joins the stream's shared group, and a
-	// decomposable stream⋈stream join the stream pair's, unless the caller
-	// opted out. Re-evaluation joins share too when their plan
-	// decomposes: the decomposition certifies that the full-window
-	// recompute equals the merge of cached basic-window pairs. Every other
-	// query — ISOLATED, a non-windowed scan, a multi-stream read that does
-	// not decompose — is the only member of a private group, one side per
-	// stream scan of its plan, under a nonce-unique key.
-	scans := streams
-	if decomp != nil {
-		scans = nil
-		for _, p := range decomp.Pipelines {
-			scans = append(scans, p.Scan)
-		}
-	}
-	var groupScans []*plan.ScanStream
-	if sc, ok := plan.SharedScan(opt); ok {
-		groupScans = []*plan.ScanStream{sc}
-	} else if l, r, ok := plan.SharedJoin(decomp); ok {
-		groupScans = []*plan.ScanStream{l, r}
-	}
-	windowed := 0
-	for _, sc := range scans {
-		if sc.Window != nil {
-			windowed++
-		}
-		// Streams exported to a shard fabric live in worker processes: a
-		// consumer must route through a group whose windowed front ends the
-		// fabric can feed. Plans no such shape fits would need local basket
-		// cursors, which see nothing.
-		if sc.Stream.RemoteTag() != "" && groupScans == nil {
-			return nil, fmt.Errorf("datacell: stream %q is exported to the shard fabric; only windowed stream scans and decomposable stream joins can consume it", sc.Stream.Name)
-		}
-	}
-	if windowed != 0 && windowed != len(scans) {
-		return nil, fmt.Errorf("datacell: %q mixes windowed and non-windowed streams; window every stream or none", name)
-	}
-	keySuffix := ""
-	if groupScans == nil || (opts != nil && opts.Isolated) {
-		if groupScans == nil {
-			groupScans = scans
-		}
-		keySuffix = fmt.Sprintf("!iso#%d", e.groupSeq.Add(1))
-	}
-
 	var emitters emitter.Multi
 	var outCh *emitter.Channel
 	if opts == nil || !opts.NoChannel {
@@ -363,22 +299,59 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	if len(emitters) == 0 {
 		emit = emitter.Null{}
 	}
-
-	fac, err := factory.New(factory.Config{
+	decomp := ent.decomp
+	fac := factory.New(factory.Config{
 		Name:          name,
-		Full:          opt,
+		Full:          ent.opt,
 		Decomp:        decomp,
-		Mode:          fmode,
+		Mode:          ent.fmode,
 		NoMemo:        opts != nil && opts.NoMemo,
 		NoSharedMerge: opts != nil && opts.NoSharedMerge,
 		Emit:          emit,
 		Now:           e.now,
 	})
-	if err != nil {
-		return nil, err
+	// The tail reads the plan's stream scans, one input each, and so does
+	// its group, one side each. The factory holds nothing before it joins a
+	// group, so a plan refused below just drops it.
+	scans := fac.Scans()
+	if len(scans) == 0 {
+		return nil, fmt.Errorf("datacell: %q reads no stream; use Exec for one-time queries", name)
 	}
 
-	q := &Query{name: name, eng: e, fac: fac, out: outCh, mode: fmode}
+	// Every query runs as a member of an execution group. A single
+	// windowed stream scan joins the stream's shared group, and a
+	// decomposable stream⋈stream join the stream pair's, unless the caller
+	// opted out: their basic windows are a function of the stream (and
+	// the pair's canonical interleaving) alone. Re-evaluation joins share
+	// too when their plan decomposes: the decomposition certifies that the
+	// full-window recompute equals the merge of cached basic-window pairs.
+	// Every other query — ISOLATED, a non-windowed scan, a multi-stream
+	// read that does not decompose — is the only member of a private
+	// group, one side per stream scan of its plan, under a nonce-unique
+	// key.
+	shareable := len(scans) == 1 && scans[0].Window != nil || decomp != nil && decomp.Join != nil
+	windowed := 0
+	for _, sc := range scans {
+		if sc.Window != nil {
+			windowed++
+		}
+		// Streams exported to a shard fabric live in worker processes: a
+		// consumer must route through a group whose windowed front ends the
+		// fabric can feed. Plans no such shape fits would need local basket
+		// cursors, which see nothing.
+		if sc.Stream.RemoteTag() != "" && !shareable {
+			return nil, fmt.Errorf("datacell: stream %q is exported to the shard fabric; only windowed stream scans and decomposable stream joins can consume it", sc.Stream.Name)
+		}
+	}
+	if windowed != 0 && windowed != len(scans) {
+		return nil, fmt.Errorf("datacell: %q mixes windowed and non-windowed streams; window every stream or none", name)
+	}
+	keySuffix := ""
+	if !shareable || (opts != nil && opts.Isolated) {
+		keySuffix = fmt.Sprintf("!iso#%d", e.groupSeq.Add(1))
+	}
+
+	q := &Query{name: name, eng: e, fac: fac, out: outCh}
 	e.mu.Lock()
 	if _, dup := e.queries[name]; dup {
 		e.mu.Unlock()
@@ -388,7 +361,7 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 	e.queries[name] = q
 	e.mu.Unlock()
 
-	if err := e.joinGroup(q, groupScans, keySuffix); err != nil {
+	if err := e.joinGroup(q, scans, keySuffix); err != nil {
 		e.mu.Lock()
 		delete(e.queries, q.name)
 		e.mu.Unlock()
@@ -419,7 +392,6 @@ func (e *Engine) registerQuery(name, src string, sel *sql.SelectStmt, mode Mode,
 // own under a nonce-unique key instead of sharing one.
 func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string) error {
 	key := plan.GroupKeyOf(scans) + keySuffix
-	var mem *factory.Member
 	var createErr error
 	gv, n := e.cat.JoinGroup(key, func() any {
 		// The scheduler group name carries a nonce: a new group created
@@ -466,7 +438,7 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 		// Join the creating member before the shard transitions (or the
 		// fabric feeds) go live so no basic window can seal against an
 		// empty member list.
-		mem = g.Join(q.name, q.fac)
+		g.Join(q.fac)
 		for side, spec := range specs {
 			side := side
 			if spec != nil {
@@ -501,12 +473,9 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 		return createErr
 	}
 	g := gv.(*factory.Group)
-	if mem == nil {
-		mem = g.Join(q.name, q.fac)
+	if q.fac.Group() == nil {
+		g.Join(q.fac)
 	}
-	q.groupKey, q.groupSched = key, g.SchedGroup()
-	q.leaveGroup = func() { g.Leave(mem) }
-	q.closeGroup = g.Close
 
 	// The member's private tail: one transition, grouped under the query
 	// name. Affinity n spreads sibling tails across workers.
@@ -514,11 +483,11 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 		Name:     q.name + "/tail",
 		Group:    q.name,
 		Affinity: n,
-		Ready:    mem.Ready,
-		Fire:     func() { mem.Fire() },
+		Ready:    q.fac.Ready,
+		Fire:     func() { q.fac.Fire() },
 	})
 	// Cover anything sealed (or appended) during setup.
-	e.sched.NotifyGroup(q.groupSched)
+	e.sched.NotifyGroup(g.SchedGroup())
 	e.sched.NotifyGroup(q.name)
 	return nil
 }
@@ -527,7 +496,7 @@ func (e *Engine) joinGroup(q *Query, scans []*plan.ScanStream, keySuffix string)
 func (q *Query) Name() string { return q.name }
 
 // Mode reports the resolved execution mode ("incremental" or "reeval").
-func (q *Query) Mode() string { return q.mode.String() }
+func (q *Query) Mode() string { return q.fac.Stats().Mode }
 
 // Tenant reports the tenant the query is attributed to ("" when
 // untenanted).
@@ -535,7 +504,7 @@ func (q *Query) Tenant() string { return q.tenant }
 
 // GroupKey reports the execution group the query belongs to; a private
 // group's key ends in a nonce-unique "!iso#n".
-func (q *Query) GroupKey() string { return q.groupKey }
+func (q *Query) GroupKey() string { return q.fac.Group().Key() }
 
 // Out is the result channel (nil when registered with NoChannel). Each
 // element is one evaluation's result set with metadata.
@@ -568,10 +537,13 @@ func (q *Query) Resume() { q.eng.sched.Resume(q.name) }
 func (q *Query) Paused() bool { return q.eng.sched.Paused(q.name) }
 
 // Stop removes the query from the network: its tail transition is removed
-// (waiting out any in-flight firing) and it leaves its execution group,
-// tearing the group — shard transitions, basket cursors and subscriptions
-// — down when it was the last member. Pending tuples or sealed windows it
-// alone was holding get dropped, and its emitters close.
+// (waiting out any in-flight firing) and its factory stops, leaving its
+// execution group, whose shard transitions, basket cursors and
+// subscriptions are torn down when it was the last member. The windows
+// the group logged for the query but it has not read yet — the log
+// entries [cursor, head), e.g. a paused query's backlog — are dropped
+// unevaluated, as are tuples buffered in the group's open epochs when it
+// was the last member. Its emitters close.
 func (q *Query) Stop() {
 	e := q.eng
 	e.mu.Lock()
@@ -591,19 +563,21 @@ func (q *Query) Stop() {
 	}
 
 	e.sched.RemoveWait(q.name)
-	if q.leaveGroup != nil {
-		_, remaining := e.cat.LeaveGroup(q.groupKey)
-		if remaining == 0 {
-			// Last member: retire the group's shard transitions, then
-			// release its cursors and subscriptions.
-			e.sched.RemoveWait(q.groupSched)
-			q.leaveGroup()
-			q.closeGroup()
-		} else {
-			q.leaveGroup()
+	g := q.fac.Group()
+	last := false
+	if g != nil {
+		// Last member: retire the group's shard transitions before the
+		// factory leaves, then release the group's cursors and
+		// subscriptions.
+		if _, remaining := e.cat.LeaveGroup(g.Key()); remaining == 0 {
+			e.sched.RemoveWait(g.SchedGroup())
+			last = true
 		}
 	}
 	q.fac.Stop()
+	if last {
+		g.Close()
+	}
 	// The name is released only now: a concurrent Register of the same
 	// name during teardown fails as a duplicate instead of racing this
 	// removal (its same-named transitions would be swept by the

@@ -282,18 +282,18 @@ func TestSharedMergePauseResume(t *testing.T) {
 // opting out still share the front end and the pipeline DAG, produce
 // identical results, and generate zero merge-class and post-merge trie
 // traffic — the benchmark baseline for what sharing past the merge
-// boundary buys.
+// boundary buys. Both legs merge a window through the same function, so
+// they also match an isolated re-evaluation of the query.
 func TestSharedMergeAblation(t *testing.T) {
 	chunks := shardTestChunks(200, 10, 4)
 	sql := "SELECT k, sum(v) AS s, count(*) AS n FROM s [SIZE 20 SLIDE 10] GROUP BY k HAVING count(*) > 1"
-	run := func(noSharedMerge bool) ([][]string, GroupInfo) {
+	run := func(opts RegisterOptions) ([][]string, GroupInfo) {
 		eng := New(&Options{Workers: 1})
 		defer eng.Close()
 		mustExecG(t, eng, "CREATE STREAM s (ts TIMESTAMP, k INT, v FLOAT)")
 		var qs []*Query
 		for i := 0; i < 4; i++ {
-			q, err := eng.Register(fmt.Sprintf("q%d", i), sql,
-				&RegisterOptions{Mode: ModeIncremental, NoSharedMerge: noSharedMerge})
+			q, err := eng.Register(fmt.Sprintf("q%d", i), sql, &opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,10 +309,14 @@ func TestSharedMergeAblation(t *testing.T) {
 		}
 		return all, eng.Groups()[0]
 	}
-	shared, gs := run(false)
-	plain, gp := run(true)
+	shared, gs := run(RegisterOptions{Mode: ModeIncremental})
+	plain, gp := run(RegisterOptions{Mode: ModeIncremental, NoSharedMerge: true})
 	if fmt.Sprint(shared) != fmt.Sprint(plain) {
 		t.Fatal("NoSharedMerge changed results")
+	}
+	ref, _ := run(RegisterOptions{Mode: ModeReeval, Isolated: true})
+	if fmt.Sprint(shared) != fmt.Sprint(ref) {
+		t.Fatalf("merged windows differ from re-evaluation:\n%v\nre-evaluation:\n%v", shared[0], ref[0])
 	}
 	if gs.MergeMisses == 0 || gs.MergeHits == 0 || gs.PostMisses == 0 {
 		t.Errorf("shared run recorded no merge/post sharing: %+v", gs)
